@@ -18,6 +18,8 @@
 // cache-differential rounds: the same hot-query/churn stream on a
 // caches-on and a caches-off database, which must agree on every
 // statement (the stale-cache contract; see RunCacheDiffRounds).
+// The sweep also reports how many generated queries got a spool (a
+// repeated subtree computed once; see GenerateQuery).
 // With --reopen R > 0, a fifth phase runs R persistence rounds: a
 // generated catalog is loaded into a Database::Open store, a query
 // batch is executed, the database is closed and reopened from disk,
@@ -102,6 +104,7 @@ int main(int argc, char** argv) {
   obs::MetricsRegistry metrics;
   uint64_t queries_run = 0;
   uint64_t divergences = 0;
+  uint64_t spooled = 0;  // phase-2 queries that got a spool
 
   auto note_plans = [&](const Differ& differ) {
     const std::vector<FuzzConfig> configs = StandardConfigs();
@@ -170,10 +173,15 @@ int main(int argc, char** argv) {
       const bool system = rng.NextBelow(8) == 0;
       const QuerySpec query = system ? GenerateSystemTableQuery(catalog, &rng)
                                      : GenerateQuery(catalog, &rng);
+      const uint64_t reuses_before = differ.SpoolReuses();
       const DiffOutcome outcome = differ.RunOne(query.ToSql());
       ++queries_run;
       metrics.counter("fuzz.queries_run")->Add(1);
       if (system) metrics.counter("fuzz.system_queries_run")->Add(1);
+      if (differ.SpoolReuses() > reuses_before) {
+        ++spooled;
+        metrics.counter("fuzz.spooled_queries")->Add(1);
+      }
       if (outcome.diverged) diverge(outcome, catalog, query);
     }
     note_plans(differ);
@@ -350,5 +358,10 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(queries_run),
               StandardConfigs().size(),
               static_cast<unsigned long long>(divergences));
+  if (args.queries > 0) {
+    std::printf("fuzz: %llu of %llu generated queries got a spool\n",
+                static_cast<unsigned long long>(spooled),
+                static_cast<unsigned long long>(args.queries));
+  }
   return divergences == 0 ? 0 : 1;
 }

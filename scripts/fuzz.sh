@@ -73,6 +73,13 @@ cmake --build "$BUILD_DIR" -j "$JOBS" --target persist_test
 (cd "$BUILD_DIR" && ctest -L storage --output-on-failure)
 "$BUILD_DIR/bench/fuzz_queries" --queries 0 --reopen 8 --seed "$SEED"
 
+# Spool pass: shared-subtree spools — held results copied, moved on
+# their last use, spilled under a budget and dropped on cancel; buffer
+# lifetimes across those hand-offs are what ASan+UBSan should watch
+# (scripts/stress.sh runs the same label under TSan).
+cmake --build "$BUILD_DIR" -j "$JOBS" --target spool_test
+(cd "$BUILD_DIR" && ctest -L spool --output-on-failure)
+
 # Sparse pass: CSR/COO kernels, semiring dispatch, sparse Value
 # serialization through spill / cache / reopen, and the graph
 # workload — pointer-walking CSR merge loops are classic off-by-one

@@ -213,6 +213,7 @@ void Executor::PublishObservability() {
     reg.Add("exec.rows_shuffled", rows_shuffled);
     reg.Add("exec.bytes_shuffled", bytes_shuffled);
     if (bytes_spilled > 0) reg.Add("exec.bytes_spilled", bytes_spilled);
+    if (spool_reuses_ > 0) reg.Add("exec.spool_reuses", spool_reuses_);
     reg.Set("exec.workers", static_cast<double>(cluster_.num_workers()));
   }
 }
@@ -239,7 +240,12 @@ Result<Dist> Executor::Execute(const LogicalOp& op) {
   // their task tag, so the pool's fair scheduler can interleave this
   // query with concurrently running ones.
   ScopedTaskTag tag(mem_.query_id);
-  RADB_ASSIGN_OR_RETURN(ExecResult out, ExecuteOp(op));
+  Result<ExecResult> executed = ExecuteOp(op);
+  // Held spool results belong to this execution alone: a failed or
+  // cancelled plan must not keep their rows, spill files or budget
+  // charges past this call.
+  spools_.clear();
+  RADB_ASSIGN_OR_RETURN(ExecResult out, std::move(executed));
   PublishObservability();
   // The final result set is always materialized (it leaves the
   // governed execution pipeline here); draining releases the buffers'
@@ -293,6 +299,76 @@ Result<ExecResult> Executor::ExecuteOp(const LogicalOp& op) {
 }
 
 Result<ExecResult> Executor::DispatchOp(const LogicalOp& op) {
+  if (op.spool_id == 0) return RunOp(op);
+  auto held = spools_.find(op.spool_id);
+  if (held != spools_.end()) return ServeSpool(op, held->second);
+  RADB_ASSIGN_OR_RETURN(ExecResult result, RunOp(op));
+  return HoldSpool(op, std::move(result));
+}
+
+Result<SpillableDist> Executor::CopyDist(SpillableDist& src,
+                                         OperatorMetrics* m) {
+  SpillableDist out = NewDist(src.size());
+  RADB_RETURN_NOT_OK(ForEachWorker(src.size(), [&](size_t wkr) -> Status {
+    const auto t0 = Clock::now();
+    SpillableRowBuffer::Reader reader(&src[wkr]);
+    while (true) {
+      RADB_ASSIGN_OR_RETURN(std::optional<Row> row, reader.Next());
+      if (!row.has_value()) break;
+      RADB_RETURN_NOT_OK(out[wkr].Append(std::move(*row)));
+    }
+    if (m != nullptr) m->worker_seconds[wkr] += SecondsSince(t0);
+    return Status::OK();
+  }));
+  return out;
+}
+
+Result<ExecResult> Executor::HoldSpool(const LogicalOp& op,
+                                       ExecResult result) {
+  // Under a budget the held rows go to disk at once, so they never pin
+  // budget that a later hard reservation needs; each use replays them.
+  if (mem_.has_budget()) {
+    for (SpillableRowBuffer& buf : result.dist) {
+      RADB_RETURN_NOT_OK(buf.SpillToDisk());
+    }
+  }
+  RADB_ASSIGN_OR_RETURN(SpillableDist copy, CopyDist(result.dist, nullptr));
+  const std::optional<size_t> hashed = result.hashed_slot;
+  spools_[op.spool_id] = HeldSpool{std::move(result), &op, op.spool_uses - 1};
+  return ExecResult{std::move(copy), hashed};
+}
+
+Result<ExecResult> Executor::ServeSpool(const LogicalOp& op,
+                                        HeldSpool& held) {
+  OperatorMetrics* m = NewOp("SpoolReuse", op);
+  // Equal subtrees emit equal columns in equal positions, so the
+  // producer's placement carries over by output position.
+  std::optional<size_t> hashed;
+  if (held.result.hashed_slot) {
+    for (size_t i = 0; i < held.producer->output.size(); ++i) {
+      if (held.producer->output[i].slot == *held.result.hashed_slot) {
+        hashed = op.output[i].slot;
+      }
+    }
+  }
+  ExecResult out{SpillableDist{}, hashed};
+  if (--held.uses_left == 0) {
+    // The last use takes the held rows, and with them the record of
+    // their spill at production.
+    out.dist = std::move(held.result.dist);
+    spools_.erase(op.spool_id);
+  } else {
+    RADB_ASSIGN_OR_RETURN(out.dist, CopyDist(held.result.dist, m));
+  }
+  ++spool_reuses_;
+  m->rows_out = SpillDistRowCount(out.dist);
+  m->rows_in = m->rows_out;
+  m->bytes_out = SpillDistByteSize(out.dist);
+  CollectSpill(m, out.dist);
+  return out;
+}
+
+Result<ExecResult> Executor::RunOp(const LogicalOp& op) {
   // Columnar fast path: vectorize the maximal batch-capable chain
   // rooted here. Never under a memory budget — columnar operator
   // state cannot spill, and the budgeted row path can.

@@ -127,7 +127,20 @@ class Executor {
   friend class VectorizedPipeline;
 
   Result<ExecResult> ExecuteOp(const LogicalOp& op);
+  /// Serves `op` from its spool when a copy already ran; otherwise runs
+  /// it and, for a spool with later uses, holds the result.
   Result<ExecResult> DispatchOp(const LogicalOp& op);
+  Result<ExecResult> RunOp(const LogicalOp& op);
+  struct HeldSpool;
+  /// Keeps a spool producer's result for its later uses and returns a
+  /// copy for the producer's own consumer.
+  Result<ExecResult> HoldSpool(const LogicalOp& op, ExecResult result);
+  /// Hands a later copy of a spool the held result: a copy while more
+  /// uses remain, the held rows themselves for the last one.
+  Result<ExecResult> ServeSpool(const LogicalOp& op, HeldSpool& held);
+  /// Row-for-row copy of `src` into fresh buffers on the same workers;
+  /// per-worker copy time goes to `m` when given.
+  Result<SpillableDist> CopyDist(SpillableDist& src, OperatorMetrics* m);
   /// Columnar fast path (vectorized.cc): when `op` heads a
   /// batch-capable scan/filter/project[/aggregate] chain, executes the
   /// whole chain batch-at-a-time and returns its result; nullopt means
@@ -190,6 +203,17 @@ class Executor {
   /// unaffected.
   JoinBatchSink* join_sink_ = nullptr;
   const LogicalOp* join_sink_op_ = nullptr;
+
+  /// A spool producer's result, held for the spool's later uses. It
+  /// lives in the Executor — one per execution — never on the plan,
+  /// which concurrent sessions share through the plan cache.
+  struct HeldSpool {
+    ExecResult result;
+    const LogicalOp* producer = nullptr;  // maps hashed_slot by position
+    size_t uses_left = 0;
+  };
+  std::map<size_t, HeldSpool> spools_;  // by LogicalOp::spool_id
+  size_t spool_reuses_ = 0;
 };
 
 }  // namespace radb

@@ -1573,8 +1573,10 @@ Result<ExecResult> VectorizedPipeline::Run() {
   // would only re-read (the dominant cost of the paper's tuple-coded
   // Gram self-join). Any other boundary executes first, exactly as it
   // would below a row operator (its metrics precede the chain's).
-  const bool join_inline =
-      boundary_ != nullptr && boundary_->kind == LogicalOp::Kind::kJoin;
+  // A spooled join must materialize: its held rows serve later copies.
+  const bool join_inline = boundary_ != nullptr &&
+                           boundary_->kind == LogicalOp::Kind::kJoin &&
+                           boundary_->spool_id == 0;
   if (boundary_ != nullptr && !join_inline) {
     RADB_ASSIGN_OR_RETURN(boundary_res_, x_.ExecuteOp(*boundary_));
   }
@@ -1827,8 +1829,11 @@ Result<std::optional<ExecResult>> Executor::TryVectorized(
       scan = child;
       break;
     }
-    if (child->batch_capable && (child->kind == LogicalOp::Kind::kFilter ||
-                                 child->kind == LogicalOp::Kind::kProject)) {
+    // A spooled node bounds the chain: it must pass through ExecuteOp,
+    // which holds or serves its result.
+    if (child->batch_capable && child->spool_id == 0 &&
+        (child->kind == LogicalOp::Kind::kFilter ||
+         child->kind == LogicalOp::Kind::kProject)) {
       nodes.push_back(child);
       cur = child;
       continue;

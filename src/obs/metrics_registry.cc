@@ -31,12 +31,15 @@ void Histogram::Observe(double v) {
   }
   ++count_;
   sum_ += v;
-  size_t b = 0;
-  if (v > 1.0) {
-    b = std::min<size_t>(kBuckets - 1,
-                         static_cast<size_t>(std::ceil(std::log2(v))));
-  }
+  // ceil(log2(v)) + kOffset, clamped into [0, kBuckets).
+  const double e = v > 0.0 ? std::ceil(std::log2(v)) + kOffset : 0.0;
+  const size_t b = static_cast<size_t>(
+      std::clamp(e, 0.0, static_cast<double>(kBuckets - 1)));
   ++buckets_[b];
+}
+
+double Histogram::UpperBound(size_t i) {
+  return std::exp2(static_cast<double>(i) - kOffset);
 }
 
 double Histogram::Percentile(double q) const {
@@ -53,12 +56,13 @@ double Histogram::Percentile(double q) const {
     const uint64_t before = cumulative;
     cumulative += buckets_[i];
     if (static_cast<double>(cumulative) < rank) continue;
-    const double lower = i == 0 ? 0.0 : std::exp2(static_cast<double>(i) - 1);
-    const double upper = std::exp2(static_cast<double>(i));
+    // The edge buckets are open-ended; min/max close them.
+    const double lower = i == 0 ? min_ : std::max(min_, UpperBound(i - 1));
+    const double upper =
+        i == kBuckets - 1 ? max_ : std::min(max_, UpperBound(i));
     const double frac =
         (rank - static_cast<double>(before)) / static_cast<double>(buckets_[i]);
-    const double v = lower + (upper - lower) * frac;
-    return std::min(max_, std::max(min_, v));
+    return lower + (upper - lower) * frac;
   }
   return max_;
 }
@@ -68,7 +72,7 @@ std::vector<std::pair<double, uint64_t>> Histogram::NonEmptyBuckets() const {
   std::vector<std::pair<double, uint64_t>> out;
   for (size_t i = 0; i < kBuckets; ++i) {
     if (buckets_[i] != 0) {
-      out.emplace_back(std::exp2(static_cast<double>(i)), buckets_[i]);
+      out.emplace_back(UpperBound(i), buckets_[i]);
     }
   }
   return out;

@@ -36,12 +36,18 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Distribution summary with power-of-two buckets. Bucket i counts
-/// observations in (2^(i-1), 2^i] (bucket 0: <= 1). Cheap, fixed
-/// memory, good enough to see operator-time and shuffle-size shapes.
+/// Distribution summary with power-of-two buckets on both sides of 1,
+/// so sub-second latencies resolve as well as large counts. Bucket i
+/// counts observations in (2^(i-1-kOffset), 2^(i-kOffset)]; bucket 0
+/// also takes everything smaller (zero and negatives), the top bucket
+/// everything larger. Cheap, fixed memory, good enough to see latency,
+/// operator-time and shuffle-size shapes.
 class Histogram {
  public:
   static constexpr size_t kBuckets = 64;
+  /// Number of buckets whose upper bound lies below 1; upper bounds run
+  /// from 2^-32 (about 0.2 ns as seconds) to 2^31.
+  static constexpr int kOffset = 32;
 
   void Observe(double v);
 
@@ -66,15 +72,18 @@ class Histogram {
     return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
   }
   /// Approximate quantile (q in [0,1]): nearest-rank bucket walk with
-  /// linear interpolation inside the winning power-of-two bucket,
-  /// clamped to the observed min/max so small samples stay exact at
-  /// the extremes.
+  /// linear interpolation inside the winning power-of-two bucket, whose
+  /// bounds are first narrowed to the observed min/max so small samples
+  /// stay exact at the extremes.
   double Percentile(double q) const;
   /// Non-empty buckets as (upper_bound, count) pairs.
   std::vector<std::pair<double, uint64_t>> NonEmptyBuckets() const;
 
  private:
   friend class MetricsRegistry;
+  /// Upper bound of bucket i: 2^(i - kOffset).
+  static double UpperBound(size_t i);
+
   mutable std::mutex mu_;
   uint64_t count_ = 0;
   double sum_ = 0.0;

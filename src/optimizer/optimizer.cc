@@ -1,10 +1,13 @@
 #include "optimizer/optimizer.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <set>
+#include <sstream>
 
 #include "common/string_util.h"
+#include "storage/serialize.h"
 
 namespace radb {
 
@@ -226,6 +229,223 @@ void SelectIndexes(LogicalOp& op, IndexSelectionStats* stats) {
       op.index_nl = true;
       ++stats->index_nl_joins;
       break;
+    }
+  }
+}
+
+// ---- Shared subtrees (post-pass) ------------------------------------
+//
+// The binder inlines a view (or repeats a derived table) at every
+// reference, with fresh slot ids per copy, so a statement that reads
+// one view twice plans its joins and aggregates twice. This pass finds
+// such repeats and marks them as one spool: the executor computes the
+// first copy and serves the others from its held result.
+
+/// Canonical text of a subtree: every field the executor reads, with
+/// slot ids renumbered by first appearance, so two copies of one view
+/// print the same. Display-only fields (names, aliases, estimates) are
+/// left out. Variable-length tokens are length-prefixed, so distinct
+/// trees never concatenate to the same text.
+class SubtreeFingerprint {
+ public:
+  static std::string Of(const LogicalOp& op) {
+    SubtreeFingerprint f;
+    f.Node(op);
+    return std::move(f.out_);
+  }
+
+ private:
+  void Tok(const std::string& s) {
+    out_ += std::to_string(s.size());
+    out_ += ':';
+    out_ += s;
+  }
+  void Num(uint64_t v) { Tok(std::to_string(v)); }
+  void Slot(size_t slot) {
+    Num(slots_.emplace(slot, slots_.size()).first->second);
+  }
+  void Ptr(const void* p) { Num(reinterpret_cast<uintptr_t>(p)); }
+
+  void Expr(const BoundExpr& e) {
+    Num(static_cast<uint64_t>(e.kind));
+    Tok(e.type.ToString());
+    switch (e.kind) {
+      case BoundExpr::Kind::kLiteral: {
+        std::ostringstream os;
+        WriteValueBinary(os, e.literal);  // exact, doubles included
+        Tok(os.str());
+        break;
+      }
+      case BoundExpr::Kind::kColumnRef:
+        Slot(e.slot);
+        break;
+      case BoundExpr::Kind::kParam:
+        Num(e.slot);  // a parameter ordinal, not a slot
+        break;
+      case BoundExpr::Kind::kArith:
+        Num(static_cast<uint64_t>(e.arith_op));
+        break;
+      case BoundExpr::Kind::kCompare:
+        Num(static_cast<uint64_t>(e.compare_op));
+        break;
+      case BoundExpr::Kind::kLogic:
+        Num(e.logic_is_and ? 1 : 0);
+        break;
+      case BoundExpr::Kind::kCall:
+        Ptr(e.fn);
+        break;
+      case BoundExpr::Kind::kNot:
+      case BoundExpr::Kind::kNeg:
+        break;
+    }
+    Exprs(e.children);
+  }
+  void Exprs(const std::vector<BoundExprPtr>& es) {
+    Num(es.size());
+    for (const BoundExprPtr& e : es) Expr(*e);
+  }
+
+  void Node(const LogicalOp& op) {
+    Tok(KindName(op.kind));
+    Num(op.children.size());
+    for (const LogicalOpPtr& c : op.children) Node(*c);
+    switch (op.kind) {
+      case LogicalOp::Kind::kScan:
+        Ptr(op.table.get());
+        Num(op.scan_columns.size());
+        for (size_t col : op.scan_columns) Num(col);
+        Tok(op.index_name);
+        Num(op.index_lo.size());
+        for (int64_t v : op.index_lo) Num(static_cast<uint64_t>(v));
+        for (int64_t v : op.index_hi) Num(static_cast<uint64_t>(v));
+        break;
+      case LogicalOp::Kind::kFilter:
+        Exprs(op.predicates);
+        break;
+      case LogicalOp::Kind::kJoin:
+        Num(op.equi_keys.size());
+        for (const auto& [l, r] : op.equi_keys) {
+          Expr(*l);
+          Expr(*r);
+        }
+        Exprs(op.residual);
+        Exprs(op.exprs);
+        Num(op.index_nl ? 1 : 0);
+        break;
+      case LogicalOp::Kind::kProject:
+        Exprs(op.exprs);
+        break;
+      case LogicalOp::Kind::kAggregate:
+        Exprs(op.group_exprs);
+        Num(op.aggs.size());
+        for (const AggCall& a : op.aggs) {
+          Ptr(a.fn);
+          Num(a.is_count_star ? 1 : 0);
+          if (a.arg) Expr(*a.arg);
+          Tok(a.result_type.ToString());
+          Slot(a.out_slot);
+        }
+        break;
+      case LogicalOp::Kind::kSort:
+        Num(op.sort_keys.size());
+        for (const auto& [e, desc] : op.sort_keys) {
+          Expr(*e);
+          Num(desc ? 1 : 0);
+        }
+        break;
+      case LogicalOp::Kind::kLimit:
+        Num(static_cast<uint64_t>(op.limit));
+        break;
+      case LogicalOp::Kind::kDistinct:
+        break;
+    }
+    Num(op.output.size());
+    for (const SlotInfo& s : op.output) {
+      Slot(s.slot);
+      Tok(s.type.ToString());
+    }
+  }
+
+  std::map<size_t, size_t> slots_;
+  std::string out_;
+};
+
+bool IsJoinOrAggregate(const LogicalOp& op) {
+  return op.kind == LogicalOp::Kind::kJoin ||
+         op.kind == LogicalOp::Kind::kAggregate;
+}
+
+/// One plan node in pre-order — the order in which the executor enters
+/// nodes, so the first copy of a spool in this order is its producer.
+struct PlanNode {
+  LogicalOp* op = nullptr;
+  size_t size = 1;      // nodes in the subtree, this one included
+  bool costly = false;  // the subtree holds a Join or Aggregate
+};
+
+void CollectPreOrder(LogicalOp& op, std::vector<PlanNode>* out) {
+  const size_t self = out->size();
+  out->push_back(PlanNode{&op, 1, IsJoinOrAggregate(op)});
+  for (const LogicalOpPtr& c : op.children) {
+    const size_t child = out->size();
+    CollectPreOrder(*c, out);
+    (*out)[self].size += (*out)[child].size;
+    (*out)[self].costly = (*out)[self].costly || (*out)[child].costly;
+  }
+}
+
+/// Marks every set of two or more equal subtrees holding a Join or
+/// Aggregate as one spool (LogicalOp::spool_id). Bare scans and
+/// Filter/Project chains over one are never spooled: re-reading them
+/// costs no more than copying a held result. Larger repeats go first,
+/// so a repeat nested inside a reused copy — which never executes —
+/// is not counted among its set's uses.
+void MarkSharedSubtrees(LogicalOp& root) {
+  std::vector<PlanNode> nodes;
+  CollectPreOrder(root, &nodes);
+  const auto join_or_agg =
+      std::count_if(nodes.begin(), nodes.end(), [](const PlanNode& n) {
+        return IsJoinOrAggregate(*n.op);
+      });
+  if (join_or_agg < 2) return;  // no costly subtree can repeat
+
+  // Equal subtrees, each set in pre-order.
+  std::map<std::string, std::vector<size_t>> sets;
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    if (nodes[i].costly) {
+      sets[SubtreeFingerprint::Of(*nodes[i].op)].push_back(i);
+    }
+  }
+  std::vector<const std::vector<size_t>*> repeats;
+  for (const auto& [key, members] : sets) {
+    if (members.size() >= 2) repeats.push_back(&members);
+  }
+  std::sort(repeats.begin(), repeats.end(),
+            [&](const std::vector<size_t>* a, const std::vector<size_t>* b) {
+              const size_t sa = nodes[a->front()].size;
+              const size_t sb = nodes[b->front()].size;
+              return sa != sb ? sa > sb : a->front() < b->front();
+            });
+
+  std::vector<bool> never_runs(nodes.size(), false);
+  size_t spools = 0;
+  for (const std::vector<size_t>* members : repeats) {
+    std::vector<size_t> uses;
+    for (size_t i : *members) {
+      if (!never_runs[i]) uses.push_back(i);
+    }
+    if (uses.size() < 2) continue;
+    ++spools;
+    for (size_t u = 0; u < uses.size(); ++u) {
+      const PlanNode& n = nodes[uses[u]];
+      n.op->spool_id = spools;
+      n.op->spool_uses = uses.size();
+      n.op->spool_reuse = u > 0;
+      if (u > 0) {
+        std::fill(never_runs.begin() + static_cast<long>(uses[u] + 1),
+                  never_runs.begin() + static_cast<long>(uses[u] + n.size),
+                  true);
+      }
     }
   }
 }
@@ -854,6 +1074,7 @@ Result<LogicalOpPtr> Optimizer::Plan(std::unique_ptr<BoundQuery> query,
       obs.metrics->Add("optimizer.index_nl_joins", stats.index_nl_joins);
     }
   }
+  MarkSharedSubtrees(*plan);
   // Physical annotation pass: mark which nodes the columnar engine can
   // take, so the executor's pipeline choice is a plan property (visible
   // in EXPLAIN ANALYZE) rather than a runtime guess.

@@ -117,6 +117,14 @@ std::string LogicalOp::NodeLabel() const {
     default:
       break;
   }
+  if (spool_id != 0) {
+    os << " spool#" << spool_id;
+    if (spool_reuse) {
+      os << " reuse";
+    } else {
+      os << " (uses=" << spool_uses << ")";
+    }
+  }
   return os.str();
 }
 
@@ -168,6 +176,9 @@ LogicalOpPtr LogicalOp::Clone() const {
   out->est_row_bytes = est_row_bytes;
   out->est_cost = est_cost;
   out->batch_capable = batch_capable;
+  out->spool_id = spool_id;
+  out->spool_uses = spool_uses;
+  out->spool_reuse = spool_reuse;
   return out;
 }
 

@@ -101,6 +101,18 @@ struct LogicalOp {
   /// into vectorized pipelines; anything else stays on the row engine.
   bool batch_capable = false;
 
+  /// Shared-subtree (spool) annotation, filled by the optimizer's
+  /// post-pass: nonzero on every executed copy of a repeated subtree
+  /// that holds a Join or Aggregate. The first copy in execution order
+  /// runs and its result is held for the rest of the execution; each
+  /// later copy (`spool_reuse`) is served from it without running its
+  /// children. `spool_uses` counts the copies that execute, producer
+  /// included; copies nested inside a reused copy never execute and
+  /// are neither annotated nor counted.
+  size_t spool_id = 0;
+  size_t spool_uses = 0;
+  bool spool_reuse = false;
+
   /// Bytes this operator is estimated to produce (rows * row bytes).
   double EstOutputBytes() const { return est_rows * est_row_bytes; }
 

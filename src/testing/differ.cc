@@ -359,6 +359,12 @@ std::vector<uint64_t> Differ::PlansConsidered() const {
   return out;
 }
 
+uint64_t Differ::SpoolReuses() const {
+  obs::MetricsRegistry* reg =
+      const_cast<Database*>(dbs_.front().get())->metrics_registry();
+  return reg == nullptr ? 0 : reg->counter("exec.spool_reuses")->value();
+}
+
 namespace {
 
 /// A literal of `type` drawn from the same exact-in-double grids the

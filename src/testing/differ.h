@@ -70,6 +70,10 @@ class Differ {
   /// from each Database's metrics registry.
   std::vector<uint64_t> PlansConsidered() const;
 
+  /// Cumulative exec.spool_reuses of the baseline configuration: a
+  /// query that raises it had a repeated subtree served from a spool.
+  uint64_t SpoolReuses() const;
+
   size_t num_configs() const { return dbs_.size(); }
 
  private:

@@ -365,6 +365,35 @@ class ExprGen {
   Rng* rng_;
 };
 
+/// "SELECT d.k AS k, COUNT(*) AS n, ... FROM t AS d GROUP BY d.k":
+/// one group per key with up to three exact aggregates over t's other
+/// columns. Fills `columns` with the derived table's schema.
+std::string SharedAggregate(const TableSpec& t,
+                            std::vector<ColumnSpec>* columns) {
+  std::string select = "SELECT d.k AS k, COUNT(*) AS n";
+  columns->assign({{"k", DataType::Integer()}, {"n", DataType::Integer()}});
+  for (const ColumnSpec& c : t.columns) {
+    if (c.name == "k" || columns->size() >= 5) continue;
+    const std::string name = "a" + std::to_string(columns->size() - 2);
+    switch (c.type.kind()) {
+      case TypeKind::kInteger:
+      case TypeKind::kDouble:
+      case TypeKind::kVector:
+      case TypeKind::kMatrix:
+        // Sums over the generators' grids stay exact in any order.
+        select += ", SUM(d." + c.name + ") AS " + name;
+        break;
+      case TypeKind::kString:
+        select += ", MAX(d." + c.name + ") AS " + name;
+        break;
+      default:
+        continue;
+    }
+    columns->push_back({name, c.type});
+  }
+  return select + " FROM " + t.name + " AS d GROUP BY d.k";
+}
+
 }  // namespace
 
 std::string QuerySpec::ToSql() const {
@@ -378,7 +407,12 @@ std::string QuerySpec::ToSql() const {
   os << " FROM ";
   for (size_t i = 0; i < from.size(); ++i) {
     if (i > 0) os << ", ";
-    os << from[i].table << " AS " << from[i].alias;
+    if (from[i].derived.empty()) {
+      os << from[i].table;
+    } else {
+      os << "(" << from[i].derived << ")";
+    }
+    os << " AS " << from[i].alias;
   }
   if (!where.empty()) {
     os << " WHERE ";
@@ -508,10 +542,18 @@ QuerySpec GenerateQuery(const CatalogSpec& catalog, Rng* rng) {
   QuerySpec q;
 
   // ---- FROM: 1-5 relations, repeats allowed, always aliased. ----
-  const size_t nrel = 1 + rng->NextBelow(5);
-  for (size_t i = 0; i < nrel; ++i) {
+  size_t nrel = 1 + rng->NextBelow(5);
+  std::vector<ColumnSpec> derived_columns;
+  if (rng->NextBelow(8) == 0) {
     const TableSpec& t = catalog.tables[rng->NextBelow(catalog.tables.size())];
-    q.from.push_back({t.name, "r" + std::to_string(i)});
+    const std::string derived = SharedAggregate(t, &derived_columns);
+    q.from.push_back({t.name, "r0", derived});
+    q.from.push_back({t.name, "r1", derived});
+    nrel = std::max<size_t>(nrel, 2);
+  }
+  for (size_t i = q.from.size(); i < nrel; ++i) {
+    const TableSpec& t = catalog.tables[rng->NextBelow(catalog.tables.size())];
+    q.from.push_back({t.name, "r" + std::to_string(i), ""});
   }
 
   // ---- Scope. ----
@@ -521,7 +563,8 @@ QuerySpec GenerateQuery(const CatalogSpec& catalog, Rng* rng) {
     for (const TableSpec& cand : catalog.tables) {
       if (cand.name == f.table) t = &cand;
     }
-    for (const ColumnSpec& c : t->columns) {
+    for (const ColumnSpec& c : f.derived.empty() ? t->columns
+                                                 : derived_columns) {
       ColRef ref{f.alias + "." + c.name, c.type};
       switch (c.type.kind()) {
         case TypeKind::kInteger:
@@ -550,9 +593,12 @@ QuerySpec GenerateQuery(const CatalogSpec& catalog, Rng* rng) {
   ExprGen gen(scope, rng);
 
   // ---- Join conjuncts: chain consecutive relations on INTEGER
-  // columns (every generated table has one). ----
+  // columns (every generated table has one); a shared derived table
+  // always joins its twin on the key. ----
   for (size_t i = 1; i < nrel; ++i) {
-    if (rng->NextBelow(10) < 8) {
+    if (i == 1 && !q.from[1].derived.empty()) {
+      q.where.push_back("r0.k = r1.k");
+    } else if (rng->NextBelow(10) < 8) {
       const size_t j = rng->NextBelow(i);
       q.where.push_back(q.from[j].alias + ".k = " + q.from[i].alias + ".k");
     }

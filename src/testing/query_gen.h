@@ -15,8 +15,11 @@ namespace radb::testing {
 /// select items independently and re-render.
 struct QuerySpec {
   struct FromItem {
-    std::string table;
+    std::string table;  // the base table read, derived tables included
     std::string alias;  // r0..r4, single digit, so "rK." searches are exact
+    /// Non-empty for a derived table: the subquery rendered as
+    /// "(derived) AS alias" in place of the table name.
+    std::string derived;
   };
   struct SelectItem {
     std::string text;
@@ -45,7 +48,10 @@ struct QuerySpec {
 /// Generates one random query over the catalog: 1-5 relations
 /// (repeats allowed, always aliased), equi-join conjuncts on INTEGER
 /// columns, scalar and LA expressions, optional GROUP BY with the full
-/// aggregate roster, optional DISTINCT / ORDER BY / LIMIT.
+/// aggregate roster, optional DISTINCT / ORDER BY / LIMIT. About one
+/// query in eight starts its FROM list with one aggregating derived
+/// table read twice, as r0 and r1 joined on its key — the repeated
+/// subtree the executor computes once (a spool).
 ///
 /// Determinism-by-construction rules (DESIGN.md §9): every generated
 /// expression is total (no division, no partial builtins, indexes in

@@ -268,6 +268,11 @@ TEST(CancelCleanupTest, CancelledSpillingQueryLeavesNoFilesOrCharges) {
     // A spilling join (64 KB budget) cancelled mid-flight.
     QueryOptions opts;
     opts.memory_budget_bytes = 64u << 10;
+    // One thread: at 4 or more this budget's join often ends in
+    // ResourceExhausted before the cancel lands, because the
+    // admit/spill/fail decision still depends on interleaving (ROADMAP:
+    // "Deterministic budgets and integrity-checked storage").
+    opts.num_threads_override = 1;
     // The sequence number the upcoming Execute will get, captured
     // before launching the canceller so nothing races on it.
     const uint64_t seq = session->next_query_seq();

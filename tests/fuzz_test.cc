@@ -38,6 +38,12 @@ TEST(QueryGenTest, DeterministicAndParseable) {
     if (a.limit.has_value()) {
       EXPECT_EQ(a.order_by.size(), a.select_items.size());
     }
+    // A shared derived table comes as one twin pair joined on its key.
+    if (!a.from[0].derived.empty()) {
+      ASSERT_GE(a.from.size(), 2u);
+      EXPECT_EQ(a.from[1].derived, a.from[0].derived);
+      EXPECT_EQ(a.where[0], "r0.k = r1.k");
+    }
   }
 }
 
@@ -112,9 +118,11 @@ TEST(RegressionSeedsTest, AllPinnedCasesAgree) {
 }
 
 // The CI differential gate: 200 fixed-seed random queries across 8
-// random catalogs, every engine configuration vs the reference.
+// random catalogs, every engine configuration vs the reference. Some
+// of them read a derived table twice and so run a spool.
 TEST(FuzzTest, TwoHundredFixedSeedQueries) {
   size_t ran = 0;
+  size_t spooled = 0;
   for (uint64_t catalog_seed = 100; catalog_seed < 108; ++catalog_seed) {
     const CatalogSpec catalog = GenerateCatalog(catalog_seed);
     Differ differ(catalog);
@@ -122,14 +130,17 @@ TEST(FuzzTest, TwoHundredFixedSeedQueries) {
     Rng rng(catalog_seed * 7919);
     for (int i = 0; i < 25; ++i) {
       const QuerySpec query = GenerateQuery(catalog, &rng);
+      const uint64_t reuses = differ.SpoolReuses();
       const DiffOutcome outcome = differ.RunOne(query.ToSql());
       ++ran;
+      if (differ.SpoolReuses() > reuses) ++spooled;
       ASSERT_FALSE(outcome.diverged)
           << "catalog seed " << catalog_seed << ", query " << i << ":\n"
           << outcome.report;
     }
   }
   EXPECT_EQ(ran, 200u);
+  EXPECT_GT(spooled, 0u);
 }
 
 }  // namespace

@@ -171,17 +171,39 @@ TEST(MetricsRegistryTest, HistogramRejectsNonFiniteSamples) {
   for (double q : {0.5, 0.95, 0.99}) {
     EXPECT_TRUE(std::isfinite(h->Percentile(q))) << "q=" << q;
   }
-  // Bucket placement: -inf clamps below 1.0 and lands in bucket 0
-  // (le 1) by design; 2.0 in le 2; +inf clamps to DBL_MAX and must
-  // land in the TOP bucket, not bucket 0 as before the fix.
+  // Bucket placement: -inf clamps to the lowest double and lands in
+  // the BOTTOM bucket (le 2^-kOffset); 2.0 in le 2; +inf clamps to
+  // DBL_MAX and must land in the TOP bucket, not the bottom one.
   const auto buckets = h->NonEmptyBuckets();
   ASSERT_EQ(buckets.size(), 3u);
-  EXPECT_DOUBLE_EQ(buckets[0].first, 1.0);
+  EXPECT_DOUBLE_EQ(buckets[0].first, std::exp2(-obs::Histogram::kOffset));
   EXPECT_EQ(buckets[0].second, 1u);
   EXPECT_DOUBLE_EQ(buckets[1].first, 2.0);
   EXPECT_EQ(buckets[1].second, 1u);
   EXPECT_EQ(buckets[2].second, 1u);
-  EXPECT_GT(buckets[2].first, 1e18);  // exp2(kBuckets - 1), the top bucket
+  EXPECT_DOUBLE_EQ(buckets[2].first,
+                   std::exp2(static_cast<double>(obs::Histogram::kBuckets) -
+                             1 - obs::Histogram::kOffset));
+}
+
+TEST(MetricsRegistryTest, HistogramResolvesSubSecondSamples) {
+  obs::MetricsRegistry reg;
+  obs::Histogram* h = reg.histogram("service.query_seconds");
+  // 1000 latencies spread evenly over [1 ms, 10 ms]: before buckets
+  // had bounds below 1, every one of them shared bucket 0 and each
+  // percentile read as the max.
+  for (int i = 0; i < 1000; ++i) h->Observe(0.001 + 0.009 * i / 999.0);
+  const double p50 = h->Percentile(0.50);
+  const double p99 = h->Percentile(0.99);
+  EXPECT_LT(p50, p99);
+  EXPECT_LT(p99, h->max());
+  EXPECT_NEAR(p50, 0.0055, 0.001);
+  EXPECT_GT(p99, 0.009);
+  // Sub-1 bounds: 1-10 ms spans le 2^-9 .. le 2^-6.
+  const auto buckets = h->NonEmptyBuckets();
+  ASSERT_EQ(buckets.size(), 4u);
+  EXPECT_DOUBLE_EQ(buckets.front().first, std::exp2(-9));
+  EXPECT_DOUBLE_EQ(buckets.back().first, std::exp2(-6));
 }
 
 TEST(MetricsRegistryTest, EmptyHistogramIsAllZeros) {
