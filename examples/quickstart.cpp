@@ -84,7 +84,8 @@ int main() {
   auto total = budgeted->last().Get(0, 0);
   if (total.ok()) {
     std::cout << "\nSUM(y) under a 16 MB budget = " << total->ToString()
-              << " (spilled " << db.last_spill_bytes() << " bytes)\n";
+              << " (spilled " << budgeted->statements[0].spill_bytes
+              << " bytes)\n";
   }
   return 0;
 }

@@ -12,7 +12,6 @@
 #include "common/string_util.h"
 #include "exec/executor.h"
 #include "exec/expr_eval.h"
-#include "la/sparse/sparse.h"
 #include "mem/memory_tracker.h"
 #include "obs/metrics_registry.h"
 #include "mem/spill_file.h"
@@ -180,29 +179,28 @@ class PhaseTimer {
   std::chrono::steady_clock::time_point start_;
 };
 
-/// Flattens a query's executed-operator metrics into the persistable
-/// records radb_operators serves.
-void AppendOperatorRecords(const QueryMetrics& qm, obs::QueryRecord* record) {
-  if (record == nullptr) return;
-  for (size_t i = 0; i < qm.operators.size(); ++i) {
-    const OperatorMetrics& m = qm.operators[i];
-    obs::OperatorRecord op;
-    op.op_index = static_cast<int64_t>(record->operators.size());
-    op.name = m.name;
-    op.estimated_rows = m.estimated_rows;
-    op.actual_rows = static_cast<int64_t>(m.rows_out);
-    op.rows_in = static_cast<int64_t>(m.rows_in);
-    op.worker_seconds = m.TotalSeconds();
-    op.max_worker_seconds = m.MaxWorkerSeconds();
-    op.skew = m.Skew();
-    op.rows_shuffled = static_cast<int64_t>(m.rows_shuffled);
-    op.bytes_shuffled = static_cast<int64_t>(m.bytes_shuffled);
-    op.bytes_spilled = static_cast<int64_t>(m.bytes_spilled);
-    op.spill_runs = static_cast<int64_t>(m.spill_runs);
-    op.exec_mode = m.vectorized ? "batch" : "row";
-    op.batches = static_cast<int64_t>(m.batches);
-    record->operators.push_back(std::move(op));
+/// Plan cache capacity, in entries (LRU).
+constexpr size_t kPlanCacheEntries = 256;
+
+/// The EXPLAIN rendering of an optimized plan: the plan tree, then its
+/// estimated cost. Database::Explain returns it as one string, the
+/// EXPLAIN statement as one row per line.
+std::string ExplainText(const LogicalOp& plan) {
+  std::ostringstream os;
+  os << plan.ToString() << "estimated cost: " << plan.est_cost << "\n";
+  return os.str();
+}
+
+/// A one-column "plan" result with one row per line of `text`.
+ResultSet PlanTextRows(const std::string& text) {
+  ResultSet rs;
+  rs.columns.push_back(SlotInfo{0, "plan", DataType::String()});
+  std::istringstream lines(text);
+  std::string line;
+  while (std::getline(lines, line)) {
+    rs.rows.push_back({Value::String(line)});
   }
+  return rs;
 }
 
 }  // namespace
@@ -226,8 +224,6 @@ Database::Database(const Config& config)
   // live Databases can be torn down in any order without one
   // resurrecting the other's freed pool.
   InstallGlobalPool(pool_.get());
-  la::sparse::DispatchPolicy::Set(config_.sparse.auto_dispatch,
-                                  config_.sparse.density_threshold);
   if (config_.obs.enable_tracing || !config_.obs.trace_path.empty()) {
     tracer_ = std::make_unique<obs::Tracer>();
   }
@@ -250,9 +246,8 @@ Database::Database(const Config& config)
       run->Observe(run_s);
     });
   }
-  if (config_.cache.enable_plan_cache && config_.cache.plan_cache_entries > 0) {
-    plan_cache_ =
-        std::make_unique<PlanCache>(config_.cache.plan_cache_entries);
+  if (config_.cache.enable_plan_cache) {
+    plan_cache_ = std::make_unique<PlanCache>(kPlanCacheEntries);
   }
   if (config_.cache.enable_result_cache &&
       config_.cache.result_cache_bytes > 0) {
@@ -267,9 +262,7 @@ Database::Database(const Config& config)
   // probe) and young pid-less files (age check) are left alone.
   (void)mem::SweepOrphanedSpillFiles(config_.spill_dir);
   telemetry_ = std::make_unique<obs::TelemetryStore>(
-      obs::TelemetryStore::Options{config_.telemetry.query_log_capacity,
-                                   config_.telemetry.max_operators_per_query,
-                                   config_.telemetry.max_sql_bytes});
+      config_.telemetry.query_log_capacity);
   if (config_.telemetry.enable_system_tables) {
     system_tables_ = std::make_unique<SystemTableCatalog>(this);
     catalog_.RegisterSystemTableProvider(system_tables_.get());
@@ -422,22 +415,87 @@ obs::ObsContext Database::QueryObs(const QueryOptions& options) {
   return obs;
 }
 
+size_t Database::QueryBudget(const QueryOptions& options) const {
+  return options.memory_budget_bytes != 0 ? options.memory_budget_bytes
+                                          : config_.memory_budget_bytes;
+}
+
+Result<std::shared_ptr<CachedPlan>> Database::PlanSelect(
+    const parser::SelectStmt& stmt, const obs::ObsContext& obs,
+    obs::QueryRecord* record, const std::vector<DataType>* param_types) {
+  Binder binder(catalog_);
+  if (param_types != nullptr) binder.SetParamTypes(param_types);
+  std::unique_ptr<BoundQuery> bound;
+  {
+    obs::ScopedSpan bind_span(obs.tracer, "bind", "pipeline");
+    PhaseTimer bind_timer(record, obs::QueryPhase::kBind);
+    RADB_ASSIGN_OR_RETURN(bound, binder.Bind(stmt));
+  }
+  auto entry = std::make_shared<CachedPlan>();
+  entry->out_columns = bound->output;
+  const size_t visible = bound->num_visible_outputs == 0
+                             ? entry->out_columns.size()
+                             : bound->num_visible_outputs;
+  entry->out_columns.resize(std::min(visible, entry->out_columns.size()));
+  Optimizer optimizer(config_.optimizer);
+  LogicalOpPtr planned;
+  {
+    obs::ScopedSpan optimize_span(obs.tracer, "optimize", "pipeline");
+    PhaseTimer optimize_timer(record, obs::QueryPhase::kOptimize);
+    RADB_ASSIGN_OR_RETURN(planned, optimizer.Plan(std::move(bound), obs));
+  }
+  PlanDeps pd = CollectTableDeps(*planned);
+  entry->plan = std::shared_ptr<const LogicalOp>(std::move(planned));
+  entry->catalog_version = catalog_.version();
+  entry->schema_version = catalog_.schema_version();
+  entry->deps = std::move(pd.deps);
+  // Plans over radb_* system tables embed a point-in-time snapshot
+  // Table and must be rebuilt every execution.
+  entry->result_cacheable = !pd.has_system_table;
+  return entry;
+}
+
+Result<std::shared_ptr<const CachedPlan>> Database::PlanCached(
+    const parser::SelectStmt& stmt, const std::string* cache_key,
+    const obs::ObsContext& obs, obs::QueryRecord* record, bool* hit) {
+  // Skip bind + optimize when this exact normalized statement was
+  // planned against this exact catalog version.
+  const bool use_cache = cache_key != nullptr && plan_cache_ != nullptr;
+  if (use_cache) {
+    auto cached = plan_cache_->Lookup(*cache_key, catalog_.version());
+    if (obs.metrics != nullptr) {
+      obs.metrics->Add(cached != nullptr ? "cache.plan_hits"
+                                         : "cache.plan_misses",
+                       1);
+    }
+    if (cached != nullptr) {
+      if (record != nullptr) record->cache_plan_hits++;
+      if (hit != nullptr) *hit = true;
+      return cached;
+    }
+  }
+  RADB_ASSIGN_OR_RETURN(std::shared_ptr<const CachedPlan> entry,
+                        PlanSelect(stmt, obs, record));
+  if (use_cache && entry->result_cacheable) {
+    plan_cache_->Insert(*cache_key, entry);
+  }
+  return entry;
+}
+
 Result<ResultSet> Database::RunSelect(const parser::SelectStmt& stmt,
                                       const QueryOptions& options,
                                       QueryStats* stats,
                                       obs::QueryRecord* record,
                                       const std::string* cache_key) {
   const obs::ObsContext obs = QueryObs(options);
-  const size_t budget = options.memory_budget_bytes != 0
-                            ? options.memory_budget_bytes
-                            : config_.memory_budget_bytes;
-  // 1. Result cache: replay a materialized result while every source
+  // Result cache: replay a materialized result while every source
   // table (and the schema) is unchanged. Served only when this call's
   // budget is unlimited or at least the filling run's peak, so a
   // budget that would have failed the cold run with ResourceExhausted
   // is never satisfied from cache.
   if (cache_key != nullptr && result_cache_ != nullptr) {
-    if (auto hit = result_cache_->Lookup(*cache_key, catalog_, budget)) {
+    if (auto hit =
+            result_cache_->Lookup(*cache_key, catalog_, QueryBudget(options))) {
       if (record != nullptr) record->cache_result_hits++;
       if (obs.metrics != nullptr) obs.metrics->Add("cache.result_hits", 1);
       PhaseTimer serialize_timer(record, obs::QueryPhase::kSerialize);
@@ -450,72 +508,13 @@ Result<ResultSet> Database::RunSelect(const parser::SelectStmt& stmt,
       obs.metrics->Add("cache.result_misses", 1);
     }
   }
-
-  // 2. Plan cache: skip bind + optimize when this exact normalized
-  // statement was planned against this exact catalog version.
-  std::shared_ptr<const CachedPlan> cached;
-  if (cache_key != nullptr && plan_cache_ != nullptr) {
-    cached = plan_cache_->Lookup(*cache_key, catalog_.version());
-    if (obs.metrics != nullptr) {
-      obs.metrics->Add(cached != nullptr ? "cache.plan_hits"
-                                         : "cache.plan_misses",
-                       1);
-    }
-  }
-  std::shared_ptr<const LogicalOp> plan;
-  std::vector<SlotInfo> out_columns;
-  std::vector<TableDep> deps;
-  bool result_cacheable = false;
-  if (cached != nullptr) {
-    if (record != nullptr) record->cache_plan_hits++;
-    plan = cached->plan;
-    out_columns = cached->out_columns;
-    deps = cached->deps;
-    result_cacheable = cached->result_cacheable;
-  } else {
-    Binder binder(catalog_);
-    std::unique_ptr<BoundQuery> bound;
-    {
-      obs::ScopedSpan bind_span(obs.tracer, "bind", "pipeline");
-      PhaseTimer bind_timer(record, obs::QueryPhase::kBind);
-      RADB_ASSIGN_OR_RETURN(bound, binder.Bind(stmt));
-    }
-    out_columns = bound->output;
-    const size_t visible = bound->num_visible_outputs == 0
-                               ? out_columns.size()
-                               : bound->num_visible_outputs;
-    out_columns.resize(std::min(visible, out_columns.size()));
-    Optimizer optimizer(config_.optimizer);
-    LogicalOpPtr planned;
-    {
-      obs::ScopedSpan optimize_span(obs.tracer, "optimize", "pipeline");
-      PhaseTimer optimize_timer(record, obs::QueryPhase::kOptimize);
-      RADB_ASSIGN_OR_RETURN(planned, optimizer.Plan(std::move(bound), obs));
-    }
-    PlanDeps pd = CollectTableDeps(*planned);
-    deps = std::move(pd.deps);
-    // Plans over radb_* system tables embed a point-in-time snapshot
-    // Table and must be rebuilt every execution.
-    result_cacheable = !pd.has_system_table;
-    plan = std::shared_ptr<const LogicalOp>(std::move(planned));
-    if (cache_key != nullptr && plan_cache_ != nullptr && result_cacheable) {
-      auto entry = std::make_shared<CachedPlan>();
-      entry->plan = plan;
-      entry->out_columns = out_columns;
-      entry->catalog_version = catalog_.version();
-      entry->schema_version = catalog_.schema_version();
-      entry->deps = deps;
-      entry->result_cacheable = true;
-      plan_cache_->Insert(*cache_key, std::move(entry));
-    }
-  }
-
-  QueryStats local_stats;
-  QueryStats* st = stats != nullptr ? stats : &local_stats;
-  RADB_ASSIGN_OR_RETURN(
-      ResultSet rs, ExecutePlanRows(*plan, out_columns, options, st, record));
-  if (cache_key != nullptr && result_cacheable) {
-    MaybeCacheResult(*cache_key, rs, deps, st->peak_memory_bytes);
+  RADB_ASSIGN_OR_RETURN(std::shared_ptr<const CachedPlan> entry,
+                        PlanCached(stmt, cache_key, obs, record));
+  RADB_ASSIGN_OR_RETURN(ResultSet rs,
+                        ExecutePlanRows(*entry->plan, entry->out_columns,
+                                        options, stats, record));
+  if (cache_key != nullptr && entry->result_cacheable) {
+    MaybeCacheResult(*cache_key, rs, entry->deps, stats->peak_memory_bytes);
   }
   return rs;
 }
@@ -535,26 +534,20 @@ void Database::MaybeCacheResult(const std::string& cache_key,
   result_cache_->Insert(cache_key, std::move(entry));
 }
 
-Result<ResultSet> Database::ExecutePlanRows(
-    const LogicalOp& plan, const std::vector<SlotInfo>& out_columns,
-    const QueryOptions& options, QueryStats* stats,
-    obs::QueryRecord* record) {
+Result<Dist> Database::ExecutePlan(const LogicalOp& plan,
+                                   const QueryOptions& options,
+                                   QueryStats* stats, obs::QueryRecord* record,
+                                   QueryMetrics* qm,
+                                   NodeMetricIds* node_metrics) {
   const obs::ObsContext obs = QueryObs(options);
-  // Per-query memory governance: a fresh root tracker per SELECT, so
-  // a ResourceExhausted query releases everything it charged and the
-  // next query starts from a clean slate. Budget 0 = unlimited (the
-  // tracker still records the peak, which the ablation benchmark
-  // reads).
-  const size_t budget = options.memory_budget_bytes != 0
-                            ? options.memory_budget_bytes
-                            : config_.memory_budget_bytes;
-  const uint64_t query_id =
-      options.query_id != 0
-          ? options.query_id
-          : next_query_id_.fetch_add(1, std::memory_order_relaxed);
-  mem::MemoryTracker tracker("query", budget, options.memory_parent,
-                             obs.metrics);
-  MemoryContext mem{&tracker, config_.spill_dir, query_id,
+  // Per-query memory governance: a fresh root tracker per statement,
+  // so a ResourceExhausted query releases everything it charged and
+  // the next query starts from a clean slate. Budget 0 = unlimited
+  // (the tracker still records the peak, which the ablation benchmark
+  // reads). Execute assigned options.query_id before the script ran.
+  mem::MemoryTracker tracker("query", QueryBudget(options),
+                             options.memory_parent, obs.metrics);
+  MemoryContext mem{&tracker, config_.spill_dir, options.query_id,
                     options.cancellation.get()};
   std::unique_ptr<ThreadPool> tmp_pool;
   ThreadPool* pool = pool_.get();
@@ -564,41 +557,45 @@ Result<ResultSet> Database::ExecutePlanRows(
     pool = tmp_pool.get();
   }
 
-  // Execution writes into a per-call QueryMetrics: concurrent
-  // sessions must never share mid-flight metrics state. The finished
-  // snapshot is copied to the legacy last_* accessors at the end.
-  QueryMetrics qm;
+  // Execution writes into the caller's per-call QueryMetrics:
+  // concurrent sessions must never share mid-flight metrics state. The
+  // finished snapshot is copied to last_metrics() at the end.
   const auto t0 = std::chrono::steady_clock::now();
   Dist dist;
   {
     obs::ScopedSpan exec_span(obs.tracer, "execute", "pipeline");
     PhaseTimer exec_timer(record, obs::QueryPhase::kExecute);
-    Executor executor(cluster_, &qm, obs, pool, mem,
+    Executor executor(cluster_, qm, obs, pool, mem,
                       ExecOptions{config_.enable_vectorized,
                                   config_.vectorized_batch_rows});
     auto result = executor.Execute(plan);
-    const size_t spill = tracker.spill_bytes();
-    const size_t peak = tracker.peak_bytes();
-    if (stats != nullptr) {
-      stats->spill_bytes = spill;
-      stats->peak_memory_bytes = peak;
+    if (node_metrics != nullptr) *node_metrics = executor.node_metrics();
+    stats->spill_bytes = tracker.spill_bytes();
+    stats->peak_memory_bytes = tracker.peak_bytes();
+    // A failed statement's record still shows the operators that ran.
+    if (record != nullptr) {
+      record->operators.insert(record->operators.end(),
+                               qm->operators.begin(), qm->operators.end());
     }
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      last_spill_bytes_ = spill;
-      last_peak_bytes_ = peak;
-    }
-    AppendOperatorRecords(qm, record);
     RADB_ASSIGN_OR_RETURN(dist, std::move(result));
   }
-  qm.wall_seconds =
+  qm->wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
-    last_metrics_ = std::move(qm);
+    last_metrics_ = *qm;
   }
+  return dist;
+}
 
+Result<ResultSet> Database::ExecutePlanRows(
+    const LogicalOp& plan, const std::vector<SlotInfo>& out_columns,
+    const QueryOptions& options, QueryStats* stats,
+    obs::QueryRecord* record) {
+  QueryMetrics qm;
+  RADB_ASSIGN_OR_RETURN(Dist dist,
+                        ExecutePlan(plan, options, stats, record, &qm));
   PhaseTimer serialize_timer(record, obs::QueryPhase::kSerialize);
   ResultSet rs;
   rs.columns = plan.output;
@@ -666,33 +663,8 @@ Result<ResultSet> Database::RunExecutePrepared(const parser::Statement& stmt,
     if (obs.metrics != nullptr) obs.metrics->Add("cache.plan_hits", 1);
   } else {
     if (obs.metrics != nullptr) obs.metrics->Add("cache.plan_misses", 1);
-    Binder binder(catalog_);
-    binder.SetParamTypes(&arg_types);
-    std::unique_ptr<BoundQuery> bound;
-    {
-      obs::ScopedSpan bind_span(obs.tracer, "bind", "pipeline");
-      PhaseTimer bind_timer(record, obs::QueryPhase::kBind);
-      RADB_ASSIGN_OR_RETURN(bound, binder.Bind(*prep->body));
-    }
-    auto entry = std::make_shared<CachedPlan>();
-    entry->out_columns = bound->output;
-    const size_t visible = bound->num_visible_outputs == 0
-                               ? entry->out_columns.size()
-                               : bound->num_visible_outputs;
-    entry->out_columns.resize(
-        std::min(visible, entry->out_columns.size()));
-    Optimizer optimizer(config_.optimizer);
-    LogicalOpPtr planned;
-    {
-      obs::ScopedSpan optimize_span(obs.tracer, "optimize", "pipeline");
-      PhaseTimer optimize_timer(record, obs::QueryPhase::kOptimize);
-      RADB_ASSIGN_OR_RETURN(planned, optimizer.Plan(std::move(bound), obs));
-    }
-    PlanDeps pd = CollectTableDeps(*planned);
-    entry->plan = std::shared_ptr<const LogicalOp>(std::move(planned));
-    entry->catalog_version = catalog_.version();
-    entry->schema_version = catalog_.schema_version();
-    entry->deps = std::move(pd.deps);
+    RADB_ASSIGN_OR_RETURN(std::shared_ptr<CachedPlan> entry,
+                          PlanSelect(*prep->body, obs, record, &arg_types));
     // EXECUTE results are never cached: the name -> body mapping can
     // be replaced by PREPARE without any catalog change, so a textual
     // "execute q(...)" key could go stale invisibly.
@@ -720,9 +692,7 @@ std::optional<ScriptResult> Database::ExecuteCachedOnly(
   if (result_cache_ == nullptr) return std::nullopt;
   auto normalized = parser::NormalizeScript(sql);
   if (!normalized.ok() || normalized->empty()) return std::nullopt;
-  const size_t budget = options.memory_budget_bytes != 0
-                            ? options.memory_budget_bytes
-                            : config_.memory_budget_bytes;
+  const size_t budget = QueryBudget(options);
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<std::shared_ptr<const CachedResult>> hits;
   hits.reserve(normalized->size());
@@ -831,14 +801,6 @@ Result<ScriptResult> Database::Execute(const std::string& sql,
           std::max(record.peak_memory_bytes,
                    static_cast<int64_t>(s.peak_memory_bytes));
     }
-    // The legacy last_* accessors report exactly the ScriptResult
-    // aggregation (spill summed over statements, peak maxed), so both
-    // views of the same call always agree.
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      last_spill_bytes_ = static_cast<size_t>(record.spill_bytes);
-      last_peak_bytes_ = static_cast<size_t>(record.peak_memory_bytes);
-    }
   }
   RecordQueryTelemetry(std::move(record));
   return result;
@@ -915,47 +877,27 @@ Result<ScriptResult> Database::ExecuteScript(const std::string& sql,
       RADB_RETURN_NOT_OK(opts.cancellation->Check());
     }
     const auto stmt_t0 = std::chrono::steady_clock::now();
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      last_spill_bytes_ = 0;
-      last_peak_bytes_ = 0;
-    }
     QueryStats stats;
     size_t stmt_rows = 0;
+    // Set by the statements that produce a result set.
+    std::optional<ResultSet> result;
     switch (stmt.kind) {
       case parser::Statement::Kind::kSelect: {
         RADB_ASSIGN_OR_RETURN(
-            ResultSet rs,
-            RunSelect(*stmt.select, opts, &stats, record, cache_key));
-        stmt_rows = rs.num_rows();
-        script.result_sets.push_back(std::move(rs));
+            result, RunSelect(*stmt.select, opts, &stats, record, cache_key));
         break;
       }
       case parser::Statement::Kind::kExplain: {
         if (stmt.explain_analyze) {
-          RADB_ASSIGN_OR_RETURN(
-              ResultSet rs, ExplainAnalyzeSelect(*stmt.select, opts, &stats,
-                                                 record, cache_key));
-          stmt_rows = rs.num_rows();
-          script.result_sets.push_back(std::move(rs));
+          RADB_ASSIGN_OR_RETURN(result,
+                                ExplainAnalyzeSelect(*stmt.select, opts,
+                                                     &stats, record,
+                                                     cache_key));
           break;
         }
-        Binder binder(catalog_);
-        RADB_ASSIGN_OR_RETURN(std::unique_ptr<BoundQuery> bound,
-                              binder.Bind(*stmt.select));
-        Optimizer optimizer(config_.optimizer);
-        RADB_ASSIGN_OR_RETURN(LogicalOpPtr plan,
-                              optimizer.Plan(std::move(bound)));
-        ResultSet rs;
-        rs.columns.push_back(SlotInfo{0, "plan", DataType::String()});
-        std::istringstream lines(plan->ToString() + "estimated cost: " +
-                                 std::to_string(plan->est_cost));
-        std::string line;
-        while (std::getline(lines, line)) {
-          rs.rows.push_back({Value::String(line)});
-        }
-        stmt_rows = rs.num_rows();
-        script.result_sets.push_back(std::move(rs));
+        RADB_ASSIGN_OR_RETURN(std::shared_ptr<CachedPlan> planned,
+                              PlanSelect(*stmt.select, obs, record));
+        result = PlanTextRows(ExplainText(*planned->plan));
         break;
       }
       case parser::Statement::Kind::kCreateTable: {
@@ -1100,10 +1042,8 @@ Result<ScriptResult> Database::ExecuteScript(const std::string& sql,
         break;
       }
       case parser::Statement::Kind::kExecutePrepared: {
-        RADB_ASSIGN_OR_RETURN(
-            ResultSet rs, RunExecutePrepared(stmt, opts, &stats, record));
-        stmt_rows = rs.num_rows();
-        script.result_sets.push_back(std::move(rs));
+        RADB_ASSIGN_OR_RETURN(result,
+                              RunExecutePrepared(stmt, opts, &stats, record));
         break;
       }
       case parser::Statement::Kind::kDeallocate: {
@@ -1115,6 +1055,10 @@ Result<ScriptResult> Database::ExecuteScript(const std::string& sql,
         }
         break;
       }
+    }
+    if (result.has_value()) {
+      stmt_rows = result->num_rows();
+      script.result_sets.push_back(std::move(*result));
     }
     stats.rows = stmt_rows;
     stats.wall_seconds = std::chrono::duration<double>(
@@ -1134,12 +1078,13 @@ namespace {
 /// operators (partial + final); their metrics fold into one line:
 /// actuals come from the final stage, shuffle/time are summed, skew is
 /// the worst of the two.
-void RenderAnalyzed(const LogicalOp& op, const Executor& executor,
+void RenderAnalyzed(const LogicalOp& op, const NodeMetricIds& nodes,
                     const QueryMetrics& qm, int indent,
                     std::ostringstream& os) {
   const std::string pad(static_cast<size_t>(indent) * 2, ' ');
   os << pad << op.NodeLabel() << "\n";
-  const std::vector<size_t>* ids = executor.MetricsForNode(&op);
+  auto it = nodes.find(&op);
+  const std::vector<size_t>* ids = it == nodes.end() ? nullptr : &it->second;
   if (ids != nullptr && !ids->empty()) {
     const OperatorMetrics& final_stage = qm.operators[ids->back()];
     size_t rows_shuffled = 0, bytes_shuffled = 0;
@@ -1173,7 +1118,7 @@ void RenderAnalyzed(const LogicalOp& op, const Executor& executor,
     os << ")\n";
   }
   for (const auto& c : op.children) {
-    RenderAnalyzed(*c, executor, qm, indent + 1, os);
+    RenderAnalyzed(*c, nodes, qm, indent + 1, os);
   }
 }
 
@@ -1183,74 +1128,16 @@ Result<ResultSet> Database::ExplainAnalyzeSelect(
     const parser::SelectStmt& stmt, const QueryOptions& options,
     QueryStats* stats, obs::QueryRecord* record,
     const std::string* cache_key) {
-  const obs::ObsContext obs = QueryObs(options);
-  // Plan-cache consult under the EXPLAIN's own normalized text (a
-  // different key space from the bare SELECT; both resolve to the
-  // same plan shape). Results of EXPLAIN ANALYZE are never cached —
-  // the point is fresh execution metrics.
-  std::shared_ptr<const CachedPlan> cached;
-  if (cache_key != nullptr && plan_cache_ != nullptr) {
-    cached = plan_cache_->Lookup(*cache_key, catalog_.version());
-    if (obs.metrics != nullptr) {
-      obs.metrics->Add(cached != nullptr ? "cache.plan_hits"
-                                         : "cache.plan_misses",
-                       1);
-    }
-  }
-  std::shared_ptr<const LogicalOp> splan;
-  if (cached != nullptr) {
-    if (record != nullptr) record->cache_plan_hits++;
-    splan = cached->plan;
-  } else {
-    Binder binder(catalog_);
-    std::unique_ptr<BoundQuery> bound;
-    {
-      obs::ScopedSpan bind_span(obs.tracer, "bind", "pipeline");
-      PhaseTimer bind_timer(record, obs::QueryPhase::kBind);
-      RADB_ASSIGN_OR_RETURN(bound, binder.Bind(stmt));
-    }
-    Optimizer optimizer(config_.optimizer);
-    LogicalOpPtr planned;
-    {
-      obs::ScopedSpan optimize_span(obs.tracer, "optimize", "pipeline");
-      PhaseTimer optimize_timer(record, obs::QueryPhase::kOptimize);
-      RADB_ASSIGN_OR_RETURN(planned, optimizer.Plan(std::move(bound), obs));
-    }
-    PlanDeps pd = CollectTableDeps(*planned);
-    splan = std::shared_ptr<const LogicalOp>(std::move(planned));
-    if (cache_key != nullptr && plan_cache_ != nullptr &&
-        !pd.has_system_table) {
-      auto entry = std::make_shared<CachedPlan>();
-      entry->plan = splan;
-      entry->catalog_version = catalog_.version();
-      entry->schema_version = catalog_.schema_version();
-      entry->deps = std::move(pd.deps);
-      entry->result_cacheable = false;
-      plan_cache_->Insert(*cache_key, std::move(entry));
-    }
-  }
-  const LogicalOp* plan = splan.get();
+  // The plan cache is consulted under the EXPLAIN's own normalized
+  // text (a different key space from the bare SELECT; both resolve to
+  // the same plan shape). Results of EXPLAIN ANALYZE are never cached
+  // — the point is fresh execution metrics.
+  bool plan_hit = false;
+  RADB_ASSIGN_OR_RETURN(
+      std::shared_ptr<const CachedPlan> entry,
+      PlanCached(stmt, cache_key, QueryObs(options), record, &plan_hit));
+  const LogicalOp& plan = *entry->plan;
 
-  const size_t budget = options.memory_budget_bytes != 0
-                            ? options.memory_budget_bytes
-                            : config_.memory_budget_bytes;
-  const uint64_t query_id =
-      options.query_id != 0
-          ? options.query_id
-          : next_query_id_.fetch_add(1, std::memory_order_relaxed);
-  mem::MemoryTracker tracker("query", budget, options.memory_parent,
-                             obs.metrics);
-  MemoryContext mem{&tracker, config_.spill_dir, query_id,
-                    options.cancellation.get()};
-  std::unique_ptr<ThreadPool> tmp_pool;
-  ThreadPool* pool = pool_.get();
-  if (options.num_threads_override != 0 &&
-      options.num_threads_override != pool_->num_threads()) {
-    tmp_pool = std::make_unique<ThreadPool>(options.num_threads_override);
-    pool = tmp_pool.get();
-  }
-
-  QueryMetrics qm;
   // Snapshot the sparse-dispatch counters so the footer can report
   // this query's deltas (the registry is cumulative per Database).
   obs::MetricsRegistry* sparse_reg = obs::GlobalMetrics();
@@ -1260,47 +1147,23 @@ Result<ResultSet> Database::ExplainAnalyzeSelect(
     auto0 = sparse_reg->counter("la.sparse.auto_sparsify")->value();
     densify0 = sparse_reg->counter("la.sparse.densify_fallback")->value();
   }
-  const auto t0 = std::chrono::steady_clock::now();
-  // The executor outlives Execute so its plan-node -> metrics map is
-  // available for rendering.
-  Executor executor(cluster_, &qm, obs, pool, mem,
-                    ExecOptions{config_.enable_vectorized,
-                                config_.vectorized_batch_rows});
-  size_t spill = 0, peak = 0;
-  {
-    obs::ScopedSpan exec_span(obs.tracer, "execute", "pipeline");
-    PhaseTimer exec_timer(record, obs::QueryPhase::kExecute);
-    auto result = executor.Execute(*plan);
-    spill = tracker.spill_bytes();
-    peak = tracker.peak_bytes();
-    if (stats != nullptr) {
-      stats->spill_bytes = spill;
-      stats->peak_memory_bytes = peak;
-    }
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      last_spill_bytes_ = spill;
-      last_peak_bytes_ = peak;
-    }
-    AppendOperatorRecords(qm, record);
-    RADB_ASSIGN_OR_RETURN(Dist dist, std::move(result));
-    (void)dist;
-  }
-  qm.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
+  QueryMetrics qm;
+  NodeMetricIds nodes;
+  RADB_RETURN_NOT_OK(
+      ExecutePlan(plan, options, stats, record, &qm, &nodes).status());
 
   std::ostringstream os;
-  RenderAnalyzed(*plan, executor, qm, 0, os);
+  RenderAnalyzed(plan, nodes, qm, 0, os);
   os << "wall time: " << qm.wall_seconds << " s"
      << "; simulated parallel time: " << qm.SimulatedParallelSeconds() << " s"
      << "; total shuffled: " << FormatBytes(double(qm.TotalBytesShuffled()));
-  if (spill > 0) {
-    os << "; total spilled: " << FormatBytes(double(spill))
-       << " (peak memory " << FormatBytes(double(peak)) << ")";
+  if (stats->spill_bytes > 0) {
+    os << "; total spilled: " << FormatBytes(double(stats->spill_bytes))
+       << " (peak memory " << FormatBytes(double(stats->peak_memory_bytes))
+       << ")";
   }
   if (cache_key != nullptr && plan_cache_ != nullptr) {
-    os << "; cache=" << (cached != nullptr ? "plan-hit" : "miss");
+    os << "; cache=" << (plan_hit ? "plan-hit" : "miss");
   }
   if (sparse_reg != nullptr) {
     const uint64_t sparse_calls =
@@ -1314,18 +1177,7 @@ Result<ResultSet> Database::ExplainAnalyzeSelect(
          << " auto=" << auto_calls << " densified=" << densify_calls;
     }
   }
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    last_metrics_ = std::move(qm);
-  }
-  ResultSet rs;
-  rs.columns.push_back(SlotInfo{0, "plan", DataType::String()});
-  std::istringstream lines(os.str());
-  std::string line;
-  while (std::getline(lines, line)) {
-    rs.rows.push_back({Value::String(line)});
-  }
-  return rs;
+  return PlanTextRows(os.str());
 }
 
 Status Database::WriteObsFiles() const {
@@ -1393,19 +1245,14 @@ Status Database::LoadTable(const std::string& table,
 
 Result<std::string> Database::Explain(const std::string& select_sql) {
   RADB_ASSIGN_OR_RETURN(LogicalOpPtr plan, PlanQuery(select_sql));
-  std::ostringstream os;
-  os << plan->ToString();
-  os << "estimated cost: " << plan->est_cost << "\n";
-  return os.str();
+  return ExplainText(*plan);
 }
 
 Result<LogicalOpPtr> Database::PlanQuery(const std::string& select_sql) {
   RADB_ASSIGN_OR_RETURN(auto select, parser::ParseSelect(select_sql));
-  Binder binder(catalog_);
-  RADB_ASSIGN_OR_RETURN(std::unique_ptr<BoundQuery> bound,
-                        binder.Bind(*select));
-  Optimizer optimizer(config_.optimizer);
-  return optimizer.Plan(std::move(bound));
+  RADB_ASSIGN_OR_RETURN(std::shared_ptr<CachedPlan> planned,
+                        PlanSelect(*select, obs::ObsContext{}, nullptr));
+  return planned->plan->Clone();
 }
 
 }  // namespace radb

@@ -15,12 +15,13 @@
 #include "common/cancellation.h"
 #include "common/result.h"
 #include "common/thread_pool.h"
+#include "exec/cluster.h"
+#include "exec/executor.h"
 #include "mem/memory_tracker.h"
-#include "dist/cluster.h"
-#include "dist/metrics.h"
 #include "obs/exporter.h"
 #include "obs/metrics_registry.h"
 #include "obs/obs.h"
+#include "obs/query_metrics.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "optimizer/optimizer.h"
@@ -203,12 +204,10 @@ class Database {
     /// prefix stays reserved either way).
     bool enable_system_tables = true;
     /// Completed-query records retained for radb_queries /
-    /// radb_operators (oldest evicted first).
+    /// radb_operators (oldest evicted first). Each record keeps at
+    /// most TelemetryStore::kMaxOperatorsPerQuery operators and
+    /// kMaxSqlBytes of SQL text.
     size_t query_log_capacity = 256;
-    /// Per-query cap on persisted operator records.
-    size_t max_operators_per_query = 64;
-    /// SQL text is truncated to this many bytes in records.
-    size_t max_sql_bytes = 1024;
     /// Queries whose end-to-end time (queue wait included) reaches
     /// this threshold emit one structured JSON line with the full
     /// phase breakdown. 0 = slow-query log off.
@@ -259,11 +258,9 @@ class Database {
     struct CacheOptions {
       /// Plan cache: normalized statement text -> optimized plan,
       /// invalidated by any catalog change (DDL or DML — a plan
-      /// embeds table pointers and cardinality estimates). Capacity
-      /// is an entry count; 0 or enable_plan_cache=false turns it
-      /// off.
+      /// embeds table pointers and cardinality estimates). Holds up
+      /// to 256 entries (LRU).
       bool enable_plan_cache = true;
-      size_t plan_cache_entries = 256;
       /// Result cache: materialized result sets of deterministic
       /// read-only statements, replayed while every source table is
       /// unchanged (per-table versions + schema version). Bytes are
@@ -300,20 +297,6 @@ class Database {
       size_t wal_auto_checkpoint_bytes = 64ull << 20;
     };
     StorageOptions storage;
-
-    /// Density-adaptive sparse kernel selection (src/la/sparse). The
-    /// policy is process-global — the constructor installs these
-    /// values, last-constructed Database wins (same discipline as the
-    /// global worker pool).
-    struct SparseOptions {
-      /// Route dense-by-dense multiplies through the sparse kernel
-      /// when the left operand's measured nnz density is at or below
-      /// the threshold. Purely a kernel-selection device: results
-      /// keep their dense representation and identical cells.
-      bool auto_dispatch = true;
-      double density_threshold = 0.05;
-    };
-    SparseOptions sparse;
 
     Optimizer::Options optimizer;
     ObsOptions obs;
@@ -402,11 +385,12 @@ class Database {
                                                 const QueryOptions& options);
 
   /// Optimizes a SELECT and returns the EXPLAIN rendering with cost
-  /// annotations.
+  /// annotations: the rows of the `EXPLAIN` statement, each ended by a
+  /// newline.
   Result<std::string> Explain(const std::string& select_sql);
 
-  /// Optimizes a SELECT and returns the logical plan (for tests that
-  /// inspect plan shape).
+  /// Optimizes a SELECT and returns a private copy of the logical plan
+  /// (for tests that inspect or rewrite plan shape).
   Result<LogicalOpPtr> PlanQuery(const std::string& select_sql);
 
   /// Programmatic CREATE TABLE, equivalent to executing the DDL: the
@@ -435,17 +419,11 @@ class Database {
   /// workers.
   Status LoadTable(const std::string& table, const std::string& path);
 
-  /// Metrics of the most recent Execute call (per-operator times,
-  /// shuffle volume — the Figure 4 data). Single-caller accessors:
-  /// with concurrent sessions, read per-call stats from ScriptResult
-  /// instead.
+  /// Metrics of the most recently executed statement (per-operator
+  /// times, shuffle volume — the Figure 4 data). A single-caller
+  /// accessor: with concurrent sessions, read per-call stats from
+  /// ScriptResult and the telemetry store instead.
   const QueryMetrics& last_metrics() const { return last_metrics_; }
-  /// Spill / peak-memory summary of the most recent successful
-  /// Execute call, aggregated exactly like the call's ScriptResult:
-  /// spill is the sum over the script's statements, peak the maximum
-  /// (the ablation benchmark's measurement hooks).
-  size_t last_spill_bytes() const { return last_spill_bytes_; }
-  size_t last_peak_memory_bytes() const { return last_peak_bytes_; }
 
   /// Span tracer (null unless Config::obs enables tracing). Holds the
   /// span tree of the most recent Execute call.
@@ -490,25 +468,50 @@ class Database {
     std::vector<DataType> param_types;       // types `plan` was bound with
   };
 
-  /// `stats`, when non-null, receives this statement's spill/peak
-  /// totals — the race-free path for concurrent sessions, which must
-  /// not read them back from the shared last_* members. `cache_key`,
-  /// when non-null, is the statement's normalized text and enables
-  /// the plan/result caches for this statement.
-  Result<ResultSet> RunSelect(const parser::SelectStmt& stmt,
-                              const QueryOptions& options,
-                              QueryStats* stats = nullptr,
-                              obs::QueryRecord* record = nullptr,
-                              const std::string* cache_key = nullptr);
-  /// Executes an already-optimized plan: per-query memory tracker,
-  /// executor, stats copy-back, and serialization to a ResultSet with
-  /// `out_columns` (hidden sort keys trimmed). The shared tail of the
-  /// cold path, the plan-cache hit path, and EXECUTE.
+  /// The one planning step behind SELECT, EXPLAIN, EXPLAIN ANALYZE,
+  /// EXECUTE and PlanQuery: binds `stmt` (typing parameter markers
+  /// from `param_types` for a prepared body), trims hidden sort keys
+  /// from the visible outputs, optimizes under the bind / optimize
+  /// phase timers and spans, and collects the plan's table deps. The
+  /// entry carries the catalog versions it was planned at and is
+  /// result-cacheable unless it scans a radb_* system table. Each
+  /// caller applies its own cache policy.
+  Result<std::shared_ptr<CachedPlan>> PlanSelect(
+      const parser::SelectStmt& stmt, const obs::ObsContext& obs,
+      obs::QueryRecord* record,
+      const std::vector<DataType>* param_types = nullptr);
+  /// The plan-cache policy of SELECT and EXPLAIN ANALYZE: the entry
+  /// under `cache_key` when it is valid for this catalog version (then
+  /// `*hit` is set), else a fresh PlanSelect, inserted when
+  /// cacheable. A null key bypasses the cache.
+  Result<std::shared_ptr<const CachedPlan>> PlanCached(
+      const parser::SelectStmt& stmt, const std::string* cache_key,
+      const obs::ObsContext& obs, obs::QueryRecord* record,
+      bool* hit = nullptr);
+  /// The one execution step: a per-statement memory tracker under the
+  /// call's budget, the pool override, the executor, and the copy-back
+  /// of spill/peak into `stats`, operators into `record` and `qm` into
+  /// last_metrics(). `qm` receives the statement's operator metrics;
+  /// `node_metrics`, when non-null, the executor's plan-node ->
+  /// operator-index map (EXPLAIN ANALYZE annotates the plan with it).
+  Result<Dist> ExecutePlan(const LogicalOp& plan, const QueryOptions& options,
+                           QueryStats* stats, obs::QueryRecord* record,
+                           QueryMetrics* qm,
+                           NodeMetricIds* node_metrics = nullptr);
+  /// ExecutePlan, then serialization to a ResultSet with `out_columns`
+  /// (hidden sort keys trimmed). SELECT and EXECUTE end here.
   Result<ResultSet> ExecutePlanRows(const LogicalOp& plan,
                                     const std::vector<SlotInfo>& out_columns,
                                     const QueryOptions& options,
                                     QueryStats* stats,
                                     obs::QueryRecord* record);
+  /// SELECT: serves the result cache, else plans through the plan
+  /// cache and executes. `cache_key`, when non-null, is the statement's
+  /// normalized text and enables both caches for this statement.
+  Result<ResultSet> RunSelect(const parser::SelectStmt& stmt,
+                              const QueryOptions& options, QueryStats* stats,
+                              obs::QueryRecord* record,
+                              const std::string* cache_key = nullptr);
   /// EXECUTE name (args): evaluates the constant arguments, reuses or
   /// (re)builds the prepared plan template, substitutes parameters
   /// into a private clone, and executes it.
@@ -527,10 +530,9 @@ class Database {
   /// cache=plan-hit / cache=miss.
   Result<ResultSet> ExplainAnalyzeSelect(const parser::SelectStmt& stmt,
                                          const QueryOptions& options,
-                                         QueryStats* stats = nullptr,
-                                         obs::QueryRecord* record = nullptr,
-                                         const std::string* cache_key =
-                                             nullptr);
+                                         QueryStats* stats,
+                                         obs::QueryRecord* record,
+                                         const std::string* cache_key);
   /// The statement loop behind Execute(); `record` accumulates the
   /// phase breakdown and operator records for telemetry.
   Result<ScriptResult> ExecuteScript(const std::string& sql,
@@ -542,6 +544,8 @@ class Database {
   void RecordQueryTelemetry(obs::QueryRecord record);
   /// The ObsContext for one call, with QueryOptions toggles applied.
   obs::ObsContext QueryObs(const QueryOptions& options);
+  /// The call's memory budget: QueryOptions over Config (0 = none).
+  size_t QueryBudget(const QueryOptions& options) const;
   /// Rewrites trace/metrics files if Config::obs names paths.
   Status WriteObsFiles() const;
 
@@ -558,14 +562,11 @@ class Database {
   /// that could reference pooled segments and destroyed by explicit
   /// Close() in the destructor, after queries have drained.
   std::unique_ptr<storage::TableStore> store_;
-  /// Guards the last-call snapshots below. Execution itself writes
-  /// into per-call QueryMetrics locals; only the final copy-back to
-  /// these legacy accessors takes the lock, so concurrent sessions
-  /// never race on mid-flight metrics.
+  /// Guards last_metrics_. Execution itself writes into per-call
+  /// QueryMetrics locals; only the final copy-back takes the lock, so
+  /// concurrent sessions never race on mid-flight metrics.
   mutable std::mutex stats_mu_;
   QueryMetrics last_metrics_;
-  size_t last_spill_bytes_ = 0;
-  size_t last_peak_bytes_ = 0;
   /// Ids handed to calls that did not bring one (spill attribution,
   /// pool task tags). Starts at 1; 0 means "unassigned".
   std::atomic<uint64_t> next_query_id_{1};

@@ -1,6 +1,5 @@
 #include "api/system_tables.h"
 
-#include <algorithm>
 #include <initializer_list>
 #include <iterator>
 #include <utility>
@@ -167,29 +166,23 @@ std::shared_ptr<Table> SystemTableCatalog::OperatorsTable() const {
                   {"exec_mode", DataType::String()},
                   {"batches", DataType::Integer()}}));
   for (const obs::QueryRecord& q : db_->telemetry_store()->SnapshotQueries()) {
-    for (const obs::OperatorRecord& op : q.operators) {
-      // Relative misestimate with both sides clamped to >= 1 row
-      // (mirrors OperatorMetrics::EstimationError); 0 = no estimate.
-      double est_error = 0.0;
-      if (op.estimated_rows > 0.0) {
-        const double est = std::max(1.0, op.estimated_rows);
-        const double actual =
-            std::max(1.0, static_cast<double>(op.actual_rows));
-        est_error = std::max(est / actual, actual / est);
-      }
-      (void)table->Insert({Value::Int(static_cast<int64_t>(q.query_id)),
-                           Value::Int(op.op_index), Value::String(op.name),
-                           Value::Double(op.estimated_rows),
-                           Value::Int(op.actual_rows), Value::Int(op.rows_in),
-                           Value::Double(op.worker_seconds),
-                           Value::Double(op.max_worker_seconds),
-                           Value::Double(op.skew), Value::Int(op.rows_shuffled),
-                           Value::Int(op.bytes_shuffled),
-                           Value::Int(op.bytes_spilled),
-                           Value::Int(op.spill_runs),
-                           Value::Double(est_error),
-                           Value::String(op.exec_mode),
-                           Value::Int(op.batches)});
+    for (size_t i = 0; i < q.operators.size(); ++i) {
+      const OperatorMetrics& op = q.operators[i];
+      (void)table->Insert(
+          {Value::Int(static_cast<int64_t>(q.query_id)),
+           Value::Int(static_cast<int64_t>(i)), Value::String(op.name),
+           Value::Double(op.estimated_rows),
+           Value::Int(static_cast<int64_t>(op.rows_out)),
+           Value::Int(static_cast<int64_t>(op.rows_in)),
+           Value::Double(op.TotalSeconds()),
+           Value::Double(op.MaxWorkerSeconds()), Value::Double(op.Skew()),
+           Value::Int(static_cast<int64_t>(op.rows_shuffled)),
+           Value::Int(static_cast<int64_t>(op.bytes_shuffled)),
+           Value::Int(static_cast<int64_t>(op.bytes_spilled)),
+           Value::Int(static_cast<int64_t>(op.spill_runs)),
+           Value::Double(op.EstimationError()),
+           Value::String(op.ExecMode()),
+           Value::Int(static_cast<int64_t>(op.batches))});
     }
   }
   return table;

@@ -15,7 +15,6 @@ namespace {
 using TT = TypeTemplate;
 using DP = DimParam;
 using la::sparse::CsrMatrix;
-using la::sparse::DispatchPolicy;
 using la::sparse::Semiring;
 
 Status BadIndex(const char* fn, int64_t idx, size_t limit) {
@@ -94,16 +93,13 @@ Result<Value> MultiplyDispatch(const std::vector<Value>& args) {
   }
   const la::Matrix& a = av.matrix();
   const la::Matrix& b = bv.matrix();
-  if (DispatchPolicy::AutoEnabled()) {
-    const size_t cells = a.rows() * a.cols();
-    if (cells > 0 &&
-        static_cast<double>(la::sparse::DenseNnz(a)) / cells <=
-            DispatchPolicy::Threshold()) {
-      SparseMetric("la.sparse.auto_sparsify");
-      RADB_ASSIGN_OR_RETURN(
-          la::Matrix c, la::sparse::SpMm(CsrMatrix::FromDense(a), b, s));
-      return Value::FromMatrix(std::move(c));
-    }
+  const size_t cells = a.rows() * a.cols();
+  if (cells > 0 && static_cast<double>(la::sparse::DenseNnz(a)) / cells <=
+                       la::sparse::kAutoSparsifyDensity) {
+    SparseMetric("la.sparse.auto_sparsify");
+    RADB_ASSIGN_OR_RETURN(
+        la::Matrix c, la::sparse::SpMm(CsrMatrix::FromDense(a), b, s));
+    return Value::FromMatrix(std::move(c));
   }
   SparseMetric("la.sparse.dispatch_dense");
   return WrapMat(la::sparse::DenseMultiply(a, b, s));

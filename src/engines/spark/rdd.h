@@ -8,9 +8,9 @@
 #include <vector>
 
 #include "common/result.h"
-#include "dist/metrics.h"
 #include "la/matrix.h"
 #include "la/vector.h"
+#include "obs/query_metrics.h"
 
 namespace radb::spark {
 

@@ -6,9 +6,9 @@
 #include <vector>
 
 #include "common/result.h"
-#include "dist/metrics.h"
 #include "la/matrix.h"
 #include "la/vector.h"
+#include "obs/query_metrics.h"
 
 namespace radb::systemml {
 

@@ -1,5 +1,5 @@
-#ifndef RADB_DIST_CLUSTER_H_
-#define RADB_DIST_CLUSTER_H_
+#ifndef RADB_EXEC_CLUSTER_H_
+#define RADB_EXEC_CLUSTER_H_
 
 #include <cstddef>
 
@@ -29,4 +29,4 @@ class Cluster {
 
 }  // namespace radb
 
-#endif  // RADB_DIST_CLUSTER_H_
+#endif  // RADB_EXEC_CLUSTER_H_

@@ -8,9 +8,9 @@
 
 #include "common/result.h"
 #include "common/thread_pool.h"
-#include "dist/cluster.h"
-#include "dist/metrics.h"
+#include "exec/cluster.h"
 #include "obs/obs.h"
+#include "obs/query_metrics.h"
 #include "plan/logical_plan.h"
 #include "storage/spill.h"
 #include "storage/table.h"
@@ -32,6 +32,10 @@ struct ExecResult {
   SpillableDist dist;
   std::optional<size_t> hashed_slot;
 };
+
+/// Plan node -> indexes into QueryMetrics::operators of the operators
+/// that executed it (an Aggregate yields two: partial and final).
+using NodeMetricIds = std::map<const LogicalOp*, std::vector<size_t>>;
 
 /// Total payload bytes across all partitions.
 size_t DistByteSize(const Dist& d);
@@ -114,17 +118,18 @@ class Executor {
     virtual Status AppendRow(size_t wkr, Row joined) = 0;
   };
 
-  /// Indexes into metrics()->operators of the OperatorMetrics this
-  /// execution produced for `node` (an Aggregate yields two: partial
-  /// and final). nullptr when the node was never executed. Used by
-  /// EXPLAIN ANALYZE to annotate the plan tree.
+  /// The operators this execution produced per plan node; EXPLAIN
+  /// ANALYZE annotates the plan tree with it.
+  const NodeMetricIds& node_metrics() const { return node_metrics_; }
+
+ private:
+  friend class VectorizedPipeline;
+
+  /// node_metrics() entry for `node`; nullptr when it never executed.
   const std::vector<size_t>* MetricsForNode(const LogicalOp* node) const {
     auto it = node_metrics_.find(node);
     return it == node_metrics_.end() ? nullptr : &it->second;
   }
-
- private:
-  friend class VectorizedPipeline;
 
   Result<ExecResult> ExecuteOp(const LogicalOp& op);
   /// Serves `op` from its spool when a copy already ran; otherwise runs
@@ -196,7 +201,7 @@ class Executor {
   ThreadPool* pool_ = nullptr;
   MemoryContext mem_;
   ExecOptions opts_;
-  std::map<const LogicalOp*, std::vector<size_t>> node_metrics_;
+  NodeMetricIds node_metrics_;
   /// Installed (and save/restored) by VectorizedPipeline around the
   /// execution of a boundary join; `join_sink_op_` pins the sink to
   /// that one join node so joins nested deeper in the subtree are

@@ -1,7 +1,6 @@
 #include "la/sparse/sparse.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <limits>
@@ -639,26 +638,6 @@ size_t DenseNnz(const Matrix& m) {
     if (m.data()[i] != 0.0) ++n;
   }
   return n;
-}
-
-// ------------------------------------------------------------------
-// Dispatch policy
-// ------------------------------------------------------------------
-
-namespace {
-std::atomic<bool> g_auto_enabled{true};
-std::atomic<double> g_threshold{0.05};
-}  // namespace
-
-bool DispatchPolicy::AutoEnabled() {
-  return g_auto_enabled.load(std::memory_order_relaxed);
-}
-double DispatchPolicy::Threshold() {
-  return g_threshold.load(std::memory_order_relaxed);
-}
-void DispatchPolicy::Set(bool auto_enabled, double threshold) {
-  g_auto_enabled.store(auto_enabled, std::memory_order_relaxed);
-  g_threshold.store(threshold, std::memory_order_relaxed);
 }
 
 }  // namespace radb::la::sparse

@@ -208,21 +208,16 @@ Result<Vector> VectorEWiseAdd(const Vector& a, const Vector& b,
 size_t DenseNnz(const Matrix& m);
 
 // ---------------------------------------------------------------------
-// Density-adaptive dispatch policy. Process-global (builtins have no
-// Database handle); Database's constructor installs its
-// Config::SparseOptions here, last writer wins. When enabled, a dense
-// matrix argument of a multiply whose density is <= threshold is
-// compressed on the fly and routed through the sparse kernel; the
-// result representation still follows the inputs' representations
-// (sparse results only appear when an input was explicitly sparse),
-// so auto-dispatch is purely a kernel-selection device and results
-// stay bit-identical.
+// Density-adaptive dispatch policy. A dense left operand of a multiply
+// whose density is <= kAutoSparsifyDensity is compressed on the fly
+// and routed through the sparse kernel; the result representation
+// still follows the inputs' representations (sparse results only
+// appear when an input was explicitly sparse), so auto-dispatch is
+// purely a kernel-selection device and results stay bit-identical.
+// The threshold is where the sparse kernels stop winning clearly
+// (bench/ablation_sparse).
 // ---------------------------------------------------------------------
-struct DispatchPolicy {
-  static bool AutoEnabled();
-  static double Threshold();
-  static void Set(bool auto_enabled, double threshold);
-};
+inline constexpr double kAutoSparsifyDensity = 0.05;
 
 }  // namespace radb::la::sparse
 

@@ -86,19 +86,23 @@ std::string TelemetryExporter::QueryRecordJson(const QueryRecord& r) {
        << "\": " << r.phases.micros[i];
   }
   os << "}, \"sql\": \"" << JsonEscape(r.sql) << "\", \"operators\": [";
+  // The same fields, under the same names, as radb_operators.
   for (size_t i = 0; i < r.operators.size(); ++i) {
-    const OperatorRecord& op = r.operators[i];
-    os << (i == 0 ? "" : ", ") << "{\"op\": " << op.op_index << ", \"name\": \""
+    const OperatorMetrics& op = r.operators[i];
+    os << (i == 0 ? "" : ", ") << "{\"op\": " << i << ", \"name\": \""
        << JsonEscape(op.name) << "\", \"est_rows\": "
        << JsonNumber(op.estimated_rows) << ", \"actual_rows\": "
-       << op.actual_rows << ", \"rows_in\": " << op.rows_in
-       << ", \"worker_seconds\": " << JsonNumber(op.worker_seconds)
-       << ", \"max_worker_seconds\": " << JsonNumber(op.max_worker_seconds)
-       << ", \"skew\": " << JsonNumber(op.skew)
+       << op.rows_out << ", \"rows_in\": " << op.rows_in
+       << ", \"worker_seconds\": " << JsonNumber(op.TotalSeconds())
+       << ", \"max_worker_seconds\": " << JsonNumber(op.MaxWorkerSeconds())
+       << ", \"skew\": " << JsonNumber(op.Skew())
        << ", \"rows_shuffled\": " << op.rows_shuffled
        << ", \"bytes_shuffled\": " << op.bytes_shuffled
        << ", \"bytes_spilled\": " << op.bytes_spilled
-       << ", \"spill_runs\": " << op.spill_runs << "}";
+       << ", \"spill_runs\": " << op.spill_runs
+       << ", \"est_error\": " << JsonNumber(op.EstimationError())
+       << ", \"exec_mode\": \"" << op.ExecMode()
+       << "\", \"batches\": " << op.batches << "}";
   }
   os << "]}";
   return os.str();

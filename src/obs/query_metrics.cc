@@ -1,4 +1,4 @@
-#include "dist/metrics.h"
+#include "obs/query_metrics.h"
 
 #include <algorithm>
 #include <iomanip>
@@ -164,7 +164,7 @@ std::string QueryMetrics::ToJson() const {
        << ", \"bytes_shuffled\": " << op.bytes_shuffled
        << ", \"bytes_spilled\": " << op.bytes_spilled
        << ", \"spill_runs\": " << op.spill_runs
-       << ", \"exec_mode\": \"" << (op.vectorized ? "batch" : "row")
+       << ", \"exec_mode\": \"" << op.ExecMode()
        << "\", \"batches\": " << op.batches
        << ", \"total_seconds\": " << JsonNumber(op.TotalSeconds())
        << ", \"max_worker_seconds\": " << JsonNumber(op.MaxWorkerSeconds())

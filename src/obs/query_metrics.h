@@ -1,5 +1,5 @@
-#ifndef RADB_DIST_METRICS_H_
-#define RADB_DIST_METRICS_H_
+#ifndef RADB_OBS_QUERY_METRICS_H_
+#define RADB_OBS_QUERY_METRICS_H_
 
 #include <cstddef>
 #include <string>
@@ -11,7 +11,9 @@ namespace radb {
 /// what Figure 4 of the paper plots (join time vs aggregation time for
 /// tuple- vs vector-based Gram computation) and what the skew
 /// discussion in §5 measures (a few overloaded workers finishing
-/// late).
+/// late). It is also the one operator record of the telemetry store:
+/// radb_operators, the JSONL exporter and the slow-query log read the
+/// OperatorMetrics each QueryRecord keeps.
 struct OperatorMetrics {
   std::string name;           // e.g. "HashJoin", "Aggregate(final)"
   size_t rows_in = 0;         // rows consumed from the child operator(s)
@@ -42,6 +44,8 @@ struct OperatorMetrics {
   /// with both sides clamped to >= 1 row. 1.0 = exact; 0.0 when no
   /// estimate was recorded.
   double EstimationError() const;
+  /// "batch" when the columnar engine ran this operator, else "row".
+  const char* ExecMode() const { return vectorized ? "batch" : "row"; }
 };
 
 /// Whole-query metrics: the operator list in execution order.
@@ -78,4 +82,4 @@ struct QueryMetrics {
 
 }  // namespace radb
 
-#endif  // RADB_DIST_METRICS_H_
+#endif  // RADB_OBS_QUERY_METRICS_H_

@@ -22,23 +22,21 @@ const char* QueryPhaseName(QueryPhase phase) {
   return "unknown";
 }
 
-TelemetryStore::TelemetryStore(Options options) : options_(options) {}
-
 std::string TelemetryStore::Truncated(const std::string& sql) const {
-  if (sql.size() <= options_.max_sql_bytes) return sql;
-  return sql.substr(0, options_.max_sql_bytes) + "...";
+  if (sql.size() <= kMaxSqlBytes) return sql;
+  return sql.substr(0, kMaxSqlBytes) + "...";
 }
 
 uint64_t TelemetryStore::RecordQuery(QueryRecord record) {
   record.sql = Truncated(record.sql);
-  if (record.operators.size() > options_.max_operators_per_query) {
-    record.operators.resize(options_.max_operators_per_query);
+  if (record.operators.size() > kMaxOperatorsPerQuery) {
+    record.operators.resize(kMaxOperatorsPerQuery);
   }
   std::lock_guard<std::mutex> lock(mu_);
   record.ordinal = next_ordinal_++;
   const uint64_t ordinal = record.ordinal;
   queries_.push_back(std::move(record));
-  while (queries_.size() > options_.query_capacity) queries_.pop_front();
+  while (queries_.size() > query_capacity_) queries_.pop_front();
   return ordinal;
 }
 

@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "obs/query_metrics.h"
+
 namespace radb::obs {
 
 /// Phases a query passes through, in pipeline order. Queue and latch
@@ -40,36 +42,13 @@ struct PhaseBreakdown {
   }
 };
 
-/// One operator's execution summary, persisted from QueryMetrics into
-/// the radb_operators ring. The schema is deliberately flat and
-/// numeric: a future learned-cardinality pass consumes
-/// (name, estimated_rows, actual_rows) pairs directly.
-struct OperatorRecord {
-  int64_t op_index = 0;       // position in the query's operator list
-  std::string name;           // "Scan(t)", "HashJoin", ...
-  double estimated_rows = 0;  // optimizer estimate (0 = none recorded)
-  int64_t actual_rows = 0;    // rows_out
-  int64_t rows_in = 0;
-  double worker_seconds = 0;      // sum across workers
-  double max_worker_seconds = 0;  // slowest worker
-  double skew = 0;                // max/mean worker seconds
-  int64_t rows_shuffled = 0;
-  int64_t bytes_shuffled = 0;
-  int64_t bytes_spilled = 0;
-  int64_t spill_runs = 0;
-  /// "batch" when the columnar engine executed this operator, "row"
-  /// otherwise; `batches` counts column batches processed (0 on row).
-  std::string exec_mode = "row";
-  int64_t batches = 0;
-};
-
 /// One completed (or failed) Execute call. Everything radb_queries /
 /// radb_query_phases / radb_operators serves is derived from these.
 struct QueryRecord {
   uint64_t ordinal = 0;  // assigned by the store; monotone insert order
   uint64_t query_id = 0;
   uint64_t session_id = 0;  // 0 = standalone (no service session)
-  std::string sql;          // possibly truncated to max_sql_bytes
+  std::string sql;          // cut to TelemetryStore::kMaxSqlBytes
   std::string status;       // StatusCodeName: "OK", "CANCELLED", ...
   int64_t rows = 0;         // total rows across the script's result sets
   int64_t peak_memory_bytes = 0;
@@ -80,7 +59,9 @@ struct QueryRecord {
   int64_t cache_result_hits = 0;
   PhaseBreakdown phases;
   uint64_t total_micros = 0;  // queue + latch + parse..serialize wall
-  std::vector<OperatorRecord> operators;
+  /// The executed operators of every statement, in execution order
+  /// (at most TelemetryStore::kMaxOperatorsPerQuery are kept).
+  std::vector<OperatorMetrics> operators;
 };
 
 /// Live session state mirrored into radb_sessions.
@@ -99,18 +80,18 @@ struct SessionRecord {
 /// snapshot while any number of sessions record into it.
 class TelemetryStore {
  public:
-  struct Options {
-    size_t query_capacity = 256;       // ring size for radb_queries
-    size_t max_operators_per_query = 64;
-    size_t max_sql_bytes = 1024;
-  };
+  /// Caps on what one record keeps: operators per query, and SQL text
+  /// bytes (longer text is cut and marked with "...").
+  static constexpr size_t kMaxOperatorsPerQuery = 64;
+  static constexpr size_t kMaxSqlBytes = 1024;
 
-  TelemetryStore() : TelemetryStore(Options{}) {}
-  explicit TelemetryStore(Options options);
+  /// `query_capacity` is the ring size for radb_queries.
+  explicit TelemetryStore(size_t query_capacity)
+      : query_capacity_(query_capacity) {}
 
   /// Appends one completed-query record, evicting the oldest when the
-  /// ring is full. Truncates sql / operator lists to the configured
-  /// caps and assigns the record's ordinal (returned).
+  /// ring is full. Truncates sql / operator lists to the caps above
+  /// and assigns the record's ordinal (returned).
   uint64_t RecordQuery(QueryRecord record);
 
   /// Oldest-to-newest copy of the ring.
@@ -128,14 +109,14 @@ class TelemetryStore {
                        uint64_t query_id, const std::string& sql);
   std::vector<SessionRecord> SnapshotSessions() const;
 
-  size_t query_capacity() const { return options_.query_capacity; }
+  size_t query_capacity() const { return query_capacity_; }
   /// Total records ever inserted (not just retained).
   uint64_t queries_recorded() const;
 
  private:
   std::string Truncated(const std::string& sql) const;
 
-  const Options options_;
+  const size_t query_capacity_;
   mutable std::mutex mu_;
   uint64_t next_ordinal_ = 1;
   std::deque<QueryRecord> queries_;

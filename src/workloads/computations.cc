@@ -1,5 +1,6 @@
 #include "workloads/computations.h"
 
+#include <algorithm>
 #include <chrono>
 
 namespace radb::workloads {
@@ -111,9 +112,10 @@ Result<RunOutcome> SqlWorkload::RunScript(
     const QueryMetrics& m = db_.last_metrics();
     out.simulated_seconds += m.SimulatedParallelSeconds();
     out.bytes_shuffled += m.TotalBytesShuffled();
-    out.spill_bytes += db_.last_spill_bytes();
-    if (db_.last_peak_memory_bytes() > out.peak_tracked_bytes) {
-      out.peak_tracked_bytes = db_.last_peak_memory_bytes();
+    for (const QueryStats& st : script.statements) {
+      out.spill_bytes += st.spill_bytes;
+      out.peak_tracked_bytes =
+          std::max(out.peak_tracked_bytes, st.peak_memory_bytes);
     }
     for (const OperatorMetrics& op : m.operators) {
       out.metrics.operators.push_back(op);

@@ -8,8 +8,8 @@
 
 #include "test_util.h"
 #include "common/rng.h"
-#include "dist/metrics.h"
 #include "la/vector.h"
+#include "obs/query_metrics.h"
 
 namespace radb {
 namespace {

@@ -390,6 +390,24 @@ TEST_F(ObsDatabaseTest, ExecutorPublishesCounters) {
   EXPECT_DOUBLE_EQ(reg->gauge("exec.workers")->value(), 4.0);
 }
 
+TEST_F(ObsDatabaseTest, PlainExplainIsPlannedUnderObservation) {
+  // EXPLAIN plans through the same observed step as SELECT: the
+  // optimizer reports to the registry and the bind / optimize spans
+  // appear in the trace.
+  obs::Counter* considered =
+      db_.metrics_registry()->counter("optimizer.plans_considered");
+  const uint64_t before = considered->value();
+  // A two-relation join: the join-order search considers one plan.
+  ASSERT_TRUE(Exec(db_, "EXPLAIN SELECT x.b FROM t AS x, t AS y "
+                        "WHERE x.a = y.a")
+                  .ok());
+  EXPECT_GT(considered->value(), before);
+  std::set<std::string> names;
+  for (const obs::Span& s : db_.tracer()->spans()) names.insert(s.name);
+  EXPECT_TRUE(names.count("bind"));
+  EXPECT_TRUE(names.count("optimize"));
+}
+
 TEST_F(ObsDatabaseTest, TraceCoversOnlyTheLastExecute) {
   ASSERT_TRUE(Exec(db_, "SELECT a FROM t").ok());
   ASSERT_TRUE(Exec(db_, "SELECT b FROM t").ok());

@@ -371,18 +371,19 @@ TEST(SparseValueTest, DenseMatrixByteSizeIgnoresCapacitySlack) {
 TEST(DispatchTest, ThresholdBoundaryIsInclusiveAndCounted) {
   Database::Config cfg;
   cfg.obs.enable_metrics = true;
-  cfg.sparse.auto_dispatch = true;
-  cfg.sparse.density_threshold = 0.25;
   Database db(cfg);
-  ASSERT_EQ(la::sparse::DispatchPolicy::Threshold(), 0.25);
 
-  la::Matrix at(4, 4);  // density exactly 4/16 == threshold -> sparse
-  at.At(0, 0) = at.At(1, 1) = at.At(2, 2) = at.At(3, 3) = 1.5;
-  la::Matrix above(at);  // 5/16 > threshold -> dense
+  // 20 of 400 cells is density 0.05, exactly the threshold -> sparse;
+  // one more nonzero is above it -> dense.
+  la::Matrix at(20, 20);
+  for (size_t i = 0; i < 20; ++i) at.At(i, i) = 1.5;
+  la::Matrix above(at);
   above.At(0, 1) = 0.5;
-  ASSERT_TRUE(
-      Exec(db, "CREATE TABLE t (k INTEGER, a MATRIX[4][4], b MATRIX[4][4])")
-          .ok());
+  ASSERT_EQ(la::sparse::DenseNnz(at), 20u);
+  ASSERT_EQ(la::sparse::DenseNnz(above), 21u);
+  ASSERT_TRUE(Exec(db, "CREATE TABLE t (k INTEGER, a MATRIX[20][20], "
+                       "b MATRIX[20][20])")
+                  .ok());
   std::vector<Row> rows;
   rows.push_back({Value::Int(0), Value::FromMatrix(la::Matrix(at)),
                   Value::FromMatrix(la::Matrix(above))});
@@ -406,19 +407,16 @@ TEST(DispatchTest, ThresholdBoundaryIsInclusiveAndCounted) {
   ASSERT_TRUE(want.ok());
   ExpectSameMatrix(rs->rows[0][0].matrix(), *want);
 
+  const uint64_t auto_after = auto_ctr->value();
   const uint64_t dense_before = dense_ctr->value();
   auto rs2 = Exec(db, "SELECT matrix_multiply(b, b) FROM t");
   ASSERT_TRUE(rs2.ok());
   EXPECT_GT(dense_ctr->value(), dense_before)
       << "density above threshold must stay on the dense kernel";
-
-  // Disabling auto-dispatch pins the dense kernel even for sparse
-  // densities (process-global policy, last writer wins).
-  la::sparse::DispatchPolicy::Set(false, 0.25);
-  const uint64_t auto_frozen = auto_ctr->value();
-  ASSERT_TRUE(Exec(db, "SELECT matrix_multiply(a, a) FROM t").ok());
-  EXPECT_EQ(auto_ctr->value(), auto_frozen);
-  la::sparse::DispatchPolicy::Set(true, 0.05);  // restore default
+  EXPECT_EQ(auto_ctr->value(), auto_after);
+  auto want2 = la::Multiply(above, above);
+  ASSERT_TRUE(want2.ok());
+  ExpectSameMatrix(rs2->rows[0][0].matrix(), *want2);
 }
 
 // ---- SQL surface -----------------------------------------------------

@@ -82,10 +82,10 @@ TEST_F(SpillJoinTest, GraceSpillIsBitIdenticalAt1And8Threads) {
     ASSERT_TRUE(got.ok()) << got.status();
     ASSERT_TRUE(got->has_results());
     EXPECT_EQ(Fingerprint(got->last()), want) << "threads=" << threads;
-    EXPECT_GT(db_->last_spill_bytes(), 0u) << "threads=" << threads;
+    EXPECT_GT(got->statements[0].spill_bytes, 0u) << "threads=" << threads;
     // The tracked peak respects the budget (replay windows and single
     // oversized items may overshoot it slightly, never unboundedly).
-    EXPECT_LT(db_->last_peak_memory_bytes(), 2 * kTinyBudget);
+    EXPECT_LT(got->statements[0].peak_memory_bytes, 2 * kTinyBudget);
   }
 }
 
@@ -130,7 +130,7 @@ TEST_F(SpillAggTest, AggregationOverSpilledInputIsBitIdenticalAt1And8Threads) {
     ASSERT_TRUE(got.ok()) << got.status();
     ASSERT_TRUE(got->has_results());
     EXPECT_EQ(Fingerprint(got->last()), want) << "threads=" << threads;
-    EXPECT_GT(db_->last_spill_bytes(), 0u) << "threads=" << threads;
+    EXPECT_GT(got->statements[0].spill_bytes, 0u) << "threads=" << threads;
   }
 }
 
@@ -185,7 +185,7 @@ TEST(TiledSqlTest, SixteenMbBudgetSpillsAndStaysBitIdentical) {
     ASSERT_TRUE(got.ok()) << got.status();
     ASSERT_TRUE(got->has_results());
     EXPECT_EQ(Fingerprint(got->last()), want) << "threads=" << threads;
-    EXPECT_GT(db.last_spill_bytes(), 0u) << "threads=" << threads;
+    EXPECT_GT(got->statements[0].spill_bytes, 0u) << "threads=" << threads;
   }
 }
 

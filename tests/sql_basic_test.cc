@@ -265,6 +265,22 @@ TEST_F(SqlBasicTest, PlainExplainDoesNotExecute) {
   EXPECT_NE(text.find("estimated cost:"), std::string::npos) << text;
 }
 
+TEST_F(SqlBasicTest, ExplainApiMatchesExplainStatement) {
+  // One renderer: Database::Explain is the EXPLAIN statement's rows,
+  // each ended by a newline (the cost line included).
+  const std::string q =
+      "SELECT c, SUM(b) FROM t WHERE a > 1 GROUP BY c ORDER BY c";
+  auto api = db_.Explain(q);
+  ASSERT_TRUE(api.ok()) << api.status();
+  auto rs = Exec(db_, "EXPLAIN " + q);
+  ASSERT_TRUE(rs.ok()) << rs.status();
+  std::string joined;
+  for (size_t r = 0; r < rs->num_rows(); ++r) {
+    joined += rs->at(r, 0).string_value() + "\n";
+  }
+  EXPECT_EQ(*api, joined);
+}
+
 TEST_F(SqlBasicTest, DropTableAndView) {
   ASSERT_TRUE(Exec(db_, "CREATE VIEW v AS SELECT a FROM t").ok());
   ASSERT_TRUE(Exec(db_, "DROP VIEW v").ok());

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -319,6 +320,35 @@ TEST(ExporterTest, JsonlIsIncrementalAndParses) {
   EXPECT_NE(batches[0].find("\"phases\": {\"queue\": "), std::string::npos);
   EXPECT_NE(batches[0].find("\"status\": \"OK\""), std::string::npos);
   EXPECT_NE(batches[0].find("\"operators\": ["), std::string::npos);
+}
+
+TEST(ExporterTest, JsonlOperatorsCarryExecModeAndBatches) {
+  Database::Config config = MetricsConfig();
+  std::string jsonl;
+  config.telemetry.jsonl_callback = [&](const std::string& text) {
+    jsonl += text;
+  };
+  Database db(config);
+  ASSERT_TRUE(LoadTinyTable(&db).ok());
+  const std::string sql = "SELECT SUM(b) FROM t";
+  ASSERT_TRUE(db.Execute(sql).ok());
+  // radb_operators shows the aggregate ran on the batch engine ...
+  auto batch_ops = db.Execute(
+      "SELECT COUNT(*) FROM radb_operators AS o, radb_queries AS q "
+      "WHERE o.query_id = q.query_id AND q.sql = '" + sql +
+      "' AND o.exec_mode = 'batch' AND o.batches > 0");
+  ASSERT_TRUE(batch_ops.ok()) << batch_ops.status();
+  ASSERT_GT(batch_ops->last().at(0, 0).int_value(), 0);
+  // ... and the exporter's line for the same query says so too.
+  ASSERT_TRUE(db.exporter()->ExportOnce().ok());
+  std::string line;
+  std::istringstream lines(jsonl);
+  while (std::getline(lines, line)) {
+    if (line.find("\"sql\": \"" + sql + "\"") != std::string::npos) break;
+  }
+  ASSERT_NE(line.find("\"sql\": \"" + sql + "\""), std::string::npos) << jsonl;
+  EXPECT_NE(line.find("\"exec_mode\": \"batch\""), std::string::npos) << line;
+  EXPECT_NE(line.find("\"batches\": "), std::string::npos) << line;
 }
 
 TEST(ExporterTest, SamplerStartsAndStopsCleanly) {
