@@ -27,6 +27,14 @@ ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1}" \
 UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1:print_stacktrace=1}" \
   "$BUILD_DIR/bench/fuzz_queries" --queries "$QUERIES" --seed "$SEED"
 
+# Kernel pass: the dense LA suites (label `kernels`) — every ISA
+# variant of the register-tile and row-update kernels against the
+# reference loops and sparse twins, with ±0/±inf/NaN/subnormal cells
+# and every tile remainder, so an out-of-bounds tile edge surfaces here
+# (scripts/stress.sh runs the same label under TSan).
+cmake --build "$BUILD_DIR" -j "$JOBS" --target la_test tiled_test kernel_test
+(cd "$BUILD_DIR" && ctest -L kernels --output-on-failure)
+
 # Tight-budget pass: rerun the SQL-LA / tiled / aggregation suites
 # with a 16 MB per-query memory budget (ctest label memory_budget), so
 # the spill paths face the same assertions as the unbudgeted runs —

@@ -23,8 +23,8 @@ cmake -S "$(dirname "$0")/.." -B "$BUILD_DIR" \
   -DRADB_SANITIZE=thread
 cmake --build "$BUILD_DIR" -j "$JOBS" \
   --target service_test cancel_test systab_test vectorized_test \
-  cache_test persist_test sparse_test spool_test ablation_concurrency \
-  ablation_cache fuzz_queries
+  cache_test persist_test sparse_test spool_test la_test tiled_test \
+  kernel_test ablation_concurrency ablation_cache fuzz_queries
 
 # halt_on_error so a race report fails the run instead of scrolling by.
 # die_after_fork=0: the storage crash-recovery battery forks children
@@ -69,6 +69,12 @@ export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:die_after_fork=0}"
 # the shared plan — and held copies are copied out on pool threads
 # (same label scripts/fuzz.sh runs under ASan).
 (cd "$BUILD_DIR" && ctest -L spool --output-on-failure)
+
+# Kernel suite: the dense products split output rows into parallel
+# bands on the pool (4 threads in kernel_test); each band writes only
+# its own rows, which TSan checks here (same label scripts/fuzz.sh
+# runs under ASan).
+(cd "$BUILD_DIR" && ctest -L kernels --output-on-failure)
 
 # Multi-session differential fuzzing: 4 concurrent sessions vs the
 # serial oracle, plus the usual single-threaded sweep for coverage,

@@ -1,12 +1,11 @@
 #include "la/matrix.h"
 
-#include "common/thread_pool.h"
+#include "la/kernel.h"
 #include "obs/metrics_registry.h"
 
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <functional>
 #include <limits>
 #include <sstream>
 
@@ -20,26 +19,6 @@ Status ShapeMismatch(const char* op, size_t ar, size_t ac, size_t br,
       std::string(op) + ": shapes " + std::to_string(ar) + "x" +
       std::to_string(ac) + " and " + std::to_string(br) + "x" +
       std::to_string(bc) + " are incompatible");
-}
-
-/// Dispatches band(row_begin, row_end) over contiguous bands of
-/// output rows on the process-global thread pool, or inline when
-/// there is no pool, the product is too small to amortize the
-/// fork/join (below ~64K flops), or we are already inside a pool
-/// worker (the executor's per-worker loops — ParallelRanges then runs
-/// inline by itself). Every output row is produced entirely by one
-/// band with the same inner-loop order as the sequential code, so
-/// kernel results are bit-identical at any thread count.
-void ForRowBands(size_t rows, size_t flops,
-                 const std::function<void(size_t, size_t)>& band) {
-  constexpr size_t kMinParallelFlops = 1 << 16;
-  ThreadPool* pool = GlobalPool();
-  if (pool == nullptr || pool->num_threads() <= 1 ||
-      flops < kMinParallelFlops) {
-    band(0, rows);
-    return;
-  }
-  pool->ParallelRanges(rows, band);
 }
 
 }  // namespace
@@ -59,11 +38,7 @@ double Matrix::MaxAbsDiff(const Matrix& other) const {
   if (rows_ != other.rows_ || cols_ != other.cols_) {
     return std::numeric_limits<double>::infinity();
   }
-  double m = 0.0;
-  for (size_t i = 0; i < data_.size(); ++i) {
-    m = std::max(m, std::fabs(data_[i] - other.data_[i]));
-  }
-  return m;
+  return la::MaxAbsDiff(data(), other.data(), data_.size());
 }
 
 Vector Matrix::Row(size_t r) const {
@@ -149,68 +124,11 @@ std::string Matrix::ToString(size_t max_rows, size_t max_cols) const {
 }
 
 Result<Matrix> Multiply(const Matrix& a, const Matrix& b) {
-  if (a.cols() != b.rows()) {
-    return ShapeMismatch("matrix_multiply", a.rows(), a.cols(), b.rows(),
-                         b.cols());
-  }
-  const size_t m = a.rows(), k = a.cols(), n = b.cols();
-  if (obs::MetricsRegistry* reg = obs::GlobalMetrics()) {
-    reg->Add("la.matmul_calls", 1);
-    reg->Add("la.matmul_flops", 2 * m * k * n);
-  }
-  Matrix out(m, n);
-  // Cache-blocked i-k-j: the inner loop streams over contiguous rows of
-  // b and out, which is the right access pattern for row-major data.
-  // Parallel bands split only the i dimension, so each output row keeps
-  // the sequential k-accumulation order.
-  constexpr size_t kBlock = 64;
-  ForRowBands(m, 2 * m * k * n, [&](size_t r0, size_t r1) {
-    for (size_t i0 = r0; i0 < r1; i0 += kBlock) {
-      const size_t i1 = std::min(i0 + kBlock, r1);
-      for (size_t k0 = 0; k0 < k; k0 += kBlock) {
-        const size_t k1 = std::min(k0 + kBlock, k);
-        for (size_t i = i0; i < i1; ++i) {
-          double* out_row = out.RowPtr(i);
-          const double* a_row = a.RowPtr(i);
-          for (size_t kk = k0; kk < k1; ++kk) {
-            const double aik = a_row[kk];
-            if (aik == 0.0) continue;
-            const double* b_row = b.RowPtr(kk);
-            for (size_t j = 0; j < n; ++j) out_row[j] += aik * b_row[j];
-          }
-        }
-      }
-    }
-  });
-  return out;
+  return kernel::Multiply(kernel::ActiveIsa(), a, b);
 }
 
 Matrix TransposeSelfMultiply(const Matrix& a) {
-  const size_t n = a.cols();
-  if (obs::MetricsRegistry* reg = obs::GlobalMetrics()) {
-    reg->Add("la.tsmm_calls", 1);
-    reg->Add("la.tsmm_flops", a.rows() * n * n);  // symmetric half x2
-  }
-  Matrix out(n, n);
-  // Accumulate rank-1 updates row by row; exploit symmetry. Parallel
-  // bands split the output rows i: every band streams all data rows r
-  // in order, so each output element sees the sequential accumulation
-  // order.
-  ForRowBands(n, a.rows() * n * n, [&](size_t i_begin, size_t i_end) {
-    for (size_t r = 0; r < a.rows(); ++r) {
-      const double* row = a.RowPtr(r);
-      for (size_t i = i_begin; i < i_end; ++i) {
-        const double v = row[i];
-        if (v == 0.0) continue;
-        double* out_row = out.RowPtr(i);
-        for (size_t j = i; j < n; ++j) out_row[j] += v * row[j];
-      }
-    }
-  });
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = 0; j < i; ++j) out.At(i, j) = out.At(j, i);
-  }
-  return out;
+  return kernel::TransposeSelfMultiply(kernel::ActiveIsa(), a);
 }
 
 Result<Vector> MatrixVectorMultiply(const Matrix& a, const Vector& v) {
@@ -224,30 +142,20 @@ Result<Vector> MatrixVectorMultiply(const Matrix& a, const Vector& v) {
   }
   Vector out(a.rows());
   // Each out[r] is an independent dot product — trivially band-safe.
-  ForRowBands(a.rows(), 2 * a.rows() * a.cols(), [&](size_t r0, size_t r1) {
-    for (size_t r = r0; r < r1; ++r) {
-      const double* row = a.RowPtr(r);
-      double s = 0.0;
-      for (size_t c = 0; c < a.cols(); ++c) s += row[c] * v[c];
-      out[r] = s;
-    }
-  });
+  kernel::ForRowBands(
+      a.rows(), 2 * a.rows() * a.cols(), [&](size_t r0, size_t r1) {
+        for (size_t r = r0; r < r1; ++r) {
+          const double* row = a.RowPtr(r);
+          double s = 0.0;
+          for (size_t c = 0; c < a.cols(); ++c) s += row[c] * v[c];
+          out[r] = s;
+        }
+      });
   return out;
 }
 
 Result<Vector> VectorMatrixMultiply(const Vector& v, const Matrix& a) {
-  if (v.size() != a.rows()) {
-    return ShapeMismatch("vector_matrix_multiply", 1, v.size(), a.rows(),
-                         a.cols());
-  }
-  Vector out(a.cols());
-  for (size_t r = 0; r < a.rows(); ++r) {
-    const double vr = v[r];
-    if (vr == 0.0) continue;
-    const double* row = a.RowPtr(r);
-    for (size_t c = 0; c < a.cols(); ++c) out[c] += vr * row[c];
-  }
-  return out;
+  return kernel::VectorMatrixMultiply(kernel::ActiveIsa(), v, a);
 }
 
 Matrix OuterProduct(const Vector& a, const Vector& b) {
@@ -371,103 +279,19 @@ Matrix RdivScalar(double s, const Matrix& a) {
 }
 
 Result<LuDecomposition> LuDecompose(const Matrix& a) {
-  if (a.rows() != a.cols()) {
-    return Status::DimensionMismatch(
-        "lu: matrix is " + std::to_string(a.rows()) + "x" +
-        std::to_string(a.cols()) + ", expected square");
-  }
-  const size_t n = a.rows();
-  LuDecomposition d;
-  d.lu = a;
-  d.perm.resize(n);
-  for (size_t i = 0; i < n; ++i) d.perm[i] = i;
-
-  for (size_t k = 0; k < n; ++k) {
-    // Partial pivoting: pick the largest |value| in column k.
-    size_t pivot = k;
-    double best = std::fabs(d.lu.At(k, k));
-    for (size_t r = k + 1; r < n; ++r) {
-      const double v = std::fabs(d.lu.At(r, k));
-      if (v > best) {
-        best = v;
-        pivot = r;
-      }
-    }
-    if (best == 0.0) {
-      return Status::NumericError("matrix is singular (zero pivot at column " +
-                                  std::to_string(k) + ")");
-    }
-    if (pivot != k) {
-      for (size_t c = 0; c < n; ++c) {
-        std::swap(d.lu.At(k, c), d.lu.At(pivot, c));
-      }
-      std::swap(d.perm[k], d.perm[pivot]);
-      d.sign = -d.sign;
-    }
-    const double pivot_val = d.lu.At(k, k);
-    for (size_t r = k + 1; r < n; ++r) {
-      const double factor = d.lu.At(r, k) / pivot_val;
-      d.lu.At(r, k) = factor;
-      if (factor == 0.0) continue;
-      double* row_r = d.lu.RowPtr(r);
-      const double* row_k = d.lu.RowPtr(k);
-      for (size_t c = k + 1; c < n; ++c) row_r[c] -= factor * row_k[c];
-    }
-  }
-  return d;
+  return kernel::LuDecompose(kernel::ActiveIsa(), a);
 }
-
-namespace {
-
-// Forward/back substitution using a finished LU decomposition.
-Vector LuSolveOne(const LuDecomposition& d, const Vector& b) {
-  const size_t n = d.perm.size();
-  Vector y(n);
-  for (size_t i = 0; i < n; ++i) {
-    double s = b[d.perm[i]];
-    const double* row = d.lu.RowPtr(i);
-    for (size_t j = 0; j < i; ++j) s -= row[j] * y[j];
-    y[i] = s;
-  }
-  Vector x(n);
-  for (size_t ii = n; ii-- > 0;) {
-    double s = y[ii];
-    const double* row = d.lu.RowPtr(ii);
-    for (size_t j = ii + 1; j < n; ++j) s -= row[j] * x[j];
-    x[ii] = s / row[ii];
-  }
-  return x;
-}
-
-}  // namespace
 
 Result<Vector> Solve(const Matrix& a, const Vector& b) {
-  if (a.rows() != b.size()) {
-    return ShapeMismatch("solve", a.rows(), a.cols(), b.size(), 1);
-  }
-  RADB_ASSIGN_OR_RETURN(LuDecomposition d, LuDecompose(a));
-  return LuSolveOne(d, b);
+  return kernel::Solve(kernel::ActiveIsa(), a, b);
 }
 
 Result<Matrix> SolveMatrix(const Matrix& a, const Matrix& b) {
-  if (a.rows() != b.rows()) {
-    return ShapeMismatch("solve", a.rows(), a.cols(), b.rows(), b.cols());
-  }
-  RADB_ASSIGN_OR_RETURN(LuDecomposition d, LuDecompose(a));
-  Matrix out(b.rows(), b.cols());
-  for (size_t c = 0; c < b.cols(); ++c) {
-    out.SetCol(c, LuSolveOne(d, b.Col(c)));
-  }
-  return out;
+  return kernel::SolveMatrix(kernel::ActiveIsa(), a, b);
 }
 
 Result<Matrix> Inverse(const Matrix& a) {
-  if (a.rows() != a.cols()) {
-    return Status::DimensionMismatch(
-        "matrix_inverse: matrix is " + std::to_string(a.rows()) + "x" +
-        std::to_string(a.cols()) + ", expected square");
-  }
-  return SolveMatrix(a, Matrix::Identity(a.rows()));
+  return kernel::Inverse(kernel::ActiveIsa(), a);
 }
 
 Result<Matrix> Cholesky(const Matrix& a) {

@@ -13,7 +13,8 @@ namespace radb::la {
 
 /// Dense row-major matrix of doubles; the runtime payload of the SQL
 /// MATRIX type. All kernels are written from scratch (no BLAS/LAPACK,
-/// per the reproduction rules); GEMM uses a cache-blocked i-k-j loop.
+/// per the reproduction rules); products and solves run on the
+/// register-blocked kernels of la/kernel.h.
 class Matrix {
  public:
   Matrix() : rows_(0), cols_(0) {}
@@ -46,7 +47,8 @@ class Matrix {
            data_ == other.data_;
   }
 
-  /// Max |a_ij - b_ij|; infinity on shape mismatch.
+  /// Max |a_ij - b_ij| under la::MaxAbsDiff's NaN rule; infinity on
+  /// shape mismatch.
   double MaxAbsDiff(const Matrix& other) const;
 
   Vector Row(size_t r) const;
@@ -123,7 +125,7 @@ Result<LuDecomposition> LuDecompose(const Matrix& a);
 
 /// Solves a x = b for square a via LU. Shape-checked.
 Result<Vector> Solve(const Matrix& a, const Vector& b);
-/// Solves a X = B column-by-column. Shape-checked.
+/// Solves a X = B for all columns of B at once. Shape-checked.
 Result<Matrix> SolveMatrix(const Matrix& a, const Matrix& b);
 /// a⁻¹ for square non-singular a. NumericError when singular.
 Result<Matrix> Inverse(const Matrix& a);

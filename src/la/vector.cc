@@ -17,15 +17,25 @@ Status SizeMismatch(const char* op, size_t a, size_t b) {
 
 }  // namespace
 
+double MaxAbsDiff(const double* a, const double* b, size_t n) {
+  double m = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    if (std::isnan(a[i]) || std::isnan(b[i])) {
+      if (std::isnan(a[i]) != std::isnan(b[i])) {
+        return std::numeric_limits<double>::infinity();
+      }
+    } else if (a[i] != b[i]) {
+      m = std::max(m, std::fabs(a[i] - b[i]));
+    }
+  }
+  return m;
+}
+
 double Vector::MaxAbsDiff(const Vector& other) const {
   if (size() != other.size()) {
     return std::numeric_limits<double>::infinity();
   }
-  double m = 0.0;
-  for (size_t i = 0; i < size(); ++i) {
-    m = std::max(m, std::fabs(data_[i] - other.data_[i]));
-  }
-  return m;
+  return la::MaxAbsDiff(data(), other.data(), size());
 }
 
 double Vector::Sum() const {

@@ -36,7 +36,8 @@ class Vector {
 
   bool operator==(const Vector& other) const { return data_ == other.data_; }
 
-  /// Max |a_i - b_i|; returns infinity on size mismatch.
+  /// Max |a_i - b_i| under la::MaxAbsDiff's NaN rule; infinity on size
+  /// mismatch.
   double MaxAbsDiff(const Vector& other) const;
 
   /// Sum of entries.
@@ -54,6 +55,10 @@ class Vector {
  private:
   std::vector<double> data_;
 };
+
+/// Max over i < n of |a_i - b_i|. A NaN against a non-NaN counts as
+/// +infinity; NaN against NaN, and equal infinities, count as 0.
+double MaxAbsDiff(const double* a, const double* b, size_t n);
 
 /// dst += src, shape-checked, allocation-free (see matrix.h).
 Status AddInPlace(Vector* dst, const Vector& src);

@@ -1,0 +1,481 @@
+// Dense kernel layer (la/kernel.h, DESIGN.md §18): every instruction-set
+// variant, called directly, at 1 and 4 pool threads, against naive
+// reference loops that encode the kernels' order and zero rule. The
+// comparison is bit-exact except that any two NaNs match (the layer
+// leaves a NaN's sign and payload open). Shapes cover every remainder
+// modulo the tile sizes; cells mix ±0, ±inf, NaN and subnormals.
+
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <functional>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
+#include "common/thread_pool.h"
+#include "la/kernel.h"
+#include "la/matrix.h"
+#include "la/sparse/sparse.h"
+#include "la/vector.h"
+
+namespace radb::la {
+namespace {
+
+using kernel::Isa;
+
+constexpr size_t kShapes[] = {0, 1, 3, 4, 5, 7, 8, 9, 17, 65, 130};
+constexpr size_t kNumShapes = sizeof(kShapes) / sizeof(kShapes[0]);
+constexpr double kDensities[] = {0.0, 0.001, 0.1, 0.5, 1.0};
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+// ----------------------------------------------------------------------
+// Inputs
+// ----------------------------------------------------------------------
+
+enum class Mix {
+  kFinite,   // ±0, normals and subnormals
+  kSpecial,  // plus rare ±inf and NaN
+};
+
+/// A cell that is nonzero with probability `density`; zeros are +0.0 or
+/// -0.0 at random.
+double Cell(Rng* rng, double density, Mix mix) {
+  if (rng->NextDouble() >= density) return rng->NextBelow(2) ? 0.0 : -0.0;
+  const double u = rng->NextDouble();
+  if (mix == Mix::kSpecial) {
+    if (u < 0.003) return kInf;
+    if (u < 0.006) return -kInf;
+    if (u < 0.009) return kNaN;
+  }
+  const double sign = rng->NextBelow(2) ? 1.0 : -1.0;
+  if (u < 0.06) {
+    return sign * std::numeric_limits<double>::denorm_min() *
+           static_cast<double>(1 + rng->NextBelow(1u << 20));
+  }
+  return sign * rng->Uniform(0.5, 2.0) *
+         std::ldexp(1.0, static_cast<int>(rng->NextBelow(9)) - 4);
+}
+
+Matrix RandomMatrix(Rng* rng, size_t rows, size_t cols, double density,
+                    Mix mix) {
+  Matrix m(rows, cols);
+  for (size_t i = 0; i < rows * cols; ++i) {
+    m.data()[i] = Cell(rng, density, mix);
+  }
+  return m;
+}
+
+Vector RandomVector(Rng* rng, size_t n, double density, Mix mix) {
+  Vector v(n);
+  for (size_t i = 0; i < n; ++i) v[i] = Cell(rng, density, mix);
+  return v;
+}
+
+// ----------------------------------------------------------------------
+// Reference loops: the kernels' element order and zero rule, written
+// the plain way.
+// ----------------------------------------------------------------------
+
+Matrix RefMultiply(const Matrix& a, const Matrix& b) {
+  Matrix out(a.rows(), b.cols());
+  for (size_t i = 0; i < a.rows(); ++i) {
+    for (size_t k = 0; k < a.cols(); ++k) {
+      const double aik = a.At(i, k);
+      if (aik == 0.0) continue;
+      for (size_t j = 0; j < b.cols(); ++j) {
+        out.At(i, j) = out.At(i, j) + aik * b.At(k, j);
+      }
+    }
+  }
+  return out;
+}
+
+Matrix RefTransposeSelfMultiply(const Matrix& a) {
+  const size_t n = a.cols();
+  Matrix out(n, n);
+  for (size_t r = 0; r < a.rows(); ++r) {
+    for (size_t i = 0; i < n; ++i) {
+      const double v = a.At(r, i);
+      if (v == 0.0) continue;
+      for (size_t j = i; j < n; ++j) {
+        out.At(i, j) = out.At(i, j) + v * a.At(r, j);
+      }
+    }
+  }
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < i; ++j) out.At(i, j) = out.At(j, i);
+  }
+  return out;
+}
+
+Vector RefVectorMatrixMultiply(const Vector& v, const Matrix& a) {
+  Vector out(a.cols());
+  for (size_t r = 0; r < a.rows(); ++r) {
+    if (v[r] == 0.0) continue;
+    for (size_t c = 0; c < a.cols(); ++c) out[c] = out[c] + v[r] * a.At(r, c);
+  }
+  return out;
+}
+
+/// LuDecompose's reference: partial pivoting on the largest |value|,
+/// row updates skipping a zero factor. False on a zero pivot.
+bool RefLu(const Matrix& a, LuDecomposition* d) {
+  const size_t n = a.rows();
+  d->lu = a;
+  d->perm.resize(n);
+  d->sign = 1;
+  for (size_t i = 0; i < n; ++i) d->perm[i] = i;
+  for (size_t k = 0; k < n; ++k) {
+    size_t pivot = k;
+    double best = std::fabs(d->lu.At(k, k));
+    for (size_t r = k + 1; r < n; ++r) {
+      const double v = std::fabs(d->lu.At(r, k));
+      if (v > best) {
+        best = v;
+        pivot = r;
+      }
+    }
+    if (best == 0.0) return false;
+    if (pivot != k) {
+      for (size_t c = 0; c < n; ++c) {
+        std::swap(d->lu.At(k, c), d->lu.At(pivot, c));
+      }
+      std::swap(d->perm[k], d->perm[pivot]);
+      d->sign = -d->sign;
+    }
+    for (size_t r = k + 1; r < n; ++r) {
+      const double factor = d->lu.At(r, k) / d->lu.At(k, k);
+      d->lu.At(r, k) = factor;
+      if (factor == 0.0) continue;
+      for (size_t c = k + 1; c < n; ++c) {
+        d->lu.At(r, c) = d->lu.At(r, c) - factor * d->lu.At(k, c);
+      }
+    }
+  }
+  return true;
+}
+
+/// One right-hand side: forward then back substitution, no zero skip.
+std::vector<double> RefLuSolveOne(const LuDecomposition& d,
+                                  const std::vector<double>& b) {
+  const size_t n = d.perm.size();
+  std::vector<double> y(n), x(n);
+  for (size_t i = 0; i < n; ++i) {
+    double s = b[d.perm[i]];
+    for (size_t j = 0; j < i; ++j) s = s - d.lu.At(i, j) * y[j];
+    y[i] = s;
+  }
+  for (size_t i = n; i-- > 0;) {
+    double s = y[i];
+    for (size_t j = i + 1; j < n; ++j) s = s - d.lu.At(i, j) * x[j];
+    x[i] = s / d.lu.At(i, i);
+  }
+  return x;
+}
+
+/// Column by column, one right-hand side at a time.
+Matrix RefSolveMatrix(const LuDecomposition& d, const Matrix& b) {
+  Matrix out(b.rows(), b.cols());
+  for (size_t c = 0; c < b.cols(); ++c) {
+    std::vector<double> col(b.rows());
+    for (size_t r = 0; r < b.rows(); ++r) col[r] = b.At(r, c);
+    const std::vector<double> x = RefLuSolveOne(d, col);
+    for (size_t r = 0; r < b.rows(); ++r) out.At(r, c) = x[r];
+  }
+  return out;
+}
+
+// ----------------------------------------------------------------------
+// Comparison and the variant x thread-count sweep
+// ----------------------------------------------------------------------
+
+bool SameBits(double x, double y) {
+  if (std::isnan(x) && std::isnan(y)) return true;
+  return std::bit_cast<uint64_t>(x) == std::bit_cast<uint64_t>(y);
+}
+
+::testing::AssertionResult BitEqual(const double* got, const double* want,
+                                    size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    if (!SameBits(got[i], want[i])) {
+      return ::testing::AssertionFailure()
+             << "element " << i << ": got " << std::hexfloat << got[i]
+             << ", want " << want[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+::testing::AssertionResult BitEqual(const Matrix& got, const Matrix& want) {
+  if (got.rows() != want.rows() || got.cols() != want.cols()) {
+    return ::testing::AssertionFailure()
+           << "shape " << got.rows() << "x" << got.cols() << ", want "
+           << want.rows() << "x" << want.cols();
+  }
+  return BitEqual(got.data(), want.data(), got.rows() * got.cols());
+}
+
+::testing::AssertionResult BitEqual(const Vector& got, const Vector& want) {
+  if (got.size() != want.size()) {
+    return ::testing::AssertionFailure()
+           << "size " << got.size() << ", want " << want.size();
+  }
+  return BitEqual(got.data(), want.data(), got.size());
+}
+
+std::vector<Isa> SupportedIsas() {
+  std::vector<Isa> out;
+  for (Isa isa : {Isa::kBaseline, Isa::kAvx2}) {
+    if (kernel::IsaSupported(isa)) out.push_back(isa);
+  }
+  return out;
+}
+
+/// Runs check(isa) for every supported variant, first with no pool and
+/// then with a 4-thread pool installed for the kernels' row bands.
+void ForEachVariant(const std::function<void(Isa)>& check) {
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    ThreadPool pool(threads);
+    InstallGlobalPool(&pool);
+    for (Isa isa : SupportedIsas()) {
+      SCOPED_TRACE(std::string(isa == Isa::kAvx2 ? "avx2" : "baseline") +
+                   " at " + std::to_string(threads) + " threads");
+      check(isa);
+    }
+    UninstallGlobalPool(&pool);
+  }
+}
+
+std::string Label(const char* what, size_t m, size_t k, size_t n,
+                  double density, Mix mix) {
+  return std::string(what) + " " + std::to_string(m) + "x" +
+         std::to_string(k) + "x" + std::to_string(n) + " density " +
+         std::to_string(density) +
+         (mix == Mix::kSpecial ? " with inf/NaN" : " finite");
+}
+
+// ----------------------------------------------------------------------
+// Products
+// ----------------------------------------------------------------------
+
+TEST(KernelTest, ActiveIsaIsTheBestSupported) {
+  EXPECT_TRUE(kernel::IsaSupported(Isa::kBaseline));
+  EXPECT_TRUE(kernel::IsaSupported(kernel::ActiveIsa()));
+  if (kernel::IsaSupported(Isa::kAvx2)) {
+    EXPECT_EQ(kernel::ActiveIsa(), Isa::kAvx2);
+  }
+}
+
+TEST(KernelTest, MultiplyMatchesReference) {
+  Rng rng(14);
+  for (Mix mix : {Mix::kFinite, Mix::kSpecial}) {
+    for (double density : kDensities) {
+      for (size_t mi = 0; mi < kNumShapes; ++mi) {
+        for (size_t ni = 0; ni < kNumShapes; ++ni) {
+          const size_t m = kShapes[mi], n = kShapes[ni];
+          const size_t k = kShapes[(mi + 2 * ni) % kNumShapes];
+          const Matrix a = RandomMatrix(&rng, m, k, density, mix);
+          const Matrix b = RandomMatrix(&rng, k, n, density, mix);
+          const Matrix want = RefMultiply(a, b);
+          SCOPED_TRACE(Label("multiply", m, k, n, density, mix));
+          ForEachVariant([&](Isa isa) {
+            auto got = kernel::Multiply(isa, a, b);
+            ASSERT_TRUE(got.ok());
+            ASSERT_TRUE(BitEqual(*got, want));
+          });
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelTest, TransposeSelfMultiplyMatchesReference) {
+  Rng rng(15);
+  for (Mix mix : {Mix::kFinite, Mix::kSpecial}) {
+    for (double density : kDensities) {
+      for (size_t rows : kShapes) {
+        for (size_t cols : kShapes) {
+          const Matrix a = RandomMatrix(&rng, rows, cols, density, mix);
+          const Matrix want = RefTransposeSelfMultiply(a);
+          SCOPED_TRACE(Label("tsmm", rows, cols, cols, density, mix));
+          ForEachVariant([&](Isa isa) {
+            ASSERT_TRUE(BitEqual(kernel::TransposeSelfMultiply(isa, a), want));
+          });
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelTest, VectorMatrixMultiplyMatchesReference) {
+  Rng rng(16);
+  for (Mix mix : {Mix::kFinite, Mix::kSpecial}) {
+    for (double density : kDensities) {
+      for (size_t k : kShapes) {
+        for (size_t n : kShapes) {
+          const Vector v = RandomVector(&rng, k, density, mix);
+          const Matrix a = RandomMatrix(&rng, k, n, density, mix);
+          const Vector want = RefVectorMatrixMultiply(v, a);
+          SCOPED_TRACE(Label("vecmat", 1, k, n, density, mix));
+          ForEachVariant([&](Isa isa) {
+            auto got = kernel::VectorMatrixMultiply(isa, v, a);
+            ASSERT_TRUE(got.ok());
+            ASSERT_TRUE(BitEqual(*got, want));
+          });
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelTest, ZeroLeftFactorContributesNothing) {
+  // 0·inf and 0·NaN terms vanish; a -0.0 factor is a zero factor too.
+  const Matrix a(1, 3, std::vector<double>{0.0, -0.0, 2.0});
+  const Matrix b(3, 2, std::vector<double>{kInf, kNaN, kNaN, -kInf, 1.5, 3.0});
+  const Vector v(std::vector<double>{0.0, -0.0, 2.0});
+  // TSMM's left factor is a_ri for output (i, j >= i), mirrored below.
+  const Matrix t(1, 2, std::vector<double>{0.0, kInf});
+  ForEachVariant([&](Isa isa) {
+    auto prod = kernel::Multiply(isa, a, b);
+    ASSERT_TRUE(prod.ok());
+    EXPECT_EQ(prod->At(0, 0), 3.0);
+    EXPECT_EQ(prod->At(0, 1), 6.0);
+    auto vm = kernel::VectorMatrixMultiply(isa, v, b);
+    ASSERT_TRUE(vm.ok());
+    EXPECT_TRUE(BitEqual(*vm, Vector(std::vector<double>{3.0, 6.0})));
+    const Matrix g = kernel::TransposeSelfMultiply(isa, t);
+    EXPECT_TRUE(BitEqual(g, Matrix(2, 2, std::vector<double>{0.0, 0.0, 0.0,
+                                                              kInf})));
+  });
+  // Without a nonzero term an output element stays +0.0, even when
+  // every product would have been -0.0.
+  const Matrix neg(1, 1, std::vector<double>{-1.0});
+  const Matrix zero(1, 1, std::vector<double>{0.0});
+  ForEachVariant([&](Isa isa) {
+    auto p = kernel::Multiply(isa, neg, zero);
+    ASSERT_TRUE(p.ok());
+    // -1 * +0 = -0, and +0 + -0 = +0.
+    EXPECT_FALSE(std::signbit(p->At(0, 0)));
+  });
+}
+
+// ----------------------------------------------------------------------
+// LU and solves
+// ----------------------------------------------------------------------
+
+/// `a` with a large diagonal, so most draws are nonsingular.
+Matrix Boosted(Matrix a) {
+  for (size_t i = 0; i < a.rows(); ++i) a.At(i, i) = a.At(i, i) + 64.0;
+  return a;
+}
+
+void CheckSolves(const Matrix& a, Rng* rng, Mix mix) {
+  LuDecomposition want_lu;
+  const bool nonsingular = RefLu(a, &want_lu);
+  const size_t n = a.rows();
+  const Vector b = RandomVector(rng, n, 1.0, mix);
+  const size_t m = kShapes[rng->NextBelow(kNumShapes)];
+  const Matrix bm = RandomMatrix(rng, n, m, 0.5, mix);
+  std::vector<double> b_col(b.data(), b.data() + n);
+  ForEachVariant([&](Isa isa) {
+    auto lu = kernel::LuDecompose(isa, a);
+    ASSERT_EQ(lu.ok(), nonsingular) << lu.status().ToString();
+    auto x = kernel::Solve(isa, a, b);
+    auto xm = kernel::SolveMatrix(isa, a, bm);
+    auto inv = kernel::Inverse(isa, a);
+    ASSERT_EQ(x.ok(), nonsingular);
+    ASSERT_EQ(xm.ok(), nonsingular);
+    ASSERT_EQ(inv.ok(), nonsingular);
+    if (!nonsingular) {
+      EXPECT_EQ(lu.status().code(), StatusCode::kNumericError);
+      return;
+    }
+    EXPECT_TRUE(BitEqual(lu->lu, want_lu.lu));
+    EXPECT_EQ(lu->perm, want_lu.perm);
+    EXPECT_EQ(lu->sign, want_lu.sign);
+    EXPECT_TRUE(BitEqual(*x, Vector(RefLuSolveOne(want_lu, b_col))));
+    EXPECT_TRUE(BitEqual(*xm, RefSolveMatrix(want_lu, bm)));
+    EXPECT_TRUE(BitEqual(*inv, RefSolveMatrix(want_lu, Matrix::Identity(n))));
+  });
+}
+
+TEST(KernelTest, LuAndSolvesMatchReference) {
+  Rng rng(17);
+  for (Mix mix : {Mix::kFinite, Mix::kSpecial}) {
+    for (double density : kDensities) {
+      for (size_t n : kShapes) {
+        const Matrix a = RandomMatrix(&rng, n, n, density, mix);
+        SCOPED_TRACE(Label("solve", n, n, n, density, mix));
+        CheckSolves(a, &rng, mix);
+        CheckSolves(Boosted(a), &rng, mix);
+      }
+    }
+  }
+}
+
+TEST(KernelTest, ShapeErrorsAreUnchanged) {
+  const Matrix a(2, 3), b(2, 2);
+  for (Isa isa : SupportedIsas()) {
+    EXPECT_EQ(kernel::Multiply(isa, a, b).status().code(),
+              StatusCode::kDimensionMismatch);
+    EXPECT_EQ(kernel::VectorMatrixMultiply(isa, Vector(3), b).status().code(),
+              StatusCode::kDimensionMismatch);
+    EXPECT_EQ(kernel::LuDecompose(isa, a).status().code(),
+              StatusCode::kDimensionMismatch);
+    EXPECT_EQ(kernel::Solve(isa, a, Vector(3)).status().code(),
+              StatusCode::kDimensionMismatch);
+    EXPECT_EQ(kernel::SolveMatrix(isa, b, Matrix(3, 1)).status().code(),
+              StatusCode::kDimensionMismatch);
+    EXPECT_EQ(kernel::Inverse(isa, a).status().code(),
+              StatusCode::kDimensionMismatch);
+  }
+}
+
+// ----------------------------------------------------------------------
+// Plus-times sparse twins (finite cells: the twins skip a structural
+// zero right factor, so they agree with the dense zero rule exactly
+// when no 0·inf or 0·NaN term exists)
+// ----------------------------------------------------------------------
+
+TEST(KernelTest, DenseMatchesSparseTwins) {
+  namespace sp = la::sparse;
+  const sp::Semiring& pt = sp::PlusTimes();
+  Rng rng(18);
+  for (double density : kDensities) {
+    for (size_t mi = 0; mi < kNumShapes; ++mi) {
+      for (size_t ni = 0; ni < kNumShapes; ni += 2) {
+        const size_t m = kShapes[mi], n = kShapes[ni];
+        const size_t k = kShapes[(3 * mi + ni) % kNumShapes];
+        const Matrix a = RandomMatrix(&rng, m, k, density, Mix::kFinite);
+        const Matrix b = RandomMatrix(&rng, k, n, density, Mix::kFinite);
+        const Vector v = RandomVector(&rng, m, density, Mix::kFinite);
+        const sp::CsrMatrix sa = sp::CsrMatrix::FromDense(a);
+        const sp::CsrMatrix sb = sp::CsrMatrix::FromDense(b);
+        auto gemm = sp::SpGemm(sa, sb, pt);
+        auto spmm = sp::SpMm(sa, b, pt);
+        auto spvm = sp::SpVM(v, sa, pt);
+        ASSERT_TRUE(gemm.ok() && spmm.ok() && spvm.ok());
+        const Matrix gram = sp::SpTransposeSelfMultiply(sa, pt);
+        SCOPED_TRACE(Label("twins", m, k, n, density, Mix::kFinite));
+        ForEachVariant([&](Isa isa) {
+          auto dense = kernel::Multiply(isa, a, b);
+          ASSERT_TRUE(dense.ok());
+          EXPECT_TRUE(BitEqual(*dense, gemm->ToDense()));
+          EXPECT_TRUE(BitEqual(*dense, *spmm));
+          EXPECT_TRUE(BitEqual(kernel::TransposeSelfMultiply(isa, a), gram));
+          auto vm = kernel::VectorMatrixMultiply(isa, v, a);
+          ASSERT_TRUE(vm.ok());
+          EXPECT_TRUE(BitEqual(*vm, *spvm));
+        });
+      }
+    }
+  }
+}
+
+}  // namespace
+}  // namespace radb::la

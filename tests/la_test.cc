@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/rng.h"
 #include "la/matrix.h"
@@ -56,6 +57,29 @@ TEST(VectorTest, Reductions) {
   EXPECT_EQ(v.ArgMin(), 1u);  // first of the ties
   EXPECT_EQ(v.ArgMax(), 4u);
   EXPECT_NEAR(v.Norm2(), std::sqrt(9 + 1 + 16 + 1 + 25), kTol);
+}
+
+TEST(VectorTest, MaxAbsDiffSeesNaN) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // A NaN against a number is as far apart as it gets, on either side.
+  EXPECT_EQ(Vector(std::vector<double>{nan}).MaxAbsDiff(Vector(1)), inf);
+  EXPECT_EQ(Vector(1).MaxAbsDiff(Vector(std::vector<double>{nan})), inf);
+  EXPECT_EQ(Vector(std::vector<double>{1, nan, 2})
+                .MaxAbsDiff(Vector(std::vector<double>{1, 0, 2})),
+            inf);
+  // NaN against NaN and equal infinities match.
+  EXPECT_EQ(Vector(std::vector<double>{nan, inf, -inf, 1})
+                .MaxAbsDiff(Vector(std::vector<double>{nan, inf, -inf, 1.5})),
+            0.5);
+  EXPECT_EQ(Vector(std::vector<double>{inf}).MaxAbsDiff(
+                Vector(std::vector<double>{-inf})),
+            inf);
+  const Matrix m(1, 2, std::vector<double>{nan, 0.0});
+  EXPECT_EQ(m.MaxAbsDiff(Matrix(1, 2)), inf);
+  EXPECT_EQ(Matrix(1, 2).MaxAbsDiff(m), inf);
+  EXPECT_EQ(m.MaxAbsDiff(m), 0.0);
+  EXPECT_EQ(m.MaxAbsDiff(Matrix(2, 1)), inf);
 }
 
 TEST(MatrixTest, MultiplyMatchesManual) {

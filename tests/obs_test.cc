@@ -11,6 +11,7 @@
 
 #include "test_util.h"
 #include "common/thread_pool.h"
+#include "la/matrix.h"
 #include "obs/json.h"
 #include "obs/metrics_registry.h"
 #include "obs/obs.h"
@@ -244,6 +245,33 @@ TEST(MetricsRegistryTest, GlobalHookInstallsAndRestores) {
   EXPECT_EQ(obs::GlobalMetrics(), &reg);
   EXPECT_EQ(obs::SetGlobalMetrics(nullptr), &reg);
   EXPECT_EQ(obs::GlobalMetrics(), nullptr);
+}
+
+TEST(MetricsRegistryTest, DenseVecMatAndSolveFlopsAreCounted) {
+  obs::MetricsRegistry reg;
+  obs::InstallGlobalMetrics(&reg);
+  const size_t n = 5;
+  la::Matrix a = la::Matrix::Identity(n);
+  a.At(0, n - 1) = 2.0;
+  const la::Vector v(n, 1.0);
+  ASSERT_TRUE(la::VectorMatrixMultiply(v, a).ok());
+  ASSERT_TRUE(la::Solve(a, v).ok());
+  ASSERT_TRUE(la::Inverse(a).ok());
+  obs::UninstallGlobalMetrics(&reg);
+
+  EXPECT_EQ(reg.counter("la.vecmat_calls")->value(), 1u);
+  EXPECT_EQ(reg.counter("la.vecmat_flops")->value(), 2 * n * n);
+  // Two LU factorizations: n(n-1)/2 divisions and (n-1)n(2n-1)/6
+  // multiply-subtract pairs each. Substitution: n(n-1) pairs and n
+  // divisions per right-hand side — 1 for Solve, n for Inverse.
+  const uint64_t lu = n * (n - 1) / 2 + (n - 1) * n * (2 * n - 1) / 3;
+  const uint64_t per_rhs = 2 * n * n - n;
+  EXPECT_EQ(reg.counter("la.solve_calls")->value(), 2u);
+  EXPECT_EQ(reg.counter("la.solve_flops")->value(),
+            2 * lu + per_rhs * (1 + n));
+  // The existing names keep their meaning: no matmul or matvec here.
+  EXPECT_EQ(reg.counter("la.matmul_flops")->value(), 0u);
+  EXPECT_EQ(reg.counter("la.matvec_flops")->value(), 0u);
 }
 
 TEST(MetricsRegistryTest, ConcurrentIncrementsLoseNothing) {
