@@ -19,7 +19,8 @@
 // caches-on and a caches-off database, which must agree on every
 // statement (the stale-cache contract; see RunCacheDiffRounds).
 // The sweep also reports how many generated queries got a spool (a
-// repeated subtree computed once; see GenerateQuery).
+// repeated subtree computed once; see GenerateQuery) and how many ran
+// a batch chain in the 64 KB budgeted rerun (see Differ::RunOne).
 // With --reopen R > 0, a fifth phase runs R persistence rounds: a
 // generated catalog is loaded into a Database::Open store, a query
 // batch is executed, the database is closed and reopened from disk,
@@ -105,6 +106,7 @@ int main(int argc, char** argv) {
   uint64_t queries_run = 0;
   uint64_t divergences = 0;
   uint64_t spooled = 0;  // phase-2 queries that got a spool
+  uint64_t budgeted_batch = 0;  // phase-2 budgeted reruns on the batch engine
 
   auto note_plans = [&](const Differ& differ) {
     const std::vector<FuzzConfig> configs = StandardConfigs();
@@ -181,6 +183,10 @@ int main(int argc, char** argv) {
       if (differ.SpoolReuses() > reuses_before) {
         ++spooled;
         metrics.counter("fuzz.spooled_queries")->Add(1);
+      }
+      if (outcome.budgeted_batch) {
+        ++budgeted_batch;
+        metrics.counter("fuzz.budgeted_batch_queries")->Add(1);
       }
       if (outcome.diverged) diverge(outcome, catalog, query);
     }
@@ -362,6 +368,10 @@ int main(int argc, char** argv) {
     std::printf("fuzz: %llu of %llu generated queries got a spool\n",
                 static_cast<unsigned long long>(spooled),
                 static_cast<unsigned long long>(args.queries));
+    std::printf(
+        "fuzz: %llu of %llu generated queries ran a budgeted batch chain\n",
+        static_cast<unsigned long long>(budgeted_batch),
+        static_cast<unsigned long long>(args.queries));
   }
   return divergences == 0 ? 0 : 1;
 }

@@ -36,11 +36,12 @@ cmake --build "$BUILD_DIR" -j "$JOBS" --target la_test tiled_test kernel_test
 (cd "$BUILD_DIR" && ctest -L kernels --output-on-failure)
 
 # Tight-budget pass: rerun the SQL-LA / tiled / aggregation suites
-# with a 16 MB per-query memory budget (ctest label memory_budget), so
-# the spill paths face the same assertions as the unbudgeted runs —
-# under the sanitizers.
+# with a 16 MB per-query memory budget, plus the spill and admission
+# suites of both engines (ctest label memory_budget), so the spill
+# paths face the same assertions as the unbudgeted runs — under the
+# sanitizers (scripts/stress.sh runs the same label under TSan).
 cmake --build "$BUILD_DIR" -j "$JOBS" \
-  --target sql_la_test tiled_test sql_agg_test
+  --target sql_la_test tiled_test sql_agg_test spill_exec_test
 (cd "$BUILD_DIR" && ctest -L memory_budget --output-on-failure)
 
 # Concurrency pass: the service/cancellation suites and the
@@ -77,7 +78,7 @@ cmake --build "$BUILD_DIR" -j "$JOBS" --target cache_test ablation_cache
 # scans) and the fuzzer's close-reopen-compare rounds — page-file and
 # WAL framing code is pointer-heavy, so ASan+UBSan is its first line
 # of defense (scripts/stress.sh runs the same label under TSan).
-cmake --build "$BUILD_DIR" -j "$JOBS" --target persist_test
+cmake --build "$BUILD_DIR" -j "$JOBS" --target persist_test ablation_storage
 (cd "$BUILD_DIR" && ctest -L storage --output-on-failure)
 "$BUILD_DIR/bench/fuzz_queries" --queries 0 --reopen 8 --seed "$SEED"
 
@@ -93,5 +94,5 @@ cmake --build "$BUILD_DIR" -j "$JOBS" --target spool_test
 # workload — pointer-walking CSR merge loops are classic off-by-one
 # territory, so ASan+UBSan runs the whole label (scripts/stress.sh
 # runs the same label under TSan).
-cmake --build "$BUILD_DIR" -j "$JOBS" --target sparse_test
+cmake --build "$BUILD_DIR" -j "$JOBS" --target sparse_test ablation_sparse
 (cd "$BUILD_DIR" && ctest -L sparse --output-on-failure)

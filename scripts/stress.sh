@@ -24,7 +24,9 @@ cmake -S "$(dirname "$0")/.." -B "$BUILD_DIR" \
 cmake --build "$BUILD_DIR" -j "$JOBS" \
   --target service_test cancel_test systab_test vectorized_test \
   cache_test persist_test sparse_test spool_test la_test tiled_test \
-  kernel_test ablation_concurrency ablation_cache fuzz_queries
+  kernel_test sql_la_test sql_agg_test spill_exec_test \
+  ablation_concurrency ablation_cache ablation_storage ablation_sparse \
+  fuzz_queries
 
 # halt_on_error so a race report fails the run instead of scrolling by.
 # die_after_fork=0: the storage crash-recovery battery forks children
@@ -39,6 +41,12 @@ export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:die_after_fork=0}"
 # the exporter sampler thread, and the telemetry ring — the prime
 # TSan targets this tree adds.
 (cd "$BUILD_DIR" && ctest -L obs --output-on-failure)
+
+# Budget suites: spill, Grace join and aggregation admission on both
+# engines, and the SQL-LA / tiled / aggregation suites rerun under a
+# 16 MB budget — spill buffers and the shared tracker are touched from
+# every worker thread (same label scripts/fuzz.sh runs under ASan).
+(cd "$BUILD_DIR" && ctest -L memory_budget --output-on-failure)
 
 # Vectorized engine suite: the batch pipeline fans partitions out over
 # the worker pool and merges per-worker aggregate states, so the

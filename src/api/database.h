@@ -247,8 +247,9 @@ class Database {
     std::string spill_dir;
     /// Master switch for the columnar batch engine. Even when on, a
     /// pipeline runs vectorized only if the optimizer marked its
-    /// nodes batch-capable, and never under a memory budget; results
-    /// are bit-identical to the row engine either way.
+    /// nodes batch-capable. Results are bit-identical to the row
+    /// engine either way, and under a memory budget the batch engine
+    /// applies the row engine's admission and spill rules.
     bool enable_vectorized = true;
     /// Lanes per ColumnBatch on the vectorized path.
     size_t vectorized_batch_rows = 1024;

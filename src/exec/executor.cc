@@ -51,8 +51,6 @@ std::optional<size_t> SingleColumnKeySlot(
 /// Approximate bookkeeping overhead of one hash-table entry (node,
 /// bucket slot, key copy headers) charged on top of the row payload.
 constexpr size_t kHashEntryOverhead = 64;
-/// Same for one aggregation group / DISTINCT set entry.
-constexpr size_t kGroupStateOverhead = 128;
 /// Grace-hash partition fanout: a build side that misses the budget
 /// is split 16 ways, so each sub-build needs ~1/16 of the memory.
 constexpr size_t kGraceFanout = 16;
@@ -104,18 +102,14 @@ Status ConsumeRows(SpillableRowBuffer& buf, Fn&& fn) {
   return Status::OK();
 }
 
-/// Rolls a consumed buffer's lifetime-cumulative spill totals into an
-/// operator's metrics.
-void CollectSpill(OperatorMetrics* m, const SpillableRowBuffer& buf) {
-  m->bytes_spilled += buf.spill_bytes();
-  m->spill_runs += buf.spill_runs();
-}
-
-void CollectSpill(OperatorMetrics* m, const SpillableDist& d) {
-  for (const SpillableRowBuffer& b : d) CollectSpill(m, b);
-}
-
 }  // namespace
+
+void Executor::CollectSpill(OperatorMetrics* m, const SpillableDist& d) {
+  for (const SpillableRowBuffer& b : d) {
+    m->bytes_spilled += b.spill_bytes();
+    m->spill_runs += b.spill_runs();
+  }
+}
 
 size_t DistByteSize(const Dist& d) {
   size_t s = 0;
@@ -143,19 +137,8 @@ size_t SpillDistRowCount(const SpillableDist& d) {
   return s;
 }
 
-namespace {
-
-/// Spills the resident tails of the given dists to disk when fewer
-/// than `needed` bytes of the budget remain free. Operators call this
-/// right before hard-reserving unspillable state while their
-/// (spillable) inputs are still charged: without it, a budget fully
-/// pinned by buffered input rows would fail the query even though
-/// those rows could simply move to disk and be replayed. The decision
-/// depends only on byte totals, never on thread timing, so it is
-/// deterministic for a given budget. Callers must not hold a live
-/// Reader on any of the buffers.
-Status MakeHeadroom(const MemoryContext& mem, size_t needed,
-                    const std::vector<SpillableDist*>& dists) {
+Status Executor::MakeHeadroom(const MemoryContext& mem, size_t needed,
+                              const std::vector<SpillableDist*>& dists) {
   if (!mem.has_budget()) return Status::OK();
   if (mem.tracker->remaining() >= needed) return Status::OK();
   for (SpillableDist* d : dists) {
@@ -165,8 +148,6 @@ Status MakeHeadroom(const MemoryContext& mem, size_t needed,
   }
   return Status::OK();
 }
-
-}  // namespace
 
 SpillableDist Executor::NewDist(size_t n) const {
   SpillableDist d;
@@ -370,9 +351,9 @@ Result<ExecResult> Executor::ServeSpool(const LogicalOp& op,
 
 Result<ExecResult> Executor::RunOp(const LogicalOp& op) {
   // Columnar fast path: vectorize the maximal batch-capable chain
-  // rooted here. Never under a memory budget — columnar operator
-  // state cannot spill, and the budgeted row path can.
-  if (opts_.enable_vectorized && !mem_.has_budget()) {
+  // rooted here. Under a memory budget it follows the row engine's
+  // rules (group admission passes, spillable inputs and outputs).
+  if (opts_.enable_vectorized) {
     RADB_ASSIGN_OR_RETURN(std::optional<ExecResult> v, TryVectorized(op));
     if (v.has_value()) return std::move(*v);
   }
@@ -1155,9 +1136,8 @@ Result<ExecResult> Executor::ExecuteJoin(const LogicalOp& op) {
             Row& t = *heads[best];
             Row row(std::make_move_iterator(t.begin() + 1),
                     std::make_move_iterator(t.end()));
-            RADB_RETURN_NOT_OK(sink != nullptr
-                                   ? sink->AppendRow(wkr, std::move(row))
-                                   : out[wkr].Append(std::move(row)));
+            // Grace runs only under a budget, where no batch sink streams.
+            RADB_RETURN_NOT_OK(out[wkr].Append(std::move(row)));
             RADB_ASSIGN_OR_RETURN(heads[best], readers[best]->Next());
           }
         }
@@ -1317,8 +1297,7 @@ Result<ExecResult> Executor::ExecuteAggregate(const LogicalOp& op) {
         RADB_ASSIGN_OR_RETURN(KeyRow key, EvalKey(group_exprs, row));
         auto it = map.find(key);
         if (it == map.end()) {
-          const size_t admit =
-              2 * RowByteSize(key.values) + kGroupStateOverhead;
+          const size_t admit = GroupAdmissionBytes(RowByteSize(key.values));
           if (agg_tracker.has_value()) {
             if (map.empty()) {
               RADB_RETURN_NOT_OK(agg_tracker->Reserve(admit));
@@ -1535,8 +1514,7 @@ Result<ExecResult> Executor::ExecuteDistinct(const LogicalOp& op) {
                 set.emplace(std::move(key), std::move(row));
             if (inserted && st.has_value()) {
               // Key copy + stored row + map entry, unspillable.
-              RADB_RETURN_NOT_OK(
-                  st->Reserve(2 * rb + kGroupStateOverhead));
+              RADB_RETURN_NOT_OK(st->Reserve(GroupAdmissionBytes(rb)));
             }
             return Status::OK();
           }));

@@ -74,8 +74,9 @@ size_t SpillDistRowCount(const SpillableDist& d);
 struct ExecOptions {
   /// Master switch for the columnar batch engine. Even when on, a
   /// pipeline runs vectorized only if the optimizer marked its nodes
-  /// batch-capable, and never under a memory budget (columnar
-  /// operator state cannot spill; the row engine can).
+  /// batch-capable. Under a memory budget the batch engine applies
+  /// the row engine's rules, so at one thread both engines admit the
+  /// same groups and succeed or fail alike.
   bool enable_vectorized = true;
   /// Lanes per ColumnBatch on the vectorized path.
   size_t batch_rows = 1024;
@@ -100,16 +101,16 @@ class Executor {
   Result<Dist> Execute(const LogicalOp& op);
 
   /// Per-worker columnar consumer a vectorized pipeline installs on
-  /// its boundary join (vectorized.cc): ExecuteJoin streams joined
-  /// pairs straight into the pipeline's column batches instead of
-  /// materializing every joined Row into its output distribution —
-  /// the dominant cost of high-fanout joins like the paper's
-  /// tuple-coded Gram self-join. AppendPair carries the unconcatenated
-  /// sides (left columns then right columns); AppendRow carries a
-  /// materialized row where the join had to build one anyway
-  /// (residual predicates, fused projection, the Grace merge).
-  /// Calls for worker w arrive on w's thread and touch only worker-w
-  /// state.
+  /// its boundary join (vectorized.cc) when the query has no memory
+  /// budget: ExecuteJoin streams joined pairs straight into the
+  /// pipeline's column batches instead of materializing every joined
+  /// Row into its output distribution — the dominant cost of
+  /// high-fanout joins like the paper's tuple-coded Gram self-join.
+  /// AppendPair carries the unconcatenated sides (left columns then
+  /// right columns); AppendRow carries a materialized row where the
+  /// join had to build one anyway (residual predicates, fused
+  /// projection). Calls for worker w arrive on w's thread and touch
+  /// only worker-w state.
   class JoinBatchSink {
    public:
     virtual ~JoinBatchSink() = default;
@@ -124,6 +125,30 @@ class Executor {
 
  private:
   friend class VectorizedPipeline;
+
+  /// The budget charge for admitting one aggregation group, or one
+  /// DISTINCT entry, whose key serializes to `key_bytes`: the key held
+  /// twice (map key and group state) plus the entry's bookkeeping.
+  /// Both engines charge exactly this, so under one budget they admit
+  /// and refuse the same groups.
+  static size_t GroupAdmissionBytes(size_t key_bytes) {
+    return 2 * key_bytes + 128;
+  }
+
+  /// Spills the resident tails of the given dists to disk when fewer
+  /// than `needed` bytes of the budget remain free. Operators call
+  /// this right before hard-reserving unspillable state while their
+  /// (spillable) inputs are still charged: without it, a budget fully
+  /// pinned by buffered input rows would fail the query even though
+  /// those rows could simply move to disk and be replayed. The
+  /// decision depends only on byte totals, never on thread timing, so
+  /// it is deterministic for a given budget. Callers must not hold a
+  /// live Reader on any of the buffers.
+  static Status MakeHeadroom(const MemoryContext& mem, size_t needed,
+                             const std::vector<SpillableDist*>& dists);
+
+  /// Rolls consumed buffers' lifetime spill totals into `m`.
+  static void CollectSpill(OperatorMetrics* m, const SpillableDist& d);
 
   /// node_metrics() entry for `node`; nullptr when it never executed.
   const std::vector<size_t>* MetricsForNode(const LogicalOp* node) const {

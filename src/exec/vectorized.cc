@@ -24,9 +24,13 @@
 //  - SUM/AVG replicate the "first non-null value is kept raw"
 //    accumulator (signed overflow wraps just like the row engine's
 //    int64 adds; -0.0 survives as a first value),
-//  - aggregate merge walks sources in index order (src-major), the
-//    same sequence as the row engine's phase 2, so floating-point
-//    results are independent of the thread count.
+//  - aggregate merge walks sources in index order (src-major), and
+//    within a source its admission passes, the same sequence as the
+//    row engine's phase 2, so floating-point results are independent
+//    of the thread count and the budget,
+//  - under a memory budget, groups are admitted, charged and refused
+//    by the row engine's rules (AdmitLanes), so at one thread both
+//    engines succeed or fail alike.
 //
 // The optimizer only marks a node batch_capable when its inputs are
 // runtime-kind pure (see AnnotateBatchCapability), so a column's
@@ -36,6 +40,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -63,9 +69,6 @@ constexpr size_t kNullHash = 0x517cc1b727220a95ULL;
 constexpr size_t kTrueHash = 0x9ae16a3b2f90404fULL;
 constexpr size_t kFalseHash = 0xc949d7c7509e6557ULL;
 constexpr size_t kHashSeed = 0x9e3779b97f4a7c15ULL;
-
-/// Mirrors executor.cc's group admission overhead constant.
-constexpr size_t kGroupStateOverhead = 128;
 
 size_t LaneHash(const ColumnVector& c, size_t i) {
   if (c.null[i]) return kNullHash;
@@ -969,31 +972,39 @@ struct GroupTable {
     return true;
   }
 
+  /// The group of (key lanes at `lane`), if present.
+  std::optional<uint32_t> Find(const std::vector<const ColumnVector*>& kc,
+                               size_t lane, size_t hash) const {
+    for (size_t pos = hash & mask;; pos = (pos + 1) & mask) {
+      const uint32_t id = slots[pos];
+      if (id == 0) return std::nullopt;
+      const uint32_t g = id - 1;
+      if (hashes[g] == hash && KeysEqual(kc, lane, g)) return g;
+    }
+  }
+
+  /// Adds a new dense group for a key Find did not see.
+  uint32_t Insert(const std::vector<const ColumnVector*>& kc, size_t lane,
+                  size_t hash) {
+    if ((size() + 1) * 10 >= (mask + 1) * 7) Grow();
+    size_t pos = hash & mask;
+    while (slots[pos] != 0) pos = (pos + 1) & mask;
+    const uint32_t g = static_cast<uint32_t>(size());
+    hashes.push_back(hash);
+    for (size_t i = 0; i < keys.size(); ++i) {
+      AppendLane(keys[i], *kc[i], lane);
+    }
+    slots[pos] = g + 1;
+    return g;
+  }
+
   /// Finds the group of (key lanes at `lane`), inserting a new dense
   /// group if absent.
   uint32_t Upsert(const std::vector<const ColumnVector*>& kc, size_t lane,
                   size_t hash, bool* inserted) {
-    if ((size() + 1) * 10 >= (mask + 1) * 7) Grow();
-    size_t pos = hash & mask;
-    while (true) {
-      const uint32_t id = slots[pos];
-      if (id == 0) {
-        const uint32_t g = static_cast<uint32_t>(size());
-        hashes.push_back(hash);
-        for (size_t i = 0; i < keys.size(); ++i) {
-          AppendLane(keys[i], *kc[i], lane);
-        }
-        slots[pos] = g + 1;
-        *inserted = true;
-        return g;
-      }
-      const uint32_t g = id - 1;
-      if (hashes[g] == hash && KeysEqual(kc, lane, g)) {
-        *inserted = false;
-        return g;
-      }
-      pos = (pos + 1) & mask;
-    }
+    const std::optional<uint32_t> found = Find(kc, lane, hash);
+    *inserted = !found.has_value();
+    return *inserted ? Insert(kc, lane, hash) : *found;
   }
 
   size_t KeyBytes(size_t g) const {
@@ -1003,13 +1014,32 @@ struct GroupTable {
   }
 };
 
-/// Per-worker aggregation state: the local group table plus one
-/// accumulator block per aggregate call.
+/// One pass of aggregation state: a group table plus one accumulator
+/// block per aggregate call.
 struct LocalAgg {
   GroupTable table;
   std::vector<AggAcc> accs;
-  size_t state_bytes = 0;  // running estimate charged to the tracker
+  // Without a budget: a running estimate, charged in one lump.
+  size_t state_bytes = 0;
   size_t charged = 0;
+  // Under a budget, per group: its admission charge and the bytes it
+  // has charged so far (the row engine's GroupState::base / charged).
+  std::vector<size_t> base;
+  std::vector<size_t> group_charged;
+};
+
+/// One worker's partial aggregation. Without a budget it is a single
+/// pass. Under one, groups are admitted one at a time as in the row
+/// engine: after a pass's first refusal it admits no more groups, the
+/// rows of unadmitted groups collect in `overflow`, and they become the
+/// next pass's input.
+struct WorkerAgg {
+  std::vector<LocalAgg> passes;
+  bool admitting = true;
+  SpillableRowBuffer overflow;
+  std::vector<TypeKind> overflow_kinds;  // column kinds of overflow rows
+  size_t spill_bytes = 0;                // spill totals of drained overflow
+  size_t spill_runs = 0;
 };
 
 /// Per-stage per-worker tallies, merged into OperatorMetrics after the
@@ -1039,7 +1069,8 @@ class VectorizedPipeline {
         root_(root),
         nodes_(std::move(nodes)),
         scan_(scan),
-        boundary_(boundary) {}
+        boundary_(boundary),
+        budgeted_(x.mem_.has_budget()) {}
 
   Result<ExecResult> Run();
 
@@ -1054,14 +1085,19 @@ class VectorizedPipeline {
   /// construction: one WorkerCtx per simulated worker).
   struct WorkerCtx {
     ColumnBatch batch;
+    const std::vector<TypeKind>* batch_kinds = nullptr;  // ingest layout
+    size_t batch_bytes = 0;  // ingested bytes (tracked under a budget)
     std::vector<uint32_t> sel_a, sel_b;
     std::vector<std::vector<std::unique_ptr<VExpr>>> stage_vexprs;
     std::vector<std::unique_ptr<VExpr>> group_vexprs;
     std::vector<std::unique_ptr<VExpr>> agg_vexprs;  // null for COUNT(*)
     std::vector<const ColumnVector*> cols;
     std::vector<const ColumnVector*> keycols;
+    std::vector<const ColumnVector*> args;
     std::vector<size_t> hash_buf;
     std::vector<uint32_t> gids;
+    // Budgeted admission: admitted lanes not yet folded, with groups.
+    std::vector<uint32_t> adm_sel, adm_gids;
   };
 
   class JoinIngest;
@@ -1072,21 +1108,53 @@ class VectorizedPipeline {
   /// already created by its own execution).
   void PrepareMetrics();
   /// Compiles one worker's expression trees (scratches must not be
-  /// shared across threads) and sizes its aggregate state.
-  void CompileCtx(WorkerCtx& ctx, LocalAgg* agg);
-  /// Empties ctx.batch back to zero-lane columns of the source types.
-  void ResetIngestBatch(WorkerCtx& ctx);
-  /// Runs ctx.batch through the chain — cancel poll and transient
-  /// memory charge per batch — then resets it for the next fill.
+  /// shared across threads) and opens its first aggregation pass.
+  void CompileCtx(WorkerCtx& ctx, WorkerAgg* wa);
+  /// Opens a new admission pass with an empty overflow buffer.
+  void StartPass(WorkerAgg& wa);
+  /// Empties ctx.batch back to zero-lane columns of `kinds`.
+  void ResetIngestBatch(WorkerCtx& ctx, const std::vector<TypeKind>& kinds);
+  /// Packs `buf`'s rows (exact append order) into batches of `kinds`,
+  /// calling `flush` whenever one closes and once for the remainder,
+  /// then clears `buf`. Append time accrues to `*seconds`.
+  Status IngestRows(WorkerCtx& ctx, SpillableRowBuffer& buf,
+                    const std::vector<TypeKind>& kinds, double* seconds,
+                    const std::function<Status()>& flush);
+  /// Runs ctx.batch through the chain (through the aggregate stage
+  /// alone when !run_stages) — cancel poll and transient memory
+  /// charge per batch — then resets it for the next fill.
   Status FlushIngest(WorkerCtx& ctx, std::vector<StageTally>& tally,
-                     LocalAgg* agg, SpillableRowBuffer* sink,
-                     mem::MemoryTracker* agg_tracker);
+                     WorkerAgg* wa, SpillableRowBuffer* sink,
+                     mem::MemoryTracker* agg_tracker, bool run_stages = true);
+  /// ProcessBatch with ctx.batch's `bytes` charged for its duration.
+  Status ProcessCharged(WorkerCtx& ctx, std::vector<StageTally>& tally,
+                        WorkerAgg* wa, SpillableRowBuffer* sink,
+                        mem::MemoryTracker* agg_tracker, size_t bytes,
+                        bool run_stages);
+  /// Rows of a scan batch starting at `begin`: at most `count`, and
+  /// under a budget no more than fit batch_cap_ (at least one).
+  size_t ScanBatchRows(const RowSet& rows, size_t begin, size_t count) const;
   Status RunWorker(size_t wkr, WorkerCtx& ctx, std::vector<StageTally>& tally,
-                   LocalAgg* agg, SpillableRowBuffer* sink,
+                   WorkerAgg* wa, SpillableRowBuffer* sink,
                    mem::MemoryTracker* agg_tracker);
   Status ProcessBatch(WorkerCtx& ctx, std::vector<StageTally>& tally,
-                      LocalAgg* agg, SpillableRowBuffer* sink,
+                      WorkerAgg* wa, SpillableRowBuffer* sink,
+                      mem::MemoryTracker* agg_tracker, bool run_stages);
+  /// Budgeted aggregate stage: admits new groups lane by lane with the
+  /// row engine's rules and routes refused lanes to the overflow.
+  Status AdmitLanes(WorkerCtx& ctx, WorkerAgg& wa, const uint32_t* sel,
+                    size_t live, size_t nrows,
+                    mem::MemoryTracker* agg_tracker);
+  /// Folds the pending admitted lanes into their groups and charges
+  /// the resulting accumulator growth.
+  Status FoldAdmitted(WorkerCtx& ctx, LocalAgg& agg, size_t nrows,
                       mem::MemoryTracker* agg_tracker);
+  /// Raises group `g`'s charge to its admission charge plus the
+  /// accumulators' state bytes (never lowers it); returns the increase.
+  size_t ChargeGrowth(LocalAgg& agg, size_t g) const;
+  /// Late-materializes lane `lane` of the aggregate input into the
+  /// current pass's overflow rows.
+  Status Overflow(WorkerCtx& ctx, WorkerAgg& wa, size_t lane);
   std::optional<size_t> PropagateHashedSlot() const;
 
   Executor& x_;
@@ -1096,6 +1164,10 @@ class VectorizedPipeline {
   const LogicalOp* boundary_ = nullptr;  // row-engine child
   ExecResult boundary_res_;
 
+  /// Under a memory budget: groups are admitted one at a time, a
+  /// boundary join materializes, and batches close at batch_cap_.
+  const bool budgeted_;
+  size_t batch_cap_ = std::numeric_limits<size_t>::max();
   size_t workers_ = 0;
   size_t batch_rows_ = 1024;
   std::vector<TypeKind> source_kinds_;
@@ -1106,6 +1178,9 @@ class VectorizedPipeline {
   std::vector<BoundExprPtr> agg_args_;  // null entry = COUNT(*)
   std::vector<AggSpec> specs_;
   std::vector<TypeKind> key_kinds_;
+  /// A string MIN/MAX state can shrink, so its growth is charged lane
+  /// by lane (see FoldAdmitted).
+  bool lane_growth_ = false;
   size_t scan_metric_ = 0;
   size_t agg_partial_metric_ = 0;
   size_t agg_final_metric_ = 0;
@@ -1114,6 +1189,11 @@ class VectorizedPipeline {
 Status VectorizedPipeline::PreparePlan() {
   workers_ = x_.cluster_.num_workers();
   batch_rows_ = std::max<size_t>(1, x_.opts_.batch_rows);
+  if (budgeted_) {
+    // Half the budget, split across the workers' in-flight batches.
+    batch_cap_ =
+        std::max<size_t>(1, x_.mem_.tracker->budget() / (2 * workers_));
+  }
 
   const LogicalOp* source = scan_ != nullptr ? scan_ : boundary_;
   source_kinds_.clear();
@@ -1135,6 +1215,10 @@ Status VectorizedPipeline::PreparePlan() {
       }
       for (const AggCall& a : node->aggs) {
         specs_.push_back(SpecFor(a));
+        const AggSpec& spec = specs_.back();
+        lane_growth_ |= (spec.op == AggSpec::Op::kMin ||
+                         spec.op == AggSpec::Op::kMax) &&
+                        spec.payload == TypeKind::kString;
         if (a.is_count_star) {
           agg_args_.push_back(nullptr);
         } else {
@@ -1193,7 +1277,7 @@ void VectorizedPipeline::PrepareMetrics() {
   }
 }
 
-void VectorizedPipeline::CompileCtx(WorkerCtx& ctx, LocalAgg* agg) {
+void VectorizedPipeline::CompileCtx(WorkerCtx& ctx, WorkerAgg* wa) {
   ctx.stage_vexprs.resize(stages_.size());
   for (size_t si = 0; si < stages_.size(); ++si) {
     for (const auto& e : stages_[si].exprs) {
@@ -1206,25 +1290,69 @@ void VectorizedPipeline::CompileCtx(WorkerCtx& ctx, LocalAgg* agg) {
   for (const auto& a : agg_args_) {
     ctx.agg_vexprs.push_back(a == nullptr ? nullptr : CompileVExpr(*a));
   }
-  if (agg != nullptr) {
-    agg->table.Init(key_kinds_);
-    agg->accs.resize(specs_.size());
-  }
+  if (wa != nullptr) StartPass(*wa);
 }
 
-void VectorizedPipeline::ResetIngestBatch(WorkerCtx& ctx) {
+void VectorizedPipeline::StartPass(WorkerAgg& wa) {
+  LocalAgg& agg = wa.passes.emplace_back();
+  agg.table.Init(key_kinds_);
+  agg.accs.resize(specs_.size());
+  wa.admitting = true;
+  wa.overflow = SpillableRowBuffer(x_.mem_);
+}
+
+void VectorizedPipeline::ResetIngestBatch(WorkerCtx& ctx,
+                                          const std::vector<TypeKind>& kinds) {
   ctx.batch.Clear();
-  ctx.batch.columns.resize(source_kinds_.size());
-  for (size_t c = 0; c < source_kinds_.size(); ++c) {
-    ctx.batch.columns[c].Reset(source_kinds_[c], 0);
+  ctx.batch.columns.resize(kinds.size());
+  for (size_t c = 0; c < kinds.size(); ++c) {
+    ctx.batch.columns[c].Reset(kinds[c], 0);
   }
+  ctx.batch_kinds = &kinds;
+  ctx.batch_bytes = 0;
+}
+
+Status VectorizedPipeline::IngestRows(WorkerCtx& ctx, SpillableRowBuffer& buf,
+                                      const std::vector<TypeKind>& kinds,
+                                      double* seconds,
+                                      const std::function<Status()>& flush) {
+  ResetIngestBatch(ctx, kinds);
+  auto ingest = [&](const Row& row) -> Status {
+    const auto t0 = Clock::now();
+    for (size_t c = 0; c < kinds.size(); ++c) {
+      ctx.batch.columns[c].AppendValue(row[c]);
+    }
+    ++ctx.batch.num_rows;
+    if (budgeted_) ctx.batch_bytes += RowByteSize(row);
+    *seconds += SecondsSince(t0);
+    if (ctx.batch.num_rows >= batch_rows_ || ctx.batch_bytes >= batch_cap_) {
+      return flush();
+    }
+    return Status::OK();
+  };
+  if (!buf.has_spilled_rows()) {
+    for (const Row& row : buf.resident_rows()) {
+      RADB_RETURN_NOT_OK(ingest(row));
+    }
+  } else {
+    SpillableRowBuffer::Reader reader(&buf);
+    while (true) {
+      RADB_ASSIGN_OR_RETURN(std::optional<Row> row, reader.Next());
+      if (!row.has_value()) break;
+      RADB_RETURN_NOT_OK(ingest(*row));
+    }
+  }
+  RADB_RETURN_NOT_OK(flush());
+  buf.Clear();
+  return Status::OK();
 }
 
 Status VectorizedPipeline::FlushIngest(WorkerCtx& ctx,
                                        std::vector<StageTally>& tally,
-                                       LocalAgg* agg,
+                                       WorkerAgg* wa,
                                        SpillableRowBuffer* sink,
-                                       mem::MemoryTracker* agg_tracker) {
+                                       mem::MemoryTracker* agg_tracker,
+                                       bool run_stages) {
   if (ctx.batch.num_rows == 0) return Status::OK();
   // Cooperative cancellation once per batch (the vectorized analogue
   // of the row loops' kCancelCheckRows polling).
@@ -1233,21 +1361,48 @@ Status VectorizedPipeline::FlushIngest(WorkerCtx& ctx,
   for (const ColumnVector& c : ctx.batch.columns) {
     batch_bytes += ColBytes(c, nullptr, ctx.batch.num_rows);
   }
-  if (x_.mem_.tracker != nullptr) {
-    RADB_RETURN_NOT_OK(x_.mem_.tracker->Reserve(batch_bytes));
-  }
-  const Status s = ProcessBatch(ctx, tally, agg, sink, agg_tracker);
-  if (x_.mem_.tracker != nullptr) x_.mem_.tracker->Release(batch_bytes);
-  RADB_RETURN_NOT_OK(s);
-  ResetIngestBatch(ctx);
+  RADB_RETURN_NOT_OK(ProcessCharged(ctx, tally, wa, sink, agg_tracker,
+                                    batch_bytes, run_stages));
+  ResetIngestBatch(ctx, *ctx.batch_kinds);
   return Status::OK();
+}
+
+Status VectorizedPipeline::ProcessCharged(WorkerCtx& ctx,
+                                          std::vector<StageTally>& tally,
+                                          WorkerAgg* wa,
+                                          SpillableRowBuffer* sink,
+                                          mem::MemoryTracker* agg_tracker,
+                                          size_t bytes, bool run_stages) {
+  // The in-flight batch is a spillable-class charge that never fails
+  // the query. Under a budget a batch closes once it reaches
+  // batch_cap_ bytes, so the workers' batches together add about half
+  // the budget at most (each can pass the cap by one row).
+  mem::MemoryTracker* tracker = x_.mem_.tracker;
+  if (tracker != nullptr) tracker->ForceReserve(bytes);
+  const Status s = ProcessBatch(ctx, tally, wa, sink, agg_tracker, run_stages);
+  if (tracker != nullptr) tracker->Release(bytes);
+  return s;
+}
+
+size_t VectorizedPipeline::ScanBatchRows(const RowSet& rows, size_t begin,
+                                         size_t count) const {
+  if (!budgeted_) return count;
+  size_t bytes = 0;
+  for (size_t n = 0; n < count; ++n) {
+    for (size_t col : scan_->scan_columns) {
+      bytes += rows[begin + n][col].ByteSize();
+    }
+    if (bytes >= batch_cap_) return n + 1;
+  }
+  return count;
 }
 
 Status VectorizedPipeline::ProcessBatch(WorkerCtx& ctx,
                                         std::vector<StageTally>& tally,
-                                        LocalAgg* agg,
+                                        WorkerAgg* wa,
                                         SpillableRowBuffer* sink,
-                                        mem::MemoryTracker* agg_tracker) {
+                                        mem::MemoryTracker* agg_tracker,
+                                        bool run_stages) {
   ColumnBatch& batch = ctx.batch;
   const size_t nrows = batch.num_rows;
   ctx.cols.clear();
@@ -1256,8 +1411,9 @@ Status VectorizedPipeline::ProcessBatch(WorkerCtx& ctx,
   size_t live = nrows;
 
   // Middle stages: filters narrow the selection, projects swap the
-  // visible column array for their kernel outputs.
-  for (size_t si = 0; si < stages_.size(); ++si) {
+  // visible column array for their kernel outputs. (An overflow pass
+  // re-reads rows that already passed them.)
+  for (size_t si = 0; run_stages && si < stages_.size(); ++si) {
     StagePlan& stage = stages_[si];
     if (stage.op->kind == LogicalOp::Kind::kScan) continue;  // source
     StageTally& t = tally[si];
@@ -1305,10 +1461,10 @@ Status VectorizedPipeline::ProcessBatch(WorkerCtx& ctx,
     if (live == 0) return Status::OK();
   }
 
-  if (agg != nullptr) {
+  if (wa != nullptr) {
     StageTally& t = tally[stages_.size()];
     const auto t0 = Clock::now();
-    t.rows_in += live;
+    if (wa->passes.size() == 1) t.rows_in += live;  // not overflow re-reads
     ++t.batches;
     // Group keys -> hashes -> dense group ids for every live lane.
     ctx.keycols.clear();
@@ -1318,6 +1474,12 @@ Status VectorizedPipeline::ProcessBatch(WorkerCtx& ctx,
           EvalV(*ctx.group_vexprs[i], ctx.cols, sel, live, nrows));
       ctx.keycols.push_back(k);
     }
+    if (budgeted_) {
+      RADB_RETURN_NOT_OK(AdmitLanes(ctx, *wa, sel, live, nrows, agg_tracker));
+      t.seconds += SecondsSince(t0);
+      return Status::OK();
+    }
+    LocalAgg* agg = &wa->passes.back();
     ctx.gids.resize(live);
     if (group_exprs_.empty()) {
       // Scalar aggregate: one keyless group (created lazily so a
@@ -1328,7 +1490,7 @@ Status VectorizedPipeline::ProcessBatch(WorkerCtx& ctx,
         for (size_t k = 0; k < specs_.size(); ++k) {
           AddGroup(specs_[k], agg->accs[k]);
         }
-        agg->state_bytes += kGroupStateOverhead;
+        agg->state_bytes += Executor::GroupAdmissionBytes(0);
       }
       std::fill(ctx.gids.begin(), ctx.gids.end(), 0u);
     } else {
@@ -1347,7 +1509,7 @@ Status VectorizedPipeline::ProcessBatch(WorkerCtx& ctx,
             AddGroup(specs_[k], agg->accs[k]);
           }
           agg->state_bytes +=
-              2 * agg->table.KeyBytes(g) + kGroupStateOverhead;
+              Executor::GroupAdmissionBytes(agg->table.KeyBytes(g));
         }
         ctx.gids[j] = g;
       }
@@ -1385,13 +1547,11 @@ Status VectorizedPipeline::ProcessBatch(WorkerCtx& ctx,
 
 Status VectorizedPipeline::RunWorker(size_t wkr, WorkerCtx& ctx,
                                      std::vector<StageTally>& tally,
-                                     LocalAgg* agg, SpillableRowBuffer* sink,
+                                     WorkerAgg* wa, SpillableRowBuffer* sink,
                                      mem::MemoryTracker* agg_tracker) {
-  CompileCtx(ctx, agg);
+  CompileCtx(ctx, wa);
 
   const CancellationToken* cancel = x_.mem_.cancel;
-  mem::MemoryTracker* tracker = x_.mem_.tracker;
-
   if (scan_ != nullptr) {
     const Table& table = *scan_->table;
     StageTally& st = tally[0];
@@ -1401,14 +1561,16 @@ Status VectorizedPipeline::RunWorker(size_t wkr, WorkerCtx& ctx,
         RADB_ASSIGN_OR_RETURN(Table::SegmentPin pin, table.PinSegment(p, seg));
         const RowSet& rows = pin.rows();
         const size_t part_rows = rows.size();
-        for (size_t begin = 0; begin < part_rows; begin += batch_rows_) {
+        for (size_t begin = 0; begin < part_rows;) {
           // Cooperative cancellation once per batch (the vectorized
           // analogue of the row loops' kCancelCheckRows polling).
           if (cancel != nullptr) RADB_RETURN_NOT_OK(cancel->Check());
-          const size_t count = std::min(batch_rows_, part_rows - begin);
           const auto t0 = Clock::now();
+          const size_t count = ScanBatchRows(
+              rows, begin, std::min(batch_rows_, part_rows - begin));
           table.ExtractColumns(rows, scan_->scan_columns, begin, count,
                                &ctx.batch);
+          begin += count;
           ++st.batches;
           st.rows_out += count;
           size_t batch_bytes = 0;
@@ -1417,55 +1579,144 @@ Status VectorizedPipeline::RunWorker(size_t wkr, WorkerCtx& ctx,
           }
           st.bytes_out += batch_bytes;
           st.seconds += SecondsSince(t0);
-          if (tracker != nullptr) {
-            RADB_RETURN_NOT_OK(tracker->Reserve(batch_bytes));
-          }
-          const Status s = ProcessBatch(ctx, tally, agg, sink, agg_tracker);
-          if (tracker != nullptr) tracker->Release(batch_bytes);
-          RADB_RETURN_NOT_OK(s);
+          RADB_RETURN_NOT_OK(ProcessCharged(ctx, tally, wa, sink, agg_tracker,
+                                            batch_bytes, /*run_stages=*/true));
         }
       }
     }
-    return Status::OK();
+  } else {
+    // Boundary source: drain the row-engine child's buffer for this
+    // worker (replayed from disk if it spilled under a budget).
+    RADB_RETURN_NOT_OK(IngestRows(
+        ctx, boundary_res_.dist[wkr], source_kinds_, &tally[0].seconds,
+        [&] { return FlushIngest(ctx, tally, wa, sink, agg_tracker); }));
   }
 
-  // Boundary source: drain the row-engine child's buffer for this
-  // worker, packing rows into batches of batch_rows lanes.
-  SpillableRowBuffer& buf = boundary_res_.dist[wkr];
-  ResetIngestBatch(ctx);
-  auto ingest = [&](const Row& row) -> Status {
-    const auto t0 = Clock::now();
-    for (size_t c = 0; c < source_kinds_.size(); ++c) {
-      ctx.batch.columns[c].AppendValue(row[c]);
-    }
-    ++ctx.batch.num_rows;
-    tally[0].seconds += SecondsSince(t0);
-    if (ctx.batch.num_rows >= batch_rows_) {
-      return FlushIngest(ctx, tally, agg, sink, agg_tracker);
-    }
-    return Status::OK();
-  };
-  if (!buf.has_spilled_rows()) {
-    for (Row& row : buf.resident_rows()) {
-      RADB_RETURN_NOT_OK(ingest(row));
-    }
-  } else {
-    // Unreachable in practice (the vectorized path never runs under a
-    // budget, and nothing spills without one), but stay correct.
-    SpillableRowBuffer::Reader reader(&buf);
-    while (true) {
-      RADB_ASSIGN_OR_RETURN(std::optional<Row> row, reader.Next());
-      if (!row.has_value()) break;
-      RADB_RETURN_NOT_OK(ingest(*row));
-    }
+  // Further admission passes (only under a budget, where a pass may
+  // refuse groups): each re-aggregates the previous pass's overflow
+  // rows, in order, through the aggregate stage alone.
+  while (wa != nullptr && !wa->overflow.empty()) {
+    SpillableRowBuffer carried = std::move(wa->overflow);
+    StartPass(*wa);
+    RADB_RETURN_NOT_OK(IngestRows(
+        ctx, carried, wa->overflow_kinds, &tally[stages_.size()].seconds,
+        [&] {
+          return FlushIngest(ctx, tally, wa, sink, agg_tracker,
+                             /*run_stages=*/false);
+        }));
+    wa->spill_bytes += carried.spill_bytes();
+    wa->spill_runs += carried.spill_runs();
   }
-  RADB_RETURN_NOT_OK(FlushIngest(ctx, tally, agg, sink, agg_tracker));
-  buf.Clear();
   return Status::OK();
 }
 
+Status VectorizedPipeline::AdmitLanes(WorkerCtx& ctx, WorkerAgg& wa,
+                                      const uint32_t* sel, size_t live,
+                                      size_t nrows,
+                                      mem::MemoryTracker* agg_tracker) {
+  // The row engine's admission rules, lane by lane in row order: a new
+  // group is charged GroupAdmissionBytes — hard for the first group of
+  // a pass (so every pass makes progress or fails), tentatively after
+  // that — and after a refusal the pass admits no more groups. Admitted
+  // lanes are folded in runs between admissions, so each admission
+  // check sees every earlier lane's growth charged, as row by row.
+  LocalAgg& agg = wa.passes.back();
+  ctx.adm_sel.clear();
+  ctx.adm_gids.clear();
+  for (size_t j = 0; j < live; ++j) {
+    const size_t l = sel ? sel[j] : j;
+    const size_t hash =
+        group_exprs_.empty() ? kHashSeed : KeyHashLanes(ctx.keycols, l);
+    std::optional<uint32_t> g = agg.table.Find(ctx.keycols, l, hash);
+    if (!g.has_value()) {
+      if (!wa.admitting) {
+        RADB_RETURN_NOT_OK(Overflow(ctx, wa, l));
+        continue;
+      }
+      RADB_RETURN_NOT_OK(FoldAdmitted(ctx, agg, nrows, agg_tracker));
+      size_t key_bytes = 0;
+      for (const ColumnVector* k : ctx.keycols) key_bytes += k->LaneBytes(l);
+      const size_t admit = Executor::GroupAdmissionBytes(key_bytes);
+      if (agg.table.size() == 0) {
+        RADB_RETURN_NOT_OK(agg_tracker->Reserve(admit));
+      } else if (!agg_tracker->TryReserve(admit)) {
+        wa.admitting = false;
+        RADB_RETURN_NOT_OK(Overflow(ctx, wa, l));
+        continue;
+      }
+      g = agg.table.Insert(ctx.keycols, l, hash);
+      for (size_t k = 0; k < specs_.size(); ++k) {
+        AddGroup(specs_[k], agg.accs[k]);
+      }
+      agg.base.push_back(admit);
+      agg.group_charged.push_back(admit);
+    }
+    ctx.adm_sel.push_back(static_cast<uint32_t>(l));
+    ctx.adm_gids.push_back(*g);
+  }
+  return FoldAdmitted(ctx, agg, nrows, agg_tracker);
+}
+
+Status VectorizedPipeline::FoldAdmitted(WorkerCtx& ctx, LocalAgg& agg,
+                                        size_t nrows,
+                                        mem::MemoryTracker* agg_tracker) {
+  const size_t n = ctx.adm_sel.size();
+  if (n == 0) return Status::OK();
+  const uint32_t* sel = ctx.adm_sel.data();
+  const uint32_t* gids = ctx.adm_gids.data();
+  // Arguments of admitted lanes only: the row engine never evaluates a
+  // refused row's arguments in the pass that refused it.
+  ctx.args.assign(specs_.size(), nullptr);
+  for (size_t k = 0; k < specs_.size(); ++k) {
+    if (agg_args_[k] != nullptr) {
+      RADB_ASSIGN_OR_RETURN(
+          ctx.args[k], EvalV(*ctx.agg_vexprs[k], ctx.cols, sel, n, nrows));
+    }
+  }
+  // The row engine raises a group's charge after every row. Scalar
+  // states only grow, so charging after the whole run adds the same
+  // bytes; a string MIN/MAX can shrink again, so it folds one lane at
+  // a time to charge the same high-water mark.
+  const size_t step = lane_growth_ ? 1 : n;
+  size_t grown = 0;
+  for (size_t i = 0; i < n; i += step) {
+    const size_t m = std::min(step, n - i);
+    for (size_t k = 0; k < specs_.size(); ++k) {
+      UpdateAgg(specs_[k], agg.accs[k], ctx.args[k], sel + i, m, gids + i);
+    }
+    for (size_t j = i; j < i + m; ++j) grown += ChargeGrowth(agg, gids[j]);
+  }
+  ctx.adm_sel.clear();
+  ctx.adm_gids.clear();
+  // Accumulator growth is unspillable: reserve hard or fail the query.
+  return grown > 0 ? agg_tracker->Reserve(grown) : Status::OK();
+}
+
+size_t VectorizedPipeline::ChargeGrowth(LocalAgg& agg, size_t g) const {
+  size_t needed = agg.base[g];
+  for (size_t k = 0; k < specs_.size(); ++k) {
+    needed += AccStateBytes(specs_[k], agg.accs[k], g);
+  }
+  if (needed <= agg.group_charged[g]) return 0;
+  const size_t grown = needed - agg.group_charged[g];
+  agg.group_charged[g] = needed;
+  return grown;
+}
+
+Status VectorizedPipeline::Overflow(WorkerCtx& ctx, WorkerAgg& wa,
+                                    size_t lane) {
+  if (wa.overflow_kinds.empty()) {
+    for (const ColumnVector* c : ctx.cols) wa.overflow_kinds.push_back(c->kind);
+  }
+  Row row;
+  row.reserve(ctx.cols.size());
+  for (const ColumnVector* c : ctx.cols) row.push_back(c->GetValue(lane));
+  return wa.overflow.Append(std::move(row));
+}
+
 /// The Executor::JoinBatchSink a pipeline installs when its boundary
-/// is a join: joined pairs land directly in per-worker column lanes,
+/// is a join and the query has no memory budget: joined pairs land
+/// directly in per-worker column lanes,
 /// and full batches run through the chain inside the join's worker
 /// loop — neither the joined Row nor the join's output distribution
 /// is ever materialized. Lane-append time stays attributed to the
@@ -1476,7 +1727,7 @@ class VectorizedPipeline::JoinIngest : public Executor::JoinBatchSink {
  public:
   JoinIngest(VectorizedPipeline& p, std::vector<WorkerCtx>& ctxs,
              std::vector<std::vector<StageTally>>& tallies,
-             std::vector<LocalAgg>* partials, SpillableDist& out,
+             std::vector<WorkerAgg>* partials, SpillableDist& out,
              mem::MemoryTracker* agg_tracker)
       : p_(p),
         ctxs_(ctxs),
@@ -1526,7 +1777,7 @@ class VectorizedPipeline::JoinIngest : public Executor::JoinBatchSink {
   VectorizedPipeline& p_;
   std::vector<WorkerCtx>& ctxs_;
   std::vector<std::vector<StageTally>>& tallies_;
-  std::vector<LocalAgg>* partials_;  // null for a non-aggregate chain
+  std::vector<WorkerAgg>* partials_;  // null for a non-aggregate chain
   SpillableDist& out_;
   mem::MemoryTracker* agg_tracker_;
   std::vector<size_t> rows_, bytes_;  // per-worker streamed totals
@@ -1574,7 +1825,10 @@ Result<ExecResult> VectorizedPipeline::Run() {
   // Gram self-join). Any other boundary executes first, exactly as it
   // would below a row operator (its metrics precede the chain's).
   // A spooled join must materialize: its held rows serve later copies.
-  const bool join_inline = boundary_ != nullptr &&
+  // So must every join under a budget: as in the row engine, the join's
+  // build state is released before group state is admitted, and its
+  // output spills instead of holding the budget.
+  const bool join_inline = !budgeted_ && boundary_ != nullptr &&
                            boundary_->kind == LogicalOp::Kind::kJoin &&
                            boundary_->spool_id == 0;
   if (boundary_ != nullptr && !join_inline) {
@@ -1584,11 +1838,11 @@ Result<ExecResult> VectorizedPipeline::Run() {
 
   const size_t w = workers_;
 
-  // Unspillable aggregate state charges a child tracker, like the row
-  // engine's "Aggregate state" (released wholesale on scope exit).
+  // Unspillable aggregate state charges a child tracker, as in the row
+  // engine (whatever is still charged is released on scope exit).
   std::optional<mem::MemoryTracker> agg_tracker;
   if (agg_op_ != nullptr && x_.mem_.tracker != nullptr) {
-    agg_tracker.emplace("Vectorized aggregate state", x_.mem_.tracker);
+    agg_tracker.emplace("Aggregate state", x_.mem_.tracker);
   }
 
   // One tally slot per stage plus one for the sink/aggregate-update.
@@ -1596,13 +1850,13 @@ Result<ExecResult> VectorizedPipeline::Run() {
   std::vector<std::vector<StageTally>> tallies(
       w, std::vector<StageTally>(tally_slots));
   std::vector<WorkerCtx> ctxs(w);
-  std::vector<LocalAgg> partials(agg_op_ != nullptr ? w : 0);
+  std::vector<WorkerAgg> partials(agg_op_ != nullptr ? w : 0);
   SpillableDist out = x_.NewDist(w);
 
   if (join_inline) {
     for (size_t wkr = 0; wkr < w; ++wkr) {
       CompileCtx(ctxs[wkr], agg_op_ != nullptr ? &partials[wkr] : nullptr);
-      ResetIngestBatch(ctxs[wkr]);
+      ResetIngestBatch(ctxs[wkr], source_kinds_);
     }
     JoinIngest ingest(*this, ctxs, tallies,
                       agg_op_ != nullptr ? &partials : nullptr, out,
@@ -1644,6 +1898,14 @@ Result<ExecResult> VectorizedPipeline::Run() {
     PrepareMetrics();
   } else {
     PrepareMetrics();
+    if (budgeted_ && agg_op_ != nullptr && boundary_ != nullptr) {
+      // As the row engine's aggregate does: group state may approach
+      // the input's size, so if that much of the budget is not free,
+      // the resident input goes to disk first and streams back.
+      RADB_RETURN_NOT_OK(Executor::MakeHeadroom(
+          x_.mem_, SpillDistByteSize(boundary_res_.dist),
+          {&boundary_res_.dist}));
+    }
     RADB_RETURN_NOT_OK(x_.ForEachWorker(w, [&](size_t wkr) -> Status {
       return RunWorker(wkr, ctxs[wkr], tallies[wkr],
                        agg_op_ != nullptr ? &partials[wkr] : nullptr,
@@ -1675,6 +1937,7 @@ Result<ExecResult> VectorizedPipeline::Run() {
     for (size_t wkr = 0; wkr < w; ++wkr) {
       mhead.worker_seconds[wkr] += tallies[wkr][stages_.size()].seconds;
     }
+    Executor::CollectSpill(&mhead, out);
     ExecResult result{std::move(out), PropagateHashedSlot()};
     return result;
   }
@@ -1684,7 +1947,11 @@ Result<ExecResult> VectorizedPipeline::Run() {
     OperatorMetrics& m1 = ops[agg_partial_metric_];
     size_t partial_groups = 0;
     for (size_t wkr = 0; wkr < w; ++wkr) {
-      partial_groups += partials[wkr].table.size();
+      for (const LocalAgg& pass : partials[wkr].passes) {
+        partial_groups += pass.table.size();
+      }
+      m1.bytes_spilled += partials[wkr].spill_bytes;
+      m1.spill_runs += partials[wkr].spill_runs;
       const StageTally& t = tallies[wkr][stages_.size()];
       m1.rows_in += t.rows_in;
       m1.batches += t.batches;
@@ -1696,6 +1963,9 @@ Result<ExecResult> VectorizedPipeline::Run() {
     m2.batches = m1.batches;
   }
 
+  // Under a budget the final states keep the row engine's charges: a
+  // group's first partial state carries its charge over, growth from a
+  // merge reserves hard, and each merged-away partial state is released.
   std::vector<LocalAgg> finals(w);
   std::vector<size_t> shuffle_bytes(w, 0), shuffle_rows(w, 0);
   std::vector<double> merge_secs(w, 0.0);
@@ -1705,35 +1975,46 @@ Result<ExecResult> VectorizedPipeline::Run() {
     fin.table.Init(key_kinds_);
     fin.accs.resize(specs_.size());
     std::vector<const ColumnVector*> kc(key_kinds_.size());
+    // Sources, then each source's passes, in index order.
     for (size_t src = 0; src < w; ++src) {
-      const LocalAgg& pa = partials[src];
-      for (size_t i = 0; i < key_kinds_.size(); ++i) {
-        kc[i] = &pa.table.keys[i];
-      }
-      for (size_t g = 0; g < pa.table.size(); ++g) {
-        const size_t owner =
-            group_exprs_.empty()
-                ? 0
-                : x_.cluster_.WorkerForHash(pa.table.hashes[g]);
-        if (owner != dst) continue;
-        if (dst != src) {
-          size_t state_bytes = pa.table.KeyBytes(g);
-          for (size_t k = 0; k < specs_.size(); ++k) {
-            state_bytes += AccStateBytes(specs_[k], pa.accs[k], g);
-          }
-          shuffle_bytes[dst] += state_bytes;
-          ++shuffle_rows[dst];
+      for (const LocalAgg& pa : partials[src].passes) {
+        for (size_t i = 0; i < key_kinds_.size(); ++i) {
+          kc[i] = &pa.table.keys[i];
         }
-        bool inserted = false;
-        const uint32_t fg =
-            fin.table.Upsert(kc, g, pa.table.hashes[g], &inserted);
-        if (inserted) {
-          for (size_t k = 0; k < specs_.size(); ++k) {
-            AddGroup(specs_[k], fin.accs[k]);
+        for (size_t g = 0; g < pa.table.size(); ++g) {
+          const size_t owner =
+              group_exprs_.empty()
+                  ? 0
+                  : x_.cluster_.WorkerForHash(pa.table.hashes[g]);
+          if (owner != dst) continue;
+          if (dst != src) {
+            size_t state_bytes = pa.table.KeyBytes(g);
+            for (size_t k = 0; k < specs_.size(); ++k) {
+              state_bytes += AccStateBytes(specs_[k], pa.accs[k], g);
+            }
+            shuffle_bytes[dst] += state_bytes;
+            ++shuffle_rows[dst];
           }
-        }
-        for (size_t k = 0; k < specs_.size(); ++k) {
-          MergeAgg(specs_[k], fin.accs[k], fg, pa.accs[k], g);
+          bool inserted = false;
+          const uint32_t fg =
+              fin.table.Upsert(kc, g, pa.table.hashes[g], &inserted);
+          if (inserted) {
+            for (size_t k = 0; k < specs_.size(); ++k) {
+              AddGroup(specs_[k], fin.accs[k]);
+            }
+            if (budgeted_) {
+              fin.base.push_back(pa.base[g]);
+              fin.group_charged.push_back(pa.group_charged[g]);
+            }
+          }
+          for (size_t k = 0; k < specs_.size(); ++k) {
+            MergeAgg(specs_[k], fin.accs[k], fg, pa.accs[k], g);
+          }
+          if (budgeted_ && !inserted) {
+            const size_t grown = ChargeGrowth(fin, fg);
+            if (grown > 0) RADB_RETURN_NOT_OK(agg_tracker->Reserve(grown));
+            agg_tracker->Release(pa.group_charged[g]);
+          }
         }
       }
     }
@@ -1762,6 +2043,7 @@ Result<ExecResult> VectorizedPipeline::Run() {
         row.push_back(std::move(v));
       }
       RADB_RETURN_NOT_OK(out[wkr].Append(std::move(row)));
+      if (budgeted_) agg_tracker->Release(fin.group_charged[g]);
     }
     emit_secs[wkr] += SecondsSince(t0);
     return Status::OK();
@@ -1788,6 +2070,7 @@ Result<ExecResult> VectorizedPipeline::Run() {
   }
   m2.rows_out = SpillDistRowCount(out);
   m2.bytes_out = SpillDistByteSize(out);
+  Executor::CollectSpill(&m2, out);
 
   return ExecResult{std::move(out), std::nullopt};
 }

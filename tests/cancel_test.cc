@@ -298,5 +298,72 @@ TEST(CancelCleanupTest, CancelledSpillingQueryLeavesNoFilesOrCharges) {
   fs::remove_all(spill_dir, ec);
 }
 
+TEST(CancelCleanupTest, CancelledBudgetedBatchAggregateLeavesNoFilesOrCharges) {
+  namespace fs = std::filesystem;
+  std::string dir_template =
+      (fs::temp_directory_path() / "radb-cancel-XXXXXX").string();
+  ASSERT_NE(mkdtemp(dir_template.data()), nullptr);
+  const fs::path spill_dir(dir_template);
+
+  {
+    Database::Config cfg;
+    cfg.spill_dir = spill_dir.string();
+    cfg.cache.enable_result_cache = false;
+    // One worker holds every row, so its first pass is long; small
+    // batches poll the token often.
+    cfg.num_workers = 1;
+    cfg.vectorized_batch_rows = 16;
+    Database db(cfg);
+    ASSERT_TRUE(Exec(db, "CREATE TABLE pts (k INTEGER, x DOUBLE)").ok());
+    std::vector<Row> rows;
+    for (int64_t i = 0; i < 300000; ++i) {
+      rows.push_back({Value::Int(i % 4000), Value::Double(0.5 * (i % 31))});
+    }
+    ASSERT_TRUE(db.BulkInsert("pts", std::move(rows)).ok());
+    const std::string sql = "SELECT k, COUNT(*), SUM(x) FROM pts GROUP BY k";
+
+    // Guard: under a budget this chain runs on the batch engine.
+    QueryOptions roomy;
+    roomy.memory_budget_bytes = 64u << 20;
+    auto plan = db.Execute("EXPLAIN ANALYZE " + sql, roomy);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    std::string text;
+    for (size_t i = 0; i < plan->last().num_rows(); ++i) {
+      text += plan->last().at(i, 0).string_value() + "\n";
+    }
+    ASSERT_NE(text.find("exec=batch"), std::string::npos) << text;
+
+    SessionManager manager(&db);
+    auto session = manager.CreateSession();
+    // 64 KB admits a few hundred of the 4000 groups; the other rows
+    // overflow to disk for a second pass, and the cancel lands while
+    // they spill (uncancelled, that pass fails ResourceExhausted only
+    // after the whole table has been read).
+    QueryOptions opts;
+    opts.memory_budget_bytes = 64u << 10;
+    opts.num_threads_override = 1;
+    const uint64_t seq = session->next_query_seq();
+    std::thread canceller([&] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      session->Cancel(seq);
+    });
+    const auto start = std::chrono::steady_clock::now();
+    auto got = session->Execute(sql, opts);
+    const double seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+            .count();
+    canceller.join();
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().code(), StatusCode::kCancelled) << got.status();
+    EXPECT_LT(seconds, 5.0);
+
+    EXPECT_EQ(manager.admission().global_tracker()->bytes_in_use(), 0u);
+    EXPECT_EQ(manager.admission().claimed_bytes(), 0u);
+    EXPECT_TRUE(fs::is_empty(spill_dir));
+  }
+  std::error_code ec;
+  fs::remove_all(spill_dir, ec);
+}
+
 }  // namespace
 }  // namespace radb

@@ -28,6 +28,13 @@ std::string Fingerprint(const ResultSet& rs) {
 constexpr size_t kTinyBudget = 64u << 10;
 constexpr size_t kSmallBudget = 256u << 10;
 
+QueryOptions Budgeted(size_t bytes, size_t threads) {
+  QueryOptions options;
+  options.memory_budget_bytes = bytes;
+  options.num_threads_override = threads;
+  return options;
+}
+
 /// Every suite here reruns the same SQL under a tight budget to drive
 /// the spill paths. With the result cache on, the rerun can be served
 /// from the unbudgeted reference fill and never execute — so these
@@ -95,10 +102,17 @@ TEST_F(SpillJoinTest, GraceSpillIsBitIdenticalAt1And8Threads) {
 
 class SpillAggTest : public ::testing::Test {
  protected:
+  static constexpr char kSql[] =
+      "SELECT k, SUM(x), COUNT(*) FROM pts GROUP BY k ORDER BY k";
+
   void SetUp() override {
-    db_ = std::make_unique<Database>(SpillConfig());
-    ASSERT_TRUE(
-        Exec(*db_, "CREATE TABLE pts (k INTEGER, x DOUBLE)").ok());
+    // The row engine materializes its scan, which is what spills here;
+    // the batch engine aggregates straight from the pinned segments
+    // (its twin below runs on the default engine).
+    Database::Config row_config = SpillConfig();
+    row_config.enable_vectorized = false;
+    db_ = std::make_unique<Database>(row_config);
+    batch_db_ = std::make_unique<Database>(SpillConfig());
     // 100 groups of accumulator state fit the 256 KB budget even with
     // per-worker phase-1 partials (8 workers x 100 groups x ~190 B
     // each, about 150 KB) — group state is unspillable, so it must.
@@ -109,28 +123,41 @@ class SpillAggTest : public ::testing::Test {
     for (int64_t i = 0; i < 30000; ++i) {
       rows.push_back({Value::Int(i / 300), Value::Double(rng.NextDouble())});
     }
-    ASSERT_TRUE(db_->BulkInsert("pts", std::move(rows)).ok());
+    for (Database* db : {db_.get(), batch_db_.get()}) {
+      ASSERT_TRUE(Exec(*db, "CREATE TABLE pts (k INTEGER, x DOUBLE)").ok());
+      ASSERT_TRUE(db->BulkInsert("pts", rows).ok());
+    }
   }
 
-  std::unique_ptr<Database> db_;
+  std::unique_ptr<Database> db_;        // row engine
+  std::unique_ptr<Database> batch_db_;  // default engine
 };
 
+constexpr char SpillAggTest::kSql[];
+
 TEST_F(SpillAggTest, AggregationOverSpilledInputIsBitIdenticalAt1And8Threads) {
-  const std::string sql =
-      "SELECT k, SUM(x), COUNT(*) FROM pts GROUP BY k ORDER BY k";
-  auto ref = Exec(*db_, sql);
+  auto ref = Exec(*db_, kSql);
   ASSERT_TRUE(ref.ok()) << ref.status();
   ASSERT_EQ(ref->num_rows(), 100u);
   const std::string want = Fingerprint(*ref);
   for (size_t threads : {size_t{1}, size_t{8}}) {
-    auto got = db_->Execute(sql, QueryOptions{
-                                     .memory_budget_bytes = kSmallBudget,
-                                     .num_threads_override = threads,
-                                 });
+    auto got = db_->Execute(kSql, Budgeted(kSmallBudget, threads));
     ASSERT_TRUE(got.ok()) << got.status();
     ASSERT_TRUE(got->has_results());
     EXPECT_EQ(Fingerprint(got->last()), want) << "threads=" << threads;
     EXPECT_GT(got->statements[0].spill_bytes, 0u) << "threads=" << threads;
+  }
+}
+
+TEST_F(SpillAggTest, DefaultEngineUnderBudgetMatchesTheRowEngine) {
+  auto ref = Exec(*db_, kSql);
+  ASSERT_TRUE(ref.ok()) << ref.status();
+  const std::string want = Fingerprint(*ref);
+  for (size_t threads : {size_t{1}, size_t{8}}) {
+    auto got = batch_db_->Execute(kSql, Budgeted(kSmallBudget, threads));
+    ASSERT_TRUE(got.ok()) << got.status();
+    ASSERT_TRUE(got->has_results());
+    EXPECT_EQ(Fingerprint(got->last()), want) << "threads=" << threads;
   }
 }
 

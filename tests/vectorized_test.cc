@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,7 @@
 
 #include "test_util.h"
 #include "common/rng.h"
+#include "storage/serialize.h"
 #include "testing/catalog_gen.h"
 #include "testing/differ.h"
 #include "testing/query_gen.h"
@@ -315,6 +317,236 @@ TEST(VectorizedTest, MiniFuzzRowVsBatch) {
     ++compared;
   }
   EXPECT_GT(compared, 30);
+}
+
+// ---------------------------------------------------------------------
+// Budgeted batch chains: under a memory budget the batch engine keeps
+// the row engine's admission rules instead of declining the query.
+// ---------------------------------------------------------------------
+
+/// Byte-exact fingerprint: FP bit patterns and row order.
+std::string Fingerprint(const ResultSet& rs) {
+  std::ostringstream os(std::ios::binary);
+  for (const Row& row : rs.rows) WriteRowBinary(os, row);
+  return os.str();
+}
+
+/// The EXPLAIN ANALYZE annotation line of the first plan node whose
+/// label starts with `kind` ("" when absent).
+std::string AnnotationOf(const ResultSet& plan, const std::string& kind) {
+  for (size_t i = 0; i + 1 < plan.num_rows(); ++i) {
+    const std::string line = plan.at(i, 0).string_value();
+    const size_t at = line.find_first_not_of(' ');
+    if (at != std::string::npos && line.compare(at, kind.size(), kind) == 0) {
+      return plan.at(i + 1, 0).string_value();
+    }
+  }
+  return "";
+}
+
+/// One-thread databases for the budget tests: the result cache off (a
+/// budgeted rerun must execute) and metrics on (spill counters).
+Database::Config BudgetConfig(bool vectorized) {
+  Database::Config cfg = EngineConfig(vectorized, 1);
+  cfg.cache.enable_result_cache = false;
+  cfg.obs.enable_metrics = true;
+  return cfg;
+}
+
+/// g(k, x, s): `rows` rows over `groups` keys, x on a 0.25 grid; each
+/// key's s alternates between a long string and a shorter, larger one,
+/// so its MAX state grows and shrinks again.
+std::vector<Row> GroupedRows(int64_t rows, int64_t groups) {
+  std::vector<Row> out;
+  for (int64_t i = 0; i < rows; ++i) {
+    out.push_back({Value::Int(i % groups), Value::Double(0.25 * (i % 29)),
+                   Value::String((i / groups) % 2 == 0 ? std::string(12, 'a')
+                                                       : std::string("b"))});
+  }
+  return out;
+}
+
+QueryOptions Budgeted(size_t bytes, size_t threads = 0) {
+  QueryOptions options;
+  options.memory_budget_bytes = bytes;
+  options.num_threads_override = threads;
+  return options;
+}
+
+uint64_t SpillCounter(Database& db) {
+  return db.metrics_registry()->counter("mem.spill_bytes")->value();
+}
+
+TEST(VectorizedBudgetTest, BudgetedScanAggregateRunsBatchBitIdentical) {
+  const std::string sql =
+      "SELECT k, COUNT(*), SUM(x), AVG(x), MIN(x), MAX(x) FROM g "
+      "GROUP BY k ORDER BY k";
+  Database db(BudgetConfig(true));
+  ASSERT_TRUE(Exec(db, "CREATE TABLE g (k INTEGER, x DOUBLE)").ok());
+  Rng rng(20170419);
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 20000; ++i) {
+    rows.push_back({Value::Int(i % 100), Value::Double(rng.NextDouble())});
+  }
+  ASSERT_TRUE(db.BulkInsert("g", std::move(rows)).ok());
+  auto ref = Exec(db, sql);
+  ASSERT_TRUE(ref.ok()) << ref.status();
+  ASSERT_EQ(ref->num_rows(), 100u);
+  const std::string want = Fingerprint(*ref);
+
+  // 100 groups on each of 8 workers take ~170 KB of group state; the
+  // 20000 scanned rows (360 KB) are never materialized, so nothing
+  // spills.
+  constexpr size_t kBudget = 512u << 10;
+  for (size_t threads : {size_t{1}, size_t{8}}) {
+    const QueryOptions opts = Budgeted(kBudget, threads);
+    auto got = db.Execute(sql, opts);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(Fingerprint(got->last()), want) << "threads=" << threads;
+    EXPECT_EQ(got->statements[0].spill_bytes, 0u) << "threads=" << threads;
+    EXPECT_LE(got->statements[0].peak_memory_bytes, kBudget);
+
+    auto plan = db.Execute("EXPLAIN ANALYZE " + sql, opts);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    EXPECT_NE(AnnotationOf(plan->last(), "Scan").find("exec=batch"),
+              std::string::npos);
+    EXPECT_NE(AnnotationOf(plan->last(), "Aggregate").find("exec=batch"),
+              std::string::npos);
+  }
+}
+
+TEST(VectorizedBudgetTest, BatchesCloseEarlySoPeakStaysUnderTwiceTheBudget) {
+  // 2000 rows of ~520 bytes: a full 1024-row batch alone would be 8x
+  // the 64 KB budget. Under the budget batches close early, and the
+  // chain's output spills instead.
+  constexpr size_t kBudget = 64u << 10;
+  const std::string sql = "SELECT k, pad FROM w WHERE k >= 0";
+  Database db(BudgetConfig(true));
+  ASSERT_TRUE(Exec(db, "CREATE TABLE w (k INTEGER, pad STRING)").ok());
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 2000; ++i) {
+    rows.push_back(
+        {Value::Int(i), Value::String(std::string(500, 'a' + i % 26))});
+  }
+  ASSERT_TRUE(db.BulkInsert("w", std::move(rows)).ok());
+  auto ref = Exec(db, sql);
+  ASSERT_TRUE(ref.ok()) << ref.status();
+  const RowSet want = Normalized(ref->rows);
+  for (size_t threads : {size_t{1}, size_t{8}}) {
+    const QueryOptions opts = Budgeted(kBudget, threads);
+    auto got = db.Execute(sql, opts);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_TRUE(SameCells(want, Normalized(got->last().rows)));
+    EXPECT_GT(got->statements[0].spill_bytes, 0u) << "threads=" << threads;
+    EXPECT_LT(got->statements[0].peak_memory_bytes, 2 * kBudget)
+        << "threads=" << threads;
+
+    auto plan = db.Execute("EXPLAIN ANALYZE " + sql, opts);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    EXPECT_NE(AnnotationOf(plan->last(), "Filter").find("exec=batch"),
+              std::string::npos);
+  }
+}
+
+TEST(VectorizedBudgetTest, AdmissionMatchesRowEngineAcrossBudgetsAtOneThread) {
+  // 1000 groups on every worker: ~1.5 MB of partial state in all. The
+  // sweep runs from budgets that refuse groups early to ones that admit
+  // them all; at one thread both engines must agree at every budget.
+  const std::string sql =
+      "SELECT k, COUNT(*), SUM(x), MAX(s) FROM g GROUP BY k";
+  Database row_db(BudgetConfig(false));
+  Database batch_db(BudgetConfig(true));
+  for (Database* db : {&row_db, &batch_db}) {
+    ASSERT_TRUE(
+        Exec(*db, "CREATE TABLE g (k INTEGER, x DOUBLE, s STRING)").ok());
+    ASSERT_TRUE(db->BulkInsert("g", GroupedRows(16000, 1000)).ok());
+  }
+  size_t ok = 0, refused = 0;
+  size_t max_refused = 0, min_ok = 0;
+  for (size_t budget = 64u << 10; budget <= (3u << 20); budget += budget / 4) {
+    const QueryOptions opts = Budgeted(budget);
+    const uint64_t spilled_before = SpillCounter(batch_db);
+    auto row = row_db.Execute(sql, opts);
+    auto batch = batch_db.Execute(sql, opts);
+    ASSERT_EQ(row.ok(), batch.ok())
+        << "budget=" << budget << " row: "
+        << (row.ok() ? "ok" : row.status().ToString())
+        << " batch: " << (batch.ok() ? "ok" : batch.status().ToString());
+    if (!row.ok()) {
+      EXPECT_EQ(row.status().code(), StatusCode::kResourceExhausted);
+      EXPECT_EQ(batch.status().code(), row.status().code());
+      // The refused groups' rows went to an overflow pass, spilling.
+      EXPECT_GT(SpillCounter(batch_db), spilled_before) << "budget=" << budget;
+      ++refused;
+      max_refused = budget;
+      continue;
+    }
+    EXPECT_TRUE(SameCells(Normalized(row->last().rows),
+                          Normalized(batch->last().rows)))
+        << "budget=" << budget;
+    ++ok;
+    if (min_ok == 0) min_ok = budget;
+  }
+  ASSERT_GT(ok, 0u);
+  ASSERT_GT(refused, 0u);
+
+  // Both engines charge the same bytes per group, so the smallest
+  // budget that admits every group is the same to the byte.
+  size_t lo = max_refused, hi = min_ok;  // row engine: lo fails, hi runs
+  while (hi - lo > 1) {
+    const size_t mid = lo + (hi - lo) / 2;
+    if (row_db.Execute(sql, Budgeted(mid)).ok()) {
+      hi = mid;
+    } else {
+      lo = mid;
+    }
+  }
+  EXPECT_FALSE(batch_db.Execute(sql, Budgeted(lo)).ok()) << "budget=" << lo;
+  EXPECT_TRUE(batch_db.Execute(sql, Budgeted(hi)).ok()) << "budget=" << hi;
+
+  auto plan = batch_db.Execute("EXPLAIN ANALYZE " + sql, Budgeted(3u << 20));
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  EXPECT_NE(AnnotationOf(plan->last(), "Aggregate").find("exec=batch"),
+            std::string::npos);
+}
+
+TEST(VectorizedBudgetTest, SpilledJoinOutputFeedsBatchAggregate) {
+  // Under a budget the boundary join materializes; its 8000-row output
+  // is over the 64 KB budget, so it reaches the batch aggregate from
+  // disk.
+  const std::string sql =
+      "SELECT l.g, COUNT(*), SUM(r.x) FROM l, r WHERE l.k = r.k "
+      "GROUP BY l.g ORDER BY l.g";
+  Database db(BudgetConfig(true));
+  ASSERT_TRUE(Exec(db, "CREATE TABLE l (k INTEGER, g INTEGER)").ok());
+  ASSERT_TRUE(Exec(db, "CREATE TABLE r (k INTEGER, x DOUBLE)").ok());
+  Rng rng(7);
+  std::vector<Row> l, r;
+  for (int64_t i = 0; i < 8000; ++i) {
+    l.push_back({Value::Int(i), Value::Int(i % 10)});
+    r.push_back({Value::Int(i), Value::Double(rng.NextDouble())});
+  }
+  ASSERT_TRUE(db.BulkInsert("l", std::move(l)).ok());
+  ASSERT_TRUE(db.BulkInsert("r", std::move(r)).ok());
+  auto ref = Exec(db, sql);
+  ASSERT_TRUE(ref.ok()) << ref.status();
+  ASSERT_EQ(ref->num_rows(), 10u);
+  const std::string want = Fingerprint(*ref);
+
+  for (size_t threads : {size_t{1}, size_t{8}}) {
+    const QueryOptions opts = Budgeted(64u << 10, threads);
+    auto got = db.Execute(sql, opts);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(Fingerprint(got->last()), want) << "threads=" << threads;
+    EXPECT_GT(got->statements[0].spill_bytes, 0u);
+
+    auto plan = db.Execute("EXPLAIN ANALYZE " + sql, opts);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    EXPECT_NE(AnnotationOf(plan->last(), "Join").find("spilled="),
+              std::string::npos);
+    EXPECT_NE(AnnotationOf(plan->last(), "Aggregate").find("exec=batch"),
+              std::string::npos);
+  }
 }
 
 }  // namespace
