@@ -9,7 +9,10 @@
 // row engine untouched — swept here as the fallback-parity check.
 // Every run is cross-checked bit-for-bit against the row engine's
 // result (exact equality, the §13 identity contract, not a
-// tolerance). Emits BENCH_vectorized.json.
+// tolerance). Early projection is off, so the optimizer keeps the
+// tuple plan instead of rewriting the Gram into a relational multiply
+// (DESIGN.md §19): this bench measures the join and the aggregate.
+// Emits BENCH_vectorized.json.
 #include "bench/bench_util.h"
 
 #include "la/matrix.h"
@@ -27,6 +30,7 @@ Database::Config ConfigFor(bool vectorized, size_t batch_rows) {
   config.num_threads = kWorkers;
   config.enable_vectorized = vectorized;
   config.vectorized_batch_rows = batch_rows;
+  config.optimizer.enable_early_projection = false;
   return config;
 }
 

@@ -81,6 +81,16 @@ inline systemml::DmlConfig SystemMlConfigFor(size_t n) {
 /// SciDB-style chunk (paper: 1000; scaled with n).
 inline size_t ChunkFor(size_t n) { return BlockFor(n); }
 
+/// Optimizer options for a tuple-coding row: the default, or the
+/// "tuple, rule-based" row with early projection off, which keeps the
+/// tuple plan instead of rewriting the products into relational
+/// multiplies (DESIGN.md §19).
+inline Optimizer::Options TupleOptimizer(bool rule_based) {
+  Optimizer::Options options;
+  options.enable_early_projection = !rule_based;
+  return options;
+}
+
 /// Network model for the simulated-cluster runtime: the paper's EC2
 /// m2.4xlarge machines (2009-era) have ~1 Gbit NICs, i.e. ~125 MiB/s
 /// per worker of shuffle bandwidth.

@@ -21,11 +21,12 @@ void CheckGram(benchmark::State& state, const Dataset& data,
   }
 }
 
-void BM_Gram_TupleSimSQL(benchmark::State& state) {
+/// The tuple coding, by default or rule-based (see TupleOptimizer).
+void RunGramTuple(benchmark::State& state, bool rule_based) {
   const size_t d = static_cast<size_t>(state.range(0));
   const Dataset data = GenerateDataset(kSeed, GramPointsFor(d), d);
   for (auto _ : state) {
-    SqlWorkload wl(kWorkers);
+    SqlWorkload wl(kWorkers, TupleOptimizer(rule_based));
     if (!wl.LoadTuple(data).ok()) {
       state.SkipWithError("load failed");
       break;
@@ -37,8 +38,17 @@ void BM_Gram_TupleSimSQL(benchmark::State& state) {
     }
     CheckGram(state, data, *out);
     ReportOutcome(state, *out, "fig1_gram",
-                  "tuple_simsql/" + std::to_string(d));
+                  (rule_based ? "tuple_rule_based/" : "tuple_simsql/") +
+                      std::to_string(d));
   }
+}
+
+void BM_Gram_TupleSimSQL(benchmark::State& state) {
+  RunGramTuple(state, false);
+}
+
+void BM_Gram_TupleRuleBased(benchmark::State& state) {
+  RunGramTuple(state, true);
 }
 
 void BM_Gram_VectorSimSQL(benchmark::State& state) {
@@ -139,6 +149,7 @@ void BM_Gram_SparkMllib(benchmark::State& state) {
       ->Unit(benchmark::kMillisecond)
 
 GRAM_BENCH(BM_Gram_TupleSimSQL);
+GRAM_BENCH(BM_Gram_TupleRuleBased);
 GRAM_BENCH(BM_Gram_VectorSimSQL);
 GRAM_BENCH(BM_Gram_BlockSimSQL);
 GRAM_BENCH(BM_Gram_SystemML);

@@ -19,7 +19,8 @@ void CheckBeta(benchmark::State& state, const Dataset& data,
   }
 }
 
-void BM_LinReg_TupleSimSQL(benchmark::State& state) {
+/// The tuple coding, by default or rule-based (see TupleOptimizer).
+void RunLinRegTuple(benchmark::State& state, bool rule_based) {
   const size_t d = static_cast<size_t>(state.range(0));
   if (d >= 1000) {
     // A solvable system needs n > d = 1000; the tuple coding's
@@ -34,7 +35,7 @@ void BM_LinReg_TupleSimSQL(benchmark::State& state) {
   }
   const Dataset data = GenerateDataset(kSeed, LinRegPointsFor(d), d);
   for (auto _ : state) {
-    SqlWorkload wl(kWorkers);
+    SqlWorkload wl(kWorkers, TupleOptimizer(rule_based));
     if (!wl.LoadTuple(data).ok()) {
       state.SkipWithError("load failed");
       break;
@@ -46,8 +47,17 @@ void BM_LinReg_TupleSimSQL(benchmark::State& state) {
     }
     CheckBeta(state, data, *out);
     ReportOutcome(state, *out, "fig2_linreg",
-                  "tuple_simsql/" + std::to_string(d));
+                  (rule_based ? "tuple_rule_based/" : "tuple_simsql/") +
+                      std::to_string(d));
   }
+}
+
+void BM_LinReg_TupleSimSQL(benchmark::State& state) {
+  RunLinRegTuple(state, false);
+}
+
+void BM_LinReg_TupleRuleBased(benchmark::State& state) {
+  RunLinRegTuple(state, true);
 }
 
 void BM_LinReg_VectorSimSQL(benchmark::State& state) {
@@ -148,6 +158,7 @@ void BM_LinReg_SparkMllib(benchmark::State& state) {
       ->Unit(benchmark::kMillisecond)
 
 LINREG_BENCH(BM_LinReg_TupleSimSQL);
+LINREG_BENCH(BM_LinReg_TupleRuleBased);
 LINREG_BENCH(BM_LinReg_VectorSimSQL);
 LINREG_BENCH(BM_LinReg_BlockSimSQL);
 LINREG_BENCH(BM_LinReg_SystemML);

@@ -28,11 +28,12 @@ void CheckDistance(benchmark::State& state, const Dataset& data,
   }
 }
 
-void BM_Distance_TupleSimSQL(benchmark::State& state) {
+/// The tuple coding, by default or rule-based (see TupleOptimizer).
+void RunDistanceTuple(benchmark::State& state, bool rule_based) {
   const size_t d = static_cast<size_t>(state.range(0));
   const Dataset data = GenerateDataset(kSeed, DistancePointsFor(d), d);
   for (auto _ : state) {
-    SqlWorkload wl(kWorkers);
+    SqlWorkload wl(kWorkers, TupleOptimizer(rule_based));
     if (!wl.LoadTuple(data).ok()) {
       state.SkipWithError("load failed");
       break;
@@ -49,8 +50,17 @@ void BM_Distance_TupleSimSQL(benchmark::State& state) {
     }
     CheckDistance(state, data, *out);
     ReportOutcome(state, *out, "fig3_distance",
-                  "tuple_simsql/" + std::to_string(d));
+                  (rule_based ? "tuple_rule_based/" : "tuple_simsql/") +
+                      std::to_string(d));
   }
+}
+
+void BM_Distance_TupleSimSQL(benchmark::State& state) {
+  RunDistanceTuple(state, false);
+}
+
+void BM_Distance_TupleRuleBased(benchmark::State& state) {
+  RunDistanceTuple(state, true);
 }
 
 void BM_Distance_VectorSimSQL(benchmark::State& state) {
@@ -152,6 +162,7 @@ void BM_Distance_SparkMllib(benchmark::State& state) {
       ->Unit(benchmark::kMillisecond)
 
 DIST_BENCH(BM_Distance_TupleSimSQL);
+DIST_BENCH(BM_Distance_TupleRuleBased);
 DIST_BENCH(BM_Distance_VectorSimSQL);
 DIST_BENCH(BM_Distance_BlockSimSQL);
 DIST_BENCH(BM_Distance_SystemML);

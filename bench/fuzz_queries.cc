@@ -19,8 +19,10 @@
 // caches-on and a caches-off database, which must agree on every
 // statement (the stale-cache contract; see RunCacheDiffRounds).
 // The sweep also reports how many generated queries got a spool (a
-// repeated subtree computed once; see GenerateQuery) and how many ran
-// a batch chain in the 64 KB budgeted rerun (see Differ::RunOne).
+// repeated subtree computed once; see GenerateQuery), how many ran
+// a batch chain in the 64 KB budgeted rerun (see Differ::RunOne), and
+// how many ran the relational multiply kernel or fell back to the join
+// (about one query in four adds a GenerateMultiplyQuery product).
 // With --reopen R > 0, a fifth phase runs R persistence rounds: a
 // generated catalog is loaded into a Database::Open store, a query
 // batch is executed, the database is closed and reopened from disk,
@@ -107,6 +109,9 @@ int main(int argc, char** argv) {
   uint64_t divergences = 0;
   uint64_t spooled = 0;  // phase-2 queries that got a spool
   uint64_t budgeted_batch = 0;  // phase-2 budgeted reruns on the batch engine
+  uint64_t generated = 0;       // phase-2 queries, products included
+  uint64_t multiply_kernel = 0;    // ... that ran the relational multiply
+  uint64_t multiply_fallback = 0;  // ... whose multiply fell back
 
   auto note_plans = [&](const Differ& differ) {
     const std::vector<FuzzConfig> configs = StandardConfigs();
@@ -168,35 +173,53 @@ int main(int argc, char** argv) {
         remaining < args.queries_per_catalog ? remaining
                                              : args.queries_per_catalog;
     Rng rng(catalog_seed ^ 0xd1b54a32d192ed03ULL);
-    for (uint64_t i = 0; i < batch; ++i) {
-      // ~1 in 8 queries targets the radb_ system tables (compared in
-      // shape mode — see Differ::RunOne); the rest are value-compared
-      // against the reference evaluator as before.
-      const bool system = rng.NextBelow(8) == 0;
-      const QuerySpec query = system ? GenerateSystemTableQuery(catalog, &rng)
-                                     : GenerateQuery(catalog, &rng);
+    // Matrix products draw from their own stream, so every seed still
+    // generates the queries it generated before they existed.
+    Rng multiply_rng(catalog_seed ^ 0x5851f42d4c957f2dULL);
+    auto run = [&](const QuerySpec& query, bool system) {
       const uint64_t reuses_before = differ.SpoolReuses();
+      const uint64_t kernels_before = differ.RelationalMultiplies();
+      const uint64_t fallbacks_before = differ.RelationalMultiplyFallbacks();
       const DiffOutcome outcome = differ.RunOne(query.ToSql());
       ++queries_run;
+      ++generated;
       metrics.counter("fuzz.queries_run")->Add(1);
       if (system) metrics.counter("fuzz.system_queries_run")->Add(1);
       if (differ.SpoolReuses() > reuses_before) {
         ++spooled;
         metrics.counter("fuzz.spooled_queries")->Add(1);
       }
+      if (differ.RelationalMultiplies() > kernels_before) {
+        ++multiply_kernel;
+        metrics.counter("fuzz.relational_multiply_queries")->Add(1);
+      }
+      if (differ.RelationalMultiplyFallbacks() > fallbacks_before) {
+        ++multiply_fallback;
+        metrics.counter("fuzz.relational_multiply_fallback_queries")->Add(1);
+      }
       if (outcome.budgeted_batch) {
         ++budgeted_batch;
         metrics.counter("fuzz.budgeted_batch_queries")->Add(1);
       }
       if (outcome.diverged) diverge(outcome, catalog, query);
+    };
+    for (uint64_t i = 0; i < batch; ++i) {
+      // ~1 in 8 queries targets the radb_ system tables (compared in
+      // shape mode — see Differ::RunOne); the rest are value-compared
+      // against the reference evaluator as before.
+      const bool system = rng.NextBelow(8) == 0;
+      run(system ? GenerateSystemTableQuery(catalog, &rng)
+                 : GenerateQuery(catalog, &rng),
+          system);
+      if (multiply_rng.NextBelow(4) == 0) {
+        run(GenerateMultiplyQuery(catalog, &multiply_rng), false);
+      }
     }
     note_plans(differ);
     remaining -= batch;
     if (catalog_idx % 4 == 0 || remaining == 0) {
-      std::fprintf(stderr, "  ... %llu/%llu queries, %llu divergence(s)\n",
+      std::fprintf(stderr, "  ... %llu queries, %llu divergence(s)\n",
                    static_cast<unsigned long long>(queries_run),
-                   static_cast<unsigned long long>(args.queries +
-                                                   kNumRegressionSeeds),
                    static_cast<unsigned long long>(divergences));
     }
   }
@@ -367,11 +390,17 @@ int main(int argc, char** argv) {
   if (args.queries > 0) {
     std::printf("fuzz: %llu of %llu generated queries got a spool\n",
                 static_cast<unsigned long long>(spooled),
-                static_cast<unsigned long long>(args.queries));
+                static_cast<unsigned long long>(generated));
     std::printf(
         "fuzz: %llu of %llu generated queries ran a budgeted batch chain\n",
         static_cast<unsigned long long>(budgeted_batch),
-        static_cast<unsigned long long>(args.queries));
+        static_cast<unsigned long long>(generated));
+    std::printf(
+        "fuzz: %llu of %llu generated queries ran the relational multiply "
+        "kernel, %llu fell back\n",
+        static_cast<unsigned long long>(multiply_kernel),
+        static_cast<unsigned long long>(generated),
+        static_cast<unsigned long long>(multiply_fallback));
   }
   return divergences == 0 ? 0 : 1;
 }

@@ -89,6 +89,14 @@ cmake --build "$BUILD_DIR" -j "$JOBS" --target persist_test ablation_storage
 cmake --build "$BUILD_DIR" -j "$JOBS" --target spool_test
 (cd "$BUILD_DIR" && ctest -L spool --output-on-failure)
 
+# Relational multiply pass: the tile path reads its inputs in place,
+# scatters cells into dense tiles and, on fallback, hands the held
+# inputs to the join — index math and buffer hand-offs are what
+# ASan+UBSan should watch (scripts/stress.sh runs the same label under
+# TSan).
+cmake --build "$BUILD_DIR" -j "$JOBS" --target relational_multiply_test
+(cd "$BUILD_DIR" && ctest -L relational_multiply --output-on-failure)
+
 # Sparse pass: CSR/COO kernels, semiring dispatch, sparse Value
 # serialization through spill / cache / reopen, and the graph
 # workload — pointer-walking CSR merge loops are classic off-by-one

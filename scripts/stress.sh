@@ -25,8 +25,8 @@ cmake --build "$BUILD_DIR" -j "$JOBS" \
   --target service_test cancel_test systab_test vectorized_test \
   cache_test persist_test sparse_test spool_test la_test tiled_test \
   kernel_test sql_la_test sql_agg_test spill_exec_test \
-  ablation_concurrency ablation_cache ablation_storage ablation_sparse \
-  fuzz_queries
+  relational_multiply_test ablation_concurrency ablation_cache \
+  ablation_storage ablation_sparse fuzz_queries
 
 # halt_on_error so a race report fails the run instead of scrolling by.
 # die_after_fork=0: the storage crash-recovery battery forks children
@@ -83,6 +83,11 @@ export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:die_after_fork=0}"
 # its own rows, which TSan checks here (same label scripts/fuzz.sh
 # runs under ASan).
 (cd "$BUILD_DIR" && ctest -L kernels --output-on-failure)
+
+# Relational multiply suite: workers gather tile cells in parallel and
+# the product runs on the kernels' pool bands; 1- and 8-thread results
+# must agree bit for bit (same label scripts/fuzz.sh runs under ASan).
+(cd "$BUILD_DIR" && ctest -L relational_multiply --output-on-failure)
 
 # Multi-session differential fuzzing: 4 concurrent sessions vs the
 # serial oracle, plus the usual single-threaded sweep for coverage,

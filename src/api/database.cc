@@ -1110,6 +1110,11 @@ void RenderAnalyzed(const LogicalOp& op, const NodeMetricIds& nodes,
     }
     os << ", max-worker=" << max_worker << " s"
        << ", skew=" << skew;
+    // Which way a relational multiply ran, and why it fell back.
+    const std::string& first = qm.operators[ids->front()].name;
+    if (op.multiply && first.rfind("RelationalMultiply", 0) == 0) {
+      os << ", path=" << first;
+    }
     if (final_stage.vectorized) {
       size_t batches = 0;
       for (size_t id : *ids) batches += qm.operators[id].batches;

@@ -195,6 +195,13 @@ void Executor::PublishObservability() {
     reg.Add("exec.bytes_shuffled", bytes_shuffled);
     if (bytes_spilled > 0) reg.Add("exec.bytes_spilled", bytes_spilled);
     if (spool_reuses_ > 0) reg.Add("exec.spool_reuses", spool_reuses_);
+    if (relational_multiplies_ > 0) {
+      reg.Add("exec.relational_multiplies", relational_multiplies_);
+    }
+    if (relational_multiply_fallbacks_ > 0) {
+      reg.Add("exec.relational_multiply_fallbacks",
+              relational_multiply_fallbacks_);
+    }
     reg.Set("exec.workers", static_cast<double>(cluster_.num_workers()));
   }
 }
@@ -222,10 +229,11 @@ Result<Dist> Executor::Execute(const LogicalOp& op) {
   // query with concurrently running ones.
   ScopedTaskTag tag(mem_.query_id);
   Result<ExecResult> executed = ExecuteOp(op);
-  // Held spool results belong to this execution alone: a failed or
-  // cancelled plan must not keep their rows, spill files or budget
-  // charges past this call.
+  // Held spool results and multiply inputs belong to this execution
+  // alone: a failed or cancelled plan must not keep their rows, spill
+  // files or budget charges past this call.
   spools_.clear();
+  held_inputs_.clear();
   RADB_ASSIGN_OR_RETURN(ExecResult out, std::move(executed));
   PublishObservability();
   // The final result set is always materialized (it leaves the
@@ -239,6 +247,12 @@ Result<Dist> Executor::Execute(const LogicalOp& op) {
 }
 
 Result<ExecResult> Executor::ExecuteOp(const LogicalOp& op) {
+  // An input a falling-back relational multiply already ran.
+  if (auto held = held_inputs_.find(&op); held != held_inputs_.end()) {
+    ExecResult result = std::move(held->second);
+    held_inputs_.erase(held);
+    return result;
+  }
   // Operator-granular cancellation: a fired token stops the plan
   // before the next operator starts; row loops inside operators poll
   // at kCancelCheckRows granularity via ConsumeRows.
@@ -350,6 +364,11 @@ Result<ExecResult> Executor::ServeSpool(const LogicalOp& op,
 }
 
 Result<ExecResult> Executor::RunOp(const LogicalOp& op) {
+  if (op.multiply.has_value()) return ExecuteMultiply(op);
+  return RunOnEngines(op);
+}
+
+Result<ExecResult> Executor::RunOnEngines(const LogicalOp& op) {
   // Columnar fast path: vectorize the maximal batch-capable chain
   // rooted here. Under a memory budget it follows the row engine's
   // rules (group admission passes, spillable inputs and outputs).

@@ -4,6 +4,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "common/result.h"
@@ -160,7 +161,11 @@ class Executor {
   /// Serves `op` from its spool when a copy already ran; otherwise runs
   /// it and, for a spool with later uses, holds the result.
   Result<ExecResult> DispatchOp(const LogicalOp& op);
+  /// A marked relational multiply goes to ExecuteMultiply, everything
+  /// else to RunOnEngines.
   Result<ExecResult> RunOp(const LogicalOp& op);
+  /// The batch engine for a chain `op` heads, else the row operator.
+  Result<ExecResult> RunOnEngines(const LogicalOp& op);
   struct HeldSpool;
   /// Keeps a spool producer's result for its later uses and returns a
   /// copy for the producer's own consumer.
@@ -198,6 +203,18 @@ class Executor {
   Result<ExecResult> ExecuteDistinct(const LogicalOp& op);
   Result<ExecResult> ExecuteSort(const LogicalOp& op);
   Result<ExecResult> ExecuteLimit(const LogicalOp& op);
+  /// Relational matrix multiply (multiply.cc, DESIGN.md §19) for an
+  /// Aggregate the optimizer marked: runs the Join's two inputs, then
+  /// computes the product on dense tiles. When the data does not admit
+  /// tiles, the inputs are held for the Join (see held_inputs_) and the
+  /// Aggregate runs as if unmarked, so no input runs twice.
+  Result<ExecResult> ExecuteMultiply(const LogicalOp& op);
+  /// The tile path of ExecuteMultiply: nullopt with `*reason` set when
+  /// the inputs do not admit it. Reads the inputs without consuming
+  /// them.
+  Result<std::optional<SpillableDist>> MultiplyOnTiles(
+      const LogicalOp& op, SpillableDist& left, SpillableDist& right,
+      OperatorMetrics* m, std::string* reason);
 
   /// slot -> position map for an operator's output.
   static std::map<size_t, size_t> LayoutOf(const LogicalOp& op);
@@ -244,6 +261,11 @@ class Executor {
   };
   std::map<size_t, HeldSpool> spools_;  // by LogicalOp::spool_id
   size_t spool_reuses_ = 0;
+  /// Join inputs a falling-back relational multiply already ran, taken
+  /// by the first ExecuteOp of their plan node.
+  std::map<const LogicalOp*, ExecResult> held_inputs_;
+  size_t relational_multiplies_ = 0;
+  size_t relational_multiply_fallbacks_ = 0;
 };
 
 }  // namespace radb

@@ -109,6 +109,11 @@ void MemoryTracker::PublishGauge() {
 }
 
 bool MemoryTracker::TryReserve(size_t bytes) {
+  size_t pool_level = 0;
+  return TryReserve(bytes, &pool_level);
+}
+
+bool MemoryTracker::TryReserve(size_t bytes, size_t* pool_level) {
   MemoryTracker* root = Root();
   if (unspillable_) {
     // Gate against the unspillable pool only: whether operator state
@@ -118,6 +123,7 @@ bool MemoryTracker::TryReserve(size_t bytes) {
         root->pinned_used_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
     if (root->budget_ > 0 && now_pinned > root->budget_) {
       root->pinned_used_.fetch_sub(bytes, std::memory_order_relaxed);
+      *pool_level = now_pinned - bytes;
       return false;
     }
     // Admitted state still counts toward the total (gauge, peak, and
@@ -129,6 +135,7 @@ bool MemoryTracker::TryReserve(size_t bytes) {
       root->used_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
   if (root->budget_ > 0 && now > root->budget_) {
     root->used_.fetch_sub(bytes, std::memory_order_relaxed);
+    *pool_level = now - bytes;
     return false;
   }
   size_t peak = root->peak_.load(std::memory_order_relaxed);
@@ -142,12 +149,18 @@ bool MemoryTracker::TryReserve(size_t bytes) {
 }
 
 Status MemoryTracker::Reserve(size_t bytes) {
-  if (TryReserve(bytes)) return Status::OK();
+  size_t pool_level = 0;
+  if (TryReserve(bytes, &pool_level)) return Status::OK();
+  // Report the level the refusal saw: by now other workers may have
+  // released memory, and remaining() could show room for the request.
+  const size_t budget_bytes = budget();
+  const size_t left =
+      pool_level >= budget_bytes ? 0 : budget_bytes - pool_level;
   return Status::ResourceExhausted(
       label_ + " needs " + FormatBytes(static_cast<double>(bytes)) +
       " of unspillable memory but only " +
-      FormatBytes(static_cast<double>(remaining())) + " of the " +
-      FormatBytes(static_cast<double>(budget())) +
+      FormatBytes(static_cast<double>(left)) + " of the " +
+      FormatBytes(static_cast<double>(budget_bytes)) +
       " query budget remains; raise QueryOptions::memory_budget_bytes");
 }
 

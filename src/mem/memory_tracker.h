@@ -122,6 +122,9 @@ class MemoryTracker {
 
  private:
   MemoryTracker* Root();
+  /// TryReserve; on refusal `*pool_level` gets the level of the pool
+  /// (this tracker's class) that the failed check compared against.
+  bool TryReserve(size_t bytes, size_t* pool_level);
   void AddLocal(size_t bytes);
   void PublishGauge();
   /// Unconditional charge against the total pool (used_/peak_/gauge),

@@ -233,6 +233,90 @@ void SelectIndexes(LogicalOp& op, IndexSelectionStats* stats) {
   }
 }
 
+// ---- Relational matrix multiply (post-pass) -------------------------
+//
+// A join on a shared key, a SUM of products and a GROUP BY on the two
+// free keys together make a matrix product (DESIGN.md §19). This pass
+// marks each Aggregate of that shape; the executor computes it on dense
+// tiles when the data admits it.
+
+/// What `e`, an expression over `join`'s output, reads from the join's
+/// inputs: a projection fused into the join maps its output slots to
+/// the fused expressions. Null when the slot is not an output.
+const BoundExpr* ThroughJoin(const LogicalOp& join, const BoundExpr& e) {
+  if (e.kind != BoundExpr::Kind::kColumnRef || join.exprs.empty()) return &e;
+  for (size_t i = 0; i < join.output.size(); ++i) {
+    if (join.output[i].slot == e.slot) return join.exprs[i].get();
+  }
+  return nullptr;
+}
+
+/// The join input (0 left, 1 right) that emits `e` as a bare column of
+/// kind `kind`; -1 when `e` is anything else.
+int InputColumnSide(const LogicalOp& join, const BoundExpr* e, TypeKind kind) {
+  if (e == nullptr || e->kind != BoundExpr::Kind::kColumnRef) return -1;
+  for (int side = 0; side < 2; ++side) {
+    for (const SlotInfo& s : join.children[side]->output) {
+      if (s.slot == e->slot) return s.type.kind() == kind ? side : -1;
+    }
+  }
+  return -1;
+}
+
+std::optional<LogicalOp::MultiplyShape> MatchMultiply(const LogicalOp& agg) {
+  if (agg.kind != LogicalOp::Kind::kAggregate || agg.aggs.size() != 1 ||
+      agg.group_exprs.empty() || agg.group_exprs.size() > 2) {
+    return std::nullopt;
+  }
+  const AggCall& sum = agg.aggs[0];
+  if (sum.name != "sum" || sum.arg == nullptr ||
+      sum.result_type.kind() != TypeKind::kDouble) {
+    return std::nullopt;
+  }
+  const LogicalOp& join = *agg.children[0];
+  if (join.kind != LogicalOp::Kind::kJoin || join.equi_keys.size() != 1 ||
+      !join.residual.empty()) {
+    return std::nullopt;
+  }
+  LogicalOp::MultiplyShape s;
+  const auto& [lk, rk] = join.equi_keys[0];
+  if (InputColumnSide(join, lk.get(), TypeKind::kInteger) != 0 ||
+      InputColumnSide(join, rk.get(), TypeKind::kInteger) != 1) {
+    return std::nullopt;
+  }
+  s.left_key = lk->slot;
+  s.right_key = rk->slot;
+
+  const BoundExpr* product = ThroughJoin(join, *sum.arg);
+  if (product == nullptr || product->kind != BoundExpr::Kind::kArith ||
+      product->arith_op != ArithOp::kMul) {
+    return std::nullopt;
+  }
+  const BoundExpr* a = product->children[0].get();
+  const BoundExpr* b = product->children[1].get();
+  const int a_side = InputColumnSide(join, a, TypeKind::kDouble);
+  const int b_side = InputColumnSide(join, b, TypeKind::kDouble);
+  if (a_side < 0 || b_side < 0 || a_side == b_side) return std::nullopt;
+  s.left_value = (a_side == 0 ? a : b)->slot;
+  s.right_value = (a_side == 0 ? b : a)->slot;
+
+  for (size_t g = 0; g < agg.group_exprs.size(); ++g) {
+    const BoundExpr* key = ThroughJoin(join, *agg.group_exprs[g]);
+    const int side = InputColumnSide(join, key, TypeKind::kInteger);
+    if (side < 0) return std::nullopt;
+    std::optional<size_t>& index = side == 0 ? s.left_index : s.right_index;
+    if (index.has_value()) return std::nullopt;  // two keys of one side
+    index = key->slot;
+    if (g == 0) s.right_index_first = side == 1;
+  }
+  return s;
+}
+
+void MarkRelationalMultiplies(LogicalOp& op) {
+  for (const LogicalOpPtr& c : op.children) MarkRelationalMultiplies(*c);
+  if (op.kind == LogicalOp::Kind::kAggregate) op.multiply = MatchMultiply(op);
+}
+
 // ---- Shared subtrees (post-pass) ------------------------------------
 //
 // The binder inlines a view (or repeats a derived table) at every
@@ -345,6 +429,9 @@ class SubtreeFingerprint {
           Tok(a.result_type.ToString());
           Slot(a.out_slot);
         }
+        // The shape itself follows from the subtree; the mark decides
+        // how the executor runs it.
+        Num(op.multiply.has_value() ? 1 : 0);
         break;
       case LogicalOp::Kind::kSort:
         Num(op.sort_keys.size());
@@ -381,14 +468,18 @@ struct PlanNode {
   LogicalOp* op = nullptr;
   size_t size = 1;      // nodes in the subtree, this one included
   bool costly = false;  // the subtree holds a Join or Aggregate
+  /// False for the Join of a relational multiply: it executes only
+  /// when the multiply falls back, so it cannot produce a spool.
+  bool spoolable = true;
 };
 
-void CollectPreOrder(LogicalOp& op, std::vector<PlanNode>* out) {
+void CollectPreOrder(LogicalOp& op, std::vector<PlanNode>* out,
+                     bool spoolable = true) {
   const size_t self = out->size();
-  out->push_back(PlanNode{&op, 1, IsJoinOrAggregate(op)});
+  out->push_back(PlanNode{&op, 1, IsJoinOrAggregate(op), spoolable});
   for (const LogicalOpPtr& c : op.children) {
     const size_t child = out->size();
-    CollectPreOrder(*c, out);
+    CollectPreOrder(*c, out, !op.multiply.has_value());
     (*out)[self].size += (*out)[child].size;
     (*out)[self].costly = (*out)[self].costly || (*out)[child].costly;
   }
@@ -412,7 +503,7 @@ void MarkSharedSubtrees(LogicalOp& root) {
   // Equal subtrees, each set in pre-order.
   std::map<std::string, std::vector<size_t>> sets;
   for (size_t i = 0; i < nodes.size(); ++i) {
-    if (nodes[i].costly) {
+    if (nodes[i].costly && nodes[i].spoolable) {
       sets[SubtreeFingerprint::Of(*nodes[i].op)].push_back(i);
     }
   }
@@ -1074,6 +1165,9 @@ Result<LogicalOpPtr> Optimizer::Plan(std::unique_ptr<BoundQuery> query,
       obs.metrics->Add("optimizer.index_nl_joins", stats.index_nl_joins);
     }
   }
+  // Like early projection, the rewrite uses what the optimizer knows
+  // about LA (§4); the rule-based strawman keeps the tuple plan.
+  if (options_.enable_early_projection) MarkRelationalMultiplies(*plan);
   MarkSharedSubtrees(*plan);
   // Physical annotation pass: mark which nodes the columnar engine can
   // take, so the executor's pipeline choice is a plan property (visible

@@ -101,6 +101,7 @@ std::string LogicalOp::NodeLabel() const {
       }
       if (!parts.empty()) os << " group=[" << Join(parts, ", ") << "]";
       os << " aggs=[" << Join(agg_parts, ", ") << "]";
+      if (multiply) os << " (relational multiply)";
       break;
     }
     case Kind::kSort: {
@@ -179,6 +180,7 @@ LogicalOpPtr LogicalOp::Clone() const {
   out->spool_id = spool_id;
   out->spool_uses = spool_uses;
   out->spool_reuse = spool_reuse;
+  out->multiply = multiply;
   return out;
 }
 

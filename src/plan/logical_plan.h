@@ -113,6 +113,24 @@ struct LogicalOp {
   size_t spool_uses = 0;
   bool spool_reuse = false;
 
+  /// A tuple-coded matrix product (DESIGN.md §19): an Aggregate
+  /// computing SUM(l.v * r.w) over an inner Join of two inputs on one
+  /// INTEGER key pair l.k = r.k, grouped by an INTEGER column of each
+  /// side (l.i, r.j) or of one side only. Slots name columns of the
+  /// Join's left (l) and right (r) child outputs.
+  struct MultiplyShape {
+    size_t left_key = 0, right_key = 0;
+    size_t left_value = 0, right_value = 0;
+    std::optional<size_t> left_index, right_index;
+    /// The right side's index is the first group key.
+    bool right_index_first = false;
+  };
+  /// Set on a matching Aggregate by the optimizer's post-pass (only
+  /// with early projection on). The executor then runs the Join's two
+  /// inputs and computes the product on dense tiles, or hands the
+  /// inputs to the Join and Aggregate when the data does not admit it.
+  std::optional<MultiplyShape> multiply;
+
   /// Bytes this operator is estimated to produce (rows * row bytes).
   double EstOutputBytes() const { return est_rows * est_row_bytes; }
 

@@ -398,10 +398,22 @@ std::vector<uint64_t> Differ::PlansConsidered() const {
   return out;
 }
 
-uint64_t Differ::SpoolReuses() const {
+uint64_t Differ::BaselineCounter(const char* name) const {
   obs::MetricsRegistry* reg =
       const_cast<Database*>(dbs_.front().get())->metrics_registry();
-  return reg == nullptr ? 0 : reg->counter("exec.spool_reuses")->value();
+  return reg == nullptr ? 0 : reg->counter(name)->value();
+}
+
+uint64_t Differ::SpoolReuses() const {
+  return BaselineCounter("exec.spool_reuses");
+}
+
+uint64_t Differ::RelationalMultiplies() const {
+  return BaselineCounter("exec.relational_multiplies");
+}
+
+uint64_t Differ::RelationalMultiplyFallbacks() const {
+  return BaselineCounter("exec.relational_multiply_fallbacks");
 }
 
 namespace {

@@ -79,12 +79,20 @@ class Differ {
   /// Cumulative exec.spool_reuses of the baseline configuration: a
   /// query that raises it had a repeated subtree served from a spool.
   uint64_t SpoolReuses() const;
+  /// Cumulative exec.relational_multiplies and
+  /// exec.relational_multiply_fallbacks of the baseline configuration:
+  /// a query that raises them ran a relational multiply on the tile
+  /// kernel, or fell back to the join (DESIGN.md §19).
+  uint64_t RelationalMultiplies() const;
+  uint64_t RelationalMultiplyFallbacks() const;
 
   size_t num_configs() const { return dbs_.size(); }
 
  private:
   /// The shape-mode comparison (see RunOne).
   DiffOutcome RunOneSystem(const std::string& sql);
+  /// A counter of the baseline configuration's metrics registry.
+  uint64_t BaselineCounter(const char* name) const;
 
   std::vector<FuzzConfig> configs_;
   std::vector<std::unique_ptr<Database>> dbs_;

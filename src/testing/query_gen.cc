@@ -394,6 +394,69 @@ std::string SharedAggregate(const TableSpec& t,
   return select + " FROM " + t.name + " AS d GROUP BY d.k";
 }
 
+/// One side of a generated matrix product: the relation and its join
+/// key, group index and DOUBLE value columns.
+struct ProductSide {
+  QuerySpec::FromItem from;
+  std::string key = "k", index = "i", value = "v";
+};
+
+/// The table's columns of `kind`, by name.
+std::vector<std::string> ColumnsOfKind(const TableSpec& t, TypeKind kind) {
+  std::vector<std::string> out;
+  for (const ColumnSpec& c : t.columns) {
+    if (c.type.kind() == kind) out.push_back(c.name);
+  }
+  return out;
+}
+
+/// A raw table as a product side; nullopt when it has no DOUBLE column.
+std::optional<ProductSide> RawSide(const TableSpec& t,
+                                   const std::string& alias, Rng* rng) {
+  const std::vector<std::string> ints = ColumnsOfKind(t, TypeKind::kInteger);
+  const std::vector<std::string> doubles = ColumnsOfKind(t, TypeKind::kDouble);
+  if (doubles.empty()) return std::nullopt;
+  ProductSide s;
+  s.from = {t.name, alias, ""};
+  s.index = ints[rng->NextBelow(ints.size())];
+  s.value = doubles[rng->NextBelow(doubles.size())];
+  return s;
+}
+
+/// A derived table with one row per (k, i): grouped by t's key and
+/// another INTEGER column of t, or by the keys of t and u (a cross
+/// product, so every (k, i) cell is there). The value sums a numeric
+/// column on the generators' grids, so it stays exact; about one side
+/// in six also adds NULL, making a DOUBLE column of NULLs.
+ProductSide DerivedSide(const TableSpec& t, const TableSpec& u,
+                        const std::string& alias, Rng* rng) {
+  std::vector<std::string> ints = ColumnsOfKind(t, TypeKind::kInteger);
+  ints.erase(ints.begin());  // every table leads with its key k
+  std::vector<std::string> nums = ints;
+  for (const std::string& d : ColumnsOfKind(t, TypeKind::kDouble)) {
+    nums.push_back(d);
+  }
+  const std::string num =
+      nums.empty() ? "k" : nums[rng->NextBelow(nums.size())];
+  std::string select, from, group;
+  if (!ints.empty() && rng->NextBelow(2) == 0) {
+    const std::string& i = ints[rng->NextBelow(ints.size())];
+    select = "d.k AS k, d." + i + " AS i";
+    from = t.name + " AS d";
+    group = "d.k, d." + i;
+  } else {
+    select = "d.k AS k, e.k AS i";
+    from = t.name + " AS d, " + u.name + " AS e";
+    group = "d.k, e.k";
+  }
+  const char* nulls = rng->NextBelow(6) == 0 ? " + NULL" : "";
+  ProductSide s;
+  s.from = {t.name, alias,
+            "SELECT " + select + ", SUM(d." + num + " + 0.0" + nulls +
+                ") AS v FROM " + from + " GROUP BY " + group};
+  return s;
+}
+
 }  // namespace
 
 std::string QuerySpec::ToSql() const {
@@ -534,6 +597,64 @@ QuerySpec GenerateSystemTableQuery(const CatalogSpec& catalog, Rng* rng) {
       q.where.push_back(
           "(" + ints[rng->NextBelow(ints.size())] + " >= 0)");
     }
+  }
+  return q;
+}
+
+QuerySpec GenerateMultiplyQuery(const CatalogSpec& catalog, Rng* rng) {
+  auto table = [&]() -> const TableSpec& {
+    return catalog.tables[rng->NextBelow(catalog.tables.size())];
+  };
+  ProductSide sides[2];
+  for (size_t i = 0; i < 2; ++i) {
+    const std::string alias = "r" + std::to_string(i);
+    const TableSpec& t = table();
+    std::optional<ProductSide> raw;
+    if (rng->NextBelow(2) == 0) raw = RawSide(t, alias, rng);
+    sides[i] = raw.has_value() ? *raw : DerivedSide(t, table(), alias, rng);
+  }
+  const auto col = [&](size_t side, const std::string& name) {
+    return "r" + std::to_string(side) + "." + name;
+  };
+
+  QuerySpec q;
+  q.from = {sides[0].from, sides[1].from};
+  q.where.push_back(col(0, sides[0].key) + " = " + col(1, sides[1].key));
+  if (rng->NextBelow(4) == 0) {
+    // A one-side filter, pushed below the join.
+    const size_t side = rng->NextBelow(2);
+    const int64_t key = static_cast<int64_t>(rng->NextBelow(7)) - 3;
+    q.where.push_back("(" + col(side, sides[side].key) + " <> " +
+                      std::to_string(key) + ")");
+  }
+  // Group keys: one index of each side in either order, or one side's.
+  switch (rng->NextBelow(4)) {
+    case 0:
+      q.group_by = {col(1, sides[1].index), col(0, sides[0].index)};
+      break;
+    case 1:
+      q.group_by = {col(0, sides[0].index)};
+      break;
+    case 2:
+      q.group_by = {col(1, sides[1].index)};
+      break;
+    default:
+      q.group_by = {col(0, sides[0].index), col(1, sides[1].index)};
+      break;
+  }
+  for (const std::string& key : q.group_by) {
+    if (rng->NextBelow(4) < 3) q.select_items.push_back({key, true});
+  }
+  const size_t first = rng->NextBelow(2);
+  q.select_items.push_back({"SUM(" + col(first, sides[first].value) + " * " +
+                                col(1 - first, sides[1 - first].value) + ")",
+                            true});
+  if (rng->NextBelow(3) == 0) {
+    // Every item is orderable: ORDER BY all of them, then LIMIT.
+    for (size_t i = 0; i < q.select_items.size(); ++i) {
+      q.order_by.push_back({i, rng->NextBelow(2) == 0});
+    }
+    q.limit = 1 + static_cast<int64_t>(rng->NextBelow(6));
   }
   return q;
 }

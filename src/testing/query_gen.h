@@ -61,6 +61,18 @@ struct QuerySpec {
 /// duplicates and any stable order yields the same multiset prefix).
 QuerySpec GenerateQuery(const CatalogSpec& catalog, Rng* rng);
 
+/// Generates the tuple-coded matrix product the optimizer rewrites
+/// (DESIGN.md §19): SUM(r0.v * r1.v) over r0 and r1 joined on their
+/// keys, grouped by an INTEGER index of each side or of one side, in
+/// either operand and key order, optionally filtered, ordered and
+/// limited. A side reads a raw table with a DOUBLE column — whose
+/// repeated (key, index) cells make the executor fall back to the join
+/// — or a derived table with one cell per (key, index), such as
+/// "SELECT d.k AS k, d.c0 AS i, SUM(d.c1 + 0.0) AS v FROM t AS d
+/// GROUP BY d.k, d.c0", which the tile kernel takes (unless its
+/// values are NULL: about one derived side in six also adds NULL).
+QuerySpec GenerateMultiplyQuery(const CatalogSpec& catalog, Rng* rng);
+
 /// Curated column subsets of the radb_ system tables the fuzzer may
 /// query (rows are always empty — only the schemas matter). This is a
 /// deliberate SUBSET of the live columns: the contract is that every

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <fstream>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <sys/stat.h>
@@ -152,6 +154,56 @@ TEST(MemoryTrackerTest, UnspillableClassIgnoresSpillableResidency) {
   EXPECT_EQ(root.unspillable_bytes(), 0u);
   EXPECT_EQ(root.bytes_in_use(), 900u);
   root.Release(900);
+}
+
+/// The "only X remains" figure of a refusal message, in bytes (the
+/// tests keep it under 1 KiB, where FormatBytes prints plain bytes).
+double RemainsInMessage(const std::string& msg) {
+  const size_t at = msg.find("only ");
+  return at == std::string::npos ? -1.0 : std::stod(msg.substr(at + 5));
+}
+
+TEST(MemoryTrackerTest, RefusalReportsTheLevelItCheckedAgainst) {
+  {
+    mem::MemoryTracker root("query", 1000);
+    mem::MemoryTracker held("held", &root);
+    ASSERT_TRUE(held.Reserve(900).ok());
+    mem::MemoryTracker op("operator", &root);
+    const Status s = op.Reserve(200);
+    EXPECT_NE(s.message().find("needs 200.00 B"), std::string::npos);
+    EXPECT_NE(s.message().find("only 100.00 B of the 1000.00 B"),
+              std::string::npos);
+  }
+  // Workers reserve and release around the cap at once, so the pool
+  // often moves between a refused check and the message. The message
+  // must still show less room than the request. With 600 B held, a
+  // request over 400 B is refused even when a worker runs alone.
+  mem::MemoryTracker root("query", 1000);
+  mem::MemoryTracker held("held", &root);
+  ASSERT_TRUE(held.Reserve(600).ok());
+  std::atomic<size_t> refusals{0}, contradictions{0};
+  std::vector<std::thread> workers;
+  for (size_t t = 0; t < 4; ++t) {
+    workers.emplace_back([&, t] {
+      mem::MemoryTracker op("worker " + std::to_string(t), &root);
+      for (size_t i = 0; i < 20000; ++i) {
+        const size_t request = 200 + (i * 37 + t * 101) % 300;
+        const Status s = op.Reserve(request);
+        if (s.ok()) {
+          op.Release(request);
+          continue;
+        }
+        ++refusals;
+        const double remains = RemainsInMessage(s.message());
+        if (remains < 0.0 || remains >= static_cast<double>(request)) {
+          ++contradictions;
+        }
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  EXPECT_GT(refusals.load(), 0u);
+  EXPECT_EQ(contradictions.load(), 0u);
 }
 
 TEST(MemoryTrackerTest, SpillCountersRollUp) {

@@ -1,0 +1,547 @@
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "api/database.h"
+#include "catalog/function_registry.h"
+#include "common/rng.h"
+#include "exec/executor.h"
+#include "test_util.h"
+
+/// Relational matrix multiply (DESIGN.md §19): the optimizer marks
+/// SUM(l.v * r.w) over l JOIN r ON l.k = r.k grouped by l.i and/or r.j,
+/// and the executor computes it on dense tiles, or falls back to the
+/// Join and Aggregate. Every result is checked against the rule-off
+/// plan (early projection off), which keeps the tuple plan.
+
+namespace radb {
+namespace {
+
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+Database::Config MakeConfig(bool rule_on, size_t threads = 1) {
+  Database::Config c;
+  c.num_workers = 4;
+  c.num_threads = threads;
+  c.cache.enable_result_cache = false;
+  c.obs.enable_metrics = true;
+  c.optimizer.enable_early_projection = rule_on;
+  return c;
+}
+
+/// One (key, index, value) row.
+struct Triple {
+  Value k, i, v;
+};
+
+Value I(int64_t x) { return Value::Int(x); }
+Value D(double x) { return Value::Double(x); }
+
+Status LoadTriples(Database& db, const std::string& table,
+                   const std::vector<Triple>& triples) {
+  RADB_RETURN_NOT_OK(
+      db.Execute("CREATE TABLE " + table +
+                 " (k INTEGER, i INTEGER, v DOUBLE)")
+          .status());
+  std::vector<Row> rows;
+  for (const Triple& t : triples) rows.push_back({t.k, t.i, t.v});
+  return db.BulkInsert(table, rows);
+}
+
+/// A dense n x d matrix as (row, col, value) triples, values from
+/// `value(r, c)`.
+template <typename F>
+std::vector<Triple> Dense(int64_t n, int64_t d, F value) {
+  std::vector<Triple> out;
+  for (int64_t r = 0; r < n; ++r) {
+    for (int64_t c = 0; c < d; ++c) out.push_back({I(r), I(c), D(value(r, c))});
+  }
+  return out;
+}
+
+/// Values on the 0.25 grid in [-3, 3]: every sum of their products is
+/// exact, so any summation order gives the same bits.
+std::vector<Triple> GridMatrix(uint64_t seed, int64_t n, int64_t d) {
+  Rng rng(seed);
+  return Dense(n, d, [&](int64_t, int64_t) {
+    return (static_cast<double>(rng.NextBelow(25)) - 12.0) * 0.25;
+  });
+}
+
+/// A database with the rule on and its rule-off twin, loaded alike.
+struct Twins {
+  Database on{MakeConfig(true)};
+  Database off{MakeConfig(false)};
+
+  void Load(const std::string& table, const std::vector<Triple>& triples) {
+    ASSERT_TRUE(LoadTriples(on, table, triples).ok());
+    ASSERT_TRUE(LoadTriples(off, table, triples).ok());
+  }
+};
+
+/// The RelationalMultiply operator of the last statement ("" if none).
+std::string PathOf(Database& db) {
+  for (const OperatorMetrics& op : db.last_metrics().operators) {
+    if (op.name.rfind("RelationalMultiply", 0) == 0) return op.name;
+  }
+  return "";
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0 ||
+         (std::isnan(a) && std::isnan(b));
+}
+
+RowSet Sorted(RowSet rows) {
+  std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
+    for (size_t c = 0; c < a.size(); ++c) {
+      auto cmp = a[c].Compare(b[c]);
+      if (cmp.ok() && *cmp != 0) return *cmp < 0;
+    }
+    return false;
+  });
+  return rows;
+}
+
+/// Cell-for-cell comparison; doubles within `rel` relative error (0:
+/// equal, with -0.0 == +0.0), NULLs and NaNs equal to themselves.
+::testing::AssertionResult SameRows(const RowSet& got_in,
+                                    const RowSet& want_in, double rel = 0) {
+  const RowSet got = Sorted(got_in), want = Sorted(want_in);
+  if (got.size() != want.size()) {
+    return ::testing::AssertionFailure()
+           << got.size() << " rows, want " << want.size();
+  }
+  for (size_t r = 0; r < got.size(); ++r) {
+    for (size_t c = 0; c < got[r].size(); ++c) {
+      const Value& a = got[r][c];
+      const Value& b = want[r][c];
+      bool same = a.Equals(b);
+      if (!same && a.kind() == TypeKind::kDouble &&
+          b.kind() == TypeKind::kDouble) {
+        const double x = a.double_value(), y = b.double_value();
+        same = SameBits(x, y) ||
+               std::abs(x - y) <= rel * std::max(1.0, std::abs(y));
+      }
+      if (!same) {
+        return ::testing::AssertionFailure()
+               << "row " << r << " col " << c << ": " << a.ToString()
+               << " vs " << b.ToString();
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Runs `sql` on both twins; the rule-on side must take `path` (a
+/// prefix of the RelationalMultiply operator's name) and return the
+/// rule-off rows.
+void ExpectPath(Twins& t, const std::string& sql, const std::string& path,
+                double rel = 0) {
+  auto on = Exec(t.on, sql);
+  ASSERT_TRUE(on.ok()) << on.status();
+  EXPECT_EQ(PathOf(t.on).rfind(path, 0), 0u)
+      << "path " << PathOf(t.on) << " for " << sql;
+  auto off = Exec(t.off, sql);
+  ASSERT_TRUE(off.ok()) << off.status();
+  EXPECT_EQ(PathOf(t.off), "");
+  EXPECT_TRUE(SameRows(on->rows, off->rows, rel)) << sql;
+}
+
+const char* kGram =
+    "SELECT x1.i, x2.i, SUM(x1.v * x2.v) FROM x AS x1, x AS x2 "
+    "WHERE x1.k = x2.k GROUP BY x1.i, x2.i";
+
+std::string Explain(Database& db, const std::string& sql) {
+  auto rs = Exec(db, sql);
+  if (!rs.ok()) return rs.status().ToString();
+  std::string text;
+  for (const Row& row : rs->rows) text += row[0].ToString() + "\n";
+  return text;
+}
+
+// ---------------------------------------------------------------------
+// Plans.
+// ---------------------------------------------------------------------
+
+TEST(RelationalMultiplyTest, ExplainNamesTheRewriteOnlyWithTheRuleOn) {
+  Twins t;
+  t.Load("x", GridMatrix(1, 6, 3));
+  const std::string on = Explain(t.on, std::string("EXPLAIN ") + kGram);
+  EXPECT_NE(on.find("(relational multiply)"), std::string::npos) << on;
+  const std::string off = Explain(t.off, std::string("EXPLAIN ") + kGram);
+  EXPECT_EQ(off.find("relational multiply"), std::string::npos) << off;
+  EXPECT_NE(off.find("Aggregate"), std::string::npos) << off;
+  EXPECT_NE(off.find("Join [x1.k = x2.k]"), std::string::npos) << off;
+
+  const std::string analyzed =
+      Explain(t.on, std::string("EXPLAIN ANALYZE ") + kGram);
+  EXPECT_NE(analyzed.find("path=RelationalMultiply(kernel)"),
+            std::string::npos)
+      << analyzed;
+}
+
+TEST(RelationalMultiplyTest, OtherShapesAreNotMarked) {
+  Twins t;
+  t.Load("x", GridMatrix(2, 5, 3));
+  for (const char* sql : {
+           // Two aggregates.
+           "EXPLAIN SELECT x1.i, x2.i, SUM(x1.v * x2.v), COUNT(*) FROM x AS "
+           "x1, x AS x2 WHERE x1.k = x2.k GROUP BY x1.i, x2.i",
+           // Not a product of one column per side.
+           "EXPLAIN SELECT x1.i, x2.i, SUM(x1.v + x2.v) FROM x AS x1, x AS "
+           "x2 WHERE x1.k = x2.k GROUP BY x1.i, x2.i",
+           "EXPLAIN SELECT x1.i, x2.i, SUM(x1.v * x1.v) FROM x AS x1, x AS "
+           "x2 WHERE x1.k = x2.k GROUP BY x1.i, x2.i",
+           // Two keys of one side.
+           "EXPLAIN SELECT x1.i, x1.k, SUM(x1.v * x2.v) FROM x AS x1, x AS "
+           "x2 WHERE x1.k = x2.k GROUP BY x1.i, x1.k",
+           // A residual predicate.
+           "EXPLAIN SELECT x1.i, x2.i, SUM(x1.v * x2.v) FROM x AS x1, x AS "
+           "x2 WHERE x1.k = x2.k AND x1.i < x2.i GROUP BY x1.i, x2.i",
+           // Two join keys.
+           "EXPLAIN SELECT x1.i, x2.k, SUM(x1.v * x2.v) FROM x AS x1, x AS "
+           "x2 WHERE x1.k = x2.k AND x1.i = x2.i GROUP BY x1.i, x2.k",
+       }) {
+    const std::string plan = Explain(t.on, sql);
+    EXPECT_EQ(plan.find("relational multiply"), std::string::npos) << plan;
+  }
+}
+
+// ---------------------------------------------------------------------
+// The kernel path against the tuple plan.
+// ---------------------------------------------------------------------
+
+TEST(RelationalMultiplyTest, GridDataMatchesTheRuleOffPlanCellForCell) {
+  Twins t;
+  t.Load("x", GridMatrix(3, 40, 9));
+  ExpectPath(t, kGram, "RelationalMultiply(kernel)");
+  auto rs = Exec(t.on, kGram);
+  ASSERT_TRUE(rs.ok());
+  EXPECT_EQ(rs->num_rows(), 81u);
+}
+
+TEST(RelationalMultiplyTest, RandomDoublesMatchAndThreadCountsAgreeBitwise) {
+  Rng rng(11);
+  const std::vector<Triple> x =
+      Dense(60, 20, [&](int64_t, int64_t) { return rng.Uniform(-1.0, 1.0); });
+  Twins t;
+  t.Load("x", x);
+  ExpectPath(t, kGram, "RelationalMultiply(kernel)", 1e-12);
+
+  Database eight(MakeConfig(true, 8));
+  ASSERT_TRUE(LoadTriples(eight, "x", x).ok());
+  auto one = Exec(t.on, kGram);
+  auto many = Exec(eight, kGram);
+  ASSERT_TRUE(one.ok() && many.ok());
+  EXPECT_EQ(PathOf(eight), "RelationalMultiply(kernel)");
+  const RowSet a = Sorted(one->rows), b = Sorted(many->rows);
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t r = 0; r < a.size(); ++r) {
+    EXPECT_TRUE(SameBits(a[r][2].double_value(), b[r][2].double_value()))
+        << "row " << r;
+  }
+}
+
+TEST(RelationalMultiplyTest, ShapesTakeTheKernel) {
+  Twins t;
+  t.Load("x", GridMatrix(4, 12, 5));  // 12 x 5
+  t.Load("a", GridMatrix(5, 5, 4));   // 5 x 4
+  t.Load("y", GridMatrix(6, 12, 1));  // 12 x 1
+  const std::string kernel = "RelationalMultiply(kernel)";
+  // X·A over two tables: X's column index meets A's row index.
+  ExpectPath(t,
+             "SELECT x.k, a.i, SUM(x.v * a.v) FROM x, a WHERE x.i = a.k "
+             "GROUP BY x.k, a.i",
+             kernel);
+  // Xᵀy: one group key.
+  ExpectPath(t,
+             "SELECT x.i, SUM(x.v * y.v) FROM x, y WHERE x.k = y.k "
+             "GROUP BY x.i",
+             kernel);
+  // One group key of the right side.
+  ExpectPath(t,
+             "SELECT x.i, SUM(y.v * x.v) FROM y, x WHERE y.k = x.k "
+             "GROUP BY x.i",
+             kernel);
+  // Operands in the other order, and GROUP BY keys swapped.
+  ExpectPath(t,
+             "SELECT x2.i, x1.i, SUM(x2.v * x1.v) FROM x AS x1, x AS x2 "
+             "WHERE x1.k = x2.k GROUP BY x2.i, x1.i",
+             kernel);
+  // HAVING, ORDER BY and LIMIT above the aggregate.
+  const std::string top =
+      "SELECT x1.i AS a, x2.i AS b, SUM(x1.v * x2.v) AS s FROM x AS x1, "
+      "x AS x2 WHERE x1.k = x2.k GROUP BY x1.i, x2.i HAVING x1.i <= x2.i "
+      "ORDER BY s DESC, a, b LIMIT 7";
+  ExpectPath(t, top, kernel);
+  auto ordered = Exec(t.on, top);
+  auto ordered_off = Exec(t.off, top);
+  ASSERT_TRUE(ordered.ok() && ordered_off.ok());
+  ASSERT_EQ(ordered->num_rows(), 7u);
+  for (size_t r = 0; r < 7; ++r) {
+    for (size_t c = 0; c < 3; ++c) {
+      EXPECT_TRUE(ordered->rows[r][c].Equals(ordered_off->rows[r][c]));
+    }
+  }
+  // Filters on the inputs are pushed below the join: inputs may be
+  // any subplans.
+  ExpectPath(t,
+             "SELECT x1.i, x2.i, SUM(x1.v * x2.v) FROM x AS x1, x AS x2 "
+             "WHERE x1.k = x2.k AND x1.k < 6 GROUP BY x1.i, x2.i",
+             kernel);
+}
+
+TEST(RelationalMultiplyTest, AViewReadTwiceIsSpooledOnce) {
+  Twins t;
+  t.Load("x", GridMatrix(7, 10, 4));
+  const std::string view =
+      "CREATE VIEW g (i, j, s) AS SELECT x1.i, x2.i, SUM(x1.v * x2.v) "
+      "FROM x AS x1, x AS x2 WHERE x1.k = x2.k GROUP BY x1.i, x2.i";
+  ASSERT_TRUE(t.on.Execute(view).ok());
+  ASSERT_TRUE(t.off.Execute(view).ok());
+  const std::string sql =
+      "SELECT a.i, a.j, a.s, b.s FROM g AS a, g AS b "
+      "WHERE a.i = b.j AND a.j = b.i";
+  const std::string plan = Explain(t.on, "EXPLAIN " + sql);
+  EXPECT_NE(plan.find("(relational multiply)"), std::string::npos) << plan;
+  EXPECT_NE(plan.find("spool#1 (uses=2)"), std::string::npos) << plan;
+  EXPECT_NE(plan.find("spool#1 reuse"), std::string::npos) << plan;
+  ExpectPath(t, sql, "RelationalMultiply(kernel)");
+  size_t kernels = 0, reuses = 0;
+  for (const OperatorMetrics& op : t.on.last_metrics().operators) {
+    kernels += op.name == "RelationalMultiply(kernel)";
+    reuses += op.name == "SpoolReuse";
+  }
+  EXPECT_EQ(kernels, 1u);
+  EXPECT_EQ(reuses, 1u);
+}
+
+// ---------------------------------------------------------------------
+// Keys.
+// ---------------------------------------------------------------------
+
+TEST(RelationalMultiplyTest, NegativeAndSparseKeys) {
+  Twins t;
+  std::vector<Triple> x;
+  const int64_t keys[] = {-5, -1, 0, 7, 1000000000000LL, -1000000000000LL};
+  const int64_t indexes[] = {-3, 4, 1000000000000LL};
+  double v = 0.25;
+  for (int64_t k : keys) {
+    for (int64_t i : indexes) {
+      x.push_back({I(k), I(i), D(v)});
+      v = v >= 2.5 ? -2.0 : v + 0.75;
+    }
+  }
+  t.Load("x", x);
+  ExpectPath(t, kGram, "RelationalMultiply(kernel)");
+}
+
+TEST(RelationalMultiplyTest, KeysOnOneSideNullKeysAndEmptyInputs) {
+  Twins t;
+  // Left keys 0..3, right keys 2..5: keys 0, 1, 4, 5 join nothing, and
+  // index 9 lives only under key 0, so it makes no group.
+  std::vector<Triple> l = {{I(0), I(9), D(1.5)}};
+  std::vector<Triple> r;
+  for (int64_t k = 0; k < 4; ++k) {
+    for (int64_t i = 0; i < 3; ++i) {
+      l.push_back({I(k), I(i), D(0.5 * double(k - i))});
+      r.push_back({I(k + 2), I(i), D(0.25 * double(k + i))});
+    }
+  }
+  // NULL join keys never join; their other columns do not matter.
+  l.push_back({Value::Null(), I(1), Value::Null()});
+  r.push_back({Value::Null(), Value::Null(), D(kNan)});
+  t.Load("l", l);
+  t.Load("r", r);
+  t.Load("e", {});
+  const std::string sql =
+      "SELECT l.i, r.i, SUM(l.v * r.v) FROM l, r WHERE l.k = r.k "
+      "GROUP BY l.i, r.i";
+  ExpectPath(t, sql, "RelationalMultiply(kernel)");
+  auto rs = Exec(t.on, sql);
+  ASSERT_TRUE(rs.ok());
+  EXPECT_EQ(rs->num_rows(), 9u);  // index 9 makes no group
+  for (const char* empty : {
+           "SELECT l.i, e.i, SUM(l.v * e.v) FROM l, e WHERE l.k = e.k "
+           "GROUP BY l.i, e.i",
+           "SELECT e.i, SUM(e.v * r.v) FROM e, r WHERE e.k = r.k "
+           "GROUP BY e.i"}) {
+    ExpectPath(t, empty, "RelationalMultiply(kernel)");
+    auto none = Exec(t.on, empty);
+    ASSERT_TRUE(none.ok());
+    EXPECT_EQ(none->num_rows(), 0u);
+  }
+}
+
+// ---------------------------------------------------------------------
+// Fallbacks: each returns exactly the rule-off result and names why.
+// ---------------------------------------------------------------------
+
+struct FallbackCase {
+  const char* name;
+  std::vector<Triple> left, right;
+  const char* reason;
+};
+
+TEST(RelationalMultiplyTest, EachFallbackReturnsTheRuleOffResult) {
+  const std::vector<Triple> base = GridMatrix(8, 6, 3);
+  auto with = [&](Triple extra) {
+    std::vector<Triple> out = base;
+    out.push_back(std::move(extra));
+    return out;
+  };
+  std::vector<Triple> diagonal;
+  for (int64_t k = 0; k < 8; ++k) diagonal.push_back({I(k), I(k), D(1.5)});
+  const std::vector<FallbackCase> cases = {
+      {"NULL value", with({I(2), I(5), Value::Null()}), base, "NULL value"},
+      // An INTEGER stored in a DOUBLE column multiplies and sums as an
+      // INTEGER on the join.
+      {"INTEGER value", base, with({I(4), I(5), I(2)}), "non-DOUBLE value"},
+      {"NULL group key", base, with({I(1), Value::Null(), D(1.0)}),
+       "NULL group key"},
+      {"NaN", with({I(0), I(3), D(kNan)}), base, "non-finite value"},
+      {"+inf", base, with({I(3), I(4), D(kInf)}), "non-finite value"},
+      {"-inf", with({I(3), I(4), D(-kInf)}), base, "non-finite value"},
+      {"repeated left cell", with({I(2), I(1), D(0.5)}), base,
+       "repeated cell"},
+      {"repeated right cell", base, with({I(5), I(0), D(-0.5)}),
+       "repeated cell"},
+      {"half-empty tile", diagonal, diagonal, "tile under half full"},
+  };
+  const std::string sql =
+      "SELECT l.i, r.i, SUM(l.v * r.v) FROM l, r WHERE l.k = r.k "
+      "GROUP BY l.i, r.i";
+  for (const FallbackCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    Twins t;
+    t.Load("l", c.left);
+    t.Load("r", c.right);
+    const std::string reason =
+        std::string("RelationalMultiply(fallback: ") + c.reason + ")";
+    ExpectPath(t, sql, reason);
+    const std::string analyzed = Explain(t.on, "EXPLAIN ANALYZE " + sql);
+    EXPECT_NE(analyzed.find("path=" + reason), std::string::npos)
+        << analyzed;
+    EXPECT_NE(analyzed.find("Join"), std::string::npos);
+  }
+}
+
+TEST(RelationalMultiplyTest, ABudgetThatRefusesTheTilesFallsBack) {
+  // 2 x 1024 cells need 96 KiB of staging; the join and the aggregate
+  // fit in 64 KiB.
+  const std::vector<Triple> x = GridMatrix(9, 128, 8);
+  Twins t;
+  t.Load("x", x);
+  QueryOptions tight;
+  tight.memory_budget_bytes = 64u << 10;
+  auto on = Exec(t.on, kGram, tight);
+  ASSERT_TRUE(on.ok()) << on.status();
+  EXPECT_EQ(PathOf(t.on).rfind("RelationalMultiply(fallback: memory budget "
+                               "refused",
+                               0),
+            0u)
+      << PathOf(t.on);
+  auto off = Exec(t.off, kGram, tight);
+  ASSERT_TRUE(off.ok()) << off.status();
+  EXPECT_TRUE(SameRows(on->rows, off->rows));
+  auto analyzed = Exec(t.on, std::string("EXPLAIN ANALYZE ") + kGram, tight);
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status();
+  std::string text;
+  for (const Row& row : analyzed->rows) text += row[0].ToString() + "\n";
+  EXPECT_NE(text.find("path=RelationalMultiply(fallback: memory budget "
+                      "refused"),
+            std::string::npos)
+      << text;
+  // With room for the tiles, the same statement takes the kernel.
+  QueryOptions roomy_budget;
+  roomy_budget.memory_budget_bytes = 4u << 20;
+  auto roomy = Exec(t.on, kGram, roomy_budget);
+  ASSERT_TRUE(roomy.ok()) << roomy.status();
+  EXPECT_EQ(PathOf(t.on), "RelationalMultiply(kernel)");
+  EXPECT_TRUE(SameRows(roomy->rows, off->rows));
+}
+
+TEST(RelationalMultiplyTest, CountersCountKernelsAndFallbacks) {
+  Twins t;
+  t.Load("x", GridMatrix(10, 8, 3));
+  t.Load("d", {{I(0), I(0), D(1.0)}, {I(0), I(0), D(2.0)}});
+  ASSERT_TRUE(Exec(t.on, kGram).ok());
+  ASSERT_TRUE(Exec(t.on,
+                   "SELECT d1.i, d2.i, SUM(d1.v * d2.v) FROM d AS d1, d AS d2 "
+                   "WHERE d1.k = d2.k GROUP BY d1.i, d2.i")
+                  .ok());
+  obs::MetricsRegistry* reg = t.on.metrics_registry();
+  ASSERT_NE(reg, nullptr);
+  EXPECT_EQ(reg->counter("exec.relational_multiplies")->value(), 1u);
+  EXPECT_EQ(reg->counter("exec.relational_multiply_fallbacks")->value(), 1u);
+}
+
+// ---------------------------------------------------------------------
+// Cancellation.
+// ---------------------------------------------------------------------
+
+TEST(RelationalMultiplyTest, CancellingDuringTheTileFillLeavesNoCharges) {
+  Database db(MakeConfig(true));
+  ASSERT_TRUE(LoadTriples(db, "x", GridMatrix(12, 400, 8)).ok());
+  auto planned = db.PlanQuery(kGram);
+  ASSERT_TRUE(planned.ok()) << planned.status();
+  LogicalOpPtr plan = std::move(*planned);
+
+  // Below the multiply's right input, a filter whose predicate fires
+  // the token on the input's last row: both inputs finish, and the
+  // token is first polled inside the multiply.
+  const LogicalOp* agg = plan.get();
+  while (!agg->multiply.has_value()) agg = agg->children[0].get();
+  LogicalOp& join = *agg->children[0];
+  LogicalOpPtr& right = join.children[1];
+  auto token = std::make_shared<CancellationToken>();
+  size_t calls = 0;
+  const size_t rows = 400 * 8;
+  BuiltinFunction cancel_fn;
+  cancel_fn.eval = [&](const std::vector<Value>&) -> Result<Value> {
+    if (++calls == rows) token->Cancel();
+    return Value::Bool(true);
+  };
+  auto filter = std::make_unique<LogicalOp>();
+  filter->kind = LogicalOp::Kind::kFilter;
+  filter->output = right->output;
+  auto pred = std::make_unique<BoundExpr>();
+  pred->kind = BoundExpr::Kind::kCall;
+  pred->type = DataType::Boolean();
+  pred->fn = &cancel_fn;
+  filter->predicates.push_back(std::move(pred));
+  filter->children.push_back(std::move(right));
+  right = std::move(filter);
+
+  mem::MemoryTracker tracker("query", 64u << 20);
+  MemoryContext mem{&tracker, "", 1, token.get()};
+  QueryMetrics qm;
+  {
+    Executor executor(db.cluster(), &qm, {}, nullptr, mem);
+    auto result = executor.Execute(*plan);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kCancelled)
+        << result.status();
+  }
+  EXPECT_EQ(calls, rows);
+  bool entered = false;
+  for (const OperatorMetrics& op : qm.operators) {
+    entered = entered || op.name.rfind("RelationalMultiply", 0) == 0;
+  }
+  EXPECT_TRUE(entered);
+  EXPECT_GT(tracker.peak_bytes(), 0u);
+  EXPECT_EQ(tracker.bytes_in_use(), 0u);
+  EXPECT_EQ(tracker.unspillable_bytes(), 0u);
+}
+
+}  // namespace
+}  // namespace radb
