@@ -44,11 +44,12 @@ cmake --build "$BUILD_DIR" -j "$JOBS" \
   --target sql_la_test tiled_test sql_agg_test spill_exec_test
 (cd "$BUILD_DIR" && ctest -L memory_budget --output-on-failure)
 
-# Concurrency pass: the service/cancellation suites and the
-# multi-session bench smoke under ASan+UBSan (scripts/stress.sh runs
-# the same label under TSan).
+# Concurrency pass: the thread pool units, the service/cancellation
+# suites and the multi-session bench smoke under ASan+UBSan
+# (scripts/stress.sh runs the same label under TSan).
 cmake --build "$BUILD_DIR" -j "$JOBS" \
-  --target service_test cancel_test systab_test ablation_concurrency
+  --target common_test service_test cancel_test systab_test \
+  ablation_concurrency
 (cd "$BUILD_DIR" && ctest -L concurrency --output-on-failure)
 
 # Observability pass: system tables, telemetry ring, exporter — the

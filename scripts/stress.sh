@@ -22,7 +22,7 @@ cmake -S "$(dirname "$0")/.." -B "$BUILD_DIR" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DRADB_SANITIZE=thread
 cmake --build "$BUILD_DIR" -j "$JOBS" \
-  --target service_test cancel_test systab_test vectorized_test \
+  --target common_test service_test cancel_test systab_test vectorized_test \
   cache_test persist_test sparse_test spool_test la_test tiled_test \
   kernel_test sql_la_test sql_agg_test spill_exec_test \
   relational_multiply_test ablation_concurrency ablation_cache \
@@ -34,7 +34,10 @@ cmake --build "$BUILD_DIR" -j "$JOBS" \
 # happen while the parent is single-threaded, which TSan supports.
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:die_after_fork=0}"
 
-# Concurrency suites (ctest label shared with scripts/fuzz.sh).
+# Concurrency suites (ctest label shared with scripts/fuzz.sh), with
+# the thread pool's units: nested regions joined by idle workers, a
+# nested caller finishing alone while every worker is held, cross-pool
+# regions.
 (cd "$BUILD_DIR" && ctest -L concurrency --output-on-failure)
 
 # Observability suite: system-table scans racing workload sessions,

@@ -6,10 +6,24 @@ namespace radb {
 
 namespace {
 
-/// Set while a thread is executing region bodies (worker thread or
-/// participating caller inside another pool's region); nested regions
-/// started under it run inline.
-thread_local bool tls_in_worker = false;
+/// A region body running on this thread: its pool and the stats row
+/// its time is charged to. Frames chain outward through nested
+/// regions.
+struct BodyFrame {
+  const ThreadPool* pool;
+  ThreadPool::WorkerStats* row;
+  const BodyFrame* outer;
+};
+thread_local const BodyFrame* tls_frame = nullptr;
+
+/// The row of the innermost body of `pool` this thread is running, or
+/// nullptr outside the pool's bodies.
+ThreadPool::WorkerStats* OuterRow(const ThreadPool* pool) {
+  for (const BodyFrame* f = tls_frame; f != nullptr; f = f->outer) {
+    if (f->pool == pool) return f->row;
+  }
+  return nullptr;
+}
 
 /// Ambient task tag; inherited by regions started without an explicit
 /// tag and re-established on worker threads while they run a region's
@@ -30,8 +44,6 @@ size_t ThreadPool::HardwareThreads() {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<size_t>(hw);
 }
-
-bool ThreadPool::InWorker() { return tls_in_worker; }
 
 ThreadPool::ThreadPool(size_t num_threads)
     : num_threads_(num_threads == 0 ? HardwareThreads() : num_threads) {
@@ -115,14 +127,15 @@ void ThreadPool::WorkerLoop(size_t worker_index) {
     const std::function<void(size_t)>* body = r->body;
     TouchTagLocked(tag);
     lock.unlock();
-    tls_in_worker = true;
+    const BodyFrame frame{this, &stats, nullptr};
+    tls_frame = &frame;
     tls_task_tag = tag;
     const auto body_start = Clock::now();
     (*body)(i);
     const double body_seconds =
         std::chrono::duration<double>(Clock::now() - body_start).count();
     tls_task_tag = 0;
-    tls_in_worker = false;
+    tls_frame = nullptr;
     lock.lock();
     ++stats.tasks;
     stats.busy_seconds += body_seconds;
@@ -149,8 +162,12 @@ void ThreadPool::RunRegion(size_t n, const std::function<void(size_t)>& body,
   // The submitting thread claims indices alongside the workers, but
   // only from its own region: it never blocks on another query's
   // bodies, so every region is guaranteed forward progress even when
-  // all pool workers are busy elsewhere.
-  tls_in_worker = true;
+  // all pool workers are busy elsewhere. A nested caller's claims run
+  // inside one of this pool's bodies, whose row already gets their
+  // time.
+  WorkerStats* const outer_row = OuterRow(this);
+  const BodyFrame frame{this, outer_row != nullptr ? outer_row : &caller_stats_,
+                        tls_frame};
   const uint64_t previous_tag = tls_task_tag;
   tls_task_tag = tag;
   std::unique_lock<std::mutex> lock(mu_);
@@ -162,13 +179,15 @@ void ThreadPool::RunRegion(size_t n, const std::function<void(size_t)>& body,
     }
     TouchTagLocked(tag);
     lock.unlock();
+    tls_frame = &frame;
     const auto body_start = Clock::now();
     body(i);
     const double body_seconds =
         std::chrono::duration<double>(Clock::now() - body_start).count();
+    tls_frame = frame.outer;
     lock.lock();
-    ++caller_stats_.tasks;
-    caller_stats_.busy_seconds += body_seconds;
+    ++frame.row->tasks;
+    if (outer_row == nullptr) frame.row->busy_seconds += body_seconds;
     ++region.completed;
   }
   done_cv_.wait(lock, [&] { return region.completed == region.n; });
@@ -195,7 +214,6 @@ void ThreadPool::RunRegion(size_t n, const std::function<void(size_t)>& body,
   }
   lock.unlock();
   tls_task_tag = previous_tag;
-  tls_in_worker = false;
   if (observer) {
     const auto end = Clock::now();
     const auto first = region.claimed ? region.first_claim : end;
@@ -237,7 +255,7 @@ void ThreadPool::SetRegionObserver(
 void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& body,
                              uint64_t tag) {
   if (n == 0) return;
-  if (n == 1 || num_threads_ <= 1 || tls_in_worker) {
+  if (n == 1 || num_threads_ <= 1) {
     for (size_t i = 0; i < n; ++i) body(i);
     return;
   }
@@ -248,7 +266,7 @@ void ThreadPool::ParallelRanges(size_t total,
                                 const std::function<void(size_t, size_t)>& body,
                                 uint64_t tag) {
   if (total == 0) return;
-  if (num_threads_ <= 1 || tls_in_worker) {
+  if (num_threads_ <= 1) {
     body(0, total);
     return;
   }

@@ -51,12 +51,15 @@ class ScopedTaskTag {
 /// claims only from its own region, which guarantees every region
 /// makes progress even when all workers are busy elsewhere.
 ///
+/// A region started from inside a body (nested parallelism, e.g. an LA
+/// kernel invoked from a parallel executor loop) is published like any
+/// other, under the ambient tag, so idle workers help with it. Its
+/// caller still claims only its own indices, so it can always finish
+/// the region alone and nesting cannot deadlock.
+///
 /// Sequential guarantees, relied on for determinism:
 ///  - a pool built with num_threads <= 1 spawns no threads and runs
 ///    every region inline on the caller;
-///  - a region started from inside a pool worker (nested parallelism,
-///    e.g. an LA kernel invoked from a parallel executor loop) runs
-///    inline on that worker instead of deadlocking on busy threads;
 ///  - bodies must write only disjoint state per index, which is how
 ///    the executor keeps per-worker Dist outputs bit-identical at any
 ///    thread count.
@@ -88,12 +91,12 @@ class ThreadPool {
                       const std::function<void(size_t, size_t)>& body,
                       uint64_t tag = 0);
 
-  /// True when the calling thread is one of this process's pool
-  /// workers (any pool) — the signal that a region must run inline.
-  static bool InWorker();
-
   /// Cumulative per-thread accounting: bodies run, time spent running
-  /// them, time spent blocked waiting for work.
+  /// them, time spent blocked waiting for work. A body that runs while
+  /// its thread is inside another body of the same pool (a nested
+  /// region's caller claiming its own indices) adds a task to the
+  /// outer body's row but no seconds: the outer body's time covers it,
+  /// so each thread-second is counted once.
   struct WorkerStats {
     uint64_t tasks = 0;
     double busy_seconds = 0.0;

@@ -17,9 +17,10 @@ namespace radb::la::kernel {
 
 namespace {
 
-/// out = left * b over rows [r0, r1), where left(i, k) is
-/// left[i * si + k * sk]: a's rows for Multiply and
-/// VectorMatrixMultiply, a's columns for TransposeSelfMultiply.
+/// out = left * b over rows [r0, r1) (out -= left * b when `subtract`),
+/// where left(i, k) is left[i * si + k * sk]: a's rows for Multiply and
+/// VectorMatrixMultiply, a's columns for TransposeSelfMultiply, L's
+/// rows for LU's trailing update and the forward substitution.
 struct ProductArgs {
   const double* left;
   size_t si, sk;
@@ -30,6 +31,9 @@ struct ProductArgs {
   double* c;
   size_t ldc;
   bool upper;  // only columns j >= the panel's first row (TSMM)
+  /// Each term is subtracted: out_ij - a_ik * b_kj, which rounds exactly
+  /// as out_ij + (-a_ik) * b_kj.
+  bool subtract = false;
 };
 
 namespace baseline {
@@ -49,17 +53,19 @@ inline constexpr size_t kVecBytes = 32;
 
 struct Variant {
   void (*product_rows)(const ProductArgs&, size_t, size_t);
-  bool (*lu_factor)(double*, size_t, size_t*, int*, size_t*);
+  bool (*lu_panel)(double*, size_t, size_t, size_t, size_t*, int*, size_t*);
+  void (*lu_upper)(double*, size_t, size_t, size_t);
   void (*lu_solve)(const double*, const size_t*, size_t, const double*,
-                   size_t, double*);
+                   double*, size_t, size_t);
 };
 
 const Variant& VariantFor(Isa isa) {
   static constexpr Variant kBaseline{&baseline::ProductRows,
-                                     &baseline::LuFactor, &baseline::LuSolve};
+                                     &baseline::LuPanel, &baseline::LuUpper,
+                                     &baseline::LuSolve};
 #if defined(__x86_64__)
-  static constexpr Variant kAvx2{&avx2::ProductRows, &avx2::LuFactor,
-                                 &avx2::LuSolve};
+  static constexpr Variant kAvx2{&avx2::ProductRows, &avx2::LuPanel,
+                                 &avx2::LuUpper, &avx2::LuSolve};
   if (isa == Isa::kAvx2) return kAvx2;
 #endif
   (void)isa;
@@ -78,13 +84,68 @@ void Count(const char* metric, uint64_t n) {
   if (obs::MetricsRegistry* reg = obs::GlobalMetrics()) reg->Add(metric, n);
 }
 
-/// Solves a x = b for the m columns of the row-major n x m `b`. Per
-/// column: n(n-1) multiply-subtract pairs and n divisions.
+/// The process-global pool when `flops` of work should fan out on it;
+/// nullptr when there is no pool, it has one thread, or the work is
+/// below ~64K flops.
+ThreadPool* PoolFor(size_t flops) {
+  constexpr size_t kMinParallelFlops = 1 << 16;
+  ThreadPool* pool = GlobalPool();
+  if (pool == nullptr || pool->num_threads() <= 1 ||
+      flops < kMinParallelFlops) {
+    return nullptr;
+  }
+  return pool;
+}
+
+/// Columns per LU panel: the trailing update's inner dimension.
+constexpr size_t kPanelCols = 32;
+
+/// In-place LU with partial pivoting of the n x n row-major `lu`, one
+/// panel of columns at a time (DESIGN.md §18): factor the panel, finish
+/// its rows of U, then run the trailing update A22 -= L21 * U12 as a
+/// product on parallel row bands, one pool region per panel. Returns
+/// false at the first zero pivot, with its column in *zero_col.
+bool LuFactor(Isa isa, double* lu, size_t n, size_t* perm, int* sign,
+              size_t* zero_col) {
+  const Variant& v = VariantFor(isa);
+  for (size_t k0 = 0; k0 < n; k0 += kPanelCols) {
+    const size_t k1 = std::min(n, k0 + kPanelCols), w = k1 - k0;
+    if (!v.lu_panel(lu, n, k0, k1, perm, sign, zero_col)) return false;
+    if (k1 == n) break;
+    v.lu_upper(lu, n, k0, k1);
+    const size_t rows = n - k1;
+    const ProductArgs p{lu + k1 * n + k0, n, 1, w, lu + k0 * n + k1, n, rows,
+                        lu + k1 * n + k1, n, false, /*subtract=*/true};
+    ForRowBands(rows, 2 * rows * w * rows,
+                [&](size_t r0, size_t r1) { v.product_rows(p, r0, r1); });
+  }
+  return true;
+}
+
+/// Right-hand sides per solve strip: a multiple of 8 doubles (a cache
+/// line), so strips of line-aligned rows never share a line.
+constexpr size_t kStripCols = 64;
+
+/// Solves a x = b for the m columns of the row-major n x m `b`, one
+/// strip of columns per pool task. Per column: n(n-1) multiply-subtract
+/// pairs and n divisions.
 void Substitute(Isa isa, const LuDecomposition& d, const double* b, size_t m,
                 double* x) {
   const uint64_t n = d.perm.size();
-  Count("la.solve_flops", m * (2 * n * n - n));
-  VariantFor(isa).lu_solve(d.lu.data(), d.perm.data(), n, b, m, x);
+  const uint64_t flops = m * (2 * n * n - n);
+  Count("la.solve_flops", flops);
+  const Variant& v = VariantFor(isa);
+  const auto strip = [&](size_t s) {
+    const size_t c0 = s * kStripCols;
+    v.lu_solve(d.lu.data(), d.perm.data(), n, b + c0, x + c0, m,
+               std::min(kStripCols, m - c0));
+  };
+  const size_t strips = (m + kStripCols - 1) / kStripCols;
+  if (ThreadPool* pool = PoolFor(flops)) {
+    pool->ParallelFor(strips, strip);
+  } else {
+    for (size_t s = 0; s < strips; ++s) strip(s);
+  }
 }
 
 }  // namespace
@@ -107,10 +168,8 @@ Isa ActiveIsa() {
 
 void ForRowBands(size_t rows, size_t flops,
                  const std::function<void(size_t, size_t)>& band) {
-  constexpr size_t kMinParallelFlops = 1 << 16;
-  ThreadPool* pool = GlobalPool();
-  if (pool == nullptr || pool->num_threads() <= 1 ||
-      flops < kMinParallelFlops) {
+  ThreadPool* pool = PoolFor(flops);
+  if (pool == nullptr) {
     band(0, rows);
     return;
   }
@@ -187,8 +246,7 @@ Result<LuDecomposition> LuDecompose(Isa isa, const Matrix& a) {
   d.perm.resize(n);
   std::iota(d.perm.begin(), d.perm.end(), size_t{0});
   size_t zero_col = 0;
-  if (!VariantFor(isa).lu_factor(d.lu.data(), n, d.perm.data(), &d.sign,
-                                 &zero_col)) {
+  if (!LuFactor(isa, d.lu.data(), n, d.perm.data(), &d.sign, &zero_col)) {
     return Status::NumericError("matrix is singular (zero pivot at column " +
                                 std::to_string(zero_col) + ")");
   }

@@ -50,10 +50,9 @@ Isa ActiveIsa();
 
 /// Runs band(row_begin, row_end) over bands of output rows that start
 /// on multiples of kTileRows, on the process-global thread pool — or
-/// inline when there is no pool, the work is below ~64K flops, or the
-/// caller is already a pool worker. Each output row is computed by one
-/// band, in the same order as inline, so results do not depend on the
-/// thread count.
+/// inline when there is no pool or the work is below ~64K flops. Each
+/// output row is computed by one band, in the same order as inline, so
+/// results do not depend on the thread count.
 void ForRowBands(size_t rows, size_t flops,
                  const std::function<void(size_t, size_t)>& band);
 

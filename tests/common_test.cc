@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <set>
 #include <thread>
 #include <vector>
@@ -142,8 +145,8 @@ TEST(ThreadPoolTest, SingleThreadRunsInlineOnCaller) {
 }
 
 TEST(ThreadPoolTest, RepeatedRegionsDoNotLeakOrMisattributeWork) {
-  // Back-to-back regions stress the generation handoff: a straggler
-  // from region G must never claim an index of region G+1.
+  // A worker still finishing a claim of one region must never claim an
+  // index of the next.
   ThreadPool pool(8);
   for (int round = 0; round < 200; ++round) {
     std::atomic<size_t> sum{0};
@@ -152,17 +155,156 @@ TEST(ThreadPoolTest, RepeatedRegionsDoNotLeakOrMisattributeWork) {
   }
 }
 
-TEST(ThreadPoolTest, NestedParallelForRunsInlineWithoutDeadlock) {
+/// A count-down latch for ordering threads without sleeping.
+class Latch {
+ public:
+  explicit Latch(size_t count) : count_(count) {}
+  void CountDown() {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (count_ > 0 && --count_ == 0) cv_.notify_all();
+  }
+  void Wait() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return count_ == 0; });
+  }
+  /// False if the count is still above zero after `timeout`.
+  bool WaitFor(std::chrono::seconds timeout) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, timeout, [&] { return count_ == 0; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  size_t count_;
+};
+
+TEST(ThreadPoolTest, NestedRegionRunsOnIdleThreads) {
+  // The outer index that starts the nested region holds one thread; a
+  // nested body that waits until a body has started on some other
+  // thread returns early only once an idle thread joins the nested
+  // region (or, if none ever does, after the timeout, and the test
+  // fails).
   ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(64);
-  pool.ParallelFor(8, [&](size_t outer) {
-    EXPECT_TRUE(ThreadPool::InWorker());
-    pool.ParallelFor(8, [&](size_t inner) {
-      hits[outer * 8 + inner].fetch_add(1);
+  std::mutex mu;
+  std::set<std::thread::id> threads;
+  Latch second_thread(1);
+  pool.ParallelFor(2, [&](size_t outer) {
+    if (outer == 1) return;
+    pool.ParallelFor(64, [&](size_t) {
+      const auto self = std::this_thread::get_id();
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        threads.insert(self);
+        if (threads.size() >= 2) second_thread.CountDown();
+      }
+      (void)second_thread.WaitFor(std::chrono::seconds(30));
     });
   });
-  EXPECT_FALSE(ThreadPool::InWorker());
+  EXPECT_GE(threads.size(), 2u);
+}
+
+TEST(ThreadPoolTest, NestedRegionFinishesOnItsCallerAlone) {
+  // Every pool worker is held inside another thread's region until the
+  // nested regions are done, so their caller must run all of their
+  // indices itself.
+  constexpr size_t kThreads = 4;
+  ThreadPool pool(kThreads);
+  Latch all_held(kThreads);
+  Latch nested_done(1);
+  std::thread holder([&] {
+    // kThreads indices: one for the holder, one per worker.
+    pool.ParallelFor(kThreads, [&](size_t) {
+      all_held.CountDown();
+      nested_done.Wait();
+    });
+  });
+  all_held.Wait();
+  constexpr size_t kInner = 16;
+  std::vector<std::thread::id> ran(2 * kInner);
+  pool.ParallelFor(2, [&](size_t outer) {
+    pool.ParallelFor(kInner, [&](size_t i) {
+      ran[outer * kInner + i] = std::this_thread::get_id();
+    });
+  });
+  nested_done.CountDown();
+  holder.join();
+  for (size_t i = 0; i < ran.size(); ++i) {
+    EXPECT_EQ(ran[i], std::this_thread::get_id()) << i;
+  }
+}
+
+TEST(ThreadPoolTest, DepthThreeNestingRunsEveryIndexOnce) {
+  ThreadPool pool(4);
+  constexpr size_t kN = 6;
+  std::vector<std::atomic<int>> hits(kN * kN * kN);
+  pool.ParallelFor(kN, [&](size_t a) {
+    pool.ParallelFor(kN, [&](size_t b) {
+      pool.ParallelFor(kN, [&](size_t c) {
+        hits[(a * kN + b) * kN + c].fetch_add(1);
+      });
+    });
+  });
   for (size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+}
+
+TEST(ThreadPoolTest, RegionOnAnotherPoolFromAWorkerCompletes) {
+  ThreadPool a(3), b(3);
+  std::vector<std::atomic<int>> hits(8 * 16);
+  a.ParallelFor(8, [&](size_t outer) {
+    b.ParallelFor(16, [&](size_t inner) {
+      hits[outer * 16 + inner].fetch_add(1);
+    });
+  });
+  for (size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+  uint64_t b_tasks = b.Stats().caller.tasks;
+  for (const ThreadPool::WorkerStats& w : b.Stats().workers) b_tasks += w.tasks;
+  EXPECT_EQ(b_tasks, hits.size());
+}
+
+TEST(ThreadPoolTest, OneThreadPoolStaysInlineWhenNested) {
+  ThreadPool pool(1);
+  const auto caller = std::this_thread::get_id();
+  size_t count = 0;
+  pool.ParallelFor(4, [&](size_t) {
+    pool.ParallelFor(4, [&](size_t) {
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      ++count;
+    });
+  });
+  EXPECT_EQ(count, 16u);
+  EXPECT_EQ(pool.Stats().regions_started, 0u);
+}
+
+TEST(ThreadPoolTest, NestedClaimsCountEachThreadSecondOnce) {
+  // Busy seconds are the time threads spent inside outermost bodies,
+  // all within the wall time of the outer region.
+  constexpr size_t kThreads = 4;
+  ThreadPool pool(kThreads);
+  const auto busy = [&] {
+    const ThreadPool::PoolStats s = pool.Stats();
+    double total = s.caller.busy_seconds;
+    for (const ThreadPool::WorkerStats& w : s.workers) total += w.busy_seconds;
+    return total;
+  };
+  const double before = busy();
+  std::atomic<uint64_t> sink{0};
+  const auto start = std::chrono::steady_clock::now();
+  pool.ParallelFor(8, [&](size_t) {
+    pool.ParallelFor(8, [&](size_t) {
+      pool.ParallelFor(8, [&](size_t i) {
+        uint64_t x = i;
+        for (int k = 0; k < 200000; ++k) x = x * 6364136223846793005u + 1;
+        sink.fetch_add(x);
+      });
+    });
+  });
+  const double wall = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - start)
+                          .count();
+  const double spent = busy() - before;
+  EXPECT_GT(spent, 0.0);
+  EXPECT_LE(spent, kThreads * wall);
 }
 
 TEST(ThreadPoolTest, ParallelRangesCoversAllOfTotalDisjointly) {

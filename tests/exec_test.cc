@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -8,8 +10,12 @@
 
 #include "test_util.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
+#include "la/matrix.h"
 #include "la/vector.h"
 #include "obs/query_metrics.h"
+#include "workloads/computations.h"
+#include "workloads/datagen.h"
 
 namespace radb {
 namespace {
@@ -424,6 +430,99 @@ TEST(ExecDeterminismTest, ShuffleAccountingMatchesAcrossThreadCounts) {
   }
   ASSERT_EQ(totals.size(), 2u);
   EXPECT_EQ(totals[0], totals[1]);
+}
+
+std::vector<uint64_t> Bits(const double* x, size_t n) {
+  std::vector<uint64_t> out(n);
+  for (size_t i = 0; i < n; ++i) out[i] = std::bit_cast<uint64_t>(x[i]);
+  return out;
+}
+
+TEST(ExecDeterminismTest, BlockLinRegAndDistanceIdenticalAcrossThreadCounts) {
+  // At d = 72 the regression's inverse spans three LU panels and two
+  // solve strips, and runs inside the worker that holds the Gram row.
+  const workloads::Dataset data = workloads::GenerateDataset(72, 80, 72);
+  std::vector<uint64_t> beta_bits;
+  int64_t nearest = -1;
+  uint64_t distance_bits = 0;
+  for (const size_t threads : {size_t{1}, size_t{4}, size_t{8}}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    Database::Config config;
+    config.num_workers = 4;
+    config.num_threads = threads;
+    workloads::SqlWorkload linreg(config);
+    ASSERT_TRUE(linreg.LoadVector(data).ok());
+    auto lr = linreg.LinRegBlock(20);
+    ASSERT_TRUE(lr.ok()) << lr.status();
+    ASSERT_EQ(lr->beta.size(), data.d);
+    workloads::SqlWorkload distance(config);
+    ASSERT_TRUE(distance.LoadVector(data).ok());
+    auto dist = distance.DistanceBlock(40);
+    ASSERT_TRUE(dist.ok()) << dist.status();
+    const std::vector<uint64_t> bits = Bits(lr->beta.data(), lr->beta.size());
+    const uint64_t value_bits = std::bit_cast<uint64_t>(dist->distance.value);
+    if (threads == 1) {
+      beta_bits = bits;
+      nearest = dist->distance.point_id;
+      distance_bits = value_bits;
+      continue;
+    }
+    EXPECT_EQ(bits, beta_bits);
+    EXPECT_EQ(dist->distance.point_id, nearest);
+    EXPECT_EQ(value_bits, distance_bits);
+  }
+}
+
+TEST(ExecDeterminismTest, OneRowMatrixInverseRunsOnSeveralPoolThreads) {
+  // The one row lands on one simulated worker, so the inverse runs
+  // inside one pool body; its panels and strips are nested regions
+  // that the other threads join.
+  Database::Config config;
+  config.num_workers = 4;
+  config.num_threads = 4;
+  // Every run must execute, not hit the result cache.
+  config.cache.enable_result_cache = false;
+  Database db(config);
+  struct Delta {
+    uint64_t regions = 0;
+    size_t threads_with_tasks = 0;
+  };
+  // Pool deltas over `runs` executions of a one-row inverse of order d.
+  // Idle threads join a nested region only once they are scheduled, so
+  // a run on a loaded machine may finish on its caller alone; over
+  // several runs some thread joins.
+  const auto run_inverse = [&](size_t d, size_t runs) {
+    const std::string table = "t" + std::to_string(d);
+    EXPECT_TRUE(Exec(db, "CREATE TABLE " + table + " (m MATRIX[" +
+                             std::to_string(d) + "][" + std::to_string(d) +
+                             "])")
+                    .ok());
+    Rng rng(d);
+    la::Matrix m(d, d);
+    for (size_t i = 0; i < d * d; ++i) m.data()[i] = rng.Uniform(-1.0, 1.0);
+    for (size_t i = 0; i < d; ++i) m.At(i, i) = m.At(i, i) + 2.0 * d;
+    EXPECT_TRUE(db.BulkInsert(table, {{Value::FromMatrix(std::move(m))}}).ok());
+    const ThreadPool::PoolStats before = db.pool()->Stats();
+    for (size_t run = 0; run < runs; ++run) {
+      auto rs = Exec(db, "SELECT matrix_inverse(m) FROM " + table);
+      EXPECT_TRUE(rs.ok()) << rs.status();
+      EXPECT_EQ(rs.ok() ? rs->num_rows() : 0, 1u);
+    }
+    const ThreadPool::PoolStats after = db.pool()->Stats();
+    Delta delta;
+    delta.regions = (after.regions_started - before.regions_started) / runs;
+    delta.threads_with_tasks = after.caller.tasks > before.caller.tasks;
+    for (size_t w = 0; w < after.workers.size(); ++w) {
+      delta.threads_with_tasks += after.workers[w].tasks > before.workers[w].tasks;
+    }
+    return delta;
+  };
+  // A d = 8 inverse starts no kernel region: its count is the query's
+  // own regions.
+  const Delta small = run_inverse(8, 1);
+  const Delta large = run_inverse(256, 5);
+  EXPECT_GT(large.regions, small.regions);
+  EXPECT_GE(large.threads_with_tasks, 2u);
 }
 
 }  // namespace

@@ -1,9 +1,11 @@
 // Dense kernel layer (la/kernel.h, DESIGN.md §18): every instruction-set
-// variant, called directly, at 1 and 4 pool threads, against naive
-// reference loops that encode the kernels' order and zero rule. The
-// comparison is bit-exact except that any two NaNs match (the layer
-// leaves a NaN's sign and payload open). Shapes cover every remainder
-// modulo the tile sizes; cells mix ±0, ±inf, NaN and subnormals.
+// variant, called directly, at 1 and 4 pool threads, both at top level
+// and from inside a pool body (where the kernels' regions nest),
+// against naive reference loops that encode the kernels' order and
+// zero rule. The comparison is bit-exact except that any two NaNs
+// match (the layer leaves a NaN's sign and payload open). Shapes cover
+// every remainder modulo the tile sizes and sizes either side of an LU
+// panel and a solve strip; cells mix ±0, ±inf, NaN and subnormals.
 
 #include <gtest/gtest.h>
 
@@ -123,8 +125,9 @@ Vector RefVectorMatrixMultiply(const Vector& v, const Matrix& a) {
 }
 
 /// LuDecompose's reference: partial pivoting on the largest |value|,
-/// row updates skipping a zero factor. False on a zero pivot.
-bool RefLu(const Matrix& a, LuDecomposition* d) {
+/// row updates skipping a zero factor. False on a zero pivot, with its
+/// column in *zero_col.
+bool RefLu(const Matrix& a, LuDecomposition* d, size_t* zero_col) {
   const size_t n = a.rows();
   d->lu = a;
   d->perm.resize(n);
@@ -140,7 +143,10 @@ bool RefLu(const Matrix& a, LuDecomposition* d) {
         pivot = r;
       }
     }
-    if (best == 0.0) return false;
+    if (best == 0.0) {
+      *zero_col = k;
+      return false;
+    }
     if (pivot != k) {
       for (size_t c = 0; c < n; ++c) {
         std::swap(d->lu.At(k, c), d->lu.At(pivot, c));
@@ -236,16 +242,33 @@ std::vector<Isa> SupportedIsas() {
   return out;
 }
 
-/// Runs check(isa) for every supported variant, first with no pool and
-/// then with a 4-thread pool installed for the kernels' row bands.
+/// Runs check(isa) for every supported variant with a 1-thread and
+/// then a 4-thread pool installed for the kernels' bands and strips,
+/// first at top level and then from inside a body of that pool, where
+/// the kernels' regions are nested.
 void ForEachVariant(const std::function<void(Isa)>& check) {
   for (size_t threads : {size_t{1}, size_t{4}}) {
     ThreadPool pool(threads);
     InstallGlobalPool(&pool);
-    for (Isa isa : SupportedIsas()) {
-      SCOPED_TRACE(std::string(isa == Isa::kAvx2 ? "avx2" : "baseline") +
-                   " at " + std::to_string(threads) + " threads");
-      check(isa);
+    for (bool nested : {false, true}) {
+      for (Isa isa : SupportedIsas()) {
+        const std::string trace =
+            std::string(isa == Isa::kAvx2 ? "avx2" : "baseline") + " at " +
+            std::to_string(threads) + " threads" +
+            (nested ? " inside a pool body" : "");
+        if (!nested) {
+          SCOPED_TRACE(trace);
+          check(isa);
+          continue;
+        }
+        // Two indices make a real region at 4 threads; index 0 runs the
+        // check on whichever thread claims it.
+        pool.ParallelFor(2, [&](size_t i) {
+          if (i != 0) return;
+          SCOPED_TRACE(trace);
+          check(isa);
+        });
+      }
     }
     UninstallGlobalPool(&pool);
   }
@@ -374,34 +397,63 @@ Matrix Boosted(Matrix a) {
   return a;
 }
 
-void CheckSolves(const Matrix& a, Rng* rng, Mix mix) {
+/// LuDecompose, Solve(b), SolveMatrix(bm) for each of `bms`, and
+/// Inverse of `a` on every variant against the reference loops. A
+/// singular `a` must fail each of them with the reference's zero-pivot
+/// column in LuDecompose's message.
+void CheckSolves(const Matrix& a, const Vector& b,
+                 const std::vector<Matrix>& bms) {
   LuDecomposition want_lu;
-  const bool nonsingular = RefLu(a, &want_lu);
+  size_t zero_col = 0;
+  const bool nonsingular = RefLu(a, &want_lu, &zero_col);
   const size_t n = a.rows();
-  const Vector b = RandomVector(rng, n, 1.0, mix);
-  const size_t m = kShapes[rng->NextBelow(kNumShapes)];
-  const Matrix bm = RandomMatrix(rng, n, m, 0.5, mix);
-  std::vector<double> b_col(b.data(), b.data() + n);
+  Vector want_x;
+  Matrix want_inv;
+  std::vector<Matrix> want_xms;
+  if (nonsingular) {
+    want_x = Vector(RefLuSolveOne(want_lu, std::vector<double>(
+                                               b.data(), b.data() + n)));
+    want_inv = RefSolveMatrix(want_lu, Matrix::Identity(n));
+    for (const Matrix& bm : bms) want_xms.push_back(RefSolveMatrix(want_lu, bm));
+  }
+  const Status singular = Status::NumericError(
+      "matrix is singular (zero pivot at column " + std::to_string(zero_col) +
+      ")");
   ForEachVariant([&](Isa isa) {
     auto lu = kernel::LuDecompose(isa, a);
     ASSERT_EQ(lu.ok(), nonsingular) << lu.status().ToString();
     auto x = kernel::Solve(isa, a, b);
-    auto xm = kernel::SolveMatrix(isa, a, bm);
     auto inv = kernel::Inverse(isa, a);
     ASSERT_EQ(x.ok(), nonsingular);
-    ASSERT_EQ(xm.ok(), nonsingular);
     ASSERT_EQ(inv.ok(), nonsingular);
     if (!nonsingular) {
-      EXPECT_EQ(lu.status().code(), StatusCode::kNumericError);
+      EXPECT_EQ(lu.status(), singular) << lu.status().ToString();
+      EXPECT_EQ(x.status(), singular);
+      EXPECT_EQ(inv.status(), singular);
+      for (const Matrix& bm : bms) {
+        EXPECT_EQ(kernel::SolveMatrix(isa, a, bm).status(), singular);
+      }
       return;
     }
     EXPECT_TRUE(BitEqual(lu->lu, want_lu.lu));
     EXPECT_EQ(lu->perm, want_lu.perm);
     EXPECT_EQ(lu->sign, want_lu.sign);
-    EXPECT_TRUE(BitEqual(*x, Vector(RefLuSolveOne(want_lu, b_col))));
-    EXPECT_TRUE(BitEqual(*xm, RefSolveMatrix(want_lu, bm)));
-    EXPECT_TRUE(BitEqual(*inv, RefSolveMatrix(want_lu, Matrix::Identity(n))));
+    EXPECT_TRUE(BitEqual(*x, want_x));
+    EXPECT_TRUE(BitEqual(*inv, want_inv));
+    for (size_t i = 0; i < bms.size(); ++i) {
+      SCOPED_TRACE(std::to_string(bms[i].cols()) + " right-hand sides");
+      auto xm = kernel::SolveMatrix(isa, a, bms[i]);
+      ASSERT_TRUE(xm.ok());
+      EXPECT_TRUE(BitEqual(*xm, want_xms[i]));
+    }
   });
+}
+
+void CheckSolves(const Matrix& a, Rng* rng, Mix mix) {
+  const size_t n = a.rows();
+  const Vector b = RandomVector(rng, n, 1.0, mix);
+  const size_t m = kShapes[rng->NextBelow(kNumShapes)];
+  CheckSolves(a, b, {RandomMatrix(rng, n, m, 0.5, mix)});
 }
 
 TEST(KernelTest, LuAndSolvesMatchReference) {
@@ -415,6 +467,50 @@ TEST(KernelTest, LuAndSolvesMatchReference) {
         CheckSolves(Boosted(a), &rng, mix);
       }
     }
+  }
+}
+
+TEST(KernelTest, SolvesAcrossPanelsAndStripsMatchReference) {
+  // Orders either side of one 32-column LU panel and one that spans
+  // eight; right-hand-side counts either side of one 64-column solve
+  // strip and one that spans five.
+  constexpr size_t kOrders[] = {31, 32, 33, 65, 257};
+  constexpr size_t kRhsCounts[] = {1, 63, 64, 65, 257};
+  Rng rng(19);
+  for (Mix mix : {Mix::kFinite, Mix::kSpecial}) {
+    for (double density : {0.1, 1.0}) {
+      for (size_t n : kOrders) {
+        // Dense draws are boosted to stay nonsingular; sparse ones are
+        // often singular, which checks the zero-pivot column.
+        Matrix a = RandomMatrix(&rng, n, n, density, mix);
+        if (density == 1.0) a = Boosted(std::move(a));
+        const Vector b = RandomVector(&rng, n, 1.0, mix);
+        std::vector<Matrix> bms;
+        for (size_t m : kRhsCounts) {
+          bms.push_back(RandomMatrix(&rng, n, m, 0.5, mix));
+        }
+        SCOPED_TRACE(Label("solve", n, n, n, density, mix));
+        CheckSolves(a, b, bms);
+      }
+    }
+  }
+}
+
+TEST(KernelTest, ZeroPivotInALaterPanelKeepsItsColumn) {
+  // A zero column stays zero through every earlier step, so its pivot
+  // is the first zero one: in the first, second and a later panel.
+  Rng rng(20);
+  for (const auto& [n, col] : std::vector<std::pair<size_t, size_t>>{
+           {65, 7}, {65, 40}, {257, 200}}) {
+    Matrix a = Boosted(RandomMatrix(&rng, n, n, 1.0, Mix::kFinite));
+    for (size_t r = 0; r < n; ++r) a.At(r, col) = 0.0;
+    const Vector b = RandomVector(&rng, n, 1.0, Mix::kFinite);
+    SCOPED_TRACE("zero column " + std::to_string(col) + " of " +
+                 std::to_string(n));
+    CheckSolves(a, b, {RandomMatrix(&rng, n, 65, 0.5, Mix::kFinite)});
+    EXPECT_EQ(kernel::LuDecompose(kernel::ActiveIsa(), a).status().message(),
+              "matrix is singular (zero pivot at column " +
+                  std::to_string(col) + ")");
   }
 }
 
