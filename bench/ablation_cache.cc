@@ -34,7 +34,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -42,9 +41,9 @@
 #include <vector>
 
 #include "api/database.h"
+#include "bench/bench_util.h"
 #include "common/rng.h"
 #include "la/random.h"
-#include "obs/json.h"
 #include "service/session.h"
 #include "storage/serialize.h"
 
@@ -349,15 +348,18 @@ ChurnOutcome RunChurn(Database* on_db, SessionManager* on_mgr,
   return out;
 }
 
-void EmitEntry(std::ofstream& os, const PhaseStats& p, bool last) {
-  os << "{\"phase\":\"" << p.phase << "\",\"caches\":"
-     << (p.caches ? "true" : "false") << ",\"queries\":" << p.queries
-     << ",\"wall_seconds\":" << obs::JsonNumber(p.wall_seconds)
-     << ",\"qps\":" << obs::JsonNumber(p.qps)
-     << ",\"result_hits\":" << p.result_hits
-     << ",\"plan_hits\":" << p.plan_hits
-     << ",\"mismatches\":" << p.mismatches << ",\"errors\":" << p.errors
-     << "}" << (last ? "\n" : ",\n");
+std::string EntryJson(const PhaseStats& p) {
+  return bench::JsonFields()
+      .Str("phase", p.phase)
+      .Bool("caches", p.caches)
+      .Int("queries", p.queries)
+      .Num("wall_seconds", p.wall_seconds)
+      .Num("qps", p.qps)
+      .Int("result_hits", p.result_hits)
+      .Int("plan_hits", p.plan_hits)
+      .Int("mismatches", p.mismatches)
+      .Int("errors", p.errors)
+      .ToString();
 }
 
 }  // namespace
@@ -414,18 +416,19 @@ int main(int argc, char** argv) {
     errors += p.errors;
   }
 
-  std::ofstream os("BENCH_cache.json", std::ios::trunc);
-  os << "{\"figure\":\"cache\",\"rows\":" << args.rows
-     << ",\"dims\":" << args.dims << ",\"sessions\":" << kSessions
-     << ",\"per_session\":" << args.per_session
-     << ",\"churn_rounds\":" << args.churn_rounds
-     << ",\"warm_speedup\":" << obs::JsonNumber(speedup)
-     << ",\"mismatches\":" << mismatches << ",\"errors\":" << errors
-     << ",\"entries\":[\n";
-  for (size_t i = 0; i < entries.size(); ++i) {
-    EmitEntry(os, entries[i], i + 1 == entries.size());
-  }
-  os << "]}\n";
+  std::vector<std::string> json;
+  for (const PhaseStats& p : entries) json.push_back(EntryJson(p));
+  bench::WriteBenchJson("cache",
+                        bench::JsonFields()
+                            .Int("rows", args.rows)
+                            .Int("dims", args.dims)
+                            .Int("sessions", kSessions)
+                            .Int("per_session", args.per_session)
+                            .Int("churn_rounds", args.churn_rounds)
+                            .Num("warm_speedup", speedup)
+                            .Int("mismatches", mismatches)
+                            .Int("errors", errors),
+                        json);
 
   std::printf("warm speedup (caches on vs off, %zu sessions): %.2fx\n",
               kSessions, speedup);

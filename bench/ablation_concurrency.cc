@@ -27,7 +27,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -36,9 +35,9 @@
 #include <vector>
 
 #include "api/database.h"
+#include "bench/bench_util.h"
 #include "common/rng.h"
 #include "la/random.h"
-#include "obs/json.h"
 #include "service/session.h"
 #include "storage/serialize.h"
 
@@ -343,47 +342,54 @@ int main(int argc, char** argv) {
                 entry.latch_read_p95, entry.region_wait_p95);
   }
 
-  std::ofstream os("BENCH_concurrency.json", std::ios::trunc);
-  os << "{\"figure\":\"concurrency\",\"workers\":" << kWorkers
-     << ",\"threads\":" << kThreads
-     << ",\"rows\":" << args.rows << ",\"dims\":" << args.dims
-     << ",\"per_session\":" << args.per_session << ",\"entries\":[\n";
-  for (size_t i = 0; i < entries.size(); ++i) {
-    const SweepEntry& e = entries[i];
-    os << "{\"label\":\"sessions=" << e.sessions << ",threads=" << e.threads
-       << ",caches=" << (e.caches ? "on" : "off") << "\""
-       << ",\"sessions\":" << e.sessions << ",\"threads\":" << e.threads
-       << ",\"caches\":" << (e.caches ? "true" : "false")
-       << ",\"cache_result_hits\":" << e.result_hits
-       << ",\"cache_plan_hits\":" << e.plan_hits
-       << ",\"queries\":" << e.queries
-       << ",\"wall_seconds\":" << obs::JsonNumber(e.wall_seconds)
-       << ",\"qps\":" << obs::JsonNumber(e.qps)
-       << ",\"latency_p50\":" << obs::JsonNumber(e.p50)
-       << ",\"latency_p95\":" << obs::JsonNumber(e.p95)
-       << ",\"latency_p99\":" << obs::JsonNumber(e.p99)
-       << ",\"queue_wait_p50\":" << obs::JsonNumber(e.queue_p50)
-       << ",\"queue_wait_p95\":" << obs::JsonNumber(e.queue_p95)
-       << ",\"queue_wait_p99\":" << obs::JsonNumber(e.queue_p99)
-       << ",\"admitted\":" << e.admitted << ",\"queued\":" << e.queued
-       << ",\"phase_micros\":{";
+  std::vector<std::string> json;
+  for (const SweepEntry& e : entries) {
+    bench::JsonFields phases;
     for (size_t p = 0; p < obs::kNumQueryPhases; ++p) {
-      os << (p == 0 ? "" : ",") << "\""
-         << obs::QueryPhaseName(static_cast<obs::QueryPhase>(p))
-         << "\":" << e.phase_micros[p];
+      phases.Int(obs::QueryPhaseName(static_cast<obs::QueryPhase>(p)),
+                 e.phase_micros[p]);
     }
-    os << "}"
-       << ",\"latch_read_p50\":" << obs::JsonNumber(e.latch_read_p50)
-       << ",\"latch_read_p95\":" << obs::JsonNumber(e.latch_read_p95)
-       << ",\"latch_read_p99\":" << obs::JsonNumber(e.latch_read_p99)
-       << ",\"latch_write_p95\":" << obs::JsonNumber(e.latch_write_p95)
-       << ",\"region_wait_p50\":" << obs::JsonNumber(e.region_wait_p50)
-       << ",\"region_wait_p95\":" << obs::JsonNumber(e.region_wait_p95)
-       << ",\"region_wait_p99\":" << obs::JsonNumber(e.region_wait_p99)
-       << ",\"mismatches\":" << e.mismatches << ",\"errors\":" << e.errors
-       << "}" << (i + 1 < entries.size() ? ",\n" : "\n");
+    json.push_back(bench::JsonFields()
+                       .Str("label", "sessions=" + std::to_string(e.sessions) +
+                                         ",threads=" +
+                                         std::to_string(e.threads) +
+                                         ",caches=" + (e.caches ? "on" : "off"))
+                       .Int("sessions", e.sessions)
+                       .Int("threads", e.threads)
+                       .Bool("caches", e.caches)
+                       .Int("cache_result_hits", e.result_hits)
+                       .Int("cache_plan_hits", e.plan_hits)
+                       .Int("queries", e.queries)
+                       .Num("wall_seconds", e.wall_seconds)
+                       .Num("qps", e.qps)
+                       .Num("latency_p50", e.p50)
+                       .Num("latency_p95", e.p95)
+                       .Num("latency_p99", e.p99)
+                       .Num("queue_wait_p50", e.queue_p50)
+                       .Num("queue_wait_p95", e.queue_p95)
+                       .Num("queue_wait_p99", e.queue_p99)
+                       .Int("admitted", e.admitted)
+                       .Int("queued", e.queued)
+                       .Raw("phase_micros", phases.ToString())
+                       .Num("latch_read_p50", e.latch_read_p50)
+                       .Num("latch_read_p95", e.latch_read_p95)
+                       .Num("latch_read_p99", e.latch_read_p99)
+                       .Num("latch_write_p95", e.latch_write_p95)
+                       .Num("region_wait_p50", e.region_wait_p50)
+                       .Num("region_wait_p95", e.region_wait_p95)
+                       .Num("region_wait_p99", e.region_wait_p99)
+                       .Int("mismatches", e.mismatches)
+                       .Int("errors", e.errors)
+                       .ToString());
   }
-  os << "]}\n";
+  bench::WriteBenchJson("concurrency",
+                        bench::JsonFields()
+                            .Int("workers", kWorkers)
+                            .Int("threads", kThreads)
+                            .Int("rows", args.rows)
+                            .Int("dims", args.dims)
+                            .Int("per_session", args.per_session),
+                        json);
 
   if (total_mismatches + total_errors > 0) {
     std::fprintf(stderr,

@@ -34,15 +34,14 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "common/rng.h"
 #include "la/matrix.h"
 #include "la/sparse/sparse.h"
 #include "la/vector.h"
-#include "obs/json.h"
 
 namespace {
 
@@ -268,22 +267,25 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::ofstream os("BENCH_sparse.json", std::ios::trunc);
-  os << "{\"figure\":\"sparse\",\"dim\":" << n
-     << ",\"gate_density\":" << obs::JsonNumber(kGateDensity)
-     << ",\"gate_speedup\":" << obs::JsonNumber(kGateSpeedup)
-     << ",\"mismatches\":" << total_mismatches << ",\"entries\":[\n";
-  for (size_t i = 0; i < cells.size(); ++i) {
-    const CellStats& c = cells[i];
-    os << "{\"kernel\":\"" << c.kernel << "\",\"density\":"
-       << obs::JsonNumber(c.density) << ",\"nnz\":" << c.nnz
-       << ",\"dense_seconds\":" << obs::JsonNumber(c.dense_seconds)
-       << ",\"sparse_seconds\":" << obs::JsonNumber(c.sparse_seconds)
-       << ",\"speedup\":" << obs::JsonNumber(c.speedup)
-       << ",\"mismatches\":" << c.mismatches << "}"
-       << (i + 1 == cells.size() ? "\n" : ",\n");
+  std::vector<std::string> json;
+  for (const CellStats& c : cells) {
+    json.push_back(bench::JsonFields()
+                       .Str("kernel", c.kernel)
+                       .Num("density", c.density)
+                       .Int("nnz", c.nnz)
+                       .Num("dense_seconds", c.dense_seconds)
+                       .Num("sparse_seconds", c.sparse_seconds)
+                       .Num("speedup", c.speedup)
+                       .Int("mismatches", c.mismatches)
+                       .ToString());
   }
-  os << "]}\n";
+  bench::WriteBenchJson("sparse",
+                        bench::JsonFields()
+                            .Int("dim", n)
+                            .Num("gate_density", kGateDensity)
+                            .Num("gate_speedup", kGateSpeedup)
+                            .Int("mismatches", total_mismatches),
+                        json);
 
   if (total_mismatches > 0) {
     std::fprintf(stderr,

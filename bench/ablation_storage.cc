@@ -37,15 +37,14 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "api/database.h"
+#include "bench/bench_util.h"
 #include "common/rng.h"
-#include "obs/json.h"
 #include "storage/serialize.h"
 
 namespace {
@@ -400,26 +399,31 @@ int main(int argc, char** argv) {
     errors += p.errors;
   }
 
-  std::ofstream os("BENCH_storage.json", std::ios::trunc);
-  os << "{\"figure\":\"storage\",\"rows\":" << args.rows
-     << ",\"lookups\":" << args.lookups
-     << ",\"load_seconds\":" << obs::JsonNumber(load_seconds)
-     << ",\"lookup_speedup\":" << obs::JsonNumber(speedup)
-     << ",\"reopen_seconds\":" << obs::JsonNumber(reopen_seconds)
-     << ",\"replayed_statements\":" << recovery.replayed_statements
-     << ",\"pool_budget_bytes\":" << small.storage.buffer_pool_bytes
-     << ",\"pool_evictions\":" << pool.evictions
-     << ",\"mismatches\":" << mismatches << ",\"errors\":" << errors
-     << ",\"entries\":[\n";
-  for (size_t i = 0; i < entries.size(); ++i) {
-    const PhaseStats& p = entries[i];
-    os << "{\"phase\":\"" << p.phase << "\",\"queries\":" << p.queries
-       << ",\"wall_seconds\":" << obs::JsonNumber(p.wall_seconds)
-       << ",\"qps\":" << obs::JsonNumber(p.qps)
-       << ",\"mismatches\":" << p.mismatches << ",\"errors\":" << p.errors
-       << "}" << (i + 1 == entries.size() ? "\n" : ",\n");
+  std::vector<std::string> json;
+  for (const PhaseStats& p : entries) {
+    json.push_back(bench::JsonFields()
+                       .Str("phase", p.phase)
+                       .Int("queries", p.queries)
+                       .Num("wall_seconds", p.wall_seconds)
+                       .Num("qps", p.qps)
+                       .Int("mismatches", p.mismatches)
+                       .Int("errors", p.errors)
+                       .ToString());
   }
-  os << "]}\n";
+  bench::WriteBenchJson(
+      "storage",
+      bench::JsonFields()
+          .Int("rows", args.rows)
+          .Int("lookups", args.lookups)
+          .Num("load_seconds", load_seconds)
+          .Num("lookup_speedup", speedup)
+          .Num("reopen_seconds", reopen_seconds)
+          .Int("replayed_statements", recovery.replayed_statements)
+          .Int("pool_budget_bytes", small.storage.buffer_pool_bytes)
+          .Int("pool_evictions", pool.evictions)
+          .Int("mismatches", mismatches)
+          .Int("errors", errors),
+      json);
 
   std::printf("indexed lookup speedup over full scan: %.2fx\n", speedup);
   if (mismatches + errors > 0) {

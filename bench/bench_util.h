@@ -3,6 +3,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -122,6 +123,52 @@ inline void ReportOutcome(benchmark::State& state,
 /// exits — the machine-readable twin of the stdout tables. Repeated
 /// iterations of the same benchmark overwrite their record, so the
 /// file holds the last (post-warmup) run.
+/// One JSON object built field by field, keys in insertion order: a
+/// BENCH_*.json header or entry.
+class JsonFields {
+ public:
+  /// `json` is already JSON text (a number, object, array...).
+  JsonFields& Raw(const std::string& key, const std::string& json) {
+    body_ += (body_.empty() ? "\"" : ",\"") + obs::JsonEscape(key) +
+             "\":" + json;
+    return *this;
+  }
+  JsonFields& Str(const std::string& key, const std::string& s) {
+    return Raw(key, "\"" + obs::JsonEscape(s) + "\"");
+  }
+  JsonFields& Num(const std::string& key, double v) {
+    return Raw(key, obs::JsonNumber(v));
+  }
+  JsonFields& Int(const std::string& key, uint64_t v) {
+    return Raw(key, std::to_string(v));
+  }
+  JsonFields& Bool(const std::string& key, bool b) {
+    return Raw(key, b ? "true" : "false");
+  }
+  /// The fields without braces.
+  const std::string& body() const { return body_; }
+  std::string ToString() const { return "{" + body_ + "}"; }
+
+ private:
+  std::string body_;
+};
+
+/// Writes BENCH_<figure>.json in the working directory:
+/// {"figure":"<figure>",<header fields>,"entries":[...]}, one entry
+/// per line.
+inline void WriteBenchJson(const std::string& figure, const JsonFields& header,
+                           const std::vector<std::string>& entries) {
+  std::ofstream os("BENCH_" + figure + ".json", std::ios::trunc);
+  if (!os) return;
+  os << "{\"figure\":\"" << obs::JsonEscape(figure) << "\"";
+  if (!header.body().empty()) os << "," << header.body();
+  os << ",\"entries\":[\n";
+  for (size_t i = 0; i < entries.size(); ++i) {
+    os << entries[i] << (i + 1 < entries.size() ? ",\n" : "\n");
+  }
+  os << "]}\n";
+}
+
 class BenchJsonRegistry {
  public:
   static BenchJsonRegistry& Instance() {
@@ -154,14 +201,9 @@ class BenchJsonRegistry {
 
   ~BenchJsonRegistry() {
     for (const auto& [figure, entries] : figures_) {
-      std::ofstream os("BENCH_" + figure + ".json", std::ios::trunc);
-      if (!os) continue;
-      os << "{\"figure\":\"" << obs::JsonEscape(figure) << "\""
-         << ",\"workers\":" << kWorkers << ",\"entries\":[\n";
-      for (size_t i = 0; i < entries.size(); ++i) {
-        os << entries[i].second << (i + 1 < entries.size() ? ",\n" : "\n");
-      }
-      os << "]}\n";
+      std::vector<std::string> json;
+      for (const auto& entry : entries) json.push_back(entry.second);
+      WriteBenchJson(figure, JsonFields().Int("workers", kWorkers), json);
     }
   }
 

@@ -19,10 +19,9 @@
 // caches-on and a caches-off database, which must agree on every
 // statement (the stale-cache contract; see RunCacheDiffRounds).
 // The sweep also reports how many generated queries got a spool (a
-// repeated subtree computed once; see GenerateQuery), how many ran
-// a batch chain in the 64 KB budgeted rerun (see Differ::RunOne), and
-// how many ran the relational multiply kernel or fell back to the join
-// (about one query in four adds a GenerateMultiplyQuery product).
+// repeated subtree computed once; see GenerateQuery), and how many ran
+// the relational multiply kernel or fell back to the join (about one
+// query in four adds a GenerateMultiplyQuery product).
 // With --reopen R > 0, a fifth phase runs R persistence rounds: a
 // generated catalog is loaded into a Database::Open store, a query
 // batch is executed, the database is closed and reopened from disk,
@@ -107,9 +106,8 @@ int main(int argc, char** argv) {
   obs::MetricsRegistry metrics;
   uint64_t queries_run = 0;
   uint64_t divergences = 0;
-  uint64_t spooled = 0;  // phase-2 queries that got a spool
-  uint64_t budgeted_batch = 0;  // phase-2 budgeted reruns on the batch engine
-  uint64_t generated = 0;       // phase-2 queries, products included
+  uint64_t spooled = 0;             // phase-2 queries that got a spool
+  uint64_t generated = 0;           // phase-2 queries, products included
   uint64_t multiply_kernel = 0;    // ... that ran the relational multiply
   uint64_t multiply_fallback = 0;  // ... whose multiply fell back
 
@@ -196,10 +194,6 @@ int main(int argc, char** argv) {
       if (differ.RelationalMultiplyFallbacks() > fallbacks_before) {
         ++multiply_fallback;
         metrics.counter("fuzz.relational_multiply_fallback_queries")->Add(1);
-      }
-      if (outcome.budgeted_batch) {
-        ++budgeted_batch;
-        metrics.counter("fuzz.budgeted_batch_queries")->Add(1);
       }
       if (outcome.diverged) diverge(outcome, catalog, query);
     };
@@ -391,10 +385,6 @@ int main(int argc, char** argv) {
     std::printf("fuzz: %llu of %llu generated queries got a spool\n",
                 static_cast<unsigned long long>(spooled),
                 static_cast<unsigned long long>(generated));
-    std::printf(
-        "fuzz: %llu of %llu generated queries ran a budgeted batch chain\n",
-        static_cast<unsigned long long>(budgeted_batch),
-        static_cast<unsigned long long>(generated));
     std::printf(
         "fuzz: %llu of %llu generated queries ran the relational multiply "
         "kernel, %llu fell back\n",

@@ -3,9 +3,9 @@
 # configures a dedicated build tree with -DRADB_SANITIZE=address,undefined,
 # builds the fuzz_queries driver, replays the pinned regression seeds,
 # then runs a seeded random sweep (>= 500 queries, each executed under
-# all twelve engine configurations — {DP, greedy, no-early-projection}
-# x {1t, 8t} x {row, batch} — and compared cell-exactly against the
-# brute-force reference evaluator). Exits non-zero on any divergence
+# all six configurations — {DP, greedy, no-early-projection} x {1t, 8t}
+# — and compared cell-exactly against the brute-force reference
+# evaluator). Exits non-zero on any divergence
 # or sanitizer report; divergences are shrunk to a minimal repro to
 # paste into src/testing/regression_seeds.h.
 #
@@ -56,10 +56,11 @@ cmake --build "$BUILD_DIR" -j "$JOBS" \
 # same `obs` label scripts/stress.sh runs under TSan.
 (cd "$BUILD_DIR" && ctest -L obs --output-on-failure)
 
-# Vectorized engine pass: the row-vs-batch bit-identity battery and
-# selection-vector edge cases under ASan+UBSan — columnar kernels index
-# through selection vectors, so out-of-bounds lane math surfaces here
-# first (scripts/stress.sh runs the same label under TSan).
+# Batch engine pass: the pipeline-vs-reference battery (typed and
+# Value lanes, batch edges, error order, budgets) under ASan+UBSan —
+# columnar kernels index through selection vectors, so out-of-bounds
+# lane math surfaces here first (scripts/stress.sh runs the same label
+# under TSan).
 cmake --build "$BUILD_DIR" -j "$JOBS" --target vectorized_test
 (cd "$BUILD_DIR" && ctest -L vectorized --output-on-failure)
 

@@ -45,16 +45,16 @@ export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:die_after_fork=0}"
 # TSan targets this tree adds.
 (cd "$BUILD_DIR" && ctest -L obs --output-on-failure)
 
-# Budget suites: spill, Grace join and aggregation admission on both
-# engines, and the SQL-LA / tiled / aggregation suites rerun under a
+# Budget suites: spill, Grace join and aggregation admission, and the
+# SQL-LA / tiled / aggregation suites rerun under a
 # 16 MB budget — spill buffers and the shared tracker are touched from
 # every worker thread (same label scripts/fuzz.sh runs under ASan).
 (cd "$BUILD_DIR" && ctest -L memory_budget --output-on-failure)
 
-# Vectorized engine suite: the batch pipeline fans partitions out over
-# the worker pool and merges per-worker aggregate states, so the
-# bit-identity battery doubles as a race detector for the columnar
-# path (same label scripts/fuzz.sh runs under ASan).
+# Batch engine suite: every pipeline fans partitions out over the
+# worker pool and merges per-worker aggregate states, so the
+# bit-identity battery doubles as a race detector for typed and Value
+# lanes alike (same label scripts/fuzz.sh runs under ASan).
 (cd "$BUILD_DIR" && ctest -L vectorized --output-on-failure)
 
 # Cache suite: the plan/result caches are shared mutable state across

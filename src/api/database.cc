@@ -296,11 +296,6 @@ Status Database::Config::Validate(bool persistent) const {
   if (num_workers == 0) {
     return Status::InvalidArgument("Config::num_workers must be at least 1");
   }
-  if (enable_vectorized && vectorized_batch_rows == 0) {
-    return Status::InvalidArgument(
-        "Config::vectorized_batch_rows must be at least 1 when the "
-        "vectorized engine is enabled");
-  }
   if (!persistent) return Status::OK();
   const StorageOptions& s = storage;
   if (s.buffer_pool_bytes == 0) {
@@ -565,9 +560,7 @@ Result<Dist> Database::ExecutePlan(const LogicalOp& plan,
   {
     obs::ScopedSpan exec_span(obs.tracer, "execute", "pipeline");
     PhaseTimer exec_timer(record, obs::QueryPhase::kExecute);
-    Executor executor(cluster_, qm, obs, pool, mem,
-                      ExecOptions{config_.enable_vectorized,
-                                  config_.vectorized_batch_rows});
+    Executor executor(cluster_, qm, obs, pool, mem);
     auto result = executor.Execute(plan);
     if (node_metrics != nullptr) *node_metrics = executor.node_metrics();
     stats->spill_bytes = tracker.spill_bytes();
@@ -678,12 +671,9 @@ Result<ResultSet> Database::RunExecutePrepared(const parser::Statement& stmt,
   }
 
   // Substitute the arguments into a private clone; the template stays
-  // parameter-abstract for the next EXECUTE. Re-annotate batch
-  // capability: literals vectorize where an abstract parameter
-  // could not.
+  // parameter-abstract for the next EXECUTE.
   LogicalOpPtr plan = tmpl->plan->Clone();
   RADB_RETURN_NOT_OK(SubstituteParams(plan.get(), args));
-  AnnotateBatchCapability(*plan);
   return ExecutePlanRows(*plan, tmpl->out_columns, options, stats, record);
 }
 
@@ -1146,10 +1136,9 @@ Result<ResultSet> Database::ExplainAnalyzeSelect(
   // Snapshot the sparse-dispatch counters so the footer can report
   // this query's deltas (the registry is cumulative per Database).
   obs::MetricsRegistry* sparse_reg = obs::GlobalMetrics();
-  uint64_t sparse0 = 0, auto0 = 0, densify0 = 0;
+  uint64_t sparse0 = 0, densify0 = 0;
   if (sparse_reg != nullptr) {
     sparse0 = sparse_reg->counter("la.sparse.dispatch_sparse")->value();
-    auto0 = sparse_reg->counter("la.sparse.auto_sparsify")->value();
     densify0 = sparse_reg->counter("la.sparse.densify_fallback")->value();
   }
   QueryMetrics qm;
@@ -1173,13 +1162,11 @@ Result<ResultSet> Database::ExplainAnalyzeSelect(
   if (sparse_reg != nullptr) {
     const uint64_t sparse_calls =
         sparse_reg->counter("la.sparse.dispatch_sparse")->value() - sparse0;
-    const uint64_t auto_calls =
-        sparse_reg->counter("la.sparse.auto_sparsify")->value() - auto0;
     const uint64_t densify_calls =
         sparse_reg->counter("la.sparse.densify_fallback")->value() - densify0;
-    if (sparse_calls + auto_calls + densify_calls > 0) {
+    if (sparse_calls + densify_calls > 0) {
       os << "; sparse dispatch: sparse=" << sparse_calls
-         << " auto=" << auto_calls << " densified=" << densify_calls;
+         << " densified=" << densify_calls;
     }
   }
   return PlanTextRows(os.str());

@@ -245,14 +245,6 @@ class Database {
     size_t memory_budget_bytes = 0;
     /// Directory spill files are created in ("" = system temp dir).
     std::string spill_dir;
-    /// Master switch for the columnar batch engine. Even when on, a
-    /// pipeline runs vectorized only if the optimizer marked its
-    /// nodes batch-capable. Results are bit-identical to the row
-    /// engine either way, and under a memory budget the batch engine
-    /// applies the row engine's admission and spill rules.
-    bool enable_vectorized = true;
-    /// Lanes per ColumnBatch on the vectorized path.
-    size_t vectorized_batch_rows = 1024;
 
     /// Hot-traffic caches (plan + result). Folded into one struct so
     /// a service config reads `config.cache.*` in one place.

@@ -59,12 +59,10 @@ const CsrMatrix& CsrOf(const Value& v, CsrMatrix* storage) {
   return *storage;
 }
 
-/// matrix_multiply(a, b [, semiring]) with density-adaptive kernel
-/// selection. Representation rule: the result is sparsely represented
-/// only when an input was explicitly sparse; the auto-dispatch path
-/// (dense inputs below the density threshold) uses the sparse kernel
-/// internally but returns a dense value, so it is purely a
-/// kernel-selection device and results stay bit-identical.
+/// matrix_multiply(a, b [, semiring]): the sparse kernels when an
+/// input is sparsely represented, the dense kernel otherwise. The
+/// result is sparsely represented only when an input was explicitly
+/// sparse.
 Result<Value> MultiplyDispatch(const std::vector<Value>& args) {
   RADB_ASSIGN_OR_RETURN(Semiring s, SemiringArg(args, 2));
   const Value& av = args[0];
@@ -91,18 +89,8 @@ Result<Value> MultiplyDispatch(const std::vector<Value>& args) {
                                         bv.sparse_matrix(), s));
     return Value::FromSparseMatrix(std::move(c));
   }
-  const la::Matrix& a = av.matrix();
-  const la::Matrix& b = bv.matrix();
-  const size_t cells = a.rows() * a.cols();
-  if (cells > 0 && static_cast<double>(la::sparse::DenseNnz(a)) / cells <=
-                       la::sparse::kAutoSparsifyDensity) {
-    SparseMetric("la.sparse.auto_sparsify");
-    RADB_ASSIGN_OR_RETURN(
-        la::Matrix c, la::sparse::SpMm(CsrMatrix::FromDense(a), b, s));
-    return Value::FromMatrix(std::move(c));
-  }
   SparseMetric("la.sparse.dispatch_dense");
-  return WrapMat(la::sparse::DenseMultiply(a, b, s));
+  return WrapMat(la::sparse::DenseMultiply(av.matrix(), bv.matrix(), s));
 }
 
 Result<Value> MatVecDispatch(const std::vector<Value>& args) {
@@ -157,7 +145,7 @@ std::vector<std::string> FunctionRegistry::Names() const {
 void FunctionRegistry::Register(BuiltinFunction fn) {
   if (!fn.sparse_aware) {
     // Densify shim: the single fn->eval choke point (expr_eval) serves
-    // the row engine, the vectorized engine's scalar fallback, and the
+    // the operators, the batch engine's per-lane stages, and the
     // reference evaluator, so wrapping here makes every non-sparse-
     // aware builtin (and app UDF) transparently accept sparse values.
     fn.eval = [inner = std::move(fn.eval)](const std::vector<Value>& args)

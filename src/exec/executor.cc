@@ -365,28 +365,15 @@ Result<ExecResult> Executor::ServeSpool(const LogicalOp& op,
 
 Result<ExecResult> Executor::RunOp(const LogicalOp& op) {
   if (op.multiply.has_value()) return ExecuteMultiply(op);
-  return RunOnEngines(op);
-}
-
-Result<ExecResult> Executor::RunOnEngines(const LogicalOp& op) {
-  // Columnar fast path: vectorize the maximal batch-capable chain
-  // rooted here. Under a memory budget it follows the row engine's
-  // rules (group admission passes, spillable inputs and outputs).
-  if (opts_.enable_vectorized) {
-    RADB_ASSIGN_OR_RETURN(std::optional<ExecResult> v, TryVectorized(op));
-    if (v.has_value()) return std::move(*v);
-  }
   switch (op.kind) {
     case LogicalOp::Kind::kScan:
       return ExecuteScan(op);
     case LogicalOp::Kind::kFilter:
-      return ExecuteFilter(op);
     case LogicalOp::Kind::kProject:
-      return ExecuteProject(op);
+    case LogicalOp::Kind::kAggregate:
+      return ExecutePipeline(op);
     case LogicalOp::Kind::kJoin:
       return ExecuteJoin(op);
-    case LogicalOp::Kind::kAggregate:
-      return ExecuteAggregate(op);
     case LogicalOp::Kind::kDistinct:
       return ExecuteDistinct(op);
     case LogicalOp::Kind::kSort:
@@ -397,12 +384,8 @@ Result<ExecResult> Executor::RunOnEngines(const LogicalOp& op) {
   return Status::Internal("unknown logical operator");
 }
 
-namespace {
-
-/// The physical-placement property of a base-table scan: a table
-/// hash-partitioned on an emitted column, with one partition per
-/// worker, is already placed the way a join shuffle would place it.
-std::optional<size_t> ScanHashedSlot(const LogicalOp& op, size_t workers) {
+std::optional<size_t> Executor::ScanHashedSlot(const LogicalOp& op,
+                                               size_t workers) {
   const Partitioning& part = op.table->partitioning();
   if (part.kind == Partitioning::Kind::kHash &&
       op.table->num_partitions() == workers) {
@@ -412,8 +395,6 @@ std::optional<size_t> ScanHashedSlot(const LogicalOp& op, size_t workers) {
   }
   return std::nullopt;
 }
-
-}  // namespace
 
 Result<ExecResult> Executor::ExecuteScan(const LogicalOp& op) {
   if (!op.index_name.empty() && !op.index_lo.empty()) {
@@ -530,84 +511,6 @@ Result<ExecResult> Executor::ExecuteIndexScan(const LogicalOp& op,
   m->bytes_out = SpillDistByteSize(out);
   CollectSpill(m, out);
   return ExecResult{std::move(out), ScanHashedSlot(op, w)};
-}
-
-Result<ExecResult> Executor::ExecuteFilter(const LogicalOp& op) {
-  RADB_ASSIGN_OR_RETURN(ExecResult child, ExecuteOp(*op.children[0]));
-  SpillableDist& in = child.dist;
-  OperatorMetrics* m = NewOp("Filter", op);
-  m->rows_in = SpillDistRowCount(in);
-  const auto layout = LayoutOf(*op.children[0]);
-  std::vector<BoundExprPtr> preds;
-  for (const auto& p : op.predicates) {
-    RADB_ASSIGN_OR_RETURN(BoundExprPtr rewritten,
-                          RewriteToPositions(*p, layout));
-    preds.push_back(std::move(rewritten));
-  }
-  SpillableDist out = NewDist(in.size());
-  RADB_RETURN_NOT_OK(ForEachWorker(in.size(), [&](size_t wkr) -> Status {
-    const auto t0 = Clock::now();
-    RADB_RETURN_NOT_OK(ConsumeRows(in[wkr], [&](Row row) -> Status {
-      for (const auto& p : preds) {
-        RADB_ASSIGN_OR_RETURN(Value v, EvalExpr(*p, row));
-        if (v.is_null() || !v.bool_value()) return Status::OK();
-      }
-      return out[wkr].Append(std::move(row));
-    }));
-    m->worker_seconds[wkr] += SecondsSince(t0);
-    return Status::OK();
-  }));
-  m->rows_out = SpillDistRowCount(out);
-  m->bytes_out = SpillDistByteSize(out);
-  CollectSpill(m, out);
-  // Filtering never moves rows, so placement survives.
-  return ExecResult{std::move(out), child.hashed_slot};
-}
-
-Result<ExecResult> Executor::ExecuteProject(const LogicalOp& op) {
-  RADB_ASSIGN_OR_RETURN(ExecResult child, ExecuteOp(*op.children[0]));
-  SpillableDist& in = child.dist;
-  OperatorMetrics* m = NewOp("Project", op);
-  m->rows_in = SpillDistRowCount(in);
-  const auto layout = LayoutOf(*op.children[0]);
-  std::vector<BoundExprPtr> exprs;
-  for (const auto& e : op.exprs) {
-    RADB_ASSIGN_OR_RETURN(BoundExprPtr rewritten,
-                          RewriteToPositions(*e, layout));
-    exprs.push_back(std::move(rewritten));
-  }
-  SpillableDist out = NewDist(in.size());
-  RADB_RETURN_NOT_OK(ForEachWorker(in.size(), [&](size_t wkr) -> Status {
-    const auto t0 = Clock::now();
-    RADB_RETURN_NOT_OK(ConsumeRows(in[wkr], [&](Row row) -> Status {
-      Row projected;
-      projected.reserve(exprs.size());
-      for (const auto& e : exprs) {
-        RADB_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, row));
-        projected.push_back(std::move(v));
-      }
-      return out[wkr].Append(std::move(projected));
-    }));
-    m->worker_seconds[wkr] += SecondsSince(t0);
-    return Status::OK();
-  }));
-  m->rows_out = SpillDistRowCount(out);
-  m->bytes_out = SpillDistByteSize(out);
-  CollectSpill(m, out);
-  // Placement survives when the hashed column passes through as a
-  // bare reference; its slot id changes to the projection's output
-  // slot only if the expression is an identity reference.
-  std::optional<size_t> hashed;
-  if (child.hashed_slot) {
-    for (size_t i = 0; i < op.exprs.size(); ++i) {
-      const BoundExpr& e = *op.exprs[i];
-      if (e.kind == BoundExpr::Kind::kColumnRef &&
-          e.slot == *child.hashed_slot) {
-        hashed = op.output[i].slot;
-      }
-    }
-  }
-  return ExecResult{std::move(out), hashed};
 }
 
 Result<std::optional<ExecResult>> Executor::TryIndexJoin(const LogicalOp& op) {
@@ -835,7 +738,7 @@ Result<ExecResult> Executor::ExecuteJoin(const LogicalOp& op) {
 
   OperatorMetrics* m = nullptr;
   SpillableDist out = NewDist(w);
-  // When a vectorized pipeline owns this join as its boundary, joined
+  // When a batch pipeline owns this join as its boundary, joined
   // rows stream into its column batches instead of `out` (which then
   // stays empty; the pipeline patches rows_out/bytes_out). The guard
   // is the exact node pointer, so joins nested deeper in this subtree
@@ -1235,235 +1138,6 @@ Result<ExecResult> Executor::ExecuteJoin(const LogicalOp& op) {
   m->rows_out = SpillDistRowCount(out);
   m->bytes_out = SpillDistByteSize(out);
   CollectSpill(m, out);
-  return ExecResult{std::move(out), std::nullopt};
-}
-
-Result<ExecResult> Executor::ExecuteAggregate(const LogicalOp& op) {
-  RADB_ASSIGN_OR_RETURN(ExecResult child, ExecuteOp(*op.children[0]));
-  SpillableDist& in = child.dist;
-  const size_t w = cluster_.num_workers();
-  const auto layout = LayoutOf(*op.children[0]);
-
-  std::vector<BoundExprPtr> group_exprs;
-  for (const auto& g : op.group_exprs) {
-    RADB_ASSIGN_OR_RETURN(BoundExprPtr e, RewriteToPositions(*g, layout));
-    group_exprs.push_back(std::move(e));
-  }
-  std::vector<BoundExprPtr> agg_args;
-  for (const auto& a : op.aggs) {
-    if (a.is_count_star) {
-      agg_args.push_back(MakeBoundLiteral(Value::Int(1)));
-    } else {
-      RADB_ASSIGN_OR_RETURN(BoundExprPtr e,
-                            RewriteToPositions(*a.arg, layout));
-      agg_args.push_back(std::move(e));
-    }
-  }
-
-  struct GroupState {
-    Row key;
-    std::vector<std::unique_ptr<Aggregator>> aggs;
-    size_t base = 0;     // admission charge (key copies + map entry)
-    size_t charged = 0;  // total bytes currently reserved for this group
-  };
-  using GroupMap =
-      std::unordered_map<KeyRow, std::unique_ptr<GroupState>, KeyRowHash>;
-
-  // Group state cannot spill (a partially-aggregated accumulator must
-  // stay addressable), so it charges a dedicated child tracker:
-  // admission of a new group may be refused under pressure (the rows
-  // overflow to a later pass, below), but growth of an already-
-  // admitted accumulator reserves hard. The scoped child releases
-  // whatever is still charged when the operator finishes.
-  std::optional<mem::MemoryTracker> agg_tracker;
-  if (mem_.tracker != nullptr) {
-    agg_tracker.emplace("Aggregate state", mem_.tracker);
-  }
-
-  // Phase 1: local partial aggregation on every worker, in admission
-  // passes. When a pass cannot admit a new group within the budget,
-  // that group's rows are diverted (in order) to a spillable overflow
-  // buffer, which becomes the next pass's input. Admission is sticky-
-  // off per pass — after the first refusal no new groups are admitted
-  // for the rest of the pass — so every group's updates happen in
-  // exactly one pass, in original row order: floating-point results
-  // are bit-identical to the unbudgeted single pass. The first group
-  // of each pass reserves hard (guaranteed progress, so the pass loop
-  // terminates or fails with ResourceExhausted). Group state is gated
-  // against the unspillable pool only, so a refusal means real state
-  // pressure — a later pass can recover only if some of it is
-  // released in the meantime; when the total state simply exceeds the
-  // budget, the next pass fails cleanly instead of thrashing.
-  OperatorMetrics* m1 = NewOp("Aggregate(partial)", op);
-  m1->rows_in = SpillDistRowCount(in);
-  // Worst case the group state approaches the input's full size
-  // (ROWMATRIX/VECTORIZE rebuild their input inside accumulators). If
-  // that much of the budget isn't free while the input rows sit
-  // resident, push the input to disk first and stream it back.
-  RADB_RETURN_NOT_OK(MakeHeadroom(mem_, SpillDistByteSize(in), {&in}));
-  std::vector<std::vector<GroupMap>> partials(w);
-  std::vector<size_t> agg_spill_b(w, 0), agg_spill_r(w, 0);
-  RADB_RETURN_NOT_OK(ForEachWorker(in.size(), [&](size_t wkr) -> Status {
-    const auto t0 = Clock::now();
-    SpillableRowBuffer carried;  // overflow rows between passes
-    SpillableRowBuffer* input = &in[wkr];
-    while (true) {
-      partials[wkr].emplace_back();
-      GroupMap& map = partials[wkr].back();
-      SpillableRowBuffer overflow(mem_);
-      bool admitting = true;
-      RADB_RETURN_NOT_OK(ConsumeRows(*input, [&](Row row) -> Status {
-        RADB_ASSIGN_OR_RETURN(KeyRow key, EvalKey(group_exprs, row));
-        auto it = map.find(key);
-        if (it == map.end()) {
-          const size_t admit = GroupAdmissionBytes(RowByteSize(key.values));
-          if (agg_tracker.has_value()) {
-            if (map.empty()) {
-              RADB_RETURN_NOT_OK(agg_tracker->Reserve(admit));
-            } else if (!admitting || !agg_tracker->TryReserve(admit)) {
-              admitting = false;
-              return overflow.Append(std::move(row));
-            }
-          }
-          auto state = std::make_unique<GroupState>();
-          state->key = key.values;
-          state->base = admit;
-          state->charged = admit;
-          for (const AggCall& a : op.aggs) {
-            state->aggs.push_back(a.fn->make());
-          }
-          it = map.emplace(std::move(key), std::move(state)).first;
-        }
-        GroupState& g = *it->second;
-        for (size_t i = 0; i < agg_args.size(); ++i) {
-          RADB_ASSIGN_OR_RETURN(Value v, EvalExpr(*agg_args[i], row));
-          RADB_RETURN_NOT_OK(g.aggs[i]->Update(v));
-        }
-        if (agg_tracker.has_value()) {
-          size_t needed = g.base;
-          for (const auto& agg : g.aggs) needed += agg->StateBytes();
-          if (needed > g.charged) {
-            // Accumulator growth (e.g. a Gram-matrix SUM state) is
-            // unspillable: reserve hard or fail the query.
-            RADB_RETURN_NOT_OK(agg_tracker->Reserve(needed - g.charged));
-            g.charged = needed;
-          }
-        }
-        return Status::OK();
-      }));
-      agg_spill_b[wkr] += overflow.spill_bytes();
-      agg_spill_r[wkr] += overflow.spill_runs();
-      if (overflow.empty()) break;
-      carried = std::move(overflow);
-      input = &carried;
-    }
-    m1->worker_seconds[wkr] += SecondsSince(t0);
-    return Status::OK();
-  }));
-  for (size_t wkr = 0; wkr < in.size(); ++wkr) {
-    m1->bytes_spilled += agg_spill_b[wkr];
-    m1->spill_runs += agg_spill_r[wkr];
-    for (const GroupMap& map : partials[wkr]) m1->rows_out += map.size();
-  }
-
-  // Phase 2: shuffle partial states by group key hash (scalar
-  // aggregates — no GROUP BY — all land on worker 0). Each
-  // destination worker walks every source's partial maps and merges
-  // exactly the groups it owns, visiting sources (and, within one,
-  // admission passes) in index order — the same merge order as a
-  // sequential src-major sweep, so floating-point aggregation results
-  // are independent of the thread count and of the budget.
-  // (Tasks move states out of distinct map entries; the map structure
-  // itself is only read.)
-  // NewOp can reallocate the metrics vector and invalidate m1, so the
-  // partial-stage count must be read first.
-  const size_t partial_rows_out = m1->rows_out;
-  OperatorMetrics* m2 = NewOp("Aggregate(final)", op);
-  m2->rows_in = partial_rows_out;
-  std::vector<GroupMap> finals(w);
-  std::vector<size_t> local_bytes(w, 0);
-  std::vector<size_t> local_rows(w, 0);
-  RADB_RETURN_NOT_OK(ForEachWorker(w, [&](size_t dst) -> Status {
-    for (size_t src = 0; src < w; ++src) {
-      for (GroupMap& pass : partials[src]) {
-        for (auto& [key, state] : pass) {
-          const size_t owner =
-              group_exprs.empty() ? 0 : cluster_.WorkerForHash(key.hash);
-          if (owner != dst) continue;
-          if (dst != src) {
-            size_t state_bytes = RowByteSize(state->key);
-            for (const auto& agg : state->aggs) {
-              state_bytes += agg->StateBytes();
-            }
-            local_bytes[dst] += state_bytes;
-            ++local_rows[dst];
-          }
-          auto it = finals[dst].find(key);
-          if (it == finals[dst].end()) {
-            finals[dst].emplace(key, std::move(state));
-          } else {
-            const auto t0 = Clock::now();
-            GroupState& target = *it->second;
-            for (size_t i = 0; i < target.aggs.size(); ++i) {
-              RADB_RETURN_NOT_OK(target.aggs[i]->Merge(*state->aggs[i]));
-            }
-            if (agg_tracker.has_value()) {
-              size_t needed = target.base;
-              for (const auto& agg : target.aggs) {
-                needed += agg->StateBytes();
-              }
-              if (needed > target.charged) {
-                RADB_RETURN_NOT_OK(
-                    agg_tracker->Reserve(needed - target.charged));
-                target.charged = needed;
-              }
-              // The merged-away source state is dead now.
-              agg_tracker->Release(state->charged);
-            }
-            m2->worker_seconds[dst] += SecondsSince(t0);
-          }
-        }
-      }
-    }
-    return Status::OK();
-  }));
-  for (size_t dst = 0; dst < w; ++dst) {
-    m2->bytes_shuffled += local_bytes[dst];
-    m2->rows_shuffled += local_rows[dst];
-  }
-  for (auto& passes : partials) passes.clear();
-
-  // Phase 3: finalize into output rows [group keys..., agg results...],
-  // releasing each group's charge as its row is emitted.
-  SpillableDist out = NewDist(w);
-  RADB_RETURN_NOT_OK(ForEachWorker(w, [&](size_t wkr) -> Status {
-    const auto t0 = Clock::now();
-    for (auto& [key, state] : finals[wkr]) {
-      Row row = state->key;
-      for (const auto& agg : state->aggs) {
-        RADB_ASSIGN_OR_RETURN(Value v, agg->Finalize());
-        row.push_back(std::move(v));
-      }
-      RADB_RETURN_NOT_OK(out[wkr].Append(std::move(row)));
-      if (agg_tracker.has_value()) agg_tracker->Release(state->charged);
-    }
-    m2->worker_seconds[wkr] += SecondsSince(t0);
-    return Status::OK();
-  }));
-  // A scalar aggregate over zero rows still produces one row (SQL
-  // semantics): COUNT() = 0, SUM() = NULL.
-  if (group_exprs.empty() && SpillDistRowCount(out) == 0) {
-    Row row;
-    for (const AggCall& a : op.aggs) {
-      auto agg = a.fn->make();
-      RADB_ASSIGN_OR_RETURN(Value v, agg->Finalize());
-      row.push_back(std::move(v));
-    }
-    RADB_RETURN_NOT_OK(out[0].Append(std::move(row)));
-  }
-  m2->rows_out = SpillDistRowCount(out);
-  m2->bytes_out = SpillDistByteSize(out);
-  CollectSpill(m2, out);
   return ExecResult{std::move(out), std::nullopt};
 }
 

@@ -47,6 +47,9 @@ size_t DistRowCount(const Dist& d);
 size_t SpillDistByteSize(const SpillableDist& d);
 size_t SpillDistRowCount(const SpillableDist& d);
 
+/// Execution options (none today; kept so callers can pass `{}`).
+struct ExecOptions {};
+
 /// Executes optimized logical plans over the simulated shared-nothing
 /// cluster. Hash joins shuffle (or broadcast) their inputs, group-by
 /// aggregation runs in two phases (local partial aggregation, then a
@@ -71,18 +74,11 @@ size_t SpillDistRowCount(const SpillableDist& d);
 /// buffers, DISTINCT sets, broadcast tables, aggregate accumulator
 /// growth) reserves hard and fails the query with ResourceExhausted,
 /// leaving the Database healthy.
-/// Engine selection knobs, threaded down from Database::Config.
-struct ExecOptions {
-  /// Master switch for the columnar batch engine. Even when on, a
-  /// pipeline runs vectorized only if the optimizer marked its nodes
-  /// batch-capable. Under a memory budget the batch engine applies
-  /// the row engine's rules, so at one thread both engines admit the
-  /// same groups and succeed or fail alike.
-  bool enable_vectorized = true;
-  /// Lanes per ColumnBatch on the vectorized path.
-  size_t batch_rows = 1024;
-};
-
+///
+/// Filter, Project and Aggregate run on the batch engine
+/// (vectorized.cc): every chain of them executes as one pipeline over
+/// column batches. Scans, joins, DISTINCT, ORDER BY and LIMIT run
+/// operator at a time over rows.
 class Executor {
  public:
   /// `obs` carries the (optional) tracer and metrics registry; the
@@ -91,22 +87,21 @@ class Executor {
   /// memory context (null tracker = untracked, unlimited).
   explicit Executor(const Cluster& cluster, QueryMetrics* metrics,
                     obs::ObsContext obs = {}, ThreadPool* pool = nullptr,
-                    MemoryContext mem = {}, ExecOptions opts = {})
+                    MemoryContext mem = {}, ExecOptions = {})
       : cluster_(cluster),
         metrics_(metrics),
         obs_(obs),
         pool_(pool),
-        mem_(std::move(mem)),
-        opts_(opts) {}
+        mem_(std::move(mem)) {}
 
   Result<Dist> Execute(const LogicalOp& op);
 
-  /// Per-worker columnar consumer a vectorized pipeline installs on
-  /// its boundary join (vectorized.cc) when the query has no memory
-  /// budget: ExecuteJoin streams joined pairs straight into the
-  /// pipeline's column batches instead of materializing every joined
-  /// Row into its output distribution — the dominant cost of
-  /// high-fanout joins like the paper's tuple-coded Gram self-join.
+  /// Per-worker columnar consumer a pipeline installs on its boundary
+  /// join (vectorized.cc) when the query has no memory budget:
+  /// ExecuteJoin streams joined pairs straight into the pipeline's
+  /// column batches instead of materializing every joined Row into its
+  /// output distribution — the dominant cost of high-fanout joins like
+  /// the paper's tuple-coded Gram self-join.
   /// AppendPair carries the unconcatenated sides (left columns then
   /// right columns); AppendRow carries a materialized row where the
   /// join had to build one anyway (residual predicates, fused
@@ -130,8 +125,6 @@ class Executor {
   /// The budget charge for admitting one aggregation group, or one
   /// DISTINCT entry, whose key serializes to `key_bytes`: the key held
   /// twice (map key and group state) plus the entry's bookkeeping.
-  /// Both engines charge exactly this, so under one budget they admit
-  /// and refuse the same groups.
   static size_t GroupAdmissionBytes(size_t key_bytes) {
     return 2 * key_bytes + 128;
   }
@@ -161,11 +154,9 @@ class Executor {
   /// Serves `op` from its spool when a copy already ran; otherwise runs
   /// it and, for a spool with later uses, holds the result.
   Result<ExecResult> DispatchOp(const LogicalOp& op);
-  /// A marked relational multiply goes to ExecuteMultiply, everything
-  /// else to RunOnEngines.
+  /// Runs `op` by its kind: a marked relational multiply goes to
+  /// ExecuteMultiply, a Filter/Project/Aggregate to ExecutePipeline.
   Result<ExecResult> RunOp(const LogicalOp& op);
-  /// The batch engine for a chain `op` heads, else the row operator.
-  Result<ExecResult> RunOnEngines(const LogicalOp& op);
   struct HeldSpool;
   /// Keeps a spool producer's result for its later uses and returns a
   /// copy for the producer's own consumer.
@@ -176,12 +167,10 @@ class Executor {
   /// Row-for-row copy of `src` into fresh buffers on the same workers;
   /// per-worker copy time goes to `m` when given.
   Result<SpillableDist> CopyDist(SpillableDist& src, OperatorMetrics* m);
-  /// Columnar fast path (vectorized.cc): when `op` heads a
-  /// batch-capable scan/filter/project[/aggregate] chain, executes the
-  /// whole chain batch-at-a-time and returns its result; nullopt means
-  /// "not vectorizable here", and the caller dispatches to the row
-  /// engine. Results are bit-identical to the row path.
-  Result<std::optional<ExecResult>> TryVectorized(const LogicalOp& op);
+  /// The batch engine (vectorized.cc): executes the chain `op` heads —
+  /// Filter/Project nodes down to a scan or another operator, with an
+  /// optional Aggregate on top — batch at a time.
+  Result<ExecResult> ExecutePipeline(const LogicalOp& op);
   Result<ExecResult> ExecuteScan(const LogicalOp& op);
   /// B+ tree range scan for a kScan annotated with index bounds by the
   /// optimizer: probes the tree once, then materializes the matching
@@ -196,10 +185,7 @@ class Executor {
   /// dropped or degraded since planning) — the caller falls back to the
   /// hash path.
   Result<std::optional<ExecResult>> TryIndexJoin(const LogicalOp& op);
-  Result<ExecResult> ExecuteFilter(const LogicalOp& op);
-  Result<ExecResult> ExecuteProject(const LogicalOp& op);
   Result<ExecResult> ExecuteJoin(const LogicalOp& op);
-  Result<ExecResult> ExecuteAggregate(const LogicalOp& op);
   Result<ExecResult> ExecuteDistinct(const LogicalOp& op);
   Result<ExecResult> ExecuteSort(const LogicalOp& op);
   Result<ExecResult> ExecuteLimit(const LogicalOp& op);
@@ -218,6 +204,13 @@ class Executor {
 
   /// slot -> position map for an operator's output.
   static std::map<size_t, size_t> LayoutOf(const LogicalOp& op);
+
+  /// The placement of a base-table scan's output: the slot of the
+  /// table's hash column when the table is hash-partitioned with one
+  /// partition per worker, i.e. placed the way a join shuffle would
+  /// place it.
+  static std::optional<size_t> ScanHashedSlot(const LogicalOp& op,
+                                              size_t workers);
 
   /// `n` empty spillable buffers wired to this query's MemoryContext.
   SpillableDist NewDist(size_t n) const;
@@ -242,7 +235,6 @@ class Executor {
   obs::ObsContext obs_;
   ThreadPool* pool_ = nullptr;
   MemoryContext mem_;
-  ExecOptions opts_;
   NodeMetricIds node_metrics_;
   /// Installed (and save/restored) by VectorizedPipeline around the
   /// execution of a boundary join; `join_sink_op_` pins the sink to

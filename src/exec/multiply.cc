@@ -155,7 +155,7 @@ Result<ExecResult> Executor::ExecuteMultiply(const LogicalOp& op) {
   ++relational_multiply_fallbacks_;
   held_inputs_[inputs[0]] = std::move(left);
   held_inputs_[inputs[1]] = std::move(right);
-  Result<ExecResult> out = RunOnEngines(op);
+  Result<ExecResult> out = ExecutePipeline(op);
   // An index-nested-loop join probes its inner table instead of taking
   // the held input.
   for (const LogicalOp* in : inputs) held_inputs_.erase(in);

@@ -1,17 +1,26 @@
-// Columnar batch-at-a-time execution (the vectorized engine).
+// Filter, Project and Aggregate execution: the batch engine.
 //
-// Executor::TryVectorized stitches a maximal chain of batch-capable
-// plan nodes — an optional in-chain Scan source, Filter/Project
-// middles, an optional Aggregate head — and executes the whole chain
-// over typed ColumnBatches: ~batch_rows lanes per batch, a selection
-// vector instead of row copies for filters, and tight per-column
-// kernels instead of per-row Value dispatch. Late materialization:
-// rows are rebuilt only at the pipeline sink (result buffers) or in
-// the typed hash aggregate's emitted groups.
+// Executor::ExecutePipeline stitches the chain a Filter, Project or
+// Aggregate node heads — Filter/Project middles down to a source (an
+// in-chain Scan, or any other operator executed first as the chain's
+// boundary) and an optional Aggregate on top — and executes the whole
+// chain over ColumnBatches of kBatchRows lanes: a selection vector
+// instead of row copies for filters, and late materialization (rows
+// are rebuilt only at the sink or for emitted groups).
 //
-// Bit-identity with the row engine is a hard requirement (the
-// differential fuzzer cross-checks every query on both engines), so
-// every kernel replicates the row engine's exact semantics:
+// Lanes. A chain column gets a typed lane (contiguous primitive
+// payloads) when its static kind is a scalar and its source is
+// runtime-kind pure (see OutputKindPure): every non-NULL value then
+// has exactly the column's static kind. Every other column — VECTOR,
+// MATRIX, LABELED_SCALAR, sparse, or a scalar of an impure source —
+// gets a Value lane holding the row values as they are.
+//
+// Stages. A stage whose expressions are all typed-capable over typed
+// lanes (and whose aggregates have typed accumulators) runs the
+// columnar kernels below. Every other stage runs per lane, in row
+// order, through EvalExpr on a scratch row and the row Aggregators:
+// the per-row code of SQL semantics itself, so its results keep their
+// bits. The typed kernels replicate that code exactly:
 //  - arithmetic follows EvalArith (INTEGER x INTEGER stays int64,
 //    anything else computes through AsDouble; only integer division
 //    by zero errors),
@@ -22,20 +31,25 @@
 //    lhs did not decide,
 //  - group keys hash and compare exactly like KeyRow over Value::Hash,
 //  - SUM/AVG replicate the "first non-null value is kept raw"
-//    accumulator (signed overflow wraps just like the row engine's
-//    int64 adds; -0.0 survives as a first value),
-//  - aggregate merge walks sources in index order (src-major), and
-//    within a source its admission passes, the same sequence as the
-//    row engine's phase 2, so floating-point results are independent
-//    of the thread count and the budget,
-//  - under a memory budget, groups are admitted, charged and refused
-//    by the row engine's rules (AdmitLanes), so at one thread both
-//    engines succeed or fail alike.
+//    accumulator (signed overflow wraps like int64 adds; -0.0 survives
+//    as a first value).
+// A typed aggregate emits its groups in insertion order; a per-lane
+// aggregate keeps its groups in a KeyRow hash map and merges and emits
+// them in that map's order, so downstream floating-point folds see the
+// rows in the order they always have. Either way merges walk sources in
+// index order (src-major) and within a source its admission passes, so
+// results are independent of the thread count and the budget.
 //
-// The optimizer only marks a node batch_capable when its inputs are
-// runtime-kind pure (see AnnotateBatchCapability), so a column's
-// non-null lanes all carry the column's static kind and the typed
-// kernels are sound.
+// Budgets. Under a memory budget groups are admitted, charged and
+// refused one at a time (admission passes, overflow rows replayed in
+// order), growth of an admitted group's state reserves hard, and the
+// in-flight batch closes at budget / (2 x workers) bytes.
+//
+// Errors. A statement fails with the error of its earliest failing
+// operator: when a stage fails on a worker, the stages before it still
+// run over that worker's remaining input (and a streaming boundary join
+// still finishes), and the result is the failure of the lowest stage,
+// then the lowest worker, then the first row.
 
 #include <algorithm>
 #include <chrono>
@@ -44,17 +58,24 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "exec/executor.h"
 #include "exec/expr_eval.h"
+#include "exec/row_key.h"
 #include "types/column.h"
 
 namespace radb {
 
 namespace {
+
+/// Lanes per ColumnBatch.
+constexpr size_t kBatchRows = 1024;
+
 
 using Clock = std::chrono::steady_clock;
 
@@ -63,8 +84,8 @@ double SecondsSince(Clock::time_point t0) {
 }
 
 // Hash constants mirroring Value::Hash / HashRow (exec/row_key.h):
-// group placement (hash % workers) must agree with the row engine so
-// shuffle metrics and merge order match.
+// group placement (hash % workers) must agree with KeyRow's so shuffle
+// metrics and merge order match the per-row code's.
 constexpr size_t kNullHash = 0x517cc1b727220a95ULL;
 constexpr size_t kTrueHash = 0x9ae16a3b2f90404fULL;
 constexpr size_t kFalseHash = 0xc949d7c7509e6557ULL;
@@ -97,8 +118,8 @@ size_t KeyHashLanes(const std::vector<const ColumnVector*>& keys, size_t i) {
   return h;
 }
 
-// Wrapping int64 arithmetic: same bit results as the row engine's
-// plain signed ops on overflow, without the UB (and safe to run
+// Wrapping int64 arithmetic: same bit results as EvalArith's plain
+// signed ops on overflow, without the UB (and safe to run
 // branchlessly over null lanes holding garbage payloads).
 int64_t WrapAdd(int64_t a, int64_t b) {
   return static_cast<int64_t>(static_cast<uint64_t>(a) +
@@ -518,7 +539,7 @@ Result<const ColumnVector*> EvalV(VExpr& e,
     }
 
     case BoundExpr::Kind::kLogic: {
-      // Three-valued AND/OR with the row engine's short-circuit: the
+      // Three-valued AND/OR with EvalExpr's short-circuit: the
       // rhs is evaluated only on lanes the lhs left undecided, which
       // also reproduces its error suppression (a division error in
       // the rhs of `FALSE AND x/0` never surfaces).
@@ -578,13 +599,173 @@ size_t ColBytes(const ColumnVector& c, const uint32_t* sel, size_t n) {
 }
 
 // ---------------------------------------------------------------------------
-// Typed hash aggregation
+// Lane and stage typing
 // ---------------------------------------------------------------------------
 
-/// The typed accumulator an AggCall compiles to. SUM/AVG admit only
-/// INTEGER/DOUBLE arguments (the capability check enforces it);
-/// MIN/MAX (and EMIN/EMAX, identical for scalars) carry any scalar
-/// payload kind.
+/// How a chain column is stored: a typed lane of `kind`, or a Value
+/// lane (the default).
+struct LaneType {
+  bool values = true;
+  TypeKind kind = TypeKind::kNull;
+};
+
+LaneType TypedLane(TypeKind k) { return LaneType{false, k}; }
+
+void ResetLane(ColumnVector& c, const LaneType& t, size_t n) {
+  if (t.values) {
+    c.ResetValues(n);
+  } else {
+    c.Reset(t.kind, n);
+  }
+}
+
+/// Kinds a typed lane can carry as a real (payload-bearing) column.
+bool ScalarColumnKind(TypeKind k) {
+  return k == TypeKind::kBoolean || k == TypeKind::kInteger ||
+         k == TypeKind::kDouble || k == TypeKind::kString;
+}
+
+/// Kinds EvalArith / EvalNegate accept on the scalar-numeric path.
+/// kNull is a statically-NULL operand (a NULL literal): the result is
+/// NULL in every lane, which the kernels handle directly.
+bool NumericOperandKind(TypeKind k) {
+  return k == TypeKind::kBoolean || k == TypeKind::kInteger ||
+         k == TypeKind::kDouble || k == TypeKind::kNull;
+}
+
+/// True when the typed kernels (EvalV) evaluate `e`: literals and
+/// column refs of scalar kinds, arithmetic/negation over scalar
+/// numerics, comparisons, and three-valued AND/OR/NOT. Function calls
+/// and anything touching the LA kinds are evaluated per lane.
+bool BatchCapableExpr(const BoundExpr& e) {
+  switch (e.kind) {
+    case BoundExpr::Kind::kLiteral:
+      return ScalarColumnKind(e.type.kind()) ||
+             e.type.kind() == TypeKind::kNull;
+    case BoundExpr::Kind::kColumnRef:
+      return ScalarColumnKind(e.type.kind());
+    case BoundExpr::Kind::kArith:
+      return BatchCapableExpr(*e.children[0]) &&
+             BatchCapableExpr(*e.children[1]) &&
+             NumericOperandKind(e.children[0]->type.kind()) &&
+             NumericOperandKind(e.children[1]->type.kind());
+    case BoundExpr::Kind::kNeg:
+      return BatchCapableExpr(*e.children[0]) &&
+             NumericOperandKind(e.children[0]->type.kind());
+    case BoundExpr::Kind::kCompare: {
+      if (!BatchCapableExpr(*e.children[0]) ||
+          !BatchCapableExpr(*e.children[1])) {
+        return false;
+      }
+      const TypeKind a = e.children[0]->type.kind();
+      const TypeKind b = e.children[1]->type.kind();
+      if (a == TypeKind::kNull || b == TypeKind::kNull) return true;
+      if (NumericOperandKind(a) && NumericOperandKind(b)) return true;
+      return a == TypeKind::kString && b == TypeKind::kString;
+    }
+    case BoundExpr::Kind::kLogic:
+    case BoundExpr::Kind::kNot:
+      for (const auto& c : e.children) {
+        if (!BatchCapableExpr(*c)) return false;
+        const TypeKind k = c->type.kind();
+        if (k != TypeKind::kBoolean && k != TypeKind::kNull) return false;
+      }
+      return true;
+    case BoundExpr::Kind::kCall:
+      return false;  // built-ins (incl. every LA function) run per lane
+    case BoundExpr::Kind::kParam:
+      return false;  // substituted to a literal before execution
+  }
+  return false;
+}
+
+/// Aggregates with a typed columnar accumulator. SUM/AVG keep their
+/// first non-null argument's *runtime* representation (a BOOLEAN
+/// argument can surface as a BOOLEAN sum over a one-row group), so
+/// only INTEGER / DOUBLE arguments take the kernels; MIN/MAX and the
+/// label-checking EMIN/EMAX compare through the same total order for
+/// every scalar kind.
+bool AggCallCapable(const AggCall& a) {
+  if (a.is_count_star) return true;
+  if (!a.arg || !BatchCapableExpr(*a.arg)) return false;
+  const TypeKind arg = a.arg->type.kind();
+  if (a.name == "count") return true;
+  if (a.name == "sum" || a.name == "avg") {
+    return arg == TypeKind::kInteger || arg == TypeKind::kDouble;
+  }
+  if (a.name == "min" || a.name == "max" || a.name == "emin" ||
+      a.name == "emax") {
+    return ScalarColumnKind(arg);
+  }
+  return false;
+}
+
+/// Whether every non-NULL value `op` produces has exactly its output
+/// column's static kind. An INTEGER value legally stored in a DOUBLE
+/// column keeps its runtime kind (it groups, hashes and sums as an
+/// INTEGER), which a typed lane cannot represent, so only pure sources
+/// get typed lanes. Purity holds at a scan of kind-pure columns
+/// (Table::ColumnKindPure) and is kept by operators that pass values
+/// through and by BatchCapableExpr expressions and AggCallCapable
+/// aggregates, whose runtime result kinds match their static types
+/// over pure inputs.
+bool OutputKindPure(const LogicalOp& op) {
+  for (const LogicalOpPtr& c : op.children) {
+    if (!OutputKindPure(*c)) return false;
+  }
+  switch (op.kind) {
+    case LogicalOp::Kind::kScan:
+      for (size_t col : op.scan_columns) {
+        if (!op.table->ColumnKindPure(col)) return false;
+      }
+      return true;
+    case LogicalOp::Kind::kAggregate:
+      for (const BoundExprPtr& g : op.group_exprs) {
+        if (!BatchCapableExpr(*g)) return false;
+      }
+      for (const AggCall& a : op.aggs) {
+        if (!AggCallCapable(a)) return false;
+      }
+      return true;
+    default:
+      // A Project, or a Join's fused projection, computes its outputs;
+      // Filter/Distinct/Sort/Limit pass child values through.
+      for (const BoundExprPtr& e : op.exprs) {
+        if (!BatchCapableExpr(*e)) return false;
+      }
+      return true;
+  }
+}
+
+/// Whether every column `e` (rewritten to positions) reads is typed.
+bool RefsTyped(const BoundExpr& e, const std::vector<LaneType>& lanes) {
+  if (e.kind == BoundExpr::Kind::kColumnRef) return !lanes[e.slot].values;
+  for (const auto& c : e.children) {
+    if (!RefsTyped(*c, lanes)) return false;
+  }
+  return true;
+}
+
+/// The typed kernels evaluate `e` over `lanes`.
+bool TypedExpr(const BoundExpr& e, const std::vector<LaneType>& lanes) {
+  return BatchCapableExpr(e) && RefsTyped(e, lanes);
+}
+
+/// The input positions `exprs` (rewritten to positions) read.
+std::vector<size_t> RefsOf(const std::vector<const BoundExpr*>& exprs) {
+  std::set<size_t> refs;
+  for (const BoundExpr* e : exprs) e->CollectSlots(&refs);
+  return std::vector<size_t>(refs.begin(), refs.end());
+}
+
+// ---------------------------------------------------------------------------
+// Hash aggregation
+// ---------------------------------------------------------------------------
+
+/// The accumulator an AggCall compiles to: a typed accumulator when the
+/// stage runs the kernels (SUM/AVG over INTEGER/DOUBLE; MIN/MAX, and
+/// EMIN/EMAX, identical for scalars, over any scalar payload kind), or
+/// the aggregate's own row Aggregator when it runs per lane.
 struct AggSpec {
   enum class Op {
     kCountStar,
@@ -595,13 +776,20 @@ struct AggSpec {
     kAvgDouble,
     kMin,
     kMax,
+    kRow,
   };
   Op op = Op::kCountStar;
   TypeKind payload = TypeKind::kNull;  // min/max storage kind
+  const AggregateFunction* fn = nullptr;  // kRow
 };
 
-AggSpec SpecFor(const AggCall& a) {
+AggSpec SpecFor(const AggCall& a, bool typed) {
   AggSpec s;
+  if (!typed) {
+    s.op = AggSpec::Op::kRow;
+    s.fn = a.fn;
+    return s;
+  }
   if (a.is_count_star) {
     s.op = AggSpec::Op::kCountStar;
     return s;
@@ -624,15 +812,16 @@ AggSpec SpecFor(const AggCall& a) {
   return s;
 }
 
-/// Columnar accumulator arrays, group-indexed. Which arrays are live
-/// depends on the spec (sum -> value + seen, avg -> value + cnt,
-/// min/max -> payload + seen, count -> i64 only).
+/// Accumulator arrays, group-indexed. Which arrays are live depends on
+/// the spec (sum -> value + seen, avg -> value + cnt, min/max ->
+/// payload + seen, count -> i64 only, kRow -> row).
 struct AggAcc {
   std::vector<int64_t> i64;
   std::vector<double> f64;
   std::vector<std::string> str;
   std::vector<int64_t> cnt;
   std::vector<uint8_t> seen;
+  std::vector<std::unique_ptr<Aggregator>> row;
 };
 
 void AddGroup(const AggSpec& s, AggAcc& a) {
@@ -673,12 +862,16 @@ void AddGroup(const AggSpec& s, AggAcc& a) {
           break;
       }
       break;
+    case AggSpec::Op::kRow:
+      a.row.push_back(s.fn->make());
+      break;
   }
 }
 
-/// Batch update: for live lane j (group gids[j]), fold in the
-/// argument column. Lane order is row order, so first-value capture
-/// and floating-point accumulation match the row engine exactly.
+/// Batch update of a typed accumulator: for live lane j (group
+/// gids[j]), fold in the argument column. Lane order is row order, so
+/// first-value capture and floating-point accumulation match the row
+/// Aggregators exactly.
 void UpdateAgg(const AggSpec& s, AggAcc& acc, const ColumnVector* c,
                const uint32_t* sel, size_t n, const uint32_t* gids) {
   switch (s.op) {
@@ -799,14 +992,16 @@ void UpdateAgg(const AggSpec& s, AggAcc& acc, const ColumnVector* c,
       }
       break;
     }
+    case AggSpec::Op::kRow:
+      break;  // folded lane by lane (PerLaneAggregate)
   }
 }
 
 /// Merges source group `sg` into destination group `dg` (same spec);
-/// mirrors the row Aggregator Merge methods. A freshly AddGroup'ed
-/// destination merges as a plain copy, so insertion reuses this.
-void MergeAgg(const AggSpec& s, AggAcc& dst, size_t dg, const AggAcc& src,
-              size_t sg) {
+/// the typed cases mirror the row Aggregators' Merge methods. A freshly
+/// AddGroup'ed typed destination merges as a plain copy.
+Status MergeAgg(const AggSpec& s, AggAcc& dst, size_t dg, const AggAcc& src,
+                size_t sg) {
   switch (s.op) {
     case AggSpec::Op::kCountStar:
     case AggSpec::Op::kCount:
@@ -868,11 +1063,14 @@ void MergeAgg(const AggSpec& s, AggAcc& dst, size_t dg, const AggAcc& src,
       }
       break;
     }
+    case AggSpec::Op::kRow:
+      return dst.row[dg]->Merge(*src.row[sg]);
   }
+  return Status::OK();
 }
 
 /// Serialized state size, mirroring the row Aggregators' StateBytes
-/// (shuffle byte metrics must match the row engine).
+/// (shuffle byte metrics and budget charges depend on it).
 size_t AccStateBytes(const AggSpec& s, const AggAcc& a, size_t g) {
   switch (s.op) {
     case AggSpec::Op::kCountStar:
@@ -895,6 +1093,8 @@ size_t AccStateBytes(const AggSpec& s, const AggAcc& a, size_t g) {
         default:
           return 9;
       }
+    case AggSpec::Op::kRow:
+      return a.row[g]->StateBytes();
   }
   return 1;
 }
@@ -930,26 +1130,37 @@ Result<Value> FinalizeAgg(const AggSpec& s, const AggAcc& a, size_t g) {
         default:
           return Value::String(a.str[g]);
       }
+    case AggSpec::Op::kRow:
+      return a.row[g]->Finalize();
   }
   return Value::Null();
 }
 
-/// Open-addressing group table over dense columnar keys: key columns
-/// in insertion order (group id = dense index), per-group hash, and a
-/// power-of-two slot array (linear probing, grown at 0.7 load). Hash
-/// and equality replicate KeyRow over Value::Hash / variant equality.
+/// The groups of one aggregation pass, with dense group ids. Typed keys
+/// live in key columns under an open-addressing table (linear probing,
+/// grown at 0.7 load) whose hash and equality replicate KeyRow over
+/// Value::Hash / variant equality; groups merge and emit in insertion
+/// order. A per-lane aggregate's keys are KeyRows in a std hash map,
+/// and its groups merge and emit in that map's iteration order: the
+/// order in which a downstream floating-point fold has always seen the
+/// groups of a per-row aggregate.
 struct GroupTable {
+  bool by_row = false;
   std::vector<ColumnVector> keys;
-  std::vector<size_t> hashes;
+  std::vector<size_t> hashes;   // per group id
   std::vector<uint32_t> slots;  // group id + 1; 0 = empty
   size_t mask = 0;
+  std::unordered_map<KeyRow, uint32_t, KeyRowHash> rows;
+  std::vector<const KeyRow*> row_keys;  // per group id, into `rows`
 
   void Init(const std::vector<TypeKind>& kinds) {
     keys.resize(kinds.size());
     for (size_t i = 0; i < kinds.size(); ++i) keys[i].Reset(kinds[i], 0);
-    slots.assign(64, 0);
-    mask = 63;
+    slots.assign(16, 0);
+    mask = 15;
   }
+
+  void InitRows() { by_row = true; }
 
   size_t size() const { return hashes.size(); }
 
@@ -1007,10 +1218,46 @@ struct GroupTable {
     return *inserted ? Insert(kc, lane, hash) : *found;
   }
 
+  std::optional<uint32_t> FindRow(const KeyRow& key) const {
+    auto it = rows.find(key);
+    if (it == rows.end()) return std::nullopt;
+    return it->second;
+  }
+
+  uint32_t InsertRow(KeyRow key) {
+    const uint32_t g = static_cast<uint32_t>(size());
+    hashes.push_back(key.hash);
+    row_keys.push_back(&rows.emplace(std::move(key), g).first->first);
+    return g;
+  }
+
+  /// Calls f(group id) in merge and emission order; stops at the first
+  /// error.
+  template <typename F>
+  Status ForEachGroup(F&& f) const {
+    if (by_row) {
+      for (const auto& entry : rows) RADB_RETURN_NOT_OK(f(entry.second));
+    } else {
+      for (size_t g = 0; g < size(); ++g) {
+        RADB_RETURN_NOT_OK(f(static_cast<uint32_t>(g)));
+      }
+    }
+    return Status::OK();
+  }
+
   size_t KeyBytes(size_t g) const {
+    if (by_row) return RowByteSize(row_keys[g]->values);
     size_t bytes = 0;
     for (const ColumnVector& k : keys) bytes += k.LaneBytes(g);
     return bytes;
+  }
+
+  Row KeyValues(size_t g) const {
+    if (by_row) return row_keys[g]->values;
+    Row row;
+    row.reserve(keys.size());
+    for (const ColumnVector& k : keys) row.push_back(k.GetValue(g));
+    return row;
   }
 };
 
@@ -1019,26 +1266,25 @@ struct GroupTable {
 struct LocalAgg {
   GroupTable table;
   std::vector<AggAcc> accs;
-  // Without a budget: a running estimate, charged in one lump.
+  // Typed keys without a budget: a running estimate, charged in one
+  // lump.
   size_t state_bytes = 0;
   size_t charged = 0;
-  // Under a budget, per group: its admission charge and the bytes it
-  // has charged so far (the row engine's GroupState::base / charged).
+  // Charged per group (see VectorizedPipeline::group_charges_): its
+  // admission charge and the bytes it has charged so far.
   std::vector<size_t> base;
   std::vector<size_t> group_charged;
 };
 
 /// One worker's partial aggregation. Without a budget it is a single
-/// pass. Under one, groups are admitted one at a time as in the row
-/// engine: after a pass's first refusal it admits no more groups, the
-/// rows of unadmitted groups collect in `overflow`, and they become the
-/// next pass's input.
+/// pass. Under one, groups are admitted one at a time: after a pass's
+/// first refusal it admits no more groups, the rows of unadmitted
+/// groups collect in `overflow`, and they become the next pass's input.
 struct WorkerAgg {
   std::vector<LocalAgg> passes;
   bool admitting = true;
   SpillableRowBuffer overflow;
-  std::vector<TypeKind> overflow_kinds;  // column kinds of overflow rows
-  size_t spill_bytes = 0;                // spill totals of drained overflow
+  size_t spill_bytes = 0;  // spill totals of drained overflow
   size_t spill_runs = 0;
 };
 
@@ -1059,14 +1305,17 @@ struct StageTally {
 // ---------------------------------------------------------------------------
 
 /// Executes one stitched chain. Not reusable; one instance per
-/// TryVectorized call.
+/// ExecutePipeline call.
+///
+/// Stages are numbered in execution order: 0 is the source (the
+/// in-chain scan, or the boundary's rows), 1..M the Filter/Project
+/// middles, M + 1 the head (the Aggregate, or the sink of a chain
+/// without one).
 class VectorizedPipeline {
  public:
-  VectorizedPipeline(Executor& x, const LogicalOp& root,
-                     std::vector<const LogicalOp*> nodes,
+  VectorizedPipeline(Executor& x, std::vector<const LogicalOp*> nodes,
                      const LogicalOp* scan, const LogicalOp* boundary)
       : x_(x),
-        root_(root),
         nodes_(std::move(nodes)),
         scan_(scan),
         boundary_(boundary),
@@ -1078,19 +1327,26 @@ class VectorizedPipeline {
   struct StagePlan {
     const LogicalOp* op = nullptr;
     std::vector<BoundExprPtr> exprs;  // predicates / projections
+    bool typed = false;               // runs the columnar kernels
+    std::vector<size_t> refs;         // per lane: input positions read
+    std::vector<LaneType> out;        // a Project's output lanes
     size_t metric = 0;                // index into metrics->operators
   };
 
   /// Compiled per-worker state (scratches are thread-local by
-  /// construction: one WorkerCtx per simulated worker).
+  /// construction: one WorkerCtx per simulated worker), built when the
+  /// worker's first batch arrives.
   struct WorkerCtx {
+    bool compiled = false;
     ColumnBatch batch;
-    const std::vector<TypeKind>* batch_kinds = nullptr;  // ingest layout
+    const std::vector<LaneType>* batch_lanes = nullptr;  // ingest layout
     size_t batch_bytes = 0;  // ingested bytes (tracked under a budget)
     std::vector<uint32_t> sel_a, sel_b;
     std::vector<std::vector<std::unique_ptr<VExpr>>> stage_vexprs;
+    std::vector<std::vector<ColumnVector>> stage_out;  // per-lane Projects
     std::vector<std::unique_ptr<VExpr>> group_vexprs;
     std::vector<std::unique_ptr<VExpr>> agg_vexprs;  // null for COUNT(*)
+    Row scratch;  // per-lane evaluation: the referenced positions only
     std::vector<const ColumnVector*> cols;
     std::vector<const ColumnVector*> keycols;
     std::vector<const ColumnVector*> args;
@@ -1098,70 +1354,85 @@ class VectorizedPipeline {
     std::vector<uint32_t> gids;
     // Budgeted admission: admitted lanes not yet folded, with groups.
     std::vector<uint32_t> adm_sel, adm_gids;
+    std::vector<StageTally> tally;  // per stage: source, middles, head
+    WorkerAgg agg;                   // aggregate chains: partial state
+    SpillableRowBuffer* out = nullptr;  // other chains: the sink
+    /// The first stage that failed on this worker, and its error; only
+    /// stages before it still run.
+    size_t limit = std::numeric_limits<size_t>::max();
+    Status failure;
   };
 
   class JoinIngest;
 
-  /// Plan compilation: layouts, stage expressions, aggregate specs.
+  size_t HeadStage() const { return stages_.size() + 1; }
+
+  /// Plan compilation: lane and stage typing, expressions rewritten to
+  /// positions, aggregate specs.
   Status PreparePlan();
   /// Metrics entries for the chain (the boundary subtree's were
   /// already created by its own execution).
   void PrepareMetrics();
   /// Compiles one worker's expression trees (scratches must not be
   /// shared across threads) and opens its first aggregation pass.
-  void CompileCtx(WorkerCtx& ctx, WorkerAgg* wa);
+  void CompileCtx(WorkerCtx& ctx);
   /// Opens a new admission pass with an empty overflow buffer.
   void StartPass(WorkerAgg& wa);
-  /// Empties ctx.batch back to zero-lane columns of `kinds`.
-  void ResetIngestBatch(WorkerCtx& ctx, const std::vector<TypeKind>& kinds);
-  /// Packs `buf`'s rows (exact append order) into batches of `kinds`,
+  /// Empties ctx.batch back to zero-lane columns of `lanes`.
+  void ResetIngestBatch(WorkerCtx& ctx, const std::vector<LaneType>& lanes);
+  /// Packs `buf`'s rows (exact append order) into batches of `lanes`,
   /// calling `flush` whenever one closes and once for the remainder,
-  /// then clears `buf`. Append time accrues to `*seconds`.
+  /// then clears `buf`. Stops early once stage `first` has failed.
+  /// Append time accrues to `*seconds`.
   Status IngestRows(WorkerCtx& ctx, SpillableRowBuffer& buf,
-                    const std::vector<TypeKind>& kinds, double* seconds,
-                    const std::function<Status()>& flush);
+                    const std::vector<LaneType>& lanes, size_t first,
+                    double* seconds, const std::function<Status()>& flush);
   /// Runs ctx.batch through the chain (through the aggregate stage
   /// alone when !run_stages) — cancel poll and transient memory
   /// charge per batch — then resets it for the next fill.
-  Status FlushIngest(WorkerCtx& ctx, std::vector<StageTally>& tally,
-                     WorkerAgg* wa, SpillableRowBuffer* sink,
-                     mem::MemoryTracker* agg_tracker, bool run_stages = true);
+  Status FlushIngest(WorkerCtx& ctx, bool run_stages = true);
   /// ProcessBatch with ctx.batch's `bytes` charged for its duration.
-  Status ProcessCharged(WorkerCtx& ctx, std::vector<StageTally>& tally,
-                        WorkerAgg* wa, SpillableRowBuffer* sink,
-                        mem::MemoryTracker* agg_tracker, size_t bytes,
-                        bool run_stages);
+  void ProcessCharged(WorkerCtx& ctx, size_t bytes, bool run_stages);
   /// Rows of a scan batch starting at `begin`: at most `count`, and
   /// under a budget no more than fit batch_cap_ (at least one).
   size_t ScanBatchRows(const RowSet& rows, size_t begin, size_t count) const;
-  Status RunWorker(size_t wkr, WorkerCtx& ctx, std::vector<StageTally>& tally,
-                   WorkerAgg* wa, SpillableRowBuffer* sink,
-                   mem::MemoryTracker* agg_tracker);
-  Status ProcessBatch(WorkerCtx& ctx, std::vector<StageTally>& tally,
-                      WorkerAgg* wa, SpillableRowBuffer* sink,
-                      mem::MemoryTracker* agg_tracker, bool run_stages);
-  /// Budgeted aggregate stage: admits new groups lane by lane with the
-  /// row engine's rules and routes refused lanes to the overflow.
-  Status AdmitLanes(WorkerCtx& ctx, WorkerAgg& wa, const uint32_t* sel,
-                    size_t live, size_t nrows,
-                    mem::MemoryTracker* agg_tracker);
+  /// One worker's share of the chain. Returns the source's own errors
+  /// (scan, cancellation); a failing chain stage is recorded in `ctx`.
+  Status RunWorker(size_t wkr, WorkerCtx& ctx);
+  /// Runs ctx.batch through the stages before ctx.limit; a stage that
+  /// fails lowers ctx.limit to itself.
+  void ProcessBatch(WorkerCtx& ctx, bool run_stages);
+  /// Middle stage `si` over the live lanes: narrows the selection
+  /// (Filter) or swaps ctx.cols for its outputs (Project).
+  Status RunStage(size_t si, WorkerCtx& ctx, const uint32_t** sel,
+                  size_t* live, size_t nrows, StageTally& t);
+  /// Copies lane `l` of the referenced columns into ctx.scratch.
+  void FillScratch(WorkerCtx& ctx, const std::vector<size_t>& refs, size_t l);
+  Status TypedAggregate(WorkerCtx& ctx, const uint32_t* sel, size_t live,
+                        size_t nrows);
+  /// The aggregate stage of a per-lane chain: the row-at-a-time
+  /// aggregate loop (key, admission, argument, growth charge), lane by
+  /// lane in row order.
+  Status PerLaneAggregate(WorkerCtx& ctx, const uint32_t* sel, size_t live);
+  /// Budgeted typed aggregate stage: admits new groups lane by lane
+  /// and routes refused lanes to the overflow.
+  Status AdmitLanes(WorkerCtx& ctx, const uint32_t* sel, size_t live,
+                    size_t nrows);
   /// Folds the pending admitted lanes into their groups and charges
   /// the resulting accumulator growth.
-  Status FoldAdmitted(WorkerCtx& ctx, LocalAgg& agg, size_t nrows,
-                      mem::MemoryTracker* agg_tracker);
+  Status FoldAdmitted(WorkerCtx& ctx, LocalAgg& agg, size_t nrows);
   /// Raises group `g`'s charge to its admission charge plus the
   /// accumulators' state bytes (never lowers it); returns the increase.
   size_t ChargeGrowth(LocalAgg& agg, size_t g) const;
   /// Late-materializes lane `lane` of the aggregate input into the
   /// current pass's overflow rows.
-  Status Overflow(WorkerCtx& ctx, WorkerAgg& wa, size_t lane);
+  Status Overflow(WorkerCtx& ctx, size_t lane);
   std::optional<size_t> PropagateHashedSlot() const;
 
   Executor& x_;
-  const LogicalOp& root_;
-  std::vector<const LogicalOp*> nodes_;  // bottom-up, incl. root
+  std::vector<const LogicalOp*> nodes_;  // bottom-up middles, then head
   const LogicalOp* scan_ = nullptr;      // in-chain source, or
-  const LogicalOp* boundary_ = nullptr;  // row-engine child
+  const LogicalOp* boundary_ = nullptr;  // operator-executed child
   ExecResult boundary_res_;
 
   /// Under a memory budget: groups are admitted one at a time, a
@@ -1169,15 +1440,23 @@ class VectorizedPipeline {
   const bool budgeted_;
   size_t batch_cap_ = std::numeric_limits<size_t>::max();
   size_t workers_ = 0;
-  size_t batch_rows_ = 1024;
-  std::vector<TypeKind> source_kinds_;
-  std::vector<StagePlan> stages_;  // bottom-up, excluding scan + agg
+  std::vector<LaneType> source_lanes_;
+  std::vector<StagePlan> stages_;  // the Filter/Project middles
 
   const LogicalOp* agg_op_ = nullptr;
+  bool agg_typed_ = false;
+  std::vector<LaneType> agg_in_lanes_;  // also the overflow rows' layout
+  std::vector<size_t> agg_refs_;        // per lane: input positions read
   std::vector<BoundExprPtr> group_exprs_;
   std::vector<BoundExprPtr> agg_args_;  // null entry = COUNT(*)
   std::vector<AggSpec> specs_;
   std::vector<TypeKind> key_kinds_;
+  /// The unspillable aggregate state's tracker; null when the query is
+  /// untracked.
+  mem::MemoryTracker* agg_mem_ = nullptr;
+  /// Groups carry their own admission and growth charges: typed groups
+  /// under a budget, per-lane groups whenever the query is tracked.
+  bool group_charges_ = false;
   /// A string MIN/MAX state can shrink, so its growth is charged lane
   /// by lane (see FoldAdmitted).
   bool lane_growth_ = false;
@@ -1188,7 +1467,6 @@ class VectorizedPipeline {
 
 Status VectorizedPipeline::PreparePlan() {
   workers_ = x_.cluster_.num_workers();
-  batch_rows_ = std::max<size_t>(1, x_.opts_.batch_rows);
   if (budgeted_) {
     // Half the budget, split across the workers' in-flight batches.
     batch_cap_ =
@@ -1196,37 +1474,57 @@ Status VectorizedPipeline::PreparePlan() {
   }
 
   const LogicalOp* source = scan_ != nullptr ? scan_ : boundary_;
-  source_kinds_.clear();
-  for (const SlotInfo& s : source->output) {
-    source_kinds_.push_back(s.type.kind());
+  const bool source_pure = scan_ != nullptr || OutputKindPure(*boundary_);
+  for (size_t i = 0; i < source->output.size(); ++i) {
+    const TypeKind k = source->output[i].type.kind();
+    const bool pure = scan_ != nullptr
+                          ? scan_->table->ColumnKindPure(scan_->scan_columns[i])
+                          : source_pure;
+    source_lanes_.push_back(pure && ScalarColumnKind(k) ? TypedLane(k)
+                                                        : LaneType{});
   }
 
   // Rewrite every stage's expressions against its child's layout
-  // (slot id -> column position), once, shared read-only by workers.
+  // (slot id -> column position), once, shared read-only by workers,
+  // and type each stage by the lanes it reads.
+  std::vector<LaneType> lanes = source_lanes_;
   const LogicalOp* prev = source;
   for (const LogicalOp* node : nodes_) {
     const auto layout = Executor::LayoutOf(*prev);
     if (node->kind == LogicalOp::Kind::kAggregate) {
       agg_op_ = node;
+      agg_in_lanes_ = lanes;
+      std::vector<const BoundExpr*> read;
+      bool typed = true;
       for (const auto& g : node->group_exprs) {
         RADB_ASSIGN_OR_RETURN(BoundExprPtr e, RewriteToPositions(*g, layout));
+        typed = typed && TypedExpr(*e, lanes) &&
+                ScalarColumnKind(e->type.kind());
         key_kinds_.push_back(e->type.kind());
+        read.push_back(e.get());
         group_exprs_.push_back(std::move(e));
       }
       for (const AggCall& a : node->aggs) {
-        specs_.push_back(SpecFor(a));
+        if (a.is_count_star) {
+          agg_args_.push_back(nullptr);
+          continue;
+        }
+        RADB_ASSIGN_OR_RETURN(BoundExprPtr e,
+                              RewriteToPositions(*a.arg, layout));
+        typed = typed && TypedExpr(*e, lanes) && AggCallCapable(a);
+        read.push_back(e.get());
+        agg_args_.push_back(std::move(e));
+      }
+      agg_typed_ = typed;
+      if (!typed) agg_refs_ = RefsOf(read);
+      for (const AggCall& a : node->aggs) {
+        specs_.push_back(SpecFor(a, typed));
         const AggSpec& spec = specs_.back();
         lane_growth_ |= (spec.op == AggSpec::Op::kMin ||
                          spec.op == AggSpec::Op::kMax) &&
                         spec.payload == TypeKind::kString;
-        if (a.is_count_star) {
-          agg_args_.push_back(nullptr);
-        } else {
-          RADB_ASSIGN_OR_RETURN(BoundExprPtr e,
-                                RewriteToPositions(*a.arg, layout));
-          agg_args_.push_back(std::move(e));
-        }
       }
+      group_charges_ = typed ? budgeted_ : x_.mem_.tracker != nullptr;
       break;  // the aggregate is always the chain head
     }
     StagePlan stage;
@@ -1234,9 +1532,26 @@ Status VectorizedPipeline::PreparePlan() {
     const auto& exprs = node->kind == LogicalOp::Kind::kFilter
                             ? node->predicates
                             : node->exprs;
+    std::vector<const BoundExpr*> read;
+    stage.typed = true;
     for (const auto& e : exprs) {
       RADB_ASSIGN_OR_RETURN(BoundExprPtr r, RewriteToPositions(*e, layout));
+      stage.typed = stage.typed && TypedExpr(*r, lanes);
+      read.push_back(r.get());
       stage.exprs.push_back(std::move(r));
+    }
+    if (!stage.typed) stage.refs = RefsOf(read);
+    if (node->kind == LogicalOp::Kind::kProject) {
+      // A per-lane Project still gives a typed lane to each output the
+      // kernels could have computed: its values have the static kind.
+      for (const BoundExprPtr& e : stage.exprs) {
+        const TypeKind k = e->type.kind();
+        stage.out.push_back(
+            stage.typed || (TypedExpr(*e, lanes) && ScalarColumnKind(k))
+                ? TypedLane(k)
+                : LaneType{});
+      }
+      lanes = stage.out;
     }
     stages_.push_back(std::move(stage));
     prev = node;
@@ -1245,9 +1560,9 @@ Status VectorizedPipeline::PreparePlan() {
 }
 
 void VectorizedPipeline::PrepareMetrics() {
-  // Metrics entries, child-first like the row engine's post-order
-  // execution. All entries are created before the parallel region (a
-  // later NewOp would reallocate the vector), so indexes are stable.
+  // Metrics entries, child-first like operator-at-a-time execution. All
+  // entries are created before the parallel region (a later NewOp would
+  // reallocate the vector), so indexes are stable.
   auto& ops = x_.metrics_->operators;
   if (scan_ != nullptr) {
     OperatorMetrics* m = x_.NewOp("Scan(" + scan_->table->name() + ")",
@@ -1257,10 +1572,6 @@ void VectorizedPipeline::PrepareMetrics() {
     scan_metric_ = ops.size() - 1;
   }
   for (StagePlan& stage : stages_) {
-    if (stage.op->kind == LogicalOp::Kind::kScan) {
-      stage.metric = scan_metric_;
-      continue;
-    }
     OperatorMetrics* m = x_.NewOp(
         stage.op->kind == LogicalOp::Kind::kFilter ? "Filter" : "Project",
         *stage.op);
@@ -1277,66 +1588,80 @@ void VectorizedPipeline::PrepareMetrics() {
   }
 }
 
-void VectorizedPipeline::CompileCtx(WorkerCtx& ctx, WorkerAgg* wa) {
+void VectorizedPipeline::CompileCtx(WorkerCtx& ctx) {
+  ctx.compiled = true;
   ctx.stage_vexprs.resize(stages_.size());
+  ctx.stage_out.resize(stages_.size());
   for (size_t si = 0; si < stages_.size(); ++si) {
-    for (const auto& e : stages_[si].exprs) {
+    const StagePlan& stage = stages_[si];
+    if (!stage.typed) {
+      ctx.stage_out[si].resize(stage.out.size());
+      continue;
+    }
+    for (const auto& e : stage.exprs) {
       ctx.stage_vexprs[si].push_back(CompileVExpr(*e));
     }
   }
-  for (const auto& g : group_exprs_) {
-    ctx.group_vexprs.push_back(CompileVExpr(*g));
+  if (agg_typed_) {
+    for (const auto& g : group_exprs_) {
+      ctx.group_vexprs.push_back(CompileVExpr(*g));
+    }
+    for (const auto& a : agg_args_) {
+      ctx.agg_vexprs.push_back(a == nullptr ? nullptr : CompileVExpr(*a));
+    }
   }
-  for (const auto& a : agg_args_) {
-    ctx.agg_vexprs.push_back(a == nullptr ? nullptr : CompileVExpr(*a));
-  }
-  if (wa != nullptr) StartPass(*wa);
+  if (agg_op_ != nullptr) StartPass(ctx.agg);
 }
 
 void VectorizedPipeline::StartPass(WorkerAgg& wa) {
   LocalAgg& agg = wa.passes.emplace_back();
-  agg.table.Init(key_kinds_);
+  if (agg_typed_) {
+    agg.table.Init(key_kinds_);
+  } else {
+    agg.table.InitRows();
+  }
   agg.accs.resize(specs_.size());
   wa.admitting = true;
   wa.overflow = SpillableRowBuffer(x_.mem_);
 }
 
 void VectorizedPipeline::ResetIngestBatch(WorkerCtx& ctx,
-                                          const std::vector<TypeKind>& kinds) {
-  ctx.batch.Clear();
-  ctx.batch.columns.resize(kinds.size());
-  for (size_t c = 0; c < kinds.size(); ++c) {
-    ctx.batch.columns[c].Reset(kinds[c], 0);
+                                          const std::vector<LaneType>& lanes) {
+  ctx.batch.num_rows = 0;
+  ctx.batch.columns.resize(lanes.size());
+  for (size_t c = 0; c < lanes.size(); ++c) {
+    ResetLane(ctx.batch.columns[c], lanes[c], 0);
   }
-  ctx.batch_kinds = &kinds;
+  ctx.batch_lanes = &lanes;
   ctx.batch_bytes = 0;
 }
 
 Status VectorizedPipeline::IngestRows(WorkerCtx& ctx, SpillableRowBuffer& buf,
-                                      const std::vector<TypeKind>& kinds,
-                                      double* seconds,
+                                      const std::vector<LaneType>& lanes,
+                                      size_t first, double* seconds,
                                       const std::function<Status()>& flush) {
-  ResetIngestBatch(ctx, kinds);
+  ResetIngestBatch(ctx, lanes);
   auto ingest = [&](const Row& row) -> Status {
     const auto t0 = Clock::now();
-    for (size_t c = 0; c < kinds.size(); ++c) {
+    for (size_t c = 0; c < lanes.size(); ++c) {
       ctx.batch.columns[c].AppendValue(row[c]);
     }
     ++ctx.batch.num_rows;
     if (budgeted_) ctx.batch_bytes += RowByteSize(row);
     *seconds += SecondsSince(t0);
-    if (ctx.batch.num_rows >= batch_rows_ || ctx.batch_bytes >= batch_cap_) {
+    if (ctx.batch.num_rows >= kBatchRows || ctx.batch_bytes >= batch_cap_) {
       return flush();
     }
     return Status::OK();
   };
   if (!buf.has_spilled_rows()) {
     for (const Row& row : buf.resident_rows()) {
+      if (ctx.limit <= first) break;
       RADB_RETURN_NOT_OK(ingest(row));
     }
   } else {
     SpillableRowBuffer::Reader reader(&buf);
-    while (true) {
+    while (ctx.limit > first) {
       RADB_ASSIGN_OR_RETURN(std::optional<Row> row, reader.Next());
       if (!row.has_value()) break;
       RADB_RETURN_NOT_OK(ingest(*row));
@@ -1347,41 +1672,30 @@ Status VectorizedPipeline::IngestRows(WorkerCtx& ctx, SpillableRowBuffer& buf,
   return Status::OK();
 }
 
-Status VectorizedPipeline::FlushIngest(WorkerCtx& ctx,
-                                       std::vector<StageTally>& tally,
-                                       WorkerAgg* wa,
-                                       SpillableRowBuffer* sink,
-                                       mem::MemoryTracker* agg_tracker,
-                                       bool run_stages) {
+Status VectorizedPipeline::FlushIngest(WorkerCtx& ctx, bool run_stages) {
   if (ctx.batch.num_rows == 0) return Status::OK();
-  // Cooperative cancellation once per batch (the vectorized analogue
-  // of the row loops' kCancelCheckRows polling).
+  // Cooperative cancellation once per batch (the batch analogue of the
+  // row loops' kCancelCheckRows polling).
   if (x_.mem_.cancel != nullptr) RADB_RETURN_NOT_OK(x_.mem_.cancel->Check());
   size_t batch_bytes = 0;
   for (const ColumnVector& c : ctx.batch.columns) {
     batch_bytes += ColBytes(c, nullptr, ctx.batch.num_rows);
   }
-  RADB_RETURN_NOT_OK(ProcessCharged(ctx, tally, wa, sink, agg_tracker,
-                                    batch_bytes, run_stages));
-  ResetIngestBatch(ctx, *ctx.batch_kinds);
+  ProcessCharged(ctx, batch_bytes, run_stages);
+  ResetIngestBatch(ctx, *ctx.batch_lanes);
   return Status::OK();
 }
 
-Status VectorizedPipeline::ProcessCharged(WorkerCtx& ctx,
-                                          std::vector<StageTally>& tally,
-                                          WorkerAgg* wa,
-                                          SpillableRowBuffer* sink,
-                                          mem::MemoryTracker* agg_tracker,
-                                          size_t bytes, bool run_stages) {
+void VectorizedPipeline::ProcessCharged(WorkerCtx& ctx, size_t bytes,
+                                        bool run_stages) {
   // The in-flight batch is a spillable-class charge that never fails
   // the query. Under a budget a batch closes once it reaches
   // batch_cap_ bytes, so the workers' batches together add about half
   // the budget at most (each can pass the cap by one row).
   mem::MemoryTracker* tracker = x_.mem_.tracker;
   if (tracker != nullptr) tracker->ForceReserve(bytes);
-  const Status s = ProcessBatch(ctx, tally, wa, sink, agg_tracker, run_stages);
+  ProcessBatch(ctx, run_stages);
   if (tracker != nullptr) tracker->Release(bytes);
-  return s;
 }
 
 size_t VectorizedPipeline::ScanBatchRows(const RowSet& rows, size_t begin,
@@ -1397,12 +1711,93 @@ size_t VectorizedPipeline::ScanBatchRows(const RowSet& rows, size_t begin,
   return count;
 }
 
-Status VectorizedPipeline::ProcessBatch(WorkerCtx& ctx,
-                                        std::vector<StageTally>& tally,
-                                        WorkerAgg* wa,
-                                        SpillableRowBuffer* sink,
-                                        mem::MemoryTracker* agg_tracker,
-                                        bool run_stages) {
+void VectorizedPipeline::FillScratch(WorkerCtx& ctx,
+                                     const std::vector<size_t>& refs,
+                                     size_t l) {
+  for (size_t p : refs) ctx.scratch[p] = ctx.cols[p]->GetValue(l);
+}
+
+Status VectorizedPipeline::RunStage(size_t si, WorkerCtx& ctx,
+                                    const uint32_t** sel, size_t* live,
+                                    size_t nrows, StageTally& t) {
+  StagePlan& stage = stages_[si];
+  t.rows_in += *live;
+  ++t.batches;
+  if (!stage.typed) ctx.scratch.resize(ctx.cols.size());
+  if (stage.op->kind == LogicalOp::Kind::kFilter) {
+    auto& vexprs = ctx.stage_vexprs[si];
+    // Narrow into the selection buffer not currently referenced.
+    auto next_buffer = [&]() -> std::vector<uint32_t>& {
+      std::vector<uint32_t>& next =
+          (!ctx.sel_a.empty() && *sel == ctx.sel_a.data()) ? ctx.sel_b
+                                                           : ctx.sel_a;
+      next.clear();
+      return next;
+    };
+    if (stage.typed) {
+      for (size_t p = 0; p < vexprs.size() && *live > 0; ++p) {
+        RADB_ASSIGN_OR_RETURN(
+            const ColumnVector* pred,
+            EvalV(*vexprs[p], ctx.cols, *sel, *live, nrows));
+        std::vector<uint32_t>& next = next_buffer();
+        const uint8_t* pn = pred->null.data();
+        const int64_t* pv = pred->i64.data();
+        ForLanes(*sel, *live, [&](size_t l) {
+          if (!pn[l] && pv[l] != 0) next.push_back(static_cast<uint32_t>(l));
+        });
+        *sel = next.data();
+        *live = next.size();
+      }
+    } else {
+      std::vector<uint32_t>& next = next_buffer();
+      for (size_t j = 0; j < *live; ++j) {
+        const size_t l = *sel ? (*sel)[j] : j;
+        FillScratch(ctx, stage.refs, l);
+        bool keep = true;
+        for (const BoundExprPtr& p : stage.exprs) {
+          RADB_ASSIGN_OR_RETURN(Value v, EvalExpr(*p, ctx.scratch));
+          if (v.is_null() || !v.bool_value()) {
+            keep = false;
+            break;
+          }
+        }
+        if (keep) next.push_back(static_cast<uint32_t>(l));
+      }
+      *sel = next.data();
+      *live = next.size();
+    }
+  } else if (stage.typed) {  // kProject
+    std::vector<const ColumnVector*> out_cols;
+    out_cols.reserve(stage.exprs.size());
+    for (auto& ve : ctx.stage_vexprs[si]) {
+      RADB_ASSIGN_OR_RETURN(const ColumnVector* c,
+                            EvalV(*ve, ctx.cols, *sel, *live, nrows));
+      out_cols.push_back(c);
+    }
+    ctx.cols = std::move(out_cols);
+  } else {
+    std::vector<ColumnVector>& out = ctx.stage_out[si];
+    for (size_t k = 0; k < out.size(); ++k) {
+      ResetLane(out[k], stage.out[k], nrows);
+    }
+    for (size_t j = 0; j < *live; ++j) {
+      const size_t l = *sel ? (*sel)[j] : j;
+      FillScratch(ctx, stage.refs, l);
+      for (size_t k = 0; k < out.size(); ++k) {
+        RADB_ASSIGN_OR_RETURN(Value v, EvalExpr(*stage.exprs[k], ctx.scratch));
+        out[k].SetValue(l, std::move(v));
+      }
+    }
+    ctx.cols.clear();
+    for (const ColumnVector& c : out) ctx.cols.push_back(&c);
+  }
+  t.rows_out += *live;
+  for (const ColumnVector* c : ctx.cols) t.bytes_out += ColBytes(*c, *sel, *live);
+  return Status::OK();
+}
+
+void VectorizedPipeline::ProcessBatch(WorkerCtx& ctx, bool run_stages) {
+  if (!ctx.compiled) CompileCtx(ctx);
   ColumnBatch& batch = ctx.batch;
   const size_t nrows = batch.num_rows;
   ctx.cols.clear();
@@ -1411,165 +1806,194 @@ Status VectorizedPipeline::ProcessBatch(WorkerCtx& ctx,
   size_t live = nrows;
 
   // Middle stages: filters narrow the selection, projects swap the
-  // visible column array for their kernel outputs. (An overflow pass
-  // re-reads rows that already passed them.)
+  // visible column array for their outputs. (An overflow pass re-reads
+  // rows that already passed them.)
   for (size_t si = 0; run_stages && si < stages_.size(); ++si) {
-    StagePlan& stage = stages_[si];
-    if (stage.op->kind == LogicalOp::Kind::kScan) continue;  // source
-    StageTally& t = tally[si];
+    if (si + 1 >= ctx.limit) return;
+    StageTally& t = ctx.tally[si + 1];
     const auto t0 = Clock::now();
-    t.rows_in += live;
-    ++t.batches;
-    auto& vexprs = ctx.stage_vexprs[si];
-    if (stage.op->kind == LogicalOp::Kind::kFilter) {
-      for (size_t p = 0; p < vexprs.size() && live > 0; ++p) {
-        RADB_ASSIGN_OR_RETURN(
-            const ColumnVector* pred,
-            EvalV(*vexprs[p], ctx.cols, sel, live, nrows));
-        // Narrow into the selection buffer not currently referenced.
-        std::vector<uint32_t>& next =
-            (!ctx.sel_a.empty() && sel == ctx.sel_a.data()) ? ctx.sel_b
-                                                            : ctx.sel_a;
-        next.clear();
-        const uint8_t* pn = pred->null.data();
-        const int64_t* pv = pred->i64.data();
-        ForLanes(sel, live, [&](size_t l) {
-          if (!pn[l] && pv[l] != 0) next.push_back(static_cast<uint32_t>(l));
-        });
-        sel = next.data();
-        live = next.size();
-      }
-      t.rows_out += live;
-      for (const ColumnVector* c : ctx.cols) {
-        t.bytes_out += ColBytes(*c, sel, live);
-      }
-    } else {  // kProject
-      std::vector<const ColumnVector*> out_cols;
-      out_cols.reserve(vexprs.size());
-      for (auto& ve : vexprs) {
-        RADB_ASSIGN_OR_RETURN(const ColumnVector* c,
-                              EvalV(*ve, ctx.cols, sel, live, nrows));
-        out_cols.push_back(c);
-      }
-      ctx.cols = std::move(out_cols);
-      t.rows_out += live;
-      for (const ColumnVector* c : ctx.cols) {
-        t.bytes_out += ColBytes(*c, sel, live);
-      }
-    }
+    Status s = RunStage(si, ctx, &sel, &live, nrows, t);
     t.seconds += SecondsSince(t0);
-    if (live == 0) return Status::OK();
+    if (!s.ok()) {
+      ctx.limit = si + 1;
+      ctx.failure = std::move(s);
+      return;
+    }
+    if (live == 0) return;
   }
 
-  if (wa != nullptr) {
-    StageTally& t = tally[stages_.size()];
-    const auto t0 = Clock::now();
-    if (wa->passes.size() == 1) t.rows_in += live;  // not overflow re-reads
+  if (HeadStage() >= ctx.limit) return;
+  StageTally& t = ctx.tally[HeadStage()];
+  const auto t0 = Clock::now();
+  Status s = Status::OK();
+  if (agg_op_ != nullptr) {
+    if (ctx.agg.passes.size() == 1) t.rows_in += live;  // not overflow re-reads
     ++t.batches;
-    // Group keys -> hashes -> dense group ids for every live lane.
-    ctx.keycols.clear();
-    for (size_t i = 0; i < group_exprs_.size(); ++i) {
-      RADB_ASSIGN_OR_RETURN(
-          const ColumnVector* k,
-          EvalV(*ctx.group_vexprs[i], ctx.cols, sel, live, nrows));
-      ctx.keycols.push_back(k);
+    s = agg_typed_ ? TypedAggregate(ctx, sel, live, nrows)
+                   : PerLaneAggregate(ctx, sel, live);
+  } else {
+    // Sink: late materialization back into rows.
+    for (size_t j = 0; j < live && s.ok(); ++j) {
+      const size_t l = sel ? sel[j] : j;
+      Row row;
+      row.reserve(ctx.cols.size());
+      for (const ColumnVector* c : ctx.cols) row.push_back(c->GetValue(l));
+      s = ctx.out->Append(std::move(row));
     }
-    if (budgeted_) {
-      RADB_RETURN_NOT_OK(AdmitLanes(ctx, *wa, sel, live, nrows, agg_tracker));
-      t.seconds += SecondsSince(t0);
-      return Status::OK();
+  }
+  t.seconds += SecondsSince(t0);
+  if (!s.ok()) {
+    ctx.limit = HeadStage();
+    ctx.failure = std::move(s);
+  }
+}
+
+Status VectorizedPipeline::TypedAggregate(WorkerCtx& ctx, const uint32_t* sel,
+                                          size_t live, size_t nrows) {
+  // Group keys -> hashes -> dense group ids for every live lane.
+  ctx.keycols.clear();
+  for (size_t i = 0; i < group_exprs_.size(); ++i) {
+    RADB_ASSIGN_OR_RETURN(
+        const ColumnVector* k,
+        EvalV(*ctx.group_vexprs[i], ctx.cols, sel, live, nrows));
+    ctx.keycols.push_back(k);
+  }
+  if (budgeted_) return AdmitLanes(ctx, sel, live, nrows);
+  LocalAgg* agg = &ctx.agg.passes.back();
+  ctx.gids.resize(live);
+  if (group_exprs_.empty()) {
+    // Scalar aggregate: one keyless group (created lazily so a worker
+    // that sees no rows stays empty).
+    if (agg->table.size() == 0) {
+      agg->table.hashes.push_back(kHashSeed);
+      for (size_t k = 0; k < specs_.size(); ++k) {
+        AddGroup(specs_[k], agg->accs[k]);
+      }
+      agg->state_bytes += Executor::GroupAdmissionBytes(0);
     }
-    LocalAgg* agg = &wa->passes.back();
-    ctx.gids.resize(live);
-    if (group_exprs_.empty()) {
-      // Scalar aggregate: one keyless group (created lazily so a
-      // worker that sees no rows stays empty, like the row engine's
-      // per-worker map).
-      if (agg->table.size() == 0) {
-        agg->table.hashes.push_back(kHashSeed);
+    std::fill(ctx.gids.begin(), ctx.gids.end(), 0u);
+  } else {
+    ctx.hash_buf.resize(live);
+    for (size_t j = 0; j < live; ++j) {
+      const size_t l = sel ? sel[j] : j;
+      ctx.hash_buf[j] = KeyHashLanes(ctx.keycols, l);
+    }
+    for (size_t j = 0; j < live; ++j) {
+      const size_t l = sel ? sel[j] : j;
+      bool inserted = false;
+      const uint32_t g =
+          agg->table.Upsert(ctx.keycols, l, ctx.hash_buf[j], &inserted);
+      if (inserted) {
         for (size_t k = 0; k < specs_.size(); ++k) {
           AddGroup(specs_[k], agg->accs[k]);
         }
-        agg->state_bytes += Executor::GroupAdmissionBytes(0);
+        agg->state_bytes +=
+            Executor::GroupAdmissionBytes(agg->table.KeyBytes(g));
       }
-      std::fill(ctx.gids.begin(), ctx.gids.end(), 0u);
-    } else {
-      ctx.hash_buf.resize(live);
-      for (size_t j = 0; j < live; ++j) {
-        const size_t l = sel ? sel[j] : j;
-        ctx.hash_buf[j] = KeyHashLanes(ctx.keycols, l);
-      }
-      for (size_t j = 0; j < live; ++j) {
-        const size_t l = sel ? sel[j] : j;
-        bool inserted = false;
-        const uint32_t g =
-            agg->table.Upsert(ctx.keycols, l, ctx.hash_buf[j], &inserted);
-        if (inserted) {
-          for (size_t k = 0; k < specs_.size(); ++k) {
-            AddGroup(specs_[k], agg->accs[k]);
-          }
-          agg->state_bytes +=
-              Executor::GroupAdmissionBytes(agg->table.KeyBytes(g));
-        }
-        ctx.gids[j] = g;
-      }
+      ctx.gids[j] = g;
     }
-    for (size_t k = 0; k < specs_.size(); ++k) {
-      const ColumnVector* arg = nullptr;
-      if (agg_args_[k] != nullptr) {
-        RADB_ASSIGN_OR_RETURN(
-            arg, EvalV(*ctx.agg_vexprs[k], ctx.cols, sel, live, nrows));
-      }
-      UpdateAgg(specs_[k], agg->accs[k], arg, sel, live, ctx.gids.data());
-    }
-    if (agg_tracker != nullptr && agg->state_bytes > agg->charged) {
-      RADB_RETURN_NOT_OK(agg_tracker->Reserve(agg->state_bytes -
-                                              agg->charged));
-      agg->charged = agg->state_bytes;
-    }
-    t.seconds += SecondsSince(t0);
-    return Status::OK();
   }
-
-  // Sink: late materialization back into rows.
-  StageTally& t = tally[stages_.size()];
-  const auto t0 = Clock::now();
-  for (size_t j = 0; j < live; ++j) {
-    const size_t l = sel ? sel[j] : j;
-    Row row;
-    row.reserve(ctx.cols.size());
-    for (const ColumnVector* c : ctx.cols) row.push_back(c->GetValue(l));
-    RADB_RETURN_NOT_OK(sink->Append(std::move(row)));
+  for (size_t k = 0; k < specs_.size(); ++k) {
+    const ColumnVector* arg = nullptr;
+    if (agg_args_[k] != nullptr) {
+      RADB_ASSIGN_OR_RETURN(
+          arg, EvalV(*ctx.agg_vexprs[k], ctx.cols, sel, live, nrows));
+    }
+    UpdateAgg(specs_[k], agg->accs[k], arg, sel, live, ctx.gids.data());
   }
-  t.seconds += SecondsSince(t0);
+  if (agg_mem_ != nullptr && agg->state_bytes > agg->charged) {
+    RADB_RETURN_NOT_OK(agg_mem_->Reserve(agg->state_bytes - agg->charged));
+    agg->charged = agg->state_bytes;
+  }
   return Status::OK();
 }
 
-Status VectorizedPipeline::RunWorker(size_t wkr, WorkerCtx& ctx,
-                                     std::vector<StageTally>& tally,
-                                     WorkerAgg* wa, SpillableRowBuffer* sink,
-                                     mem::MemoryTracker* agg_tracker) {
-  CompileCtx(ctx, wa);
+Status VectorizedPipeline::PerLaneAggregate(WorkerCtx& ctx,
+                                            const uint32_t* sel, size_t live) {
+  // Per row: the group key, then (for a new group) admission, then the
+  // arguments folded in, then the growth of the group's state charged.
+  // A new group is charged GroupAdmissionBytes — hard for the first
+  // group of a pass (so every pass makes progress or fails),
+  // tentatively after that — and after a refusal the pass admits no
+  // more groups: the rows of unadmitted groups go to the overflow.
+  WorkerAgg& wa = ctx.agg;
+  LocalAgg& agg = wa.passes.back();
+  ctx.scratch.resize(ctx.cols.size());
+  for (size_t j = 0; j < live; ++j) {
+    const size_t l = sel ? sel[j] : j;
+    FillScratch(ctx, agg_refs_, l);
+    Row values;
+    values.reserve(group_exprs_.size());
+    for (const BoundExprPtr& e : group_exprs_) {
+      RADB_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, ctx.scratch));
+      values.push_back(std::move(v));
+    }
+    KeyRow key = KeyRow::Of(std::move(values));
+    std::optional<uint32_t> g = agg.table.FindRow(key);
+    if (!g.has_value()) {
+      const size_t admit =
+          Executor::GroupAdmissionBytes(RowByteSize(key.values));
+      if (agg_mem_ != nullptr) {
+        if (agg.table.size() == 0) {
+          RADB_RETURN_NOT_OK(agg_mem_->Reserve(admit));
+        } else if (!wa.admitting || !agg_mem_->TryReserve(admit)) {
+          wa.admitting = false;
+          RADB_RETURN_NOT_OK(Overflow(ctx, l));
+          continue;
+        }
+      }
+      g = agg.table.InsertRow(std::move(key));
+      for (size_t k = 0; k < specs_.size(); ++k) {
+        AddGroup(specs_[k], agg.accs[k]);
+      }
+      agg.base.push_back(admit);
+      agg.group_charged.push_back(admit);
+    }
+    for (size_t k = 0; k < specs_.size(); ++k) {
+      Value v = Value::Int(1);  // COUNT(*)
+      if (agg_args_[k] != nullptr) {
+        RADB_ASSIGN_OR_RETURN(v, EvalExpr(*agg_args_[k], ctx.scratch));
+      }
+      RADB_RETURN_NOT_OK(agg.accs[k].row[*g]->Update(v));
+    }
+    if (agg_mem_ != nullptr) {
+      // Accumulator growth (e.g. a Gram-matrix SUM state) is
+      // unspillable: reserve hard or fail the query.
+      const size_t grown = ChargeGrowth(agg, *g);
+      if (grown > 0) RADB_RETURN_NOT_OK(agg_mem_->Reserve(grown));
+    }
+  }
+  return Status::OK();
+}
 
+Status VectorizedPipeline::RunWorker(size_t wkr, WorkerCtx& ctx) {
   const CancellationToken* cancel = x_.mem_.cancel;
   if (scan_ != nullptr) {
     const Table& table = *scan_->table;
-    StageTally& st = tally[0];
+    StageTally& st = ctx.tally[0];
     for (size_t p = wkr; p < table.num_partitions(); p += workers_) {
       const size_t nsegs = table.NumSegments(p);
       for (size_t seg = 0; seg < nsegs; ++seg) {
         RADB_ASSIGN_OR_RETURN(Table::SegmentPin pin, table.PinSegment(p, seg));
         const RowSet& rows = pin.rows();
-        const size_t part_rows = rows.size();
-        for (size_t begin = 0; begin < part_rows;) {
-          // Cooperative cancellation once per batch (the vectorized
+        // Once a chain stage has failed the scan only finishes its
+        // input, as it would before its consumer ran.
+        for (size_t begin = 0; begin < rows.size() && ctx.limit > 1;) {
+          // Cooperative cancellation once per batch (the batch
           // analogue of the row loops' kCancelCheckRows polling).
           if (cancel != nullptr) RADB_RETURN_NOT_OK(cancel->Check());
           const auto t0 = Clock::now();
           const size_t count = ScanBatchRows(
-              rows, begin, std::min(batch_rows_, part_rows - begin));
-          table.ExtractColumns(rows, scan_->scan_columns, begin, count,
-                               &ctx.batch);
+              rows, begin, std::min(kBatchRows, rows.size() - begin));
+          ResetIngestBatch(ctx, source_lanes_);
+          for (size_t c = 0; c < source_lanes_.size(); ++c) {
+            ColumnVector& col = ctx.batch.columns[c];
+            const size_t from = scan_->scan_columns[c];
+            for (size_t r = begin; r < begin + count; ++r) {
+              col.AppendValue(rows[r][from]);
+            }
+          }
+          ctx.batch.num_rows = count;
           begin += count;
           ++st.batches;
           st.rows_out += count;
@@ -1579,47 +2003,42 @@ Status VectorizedPipeline::RunWorker(size_t wkr, WorkerCtx& ctx,
           }
           st.bytes_out += batch_bytes;
           st.seconds += SecondsSince(t0);
-          RADB_RETURN_NOT_OK(ProcessCharged(ctx, tally, wa, sink, agg_tracker,
-                                            batch_bytes, /*run_stages=*/true));
+          ProcessCharged(ctx, batch_bytes, /*run_stages=*/true);
         }
       }
     }
   } else {
-    // Boundary source: drain the row-engine child's buffer for this
-    // worker (replayed from disk if it spilled under a budget).
-    RADB_RETURN_NOT_OK(IngestRows(
-        ctx, boundary_res_.dist[wkr], source_kinds_, &tally[0].seconds,
-        [&] { return FlushIngest(ctx, tally, wa, sink, agg_tracker); }));
+    // Boundary source: drain the boundary's buffer for this worker
+    // (replayed from disk if it spilled under a budget).
+    RADB_RETURN_NOT_OK(IngestRows(ctx, boundary_res_.dist[wkr], source_lanes_,
+                                  /*first=*/1, &ctx.tally[0].seconds,
+                                  [&] { return FlushIngest(ctx); }));
   }
 
-  // Further admission passes (only under a budget, where a pass may
-  // refuse groups): each re-aggregates the previous pass's overflow
-  // rows, in order, through the aggregate stage alone.
-  while (wa != nullptr && !wa->overflow.empty()) {
-    SpillableRowBuffer carried = std::move(wa->overflow);
-    StartPass(*wa);
-    RADB_RETURN_NOT_OK(IngestRows(
-        ctx, carried, wa->overflow_kinds, &tally[stages_.size()].seconds,
-        [&] {
-          return FlushIngest(ctx, tally, wa, sink, agg_tracker,
-                             /*run_stages=*/false);
-        }));
-    wa->spill_bytes += carried.spill_bytes();
-    wa->spill_runs += carried.spill_runs();
+  // Further admission passes (a pass may refuse groups when the query
+  // is tracked): each re-aggregates the previous pass's overflow rows,
+  // in order, through the aggregate stage alone.
+  WorkerAgg& wa = ctx.agg;
+  while (!wa.overflow.empty()) {
+    SpillableRowBuffer carried = std::move(wa.overflow);
+    StartPass(wa);
+    Status s = IngestRows(ctx, carried, agg_in_lanes_, HeadStage(),
+                          &ctx.tally[HeadStage()].seconds, [&] {
+                            return FlushIngest(ctx, /*run_stages=*/false);
+                          });
+    wa.spill_bytes += carried.spill_bytes();
+    wa.spill_runs += carried.spill_runs();
+    RADB_RETURN_NOT_OK(s);
   }
   return Status::OK();
 }
 
-Status VectorizedPipeline::AdmitLanes(WorkerCtx& ctx, WorkerAgg& wa,
-                                      const uint32_t* sel, size_t live,
-                                      size_t nrows,
-                                      mem::MemoryTracker* agg_tracker) {
-  // The row engine's admission rules, lane by lane in row order: a new
-  // group is charged GroupAdmissionBytes — hard for the first group of
-  // a pass (so every pass makes progress or fails), tentatively after
-  // that — and after a refusal the pass admits no more groups. Admitted
+Status VectorizedPipeline::AdmitLanes(WorkerCtx& ctx, const uint32_t* sel,
+                                      size_t live, size_t nrows) {
+  // PerLaneAggregate's admission rules over typed key lanes. Admitted
   // lanes are folded in runs between admissions, so each admission
   // check sees every earlier lane's growth charged, as row by row.
+  WorkerAgg& wa = ctx.agg;
   LocalAgg& agg = wa.passes.back();
   ctx.adm_sel.clear();
   ctx.adm_gids.clear();
@@ -1630,18 +2049,18 @@ Status VectorizedPipeline::AdmitLanes(WorkerCtx& ctx, WorkerAgg& wa,
     std::optional<uint32_t> g = agg.table.Find(ctx.keycols, l, hash);
     if (!g.has_value()) {
       if (!wa.admitting) {
-        RADB_RETURN_NOT_OK(Overflow(ctx, wa, l));
+        RADB_RETURN_NOT_OK(Overflow(ctx, l));
         continue;
       }
-      RADB_RETURN_NOT_OK(FoldAdmitted(ctx, agg, nrows, agg_tracker));
+      RADB_RETURN_NOT_OK(FoldAdmitted(ctx, agg, nrows));
       size_t key_bytes = 0;
       for (const ColumnVector* k : ctx.keycols) key_bytes += k->LaneBytes(l);
       const size_t admit = Executor::GroupAdmissionBytes(key_bytes);
       if (agg.table.size() == 0) {
-        RADB_RETURN_NOT_OK(agg_tracker->Reserve(admit));
-      } else if (!agg_tracker->TryReserve(admit)) {
+        RADB_RETURN_NOT_OK(agg_mem_->Reserve(admit));
+      } else if (!agg_mem_->TryReserve(admit)) {
         wa.admitting = false;
-        RADB_RETURN_NOT_OK(Overflow(ctx, wa, l));
+        RADB_RETURN_NOT_OK(Overflow(ctx, l));
         continue;
       }
       g = agg.table.Insert(ctx.keycols, l, hash);
@@ -1654,18 +2073,17 @@ Status VectorizedPipeline::AdmitLanes(WorkerCtx& ctx, WorkerAgg& wa,
     ctx.adm_sel.push_back(static_cast<uint32_t>(l));
     ctx.adm_gids.push_back(*g);
   }
-  return FoldAdmitted(ctx, agg, nrows, agg_tracker);
+  return FoldAdmitted(ctx, agg, nrows);
 }
 
 Status VectorizedPipeline::FoldAdmitted(WorkerCtx& ctx, LocalAgg& agg,
-                                        size_t nrows,
-                                        mem::MemoryTracker* agg_tracker) {
+                                        size_t nrows) {
   const size_t n = ctx.adm_sel.size();
   if (n == 0) return Status::OK();
   const uint32_t* sel = ctx.adm_sel.data();
   const uint32_t* gids = ctx.adm_gids.data();
-  // Arguments of admitted lanes only: the row engine never evaluates a
-  // refused row's arguments in the pass that refused it.
+  // Arguments of admitted lanes only: a refused row's arguments are
+  // never evaluated in the pass that refused it.
   ctx.args.assign(specs_.size(), nullptr);
   for (size_t k = 0; k < specs_.size(); ++k) {
     if (agg_args_[k] != nullptr) {
@@ -1673,10 +2091,10 @@ Status VectorizedPipeline::FoldAdmitted(WorkerCtx& ctx, LocalAgg& agg,
           ctx.args[k], EvalV(*ctx.agg_vexprs[k], ctx.cols, sel, n, nrows));
     }
   }
-  // The row engine raises a group's charge after every row. Scalar
-  // states only grow, so charging after the whole run adds the same
-  // bytes; a string MIN/MAX can shrink again, so it folds one lane at
-  // a time to charge the same high-water mark.
+  // A group's charge is raised after every row. Scalar states only
+  // grow, so charging after the whole run adds the same bytes; a string
+  // MIN/MAX can shrink again, so it folds one lane at a time to charge
+  // the same high-water mark.
   const size_t step = lane_growth_ ? 1 : n;
   size_t grown = 0;
   for (size_t i = 0; i < n; i += step) {
@@ -1689,7 +2107,7 @@ Status VectorizedPipeline::FoldAdmitted(WorkerCtx& ctx, LocalAgg& agg,
   ctx.adm_sel.clear();
   ctx.adm_gids.clear();
   // Accumulator growth is unspillable: reserve hard or fail the query.
-  return grown > 0 ? agg_tracker->Reserve(grown) : Status::OK();
+  return grown > 0 ? agg_mem_->Reserve(grown) : Status::OK();
 }
 
 size_t VectorizedPipeline::ChargeGrowth(LocalAgg& agg, size_t g) const {
@@ -1703,59 +2121,44 @@ size_t VectorizedPipeline::ChargeGrowth(LocalAgg& agg, size_t g) const {
   return grown;
 }
 
-Status VectorizedPipeline::Overflow(WorkerCtx& ctx, WorkerAgg& wa,
-                                    size_t lane) {
-  if (wa.overflow_kinds.empty()) {
-    for (const ColumnVector* c : ctx.cols) wa.overflow_kinds.push_back(c->kind);
-  }
+Status VectorizedPipeline::Overflow(WorkerCtx& ctx, size_t lane) {
   Row row;
   row.reserve(ctx.cols.size());
   for (const ColumnVector* c : ctx.cols) row.push_back(c->GetValue(lane));
-  return wa.overflow.Append(std::move(row));
+  return ctx.agg.overflow.Append(std::move(row));
 }
 
 /// The Executor::JoinBatchSink a pipeline installs when its boundary
 /// is a join and the query has no memory budget: joined pairs land
-/// directly in per-worker column lanes,
-/// and full batches run through the chain inside the join's worker
-/// loop — neither the joined Row nor the join's output distribution
-/// is ever materialized. Lane-append time stays attributed to the
-/// join (it replaces the row materialization the join no longer
-/// does); chain-processing seconds accumulate in the pipeline's
-/// tallies and Run() moves them off the join's metric afterwards.
+/// directly in per-worker column lanes, and full batches run through
+/// the chain inside the join's worker loop — neither the joined Row nor
+/// the join's output distribution is ever materialized. Lane-append
+/// time stays attributed to the join (it replaces the row
+/// materialization the join no longer does); chain-processing seconds
+/// accumulate in the workers' tallies and Run() moves them off the
+/// join's metric afterwards. A failing chain stage does not stop the
+/// join: it runs to its end, so its own errors come first.
 class VectorizedPipeline::JoinIngest : public Executor::JoinBatchSink {
  public:
-  JoinIngest(VectorizedPipeline& p, std::vector<WorkerCtx>& ctxs,
-             std::vector<std::vector<StageTally>>& tallies,
-             std::vector<WorkerAgg>* partials, SpillableDist& out,
-             mem::MemoryTracker* agg_tracker)
-      : p_(p),
-        ctxs_(ctxs),
-        tallies_(tallies),
-        partials_(partials),
-        out_(out),
-        agg_tracker_(agg_tracker),
-        rows_(ctxs.size(), 0),
-        bytes_(ctxs.size(), 0) {}
+  JoinIngest(VectorizedPipeline& p, std::vector<WorkerCtx>& ctxs)
+      : p_(p), ctxs_(ctxs), rows_(ctxs.size(), 0), bytes_(ctxs.size(), 0) {}
 
   Status AppendPair(size_t wkr, const Row& left, const Row& right) override {
     ColumnBatch& batch = ctxs_[wkr].batch;
+    if (ctxs_[wkr].limit <= 1) return Status::OK();
     size_t c = 0;
     for (const Value& v : left) batch.columns[c++].AppendValue(v);
     for (const Value& v : right) batch.columns[c++].AppendValue(v);
-    ++batch.num_rows;
-    ++rows_[wkr];
-    return batch.num_rows >= p_.batch_rows_ ? Flush(wkr) : Status::OK();
+    return Appended(wkr);
   }
 
   Status AppendRow(size_t wkr, Row joined) override {
     ColumnBatch& batch = ctxs_[wkr].batch;
+    if (ctxs_[wkr].limit <= 1) return Status::OK();
     for (size_t c = 0; c < joined.size(); ++c) {
       batch.columns[c].AppendValue(joined[c]);
     }
-    ++batch.num_rows;
-    ++rows_[wkr];
-    return batch.num_rows >= p_.batch_rows_ ? Flush(wkr) : Status::OK();
+    return Appended(wkr);
   }
 
   /// Also called for the per-worker remainders after the join returns.
@@ -1765,41 +2168,29 @@ class VectorizedPipeline::JoinIngest : public Executor::JoinBatchSink {
     for (const ColumnVector& c : ctx.batch.columns) {
       bytes_[wkr] += ColBytes(c, nullptr, ctx.batch.num_rows);
     }
-    return p_.FlushIngest(ctx, tallies_[wkr],
-                          partials_ != nullptr ? &(*partials_)[wkr] : nullptr,
-                          &out_[wkr], agg_tracker_);
+    return p_.FlushIngest(ctx);
   }
 
   size_t rows(size_t wkr) const { return rows_[wkr]; }
   size_t bytes(size_t wkr) const { return bytes_[wkr]; }
 
  private:
+  Status Appended(size_t wkr) {
+    ++rows_[wkr];
+    return ++ctxs_[wkr].batch.num_rows >= kBatchRows ? Flush(wkr)
+                                                      : Status::OK();
+  }
+
   VectorizedPipeline& p_;
   std::vector<WorkerCtx>& ctxs_;
-  std::vector<std::vector<StageTally>>& tallies_;
-  std::vector<WorkerAgg>* partials_;  // null for a non-aggregate chain
-  SpillableDist& out_;
-  mem::MemoryTracker* agg_tracker_;
   std::vector<size_t> rows_, bytes_;  // per-worker streamed totals
 };
 
 std::optional<size_t> VectorizedPipeline::PropagateHashedSlot() const {
-  std::optional<size_t> hashed;
-  if (scan_ != nullptr) {
-    const Partitioning& part = scan_->table->partitioning();
-    if (part.kind == Partitioning::Kind::kHash &&
-        scan_->table->num_partitions() == workers_) {
-      for (size_t i = 0; i < scan_->scan_columns.size(); ++i) {
-        if (scan_->scan_columns[i] == part.hash_column) {
-          hashed = scan_->output[i].slot;
-        }
-      }
-    }
-  } else {
-    hashed = boundary_res_.hashed_slot;
-  }
+  std::optional<size_t> hashed =
+      scan_ != nullptr ? Executor::ScanHashedSlot(*scan_, workers_)
+                       : boundary_res_.hashed_slot;
   for (const LogicalOp* node : nodes_) {
-    if (node->kind == LogicalOp::Kind::kScan) continue;  // the source
     if (node->kind == LogicalOp::Kind::kAggregate) return std::nullopt;
     if (node->kind == LogicalOp::Kind::kFilter) continue;  // placement kept
     // kProject: survives only through an identity column reference.
@@ -1819,15 +2210,15 @@ std::optional<size_t> VectorizedPipeline::PropagateHashedSlot() const {
 
 Result<ExecResult> VectorizedPipeline::Run() {
   // A boundary join is consumed in-line: the pipeline installs a
-  // JoinIngest sink so the join streams its pairs straight into
-  // column batches instead of materializing 10^6-scale joined rows we
-  // would only re-read (the dominant cost of the paper's tuple-coded
+  // JoinIngest sink so the join streams its pairs straight into column
+  // batches instead of materializing rows we would only re-read (the
+  // dominant cost of high-fanout joins like the paper's tuple-coded
   // Gram self-join). Any other boundary executes first, exactly as it
-  // would below a row operator (its metrics precede the chain's).
-  // A spooled join must materialize: its held rows serve later copies.
-  // So must every join under a budget: as in the row engine, the join's
-  // build state is released before group state is admitted, and its
-  // output spills instead of holding the budget.
+  // would below any operator (its metrics precede the chain's). A
+  // spooled join must materialize: its held rows serve later copies.
+  // So must every join under a budget: the join's build state is
+  // released before group state is admitted, and its output spills
+  // instead of holding the budget.
   const bool join_inline = !budgeted_ && boundary_ != nullptr &&
                            boundary_->kind == LogicalOp::Kind::kJoin &&
                            boundary_->spool_id == 0;
@@ -1838,29 +2229,24 @@ Result<ExecResult> VectorizedPipeline::Run() {
 
   const size_t w = workers_;
 
-  // Unspillable aggregate state charges a child tracker, as in the row
-  // engine (whatever is still charged is released on scope exit).
+  // Unspillable aggregate state charges a child tracker (whatever is
+  // still charged is released on scope exit).
   std::optional<mem::MemoryTracker> agg_tracker;
   if (agg_op_ != nullptr && x_.mem_.tracker != nullptr) {
     agg_tracker.emplace("Aggregate state", x_.mem_.tracker);
+    agg_mem_ = &*agg_tracker;
   }
 
-  // One tally slot per stage plus one for the sink/aggregate-update.
-  const size_t tally_slots = stages_.size() + 1;
-  std::vector<std::vector<StageTally>> tallies(
-      w, std::vector<StageTally>(tally_slots));
-  std::vector<WorkerCtx> ctxs(w);
-  std::vector<WorkerAgg> partials(agg_op_ != nullptr ? w : 0);
   SpillableDist out = x_.NewDist(w);
+  std::vector<WorkerCtx> ctxs(w);
+  for (size_t wkr = 0; wkr < w; ++wkr) {
+    ctxs[wkr].tally.resize(HeadStage() + 1);
+    ctxs[wkr].out = &out[wkr];
+  }
 
   if (join_inline) {
-    for (size_t wkr = 0; wkr < w; ++wkr) {
-      CompileCtx(ctxs[wkr], agg_op_ != nullptr ? &partials[wkr] : nullptr);
-      ResetIngestBatch(ctxs[wkr], source_kinds_);
-    }
-    JoinIngest ingest(*this, ctxs, tallies,
-                      agg_op_ != nullptr ? &partials : nullptr, out,
-                      agg_tracker.has_value() ? &*agg_tracker : nullptr);
+    for (WorkerCtx& ctx : ctxs) ResetIngestBatch(ctx, source_lanes_);
+    JoinIngest ingest(*this, ctxs);
     // Save/restore: a pipeline nested deeper in the join's subtree
     // may install its own sink for its own boundary join.
     Executor::JoinBatchSink* prev_sink = x_.join_sink_;
@@ -1877,69 +2263,76 @@ Result<ExecResult> VectorizedPipeline::Run() {
     // row materialization the join no longer pays for). Then flush
     // the per-worker remainders, outside the join's clock, and credit
     // the join with the output it streamed.
-    if (const std::vector<size_t>* ids = x_.MetricsForNode(boundary_)) {
-      OperatorMetrics& mj = x_.metrics_->operators[ids->back()];
-      for (size_t wkr = 0; wkr < w; ++wkr) {
+    const std::vector<size_t>* ids = x_.MetricsForNode(boundary_);
+    OperatorMetrics* mj =
+        ids != nullptr ? &x_.metrics_->operators[ids->back()] : nullptr;
+    for (size_t wkr = 0; wkr < w; ++wkr) {
+      if (mj != nullptr) {
         double chain = 0.0;
-        for (const StageTally& t : tallies[wkr]) chain += t.seconds;
-        mj.worker_seconds[wkr] =
-            std::max(0.0, mj.worker_seconds[wkr] - chain);
+        for (const StageTally& t : ctxs[wkr].tally) chain += t.seconds;
+        mj->worker_seconds[wkr] =
+            std::max(0.0, mj->worker_seconds[wkr] - chain);
       }
-      for (size_t wkr = 0; wkr < w; ++wkr) {
-        RADB_RETURN_NOT_OK(ingest.Flush(wkr));
-        mj.rows_out += ingest.rows(wkr);
-        mj.bytes_out += ingest.bytes(wkr);
-      }
-    } else {
-      for (size_t wkr = 0; wkr < w; ++wkr) {
-        RADB_RETURN_NOT_OK(ingest.Flush(wkr));
+      RADB_RETURN_NOT_OK(ingest.Flush(wkr));
+      if (mj != nullptr) {
+        mj->rows_out += ingest.rows(wkr);
+        mj->bytes_out += ingest.bytes(wkr);
       }
     }
     PrepareMetrics();
   } else {
     PrepareMetrics();
     if (budgeted_ && agg_op_ != nullptr && boundary_ != nullptr) {
-      // As the row engine's aggregate does: group state may approach
-      // the input's size, so if that much of the budget is not free,
-      // the resident input goes to disk first and streams back.
+      // Group state may approach the input's size, so if that much of
+      // the budget is not free, the resident input goes to disk first
+      // and streams back.
       RADB_RETURN_NOT_OK(Executor::MakeHeadroom(
           x_.mem_, SpillDistByteSize(boundary_res_.dist),
           {&boundary_res_.dist}));
     }
-    RADB_RETURN_NOT_OK(x_.ForEachWorker(w, [&](size_t wkr) -> Status {
-      return RunWorker(wkr, ctxs[wkr], tallies[wkr],
-                       agg_op_ != nullptr ? &partials[wkr] : nullptr,
-                       &out[wkr],
-                       agg_tracker.has_value() ? &*agg_tracker : nullptr);
-    }));
+    RADB_RETURN_NOT_OK(x_.ForEachWorker(
+        w, [&](size_t wkr) -> Status { return RunWorker(wkr, ctxs[wkr]); }));
   }
+  // The earliest failing stage's error, from its lowest worker.
+  const WorkerCtx* failed = nullptr;
+  for (const WorkerCtx& ctx : ctxs) {
+    if (ctx.limit < (failed != nullptr ? failed->limit
+                                       : std::numeric_limits<size_t>::max())) {
+      failed = &ctx;
+    }
+  }
+  if (failed != nullptr) return failed->failure;
 
   // Fold per-worker tallies into the shared metrics entries.
   auto& ops = x_.metrics_->operators;
-  for (size_t si = 0; si < stages_.size(); ++si) {
-    const StagePlan& stage = stages_[si];
-    const bool is_scan = stage.op->kind == LogicalOp::Kind::kScan;
-    OperatorMetrics& m =
-        ops[is_scan ? scan_metric_ : stage.metric];
+  auto fold = [&](OperatorMetrics& m, size_t slot, bool rows_in) {
     for (size_t wkr = 0; wkr < w; ++wkr) {
-      const StageTally& t = tallies[wkr][si];
-      if (!is_scan) m.rows_in += t.rows_in;
+      const StageTally& t = ctxs[wkr].tally[slot];
+      if (rows_in) m.rows_in += t.rows_in;
       m.rows_out += t.rows_out;
       m.bytes_out += t.bytes_out;
       m.batches += t.batches;
       m.worker_seconds[wkr] += t.seconds;
     }
+  };
+  // Ingesting a boundary's rows is the first chain operator's work.
+  OperatorMetrics& first =
+      ops[scan_ != nullptr        ? scan_metric_
+          : !stages_.empty()      ? stages_.front().metric
+                                  : agg_partial_metric_];
+  fold(first, 0, /*rows_in=*/false);
+  for (size_t si = 0; si < stages_.size(); ++si) {
+    fold(ops[stages_[si].metric], si + 1, /*rows_in=*/true);
   }
   if (agg_op_ == nullptr) {
     // The sink (late materialization) rides on the chain head's
     // metrics entry — the root is always a Filter/Project here.
     OperatorMetrics& mhead = ops[stages_.back().metric];
     for (size_t wkr = 0; wkr < w; ++wkr) {
-      mhead.worker_seconds[wkr] += tallies[wkr][stages_.size()].seconds;
+      mhead.worker_seconds[wkr] += ctxs[wkr].tally[HeadStage()].seconds;
     }
     Executor::CollectSpill(&mhead, out);
-    ExecResult result{std::move(out), PropagateHashedSlot()};
-    return result;
+    return ExecResult{std::move(out), PropagateHashedSlot()};
   }
 
   // ---- Aggregate phases 2 + 3: src-major merge, then emission ----
@@ -1947,12 +2340,11 @@ Result<ExecResult> VectorizedPipeline::Run() {
     OperatorMetrics& m1 = ops[agg_partial_metric_];
     size_t partial_groups = 0;
     for (size_t wkr = 0; wkr < w; ++wkr) {
-      for (const LocalAgg& pass : partials[wkr].passes) {
-        partial_groups += pass.table.size();
-      }
-      m1.bytes_spilled += partials[wkr].spill_bytes;
-      m1.spill_runs += partials[wkr].spill_runs;
-      const StageTally& t = tallies[wkr][stages_.size()];
+      const WorkerAgg& wa = ctxs[wkr].agg;
+      for (const LocalAgg& pass : wa.passes) partial_groups += pass.table.size();
+      m1.bytes_spilled += wa.spill_bytes;
+      m1.spill_runs += wa.spill_runs;
+      const StageTally& t = ctxs[wkr].tally[HeadStage()];
       m1.rows_in += t.rows_in;
       m1.batches += t.batches;
       m1.worker_seconds[wkr] += t.seconds;
@@ -1963,30 +2355,36 @@ Result<ExecResult> VectorizedPipeline::Run() {
     m2.batches = m1.batches;
   }
 
-  // Under a budget the final states keep the row engine's charges: a
-  // group's first partial state carries its charge over, growth from a
-  // merge reserves hard, and each merged-away partial state is released.
+  // Charged groups keep their charges into the final states: a group's
+  // first partial state carries its charge over, growth from a merge
+  // reserves hard, and each merged-away partial state is released. A
+  // per-lane group's first partial state is moved, not merged.
   std::vector<LocalAgg> finals(w);
   std::vector<size_t> shuffle_bytes(w, 0), shuffle_rows(w, 0);
   std::vector<double> merge_secs(w, 0.0);
   RADB_RETURN_NOT_OK(x_.ForEachWorker(w, [&](size_t dst) -> Status {
     const auto t0 = Clock::now();
     LocalAgg& fin = finals[dst];
-    fin.table.Init(key_kinds_);
+    if (agg_typed_) {
+      fin.table.Init(key_kinds_);
+    } else {
+      fin.table.InitRows();
+    }
     fin.accs.resize(specs_.size());
     std::vector<const ColumnVector*> kc(key_kinds_.size());
     // Sources, then each source's passes, in index order.
     for (size_t src = 0; src < w; ++src) {
-      for (const LocalAgg& pa : partials[src].passes) {
-        for (size_t i = 0; i < key_kinds_.size(); ++i) {
-          kc[i] = &pa.table.keys[i];
+      for (LocalAgg& pa : ctxs[src].agg.passes) {
+        if (agg_typed_) {
+          for (size_t i = 0; i < key_kinds_.size(); ++i) {
+            kc[i] = &pa.table.keys[i];
+          }
         }
-        for (size_t g = 0; g < pa.table.size(); ++g) {
+        RADB_RETURN_NOT_OK(pa.table.ForEachGroup([&](uint32_t g) -> Status {
+          const size_t hash = pa.table.hashes[g];
           const size_t owner =
-              group_exprs_.empty()
-                  ? 0
-                  : x_.cluster_.WorkerForHash(pa.table.hashes[g]);
-          if (owner != dst) continue;
+              group_exprs_.empty() ? 0 : x_.cluster_.WorkerForHash(hash);
+          if (owner != dst) return Status::OK();
           if (dst != src) {
             size_t state_bytes = pa.table.KeyBytes(g);
             for (size_t k = 0; k < specs_.size(); ++k) {
@@ -1996,62 +2394,70 @@ Result<ExecResult> VectorizedPipeline::Run() {
             ++shuffle_rows[dst];
           }
           bool inserted = false;
-          const uint32_t fg =
-              fin.table.Upsert(kc, g, pa.table.hashes[g], &inserted);
-          if (inserted) {
-            for (size_t k = 0; k < specs_.size(); ++k) {
-              AddGroup(specs_[k], fin.accs[k]);
-            }
-            if (budgeted_) {
-              fin.base.push_back(pa.base[g]);
-              fin.group_charged.push_back(pa.group_charged[g]);
-            }
+          uint32_t fg = 0;
+          if (agg_typed_) {
+            fg = fin.table.Upsert(kc, g, hash, &inserted);
+          } else if (std::optional<uint32_t> found =
+                         fin.table.FindRow(*pa.table.row_keys[g])) {
+            fg = *found;
+          } else {
+            fg = fin.table.InsertRow(*pa.table.row_keys[g]);
+            inserted = true;
           }
           for (size_t k = 0; k < specs_.size(); ++k) {
-            MergeAgg(specs_[k], fin.accs[k], fg, pa.accs[k], g);
+            if (!inserted) {
+              RADB_RETURN_NOT_OK(
+                  MergeAgg(specs_[k], fin.accs[k], fg, pa.accs[k], g));
+            } else if (specs_[k].op == AggSpec::Op::kRow) {
+              fin.accs[k].row.push_back(std::move(pa.accs[k].row[g]));
+            } else {
+              AddGroup(specs_[k], fin.accs[k]);
+              RADB_RETURN_NOT_OK(
+                  MergeAgg(specs_[k], fin.accs[k], fg, pa.accs[k], g));
+            }
           }
-          if (budgeted_ && !inserted) {
+          if (!group_charges_) return Status::OK();
+          if (inserted) {
+            fin.base.push_back(pa.base[g]);
+            fin.group_charged.push_back(pa.group_charged[g]);
+          } else {
             const size_t grown = ChargeGrowth(fin, fg);
-            if (grown > 0) RADB_RETURN_NOT_OK(agg_tracker->Reserve(grown));
-            agg_tracker->Release(pa.group_charged[g]);
+            if (grown > 0) RADB_RETURN_NOT_OK(agg_mem_->Reserve(grown));
+            agg_mem_->Release(pa.group_charged[g]);
           }
-        }
+          return Status::OK();
+        }));
       }
     }
     merge_secs[dst] += SecondsSince(t0);
     return Status::OK();
   }));
-  partials.clear();
+  ctxs.clear();
 
-  // Emission in dense (insertion) order. The row engine emits in its
-  // hash-map iteration order — a different but equally valid order;
-  // results are compared as multisets (ORDER BY pins any order the
-  // tests rely on).
+  // Emission in the final table's group order, releasing each group's
+  // charge as its row is emitted.
   std::vector<double> emit_secs(w, 0.0);
   RADB_RETURN_NOT_OK(x_.ForEachWorker(w, [&](size_t wkr) -> Status {
     const auto t0 = Clock::now();
     LocalAgg& fin = finals[wkr];
-    for (size_t g = 0; g < fin.table.size(); ++g) {
-      Row row;
+    RADB_RETURN_NOT_OK(fin.table.ForEachGroup([&](uint32_t g) -> Status {
+      Row row = fin.table.KeyValues(g);
       row.reserve(key_kinds_.size() + specs_.size());
-      for (const ColumnVector& k : fin.table.keys) {
-        row.push_back(k.GetValue(g));
-      }
       for (size_t k = 0; k < specs_.size(); ++k) {
         RADB_ASSIGN_OR_RETURN(Value v,
                               FinalizeAgg(specs_[k], fin.accs[k], g));
         row.push_back(std::move(v));
       }
       RADB_RETURN_NOT_OK(out[wkr].Append(std::move(row)));
-      if (budgeted_) agg_tracker->Release(fin.group_charged[g]);
-    }
+      if (group_charges_) agg_mem_->Release(fin.group_charged[g]);
+      return Status::OK();
+    }));
     emit_secs[wkr] += SecondsSince(t0);
     return Status::OK();
   }));
 
-  // A scalar aggregate over zero rows still yields one row (COUNT()=0,
-  // SUM()=NULL) — finalize fresh aggregators exactly like the row
-  // engine.
+  // A scalar aggregate over zero rows still yields one row (SQL
+  // semantics: COUNT() = 0, SUM() = NULL).
   if (group_exprs_.empty() && SpillDistRowCount(out) == 0) {
     Row row;
     for (const AggCall& a : agg_op_->aggs) {
@@ -2079,18 +2485,7 @@ Result<ExecResult> VectorizedPipeline::Run() {
 // Chain stitching
 // ---------------------------------------------------------------------------
 
-Result<std::optional<ExecResult>> Executor::TryVectorized(
-    const LogicalOp& op) {
-  // Only Filter/Project/Aggregate head a chain: a bare capable Scan is
-  // left to the row engine (no operator above it to amortize the
-  // columnar transposition).
-  if (!op.batch_capable) return std::optional<ExecResult>();
-  if (op.kind != LogicalOp::Kind::kFilter &&
-      op.kind != LogicalOp::Kind::kProject &&
-      op.kind != LogicalOp::Kind::kAggregate) {
-    return std::optional<ExecResult>();
-  }
-
+Result<ExecResult> Executor::ExecutePipeline(const LogicalOp& op) {
   std::vector<const LogicalOp*> nodes;  // collected top-down
   nodes.push_back(&op);
   const LogicalOp* scan = nullptr;
@@ -2098,41 +2493,33 @@ Result<std::optional<ExecResult>> Executor::TryVectorized(
   const LogicalOp* cur = &op;
   while (true) {
     const LogicalOp* child = cur->children[0].get();
-    if (child->batch_capable && child->kind == LogicalOp::Kind::kScan) {
-      // An index-annotated scan stays on the row engine: its B+ tree
-      // probe reads a tiny fraction of the table, which beats columnar
-      // full-scan throughput whenever the optimizer chose it.
-      if (!child->index_name.empty() && !child->index_lo.empty()) {
-        const IndexDef* idx = child->table->FindIndex(child->index_name);
-        if (idx != nullptr && idx->usable()) {
-          boundary = child;
-          break;
-        }
+    if (child->kind == LogicalOp::Kind::kScan) {
+      // A usable index scan bounds the chain: its B+ tree probe reads
+      // a tiny fraction of the table, which beats a full columnar scan
+      // whenever the optimizer chose it.
+      const IndexDef* idx = child->index_name.empty() || child->index_lo.empty()
+                                ? nullptr
+                                : child->table->FindIndex(child->index_name);
+      if (idx != nullptr && idx->usable()) {
+        boundary = child;
+      } else {
+        scan = child;
       }
-      scan = child;
       break;
     }
     // A spooled node bounds the chain: it must pass through ExecuteOp,
     // which holds or serves its result.
-    if (child->batch_capable && child->spool_id == 0 &&
-        (child->kind == LogicalOp::Kind::kFilter ||
-         child->kind == LogicalOp::Kind::kProject)) {
+    if (child->spool_id == 0 && (child->kind == LogicalOp::Kind::kFilter ||
+                                 child->kind == LogicalOp::Kind::kProject)) {
       nodes.push_back(child);
       cur = child;
       continue;
     }
-    boundary = child;  // row engine executes this subtree
+    boundary = child;  // executed as an operator of its own
     break;
   }
   std::reverse(nodes.begin(), nodes.end());  // bottom-up
-
-  // The in-chain scan participates as stage 0 (so its metrics entry
-  // exists); it carries no expressions.
-  if (scan != nullptr) nodes.insert(nodes.begin(), scan);
-
-  VectorizedPipeline pipeline(*this, op, std::move(nodes), scan, boundary);
-  RADB_ASSIGN_OR_RETURN(ExecResult result, pipeline.Run());
-  return std::optional<ExecResult>(std::move(result));
+  return VectorizedPipeline(*this, std::move(nodes), scan, boundary).Run();
 }
 
 }  // namespace radb

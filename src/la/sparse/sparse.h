@@ -207,18 +207,6 @@ Result<Vector> VectorEWiseAdd(const Vector& a, const Vector& b,
 /// counterpart of CsrMatrix::nnz() under the storage convention.
 size_t DenseNnz(const Matrix& m);
 
-// ---------------------------------------------------------------------
-// Density-adaptive dispatch policy. A dense left operand of a multiply
-// whose density is <= kAutoSparsifyDensity is compressed on the fly
-// and routed through the sparse kernel; the result representation
-// still follows the inputs' representations (sparse results only
-// appear when an input was explicitly sparse), so auto-dispatch is
-// purely a kernel-selection device and results stay bit-identical.
-// The threshold is where the sparse kernels stop winning clearly
-// (bench/ablation_sparse).
-// ---------------------------------------------------------------------
-inline constexpr double kAutoSparsifyDensity = 0.05;
-
 }  // namespace radb::la::sparse
 
 #endif  // RADB_LA_SPARSE_SPARSE_H_

@@ -27,9 +27,10 @@ struct OperatorMetrics {
   /// operator executed (0 when unknown) — EXPLAIN ANALYZE's
   /// estimate-vs-actual column.
   double estimated_rows = 0.0;
-  /// True when the columnar batch engine executed this operator (the
-  /// row engine otherwise); `batches` counts the column batches it
-  /// processed across all workers (0 on the row path).
+  /// True when the batch engine executed this operator (every Filter,
+  /// Project and Aggregate, and a scan feeding them; other operators
+  /// run over rows); `batches` counts the column batches it processed
+  /// across all workers (0 for row operators).
   bool vectorized = false;
   size_t batches = 0;
   /// Wall-clock seconds spent per worker partition; the simulated

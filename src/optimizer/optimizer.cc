@@ -1169,10 +1169,6 @@ Result<LogicalOpPtr> Optimizer::Plan(std::unique_ptr<BoundQuery> query,
   // about LA (§4); the rule-based strawman keeps the tuple plan.
   if (options_.enable_early_projection) MarkRelationalMultiplies(*plan);
   MarkSharedSubtrees(*plan);
-  // Physical annotation pass: mark which nodes the columnar engine can
-  // take, so the executor's pipeline choice is a plan property (visible
-  // in EXPLAIN ANALYZE) rather than a runtime guess.
-  AnnotateBatchCapability(*plan);
   return plan;
 }
 

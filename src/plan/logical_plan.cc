@@ -176,206 +176,11 @@ LogicalOpPtr LogicalOp::Clone() const {
   out->est_rows = est_rows;
   out->est_row_bytes = est_row_bytes;
   out->est_cost = est_cost;
-  out->batch_capable = batch_capable;
   out->spool_id = spool_id;
   out->spool_uses = spool_uses;
   out->spool_reuse = spool_reuse;
   out->multiply = multiply;
   return out;
-}
-
-namespace {
-
-/// Kinds a ColumnVector can carry as a real (payload-bearing) column.
-bool ScalarColumnKind(TypeKind k) {
-  return k == TypeKind::kBoolean || k == TypeKind::kInteger ||
-         k == TypeKind::kDouble || k == TypeKind::kString;
-}
-
-/// Kinds EvalArith / EvalNegate accept on the scalar-numeric path.
-/// kNull is a statically-NULL operand (a NULL literal): the result is
-/// NULL in every lane, which the kernels handle directly.
-bool NumericOperandKind(TypeKind k) {
-  return k == TypeKind::kBoolean || k == TypeKind::kInteger ||
-         k == TypeKind::kDouble || k == TypeKind::kNull;
-}
-
-bool OutputsColumnar(const LogicalOp& op) {
-  for (const SlotInfo& s : op.output) {
-    if (!ScalarColumnKind(s.type.kind())) return false;
-  }
-  return true;
-}
-
-/// Aggregates with a typed columnar accumulator. SUM/AVG keep their
-/// first non-null argument's *runtime* representation (a BOOLEAN
-/// argument can surface as a BOOLEAN sum over a one-row group), so
-/// only INTEGER / DOUBLE arguments take the fast path; MIN/MAX and
-/// the label-checking EMIN/EMAX compare through the same total order
-/// for every scalar kind.
-bool AggCallCapable(const AggCall& a) {
-  if (a.is_count_star) return true;
-  if (!a.arg || !BatchCapableExpr(*a.arg)) return false;
-  const TypeKind arg = a.arg->type.kind();
-  if (a.name == "count") return true;
-  if (a.name == "sum" || a.name == "avg") {
-    return arg == TypeKind::kInteger || arg == TypeKind::kDouble;
-  }
-  if (a.name == "min" || a.name == "max" || a.name == "emin" ||
-      a.name == "emax") {
-    return ScalarColumnKind(arg);
-  }
-  return false;
-}
-
-/// Storage-level precondition for the typed columnar scan: every
-/// scanned column must be kind-pure (Table::ColumnKindPure). An
-/// INTEGER value legally stored in a DOUBLE column keeps its runtime
-/// kind on the row engine (it groups, hashes and sums as an INTEGER),
-/// which a single-kind ColumnVector cannot represent.
-bool ScanColumnsKindPure(const LogicalOp& op) {
-  for (size_t col : op.scan_columns) {
-    if (!op.table->ColumnKindPure(col)) return false;
-  }
-  return true;
-}
-
-/// Node-local rule (see the header): the vectorized engine handles
-/// Scan / Filter / Project plus Aggregate as a chain head, as long as
-/// every column crossing the node and every expression it evaluates
-/// is columnar.
-bool NodeBatchCapable(const LogicalOp& op) {
-  for (const LogicalOpPtr& c : op.children) {
-    if (!OutputsColumnar(*c)) return false;
-  }
-  switch (op.kind) {
-    case LogicalOp::Kind::kScan:
-      return OutputsColumnar(op) && ScanColumnsKindPure(op);
-    case LogicalOp::Kind::kFilter:
-      for (const BoundExprPtr& p : op.predicates) {
-        if (!BatchCapableExpr(*p)) return false;
-      }
-      return true;
-    case LogicalOp::Kind::kProject:
-      if (!OutputsColumnar(op)) return false;
-      for (const BoundExprPtr& e : op.exprs) {
-        if (!BatchCapableExpr(*e)) return false;
-      }
-      return true;
-    case LogicalOp::Kind::kAggregate:
-      if (!OutputsColumnar(op)) return false;
-      for (const BoundExprPtr& g : op.group_exprs) {
-        if (!BatchCapableExpr(*g) || !ScalarColumnKind(g->type.kind())) {
-          return false;
-        }
-      }
-      for (const AggCall& a : op.aggs) {
-        if (!AggCallCapable(a)) return false;
-      }
-      return true;
-    default:
-      // Join / Distinct / Sort / Limit stay row-at-a-time (they are
-      // pipeline breakers or already sequential); their *children* can
-      // still run vectorized.
-      return false;
-  }
-}
-
-}  // namespace
-
-bool BatchCapableExpr(const BoundExpr& e) {
-  switch (e.kind) {
-    case BoundExpr::Kind::kLiteral:
-      return ColumnVector::KindSupported(e.type.kind());
-    case BoundExpr::Kind::kColumnRef:
-      return ScalarColumnKind(e.type.kind());
-    case BoundExpr::Kind::kArith:
-      return BatchCapableExpr(*e.children[0]) &&
-             BatchCapableExpr(*e.children[1]) &&
-             NumericOperandKind(e.children[0]->type.kind()) &&
-             NumericOperandKind(e.children[1]->type.kind());
-    case BoundExpr::Kind::kNeg:
-      return BatchCapableExpr(*e.children[0]) &&
-             NumericOperandKind(e.children[0]->type.kind());
-    case BoundExpr::Kind::kCompare: {
-      if (!BatchCapableExpr(*e.children[0]) ||
-          !BatchCapableExpr(*e.children[1])) {
-        return false;
-      }
-      const TypeKind a = e.children[0]->type.kind();
-      const TypeKind b = e.children[1]->type.kind();
-      if (a == TypeKind::kNull || b == TypeKind::kNull) return true;
-      if (NumericOperandKind(a) && NumericOperandKind(b)) return true;
-      return a == TypeKind::kString && b == TypeKind::kString;
-    }
-    case BoundExpr::Kind::kLogic:
-    case BoundExpr::Kind::kNot:
-      for (const auto& c : e.children) {
-        if (!BatchCapableExpr(*c)) return false;
-        const TypeKind k = c->type.kind();
-        if (k != TypeKind::kBoolean && k != TypeKind::kNull) return false;
-      }
-      return true;
-    case BoundExpr::Kind::kCall:
-      return false;  // built-ins (incl. every LA function) stay row-wise
-    case BoundExpr::Kind::kParam:
-      return false;  // substituted to a literal before execution
-  }
-  return false;
-}
-
-namespace {
-
-/// Post-order annotation pass. Returns whether the subtree's output is
-/// *runtime-kind pure*: every non-NULL value it produces has exactly
-/// its output column's static type kind. The row engine follows
-/// runtime kinds (an INTEGER living in a DOUBLE column groups and sums
-/// as an INTEGER), so a vectorized consumer — which types each column
-/// once, statically — may only ingest pure inputs; batch_capable
-/// therefore also requires every child subtree to be pure. Purity
-/// holds at a scan of kind-pure columns and is preserved by operators
-/// that pass values through (Filter/Join/Distinct/Sort/Limit) and by
-/// batch-capable expressions, whose runtime result kinds match their
-/// inferred static types when their inputs are pure.
-bool AnnotateAndCheckPurity(LogicalOp& op) {
-  bool children_pure = true;
-  for (const LogicalOpPtr& c : op.children) {
-    if (!AnnotateAndCheckPurity(*c)) children_pure = false;
-  }
-  op.batch_capable = children_pure && NodeBatchCapable(op);
-  switch (op.kind) {
-    case LogicalOp::Kind::kScan:
-      return ScanColumnsKindPure(op);
-    case LogicalOp::Kind::kProject: {
-      if (!children_pure) return false;
-      for (const BoundExprPtr& e : op.exprs) {
-        if (!BatchCapableExpr(*e)) return false;
-      }
-      return true;
-    }
-    case LogicalOp::Kind::kAggregate: {
-      if (!children_pure) return false;
-      for (const BoundExprPtr& g : op.group_exprs) {
-        if (!BatchCapableExpr(*g)) return false;
-      }
-      // Capable aggregates produce exactly their inferred result kind:
-      // COUNT -> INTEGER, SUM(INTEGER) -> INTEGER, SUM(DOUBLE)/AVG ->
-      // DOUBLE, MIN/MAX/EMIN/EMAX -> the argument kind.
-      for (const AggCall& a : op.aggs) {
-        if (!AggCallCapable(a)) return false;
-      }
-      return true;
-    }
-    default:
-      // Filter/Join/Distinct/Sort/Limit emit child values unmodified.
-      return children_pure;
-  }
-}
-
-}  // namespace
-
-void AnnotateBatchCapability(LogicalOp& root) {
-  (void)AnnotateAndCheckPurity(root);
 }
 
 LogicalOpPtr MakeScan(std::shared_ptr<Table> table, std::string alias,

@@ -91,16 +91,6 @@ struct LogicalOp {
   double est_row_bytes = 0.0;
   double est_cost = 0.0;  // cumulative
 
-  /// Node-local batch capability, filled by the optimizer
-  /// (AnnotateBatchCapability): true when this node's own kind,
-  /// expressions, and input/output column types are all representable
-  /// in the columnar engine, AND every child subtree is runtime-kind
-  /// pure (its values' runtime kinds match its static column types, so
-  /// typed ingestion is sound). The executor stitches maximal capable
-  /// chains (scan/filter/project with an optional aggregate on top)
-  /// into vectorized pipelines; anything else stays on the row engine.
-  bool batch_capable = false;
-
   /// Shared-subtree (spool) annotation, filled by the optimizer's
   /// post-pass: nonzero on every executed copy of a repeated subtree
   /// that holds a Join or Aggregate. The first copy in execution order
@@ -156,17 +146,6 @@ const char* KindName(LogicalOp::Kind k);
 LogicalOpPtr MakeScan(std::shared_ptr<Table> table, std::string alias,
                       std::vector<size_t> scan_columns,
                       std::vector<SlotInfo> output);
-
-/// True when `expr` can be evaluated by the columnar kernels: literals
-/// and column refs of scalar kinds, arithmetic/negation over scalar
-/// numerics, comparisons, and three-valued AND/OR/NOT. Function calls
-/// and anything touching the LA kinds (VECTOR / MATRIX /
-/// LABELED_SCALAR) are row-engine-only.
-bool BatchCapableExpr(const BoundExpr& expr);
-
-/// Sets `batch_capable` on every node of the subtree (see the field
-/// comment). Called by the optimizer after planning.
-void AnnotateBatchCapability(LogicalOp& root);
 
 }  // namespace radb
 

@@ -391,23 +391,6 @@ Status Table::RebuildIndexes() {
   return Status::OK();
 }
 
-void Table::ExtractColumns(const RowSet& rows,
-                           const std::vector<size_t>& columns,
-                           size_t row_begin, size_t row_count,
-                           ColumnBatch* out) const {
-  out->Clear();
-  out->num_rows = row_count;
-  out->columns.resize(columns.size());
-  for (size_t c = 0; c < columns.size(); ++c) {
-    ColumnVector& col = out->columns[c];
-    col.Reset(schema_.columns()[columns[c]].type.kind(), 0);
-    col.null.reserve(row_count);
-    for (size_t r = 0; r < row_count; ++r) {
-      col.AppendValue(rows[row_begin + r][columns[c]]);
-    }
-  }
-}
-
 // -- Persistence -----------------------------------------------------
 
 void Table::AttachStore(storage::BufferPool* pool, storage::PageFile* file,

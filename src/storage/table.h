@@ -13,7 +13,6 @@
 #include "storage/btree.h"
 #include "storage/buffer_pool.h"
 #include "storage/pager.h"
-#include "types/column.h"
 #include "types/schema.h"
 #include "types/value.h"
 
@@ -174,23 +173,13 @@ class Table {
   /// True when every non-NULL value currently stored in `column` has
   /// the column's declared type kind. ValidateRow legally admits
   /// INTEGER values into DOUBLE columns (and integral DOUBLEs into
-  /// INTEGER columns), and the row engine's semantics follow the
-  /// *runtime* kind — so the typed columnar scan requires kind-pure
-  /// columns. Inserts maintain these flags incrementally; the
-  /// optimizer consults them when marking scans batch-capable.
+  /// INTEGER columns), and SQL semantics follow the *runtime* kind —
+  /// so only a kind-pure column is scanned into a typed batch lane.
+  /// Inserts maintain these flags incrementally.
   bool ColumnKindPure(size_t column) const {
     return kind_pure_[column] != 0;
   }
 
-  /// Columnar extraction for the vectorized scan: fills `out` with
-  /// rows [row_begin, row_begin + row_count) of `rows` (one pinned
-  /// segment), one Column per entry of `columns` (schema column
-  /// indexes), dense (no selection). Column storage is reused across
-  /// calls. The caller guarantees every extracted column's type kind
-  /// is representable (Column::KindSupported).
-  void ExtractColumns(const RowSet& rows, const std::vector<size_t>& columns,
-                      size_t row_begin, size_t row_count,
-                      ColumnBatch* out) const;
 
   // -- Persistence hooks (driven by storage::TableStore) -------------
 

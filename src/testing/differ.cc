@@ -22,19 +22,6 @@ Result<ResultSet> ExecLast(Database& db, const std::string& sql,
   return std::move(script->result_sets.back());
 }
 
-/// Whether the calls `db` recorded after `recorded` ran any operator
-/// on the batch engine — failed calls included, so telemetry rather
-/// than last_metrics().
-bool RanBatchChain(const Database& db, uint64_t recorded) {
-  for (const obs::QueryRecord& r :
-       db.telemetry_store()->SnapshotQueriesSince(recorded)) {
-    for (const OperatorMetrics& m : r.operators) {
-      if (m.vectorized) return true;
-    }
-  }
-  return false;
-}
-
 int KindRank(const Value& v) {
   switch (v.kind()) {
     case TypeKind::kNull:
@@ -159,25 +146,21 @@ std::vector<FuzzConfig> StandardConfigs() {
   std::vector<FuzzConfig> out;
   for (const bool threads8 : {false, true}) {
     for (const char* kind : {"dp", "greedy", "noearly"}) {
-      for (const bool batch : {false, true}) {
-        FuzzConfig fc;
-        fc.name = std::string(kind) + (threads8 ? "-8t" : "-1t") +
-                  (batch ? "-batch" : "-row");
-        fc.config.num_workers = 8;
-        fc.config.num_threads = threads8 ? 8 : 1;
-        fc.config.obs.enable_metrics = true;
-        fc.config.enable_vectorized = batch;
-        // The 64 KB reruns must execute under their budget, not replay
-        // the unbudgeted run's cached result (the result cache has its
-        // own differential, RunCacheDiffRounds).
-        fc.config.cache.enable_result_cache = false;
-        if (std::string(kind) == "greedy") {
-          fc.config.optimizer.dp_relation_limit = 1;  // force greedy search
-        } else if (std::string(kind) == "noearly") {
-          fc.config.optimizer.enable_early_projection = false;
-        }
-        out.push_back(std::move(fc));
+      FuzzConfig fc;
+      fc.name = std::string(kind) + (threads8 ? "-8t" : "-1t");
+      fc.config.num_workers = 8;
+      fc.config.num_threads = threads8 ? 8 : 1;
+      fc.config.obs.enable_metrics = true;
+      // The 64 KB rerun must execute under its budget, not replay the
+      // unbudgeted run's cached result (the result cache has its own
+      // differential, RunCacheDiffRounds).
+      fc.config.cache.enable_result_cache = false;
+      if (std::string(kind) == "greedy") {
+        fc.config.optimizer.dp_relation_limit = 1;  // force greedy search
+      } else if (std::string(kind) == "noearly") {
+        fc.config.optimizer.enable_early_projection = false;
       }
+      out.push_back(std::move(fc));
     }
   }
   return out;
@@ -209,9 +192,6 @@ bool SameCells(const RowSet& a, const RowSet& b) {
 }
 
 Differ::Differ(const CatalogSpec& spec) : configs_(StandardConfigs()) {
-  for (size_t i = 0; i < configs_.size(); ++i) {
-    if (configs_[i].name == "dp-1t-batch") batch_1t_ = i;
-  }
   for (const FuzzConfig& fc : configs_) {
     dbs_.push_back(std::make_unique<Database>(fc.config));
     Status s = LoadCatalog(spec, dbs_.back().get());
@@ -317,14 +297,12 @@ DiffOutcome Differ::RunOne(const std::string& sql) {
     if (!SameCells(ref_norm, Normalized(r->rows))) bad.push_back(i);
   }
 
-  // Memory-governance rerun: the same query once more on the two
-  // one-thread DP configurations, row engine and batch engine, under a
-  // per-query budget tight enough to force the spill paths on
-  // fuzz-sized data. Spilling must not change a single cell; a clean
-  // ResourceExhausted (some unspillable state did not fit) is the one
-  // tolerated difference from the reference. At one thread the two
-  // engines admit the same groups, so they must agree with each other
-  // on the status code, and on the cells when both succeed.
+  // Memory-governance rerun: the same query once more on the
+  // one-thread DP configuration, under a per-query budget tight enough
+  // to force the spill paths on fuzz-sized data. Spilling must not
+  // change a single cell; a clean ResourceExhausted (some unspillable
+  // state did not fit) is the one tolerated difference from the
+  // reference.
   constexpr size_t kTightBudget = 64 << 10;  // 64 KB
   QueryOptions tight;
   tight.memory_budget_bytes = kTightBudget;
@@ -347,24 +325,6 @@ DiffOutcome Differ::RunOne(const std::string& sql) {
   }
 
   DiffOutcome out;
-  Database& batch_db = *dbs_[batch_1t_];
-  const uint64_t recorded = batch_db.telemetry_store()->queries_recorded();
-  Result<ResultSet> budgeted_batch = ExecLast(batch_db, sql, tight);
-  out.budgeted_batch = RanBatchChain(batch_db, recorded);
-  if (budgeted.ok() != budgeted_batch.ok() ||
-      (!budgeted.ok() &&
-       budgeted.status().code() != budgeted_batch.status().code())) {
-    budget_report += "budgeted reruns (64 KB) of the two one-thread "
-                     "engines ended differently:\n  " +
-                     configs_[0].name + ":\n" + OutcomeToString(budgeted) +
-                     "  " + configs_[batch_1t_].name + ":\n" +
-                     OutcomeToString(budgeted_batch);
-  } else if (budgeted.ok() && !SameCells(Normalized(budgeted->rows),
-                                         Normalized(budgeted_batch->rows))) {
-    budget_report += "budgeted reruns (64 KB) of the two one-thread "
-                     "engines produced different cells\n";
-  }
-
   if (bad.empty() && budget_report.empty()) return out;
   out.diverged = true;
   std::ostringstream os;

@@ -17,13 +17,11 @@ struct FuzzConfig {
   Database::Config config;
 };
 
-/// The twelve standard configurations: {DP join search, greedy join
-/// search, early projection off} x {1 thread, 8 threads} x {row
-/// engine, vectorized batch engine}. All use 8 simulated workers so
-/// shuffle/merge paths are always exercised; the row/batch axis
-/// cross-checks the columnar kernels against the row engine on every
-/// generated query (configs[0], dp-1t-row, is the baseline). The
-/// result cache is off, so every run executes.
+/// The six standard configurations: {DP join search, greedy join
+/// search, early projection off} x {1 thread, 8 threads}. All use 8
+/// simulated workers so shuffle/merge paths are always exercised
+/// (configs[0], dp-1t, is the baseline). The result cache is off, so
+/// every run executes.
 std::vector<FuzzConfig> StandardConfigs();
 
 /// Canonicalizes a row set for order-insensitive comparison: rows are
@@ -42,8 +40,6 @@ struct DiffOutcome {
   bool diverged = false;
   /// Human-readable divergence report (empty when !diverged).
   std::string report;
-  /// The budgeted rerun on dp-1t-batch ran a batch chain.
-  bool budgeted_batch = false;
 };
 
 /// Holds one Database per FuzzConfig, all loaded with the same
@@ -60,9 +56,8 @@ class Differ {
   /// Runs `sql` through the reference and every configuration and
   /// compares. Row order is normalized away unless the query's LIMIT
   /// rules make it semantically binding (see query_gen.h). Then reruns
-  /// it under a 64 KB budget on dp-1t-row and dp-1t-batch: each must
-  /// match the reference or fail ResourceExhausted, and the two must
-  /// end with the same status (and cells).
+  /// it under a 64 KB budget on dp-1t: it must match the reference or
+  /// fail ResourceExhausted.
   ///
   /// Queries mentioning radb_ system tables are compared in SHAPE
   /// mode instead: their contents are volatile (each configuration's
@@ -96,7 +91,6 @@ class Differ {
 
   std::vector<FuzzConfig> configs_;
   std::vector<std::unique_ptr<Database>> dbs_;
-  size_t batch_1t_ = 0;  // index of dp-1t-batch
   Status init_status_;
 };
 

@@ -1,15 +1,17 @@
 #include "types/column.h"
 
-#include <cassert>
+#include <utility>
 
 namespace radb {
 
 void ColumnVector::Reset(TypeKind k, size_t n) {
   kind = k;
+  values = false;
   null.assign(n, 0);
   i64.clear();
   f64.clear();
   str.clear();
+  val.clear();
   switch (k) {
     case TypeKind::kBoolean:
     case TypeKind::kInteger:
@@ -26,7 +28,17 @@ void ColumnVector::Reset(TypeKind k, size_t n) {
   }
 }
 
+void ColumnVector::ResetValues(size_t n) {
+  Reset(TypeKind::kNull, 0);
+  values = true;
+  val.assign(n, Value::Null());
+}
+
 void ColumnVector::AppendValue(const Value& v) {
+  if (values) {
+    val.push_back(v);
+    return;
+  }
   const bool is_null = v.is_null();
   null.push_back(is_null ? 1 : 0);
   switch (kind) {
@@ -47,7 +59,33 @@ void ColumnVector::AppendValue(const Value& v) {
   }
 }
 
+void ColumnVector::SetValue(size_t i, Value v) {
+  if (values) {
+    val[i] = std::move(v);
+    return;
+  }
+  null[i] = v.is_null() ? 1 : 0;
+  if (null[i]) return;
+  switch (kind) {
+    case TypeKind::kBoolean:
+      i64[i] = v.bool_value() ? 1 : 0;
+      break;
+    case TypeKind::kInteger:
+      i64[i] = v.int_value();
+      break;
+    case TypeKind::kDouble:
+      f64[i] = v.double_value();
+      break;
+    case TypeKind::kString:
+      str[i] = v.string_value();
+      break;
+    default:
+      break;
+  }
+}
+
 Value ColumnVector::GetValue(size_t i) const {
+  if (values) return val[i];
   if (null[i]) return Value::Null();
   switch (kind) {
     case TypeKind::kBoolean:
@@ -64,6 +102,7 @@ Value ColumnVector::GetValue(size_t i) const {
 }
 
 size_t ColumnVector::LaneBytes(size_t i) const {
+  if (values) return val[i].ByteSize();
   // Mirrors Value::ByteSize(): tag byte + payload.
   if (null[i]) return 1;
   switch (kind) {

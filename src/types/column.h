@@ -11,73 +11,60 @@
 
 namespace radb {
 
-/// One typed column vector of a batch: contiguous primitive storage
-/// plus a null bitmap (one byte per lane — branch-light to test and
-/// trivially vectorizable to OR/accumulate). Only the scalar SQL kinds
-/// are representable; LA values (VECTOR/MATRIX/LABELED_SCALAR) never
-/// enter the columnar engine — pipelines touching them stay on the
-/// row engine.
+/// One column vector of a batch. A typed lane stores contiguous
+/// primitive payloads plus a null byte per lane (branch-light to test
+/// and trivially vectorizable); a Value lane stores each lane's Value
+/// as is, for the columns the typed storage cannot hold (VECTOR,
+/// MATRIX, LABELED_SCALAR, sparse values, and scalar columns whose
+/// runtime kinds may differ from their static kind). Copying a Value
+/// is O(1), so a Value lane never copies an LA payload.
 ///
-/// Storage by kind:
+/// Storage by kind (typed lanes):
 ///   kBoolean / kInteger -> i64 (booleans stored as 0/1)
 ///   kDouble             -> f64
 ///   kString             -> str
+///   kNull               -> null bytes only (every lane NULL)
 /// Lanes whose null byte is set hold an unspecified payload; kernels
-/// must not read them except to copy them around.
+/// must not read them except to copy them around. A Value lane keeps
+/// only `val` (NULL lanes hold a NULL Value).
 struct ColumnVector {
   TypeKind kind = TypeKind::kNull;
+  bool values = false;  // a Value lane
   std::vector<uint8_t> null;  // 1 = SQL NULL in that lane
   std::vector<int64_t> i64;
   std::vector<double> f64;
   std::vector<std::string> str;
+  std::vector<Value> val;
 
-  /// True for the kinds a Column can hold. kNull is allowed (a column
-  /// of a statically-NULL expression: every lane null, no payload).
-  static bool KindSupported(TypeKind k) {
-    return k == TypeKind::kNull || k == TypeKind::kBoolean ||
-           k == TypeKind::kInteger || k == TypeKind::kDouble ||
-           k == TypeKind::kString;
-  }
+  size_t size() const { return values ? val.size() : null.size(); }
 
-  size_t size() const { return null.size(); }
-
-  /// Re-types the column and resizes it to `n` lanes (payloads
-  /// unspecified, all lanes non-null). Keeps capacity across batches.
+  /// Re-types the column as a typed lane of kind `k` and resizes it to
+  /// `n` lanes (payloads unspecified, all lanes non-null). Keeps
+  /// capacity across batches.
   void Reset(TypeKind k, size_t n);
+  /// Re-types the column as a Value lane of `n` NULL lanes.
+  void ResetValues(size_t n);
 
-  /// Appends one Value (accessor: row -> column). The value's kind
-  /// must match `kind` or be NULL.
+  /// Appends one Value (accessor: row -> column). On a typed lane the
+  /// value's kind must match `kind` or be NULL.
   void AppendValue(const Value& v);
+  /// Overwrites lane `i` with `v` (same kind rule as AppendValue).
+  void SetValue(size_t i, Value v);
 
   /// Materializes lane `i` back into a Value (column -> row).
   Value GetValue(size_t i) const;
 
   /// Serialized payload size of lane `i`; equals GetValue(i).ByteSize()
-  /// so columnar byte accounting matches the row engine's.
+  /// so columnar byte accounting matches the row buffers'.
   size_t LaneBytes(size_t i) const;
 };
 
-/// A batch of rows in columnar layout. `num_rows` lanes per column;
-/// when `has_selection` is set only the lanes listed in `selection`
-/// (strictly ascending) are live — filters narrow the selection
-/// instead of compacting payloads, so passing operators stay
-/// zero-copy.
+/// A batch of rows in columnar layout: `num_rows` lanes per column.
+/// Filters narrow a selection vector held by the pipeline instead of
+/// compacting payloads, so passing operators stay zero-copy.
 struct ColumnBatch {
   size_t num_rows = 0;
   std::vector<ColumnVector> columns;
-  bool has_selection = false;
-  std::vector<uint32_t> selection;
-
-  size_t num_live() const {
-    return has_selection ? selection.size() : num_rows;
-  }
-
-  /// Drops rows and selection, keeping column capacity for reuse.
-  void Clear() {
-    num_rows = 0;
-    has_selection = false;
-    selection.clear();
-  }
 };
 
 }  // namespace radb

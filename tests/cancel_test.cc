@@ -110,26 +110,25 @@ TEST_F(CancelTest, CancelBetweenStatementsDropsTheRestOfTheScript) {
 
 class VectorizedCancelTest : public ::testing::Test {
  protected:
+  static constexpr int64_t kRows = 1000000;
+
   void SetUp() override {
-    Database::Config cfg;
-    cfg.enable_vectorized = true;
-    // Tiny batches: ~30k batches over the table, so a cancel landing
-    // anywhere mid-aggregate hits a per-batch poll almost instantly.
-    cfg.vectorized_batch_rows = 16;
-    db_ = std::make_unique<Database>(cfg);
+    db_ = std::make_unique<Database>(Database::Config{});
     ASSERT_TRUE(
         Exec(*db_, "CREATE TABLE pts (k INTEGER, x DOUBLE)").ok());
+    // About a thousand 1024-row batches over the table, so a cancel
+    // landing anywhere mid-aggregate hits a per-batch poll soon.
     std::vector<Row> rows;
-    rows.reserve(500000);
-    for (int64_t i = 0; i < 500000; ++i) {
+    rows.reserve(kRows);
+    for (int64_t i = 0; i < kRows; ++i) {
       rows.push_back({Value::Int(i % 997), Value::Double(0.5 * (i % 31))});
     }
     ASSERT_TRUE(db_->BulkInsert("pts", std::move(rows)).ok());
   }
 
-  // Scan -> filter -> group-by chain that is fully batch-capable, so
-  // the whole pipeline (including the typed hash aggregate) runs on
-  // the columnar engine.
+  // Scan -> filter -> group-by chain on typed lanes, so the whole
+  // pipeline (including the typed hash aggregate) runs the columnar
+  // kernels.
   static constexpr char kVectorizedAgg[] =
       "SELECT k, COUNT(*), SUM(x), AVG(x) FROM pts WHERE x >= 0.0 "
       "GROUP BY k";
@@ -141,7 +140,7 @@ constexpr char VectorizedCancelTest::kVectorizedAgg[];
 
 TEST_F(VectorizedCancelTest, QueryActuallyRunsVectorized) {
   // Guard for the cancellation tests below: this exact query must
-  // take the batch path, or they would only cover the row engine.
+  // run as a batch pipeline.
   auto rs = Exec(*db_, std::string("EXPLAIN ANALYZE ") +
                             kVectorizedAgg);
   ASSERT_TRUE(rs.ok()) << rs.status();
@@ -182,7 +181,7 @@ TEST_F(VectorizedCancelTest, CancelMidVectorizedAggregateAbortsPromptly) {
   // is healthy: the same query completes and agrees with COUNT(*).
   auto again = Exec(*db_, "SELECT COUNT(*) FROM pts");
   ASSERT_TRUE(again.ok()) << again.status();
-  EXPECT_EQ(again->at(0, 0).int_value(), 500000);
+  EXPECT_EQ(again->at(0, 0).int_value(), kRows);
 }
 
 // ----------------------------------------------------------------------
@@ -309,10 +308,8 @@ TEST(CancelCleanupTest, CancelledBudgetedBatchAggregateLeavesNoFilesOrCharges) {
     Database::Config cfg;
     cfg.spill_dir = spill_dir.string();
     cfg.cache.enable_result_cache = false;
-    // One worker holds every row, so its first pass is long; small
-    // batches poll the token often.
+    // One worker holds every row, so its first pass is long.
     cfg.num_workers = 1;
-    cfg.vectorized_batch_rows = 16;
     Database db(cfg);
     ASSERT_TRUE(Exec(db, "CREATE TABLE pts (k INTEGER, x DOUBLE)").ok());
     std::vector<Row> rows;

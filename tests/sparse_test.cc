@@ -11,6 +11,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "api/database.h"
@@ -366,57 +367,48 @@ TEST(SparseValueTest, DenseMatrixByteSizeIgnoresCapacitySlack) {
   EXPECT_EQ(v.ByteSize(), 1 + 8 + 8 + 4 * 3 * sizeof(double));
 }
 
-// ---- Density-adaptive dispatch --------------------------------------
+// ---- Kernel dispatch --------------------------------------------------
 
-TEST(DispatchTest, ThresholdBoundaryIsInclusiveAndCounted) {
+TEST(DispatchTest, LowDensityDenseOperandTakesTheDenseKernel) {
+  // A dense operand is multiplied by the dense kernel however sparse
+  // its cells (here density 0.05 and 0.0025), with the dense kernel's
+  // bits.
   Database::Config cfg;
   cfg.obs.enable_metrics = true;
   Database db(cfg);
 
-  // 20 of 400 cells is density 0.05, exactly the threshold -> sparse;
-  // one more nonzero is above it -> dense.
-  la::Matrix at(20, 20);
-  for (size_t i = 0; i < 20; ++i) at.At(i, i) = 1.5;
-  la::Matrix above(at);
-  above.At(0, 1) = 0.5;
-  ASSERT_EQ(la::sparse::DenseNnz(at), 20u);
-  ASSERT_EQ(la::sparse::DenseNnz(above), 21u);
+  la::Matrix low(20, 20);
+  for (size_t i = 0; i < 20; ++i) low.At(i, i) = 1.5;  // density 0.05
+  la::Matrix lower(20, 20);
+  lower.At(3, 7) = -2.25;  // density 0.0025
+  ASSERT_EQ(la::sparse::DenseNnz(low), 20u);
   ASSERT_TRUE(Exec(db, "CREATE TABLE t (k INTEGER, a MATRIX[20][20], "
                        "b MATRIX[20][20])")
                   .ok());
   std::vector<Row> rows;
-  rows.push_back({Value::Int(0), Value::FromMatrix(la::Matrix(at)),
-                  Value::FromMatrix(la::Matrix(above))});
+  rows.push_back({Value::Int(0), Value::FromMatrix(la::Matrix(low)),
+                  Value::FromMatrix(la::Matrix(lower))});
   ASSERT_TRUE(db.BulkInsert("t", std::move(rows)).ok());
 
   obs::MetricsRegistry* reg = obs::GlobalMetrics();
   ASSERT_NE(reg, nullptr);
-  obs::Counter* auto_ctr = reg->counter("la.sparse.auto_sparsify");
   obs::Counter* dense_ctr = reg->counter("la.sparse.dispatch_dense");
-
-  const uint64_t auto_before = auto_ctr->value();
-  auto rs = Exec(db, "SELECT matrix_multiply(a, a) FROM t");
-  ASSERT_TRUE(rs.ok());
-  EXPECT_GT(auto_ctr->value(), auto_before)
-      << "density == threshold must take the sparse kernel";
-  // Auto-dispatch is kernel selection only: the result is dense and
-  // bit-identical to the dense kernel's answer.
-  ASSERT_EQ(rs->rows.size(), 1u);
-  ASSERT_FALSE(rs->rows[0][0].is_sparse_matrix());
-  auto want = la::Multiply(at, at);
-  ASSERT_TRUE(want.ok());
-  ExpectSameMatrix(rs->rows[0][0].matrix(), *want);
-
-  const uint64_t auto_after = auto_ctr->value();
-  const uint64_t dense_before = dense_ctr->value();
-  auto rs2 = Exec(db, "SELECT matrix_multiply(b, b) FROM t");
-  ASSERT_TRUE(rs2.ok());
-  EXPECT_GT(dense_ctr->value(), dense_before)
-      << "density above threshold must stay on the dense kernel";
-  EXPECT_EQ(auto_ctr->value(), auto_after);
-  auto want2 = la::Multiply(above, above);
-  ASSERT_TRUE(want2.ok());
-  ExpectSameMatrix(rs2->rows[0][0].matrix(), *want2);
+  obs::Counter* sparse_ctr = reg->counter("la.sparse.dispatch_sparse");
+  for (const auto& [sql, lhs, rhs] :
+       {std::tuple{"SELECT matrix_multiply(a, a) FROM t", &low, &low},
+        std::tuple{"SELECT matrix_multiply(b, a) FROM t", &lower, &low}}) {
+    const uint64_t dense_before = dense_ctr->value();
+    const uint64_t sparse_before = sparse_ctr->value();
+    auto rs = Exec(db, sql);
+    ASSERT_TRUE(rs.ok()) << rs.status();
+    EXPECT_EQ(dense_ctr->value(), dense_before + 1) << sql;
+    EXPECT_EQ(sparse_ctr->value(), sparse_before) << sql;
+    ASSERT_EQ(rs->rows.size(), 1u);
+    ASSERT_FALSE(rs->rows[0][0].is_sparse_matrix());
+    auto want = la::Multiply(*lhs, *rhs);
+    ASSERT_TRUE(want.ok());
+    ExpectSameMatrix(rs->rows[0][0].matrix(), *want);
+  }
 }
 
 // ---- SQL surface -----------------------------------------------------

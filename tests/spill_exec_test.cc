@@ -102,46 +102,52 @@ TEST_F(SpillJoinTest, GraceSpillIsBitIdenticalAt1And8Threads) {
 
 class SpillAggTest : public ::testing::Test {
  protected:
-  static constexpr char kSql[] =
+  // Under a budget the join materializes its output, which spills, so
+  // the aggregate above it streams its input back from disk.
+  static constexpr char kJoinSql[] =
+      "SELECT p.k, SUM(p.x), COUNT(*) FROM pts AS p, ks WHERE p.k = ks.k "
+      "GROUP BY p.k ORDER BY p.k";
+  // The scan feeds the aggregate batch by batch; nothing materializes.
+  static constexpr char kScanSql[] =
       "SELECT k, SUM(x), COUNT(*) FROM pts GROUP BY k ORDER BY k";
+  // The same aggregate through a function call, which runs it per lane
+  // on the row Aggregators (x >= 0, so abs_val(x) is x, bit for bit).
+  static constexpr char kPerLaneSql[] =
+      "SELECT k, SUM(abs_val(x)), COUNT(*) FROM pts GROUP BY k ORDER BY k";
 
   void SetUp() override {
-    // The row engine materializes its scan, which is what spills here;
-    // the batch engine aggregates straight from the pinned segments
-    // (its twin below runs on the default engine).
-    Database::Config row_config = SpillConfig();
-    row_config.enable_vectorized = false;
-    db_ = std::make_unique<Database>(row_config);
-    batch_db_ = std::make_unique<Database>(SpillConfig());
+    db_ = std::make_unique<Database>(SpillConfig());
     // 100 groups of accumulator state fit the 256 KB budget even with
     // per-worker phase-1 partials (8 workers x 100 groups x ~190 B
     // each, about 150 KB) — group state is unspillable, so it must.
-    // The 30000 input rows (~540 KB) do not: the scan and shuffle
-    // buffers spill and the aggregate streams them back from disk.
+    // The 30000 input rows (~540 KB) do not.
     Rng rng(20170419);
     std::vector<Row> rows;
     for (int64_t i = 0; i < 30000; ++i) {
       rows.push_back({Value::Int(i / 300), Value::Double(rng.NextDouble())});
     }
-    for (Database* db : {db_.get(), batch_db_.get()}) {
-      ASSERT_TRUE(Exec(*db, "CREATE TABLE pts (k INTEGER, x DOUBLE)").ok());
-      ASSERT_TRUE(db->BulkInsert("pts", rows).ok());
-    }
+    std::vector<Row> keys;
+    for (int64_t k = 0; k < 100; ++k) keys.push_back({Value::Int(k)});
+    ASSERT_TRUE(Exec(*db_, "CREATE TABLE pts (k INTEGER, x DOUBLE)").ok());
+    ASSERT_TRUE(Exec(*db_, "CREATE TABLE ks (k INTEGER)").ok());
+    ASSERT_TRUE(db_->BulkInsert("pts", std::move(rows)).ok());
+    ASSERT_TRUE(db_->BulkInsert("ks", std::move(keys)).ok());
   }
 
-  std::unique_ptr<Database> db_;        // row engine
-  std::unique_ptr<Database> batch_db_;  // default engine
+  std::unique_ptr<Database> db_;
 };
 
-constexpr char SpillAggTest::kSql[];
+constexpr char SpillAggTest::kJoinSql[];
+constexpr char SpillAggTest::kScanSql[];
+constexpr char SpillAggTest::kPerLaneSql[];
 
 TEST_F(SpillAggTest, AggregationOverSpilledInputIsBitIdenticalAt1And8Threads) {
-  auto ref = Exec(*db_, kSql);
+  auto ref = Exec(*db_, kJoinSql);
   ASSERT_TRUE(ref.ok()) << ref.status();
   ASSERT_EQ(ref->num_rows(), 100u);
   const std::string want = Fingerprint(*ref);
   for (size_t threads : {size_t{1}, size_t{8}}) {
-    auto got = db_->Execute(kSql, Budgeted(kSmallBudget, threads));
+    auto got = db_->Execute(kJoinSql, Budgeted(kSmallBudget, threads));
     ASSERT_TRUE(got.ok()) << got.status();
     ASSERT_TRUE(got->has_results());
     EXPECT_EQ(Fingerprint(got->last()), want) << "threads=" << threads;
@@ -150,14 +156,21 @@ TEST_F(SpillAggTest, AggregationOverSpilledInputIsBitIdenticalAt1And8Threads) {
 }
 
 TEST_F(SpillAggTest, DefaultEngineUnderBudgetMatchesTheRowEngine) {
-  auto ref = Exec(*db_, kSql);
+  // The typed aggregate and the per-lane one, which runs the row
+  // engine's per-row aggregate code, agree bit for bit under the
+  // budget with each other and with the unbudgeted run.
+  auto ref = Exec(*db_, kScanSql);
   ASSERT_TRUE(ref.ok()) << ref.status();
+  ASSERT_EQ(ref->num_rows(), 100u);
   const std::string want = Fingerprint(*ref);
-  for (size_t threads : {size_t{1}, size_t{8}}) {
-    auto got = batch_db_->Execute(kSql, Budgeted(kSmallBudget, threads));
-    ASSERT_TRUE(got.ok()) << got.status();
-    ASSERT_TRUE(got->has_results());
-    EXPECT_EQ(Fingerprint(got->last()), want) << "threads=" << threads;
+  for (const char* sql : {kScanSql, kPerLaneSql}) {
+    for (size_t threads : {size_t{1}, size_t{8}}) {
+      auto got = db_->Execute(sql, Budgeted(kSmallBudget, threads));
+      ASSERT_TRUE(got.ok()) << got.status();
+      ASSERT_TRUE(got->has_results());
+      EXPECT_EQ(Fingerprint(got->last()), want)
+          << sql << " threads=" << threads;
+    }
   }
 }
 

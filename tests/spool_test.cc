@@ -224,9 +224,8 @@ std::vector<TwinCase> TwinCases() {
                  "SELECT COUNT(*), SUM(a.xw * b.xw) FROM (" + join +
                      ") AS a, (" + join_twin + ") AS b WHERE a.k = b.k"});
   // The repeated subtree is the join itself (the projections above
-  // order its columns differently), under a batch-capable aggregate
-  // chain: the spooled join must materialize rather than stream into
-  // that chain.
+  // order its columns differently), under an aggregate chain: the
+  // spooled join must materialize rather than stream into that chain.
   const std::string sum = "SELECT SUM(j.x) AS t FROM ";
   out.push_back(
       {"bare_join",
@@ -254,19 +253,14 @@ TEST_F(SpoolFixture, ResultsBitIdenticalToUnsharedTwin) {
   }
   struct Engine {
     size_t threads;
-    bool vectorized;
     size_t budget;
   };
-  for (const Engine& e : {Engine{1, false, 0}, Engine{8, false, 0},
-                          Engine{1, true, 0}, Engine{8, true, 0},
-                          Engine{1, false, 256u << 10},
-                          Engine{8, false, 256u << 10}}) {
-    SCOPED_TRACE(std::to_string(e.threads) + " threads, " +
-                 (e.vectorized ? "batch" : "row") + ", budget " +
+  for (const Engine& e : {Engine{1, 0}, Engine{8, 0}, Engine{1, 256u << 10},
+                          Engine{8, 256u << 10}}) {
+    SCOPED_TRACE(std::to_string(e.threads) + " threads, budget " +
                  std::to_string(e.budget));
     Database::Config cfg = DefaultConfig();
     cfg.num_threads = e.threads;
-    cfg.enable_vectorized = e.vectorized;
     Database db(cfg);
     Load(db);
     QueryOptions opts;
