@@ -21,7 +21,9 @@
 // The sweep also reports how many generated queries got a spool (a
 // repeated subtree computed once; see GenerateQuery), and how many ran
 // the relational multiply kernel or fell back to the join (about one
-// query in four adds a GenerateMultiplyQuery product).
+// query in four adds a GenerateMultiplyQuery tuple product, and about
+// one in four a vector-coded or masked tuple product), with kernel and
+// fallback counts per coding for the generated products.
 // With --reopen R > 0, a fifth phase runs R persistence rounds: a
 // generated catalog is loaded into a Database::Open store, a query
 // batch is executed, the database is closed and reopened from disk,
@@ -110,6 +112,10 @@ int main(int argc, char** argv) {
   uint64_t generated = 0;           // phase-2 queries, products included
   uint64_t multiply_kernel = 0;    // ... that ran the relational multiply
   uint64_t multiply_fallback = 0;  // ... whose multiply fell back
+  // Generated products by coding (0 tuple, 1 vector): kernel runs and
+  // fallbacks.
+  uint64_t coding_kernel[2] = {0, 0};
+  uint64_t coding_fallback[2] = {0, 0};
 
   auto note_plans = [&](const Differ& differ) {
     const std::vector<FuzzConfig> configs = StandardConfigs();
@@ -174,11 +180,15 @@ int main(int argc, char** argv) {
     // Matrix products draw from their own stream, so every seed still
     // generates the queries it generated before they existed.
     Rng multiply_rng(catalog_seed ^ 0x5851f42d4c957f2dULL);
-    auto run = [&](const QuerySpec& query, bool system) {
+    // Vector-coded and masked tuple products, likewise.
+    Rng shape_rng(catalog_seed ^ 0x2545f4914f6cdd1dULL);
+    auto run = [&](const QuerySpec& query, bool system, bool product) {
       const uint64_t reuses_before = differ.SpoolReuses();
       const uint64_t kernels_before = differ.RelationalMultiplies();
       const uint64_t fallbacks_before = differ.RelationalMultiplyFallbacks();
-      const DiffOutcome outcome = differ.RunOne(query.ToSql());
+      const std::string sql = query.ToSql();
+      const DiffOutcome outcome = differ.RunOne(sql);
+      const size_t coding = sql.find("inner_product(") != std::string::npos;
       ++queries_run;
       ++generated;
       metrics.counter("fuzz.queries_run")->Add(1);
@@ -189,10 +199,12 @@ int main(int argc, char** argv) {
       }
       if (differ.RelationalMultiplies() > kernels_before) {
         ++multiply_kernel;
+        if (product) ++coding_kernel[coding];
         metrics.counter("fuzz.relational_multiply_queries")->Add(1);
       }
       if (differ.RelationalMultiplyFallbacks() > fallbacks_before) {
         ++multiply_fallback;
+        if (product) ++coding_fallback[coding];
         metrics.counter("fuzz.relational_multiply_fallback_queries")->Add(1);
       }
       if (outcome.diverged) diverge(outcome, catalog, query);
@@ -204,9 +216,15 @@ int main(int argc, char** argv) {
       const bool system = rng.NextBelow(8) == 0;
       run(system ? GenerateSystemTableQuery(catalog, &rng)
                  : GenerateQuery(catalog, &rng),
-          system);
+          system, false);
       if (multiply_rng.NextBelow(4) == 0) {
-        run(GenerateMultiplyQuery(catalog, &multiply_rng), false);
+        run(GenerateMultiplyQuery(catalog, &multiply_rng), false, true);
+      }
+      if (shape_rng.NextBelow(4) == 0) {
+        const ProductShape shape = shape_rng.NextBelow(2) == 0
+                                       ? ProductShape::kVector
+                                       : ProductShape::kMaskedTuple;
+        run(GenerateMultiplyQuery(catalog, &shape_rng, shape), false, true);
       }
     }
     note_plans(differ);
@@ -391,6 +409,13 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(multiply_kernel),
         static_cast<unsigned long long>(generated),
         static_cast<unsigned long long>(multiply_fallback));
+    std::printf(
+        "fuzz: generated products, kernel / fallback: tuple %llu / %llu, "
+        "vector %llu / %llu\n",
+        static_cast<unsigned long long>(coding_kernel[0]),
+        static_cast<unsigned long long>(coding_fallback[0]),
+        static_cast<unsigned long long>(coding_kernel[1]),
+        static_cast<unsigned long long>(coding_fallback[1]));
   }
   return divergences == 0 ? 0 : 1;
 }

@@ -191,14 +191,18 @@ class Executor {
   Result<ExecResult> ExecuteLimit(const LogicalOp& op);
   /// Relational matrix multiply (multiply.cc, DESIGN.md §19) for an
   /// Aggregate the optimizer marked: runs the Join's two inputs, then
-  /// computes the product on dense tiles. When the data does not admit
-  /// tiles, the inputs are held for the Join (see held_inputs_) and the
-  /// Aggregate runs as if unmarked, so no input runs twice.
+  /// computes the product on the dense kernel. When the data does not
+  /// admit it, the inputs are held for the Join (see held_inputs_) and
+  /// the Aggregate runs as if unmarked, so no input runs twice.
   Result<ExecResult> ExecuteMultiply(const LogicalOp& op);
-  /// The tile path of ExecuteMultiply: nullopt with `*reason` set when
-  /// the inputs do not admit it. Reads the inputs without consuming
-  /// them.
+  /// The kernel paths of ExecuteMultiply, for the tuple coding (dense
+  /// tiles) and the vector coding (stacked vectors): nullopt with
+  /// `*reason` set when the inputs do not admit it. They read the
+  /// inputs without consuming them.
   Result<std::optional<SpillableDist>> MultiplyOnTiles(
+      const LogicalOp& op, SpillableDist& left, SpillableDist& right,
+      OperatorMetrics* m, std::string* reason);
+  Result<std::optional<SpillableDist>> MultiplyOnVectors(
       const LogicalOp& op, SpillableDist& left, SpillableDist& right,
       OperatorMetrics* m, std::string* reason);
 

@@ -1,19 +1,29 @@
 // Relational matrix multiply (DESIGN.md §19).
 //
-// The optimizer marks an Aggregate computing SUM(l.v * r.w) over
-// l JOIN r ON l.k = r.k, grouped by l.i and/or r.j: the tuple coding
-// of C = A·B with A[i][k] = l.v and B[k][j] = r.w. ExecuteMultiply runs
-// the two join inputs, compacts keys and indexes into sorted
-// dictionaries, scatters the values into a dense I×K and a dense K×J
-// tile and calls la::Multiply, which rounds identically at any thread
-// count. When the inputs do not admit tiles, they go to the Join and
-// the Aggregate runs as if unmarked.
+// The optimizer marks an Aggregate that computes a matrix product
+// written as a join and a GROUP BY on the free keys, in one of two
+// codings:
+//   - tuple: SUM(l.v * r.w) over l JOIN r ON l.k = r.k, grouped by l.i
+//     and/or r.j, the coding of C = A·B with A[i][k] = l.v and
+//     B[k][j] = r.w. MultiplyOnTiles compacts keys and indexes into
+//     sorted dictionaries, scatters the values into a dense I×K and a
+//     dense K×J tile and calls la::Multiply.
+//   - vector: SUM, MIN or MAX of inner_product(l.v, r.w) over a cross
+//     join. MultiplyOnVectors stacks each side's vectors into a dense
+//     matrix, computes every pair's inner product with la::Multiply and
+//     folds the values into groups in the order the join and aggregate
+//     would have.
+// Residual conjuncts comparing an INTEGER column of each side are
+// applied as a mask. la::Multiply rounds identically at any thread
+// count. When the inputs do not admit the kernel, they go to the Join
+// and the Aggregate runs as if unmarked.
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <iterator>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -102,7 +112,8 @@ const char* ReadCell(const Row& row, const SideColumns& c, Cell* cell,
   return nullptr;
 }
 
-void SortUnique(std::vector<int64_t>* v) {
+template <typename T>
+void SortUnique(std::vector<T>* v) {
   std::sort(v->begin(), v->end());
   v->erase(std::unique(v->begin(), v->end()), v->end());
 }
@@ -134,6 +145,157 @@ std::vector<int64_t> IndexDictionary(SideCells& side,
   return dict;
 }
 
+/// Whether `a op b` holds for two INTEGER keys. They compare through
+/// double, as EvalCompare compares them on the join.
+bool Holds(CompareOp op, double a, double b) {
+  switch (op) {
+    case CompareOp::kEq:
+      return a == b;
+    case CompareOp::kNe:
+      return a != b;
+    case CompareOp::kLt:
+      return a < b;
+    case CompareOp::kLe:
+      return a <= b;
+    case CompareOp::kGt:
+      return a > b;
+    case CompareOp::kGe:
+      return a >= b;
+  }
+  return false;
+}
+
+using MaskTerm = LogicalOp::MultiplyShape::MaskTerm;
+
+/// Whether every mask term holds for a pair whose left and right rows
+/// carry the mask keys `l` and `r`, one per term.
+bool MaskPasses(const std::vector<MaskTerm>& mask, const double* l,
+                const double* r) {
+  for (size_t t = 0; t < mask.size(); ++t) {
+    if (!Holds(mask[t].op, l[t], r[t])) return false;
+  }
+  return true;
+}
+
+/// The output row of group (i, j): the GROUP BY keys in their order,
+/// then the aggregate's value.
+Row GroupRow(const LogicalOp::MultiplyShape& s, int64_t i, int64_t j,
+             Value value) {
+  Row row;
+  row.reserve(3);
+  if (s.left_index && s.right_index) {
+    row.push_back(Value::Int(s.right_index_first ? j : i));
+    row.push_back(Value::Int(s.right_index_first ? i : j));
+  } else {
+    row.push_back(Value::Int(s.left_index ? i : j));
+  }
+  row.push_back(std::move(value));
+  return row;
+}
+
+/// Bytes of the product the vector coding computes at once: it
+/// multiplies bands of the probe side's rows whose product fits.
+constexpr size_t kBandBytes = 2u << 20;
+
+/// Charged per partial group state of the vector coding: its slot and
+/// a heap Aggregator holding one DOUBLE.
+constexpr size_t kStateBytes = 96;
+
+/// Vector length of a worker that has read no row yet.
+constexpr size_t kNoLength = SIZE_MAX;
+
+/// One side of a vector-coded product, read in place from its rows:
+/// per worker its vectors packed row after row, and per row (numbered
+/// in worker order) its group key and mask keys.
+struct VectorSide {
+  size_t value = 0;  // column positions in the input rows
+  std::optional<size_t> index;
+  std::vector<size_t> mask;  // one column per mask term
+  std::vector<size_t> begin;  // each worker's first row, then the total
+  std::vector<std::vector<double>> packed;  // per worker
+  std::vector<size_t> length;  // per worker: vector length, or kNoLength
+  std::vector<int64_t> keys;  // per row: group key
+  std::vector<double> mask_keys;  // per row: one per term, as double
+  std::vector<int64_t> dict;  // sorted distinct group keys
+  std::vector<size_t> group;  // per row: its key's position in `dict`
+
+  size_t rows() const { return begin.back(); }
+
+  /// Reads row `r`, the next row of worker `wkr`. Returns why it cannot
+  /// enter the kernel, or null.
+  const char* Read(const Row& row, size_t wkr, size_t r) {
+    const Value& v = row[value];
+    if (v.is_null()) return "NULL vector";
+    if (v.kind() != TypeKind::kVector) return "non-VECTOR value";
+    const auto key = [&](size_t col, int64_t* out) -> const char* {
+      const Value& k = row[col];
+      if (k.is_null()) return "NULL key";
+      if (k.kind() != TypeKind::kInteger) return "non-INTEGER key";
+      *out = k.int_value();
+      return nullptr;
+    };
+    if (index) {
+      if (const char* why = key(*index, &keys[r])) return why;
+    }
+    for (size_t t = 0; t < mask.size(); ++t) {
+      int64_t k = 0;
+      if (const char* why = key(mask[t], &k)) return why;
+      mask_keys[r * mask.size() + t] = static_cast<double>(k);
+    }
+    const la::Vector& x = v.vector();
+    if (length[wkr] == kNoLength) length[wkr] = x.size();
+    if (x.size() != length[wkr]) return "vector lengths differ";
+    for (size_t e = 0; e < x.size(); ++e) {
+      if (!std::isfinite(x[e])) return "non-finite element";
+    }
+    packed[wkr].insert(packed[wkr].end(), x.data(), x.data() + x.size());
+    return nullptr;
+  }
+
+  /// Copies the vectors of rows [r0, r1), `d` elements each, to `out`.
+  void CopyRows(size_t r0, size_t r1, size_t d, double* out) const {
+    for (size_t wkr = 0; wkr + 1 < begin.size(); ++wkr) {
+      const size_t lo = std::max(r0, begin[wkr]);
+      const size_t hi = std::min(r1, begin[wkr + 1]);
+      if (lo >= hi) continue;
+      const double* from = packed[wkr].data() + (lo - begin[wkr]) * d;
+      std::copy(from, from + (hi - lo) * d, out + (lo - r0) * d);
+    }
+  }
+
+  /// Builds `dict` and `group` from the keys (one group without a key).
+  void Dictionary() {
+    if (!index) {
+      dict = {0};
+      group.assign(rows(), 0);
+      return;
+    }
+    dict = keys;
+    SortUnique(&dict);
+    group.resize(rows());
+    for (size_t r = 0; r < rows(); ++r) {
+      group[r] = static_cast<size_t>(Find(dict, keys[r]));
+    }
+  }
+};
+
+/// One worker's partial aggregate of a vector-coded product: the group
+/// positions of its probe rows, sorted, and a row of states per
+/// position, one state per broadcast-side group.
+struct Partial {
+  std::vector<size_t> probe_groups;
+  std::vector<std::unique_ptr<Aggregator>> states;
+
+  /// Row of states for probe-side group `g`, or null when none of this
+  /// worker's rows has it.
+  std::unique_ptr<Aggregator>* StatesOf(size_t g, size_t width) {
+    const auto it =
+        std::lower_bound(probe_groups.begin(), probe_groups.end(), g);
+    if (it == probe_groups.end() || *it != g) return nullptr;
+    return states.data() + (it - probe_groups.begin()) * width;
+  }
+};
+
 }  // namespace
 
 Result<ExecResult> Executor::ExecuteMultiply(const LogicalOp& op) {
@@ -145,7 +307,9 @@ Result<ExecResult> Executor::ExecuteMultiply(const LogicalOp& op) {
   std::string reason;
   RADB_ASSIGN_OR_RETURN(
       std::optional<SpillableDist> product,
-      MultiplyOnTiles(op, left.dist, right.dist, m, &reason));
+      op.multiply->coding == LogicalOp::MultiplyShape::Coding::kTuple
+          ? MultiplyOnTiles(op, left.dist, right.dist, m, &reason)
+          : MultiplyOnVectors(op, left.dist, right.dist, m, &reason));
   if (product.has_value()) {
     ++relational_multiplies_;
     return ExecResult{std::move(*product), std::nullopt};
@@ -316,7 +480,10 @@ Result<std::optional<SpillableDist>> Executor::MultiplyOnTiles(
 
   RADB_ASSIGN_OR_RETURN(la::Matrix product, la::Multiply(tiles[0], tiles[1]));
   // Groups in row-major (i, j) order: all of them unless both tiles
-  // have holes, else those the 0/1 presence product counts a pair for.
+  // have holes, else those the 0/1 presence product counts a pair for;
+  // of these, those the mask keeps. The mask reads only i and j, so it
+  // rejects either every pair of a group or none.
+  const bool listed = presence || !s.mask.empty();
   std::vector<size_t> groups;
   if (presence) {
     for (int side = 0; side < 2; ++side) {
@@ -329,8 +496,22 @@ Result<std::optional<SpillableDist>> Executor::MultiplyOnTiles(
     for (size_t g = 0; g < ni * nj; ++g) {
       if (pairs.data()[g] > 0.0) groups.push_back(g);
     }
+  } else if (listed) {
+    groups.resize(ni * nj);
+    for (size_t g = 0; g < ni * nj; ++g) groups[g] = g;
   }
-  const size_t num_groups = presence ? groups.size() : ni * nj;
+  if (!s.mask.empty()) {
+    std::vector<size_t> kept;
+    for (size_t g : groups) {
+      const double i = static_cast<double>(dicts[0][g / nj]);
+      const double j = static_cast<double>(dicts[1][g % nj]);
+      bool holds = true;
+      for (const MaskTerm& t : s.mask) holds = holds && Holds(t.op, i, j);
+      if (holds) kept.push_back(g);
+    }
+    groups = std::move(kept);
+  }
+  const size_t num_groups = listed ? groups.size() : ni * nj;
   m->worker_seconds[0] += SecondsSince(t0);
 
   // Each worker emits an equal slice of the groups: the GROUP BY keys
@@ -340,19 +521,11 @@ Result<std::optional<SpillableDist>> Executor::MultiplyOnTiles(
     const auto t1 = Clock::now();
     for (size_t q = num_groups * wkr / w; q < num_groups * (wkr + 1) / w;
          ++q) {
-      const size_t g = presence ? groups[q] : q;
-      Row row;
-      row.reserve(3);
-      const Value i = Value::Int(s.left_index ? dicts[0][g / nj] : 0);
-      const Value j = Value::Int(s.right_index ? dicts[1][g % nj] : 0);
-      if (s.left_index && s.right_index) {
-        row.push_back(s.right_index_first ? j : i);
-        row.push_back(s.right_index_first ? i : j);
-      } else {
-        row.push_back(s.left_index ? i : j);
-      }
-      row.push_back(Value::Double(product.data()[g]));
-      RADB_RETURN_NOT_OK(out[wkr].Append(std::move(row)));
+      const size_t g = listed ? groups[q] : q;
+      RADB_RETURN_NOT_OK(out[wkr].Append(GroupRow(
+          s, s.left_index ? dicts[0][g / nj] : 0,
+          s.right_index ? dicts[1][g % nj] : 0,
+          Value::Double(product.data()[g]))));
     }
     m->worker_seconds[wkr] += SecondsSince(t1);
     return Status::OK();
@@ -362,6 +535,237 @@ Result<std::optional<SpillableDist>> Executor::MultiplyOnTiles(
     m->bytes_shuffled += out[wkr].byte_size();
   }
   m->rows_out = num_groups;
+  m->bytes_out = SpillDistByteSize(out);
+  CollectSpill(m, out);
+  return std::optional<SpillableDist>(std::move(out));
+}
+
+Result<std::optional<SpillableDist>> Executor::MultiplyOnVectors(
+    const LogicalOp& op, SpillableDist& left, SpillableDist& right,
+    OperatorMetrics* m, std::string* reason) {
+  const LogicalOp::MultiplyShape& s = *op.multiply;
+  const LogicalOp& join = *op.children[0];
+  const AggCall& call = op.aggs[0];
+  const size_t w = left.size();
+  const size_t terms = s.mask.size();
+  SpillableDist* dists[2] = {&left, &right};
+  VectorSide sides[2];
+  for (int side = 0; side < 2; ++side) {
+    const std::map<size_t, size_t> layout = LayoutOf(*join.children[side]);
+    VectorSide& v = sides[side];
+    v.value = layout.at(side == 0 ? s.left_value : s.right_value);
+    const std::optional<size_t>& index =
+        side == 0 ? s.left_index : s.right_index;
+    if (index) v.index = layout.at(*index);
+    for (const MaskTerm& t : s.mask) {
+      v.mask.push_back(layout.at(side == 0 ? t.left : t.right));
+    }
+    v.begin.assign(1, 0);
+    for (const SpillableRowBuffer& buf : *dists[side]) {
+      v.begin.push_back(v.begin.back() + buf.num_rows());
+    }
+  }
+  const size_t rows_in = sides[0].rows() + sides[1].rows();
+  m->rows_in = rows_in;
+  const auto no_kernel = [&](std::string why) {
+    *reason = std::move(why);
+    return std::optional<SpillableDist>();
+  };
+  const auto check_cancel = [&]() -> Status {
+    return mem_.cancel != nullptr ? mem_.cancel->Check() : Status::OK();
+  };
+
+  // Packed vectors, the broadcast operand, the bands and the partial
+  // states are unspillable. The scoped tracker releases them on every
+  // way out, cancellation included.
+  std::optional<mem::MemoryTracker> tracker;
+  if (mem_.tracker != nullptr) {
+    tracker.emplace("RelationalMultiply vectors", mem_.tracker);
+  }
+  const auto admit = [&](size_t bytes) {
+    return !tracker.has_value() || tracker->TryReserve(bytes);
+  };
+  // A row's vector packs into no more than its serialized bytes.
+  const size_t staged = SpillDistByteSize(left) + SpillDistByteSize(right) +
+                        rows_in * (2 * sizeof(int64_t) + terms * sizeof(double));
+  if (!admit(staged)) {
+    return no_kernel("memory budget refused " + FormatBytes(double(staged)) +
+                     " of packed vectors");
+  }
+  for (VectorSide& v : sides) {
+    v.packed.resize(w);
+    v.length.assign(w, kNoLength);
+    v.keys.resize(v.rows());
+    v.mask_keys.resize(v.rows() * terms);
+  }
+
+  // Every worker packs its partition of both sides in place.
+  std::vector<const char*> refusals(2 * w, nullptr);
+  RADB_RETURN_NOT_OK(ForEachWorker(w, [&](size_t wkr) -> Status {
+    const auto t0 = Clock::now();
+    size_t since_check = 0;
+    for (int side = 0; side < 2; ++side) {
+      VectorSide& v = sides[side];
+      const char*& refusal = refusals[side * w + wkr];
+      size_t r = v.begin[wkr];
+      RADB_RETURN_NOT_OK(
+          VisitRows((*dists[side])[wkr], [&](const Row& row) -> Status {
+            if (++since_check >= kCancelCheckRows) {
+              since_check = 0;
+              RADB_RETURN_NOT_OK(check_cancel());
+            }
+            if (refusal == nullptr) refusal = v.Read(row, wkr, r++);
+            return Status::OK();
+          }));
+    }
+    m->worker_seconds[wkr] += SecondsSince(t0);
+    return Status::OK();
+  }));
+  for (const char* refusal : refusals) {
+    if (refusal != nullptr) return no_kernel(refusal);
+  }
+  // One vector length for every row: the join raises the mismatch.
+  size_t d = kNoLength;
+  for (const VectorSide& v : sides) {
+    for (size_t len : v.length) {
+      if (len == kNoLength) continue;
+      if (d != kNoLength && len != d) return no_kernel("vector lengths differ");
+      d = len;
+    }
+  }
+  for (const SpillableDist* dist : dists) {
+    for (size_t wkr = 1; wkr < w; ++wkr) {
+      m->rows_shuffled += (*dist)[wkr].num_rows();
+      m->bytes_shuffled += (*dist)[wkr].byte_size();
+    }
+  }
+  if (sides[0].rows() == 0 || sides[1].rows() == 0) {  // no pairs
+    return std::optional<SpillableDist>(NewDist(w));
+  }
+
+  // The cross join broadcasts the smaller side by bytes; each worker
+  // pairs each of its own rows of the other (probe) side with every
+  // broadcast row, in order. The fold follows the same pairs.
+  const auto t0 = Clock::now();
+  const bool probe_left = SpillDistByteSize(right) <= SpillDistByteSize(left);
+  VectorSide& probe = sides[probe_left ? 0 : 1];
+  VectorSide& bcast = sides[probe_left ? 1 : 0];
+  for (VectorSide& v : sides) v.Dictionary();
+  const size_t nb = bcast.rows();
+  const size_t width = bcast.dict.size();  // states per probe group
+  std::vector<Partial> partials(w);
+  size_t slots = 0;
+  for (size_t wkr = 0; wkr < w; ++wkr) {
+    Partial& p = partials[wkr];
+    p.probe_groups.assign(probe.group.begin() + probe.begin[wkr],
+                          probe.group.begin() + probe.begin[wkr + 1]);
+    SortUnique(&p.probe_groups);
+    slots += p.probe_groups.size() * width;
+  }
+  const size_t num_groups = sides[0].dict.size() * sides[1].dict.size();
+  const size_t state_bytes =
+      slots * kStateBytes + num_groups * sizeof(std::unique_ptr<Aggregator>);
+  if (!admit(state_bytes)) {
+    return no_kernel("memory budget refused " +
+                     FormatBytes(double(state_bytes)) + " of group states");
+  }
+  const size_t band_rows =
+      std::min(probe.rows(), std::max<size_t>(1, kBandBytes / (nb * 8)));
+  const size_t band_bytes = (nb * d + band_rows * (d + nb)) * sizeof(double);
+  if (!admit(band_bytes)) {
+    return no_kernel("memory budget refused " +
+                     FormatBytes(double(band_bytes)) + " of product bands");
+  }
+  RADB_RETURN_NOT_OK(check_cancel());
+  for (Partial& p : partials) p.states.resize(p.probe_groups.size() * width);
+  // The broadcast side's vectors as the columns of a d x nb operand.
+  la::Matrix bcast_t(d, nb);
+  for (size_t wkr = 0; wkr < w; ++wkr) {
+    const std::vector<double>& packed = bcast.packed[wkr];
+    for (size_t c = bcast.begin[wkr]; c < bcast.begin[wkr + 1]; ++c) {
+      const double* x = packed.data() + (c - bcast.begin[wkr]) * d;
+      for (size_t k = 0; k < d; ++k) bcast_t.data()[k * nb + c] = x[k];
+    }
+  }
+  bcast.packed.clear();
+  m->worker_seconds[0] += SecondsSince(t0);
+
+  // Band by band: one la::Multiply from the calling thread, so the
+  // kernel has the whole pool, then every worker folds the pairs of its
+  // own probe rows in the band through the aggregate's Aggregators.
+  // Each value is a k-ascending sum of the same products from +0.0, as
+  // inner_product computes it.
+  for (size_t r0 = 0; r0 < probe.rows(); r0 += band_rows) {
+    const auto t1 = Clock::now();
+    const size_t r1 = std::min(probe.rows(), r0 + band_rows);
+    la::Matrix band(r1 - r0, d);
+    probe.CopyRows(r0, r1, d, band.data());
+    RADB_ASSIGN_OR_RETURN(la::Matrix values, la::Multiply(band, bcast_t));
+    m->worker_seconds[0] += SecondsSince(t1);
+    RADB_RETURN_NOT_OK(ForEachWorker(w, [&](size_t wkr) -> Status {
+      const auto t2 = Clock::now();
+      Partial& p = partials[wkr];
+      const size_t lo = std::max(r0, probe.begin[wkr]);
+      const size_t hi = std::min(r1, probe.begin[wkr + 1]);
+      for (size_t r = lo; r < hi; ++r) {
+        RADB_RETURN_NOT_OK(check_cancel());
+        std::unique_ptr<Aggregator>* states =
+            p.StatesOf(probe.group[r], width);
+        const double* row_values = values.data() + (r - r0) * nb;
+        const double* pm = probe.mask_keys.data() + r * terms;
+        for (size_t c = 0; c < nb; ++c) {
+          const double* bm = bcast.mask_keys.data() + c * terms;
+          if (terms > 0 && !(probe_left ? MaskPasses(s.mask, pm, bm)
+                                        : MaskPasses(s.mask, bm, pm))) {
+            continue;
+          }
+          std::unique_ptr<Aggregator>& state = states[bcast.group[c]];
+          if (state == nullptr) state = call.fn->make();
+          RADB_RETURN_NOT_OK(state->Update(Value::Double(row_values[c])));
+        }
+      }
+      m->worker_seconds[wkr] += SecondsSince(t2);
+      return Status::OK();
+    }));
+  }
+
+  // Each worker emits an equal slice of the groups in row-major (i, j)
+  // order, merging each group's partial states in worker order, as the
+  // aggregate merges them. A group no pair passed the mask for has no
+  // state and no row.
+  const size_t nj = sides[1].dict.size();
+  SpillableDist out = NewDist(w);
+  RADB_RETURN_NOT_OK(ForEachWorker(w, [&](size_t wkr) -> Status {
+    const auto t1 = Clock::now();
+    for (size_t g = num_groups * wkr / w; g < num_groups * (wkr + 1) / w;
+         ++g) {
+      const size_t i = g / nj, j = g % nj;
+      std::unique_ptr<Aggregator> merged;
+      for (Partial& p : partials) {
+        std::unique_ptr<Aggregator>* states =
+            p.StatesOf(probe_left ? i : j, width);
+        if (states == nullptr) continue;
+        std::unique_ptr<Aggregator>& state = states[probe_left ? j : i];
+        if (state == nullptr) continue;
+        if (merged == nullptr) {
+          merged = std::move(state);
+        } else {
+          RADB_RETURN_NOT_OK(merged->Merge(*state));
+        }
+      }
+      if (merged == nullptr) continue;
+      RADB_ASSIGN_OR_RETURN(Value value, merged->Finalize());
+      RADB_RETURN_NOT_OK(out[wkr].Append(GroupRow(
+          s, sides[0].dict[i], sides[1].dict[j], std::move(value))));
+    }
+    m->worker_seconds[wkr] += SecondsSince(t1);
+    return Status::OK();
+  }));
+  for (size_t wkr = 1; wkr < w; ++wkr) {
+    m->rows_shuffled += out[wkr].num_rows();
+    m->bytes_shuffled += out[wkr].byte_size();
+  }
+  m->rows_out = SpillDistRowCount(out);
   m->bytes_out = SpillDistByteSize(out);
   CollectSpill(m, out);
   return std::optional<SpillableDist>(std::move(out));

@@ -1974,7 +1974,11 @@ Status VectorizedPipeline::RunWorker(size_t wkr, WorkerCtx& ctx) {
     for (size_t p = wkr; p < table.num_partitions(); p += workers_) {
       const size_t nsegs = table.NumSegments(p);
       for (size_t seg = 0; seg < nsegs; ++seg) {
+        // A buffer-pool miss reads and decodes the segment here, so the
+        // pin is the scan's time too.
+        const auto pinned = Clock::now();
         RADB_ASSIGN_OR_RETURN(Table::SegmentPin pin, table.PinSegment(p, seg));
+        st.seconds += SecondsSince(pinned);
         const RowSet& rows = pin.rows();
         // Once a chain stage has failed the scan only finishes its
         // input, as it would before its consumer ran.

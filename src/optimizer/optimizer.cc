@@ -235,10 +235,12 @@ void SelectIndexes(LogicalOp& op, IndexSelectionStats* stats) {
 
 // ---- Relational matrix multiply (post-pass) -------------------------
 //
-// A join on a shared key, a SUM of products and a GROUP BY on the two
-// free keys together make a matrix product (DESIGN.md §19). This pass
-// marks each Aggregate of that shape; the executor computes it on dense
-// tiles when the data admits it.
+// A join, a sum of products and a GROUP BY on the free keys together
+// make a matrix product (DESIGN.md §19), in the tuple coding (a join on
+// a shared key, SUM(l.v * r.w)) or the vector coding (a cross join,
+// SUM/MIN/MAX(inner_product(l.v, r.w))). This pass marks each Aggregate
+// of either shape; the executor computes it on the dense kernel when
+// the data admits it.
 
 /// What `e`, an expression over `join`'s output, reads from the join's
 /// inputs: a projection fused into the join maps its output slots to
@@ -263,39 +265,73 @@ int InputColumnSide(const LogicalOp& join, const BoundExpr* e, TypeKind kind) {
   return -1;
 }
 
+/// The residual conjunct `e` as a mask term l.a op r.b: a comparison
+/// other than = between an INTEGER column of each join input.
+std::optional<LogicalOp::MultiplyShape::MaskTerm> MatchMaskTerm(
+    const LogicalOp& join, const BoundExpr& e) {
+  if (e.kind != BoundExpr::Kind::kCompare || e.compare_op == CompareOp::kEq) {
+    return std::nullopt;
+  }
+  const BoundExpr* a = e.children[0].get();
+  const BoundExpr* b = e.children[1].get();
+  const int a_side = InputColumnSide(join, a, TypeKind::kInteger);
+  const int b_side = InputColumnSide(join, b, TypeKind::kInteger);
+  if (a_side < 0 || b_side < 0 || a_side == b_side) return std::nullopt;
+  if (a_side == 0) {
+    return LogicalOp::MultiplyShape::MaskTerm{a->slot, b->slot, e.compare_op};
+  }
+  // r.b op l.a is l.a op' r.b with the comparison mirrored.
+  const std::map<CompareOp, CompareOp> mirror = {
+      {CompareOp::kNe, CompareOp::kNe}, {CompareOp::kLt, CompareOp::kGt},
+      {CompareOp::kLe, CompareOp::kGe}, {CompareOp::kGt, CompareOp::kLt},
+      {CompareOp::kGe, CompareOp::kLe}};
+  return LogicalOp::MultiplyShape::MaskTerm{b->slot, a->slot,
+                                            mirror.at(e.compare_op)};
+}
+
 std::optional<LogicalOp::MultiplyShape> MatchMultiply(const LogicalOp& agg) {
+  using Coding = LogicalOp::MultiplyShape::Coding;
   if (agg.kind != LogicalOp::Kind::kAggregate || agg.aggs.size() != 1 ||
       agg.group_exprs.empty() || agg.group_exprs.size() > 2) {
     return std::nullopt;
   }
-  const AggCall& sum = agg.aggs[0];
-  if (sum.name != "sum" || sum.arg == nullptr ||
-      sum.result_type.kind() != TypeKind::kDouble) {
+  const AggCall& call = agg.aggs[0];
+  if (call.arg == nullptr || call.result_type.kind() != TypeKind::kDouble) {
     return std::nullopt;
   }
   const LogicalOp& join = *agg.children[0];
-  if (join.kind != LogicalOp::Kind::kJoin || join.equi_keys.size() != 1 ||
-      !join.residual.empty()) {
+  if (join.kind != LogicalOp::Kind::kJoin || join.equi_keys.size() > 1) {
     return std::nullopt;
   }
   LogicalOp::MultiplyShape s;
-  const auto& [lk, rk] = join.equi_keys[0];
-  if (InputColumnSide(join, lk.get(), TypeKind::kInteger) != 0 ||
-      InputColumnSide(join, rk.get(), TypeKind::kInteger) != 1) {
-    return std::nullopt;
-  }
-  s.left_key = lk->slot;
-  s.right_key = rk->slot;
-
-  const BoundExpr* product = ThroughJoin(join, *sum.arg);
-  if (product == nullptr || product->kind != BoundExpr::Kind::kArith ||
-      product->arith_op != ArithOp::kMul) {
-    return std::nullopt;
+  s.coding = join.equi_keys.empty() ? Coding::kVector : Coding::kTuple;
+  const BoundExpr* product = ThroughJoin(join, *call.arg);
+  if (product == nullptr) return std::nullopt;
+  TypeKind value_kind = TypeKind::kDouble;
+  if (s.coding == Coding::kTuple) {
+    if (call.name != "sum" || product->kind != BoundExpr::Kind::kArith ||
+        product->arith_op != ArithOp::kMul) {
+      return std::nullopt;
+    }
+    const auto& [lk, rk] = join.equi_keys[0];
+    if (InputColumnSide(join, lk.get(), TypeKind::kInteger) != 0 ||
+        InputColumnSide(join, rk.get(), TypeKind::kInteger) != 1) {
+      return std::nullopt;
+    }
+    s.left_key = lk->slot;
+    s.right_key = rk->slot;
+  } else {
+    if ((call.name != "sum" && call.name != "min" && call.name != "max") ||
+        product->kind != BoundExpr::Kind::kCall ||
+        product->fn->signature.name() != "inner_product") {
+      return std::nullopt;
+    }
+    value_kind = TypeKind::kVector;
   }
   const BoundExpr* a = product->children[0].get();
   const BoundExpr* b = product->children[1].get();
-  const int a_side = InputColumnSide(join, a, TypeKind::kDouble);
-  const int b_side = InputColumnSide(join, b, TypeKind::kDouble);
+  const int a_side = InputColumnSide(join, a, value_kind);
+  const int b_side = InputColumnSide(join, b, value_kind);
   if (a_side < 0 || b_side < 0 || a_side == b_side) return std::nullopt;
   s.left_value = (a_side == 0 ? a : b)->slot;
   s.right_value = (a_side == 0 ? b : a)->slot;
@@ -308,6 +344,19 @@ std::optional<LogicalOp::MultiplyShape> MatchMultiply(const LogicalOp& agg) {
     if (index.has_value()) return std::nullopt;  // two keys of one side
     index = key->slot;
     if (g == 0) s.right_index_first = side == 1;
+  }
+
+  for (const BoundExprPtr& conjunct : join.residual) {
+    std::optional<LogicalOp::MultiplyShape::MaskTerm> term =
+        MatchMaskTerm(join, *conjunct);
+    if (!term.has_value()) return std::nullopt;
+    // The tuple coding masks whole groups, so its terms read only the
+    // two group keys.
+    if (s.coding == Coding::kTuple &&
+        (term->left != s.left_index || term->right != s.right_index)) {
+      return std::nullopt;
+    }
+    s.mask.push_back(*term);
   }
   return s;
 }

@@ -103,21 +103,35 @@ struct LogicalOp {
   size_t spool_uses = 0;
   bool spool_reuse = false;
 
-  /// A tuple-coded matrix product (DESIGN.md §19): an Aggregate
-  /// computing SUM(l.v * r.w) over an inner Join of two inputs on one
-  /// INTEGER key pair l.k = r.k, grouped by an INTEGER column of each
-  /// side (l.i, r.j) or of one side only. Slots name columns of the
-  /// Join's left (l) and right (r) child outputs.
+  /// A matrix product written as a join and an aggregate (DESIGN.md
+  /// §19), in one of two codings, grouped by an INTEGER column of each
+  /// side (l.i, r.j) or of one side only:
+  ///   - tuple: SUM(l.v * r.w) over an inner Join on one INTEGER key
+  ///     pair l.k = r.k, with DOUBLE values;
+  ///   - vector: SUM, MIN or MAX of inner_product(l.v, r.w) over a
+  ///     cross join, with VECTOR values.
+  /// Residual conjuncts that compare an INTEGER column of each side
+  /// form the mask; in the tuple coding they compare l.i with r.j.
+  /// Slots name columns of the Join's left (l) and right (r) child
+  /// outputs.
   struct MultiplyShape {
-    size_t left_key = 0, right_key = 0;
+    enum class Coding { kTuple, kVector };
+    Coding coding = Coding::kTuple;
+    size_t left_key = 0, right_key = 0;  // tuple coding only
     size_t left_value = 0, right_value = 0;
     std::optional<size_t> left_index, right_index;
     /// The right side's index is the first group key.
     bool right_index_first = false;
+    /// One mask conjunct: l.left `op` r.right.
+    struct MaskTerm {
+      size_t left = 0, right = 0;
+      CompareOp op = CompareOp::kNe;
+    };
+    std::vector<MaskTerm> mask;
   };
   /// Set on a matching Aggregate by the optimizer's post-pass (only
   /// with early projection on). The executor then runs the Join's two
-  /// inputs and computes the product on dense tiles, or hands the
+  /// inputs and computes the product on the dense kernel, or hands the
   /// inputs to the Join and Aggregate when the data does not admit it.
   std::optional<MultiplyShape> multiply;
 

@@ -457,6 +457,115 @@ ProductSide DerivedSide(const TableSpec& t, const TableSpec& u,
   return s;
 }
 
+/// A mask term: `a` and `b` compared by anything but =, in either
+/// order.
+std::string MaskTerm(const std::string& a, const std::string& b, Rng* rng) {
+  static const char* const kOps[] = {"<>", "<", "<=", ">", ">="};
+  const std::string op = kOps[rng->NextBelow(5)];
+  return rng->NextBelow(2) == 0 ? "(" + a + " " + op + " " + b + ")"
+                                : "(" + b + " " + op + " " + a + ")";
+}
+
+/// ORDER BY every select item, then LIMIT, one query in three.
+void MaybeOrderAndLimit(QuerySpec* q, Rng* rng) {
+  if (rng->NextBelow(3) != 0) return;
+  for (size_t i = 0; i < q->select_items.size(); ++i) {
+    q->order_by.push_back({i, rng->NextBelow(2) == 0});
+  }
+  q->limit = 1 + static_cast<int64_t>(rng->NextBelow(6));
+}
+
+/// The vector coding of a product (GenerateMultiplyQuery's kVector);
+/// nullopt when the catalog has no VECTOR column.
+std::optional<QuerySpec> VectorProductQuery(const CatalogSpec& catalog,
+                                            Rng* rng) {
+  struct VectorColumn {
+    const TableSpec* table;
+    std::string name;
+    int64_t length;
+  };
+  std::vector<VectorColumn> columns;
+  for (const TableSpec& t : catalog.tables) {
+    for (const ColumnSpec& c : t.columns) {
+      if (c.type.kind() == TypeKind::kVector) {
+        columns.push_back({&t, c.name, *c.type.rows()});
+      }
+    }
+  }
+  if (columns.empty()) return std::nullopt;
+  const VectorColumn& first = columns[rng->NextBelow(columns.size())];
+  std::vector<const VectorColumn*> alike;
+  for (const VectorColumn& c : columns) {
+    if (c.length == first.length) alike.push_back(&c);
+  }
+  const VectorColumn* picked[2] = {&first,
+                                   alike[rng->NextBelow(alike.size())]};
+  struct Side {
+    QuerySpec::FromItem from;
+    std::string value;
+    std::vector<std::string> ints;
+  };
+  Side sides[2];
+  for (size_t i = 0; i < 2; ++i) {
+    const VectorColumn& c = *picked[i];
+    const std::string alias = "r" + std::to_string(i);
+    if (rng->NextBelow(6) == 0) {
+      sides[i] = {{c.table->name, alias,
+                   "SELECT d.k AS k, d." + c.name + " + NULL AS v FROM " +
+                       c.table->name + " AS d"},
+                  "v",
+                  {"k"}};
+    } else {
+      sides[i] = {{c.table->name, alias, ""},
+                  c.name,
+                  ColumnsOfKind(*c.table, TypeKind::kInteger)};
+    }
+  }
+  const auto col = [&](size_t side, const std::string& name) {
+    return "r" + std::to_string(side) + "." + name;
+  };
+  const auto int_col = [&](size_t side) {
+    return col(side, sides[side].ints[rng->NextBelow(sides[side].ints.size())]);
+  };
+
+  QuerySpec q;
+  q.from = {sides[0].from, sides[1].from};
+  for (size_t terms = rng->NextBelow(3); terms > 0; --terms) {
+    const std::string l = int_col(0);
+    q.where.push_back(MaskTerm(l, int_col(1), rng));
+  }
+  switch (rng->NextBelow(4)) {
+    case 0:
+      q.group_by = {int_col(0)};
+      break;
+    case 1:
+      q.group_by = {int_col(1)};
+      break;
+    case 2: {
+      const std::string l = int_col(0);
+      q.group_by = {l, int_col(1)};
+      break;
+    }
+    default: {
+      const std::string r = int_col(1);
+      q.group_by = {r, int_col(0)};
+      break;
+    }
+  }
+  for (const std::string& key : q.group_by) {
+    if (rng->NextBelow(4) < 3) q.select_items.push_back({key, true});
+  }
+  static const char* const kAggs[] = {"SUM", "MIN", "MAX"};
+  const std::string agg = kAggs[rng->NextBelow(3)];
+  const size_t a = rng->NextBelow(2);
+  q.select_items.push_back({agg + "(inner_product(" +
+                                col(a, sides[a].value) + ", " +
+                                col(1 - a, sides[1 - a].value) + "))",
+                            true});
+  MaybeOrderAndLimit(&q, rng);
+  return q;
+}
+
 }  // namespace
 
 std::string QuerySpec::ToSql() const {
@@ -601,7 +710,15 @@ QuerySpec GenerateSystemTableQuery(const CatalogSpec& catalog, Rng* rng) {
   return q;
 }
 
-QuerySpec GenerateMultiplyQuery(const CatalogSpec& catalog, Rng* rng) {
+QuerySpec GenerateMultiplyQuery(const CatalogSpec& catalog, Rng* rng,
+                                ProductShape shape) {
+  if (shape == ProductShape::kVector) {
+    if (std::optional<QuerySpec> q = VectorProductQuery(catalog, rng)) {
+      return *q;
+    }
+    shape = ProductShape::kMaskedTuple;
+  }
+  const bool masked = shape == ProductShape::kMaskedTuple;
   auto table = [&]() -> const TableSpec& {
     return catalog.tables[rng->NextBelow(catalog.tables.size())];
   };
@@ -627,8 +744,9 @@ QuerySpec GenerateMultiplyQuery(const CatalogSpec& catalog, Rng* rng) {
     q.where.push_back("(" + col(side, sides[side].key) + " <> " +
                       std::to_string(key) + ")");
   }
-  // Group keys: one index of each side in either order, or one side's.
-  switch (rng->NextBelow(4)) {
+  // Group keys: one index of each side in either order, or one side's;
+  // a masked product compares the two.
+  switch (masked ? 3 * rng->NextBelow(2) : rng->NextBelow(4)) {
     case 0:
       q.group_by = {col(1, sides[1].index), col(0, sides[0].index)};
       break;
@@ -642,6 +760,12 @@ QuerySpec GenerateMultiplyQuery(const CatalogSpec& catalog, Rng* rng) {
       q.group_by = {col(0, sides[0].index), col(1, sides[1].index)};
       break;
   }
+  if (masked) {
+    for (size_t terms = 1 + rng->NextBelow(2); terms > 0; --terms) {
+      q.where.push_back(MaskTerm(col(0, sides[0].index),
+                                 col(1, sides[1].index), rng));
+    }
+  }
   for (const std::string& key : q.group_by) {
     if (rng->NextBelow(4) < 3) q.select_items.push_back({key, true});
   }
@@ -649,13 +773,8 @@ QuerySpec GenerateMultiplyQuery(const CatalogSpec& catalog, Rng* rng) {
   q.select_items.push_back({"SUM(" + col(first, sides[first].value) + " * " +
                                 col(1 - first, sides[1 - first].value) + ")",
                             true});
-  if (rng->NextBelow(3) == 0) {
-    // Every item is orderable: ORDER BY all of them, then LIMIT.
-    for (size_t i = 0; i < q.select_items.size(); ++i) {
-      q.order_by.push_back({i, rng->NextBelow(2) == 0});
-    }
-    q.limit = 1 + static_cast<int64_t>(rng->NextBelow(6));
-  }
+  // Every item is orderable.
+  MaybeOrderAndLimit(&q, rng);
   return q;
 }
 

@@ -61,17 +61,35 @@ struct QuerySpec {
 /// duplicates and any stable order yields the same multiset prefix).
 QuerySpec GenerateQuery(const CatalogSpec& catalog, Rng* rng);
 
-/// Generates the tuple-coded matrix product the optimizer rewrites
-/// (DESIGN.md §19): SUM(r0.v * r1.v) over r0 and r1 joined on their
-/// keys, grouped by an INTEGER index of each side or of one side, in
-/// either operand and key order, optionally filtered, ordered and
-/// limited. A side reads a raw table with a DOUBLE column — whose
-/// repeated (key, index) cells make the executor fall back to the join
-/// — or a derived table with one cell per (key, index), such as
-/// "SELECT d.k AS k, d.c0 AS i, SUM(d.c1 + 0.0) AS v FROM t AS d
-/// GROUP BY d.k, d.c0", which the tile kernel takes (unless its
-/// values are NULL: about one derived side in six also adds NULL).
-QuerySpec GenerateMultiplyQuery(const CatalogSpec& catalog, Rng* rng);
+/// The matrix products GenerateMultiplyQuery writes.
+enum class ProductShape {
+  kTuple,        // SUM(r0.v * r1.v) over a join on the keys
+  kMaskedTuple,  // the same, grouped by both indexes, masked on them
+  kVector,       // SUM/MIN/MAX(inner_product(..)) over a cross join
+};
+
+/// Generates a matrix product the optimizer rewrites (DESIGN.md §19).
+///   - kTuple: SUM(r0.v * r1.v) over r0 and r1 joined on their keys,
+///     grouped by an INTEGER index of each side or of one side, in
+///     either operand and key order, optionally filtered, ordered and
+///     limited. A side reads a raw table with a DOUBLE column — whose
+///     repeated (key, index) cells make the executor fall back to the
+///     join — or a derived table with one cell per (key, index), such
+///     as "SELECT d.k AS k, d.c0 AS i, SUM(d.c1 + 0.0) AS v FROM t AS
+///     d GROUP BY d.k, d.c0", which the tile kernel takes (unless its
+///     values are NULL: about one derived side in six also adds NULL).
+///   - kMaskedTuple: grouped by both indexes, with one or two
+///     comparisons between them (<>, <, <=, >, >=) in the WHERE clause.
+///   - kVector: SUM, MIN or MAX of inner_product over two VECTOR
+///     columns of one length, on a cross join with no, one or two
+///     comparisons between INTEGER columns of the two sides, grouped
+///     by an INTEGER column of one side or of each. About one side in
+///     six reads NULL vectors, which make the executor fall back. A
+///     catalog without a VECTOR column gets a kMaskedTuple query.
+/// kTuple draws what it always drew, so a stream of kTuple queries is
+/// the same for a seed as before the other shapes existed.
+QuerySpec GenerateMultiplyQuery(const CatalogSpec& catalog, Rng* rng,
+                                ProductShape shape = ProductShape::kTuple);
 
 /// Curated column subsets of the radb_ system tables the fuzzer may
 /// query (rows are always empty — only the schemas matter). This is a

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/rng.h"
 #include "testing/catalog_gen.h"
 #include "testing/differ.h"
@@ -141,6 +143,41 @@ TEST(FuzzTest, TwoHundredFixedSeedQueries) {
   }
   EXPECT_EQ(ran, 200u);
   EXPECT_GT(spooled, 0u);
+}
+
+// Generated matrix products in both codings (DESIGN.md §19), every
+// configuration vs the reference. The sweep must take the relational
+// multiply kernel and fall back to the join at least once per coding,
+// or it would not be testing both paths.
+TEST(FuzzTest, FixedSeedProductsTakeAndLeaveTheKernelInBothCodings) {
+  const ProductShape shapes[] = {ProductShape::kTuple,
+                                 ProductShape::kMaskedTuple,
+                                 ProductShape::kVector};
+  size_t kernel[2] = {0, 0};  // by coding: 0 tuple, 1 vector
+  size_t fallback[2] = {0, 0};
+  for (uint64_t catalog_seed = 200; catalog_seed < 212; ++catalog_seed) {
+    const CatalogSpec catalog = GenerateCatalog(catalog_seed);
+    Differ differ(catalog);
+    ASSERT_TRUE(differ.init_status().ok()) << "catalog " << catalog_seed;
+    Rng rng(catalog_seed * 104729);
+    for (int i = 0; i < 12; ++i) {
+      const std::string sql =
+          GenerateMultiplyQuery(catalog, &rng, shapes[i % 3]).ToSql();
+      const size_t coding = sql.find("inner_product(") != std::string::npos;
+      const uint64_t kernels = differ.RelationalMultiplies();
+      const uint64_t fallbacks = differ.RelationalMultiplyFallbacks();
+      const DiffOutcome outcome = differ.RunOne(sql);
+      ASSERT_FALSE(outcome.diverged)
+          << "catalog seed " << catalog_seed << ", query " << i << ":\n"
+          << outcome.report;
+      kernel[coding] += differ.RelationalMultiplies() > kernels;
+      fallback[coding] += differ.RelationalMultiplyFallbacks() > fallbacks;
+    }
+  }
+  EXPECT_GT(kernel[0], 0u);
+  EXPECT_GT(fallback[0], 0u);
+  EXPECT_GT(kernel[1], 0u);
+  EXPECT_GT(fallback[1], 0u);
 }
 
 }  // namespace

@@ -662,6 +662,39 @@ TEST(BufferPoolIntegrationTest, LargerThanPoolWorkloadIsBitIdentical) {
   ExpectSameRows(Rows(**again, kScan), Rows(**oracle, kScan));
 }
 
+TEST(BufferPoolIntegrationTest, ColdScanChargesSegmentReadsToTheScan) {
+  // The pool holds one segment, so every segment of this COUNT(*)
+  // misses it and is read and decoded while the scan pins it. That is
+  // the scan's work: most of the statement's execute time must show up
+  // on the Scan operator (one thread, so worker seconds add up to wall
+  // time).
+  TempDir dir;
+  Database::Config config = SmallConfig();
+  config.storage.segment_bytes = 4u << 10;
+  config.storage.buffer_pool_bytes = 4u << 10;
+  config.cache.enable_result_cache = false;
+  auto db = Database::Open(dir.path(), config);
+  ASSERT_TRUE(db.ok()) << db.status();
+  ASSERT_TRUE(Exec(**db, "CREATE TABLE t (i INTEGER, x DOUBLE)").ok());
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 40000; ++i) {
+    rows.push_back({Value::Int(i), Value::Double(0.5 * double(i))});
+  }
+  ASSERT_TRUE((*db)->BulkInsert("t", std::move(rows)).ok());
+  ASSERT_TRUE((*db)->Checkpoint().ok());
+
+  const RowSet n = Rows(**db, "SELECT COUNT(*) FROM t");
+  ASSERT_EQ(n.size(), 1u);
+  EXPECT_EQ(n[0][0].int_value(), 40000);
+  const QueryMetrics qm = (*db)->last_metrics();
+  double scan = 0.0;
+  for (const OperatorMetrics& op : qm.operators) {
+    if (op.name.rfind("Scan", 0) == 0) scan += op.TotalSeconds();
+  }
+  EXPECT_GT(scan, 0.5 * qm.wall_seconds)
+      << "scan " << scan << " s of " << qm.wall_seconds << " s";
+}
+
 // ---- Crash recovery (fork + SIGKILL) -------------------------------
 
 /// Forks a child that opens `dir` and runs `writer`, committing one

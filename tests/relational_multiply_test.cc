@@ -14,12 +14,16 @@
 #include "common/rng.h"
 #include "exec/executor.h"
 #include "test_util.h"
+#include "workloads/computations.h"
+#include "workloads/datagen.h"
 
 /// Relational matrix multiply (DESIGN.md §19): the optimizer marks
-/// SUM(l.v * r.w) over l JOIN r ON l.k = r.k grouped by l.i and/or r.j,
-/// and the executor computes it on dense tiles, or falls back to the
-/// Join and Aggregate. Every result is checked against the rule-off
-/// plan (early projection off), which keeps the tuple plan.
+/// SUM(l.v * r.w) over l JOIN r ON l.k = r.k (the tuple coding) and
+/// SUM/MIN/MAX(inner_product(l.v, r.w)) over a cross join (the vector
+/// coding), grouped by l.i and/or r.j, with INTEGER key comparisons as
+/// a mask; the executor computes it on the dense kernel, or falls back
+/// to the Join and Aggregate. Every result is checked against the
+/// rule-off plan (early projection off), which keeps the join.
 
 namespace radb {
 namespace {
@@ -204,9 +208,16 @@ TEST(RelationalMultiplyTest, OtherShapesAreNotMarked) {
            // Two keys of one side.
            "EXPLAIN SELECT x1.i, x1.k, SUM(x1.v * x2.v) FROM x AS x1, x AS "
            "x2 WHERE x1.k = x2.k GROUP BY x1.i, x1.k",
-           // A residual predicate.
+           // Residuals that read more than the two group keys.
            "EXPLAIN SELECT x1.i, x2.i, SUM(x1.v * x2.v) FROM x AS x1, x AS "
-           "x2 WHERE x1.k = x2.k AND x1.i < x2.i GROUP BY x1.i, x2.i",
+           "x2 WHERE x1.k = x2.k AND x1.k < x2.i GROUP BY x1.i, x2.i",
+           "EXPLAIN SELECT x1.i, x2.i, SUM(x1.v * x2.v) FROM x AS x1, x AS "
+           "x2 WHERE x1.k = x2.k AND x1.v < x2.v GROUP BY x1.i, x2.i",
+           "EXPLAIN SELECT x1.i, SUM(x1.v * x2.v) FROM x AS x1, x AS "
+           "x2 WHERE x1.k = x2.k AND x1.i <> x2.i GROUP BY x1.i",
+           "EXPLAIN SELECT x1.i, x2.i, SUM(x1.v * x2.v) FROM x AS x1, x AS "
+           "x2 WHERE x1.k = x2.k AND (x1.i < x2.i OR x1.i > x2.i) "
+           "GROUP BY x1.i, x2.i",
            // Two join keys.
            "EXPLAIN SELECT x1.i, x2.k, SUM(x1.v * x2.v) FROM x AS x1, x AS "
            "x2 WHERE x1.k = x2.k AND x1.i = x2.i GROUP BY x1.i, x2.k",
@@ -489,23 +500,22 @@ TEST(RelationalMultiplyTest, CountersCountKernelsAndFallbacks) {
 // Cancellation.
 // ---------------------------------------------------------------------
 
-TEST(RelationalMultiplyTest, CancellingDuringTheTileFillLeavesNoCharges) {
-  Database db(MakeConfig(true));
-  ASSERT_TRUE(LoadTriples(db, "x", GridMatrix(12, 400, 8)).ok());
-  auto planned = db.PlanQuery(kGram);
+/// Plans `sql` on `db` and puts a filter below the marked multiply's
+/// right input whose predicate fires a cancellation token on the
+/// input's last (`rows`-th) row: both inputs finish, and the token is
+/// first polled inside the multiply. The cancelled execution must leave
+/// no tracker charges.
+void ExpectACancelInsideTheMultiplyLeavesNoCharges(Database& db,
+                                                   const std::string& sql,
+                                                   size_t rows) {
+  auto planned = db.PlanQuery(sql);
   ASSERT_TRUE(planned.ok()) << planned.status();
   LogicalOpPtr plan = std::move(*planned);
-
-  // Below the multiply's right input, a filter whose predicate fires
-  // the token on the input's last row: both inputs finish, and the
-  // token is first polled inside the multiply.
   const LogicalOp* agg = plan.get();
   while (!agg->multiply.has_value()) agg = agg->children[0].get();
-  LogicalOp& join = *agg->children[0];
-  LogicalOpPtr& right = join.children[1];
+  LogicalOpPtr& right = agg->children[0]->children[1];
   auto token = std::make_shared<CancellationToken>();
   size_t calls = 0;
-  const size_t rows = 400 * 8;
   BuiltinFunction cancel_fn;
   cancel_fn.eval = [&](const std::vector<Value>&) -> Result<Value> {
     if (++calls == rows) token->Cancel();
@@ -541,6 +551,469 @@ TEST(RelationalMultiplyTest, CancellingDuringTheTileFillLeavesNoCharges) {
   EXPECT_GT(tracker.peak_bytes(), 0u);
   EXPECT_EQ(tracker.bytes_in_use(), 0u);
   EXPECT_EQ(tracker.unspillable_bytes(), 0u);
+}
+
+TEST(RelationalMultiplyTest, CancellingDuringTheTileFillLeavesNoCharges) {
+  Database db(MakeConfig(true));
+  ASSERT_TRUE(LoadTriples(db, "x", GridMatrix(12, 400, 8)).ok());
+  ExpectACancelInsideTheMultiplyLeavesNoCharges(db, kGram, 400 * 8);
+}
+
+// ---------------------------------------------------------------------
+// Key-only residuals on the tuple coding: a mask on the groups.
+// ---------------------------------------------------------------------
+
+TEST(RelationalMultiplyTest, TupleKeyResidualsMaskTheGroups) {
+  Twins t;
+  t.Load("x", GridMatrix(13, 9, 6));
+  const std::string kernel = "RelationalMultiply(kernel)";
+  for (const char* op : {"<>", "<", "<=", ">", ">="}) {
+    SCOPED_TRACE(op);
+    const std::string sql =
+        std::string("SELECT x1.i, x2.i, SUM(x1.v * x2.v) FROM x AS x1, x AS "
+                    "x2 WHERE x1.k = x2.k AND x1.i ") +
+        op + " x2.i GROUP BY x1.i, x2.i";
+    ExpectPath(t, sql, kernel);
+  }
+  // Mirrored operands, two terms, GROUP BY keys swapped.
+  ExpectPath(t,
+             "SELECT x2.i, x1.i, SUM(x1.v * x2.v) FROM x AS x1, x AS x2 "
+             "WHERE x1.k = x2.k AND x2.i > x1.i AND x1.i <> x2.i "
+             "GROUP BY x2.i, x1.i",
+             kernel);
+  // A mask that rejects every group.
+  auto none = Exec(t.on,
+                   "SELECT x1.i, x2.i, SUM(x1.v * x2.v) FROM x AS x1, x AS "
+                   "x2 WHERE x1.k = x2.k AND x1.i < x2.i AND x1.i > x2.i "
+                   "GROUP BY x1.i, x2.i");
+  ASSERT_TRUE(none.ok()) << none.status();
+  EXPECT_EQ(PathOf(t.on), kernel);
+  EXPECT_EQ(none->num_rows(), 0u);
+}
+
+TEST(RelationalMultiplyTest, TupleDistanceTakesTheKernelForBothProducts) {
+  const size_t n = 24, d = 6;
+  const workloads::Dataset data = workloads::GenerateDataset(5, n, d);
+  auto want = workloads::ReferenceDistance(data);
+  ASSERT_TRUE(want.ok()) << want.status();
+  workloads::SqlWorkload sql(MakeConfig(true));
+  ASSERT_TRUE(sql.LoadTuple(data).ok());
+  auto got = sql.DistanceTuple();
+  ASSERT_TRUE(got.ok()) << got.status();
+  ASSERT_FALSE(got->failed);
+  EXPECT_EQ(got->distance.point_id, want->point_id);
+  EXPECT_NEAR(got->distance.value, want->value,
+              1e-9 * std::max(1.0, std::abs(want->value)));
+  obs::MetricsRegistry* reg = sql.db().metrics_registry();
+  ASSERT_NE(reg, nullptr);
+  EXPECT_EQ(reg->counter("exec.relational_multiplies")->value(), 2u);
+  const obs::Counter* fallbacks =
+      reg->counter("exec.relational_multiply_fallbacks");
+  EXPECT_TRUE(fallbacks == nullptr || fallbacks->value() == 0);
+}
+
+// ---------------------------------------------------------------------
+// The vector coding: SUM/MIN/MAX(inner_product(l.v, r.w)) over a cross
+// join with an INTEGER mask.
+// ---------------------------------------------------------------------
+
+/// One (id, g, v) row of a vector table.
+struct VecRow {
+  Value id, g, v;
+};
+
+Value Vec(std::vector<double> x) {
+  return Value::FromVector(la::Vector(std::move(x)));
+}
+
+Status LoadVecRows(Database& db, const std::string& table, size_t d,
+                   const std::vector<VecRow>& vec_rows) {
+  RADB_RETURN_NOT_OK(db.Execute("CREATE TABLE " + table +
+                                " (id INTEGER, g INTEGER, v VECTOR[" +
+                                std::to_string(d) + "])")
+                         .status());
+  std::vector<Row> rows;
+  for (const VecRow& r : vec_rows) rows.push_back({r.id, r.g, r.v});
+  return db.BulkInsert(table, rows);
+}
+
+/// `n` rows with ids 0..n-1, g = id % 3 and d-element vectors: uniform
+/// in [-1, 1], or on the 0.25 grid in [-3, 3] when `grid`.
+std::vector<VecRow> RandomVecRows(uint64_t seed, int64_t n, size_t d,
+                                  bool grid) {
+  Rng rng(seed);
+  std::vector<VecRow> out;
+  for (int64_t r = 0; r < n; ++r) {
+    std::vector<double> x(d);
+    for (double& e : x) {
+      e = grid ? (static_cast<double>(rng.NextBelow(25)) - 12.0) * 0.25
+               : rng.Uniform(-1.0, 1.0);
+    }
+    out.push_back({I(r), I(r % 3), Vec(std::move(x))});
+  }
+  return out;
+}
+
+/// A rule-on and rule-off database with the tables `p` and `q`.
+struct VecTwins : Twins {
+  void LoadVec(const std::string& table, size_t d,
+               const std::vector<VecRow>& rows) {
+    ASSERT_TRUE(LoadVecRows(on, table, d, rows).ok());
+    ASSERT_TRUE(LoadVecRows(off, table, d, rows).ok());
+  }
+};
+
+const char* kVecMin =
+    "SELECT a.id, MIN(inner_product(b.v, a.v)) FROM p AS a, q AS b "
+    "WHERE a.id <> b.id GROUP BY a.id";
+
+TEST(RelationalMultiplyVectorTest, ExplainNamesTheRewriteOnlyWithTheRuleOn) {
+  VecTwins t;
+  t.LoadVec("p", 4, RandomVecRows(1, 6, 4, false));
+  t.LoadVec("q", 4, RandomVecRows(2, 5, 4, false));
+  const std::string on = Explain(t.on, std::string("EXPLAIN ") + kVecMin);
+  EXPECT_NE(on.find("(relational multiply)"), std::string::npos) << on;
+  EXPECT_NE(on.find("Join (cross)"), std::string::npos) << on;
+  const std::string off = Explain(t.off, std::string("EXPLAIN ") + kVecMin);
+  EXPECT_EQ(off.find("relational multiply"), std::string::npos) << off;
+  const std::string analyzed =
+      Explain(t.on, std::string("EXPLAIN ANALYZE ") + kVecMin);
+  EXPECT_NE(analyzed.find("path=RelationalMultiply(kernel)"),
+            std::string::npos)
+      << analyzed;
+}
+
+TEST(RelationalMultiplyVectorTest, OtherShapesAreNotMarked) {
+  VecTwins t;
+  t.LoadVec("p", 3, RandomVecRows(3, 5, 3, false));
+  t.LoadVec("q", 3, RandomVecRows(4, 5, 3, false));
+  ASSERT_TRUE(t.on.Execute("CREATE TABLE m (k INTEGER, mat MATRIX[3][3])")
+                  .ok());
+  for (const char* sql : {
+           // An expression argument, as metric_knn's.
+           "EXPLAIN SELECT a.id, MIN(inner_product(matrix_vector_multiply("
+           "m.mat, a.v), a.v)) FROM p AS a, m GROUP BY a.id",
+           "EXPLAIN SELECT a.id, SUM(inner_product(a.v + a.v, b.v)) FROM p "
+           "AS a, q AS b GROUP BY a.id",
+           // Both operands of one side.
+           "EXPLAIN SELECT a.id, SUM(inner_product(a.v, a.v)) FROM p AS a, q "
+           "AS b GROUP BY a.id",
+           // COUNT and AVG, two calls, no GROUP BY.
+           "EXPLAIN SELECT a.id, COUNT(inner_product(a.v, b.v)) FROM p AS a, "
+           "q AS b GROUP BY a.id",
+           "EXPLAIN SELECT a.id, AVG(inner_product(a.v, b.v)) FROM p AS a, q "
+           "AS b GROUP BY a.id",
+           "EXPLAIN SELECT a.id, MIN(inner_product(a.v, b.v)), "
+           "MAX(inner_product(a.v, b.v)) FROM p AS a, q AS b GROUP BY a.id",
+           "EXPLAIN SELECT MIN(inner_product(a.v, b.v)) FROM p AS a, q AS b",
+           // Two keys of one side; a key that is not a column.
+           "EXPLAIN SELECT a.id, a.g, SUM(inner_product(a.v, b.v)) FROM p AS "
+           "a, q AS b GROUP BY a.id, a.g",
+           "EXPLAIN SELECT a.id + 1, SUM(inner_product(a.v, b.v)) FROM p AS "
+           "a, q AS b GROUP BY a.id + 1",
+           // Residuals that are not INTEGER column compares.
+           "EXPLAIN SELECT a.id, SUM(inner_product(a.v, b.v)) FROM p AS a, q "
+           "AS b WHERE a.id < b.id + 1 GROUP BY a.id",
+           "EXPLAIN SELECT a.id, SUM(inner_product(a.v, b.v)) FROM p AS a, q "
+           "AS b WHERE a.id < b.g OR a.g < b.id GROUP BY a.id",
+           "EXPLAIN SELECT a.id, SUM(inner_product(a.v, b.v)) FROM p AS a, q "
+           "AS b WHERE inner_product(a.v, b.v) > 0.0 GROUP BY a.id",
+       }) {
+    const std::string plan = Explain(t.on, sql);
+    EXPECT_EQ(plan.find("relational multiply"), std::string::npos)
+        << sql << "\n"
+        << plan;
+  }
+}
+
+TEST(RelationalMultiplyVectorTest, MatchesTheRuleOffPlanBitForBit) {
+  VecTwins t;
+  t.LoadVec("p", 7, RandomVecRows(5, 37, 7, false));
+  t.LoadVec("q", 7, RandomVecRows(6, 29, 7, false));
+  const std::string kernel = "RelationalMultiply(kernel)";
+  for (const char* agg : {"MIN", "MAX", "SUM"}) {
+    SCOPED_TRACE(agg);
+    ExpectPath(t,
+               std::string("SELECT a.id, ") + agg +
+                   "(inner_product(a.v, b.v)) FROM p AS a, q AS b "
+                   "WHERE a.id <> b.id GROUP BY a.id",
+               kernel);
+    ExpectPath(t,
+               std::string("SELECT b.g, ") + agg +
+                   "(inner_product(b.v, a.v)) FROM p AS a, q AS b "
+                   "GROUP BY b.g",
+               kernel);
+  }
+  // SUM on grid data: every order of summation gives the same bits.
+  VecTwins grid;
+  grid.LoadVec("p", 5, RandomVecRows(7, 31, 5, true));
+  grid.LoadVec("q", 5, RandomVecRows(8, 23, 5, true));
+  ExpectPath(grid,
+             "SELECT a.g, b.g, SUM(inner_product(a.v, b.v)) FROM p AS a, q "
+             "AS b WHERE a.id < b.id GROUP BY a.g, b.g",
+             kernel);
+}
+
+TEST(RelationalMultiplyVectorTest, ThreadCountsAgreeBitwise) {
+  const std::vector<VecRow> p = RandomVecRows(9, 45, 11, false);
+  const std::vector<VecRow> q = RandomVecRows(10, 38, 11, false);
+  std::vector<RowSet> results;
+  for (size_t threads : {1, 8}) {
+    Database db(MakeConfig(true, threads));
+    ASSERT_TRUE(LoadVecRows(db, "p", 11, p).ok());
+    ASSERT_TRUE(LoadVecRows(db, "q", 11, q).ok());
+    for (const char* sql : {
+             "SELECT a.id, SUM(inner_product(a.v, b.v)) FROM p AS a, q AS b "
+             "WHERE a.id <> b.id GROUP BY a.id",
+             "SELECT b.id, a.g, SUM(inner_product(a.v, b.v)) FROM p AS a, q "
+             "AS b WHERE a.g <= b.g GROUP BY b.id, a.g"}) {
+      auto rs = Exec(db, sql);
+      ASSERT_TRUE(rs.ok()) << rs.status();
+      EXPECT_EQ(PathOf(db), "RelationalMultiply(kernel)");
+      results.push_back(Sorted(rs->rows));
+    }
+  }
+  for (size_t k = 0; k < 2; ++k) {
+    const RowSet& a = results[k];
+    const RowSet& b = results[k + 2];
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t r = 0; r < a.size(); ++r) {
+      const double x = a[r].back().double_value();
+      const double y = b[r].back().double_value();
+      EXPECT_TRUE(SameBits(x, y)) << "row " << r;
+    }
+  }
+}
+
+TEST(RelationalMultiplyVectorTest, EveryMaskOperatorAndEveryKeyPlacement) {
+  VecTwins t;
+  t.LoadVec("p", 3, RandomVecRows(11, 14, 3, false));
+  t.LoadVec("q", 3, RandomVecRows(12, 17, 3, false));
+  const std::string kernel = "RelationalMultiply(kernel)";
+  const char* groupings[][2] = {
+      {"a.id", "a.id"},
+      {"b.id", "b.id"},
+      {"a.id, b.g", "a.id, b.g"},
+      {"b.g, a.id", "b.g, a.id"},
+  };
+  for (const char* op : {"<>", "<", "<=", ">", ">="}) {
+    for (const auto& g : groupings) {
+      const std::string sql = std::string("SELECT ") + g[0] +
+                              ", MAX(inner_product(a.v, b.v)) FROM p AS a, "
+                              "q AS b WHERE a.id " +
+                              op + " b.id GROUP BY " + g[1];
+      SCOPED_TRACE(sql);
+      ExpectPath(t, sql, kernel);
+    }
+    // The mask written the other way round, and a second term.
+    ExpectPath(t,
+               std::string("SELECT a.id, MIN(inner_product(a.v, b.v)) FROM p "
+                           "AS a, q AS b WHERE b.g ") +
+                   op + " a.id AND a.g <> b.id GROUP BY a.id",
+               kernel);
+  }
+  // HAVING, ORDER BY and LIMIT above the aggregate.
+  const std::string top =
+      "SELECT a.id AS i, MIN(inner_product(a.v, b.v)) AS s FROM p AS a, "
+      "q AS b WHERE a.id <> b.id GROUP BY a.id HAVING a.id >= 2 "
+      "ORDER BY s DESC, i LIMIT 5";
+  ExpectPath(t, top, kernel);
+  auto on = Exec(t.on, top);
+  auto off = Exec(t.off, top);
+  ASSERT_TRUE(on.ok() && off.ok());
+  ASSERT_EQ(on->num_rows(), off->num_rows());
+  for (size_t r = 0; r < on->num_rows(); ++r) {
+    for (size_t c = 0; c < 2; ++c) {
+      EXPECT_TRUE(on->rows[r][c].Equals(off->rows[r][c]));
+    }
+  }
+}
+
+TEST(RelationalMultiplyVectorTest, AViewReadTwiceIsSpooledOnce) {
+  VecTwins t;
+  t.LoadVec("p", 4, RandomVecRows(13, 20, 4, false));
+  t.LoadVec("q", 4, RandomVecRows(14, 20, 4, false));
+  const std::string view =
+      "CREATE VIEW dm (id, dist) AS SELECT a.id, MIN(inner_product(b.v, "
+      "a.v)) FROM p AS a, q AS b WHERE a.id <> b.id GROUP BY a.id";
+  ASSERT_TRUE(t.on.Execute(view).ok());
+  ASSERT_TRUE(t.off.Execute(view).ok());
+  const std::string sql =
+      "SELECT d.id, d.dist FROM dm AS d, (SELECT MAX(dist) AS mx FROM dm) "
+      "AS m WHERE d.dist = m.mx";
+  const std::string plan = Explain(t.on, "EXPLAIN " + sql);
+  EXPECT_NE(plan.find("(relational multiply)"), std::string::npos) << plan;
+  EXPECT_NE(plan.find("spool#1 (uses=2)"), std::string::npos) << plan;
+  ExpectPath(t, sql, "RelationalMultiply(kernel)");
+  size_t kernels = 0, reuses = 0;
+  for (const OperatorMetrics& op : t.on.last_metrics().operators) {
+    kernels += op.name == "RelationalMultiply(kernel)";
+    reuses += op.name == "SpoolReuse";
+  }
+  EXPECT_EQ(kernels, 1u);
+  EXPECT_EQ(reuses, 1u);
+}
+
+TEST(RelationalMultiplyVectorTest, DuplicateIdsMaskedGroupsAndEmptyInputs) {
+  VecTwins t;
+  // Ids 0..3 twice each, on different workers' rows.
+  std::vector<VecRow> p = RandomVecRows(15, 8, 3, false);
+  for (size_t r = 0; r < p.size(); ++r) p[r].id = I(int64_t(r % 4));
+  t.LoadVec("p", 3, p);
+  t.LoadVec("q", 3, RandomVecRows(16, 6, 3, false));
+  t.LoadVec("e", 3, {});
+  const std::string kernel = "RelationalMultiply(kernel)";
+  ExpectPath(t,
+             "SELECT a.id, SUM(inner_product(a.v, b.v)) FROM p AS a, q AS b "
+             "WHERE a.id <> b.id GROUP BY a.id",
+             kernel);
+  // Group a.id = 0 has no b.id < 0: every one of its pairs is masked.
+  const std::string masked =
+      "SELECT a.id, MAX(inner_product(a.v, b.v)) FROM p AS a, q AS b "
+      "WHERE b.id < a.id GROUP BY a.id";
+  ExpectPath(t, masked, kernel);
+  auto rs = Exec(t.on, masked);
+  ASSERT_TRUE(rs.ok());
+  EXPECT_EQ(rs->num_rows(), 3u);
+  for (const char* empty : {
+           "SELECT a.id, SUM(inner_product(a.v, e.v)) FROM p AS a, e "
+           "WHERE a.id <> e.id GROUP BY a.id",
+           "SELECT e.id, MIN(inner_product(e.v, b.v)) FROM e, q AS b "
+           "GROUP BY e.id"}) {
+    ExpectPath(t, empty, kernel);
+    auto none = Exec(t.on, empty);
+    ASSERT_TRUE(none.ok());
+    EXPECT_EQ(none->num_rows(), 0u);
+  }
+}
+
+TEST(RelationalMultiplyVectorTest, ProductsLargerThanABandMatch) {
+  // 520 x 520 pairs: the product is computed in two bands.
+  VecTwins t;
+  t.LoadVec("p", 2, RandomVecRows(17, 520, 2, false));
+  t.LoadVec("q", 2, RandomVecRows(18, 520, 2, false));
+  ExpectPath(t,
+             "SELECT b.g, SUM(inner_product(a.v, b.v)) FROM p AS a, q AS b "
+             "WHERE a.id <> b.id GROUP BY b.g",
+             "RelationalMultiply(kernel)");
+}
+
+TEST(RelationalMultiplyVectorTest, EachFallbackReturnsTheRuleOffResult) {
+  const std::vector<VecRow> base = RandomVecRows(19, 9, 3, false);
+  auto with = [&](VecRow extra) {
+    std::vector<VecRow> out = base;
+    out.push_back(std::move(extra));
+    return out;
+  };
+  struct Case {
+    const char* name;
+    std::vector<VecRow> rows;
+    const char* reason;
+  };
+  const std::vector<Case> cases = {
+      {"NULL vector", with({I(20), I(1), Value::Null()}), "NULL vector"},
+      {"NULL group key", with({Value::Null(), I(1), Vec({1, 2, 3})}),
+       "NULL key"},
+      {"NULL mask key", with({I(21), Value::Null(), Vec({1, 2, 3})}),
+       "NULL key"},
+      {"NaN", with({I(22), I(0), Vec({1, kNan, 3})}), "non-finite element"},
+      {"+inf", with({I(23), I(0), Vec({kInf, 2, 3})}), "non-finite element"},
+      {"-inf", with({I(24), I(2), Vec({1, 2, -kInf})}),
+       "non-finite element"},
+  };
+  const std::string sql =
+      "SELECT a.id, MIN(inner_product(a.v, b.v)) FROM p AS a, q AS b "
+      "WHERE a.g <> b.g GROUP BY a.id";
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    VecTwins t;
+    t.LoadVec("p", 3, c.rows);
+    t.LoadVec("q", 3, base);
+    const std::string reason =
+        std::string("RelationalMultiply(fallback: ") + c.reason + ")";
+    ExpectPath(t, sql, reason);
+    const std::string analyzed = Explain(t.on, "EXPLAIN ANALYZE " + sql);
+    EXPECT_NE(analyzed.find("path=" + reason), std::string::npos)
+        << analyzed;
+  }
+}
+
+TEST(RelationalMultiplyVectorTest, VectorsOfDifferentLengthsRaiseAsOnTheJoin) {
+  VecTwins t;
+  std::vector<VecRow> p = RandomVecRows(20, 6, 3, false);
+  p.push_back({I(100), I(0), Vec({1, 2, 3})});
+  p.push_back({I(101), I(1), Vec({3, 2, 1})});
+  t.LoadVec("p", 3, p);
+  // ones_vector(n) has a length only the data knows: 4 for ids >= 100.
+  const std::string mismatched =
+      "SELECT a.id, SUM(inner_product(a.v, b.v)) FROM p AS a, "
+      "(SELECT id, ones_vector(3 + id / 100) AS v FROM p) AS b "
+      "GROUP BY a.id";
+  auto on = Exec(t.on, mismatched);
+  auto off = Exec(t.off, mismatched);
+  ASSERT_FALSE(off.ok());
+  ASSERT_FALSE(on.ok());
+  EXPECT_EQ(on.status().ToString(), off.status().ToString());
+  // The mask keeps the longer vectors from every pair: no error either
+  // way, but the inputs still hold two lengths.
+  ExpectPath(t,
+             "SELECT a.id, SUM(inner_product(a.v, b.v)) FROM p AS a, "
+             "(SELECT id, ones_vector(3 + id / 100) AS v FROM p) AS b "
+             "WHERE a.id < 100 AND b.id < a.id GROUP BY a.id",
+             "RelationalMultiply(fallback: vector lengths differ)");
+}
+
+TEST(RelationalMultiplyVectorTest, ABudgetThatRefusesTheProductFallsBack) {
+  VecTwins t;
+  t.LoadVec("p", 32, RandomVecRows(21, 300, 32, false));
+  t.LoadVec("q", 32, RandomVecRows(22, 300, 32, false));
+  QueryOptions tight;
+  tight.memory_budget_bytes = 384u << 10;
+  auto on = Exec(t.on, kVecMin, tight);
+  ASSERT_TRUE(on.ok()) << on.status();
+  EXPECT_EQ(PathOf(t.on).rfind("RelationalMultiply(fallback: memory budget "
+                               "refused",
+                               0),
+            0u)
+      << PathOf(t.on);
+  auto off = Exec(t.off, kVecMin, tight);
+  ASSERT_TRUE(off.ok()) << off.status();
+  EXPECT_TRUE(SameRows(on->rows, off->rows));
+  QueryOptions roomy;
+  roomy.memory_budget_bytes = 16u << 20;
+  auto fits = Exec(t.on, kVecMin, roomy);
+  ASSERT_TRUE(fits.ok()) << fits.status();
+  EXPECT_EQ(PathOf(t.on), "RelationalMultiply(kernel)");
+  EXPECT_TRUE(SameRows(fits->rows, off->rows));
+}
+
+TEST(RelationalMultiplyVectorTest, CancellingWhilePackingLeavesNoCharges) {
+  Database db(MakeConfig(true));
+  ASSERT_TRUE(LoadVecRows(db, "p", 8, RandomVecRows(23, 2000, 8, false)).ok());
+  ASSERT_TRUE(LoadVecRows(db, "q", 8, RandomVecRows(24, 2000, 8, false)).ok());
+  ExpectACancelInsideTheMultiplyLeavesNoCharges(db, kVecMin, 2000);
+}
+
+TEST(RelationalMultiplyVectorTest, DistanceVectorAgreesWithTheReference) {
+  const size_t n = 60, d = 72;
+  const workloads::Dataset data = workloads::GenerateDataset(3, n, d);
+  auto want = workloads::ReferenceDistance(data);
+  ASSERT_TRUE(want.ok()) << want.status();
+  for (size_t threads : {1, 4, 8}) {
+    SCOPED_TRACE(threads);
+    Database::Config config = MakeConfig(true, threads);
+    config.num_workers = 8;
+    workloads::SqlWorkload sql(config);
+    ASSERT_TRUE(sql.LoadVector(data).ok());
+    auto got = sql.DistanceVector();
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_EQ(got->distance.point_id, want->point_id);
+    EXPECT_NEAR(got->distance.value, want->value,
+                1e-9 * std::max(1.0, std::abs(want->value)));
+    obs::MetricsRegistry* reg = sql.db().metrics_registry();
+    ASSERT_NE(reg, nullptr);
+    EXPECT_EQ(reg->counter("exec.relational_multiplies")->value(), 1u);
+  }
 }
 
 }  // namespace
