@@ -77,10 +77,13 @@ cmake --build "$BUILD_DIR" -j "$JOBS" --target cache_test ablation_cache
 
 # Storage pass: the persistence battery (pager/B+ tree/buffer-pool
 # units, cold restarts, fork+SIGKILL crash recovery, larger-than-pool
-# scans) and the fuzzer's close-reopen-compare rounds — page-file and
-# WAL framing code is pointer-heavy, so ASan+UBSan is its first line
-# of defense (scripts/stress.sh runs the same label under TSan).
-cmake --build "$BUILD_DIR" -j "$JOBS" --target persist_test ablation_storage
+# scans), the table and codec units (segment records cut at every
+# byte, corrupt counts and tags) and the fuzzer's close-reopen-compare
+# rounds — page-file, segment and WAL framing code is pointer-heavy,
+# so ASan+UBSan is its first line of defense (scripts/stress.sh runs
+# the same label under TSan).
+cmake --build "$BUILD_DIR" -j "$JOBS" \
+  --target persist_test storage_test serialize_test ablation_storage
 (cd "$BUILD_DIR" && ctest -L storage --output-on-failure)
 "$BUILD_DIR/bench/fuzz_queries" --queries 0 --reopen 8 --seed "$SEED"
 

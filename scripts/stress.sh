@@ -23,7 +23,8 @@ cmake -S "$(dirname "$0")/.." -B "$BUILD_DIR" \
   -DRADB_SANITIZE=thread
 cmake --build "$BUILD_DIR" -j "$JOBS" \
   --target common_test service_test cancel_test systab_test vectorized_test \
-  cache_test persist_test sparse_test spool_test la_test tiled_test \
+  cache_test persist_test storage_test serialize_test sparse_test \
+  spool_test la_test tiled_test \
   kernel_test sql_la_test sql_agg_test spill_exec_test \
   relational_multiply_test ablation_concurrency ablation_cache \
   ablation_storage ablation_sparse fuzz_queries

@@ -554,14 +554,15 @@ Result<Dist> Database::ExecutePlan(const LogicalOp& plan,
 
   // Execution writes into the caller's per-call QueryMetrics:
   // concurrent sessions must never share mid-flight metrics state. The
-  // finished snapshot is copied to last_metrics() at the end.
+  // finished snapshot is copied to last_metrics() at the end, for a
+  // failed statement too.
   const auto t0 = std::chrono::steady_clock::now();
-  Dist dist;
+  Result<Dist> result = Dist();
   {
     obs::ScopedSpan exec_span(obs.tracer, "execute", "pipeline");
     PhaseTimer exec_timer(record, obs::QueryPhase::kExecute);
     Executor executor(cluster_, qm, obs, pool, mem);
-    auto result = executor.Execute(plan);
+    result = executor.Execute(plan);
     if (node_metrics != nullptr) *node_metrics = executor.node_metrics();
     stats->spill_bytes = tracker.spill_bytes();
     stats->peak_memory_bytes = tracker.peak_bytes();
@@ -570,7 +571,6 @@ Result<Dist> Database::ExecutePlan(const LogicalOp& plan,
       record->operators.insert(record->operators.end(),
                                qm->operators.begin(), qm->operators.end());
     }
-    RADB_ASSIGN_OR_RETURN(dist, std::move(result));
   }
   qm->wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -579,7 +579,7 @@ Result<Dist> Database::ExecutePlan(const LogicalOp& plan,
     std::lock_guard<std::mutex> lock(stats_mu_);
     last_metrics_ = *qm;
   }
-  return dist;
+  return result;
 }
 
 Result<ResultSet> Database::ExecutePlanRows(

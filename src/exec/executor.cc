@@ -425,14 +425,16 @@ Result<ExecResult> Executor::ExecuteScan(const LogicalOp& op) {
       for (size_t seg = 0; seg < nsegs; ++seg) {
         RADB_ASSIGN_OR_RETURN(Table::SegmentPin pin,
                               op.table->PinSegment(p, seg));
-        for (const Row& row : pin.rows()) {
+        for (size_t r = 0; r < pin.num_rows(); ++r) {
           if (mem_.cancel != nullptr && ++since_check >= kCancelCheckRows) {
             since_check = 0;
             RADB_RETURN_NOT_OK(mem_.cancel->Check());
           }
           Row projected;
           projected.reserve(op.scan_columns.size());
-          for (size_t col : op.scan_columns) projected.push_back(row[col]);
+          for (size_t col : op.scan_columns) {
+            projected.push_back(pin.Cell(r, col));
+          }
           RADB_RETURN_NOT_OK(dst.Append(std::move(projected)));
         }
       }
@@ -498,10 +500,11 @@ Result<ExecResult> Executor::ExecuteIndexScan(const LogicalOp& op,
         pin_part = rid.partition;
         pin_seg = loc.segment;
       }
-      const Row& row = pin.rows()[loc.offset];
       Row projected;
       projected.reserve(op.scan_columns.size());
-      for (size_t col : op.scan_columns) projected.push_back(row[col]);
+      for (size_t col : op.scan_columns) {
+        projected.push_back(pin.Cell(loc.offset, col));
+      }
       RADB_RETURN_NOT_OK(dst.Append(std::move(projected)));
     }
     m->worker_seconds[target] += SecondsSince(t0);

@@ -1395,7 +1395,13 @@ class VectorizedPipeline {
   void ProcessCharged(WorkerCtx& ctx, size_t bytes, bool run_stages);
   /// Rows of a scan batch starting at `begin`: at most `count`, and
   /// under a budget no more than fit batch_cap_ (at least one).
-  size_t ScanBatchRows(const RowSet& rows, size_t begin, size_t count) const;
+  size_t ScanBatchRows(const Table::SegmentPin& pin, size_t begin,
+                       size_t count) const;
+  /// Appends rows [begin, begin + count) of `pin`'s scanned columns to
+  /// ctx.batch: a range copy of each pool-batch column whose lane type
+  /// is the source lane's, lane by lane otherwise.
+  void ScanIntoBatch(WorkerCtx& ctx, const Table::SegmentPin& pin,
+                     size_t begin, size_t count) const;
   /// One worker's share of the chain. Returns the source's own errors
   /// (scan, cancellation); a failing chain stage is recorded in `ctx`.
   Status RunWorker(size_t wkr, WorkerCtx& ctx);
@@ -1698,17 +1704,43 @@ void VectorizedPipeline::ProcessCharged(WorkerCtx& ctx, size_t bytes,
   if (tracker != nullptr) tracker->Release(bytes);
 }
 
-size_t VectorizedPipeline::ScanBatchRows(const RowSet& rows, size_t begin,
-                                         size_t count) const {
+size_t VectorizedPipeline::ScanBatchRows(const Table::SegmentPin& pin,
+                                         size_t begin, size_t count) const {
   if (!budgeted_) return count;
+  // LaneBytes equals Value::ByteSize, so both forms close batches at
+  // the same rows.
+  const RowSet* rows = pin.resident_rows();
+  const ColumnBatch* batch = pin.batch();
   size_t bytes = 0;
   for (size_t n = 0; n < count; ++n) {
     for (size_t col : scan_->scan_columns) {
-      bytes += rows[begin + n][col].ByteSize();
+      bytes += rows != nullptr ? (*rows)[begin + n][col].ByteSize()
+                               : batch->columns[col].LaneBytes(begin + n);
     }
     if (bytes >= batch_cap_) return n + 1;
   }
   return count;
+}
+
+void VectorizedPipeline::ScanIntoBatch(WorkerCtx& ctx,
+                                       const Table::SegmentPin& pin,
+                                       size_t begin, size_t count) const {
+  const size_t end = begin + count;
+  for (size_t c = 0; c < source_lanes_.size(); ++c) {
+    ColumnVector& col = ctx.batch.columns[c];
+    const size_t from = scan_->scan_columns[c];
+    if (const RowSet* rows = pin.resident_rows()) {
+      for (size_t r = begin; r < end; ++r) col.AppendValue((*rows)[r][from]);
+      continue;
+    }
+    const ColumnVector& src = pin.batch()->columns[from];
+    if (src.values == col.values && (src.values || src.kind == col.kind)) {
+      col.AppendRange(src, begin, count);
+    } else {
+      for (size_t r = begin; r < end; ++r) col.AppendValue(src.GetValue(r));
+    }
+  }
+  ctx.batch.num_rows = count;
 }
 
 void VectorizedPipeline::FillScratch(WorkerCtx& ctx,
@@ -1979,25 +2011,18 @@ Status VectorizedPipeline::RunWorker(size_t wkr, WorkerCtx& ctx) {
         const auto pinned = Clock::now();
         RADB_ASSIGN_OR_RETURN(Table::SegmentPin pin, table.PinSegment(p, seg));
         st.seconds += SecondsSince(pinned);
-        const RowSet& rows = pin.rows();
+        const size_t nrows = pin.num_rows();
         // Once a chain stage has failed the scan only finishes its
         // input, as it would before its consumer ran.
-        for (size_t begin = 0; begin < rows.size() && ctx.limit > 1;) {
+        for (size_t begin = 0; begin < nrows && ctx.limit > 1;) {
           // Cooperative cancellation once per batch (the batch
           // analogue of the row loops' kCancelCheckRows polling).
           if (cancel != nullptr) RADB_RETURN_NOT_OK(cancel->Check());
           const auto t0 = Clock::now();
-          const size_t count = ScanBatchRows(
-              rows, begin, std::min(kBatchRows, rows.size() - begin));
+          const size_t count =
+              ScanBatchRows(pin, begin, std::min(kBatchRows, nrows - begin));
           ResetIngestBatch(ctx, source_lanes_);
-          for (size_t c = 0; c < source_lanes_.size(); ++c) {
-            ColumnVector& col = ctx.batch.columns[c];
-            const size_t from = scan_->scan_columns[c];
-            for (size_t r = begin; r < begin + count; ++r) {
-              col.AppendValue(rows[r][from]);
-            }
-          }
-          ctx.batch.num_rows = count;
+          ScanIntoBatch(ctx, pin, begin, count);
           begin += count;
           ++st.batches;
           st.rows_out += count;

@@ -5,11 +5,11 @@
 namespace radb::storage {
 
 void BufferPool::Pin::Reset() {
-  if (pool_ != nullptr && rows_ != nullptr) {
+  if (pool_ != nullptr && batch_ != nullptr) {
     pool_->Unpin(key_);
   }
   pool_ = nullptr;
-  rows_.reset();
+  batch_.reset();
 }
 
 BufferPool::BufferPool(size_t budget_bytes, obs::MetricsRegistry* metrics)
@@ -58,7 +58,7 @@ Result<BufferPool::Pin> BufferPool::GetOrLoad(
       ++e.pins;
       ++hit_count_;
       if (hits_ != nullptr) hits_->Increment();
-      return Pin(this, key, e.rows);
+      return Pin(this, key, e.batch);
     }
   }
   // Miss: load outside the mutex so concurrent misses overlap I/O.
@@ -75,7 +75,7 @@ Result<BufferPool::Pin> BufferPool::GetOrLoad(
     ++e.pins;
     ++hit_count_;
     if (hits_ != nullptr) hits_->Increment();
-    return Pin(this, key, e.rows);
+    return Pin(this, key, e.batch);
   }
   ++miss_count_;
   if (misses_ != nullptr) misses_->Increment();
@@ -85,7 +85,7 @@ Result<BufferPool::Pin> BufferPool::GetOrLoad(
   // overshoot is bounded by the simultaneously pinned working set.
   tracker_.ForceReserve(loaded.charge);
   Entry e;
-  e.rows = loaded.rows;
+  e.batch = loaded.batch;
   e.charge = loaded.charge;
   e.pins = 1;
   e.in_lru = false;
@@ -94,7 +94,7 @@ Result<BufferPool::Pin> BufferPool::GetOrLoad(
     cached_gauge_->Set(static_cast<double>(cached_bytes_));
   }
   entries_.emplace(key, std::move(e));
-  return Pin(this, key, std::move(loaded.rows));
+  return Pin(this, key, std::move(loaded.batch));
 }
 
 void BufferPool::Unpin(const Key& key) {

@@ -13,19 +13,17 @@
 #include "common/result.h"
 #include "mem/memory_tracker.h"
 #include "obs/metrics_registry.h"
-#include "types/value.h"
+#include "types/column.h"
 
 namespace radb::storage {
 
-/// Rows of one deserialized table segment, shared between the cache
-/// and every pin currently holding it.
-using SegmentRows = std::vector<Row>;
-
-/// LRU-with-pin-counts cache of deserialized table segments, the
-/// residency layer that admits tables larger than RAM.
+/// LRU-with-pin-counts cache of decoded table segments, the residency
+/// layer that admits tables larger than RAM.
 ///
 /// Granularity is one sealed segment (a bounded run of rows serialized
-/// as a single pager record): a scan pins the segment it is walking,
+/// as a single pager record), cached as the ColumnBatch decoded from
+/// that record and shared between the cache and every pin currently
+/// holding it: a scan pins the segment it is walking,
 /// everything else is evictable. Entries are always CLEAN — only data
 /// already durable in a page file is ever cached here — so eviction is
 /// a pure drop and never does I/O. Dirty state (open tail runs, sealed
@@ -58,23 +56,23 @@ class BufferPool {
     }
   };
 
-  /// What a loader produces: the deserialized rows plus the charge
+  /// What a loader produces: the decoded segment plus the charge
   /// (serialized byte size — the stable, recomputable cost basis).
   struct LoadedSegment {
-    std::shared_ptr<const SegmentRows> rows;
+    std::shared_ptr<const ColumnBatch> batch;
     size_t charge = 0;
   };
 
-  /// RAII pin: keeps the segment resident (and the rows pointer valid)
+  /// RAII pin: keeps the segment resident (and the batch pointer valid)
   /// until destroyed. Movable, not copyable.
   class Pin {
    public:
     Pin() = default;
-    Pin(BufferPool* pool, Key key, std::shared_ptr<const SegmentRows> rows)
-        : pool_(pool), key_(key), rows_(std::move(rows)) {}
+    Pin(BufferPool* pool, Key key, std::shared_ptr<const ColumnBatch> batch)
+        : pool_(pool), key_(key), batch_(std::move(batch)) {}
     ~Pin() { Reset(); }
     Pin(Pin&& o) noexcept
-        : pool_(o.pool_), key_(o.key_), rows_(std::move(o.rows_)) {
+        : pool_(o.pool_), key_(o.key_), batch_(std::move(o.batch_)) {
       o.pool_ = nullptr;
     }
     Pin& operator=(Pin&& o) noexcept {
@@ -82,7 +80,7 @@ class BufferPool {
         Reset();
         pool_ = o.pool_;
         key_ = o.key_;
-        rows_ = std::move(o.rows_);
+        batch_ = std::move(o.batch_);
         o.pool_ = nullptr;
       }
       return *this;
@@ -90,14 +88,14 @@ class BufferPool {
     Pin(const Pin&) = delete;
     Pin& operator=(const Pin&) = delete;
 
-    const SegmentRows& rows() const { return *rows_; }
-    explicit operator bool() const { return rows_ != nullptr; }
+    const ColumnBatch& batch() const { return *batch_; }
+    explicit operator bool() const { return batch_ != nullptr; }
     void Reset();
 
    private:
     BufferPool* pool_ = nullptr;
     Key key_;
-    std::shared_ptr<const SegmentRows> rows_;
+    std::shared_ptr<const ColumnBatch> batch_;
   };
 
   /// `budget_bytes` 0 = unlimited (pure bookkeeping). `metrics` may be
@@ -145,7 +143,7 @@ class BufferPool {
     }
   };
   struct Entry {
-    std::shared_ptr<const SegmentRows> rows;
+    std::shared_ptr<const ColumnBatch> batch;
     size_t charge = 0;
     size_t pins = 0;
     /// Position in lru_ when pins == 0; lru_.end() while pinned.

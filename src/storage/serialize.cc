@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <utility>
+#include <vector>
 
 namespace radb {
 
@@ -25,65 +27,172 @@ enum class Tag : uint8_t {
   kSparse = 8,  // sparsely-represented MATRIX (CSR payload)
 };
 
-}  // namespace
+constexpr const char* kTruncatedU64 = "truncated table file (u64)";
+constexpr const char* kTruncatedI64 = "truncated table file (i64)";
+constexpr const char* kTruncatedF64 = "truncated table file (f64)";
 
-void WriteU64(std::ostream& os, uint64_t v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(v));
+// Every codec below is written once, over a byte source (ByteReader or
+// StreamReader) and a byte sink (StringWriter or StreamWriter).
+
+/// An istream with ByteReader's interface.
+class StreamReader {
+ public:
+  explicit StreamReader(std::istream& is) : is_(is) {}
+  bool Read(void* dst, size_t n) {
+    return static_cast<bool>(
+        is_.read(static_cast<char*>(dst), static_cast<std::streamsize>(n)));
+  }
+  int Get() {
+    const int c = is_.get();
+    return c == std::char_traits<char>::eof() ? -1 : c;
+  }
+  /// A stream's length is unknown: its reads report truncation.
+  bool Has(size_t) const { return true; }
+  bool ReadString(std::string* s, size_t n) {
+    s->assign(n, '\0');
+    return Read(s->data(), n);
+  }
+
+ private:
+  std::istream& is_;
+};
+
+class StreamWriter {
+ public:
+  explicit StreamWriter(std::ostream& os) : os_(os) {}
+  void Put(char c) { os_.put(c); }
+  void Write(const void* p, size_t n) {
+    os_.write(static_cast<const char*>(p), static_cast<std::streamsize>(n));
+  }
+
+ private:
+  std::ostream& os_;
+};
+
+class StringWriter {
+ public:
+  explicit StringWriter(std::string& out) : out_(out) {}
+  void Put(char c) { out_.push_back(c); }
+  void Write(const void* p, size_t n) {
+    if (n > 0) out_.append(static_cast<const char*>(p), n);
+  }
+
+ private:
+  std::string& out_;
+};
+
+/// A fixed-width integer or double, little-endian as in memory.
+template <class T, class Out>
+void PutFixed(Out& out, T v) {
+  out.Write(&v, sizeof(v));
 }
-void WriteI64(std::ostream& os, int64_t v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-void WriteF64(std::ostream& os, double v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-void WriteString(std::ostream& os, const std::string& s) {
-  WriteU64(os, s.size());
-  os.write(s.data(), static_cast<std::streamsize>(s.size()));
+template <class Out>
+void PutString(Out& out, const std::string& s) {
+  PutFixed<uint64_t>(out, s.size());
+  out.Write(s.data(), s.size());
 }
 
-Result<uint64_t> ReadU64(std::istream& is) {
-  uint64_t v = 0;
-  if (!is.read(reinterpret_cast<char*>(&v), sizeof(v))) {
-    return Status::InvalidArgument("truncated table file (u64)");
+template <class Out>
+void PutValue(Out& out, const Value& v) {
+  switch (v.kind()) {
+    case TypeKind::kNull:
+      out.Put(static_cast<char>(Tag::kNull));
+      return;
+    case TypeKind::kBoolean:
+      out.Put(static_cast<char>(Tag::kBool));
+      out.Put(v.bool_value() ? 1 : 0);
+      return;
+    case TypeKind::kInteger:
+      out.Put(static_cast<char>(Tag::kInt));
+      PutFixed<int64_t>(out, v.int_value());
+      return;
+    case TypeKind::kDouble:
+      out.Put(static_cast<char>(Tag::kDouble));
+      PutFixed<double>(out, v.double_value());
+      return;
+    case TypeKind::kString:
+      out.Put(static_cast<char>(Tag::kString));
+      PutString(out, v.string_value());
+      return;
+    case TypeKind::kLabeledScalar:
+      out.Put(static_cast<char>(Tag::kLabeled));
+      PutFixed<double>(out, v.labeled().value);
+      PutFixed<int64_t>(out, v.labeled().label);
+      return;
+    case TypeKind::kVector: {
+      out.Put(static_cast<char>(Tag::kVector));
+      PutFixed<int64_t>(out, v.vector_value().label);
+      const la::Vector& vec = v.vector();
+      PutFixed<uint64_t>(out, vec.size());
+      out.Write(vec.data(), vec.size() * sizeof(double));
+      return;
+    }
+    case TypeKind::kMatrix: {
+      if (v.is_sparse_matrix()) {
+        // tag + rows + cols + nnz + row_ptr[(rows+1) u64] + cols-as-u64
+        // + values. Value::ByteSize() for a sparse value is pinned to
+        // exactly these bytes (1 + SerializedByteSize()).
+        out.Put(static_cast<char>(Tag::kSparse));
+        const la::sparse::CsrMatrix& m = v.sparse_matrix();
+        PutFixed<uint64_t>(out, m.rows());
+        PutFixed<uint64_t>(out, m.cols());
+        PutFixed<uint64_t>(out, m.nnz());
+        out.Write(m.row_ptr().data(), (m.rows() + 1) * sizeof(uint64_t));
+        for (uint32_t c : m.col_idx()) PutFixed<uint64_t>(out, c);
+        out.Write(m.values().data(), m.nnz() * sizeof(double));
+        return;
+      }
+      out.Put(static_cast<char>(Tag::kMatrix));
+      const la::Matrix& m = v.matrix();
+      PutFixed<uint64_t>(out, m.rows());
+      PutFixed<uint64_t>(out, m.cols());
+      out.Write(m.data(), m.rows() * m.cols() * sizeof(double));
+      return;
+    }
   }
+}
+
+template <class Out>
+void PutRow(Out& out, const Row& row) {
+  PutFixed<uint64_t>(out, row.size());
+  for (const Value& v : row) PutValue(out, v);
+}
+
+template <class T, class In>
+Result<T> GetFixed(In& in, const char* truncated) {
+  T v = 0;
+  if (!in.Read(&v, sizeof(v))) return Status::InvalidArgument(truncated);
   return v;
 }
-Result<int64_t> ReadI64(std::istream& is) {
-  int64_t v = 0;
-  if (!is.read(reinterpret_cast<char*>(&v), sizeof(v))) {
-    return Status::InvalidArgument("truncated table file (i64)");
-  }
-  return v;
+template <class In>
+Result<uint64_t> GetU64(In& in) {
+  return GetFixed<uint64_t>(in, kTruncatedU64);
 }
-Result<double> ReadF64(std::istream& is) {
-  double v = 0;
-  if (!is.read(reinterpret_cast<char*>(&v), sizeof(v))) {
-    return Status::InvalidArgument("truncated table file (f64)");
-  }
-  return v;
+
+/// Reads a length-prefixed string into `*s`; null, or the corruption.
+template <class In>
+const char* DecodeString(In& in, std::string* s) {
+  uint64_t len = 0;
+  if (!in.Read(&len, sizeof(len))) return kTruncatedU64;
+  if (len > (1ULL << 32)) return "corrupt table file (string length)";
+  if (!in.ReadString(s, len)) return "truncated table file (string)";
+  return nullptr;
 }
-Result<std::string> ReadString(std::istream& is) {
-  RADB_ASSIGN_OR_RETURN(uint64_t len, ReadU64(is));
-  if (len > (1ULL << 32)) {
-    return Status::InvalidArgument("corrupt table file (string length)");
-  }
-  std::string s(len, '\0');
-  if (!is.read(s.data(), static_cast<std::streamsize>(len))) {
-    return Status::InvalidArgument("truncated table file (string)");
+
+template <class In>
+Result<std::string> GetString(In& in) {
+  std::string s;
+  if (const char* err = DecodeString(in, &s)) {
+    return Status::InvalidArgument(err);
   }
   return s;
 }
 
-void WriteType(std::ostream& os, const DataType& t) {
-  WriteU64(os, static_cast<uint64_t>(t.kind()));
-  WriteI64(os, t.rows() ? *t.rows() : -1);
-  WriteI64(os, t.cols() ? *t.cols() : -1);
-}
-
-Result<DataType> ReadType(std::istream& is) {
-  RADB_ASSIGN_OR_RETURN(uint64_t kind, ReadU64(is));
-  RADB_ASSIGN_OR_RETURN(int64_t rows, ReadI64(is));
-  RADB_ASSIGN_OR_RETURN(int64_t cols, ReadI64(is));
+template <class In>
+Result<DataType> GetType(In& in) {
+  RADB_ASSIGN_OR_RETURN(uint64_t kind, GetU64(in));
+  RADB_ASSIGN_OR_RETURN(int64_t rows, GetFixed<int64_t>(in, kTruncatedI64));
+  RADB_ASSIGN_OR_RETURN(int64_t cols, GetFixed<int64_t>(in, kTruncatedI64));
   const Dim r = rows < 0 ? Dim() : Dim(rows);
   const Dim c = cols < 0 ? Dim() : Dim(cols);
   switch (static_cast<TypeKind>(kind)) {
@@ -102,201 +211,375 @@ Result<DataType> ReadType(std::istream& is) {
   return Status::InvalidArgument("corrupt table file (type kind)");
 }
 
-namespace {
-
-void WriteValue(std::ostream& os, const Value& v) {
-  switch (v.kind()) {
-    case TypeKind::kNull:
-      os.put(static_cast<char>(Tag::kNull));
-      return;
-    case TypeKind::kBoolean:
-      os.put(static_cast<char>(Tag::kBool));
-      os.put(v.bool_value() ? 1 : 0);
-      return;
-    case TypeKind::kInteger:
-      os.put(static_cast<char>(Tag::kInt));
-      WriteI64(os, v.int_value());
-      return;
-    case TypeKind::kDouble:
-      os.put(static_cast<char>(Tag::kDouble));
-      WriteF64(os, v.double_value());
-      return;
-    case TypeKind::kString:
-      os.put(static_cast<char>(Tag::kString));
-      WriteString(os, v.string_value());
-      return;
-    case TypeKind::kLabeledScalar:
-      os.put(static_cast<char>(Tag::kLabeled));
-      WriteF64(os, v.labeled().value);
-      WriteI64(os, v.labeled().label);
-      return;
-    case TypeKind::kVector: {
-      os.put(static_cast<char>(Tag::kVector));
-      WriteI64(os, v.vector_value().label);
-      const la::Vector& vec = v.vector();
-      WriteU64(os, vec.size());
-      os.write(reinterpret_cast<const char*>(vec.data()),
-               static_cast<std::streamsize>(vec.size() * sizeof(double)));
-      return;
-    }
-    case TypeKind::kMatrix: {
-      if (v.is_sparse_matrix()) {
-        // tag + rows + cols + nnz + row_ptr[(rows+1) u64] + cols-as-u64
-        // + values. Value::ByteSize() for a sparse value is pinned to
-        // exactly these bytes (1 + SerializedByteSize()).
-        os.put(static_cast<char>(Tag::kSparse));
-        const la::sparse::CsrMatrix& m = v.sparse_matrix();
-        WriteU64(os, m.rows());
-        WriteU64(os, m.cols());
-        WriteU64(os, m.nnz());
-        os.write(reinterpret_cast<const char*>(m.row_ptr().data()),
-                 static_cast<std::streamsize>((m.rows() + 1) *
-                                              sizeof(uint64_t)));
-        for (uint32_t c : m.col_idx()) WriteU64(os, c);
-        os.write(reinterpret_cast<const char*>(m.values().data()),
-                 static_cast<std::streamsize>(m.nnz() * sizeof(double)));
-        return;
-      }
-      os.put(static_cast<char>(Tag::kMatrix));
-      const la::Matrix& m = v.matrix();
-      WriteU64(os, m.rows());
-      WriteU64(os, m.cols());
-      os.write(
-          reinterpret_cast<const char*>(m.data()),
-          static_cast<std::streamsize>(m.rows() * m.cols() * sizeof(double)));
-      return;
-    }
-  }
-}
-
-Result<Value> ReadValue(std::istream& is) {
-  const int tag = is.get();
-  if (tag == EOF) {
-    return Status::InvalidArgument("truncated table file (value tag)");
-  }
+/// Reads one value (tag byte, then payload) and hands it to `sink`:
+/// the scalar kinds through Null/Bool/Int/Double/String, every other
+/// kind as a built Value through Other. Returns null, or the static
+/// message of the first corruption found. Lengths are checked against
+/// the source (In::Has) before anything is allocated for them.
+template <class In, class Sink>
+const char* DecodeValue(In& in, Sink& sink) {
+  const int tag = in.Get();
+  if (tag < 0) return "truncated table file (value tag)";
   switch (static_cast<Tag>(tag)) {
     case Tag::kNull:
-      return Value::Null();
+      sink.Null();
+      return nullptr;
     case Tag::kBool: {
-      const int b = is.get();
-      if (b == EOF) {
-        return Status::InvalidArgument("truncated table file (bool)");
-      }
-      return Value::Bool(b != 0);
+      const int b = in.Get();
+      if (b < 0) return "truncated table file (bool)";
+      sink.Bool(b != 0);
+      return nullptr;
     }
     case Tag::kInt: {
-      RADB_ASSIGN_OR_RETURN(int64_t v, ReadI64(is));
-      return Value::Int(v);
+      int64_t v = 0;
+      if (!in.Read(&v, sizeof(v))) return kTruncatedI64;
+      sink.Int(v);
+      return nullptr;
     }
     case Tag::kDouble: {
-      RADB_ASSIGN_OR_RETURN(double v, ReadF64(is));
-      return Value::Double(v);
+      double v = 0;
+      if (!in.Read(&v, sizeof(v))) return kTruncatedF64;
+      sink.Double(v);
+      return nullptr;
     }
     case Tag::kString: {
-      RADB_ASSIGN_OR_RETURN(std::string s, ReadString(is));
-      return Value::String(std::move(s));
+      std::string s;
+      if (const char* err = DecodeString(in, &s)) return err;
+      sink.String(std::move(s));
+      return nullptr;
     }
     case Tag::kLabeled: {
-      RADB_ASSIGN_OR_RETURN(double v, ReadF64(is));
-      RADB_ASSIGN_OR_RETURN(int64_t label, ReadI64(is));
-      return Value::Labeled(v, label);
+      double v = 0;
+      int64_t label = 0;
+      if (!in.Read(&v, sizeof(v))) return kTruncatedF64;
+      if (!in.Read(&label, sizeof(label))) return kTruncatedI64;
+      sink.Other(Value::Labeled(v, label));
+      return nullptr;
     }
     case Tag::kVector: {
-      RADB_ASSIGN_OR_RETURN(int64_t label, ReadI64(is));
-      RADB_ASSIGN_OR_RETURN(uint64_t n, ReadU64(is));
-      if (n > (1ULL << 32)) {
-        return Status::InvalidArgument("corrupt table file (vector size)");
-      }
+      int64_t label = 0;
+      uint64_t n = 0;
+      if (!in.Read(&label, sizeof(label))) return kTruncatedI64;
+      if (!in.Read(&n, sizeof(n))) return kTruncatedU64;
+      if (n > (1ULL << 32)) return "corrupt table file (vector size)";
+      if (!in.Has(n * sizeof(double))) return "truncated table file (vector)";
       la::Vector vec(n);
-      if (!is.read(reinterpret_cast<char*>(vec.data()),
-                   static_cast<std::streamsize>(n * sizeof(double)))) {
-        return Status::InvalidArgument("truncated table file (vector)");
+      if (n > 0 && !in.Read(vec.data(), n * sizeof(double))) {
+        return "truncated table file (vector)";
       }
-      return Value::FromVector(std::move(vec), label);
+      sink.Other(Value::FromVector(std::move(vec), label));
+      return nullptr;
     }
     case Tag::kMatrix: {
-      RADB_ASSIGN_OR_RETURN(uint64_t r, ReadU64(is));
-      RADB_ASSIGN_OR_RETURN(uint64_t c, ReadU64(is));
+      uint64_t r = 0, c = 0;
+      if (!in.Read(&r, sizeof(r)) || !in.Read(&c, sizeof(c))) {
+        return kTruncatedU64;
+      }
       if (r > (1ULL << 24) || c > (1ULL << 24)) {
-        return Status::InvalidArgument("corrupt table file (matrix dims)");
+        return "corrupt table file (matrix dims)";
+      }
+      if (!in.Has(r * c * sizeof(double))) {
+        return "truncated table file (matrix)";
       }
       la::Matrix m(r, c);
-      if (!is.read(reinterpret_cast<char*>(m.data()),
-                   static_cast<std::streamsize>(r * c * sizeof(double)))) {
-        return Status::InvalidArgument("truncated table file (matrix)");
+      if (r * c > 0 && !in.Read(m.data(), r * c * sizeof(double))) {
+        return "truncated table file (matrix)";
       }
-      return Value::FromMatrix(std::move(m));
+      sink.Other(Value::FromMatrix(std::move(m)));
+      return nullptr;
     }
     case Tag::kSparse: {
-      RADB_ASSIGN_OR_RETURN(uint64_t r, ReadU64(is));
-      RADB_ASSIGN_OR_RETURN(uint64_t c, ReadU64(is));
-      RADB_ASSIGN_OR_RETURN(uint64_t nnz, ReadU64(is));
+      uint64_t r = 0, c = 0, nnz = 0;
+      if (!in.Read(&r, sizeof(r)) || !in.Read(&c, sizeof(c)) ||
+          !in.Read(&nnz, sizeof(nnz))) {
+        return kTruncatedU64;
+      }
       if (r > (1ULL << 24) || c > (1ULL << 24) || nnz > r * c) {
-        return Status::InvalidArgument("corrupt table file (sparse dims)");
+        return "corrupt table file (sparse dims)";
+      }
+      if (!in.Has((r + 1) * sizeof(uint64_t))) {
+        return "truncated table file (sparse rows)";
       }
       std::vector<uint64_t> row_ptr(r + 1);
-      if (!is.read(reinterpret_cast<char*>(row_ptr.data()),
-                   static_cast<std::streamsize>((r + 1) * sizeof(uint64_t)))) {
-        return Status::InvalidArgument("truncated table file (sparse rows)");
+      if (!in.Read(row_ptr.data(), (r + 1) * sizeof(uint64_t))) {
+        return "truncated table file (sparse rows)";
       }
       if (row_ptr[0] != 0 || row_ptr[r] != nnz) {
-        return Status::InvalidArgument("corrupt table file (sparse row_ptr)");
+        return "corrupt table file (sparse row_ptr)";
+      }
+      if (!in.Has(nnz * (sizeof(uint64_t) + sizeof(double)))) {
+        return "truncated table file (sparse cols)";
       }
       la::sparse::CsrMatrix m(r, c);
       std::vector<uint64_t> cols(nnz);
       for (uint64_t i = 0; i < nnz; ++i) {
-        RADB_ASSIGN_OR_RETURN(cols[i], ReadU64(is));
-        if (cols[i] >= c) {
-          return Status::InvalidArgument("corrupt table file (sparse col)");
-        }
+        if (!in.Read(&cols[i], sizeof(uint64_t))) return kTruncatedU64;
+        if (cols[i] >= c) return "corrupt table file (sparse col)";
       }
       std::vector<double> vals(nnz);
-      if (nnz > 0 &&
-          !is.read(reinterpret_cast<char*>(vals.data()),
-                   static_cast<std::streamsize>(nnz * sizeof(double)))) {
-        return Status::InvalidArgument("truncated table file (sparse vals)");
+      if (nnz > 0 && !in.Read(vals.data(), nnz * sizeof(double))) {
+        return "truncated table file (sparse vals)";
       }
       for (uint64_t row = 0; row < r; ++row) {
         if (row_ptr[row + 1] < row_ptr[row] || row_ptr[row + 1] > nnz) {
-          return Status::InvalidArgument(
-              "corrupt table file (sparse row_ptr)");
+          return "corrupt table file (sparse row_ptr)";
         }
         for (uint64_t i = row_ptr[row]; i < row_ptr[row + 1]; ++i) {
           m.PushEntry(row, cols[i], vals[i]);
         }
         m.SealRowsThrough(row);
       }
-      return Value::FromSparseMatrix(std::move(m));
+      sink.Other(Value::FromSparseMatrix(std::move(m)));
+      return nullptr;
     }
   }
-  return Status::InvalidArgument("corrupt table file (unknown value tag)");
+  return "corrupt table file (unknown value tag)";
 }
 
-}  // namespace
+/// DecodeValue sink that keeps the value.
+struct ValueSink {
+  Value v;
+  void Null() { v = Value::Null(); }
+  void Bool(bool b) { v = Value::Bool(b); }
+  void Int(int64_t i) { v = Value::Int(i); }
+  void Double(double d) { v = Value::Double(d); }
+  void String(std::string s) { v = Value::String(std::move(s)); }
+  void Other(Value o) { v = std::move(o); }
+};
 
-void WriteValueBinary(std::ostream& os, const Value& v) {
-  WriteValue(os, v);
+template <class In>
+Result<Value> GetValue(In& in) {
+  ValueSink sink;
+  if (const char* err = DecodeValue(in, sink)) {
+    return Status::InvalidArgument(err);
+  }
+  return std::move(sink.v);
 }
 
-Result<Value> ReadValueBinary(std::istream& is) { return ReadValue(is); }
-
-void WriteRowBinary(std::ostream& os, const Row& row) {
-  WriteU64(os, row.size());
-  for (const Value& v : row) WriteValue(os, v);
-}
-
-Result<Row> ReadRowBinary(std::istream& is) {
-  RADB_ASSIGN_OR_RETURN(uint64_t arity, ReadU64(is));
+template <class In>
+Result<Row> GetRow(In& in) {
+  RADB_ASSIGN_OR_RETURN(uint64_t arity, GetU64(in));
   if (arity > 65536) {
     return Status::InvalidArgument("corrupt spill run (row arity)");
   }
   Row row;
   row.reserve(arity);
   for (uint64_t i = 0; i < arity; ++i) {
-    RADB_ASSIGN_OR_RETURN(Value v, ReadValue(is));
+    RADB_ASSIGN_OR_RETURN(Value v, GetValue(in));
     row.push_back(std::move(v));
   }
   return row;
+}
+
+/// DecodeValue sink that stores each cell in lane `row` of one segment
+/// column, pre-sized to the segment's rows (see DecodeSegment).
+class LaneSink {
+ public:
+  LaneSink(ColumnVector* col, size_t rows) : col_(col), rows_(rows) {}
+  void set_row(size_t row) { row_ = row; }
+
+  void Null() {
+    if (!col_->values) col_->null[row_] = 1;  // Value lanes start NULL
+  }
+  void Bool(bool b) {
+    if (Typed(TypeKind::kBoolean)) {
+      col_->i64[row_] = b ? 1 : 0;
+    } else {
+      Other(Value::Bool(b));
+    }
+  }
+  void Int(int64_t v) {
+    if (Typed(TypeKind::kInteger)) {
+      col_->i64[row_] = v;
+    } else {
+      Other(Value::Int(v));
+    }
+  }
+  void Double(double v) {
+    if (Typed(TypeKind::kDouble)) {
+      col_->f64[row_] = v;
+    } else {
+      Other(Value::Double(v));
+    }
+  }
+  void String(std::string s) {
+    if (Typed(TypeKind::kString)) {
+      col_->str[row_] = std::move(s);
+    } else {
+      Other(Value::String(std::move(s)));
+    }
+  }
+  void Other(Value v) {
+    if (!col_->values) {
+      // The column's first cell of another kind: it becomes a Value
+      // lane, keeping the lanes decoded so far.
+      std::vector<Value> vals(rows_);
+      for (size_t i = 0; i < row_; ++i) vals[i] = col_->GetValue(i);
+      col_->ResetValues(0);
+      col_->val = std::move(vals);
+    }
+    col_->val[row_] = std::move(v);
+  }
+
+ private:
+  bool Typed(TypeKind k) const { return !col_->values && col_->kind == k; }
+
+  ColumnVector* col_;
+  size_t rows_;
+  size_t row_ = 0;
+};
+
+}  // namespace
+
+void WriteU64(std::ostream& os, uint64_t v) {
+  StreamWriter out(os);
+  PutFixed<uint64_t>(out, v);
+}
+void WriteI64(std::ostream& os, int64_t v) {
+  StreamWriter out(os);
+  PutFixed<int64_t>(out, v);
+}
+void WriteF64(std::ostream& os, double v) {
+  StreamWriter out(os);
+  PutFixed<double>(out, v);
+}
+void WriteString(std::ostream& os, const std::string& s) {
+  StreamWriter out(os);
+  PutString(out, s);
+}
+void AppendU64(std::string& out, uint64_t v) {
+  StringWriter w(out);
+  PutFixed<uint64_t>(w, v);
+}
+void AppendString(std::string& out, const std::string& s) {
+  StringWriter w(out);
+  PutString(w, s);
+}
+
+Result<uint64_t> ReadU64(std::istream& is) {
+  StreamReader in(is);
+  return GetU64(in);
+}
+Result<int64_t> ReadI64(std::istream& is) {
+  StreamReader in(is);
+  return GetFixed<int64_t>(in, kTruncatedI64);
+}
+Result<double> ReadF64(std::istream& is) {
+  StreamReader in(is);
+  return GetFixed<double>(in, kTruncatedF64);
+}
+Result<std::string> ReadString(std::istream& is) {
+  StreamReader in(is);
+  return GetString(in);
+}
+Result<uint64_t> ReadU64(ByteReader& in) { return GetU64(in); }
+Result<std::string> ReadString(ByteReader& in) { return GetString(in); }
+
+void WriteType(std::ostream& os, const DataType& t) {
+  WriteU64(os, static_cast<uint64_t>(t.kind()));
+  WriteI64(os, t.rows() ? *t.rows() : -1);
+  WriteI64(os, t.cols() ? *t.cols() : -1);
+}
+
+Result<DataType> ReadType(std::istream& is) {
+  StreamReader in(is);
+  return GetType(in);
+}
+Result<DataType> ReadType(ByteReader& in) { return GetType(in); }
+
+void WriteValueBinary(std::ostream& os, const Value& v) {
+  StreamWriter out(os);
+  PutValue(out, v);
+}
+
+Result<Value> ReadValueBinary(std::istream& is) {
+  StreamReader in(is);
+  return GetValue(in);
+}
+
+void WriteRowBinary(std::ostream& os, const Row& row) {
+  StreamWriter out(os);
+  PutRow(out, row);
+}
+
+void AppendRowBinary(std::string& out, const Row& row) {
+  StringWriter w(out);
+  PutRow(w, row);
+}
+
+Result<Row> ReadRowBinary(std::istream& is) {
+  StreamReader in(is);
+  return GetRow(in);
+}
+Result<Row> ReadRowBinary(ByteReader& in) { return GetRow(in); }
+
+std::string EncodeSegment(const RowSet& rows) {
+  size_t bytes = sizeof(uint64_t);
+  for (const Row& row : rows) bytes += sizeof(uint64_t) + RowByteSize(row);
+  std::string record;
+  record.reserve(bytes);
+  StringWriter out(record);
+  PutFixed<uint64_t>(out, rows.size());
+  for (const Row& row : rows) PutRow(out, row);
+  return record;
+}
+
+Result<std::shared_ptr<const ColumnBatch>> DecodeSegment(
+    std::string_view record, const Schema& schema) {
+  ByteReader in(record);
+  uint64_t n = 0;
+  if (!in.Read(&n, sizeof(n))) {
+    return Status::InvalidArgument("corrupt segment (truncated header)");
+  }
+  const size_t width = schema.size();
+  // A row takes its arity and at least a tag byte per column, so a
+  // count the record cannot hold is refused before anything is
+  // allocated for it.
+  if (n > in.remaining() / (sizeof(uint64_t) + width)) {
+    return Status::InvalidArgument(
+        "corrupt segment (" + std::to_string(n) + " rows in a record of " +
+        std::to_string(record.size()) + " bytes)");
+  }
+  auto batch = std::make_shared<ColumnBatch>();
+  batch->num_rows = n;
+  batch->columns.resize(width);
+  std::vector<LaneSink> sinks;
+  sinks.reserve(width);
+  for (size_t c = 0; c < width; ++c) {
+    ColumnVector& col = batch->columns[c];
+    const TypeKind k = schema.at(c).type.kind();
+    if (k == TypeKind::kBoolean || k == TypeKind::kInteger ||
+        k == TypeKind::kDouble || k == TypeKind::kString) {
+      col.Reset(k, n);
+    } else {
+      col.ResetValues(n);
+    }
+    sinks.emplace_back(&col, n);
+  }
+  for (size_t r = 0; r < n; ++r) {
+    uint64_t arity = 0;
+    if (!in.Read(&arity, sizeof(arity))) {
+      return Status::InvalidArgument(kTruncatedU64);
+    }
+    if (arity != width) {
+      return Status::InvalidArgument(
+          "corrupt segment (row " + std::to_string(r) + " has " +
+          std::to_string(arity) + " values for " + std::to_string(width) +
+          " columns)");
+    }
+    for (LaneSink& sink : sinks) {
+      sink.set_row(r);
+      if (const char* err = DecodeValue(in, sink)) {
+        return Status::InvalidArgument(err);
+      }
+    }
+  }
+  if (in.remaining() != 0) {
+    return Status::InvalidArgument(
+        "corrupt segment (" + std::to_string(in.remaining()) +
+        " bytes left after its " + std::to_string(n) + " rows)");
+  }
+  return std::shared_ptr<const ColumnBatch>(std::move(batch));
 }
 
 Status WriteTableFile(const Table& table, const std::string& path) {
@@ -315,7 +598,7 @@ Status WriteTableFile(const Table& table, const std::string& path) {
   for (size_t p = 0; p < table.num_partitions(); ++p) {
     RADB_ASSIGN_OR_RETURN(RowSet rows, table.GatherPartition(p));
     for (const Row& row : rows) {
-      for (const Value& v : row) WriteValue(os, v);
+      for (const Value& v : row) WriteValueBinary(os, v);
     }
   }
   os.flush();
@@ -359,7 +642,7 @@ Result<std::shared_ptr<Table>> ReadTableFile(const std::string& path,
     Row row;
     row.reserve(num_cols);
     for (uint64_t c = 0; c < num_cols; ++c) {
-      RADB_ASSIGN_OR_RETURN(Value v, ReadValue(is));
+      RADB_ASSIGN_OR_RETURN(Value v, ReadValueBinary(is));
       row.push_back(std::move(v));
     }
     RADB_RETURN_NOT_OK(table->Insert(std::move(row)));

@@ -1,6 +1,5 @@
 #include "storage/table.h"
 
-#include <sstream>
 #include <utility>
 
 #include "obs/metrics_registry.h"
@@ -89,12 +88,13 @@ void Table::PlaceRow(Row row, size_t partition) {
   MaybeSealTail(partition);
 }
 
-Status Table::InsertIntoIndex(IndexDef& idx, const Row& row,
+template <class CellFn>
+Status Table::InsertIntoIndex(IndexDef& idx, const CellFn& cell,
                               storage::Rid rid) {
   if (idx.degraded) return Status::OK();
   int64_t key[storage::BTreeIndex::kMaxKeyColumns] = {0, 0};
   for (size_t i = 0; i < idx.columns.size(); ++i) {
-    const Value& v = row[idx.columns[i]];
+    const Value v = cell(idx.columns[i]);
     // NULL keys are absent from the tree: every predicate the
     // optimizer turns into an index probe is false on NULL.
     if (v.is_null()) return Status::OK();
@@ -115,8 +115,33 @@ Status Table::InsertIntoIndex(IndexDef& idx, const Row& row,
 }
 
 Status Table::IndexRow(const Row& row, storage::Rid rid) {
+  const auto cell = [&row](size_t c) -> const Value& { return row[c]; };
   for (auto& idx : indexes_) {
-    RADB_RETURN_NOT_OK(InsertIntoIndex(*idx, row, rid));
+    RADB_RETURN_NOT_OK(InsertIntoIndex(*idx, cell, rid));
+  }
+  return Status::OK();
+}
+
+Status Table::IndexStoredRows(IndexDef* target) {
+  // Walks segments in rid order.
+  for (size_t p = 0; p < parts_.size(); ++p) {
+    const size_t nsegs = NumSegments(p);
+    for (size_t s = 0; s < nsegs; ++s) {
+      RADB_ASSIGN_OR_RETURN(SegmentPin pin, PinSegment(p, s));
+      for (size_t r = 0; r < pin.num_rows(); ++r) {
+        const auto cell = [&pin, r](size_t c) { return pin.Cell(r, c); };
+        storage::Rid rid;
+        rid.partition = static_cast<uint32_t>(p);
+        rid.ordinal = pin.ordinal_base() + r;
+        if (target != nullptr) {
+          RADB_RETURN_NOT_OK(InsertIntoIndex(*target, cell, rid));
+          continue;
+        }
+        for (auto& idx : indexes_) {
+          RADB_RETURN_NOT_OK(InsertIntoIndex(*idx, cell, rid));
+        }
+      }
+    }
   }
   return Status::OK();
 }
@@ -213,19 +238,14 @@ Result<Table::SegmentPin> Table::PinSegment(size_t partition,
         storage::BufferPool::Pin pool_pin,
         pool_->GetOrLoad(
             key,
-            [file, record]()
+            [this, file, record]()
                 -> Result<storage::BufferPool::LoadedSegment> {
               RADB_ASSIGN_OR_RETURN(std::string bytes,
                                     file->ReadRecord(record));
-              RADB_ASSIGN_OR_RETURN(std::shared_ptr<const RowSet> rows,
-                                    DecodeSegment(bytes));
-              storage::BufferPool::LoadedSegment loaded;
-              loaded.charge = bytes.size();
-              loaded.rows = std::move(rows);
-              return loaded;
+              return LoadSegment(bytes);
             }));
     pin.pool_pin_ = std::move(pool_pin);
-    pin.rows_ = &pin.pool_pin_.rows();
+    pin.batch_ = &pin.pool_pin_.batch();
     return pin;
   }
   if (segment == p.sealed.size() && !p.tail.empty()) {
@@ -270,12 +290,22 @@ Result<Table::RowLocation> Table::LocateRow(uint32_t partition,
   return loc;
 }
 
+Row Table::SegmentPin::RowAt(size_t row) const {
+  if (rows_ != nullptr) return (*rows_)[row];
+  Row out;
+  out.reserve(batch_->columns.size());
+  for (size_t c = 0; c < batch_->columns.size(); ++c) {
+    out.push_back(Cell(row, c));
+  }
+  return out;
+}
+
 Result<Row> Table::FetchRow(storage::Rid rid) const {
   RADB_ASSIGN_OR_RETURN(RowLocation loc, LocateRow(rid.partition,
                                                    rid.ordinal));
   RADB_ASSIGN_OR_RETURN(SegmentPin pin, PinSegment(rid.partition,
                                                    loc.segment));
-  return pin.rows()[loc.offset];
+  return pin.RowAt(loc.offset);
 }
 
 Result<RowSet> Table::GatherPartition(size_t partition) const {
@@ -283,7 +313,7 @@ Result<RowSet> Table::GatherPartition(size_t partition) const {
   const size_t nsegs = NumSegments(partition);
   for (size_t s = 0; s < nsegs; ++s) {
     RADB_ASSIGN_OR_RETURN(SegmentPin pin, PinSegment(partition, s));
-    out.insert(out.end(), pin.rows().begin(), pin.rows().end());
+    for (size_t r = 0; r < pin.num_rows(); ++r) out.push_back(pin.RowAt(r));
   }
   return out;
 }
@@ -325,20 +355,7 @@ Status Table::CreateIndex(const std::string& name,
   idx->name = name;
   idx->columns = columns;
   idx->tree = std::make_unique<storage::BTreeIndex>(columns.size());
-  // Build from current contents, walking segments in rid order.
-  for (size_t p = 0; p < parts_.size(); ++p) {
-    const size_t nsegs = NumSegments(p);
-    for (size_t s = 0; s < nsegs; ++s) {
-      RADB_ASSIGN_OR_RETURN(SegmentPin pin, PinSegment(p, s));
-      const RowSet& rows = pin.rows();
-      for (size_t r = 0; r < rows.size(); ++r) {
-        storage::Rid rid;
-        rid.partition = static_cast<uint32_t>(p);
-        rid.ordinal = pin.ordinal_base() + r;
-        RADB_RETURN_NOT_OK(InsertIntoIndex(*idx, rows[r], rid));
-      }
-    }
-  }
+  RADB_RETURN_NOT_OK(IndexStoredRows(idx.get()));
   indexes_.push_back(std::move(idx));
   BumpVersion();
   return Status::OK();
@@ -375,20 +392,7 @@ Status Table::RebuildIndexes() {
     }
   }
   if (indexes_.empty()) return Status::OK();
-  for (size_t p = 0; p < parts_.size(); ++p) {
-    const size_t nsegs = NumSegments(p);
-    for (size_t s = 0; s < nsegs; ++s) {
-      RADB_ASSIGN_OR_RETURN(SegmentPin pin, PinSegment(p, s));
-      const RowSet& rows = pin.rows();
-      for (size_t r = 0; r < rows.size(); ++r) {
-        storage::Rid rid;
-        rid.partition = static_cast<uint32_t>(p);
-        rid.ordinal = pin.ordinal_base() + r;
-        RADB_RETURN_NOT_OK(IndexRow(rows[r], rid));
-      }
-    }
-  }
-  return Status::OK();
+  return IndexStoredRows(nullptr);
 }
 
 // -- Persistence -----------------------------------------------------
@@ -400,27 +404,12 @@ void Table::AttachStore(storage::BufferPool* pool, storage::PageFile* file,
   if (segment_bytes > 0) segment_bytes_ = segment_bytes;
 }
 
-std::string Table::EncodeSegment(const RowSet& rows) {
-  std::ostringstream os;
-  const uint64_t n = rows.size();
-  os.write(reinterpret_cast<const char*>(&n), sizeof(n));
-  for (const Row& r : rows) WriteRowBinary(os, r);
-  return os.str();
-}
-
-Result<std::shared_ptr<const RowSet>> Table::DecodeSegment(
-    const std::string& bytes) {
-  std::istringstream is(bytes);
-  uint64_t n = 0;
-  is.read(reinterpret_cast<char*>(&n), sizeof(n));
-  if (!is.good()) return Status::Internal("corrupt segment header");
-  auto rows = std::make_shared<RowSet>();
-  rows->reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    RADB_ASSIGN_OR_RETURN(Row row, ReadRowBinary(is));
-    rows->push_back(std::move(row));
-  }
-  return std::shared_ptr<const RowSet>(std::move(rows));
+Result<storage::BufferPool::LoadedSegment> Table::LoadSegment(
+    std::string_view record) const {
+  storage::BufferPool::LoadedSegment loaded;
+  RADB_ASSIGN_OR_RETURN(loaded.batch, DecodeSegment(record, schema_));
+  loaded.charge = record.size();
+  return loaded;
 }
 
 Result<std::vector<Table::PartitionManifest>> Table::CheckpointSegments() {
@@ -448,23 +437,16 @@ Result<std::vector<Table::PartitionManifest>> Table::CheckpointSegments() {
         s.on_disk = true;
         if (pool_ != nullptr) {
           // The rows stop being dirty weight and become a clean,
-          // evictable cache entry (primed so the working set stays
-          // warm across a checkpoint).
+          // evictable cache entry, primed with the batch decoded from
+          // the bytes just written (exactly what a later miss loads)
+          // so the working set stays warm across a checkpoint.
           pool_->Discharge(s.payload_bytes);
           storage::BufferPool::Key key;
           key.table = id_;
           key.partition = static_cast<uint32_t>(p);
           key.segment = static_cast<uint32_t>(si);
-          std::shared_ptr<const RowSet> resident = s.resident;
-          const size_t charge = bytes.size();
           auto primed = pool_->GetOrLoad(
-              key, [&resident, charge]()
-                       -> Result<storage::BufferPool::LoadedSegment> {
-                storage::BufferPool::LoadedSegment loaded;
-                loaded.rows = resident;
-                loaded.charge = charge;
-                return loaded;
-              });
+              key, [this, &bytes] { return LoadSegment(bytes); });
           if (!primed.ok()) return primed.status();
           s.resident.reset();
         }

@@ -7,12 +7,14 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
 #include "storage/btree.h"
 #include "storage/buffer_pool.h"
 #include "storage/pager.h"
+#include "types/column.h"
 #include "types/schema.h"
 #include "types/value.h"
 
@@ -116,20 +118,39 @@ class Table {
 
   // -- Segment access ------------------------------------------------
 
-  /// A pinned, immutable view of one segment's rows. Holds either a
-  /// buffer-pool pin (checkpointed segment of a persistent table) or
-  /// a reference to resident rows; valid until destroyed.
+  /// A pinned, immutable view of one segment, valid until destroyed.
+  /// A resident segment (in-memory table, open tail, sealed segment not
+  /// yet checkpointed) is its RowSet; a checkpointed segment of a
+  /// persistent table is the ColumnBatch the buffer pool decoded from
+  /// its record, held by a pool pin. Row consumers read either through
+  /// Cell/RowAt; the batch scan copies a pool batch's lanes directly.
   class SegmentPin {
    public:
     SegmentPin() = default;
-    const RowSet& rows() const { return *rows_; }
+    size_t num_rows() const {
+      return rows_ != nullptr ? rows_->size() : batch_->num_rows;
+    }
+    /// Cell (row, column) of the segment, whichever form it has.
+    Value Cell(size_t row, size_t column) const {
+      return rows_ != nullptr ? (*rows_)[row][column]
+                              : batch_->columns[column].GetValue(row);
+    }
+    /// A copy of one whole row.
+    Row RowAt(size_t row) const;
+    /// The resident rows, or null for a pool batch.
+    const RowSet* resident_rows() const { return rows_; }
+    /// The pool batch, or null for resident rows.
+    const ColumnBatch* batch() const { return batch_; }
     /// Ordinal of the segment's first row within its partition.
     uint64_t ordinal_base() const { return base_; }
-    explicit operator bool() const { return rows_ != nullptr; }
+    explicit operator bool() const {
+      return rows_ != nullptr || batch_ != nullptr;
+    }
 
    private:
     friend class Table;
     const RowSet* rows_ = nullptr;
+    const ColumnBatch* batch_ = nullptr;
     uint64_t base_ = 0;
     std::shared_ptr<const RowSet> owned_;
     storage::BufferPool::Pin pool_pin_;
@@ -258,12 +279,16 @@ class Table {
   void SealTail(size_t partition);
   void MaybeSealTail(size_t partition);
   Status IndexRow(const Row& row, storage::Rid rid);
-  Status InsertIntoIndex(IndexDef& idx, const Row& row, storage::Rid rid);
+  /// Adds `rid` to `idx` under the key `cell(column)` reads.
+  template <class CellFn>
+  Status InsertIntoIndex(IndexDef& idx, const CellFn& cell, storage::Rid rid);
+  /// Adds every stored row to `target`, or to every index when null.
+  Status IndexStoredRows(IndexDef* target);
   Status RebuildIndexes();
-  /// Serializes a segment's rows in the radb row codec.
-  static std::string EncodeSegment(const RowSet& rows);
-  static Result<std::shared_ptr<const RowSet>> DecodeSegment(
-      const std::string& bytes);
+  /// A buffer-pool entry for segment record `record`: its decoded
+  /// batch, charged at the record's size.
+  Result<storage::BufferPool::LoadedSegment> LoadSegment(
+      std::string_view record) const;
 
   uint64_t id_;
   std::atomic<uint64_t> version_{1};

@@ -1,6 +1,8 @@
 #include "storage/table_store.h"
 
+#include <array>
 #include <atomic>
+#include <bit>
 #include <cerrno>
 #include <cstring>
 #include <fstream>
@@ -33,25 +35,6 @@ enum WalOp : uint8_t {
   kOpRepartition = 8,
 };
 
-uint32_t Crc32(const char* data, size_t len) {
-  static const auto table = [] {
-    std::array<uint32_t, 256> t{};
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
-  uint32_t crc = 0xFFFFFFFFu;
-  for (size_t i = 0; i < len; ++i) {
-    crc = table[(crc ^ static_cast<uint8_t>(data[i])) & 0xFF] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
-
 Status WriteFull(int fd, const char* data, size_t len,
                  const std::string& what) {
   size_t done = 0;
@@ -78,7 +61,8 @@ void WriteSchema(std::ostream& os, const Schema& schema) {
   }
 }
 
-Result<Schema> ReadSchema(std::istream& is) {
+template <class In>
+Result<Schema> ReadSchema(In& is) {
   RADB_ASSIGN_OR_RETURN(uint64_t ncols, ReadU64(is));
   std::vector<Column> cols;
   cols.reserve(ncols);
@@ -92,6 +76,45 @@ Result<Schema> ReadSchema(std::istream& is) {
 }
 
 }  // namespace
+
+uint32_t Crc32(const char* data, size_t len) {
+  // Slicing-by-8: table k advances a byte's contribution through k
+  // further zero bytes, so eight table lookups fold eight input bytes
+  // per step. The loads below assume a little-endian host, as the
+  // on-disk formats do.
+  static_assert(std::endian::native == std::endian::little);
+  static const auto tables = [] {
+    std::array<std::array<uint32_t, 256>, 8> t{};
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      }
+      t[0][i] = c;
+    }
+    for (uint32_t i = 0; i < 256; ++i) {
+      for (size_t k = 1; k < 8; ++k) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+      }
+    }
+    return t;
+  }();
+  uint32_t crc = 0xFFFFFFFFu;
+  for (; len >= 8; data += 8, len -= 8) {
+    uint32_t lo = 0, hi = 0;
+    std::memcpy(&lo, data, 4);
+    std::memcpy(&hi, data + 4, 4);
+    lo ^= crc;
+    crc = tables[7][lo & 0xFF] ^ tables[6][(lo >> 8) & 0xFF] ^
+          tables[5][(lo >> 16) & 0xFF] ^ tables[4][lo >> 24] ^
+          tables[3][hi & 0xFF] ^ tables[2][(hi >> 8) & 0xFF] ^
+          tables[1][(hi >> 16) & 0xFF] ^ tables[0][hi >> 24];
+  }
+  for (; len > 0; ++data, --len) {
+    crc = tables[0][(crc ^ static_cast<uint8_t>(*data)) & 0xFF] ^ (crc >> 8);
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
 
 TableStore::~TableStore() {
   if (!closed_) {
@@ -315,12 +338,15 @@ Status TableStore::LogInsert(const std::string& table,
     return Status::Internal("table " + table +
                             " is not attached to the persistent store");
   }
-  std::ostringstream os;
-  os.put(static_cast<char>(kOpInsert));
-  WriteString(os, table);
-  WriteU64(os, rows.size());
-  for (const Row& r : rows) WriteRowBinary(os, r);
-  return AppendWalRecord(os.str());
+  size_t bytes = 1 + 8 + table.size() + 8;
+  for (const Row& r : rows) bytes += 8 + RowByteSize(r);
+  std::string payload;
+  payload.reserve(bytes);
+  payload.push_back(static_cast<char>(kOpInsert));
+  AppendString(payload, table);
+  AppendU64(payload, rows.size());
+  for (const Row& r : rows) AppendRowBinary(payload, r);
+  return AppendWalRecord(payload);
 }
 
 Status TableStore::LogCreateIndex(const std::string& table,
@@ -641,16 +667,16 @@ Result<uint64_t> TableStore::ReplayWal() {
     if (off + 8 + len > bytes.size()) break;  // torn tail record
     const char* payload = bytes.data() + off + 8;
     if (Crc32(payload, len) != crc) break;  // corrupt: stop replay here
-    RADB_RETURN_NOT_OK(ApplyWalRecord(std::string(payload, len)));
+    RADB_RETURN_NOT_OK(ApplyWalRecord(std::string_view(payload, len)));
     off += 8 + static_cast<size_t>(len);
     ++applied;
   }
   return applied;
 }
 
-Status TableStore::ApplyWalRecord(const std::string& payload) {
+Status TableStore::ApplyWalRecord(std::string_view payload) {
   if (payload.empty()) return Status::Internal("empty WAL record");
-  std::istringstream is(payload.substr(1));
+  ByteReader is(payload.substr(1));
   switch (static_cast<WalOp>(static_cast<uint8_t>(payload[0]))) {
     case kOpCreateTable: {
       RADB_ASSIGN_OR_RETURN(std::string name, ReadString(is));
@@ -684,6 +710,10 @@ Status TableStore::ApplyWalRecord(const std::string& payload) {
     case kOpInsert: {
       RADB_ASSIGN_OR_RETURN(std::string name, ReadString(is));
       RADB_ASSIGN_OR_RETURN(uint64_t nrows, ReadU64(is));
+      // Each row takes at least its 8-byte arity.
+      if (nrows > is.remaining() / 8) {
+        return Status::InvalidArgument("corrupt WAL insert (row count)");
+      }
       std::vector<Row> rows;
       rows.reserve(nrows);
       for (uint64_t r = 0; r < nrows; ++r) {

@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -15,6 +16,11 @@
 #include "storage/table.h"
 
 namespace radb::storage {
+
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) of `len` bytes:
+/// the checksum framing each WAL record and trailing the catalog
+/// snapshot.
+uint32_t Crc32(const char* data, size_t len);
 
 /// The durable half of a persistent Database: one data directory
 /// holding a checkpointed catalog snapshot, a logical write-ahead log,
@@ -150,7 +156,7 @@ class TableStore {
   Status WriteSnapshot();
   /// Replays radb.wal if its epoch matches; returns statements applied.
   Result<uint64_t> ReplayWal();
-  Status ApplyWalRecord(const std::string& payload);
+  Status ApplyWalRecord(std::string_view payload);
 
   std::string dir_;
   Options options_;

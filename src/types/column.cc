@@ -59,6 +59,32 @@ void ColumnVector::AppendValue(const Value& v) {
   }
 }
 
+void ColumnVector::AppendRange(const ColumnVector& src, size_t begin,
+                               size_t count) {
+  const auto append = [begin, count](auto& dst, const auto& from) {
+    dst.insert(dst.end(), from.begin() + begin, from.begin() + begin + count);
+  };
+  if (values) {
+    append(val, src.val);
+    return;
+  }
+  append(null, src.null);
+  switch (kind) {
+    case TypeKind::kBoolean:
+    case TypeKind::kInteger:
+      append(i64, src.i64);
+      break;
+    case TypeKind::kDouble:
+      append(f64, src.f64);
+      break;
+    case TypeKind::kString:
+      append(str, src.str);
+      break;
+    default:
+      break;
+  }
+}
+
 void ColumnVector::SetValue(size_t i, Value v) {
   if (values) {
     val[i] = std::move(v);

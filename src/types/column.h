@@ -48,6 +48,10 @@ struct ColumnVector {
   /// Appends one Value (accessor: row -> column). On a typed lane the
   /// value's kind must match `kind` or be NULL.
   void AppendValue(const Value& v);
+  /// Appends lanes [begin, begin + count) of `src`, a column of the
+  /// same lane type (both Value lanes, or typed lanes of one kind):
+  /// null bytes plus payload, copied by range.
+  void AppendRange(const ColumnVector& src, size_t begin, size_t count);
   /// Overwrites lane `i` with `v` (same kind rule as AppendValue).
   void SetValue(size_t i, Value v);
 

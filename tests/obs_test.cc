@@ -446,6 +446,27 @@ TEST_F(ObsDatabaseTest, TraceCoversOnlyTheLastExecute) {
   EXPECT_EQ(query_spans, 1u);
 }
 
+TEST_F(ObsDatabaseTest, LastMetricsShowAFailedStatement) {
+  ASSERT_TRUE(Exec(db_, "SELECT a, SUM(b) FROM t GROUP BY a").ok());
+  auto has_op = [&](const std::string& prefix) {
+    for (const OperatorMetrics& op : db_.last_metrics().operators) {
+      if (op.name.rfind(prefix, 0) == 0) return true;
+    }
+    return false;
+  };
+  EXPECT_TRUE(has_op("Scan(t)"));
+  EXPECT_TRUE(has_op("Aggregate"));
+  ASSERT_TRUE(Exec(db_, "CREATE TABLE vv (k INTEGER, x VECTOR[3])").ok());
+  ASSERT_TRUE(Exec(db_, "INSERT INTO vv VALUES (4, ones_vector(3))").ok());
+  auto failed = Exec(db_, "SELECT inner_product(x, ones_vector(k)) FROM vv");
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kDimensionMismatch);
+  // The failing statement's operators, not the earlier query's.
+  EXPECT_TRUE(has_op("Scan(vv)")) << db_.last_metrics().ToString();
+  EXPECT_FALSE(has_op("Scan(t)")) << db_.last_metrics().ToString();
+  EXPECT_FALSE(has_op("Aggregate")) << db_.last_metrics().ToString();
+}
+
 TEST(ObsDisabledTest, DefaultDatabaseHasNoObservability) {
   Database db;
   EXPECT_EQ(db.tracer(), nullptr);

@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -28,6 +29,7 @@
 #include "storage/btree.h"
 #include "storage/buffer_pool.h"
 #include "storage/pager.h"
+#include "storage/table_store.h"
 #include "test_util.h"
 
 namespace radb {
@@ -36,7 +38,6 @@ namespace {
 namespace fs = std::filesystem;
 using storage::BTreeIndex;
 using storage::BufferPool;
-using storage::SegmentRows;
 using storage::PageFile;
 using storage::RecordId;
 using storage::Rid;
@@ -232,9 +233,12 @@ TEST(BTreeIndexTest, CompositeKeysAndSerializeRoundTrip) {
 // ---- Buffer pool ---------------------------------------------------
 
 BufferPool::LoadedSegment MakeSegment(int tag, size_t charge) {
-  auto rows = std::make_shared<SegmentRows>();
-  rows->push_back(Row{Value::Int(tag)});
-  return BufferPool::LoadedSegment{std::move(rows), charge};
+  auto batch = std::make_shared<ColumnBatch>();
+  batch->num_rows = 1;
+  batch->columns.resize(1);
+  batch->columns[0].Reset(TypeKind::kInteger, 0);
+  batch->columns[0].AppendValue(Value::Int(tag));
+  return BufferPool::LoadedSegment{std::move(batch), charge};
 }
 
 TEST(BufferPoolTest, HitsMissesAndLruEviction) {
@@ -285,7 +289,7 @@ TEST(BufferPoolTest, PinsBlockEvictionAndBudgetOvershoots) {
   EXPECT_GT(st.cached_bytes, st.budget_bytes);
 
   // Rows stay readable through the pin even while over budget.
-  EXPECT_EQ(pinned->rows()[0][0].int_value(), 1);
+  EXPECT_EQ(pinned->batch().columns[0].GetValue(0).int_value(), 1);
 
   pinned->Reset();
   second->Reset();
@@ -693,6 +697,181 @@ TEST(BufferPoolIntegrationTest, ColdScanChargesSegmentReadsToTheScan) {
   }
   EXPECT_GT(scan, 0.5 * qm.wall_seconds)
       << "scan " << scan << " s of " << qm.wall_seconds << " s";
+}
+
+TEST(BufferPoolIntegrationTest, PoolBatchesScanLikeResidentRows) {
+  // Checkpointed segments are pool batches: some of d's segments hold
+  // INTEGER values (a Value lane there), the rest only DOUBLEs (a typed
+  // lane). Scans of them, plain and under budgets (12 KiB closes the
+  // 4 workers' batches at 1.5 KiB, inside a 2 KiB segment), must equal
+  // the in-memory oracle's resident rows, runtime kinds included.
+  TempDir dir;
+  Database::Config tiny = SmallConfig();
+  tiny.storage.buffer_pool_bytes = 16u << 10;
+  tiny.storage.segment_bytes = 2u << 10;
+  tiny.cache.enable_result_cache = false;
+  Database::Config mem = SmallConfig();
+  mem.cache.enable_result_cache = false;
+  auto oracle = Database::InMemory(mem);
+  ASSERT_TRUE(oracle.ok());
+  auto db = Database::Open(dir.path(), tiny);
+  ASSERT_TRUE(db.ok()) << db.status();
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 3000; ++i) {
+    const bool as_int = i >= 1200 && i < 1240;
+    rows.push_back({Value::Int(i),
+                    as_int ? Value::Int(i) : Value::Double(0.25 * double(i)),
+                    i % 11 == 0 ? Value::Null()
+                                : Value::String("s" + std::to_string(i % 13)),
+                    Value::FromVector(
+                        la::Vector(std::vector<double>{double(i), -0.5}))});
+  }
+  for (Database* d : {oracle->get(), db->get()}) {
+    ASSERT_TRUE(
+        Exec(*d, "CREATE TABLE t (i INTEGER, d DOUBLE, s VARCHAR, v VECTOR[2])")
+            .ok());
+    ASSERT_TRUE(d->BulkInsert("t", rows).ok());
+  }
+  ASSERT_TRUE((*db)->Checkpoint().ok());
+  const std::vector<std::string> queries = {
+      "SELECT i, d, s, v FROM t WHERE i >= 1190 AND i < 1250",
+      "SELECT i / 500, COUNT(*), SUM(d), MIN(s), SUM(inner_product(v, v)) "
+      "FROM t GROUP BY i / 500 ORDER BY i / 500",
+      "SELECT s, COUNT(*), MAX(d) FROM t WHERE s >= 's' GROUP BY s "
+      "ORDER BY s",
+  };
+  for (const std::string& sql : queries) {
+    ExpectSameRows(Rows(**db, sql), Rows(**oracle, sql));
+    for (size_t budget : {size_t{12} << 10, size_t{1} << 20}) {
+      auto got = (*db)->Execute(sql, QueryOptions{.memory_budget_bytes = budget});
+      auto want =
+          (*oracle)->Execute(sql, QueryOptions{.memory_budget_bytes = budget});
+      ASSERT_TRUE(got.ok()) << got.status() << ": " << sql;
+      ASSERT_TRUE(want.ok()) << want.status() << ": " << sql;
+      ExpectSameRows(got->last().rows, want->last().rows);
+    }
+  }
+  const RowSet st = Rows(**db, "SELECT misses FROM radb_bufferpool");
+  ASSERT_EQ(st.size(), 1u);
+  EXPECT_GT(st[0][0].int_value(), 0);
+}
+
+TEST(BufferPoolIntegrationTest, CorruptSegmentHeaderFailsTheQuery) {
+  // One worker and 4 KiB segments: the first segment of t holds rows
+  // 0..227. Its 8-byte row count is rewritten on disk, and a cold scan
+  // must end in a Status, never an abort or a wrong count.
+  TempDir dir;
+  Database::Config config = SmallConfig();
+  config.num_workers = 1;
+  config.storage.segment_bytes = 4u << 10;
+  config.cache.enable_result_cache = false;
+  {
+    auto db = Database::Open(dir.path(), config);
+    ASSERT_TRUE(db.ok()) << db.status();
+    ASSERT_TRUE(Exec(**db, "CREATE TABLE t (i INTEGER, x DOUBLE)").ok());
+    std::vector<Row> rows;
+    for (int64_t i = 0; i < 2000; ++i) {
+      rows.push_back({Value::Int(i), Value::Double(0.5 * double(i))});
+    }
+    ASSERT_TRUE((*db)->BulkInsert("t", std::move(rows)).ok());
+    ASSERT_TRUE((*db)->Close().ok());
+  }
+  std::string page_file;
+  for (const auto& entry : fs::directory_iterator(dir.path())) {
+    const std::string name = entry.path().filename().string();
+    if (name.size() > 6 && name[0] == 't' &&
+        name.substr(name.size() - 5) == ".radb") {
+      page_file = entry.path().string();
+    }
+  }
+  ASSERT_FALSE(page_file.empty());
+  std::string original;
+  {
+    std::ifstream in(page_file, std::ios::binary);
+    original.assign(std::istreambuf_iterator<char>(in),
+                    std::istreambuf_iterator<char>());
+  }
+  // The first row of the first segment: arity 2, INTEGER 0, DOUBLE 0.0.
+  std::string first_row(8 + 9 + 9, '\0');
+  first_row[0] = 2;
+  first_row[8] = 2;   // INTEGER tag
+  first_row[17] = 3;  // DOUBLE tag
+  const size_t at = original.find(first_row);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_GE(at, 8u);
+  for (uint64_t count : {uint64_t{1} << 60, uint64_t{5}, uint64_t{229}}) {
+    std::string patched = original;
+    std::memcpy(patched.data() + at - 8, &count, sizeof(count));
+    {
+      std::ofstream out(page_file, std::ios::binary | std::ios::trunc);
+      out.write(patched.data(), static_cast<std::streamsize>(patched.size()));
+    }
+    auto db = Database::Open(dir.path(), config);
+    ASSERT_TRUE(db.ok()) << db.status();
+    Result<ResultSet> rs = Exec(**db, "SELECT COUNT(*) FROM t");
+    EXPECT_FALSE(rs.ok()) << "count " << count << " read "
+                          << (rs.ok() ? rs->rows[0][0].ToString() : "");
+    Result<ResultSet> rows = Exec(**db, "SELECT i, x FROM t WHERE i < 3");
+    EXPECT_FALSE(rows.ok()) << "count " << count;
+    ASSERT_TRUE((*db)->Close().ok());
+  }
+  // Restored bytes read back in full.
+  {
+    std::ofstream out(page_file, std::ios::binary | std::ios::trunc);
+    out.write(original.data(), static_cast<std::streamsize>(original.size()));
+  }
+  auto db = Database::Open(dir.path(), config);
+  ASSERT_TRUE(db.ok()) << db.status();
+  const RowSet n = Rows(**db, "SELECT COUNT(*) FROM t");
+  ASSERT_EQ(n.size(), 1u);
+  EXPECT_EQ(n[0][0].int_value(), 2000);
+}
+
+// ---- WAL checksum --------------------------------------------------
+
+/// The byte-at-a-time CRC-32 the WAL used before slicing-by-8: the
+/// reference the fast form must match.
+uint32_t BytewiseCrc32(const char* data, size_t len) {
+  uint32_t table[256];
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    table[i] = c;
+  }
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < len; ++i) {
+    crc = table[(crc ^ static_cast<uint8_t>(data[i])) & 0xFF] ^ (crc >> 8);
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(WalChecksumTest, Crc32MatchesTheCheckValueAndTheBytewiseLoop) {
+  const std::string check = "123456789";
+  EXPECT_EQ(storage::Crc32(check.data(), check.size()), 0xCBF43926u);
+  EXPECT_EQ(storage::Crc32(check.data(), 0), 0u);
+  std::string bytes(4099 + 16, '\0');
+  uint64_t x = 0x9E3779B97F4A7C15ull;
+  for (char& b : bytes) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    b = static_cast<char>(x);
+  }
+  for (int trial = 0; trial < 400; ++trial) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    const size_t start = x % 16;  // unaligned starts
+    const size_t len = (x >> 8) % 4100;
+    EXPECT_EQ(storage::Crc32(bytes.data() + start, len),
+              BytewiseCrc32(bytes.data() + start, len))
+        << "start " << start << " len " << len;
+  }
+  for (size_t len = 0; len < 40; ++len) {
+    EXPECT_EQ(storage::Crc32(bytes.data() + 3, len),
+              BytewiseCrc32(bytes.data() + 3, len))
+        << "len " << len;
+  }
 }
 
 // ---- Crash recovery (fork + SIGKILL) -------------------------------
