@@ -396,9 +396,12 @@ Status Database::BulkInsert(const std::string& table, std::vector<Row> rows) {
                                 " is read-only");
   }
   RADB_ASSIGN_OR_RETURN(std::shared_ptr<Table> t, catalog_.GetTable(table));
+  // Validate, log, place: a refused row leaves no WAL record that a
+  // replay would fail on.
+  RADB_RETURN_NOT_OK(t->ValidateRows(rows));
   RADB_RETURN_NOT_OK(LogMutation(
       [&](storage::TableStore& s) { return s.LogInsert(t->name(), rows); }));
-  RADB_RETURN_NOT_OK(t->InsertAll(std::move(rows)));
+  t->InsertValidated(std::move(rows));
   catalog_.BumpDataVersion();
   return Status::OK();
 }
@@ -916,12 +919,15 @@ Result<ScriptResult> Database::ExecuteScript(const std::string& sql,
           // output. A crash between them recovers an empty table —
           // the same prefix-of-records guarantee every multi-
           // statement script gets.
+          RADB_RETURN_NOT_OK(t->ValidateRows(rs.rows));
           RADB_RETURN_NOT_OK(LogMutation([&](storage::TableStore& s) {
             RADB_RETURN_NOT_OK(s.LogCreateTable(t->name(), t->schema()));
             return s.LogInsert(t->name(), rs.rows);
           }));
+          t->InsertValidated(std::move(rs.rows));
+        } else {
+          RADB_RETURN_NOT_OK(t->InsertAll(std::move(rs.rows)));
         }
-        RADB_RETURN_NOT_OK(t->InsertAll(std::move(rs.rows)));
         break;
       }
       case parser::Statement::Kind::kCreateView: {
@@ -967,12 +973,14 @@ Result<ScriptResult> Database::ExecuteScript(const std::string& sql,
           }
           rows.push_back(std::move(row));
         }
-        // WAL first (one record for the whole statement), while the
-        // rows are still materialized; then apply in memory.
+        // Validate every row, then WAL (one record for the whole
+        // statement, while the rows are still materialized), then
+        // apply in memory: a refused row inserts and logs nothing.
+        RADB_RETURN_NOT_OK(t->ValidateRows(rows));
         RADB_RETURN_NOT_OK(LogMutation([&](storage::TableStore& s) {
           return s.LogInsert(t->name(), rows);
         }));
-        RADB_RETURN_NOT_OK(t->InsertAll(std::move(rows)));
+        t->InsertValidated(std::move(rows));
         // Retire cached plans (their cardinality estimates are stale);
         // result entries invalidate via the table's own version.
         catalog_.BumpDataVersion();
@@ -1227,10 +1235,11 @@ Status Database::LoadTable(const std::string& table,
     }));
   }
   RADB_ASSIGN_OR_RETURN(RowSet rows, loaded->Gather());
+  RADB_RETURN_NOT_OK(created->ValidateRows(rows));
   RADB_RETURN_NOT_OK(LogMutation([&](storage::TableStore& s) {
     return s.LogInsert(created->name(), rows);
   }));
-  RADB_RETURN_NOT_OK(created->InsertAll(std::move(rows)));
+  created->InsertValidated(std::move(rows));
   catalog_.BumpDataVersion();
   return Status::OK();
 }

@@ -145,9 +145,9 @@ std::vector<int64_t> IndexDictionary(SideCells& side,
   return dict;
 }
 
-/// Whether `a op b` holds for two INTEGER keys. They compare through
-/// double, as EvalCompare compares them on the join.
-bool Holds(CompareOp op, double a, double b) {
+/// Whether `a op b` holds for two INTEGER keys. They compare exactly,
+/// as EvalCompare compares them on the join.
+bool Holds(CompareOp op, int64_t a, int64_t b) {
   switch (op) {
     case CompareOp::kEq:
       return a == b;
@@ -169,8 +169,8 @@ using MaskTerm = LogicalOp::MultiplyShape::MaskTerm;
 
 /// Whether every mask term holds for a pair whose left and right rows
 /// carry the mask keys `l` and `r`, one per term.
-bool MaskPasses(const std::vector<MaskTerm>& mask, const double* l,
-                const double* r) {
+bool MaskPasses(const std::vector<MaskTerm>& mask, const int64_t* l,
+                const int64_t* r) {
   for (size_t t = 0; t < mask.size(); ++t) {
     if (!Holds(mask[t].op, l[t], r[t])) return false;
   }
@@ -215,7 +215,7 @@ struct VectorSide {
   std::vector<std::vector<double>> packed;  // per worker
   std::vector<size_t> length;  // per worker: vector length, or kNoLength
   std::vector<int64_t> keys;  // per row: group key
-  std::vector<double> mask_keys;  // per row: one per term, as double
+  std::vector<int64_t> mask_keys;  // per row: one per term
   std::vector<int64_t> dict;  // sorted distinct group keys
   std::vector<size_t> group;  // per row: its key's position in `dict`
 
@@ -238,9 +238,9 @@ struct VectorSide {
       if (const char* why = key(*index, &keys[r])) return why;
     }
     for (size_t t = 0; t < mask.size(); ++t) {
-      int64_t k = 0;
-      if (const char* why = key(mask[t], &k)) return why;
-      mask_keys[r * mask.size() + t] = static_cast<double>(k);
+      if (const char* why = key(mask[t], &mask_keys[r * mask.size() + t])) {
+        return why;
+      }
     }
     const la::Vector& x = v.vector();
     if (length[wkr] == kNoLength) length[wkr] = x.size();
@@ -503,8 +503,8 @@ Result<std::optional<SpillableDist>> Executor::MultiplyOnTiles(
   if (!s.mask.empty()) {
     std::vector<size_t> kept;
     for (size_t g : groups) {
-      const double i = static_cast<double>(dicts[0][g / nj]);
-      const double j = static_cast<double>(dicts[1][g % nj]);
+      const int64_t i = dicts[0][g / nj];
+      const int64_t j = dicts[1][g % nj];
       bool holds = true;
       for (const MaskTerm& t : s.mask) holds = holds && Holds(t.op, i, j);
       if (holds) kept.push_back(g);
@@ -712,9 +712,9 @@ Result<std::optional<SpillableDist>> Executor::MultiplyOnVectors(
         std::unique_ptr<Aggregator>* states =
             p.StatesOf(probe.group[r], width);
         const double* row_values = values.data() + (r - r0) * nb;
-        const double* pm = probe.mask_keys.data() + r * terms;
+        const int64_t* pm = probe.mask_keys.data() + r * terms;
         for (size_t c = 0; c < nb; ++c) {
-          const double* bm = bcast.mask_keys.data() + c * terms;
+          const int64_t* bm = bcast.mask_keys.data() + c * terms;
           if (terms > 0 && !(probe_left ? MaskPasses(s.mask, pm, bm)
                                         : MaskPasses(s.mask, bm, pm))) {
             continue;

@@ -165,6 +165,30 @@ struct NumReader {
   }
 };
 
+/// Runs f(lane, holds) over the live lanes, where holds(x, y) is
+/// `x op y`; one instantiation per operator keeps the lane loop free
+/// of a switch.
+template <typename F>
+void CompareLanes(CompareOp op, const uint32_t* sel, size_t n, F&& f) {
+  const auto run = [&](auto holds) {
+    ForLanes(sel, n, [&](size_t l) { f(l, holds); });
+  };
+  switch (op) {
+    case CompareOp::kEq:
+      return run(std::equal_to<>());
+    case CompareOp::kNe:
+      return run(std::not_equal_to<>());
+    case CompareOp::kLt:
+      return run(std::less<>());
+    case CompareOp::kLe:
+      return run(std::less_equal<>());
+    case CompareOp::kGt:
+      return run(std::greater<>());
+    case CompareOp::kGe:
+      return run(std::greater_equal<>());
+  }
+}
+
 /// Types `out` and sizes it to `n` lanes without clearing payloads
 /// (kernels overwrite the live lanes; dead lanes stay garbage).
 void PrepareOut(ColumnVector& out, TypeKind k, size_t n) {
@@ -434,87 +458,28 @@ Result<const ColumnVector*> EvalV(VExpr& e,
       const uint8_t* bn = b->null.data();
       uint8_t* on = e.out.null.data();
       int64_t* ov = e.out.i64.data();
+      const auto compare = [&](const auto& av, const auto& bv) {
+        CompareLanes(s.compare_op, sel, n, [&](size_t l, auto holds) {
+          on[l] = an[l] | bn[l];
+          ov[l] = holds(av(l), bv(l));
+        });
+      };
       if (ak == TypeKind::kString) {
-        const std::string* av = a->str.data();
-        const std::string* bv = b->str.data();
-        switch (s.compare_op) {
-          case CompareOp::kEq:
-            ForLanes(sel, n, [&](size_t l) {
-              on[l] = an[l] | bn[l];
-              ov[l] = (av[l] == bv[l]);
-            });
-            break;
-          case CompareOp::kNe:
-            ForLanes(sel, n, [&](size_t l) {
-              on[l] = an[l] | bn[l];
-              ov[l] = (av[l] != bv[l]);
-            });
-            break;
-          case CompareOp::kLt:
-            ForLanes(sel, n, [&](size_t l) {
-              on[l] = an[l] | bn[l];
-              ov[l] = (av[l] < bv[l]);
-            });
-            break;
-          case CompareOp::kLe:
-            ForLanes(sel, n, [&](size_t l) {
-              on[l] = an[l] | bn[l];
-              ov[l] = (av[l] <= bv[l]);
-            });
-            break;
-          case CompareOp::kGt:
-            ForLanes(sel, n, [&](size_t l) {
-              on[l] = an[l] | bn[l];
-              ov[l] = (av[l] > bv[l]);
-            });
-            break;
-          case CompareOp::kGe:
-            ForLanes(sel, n, [&](size_t l) {
-              on[l] = an[l] | bn[l];
-              ov[l] = (av[l] >= bv[l]);
-            });
-            break;
-        }
-        return &e.out;
-      }
-      const NumReader ra(*a), rb(*b);
-      switch (s.compare_op) {
-        case CompareOp::kEq:
-          ForLanes(sel, n, [&](size_t l) {
-            on[l] = an[l] | bn[l];
-            ov[l] = (ra.Get(l) == rb.Get(l));
-          });
-          break;
-        case CompareOp::kNe:
-          ForLanes(sel, n, [&](size_t l) {
-            on[l] = an[l] | bn[l];
-            ov[l] = (ra.Get(l) != rb.Get(l));
-          });
-          break;
-        case CompareOp::kLt:
-          ForLanes(sel, n, [&](size_t l) {
-            on[l] = an[l] | bn[l];
-            ov[l] = (ra.Get(l) < rb.Get(l));
-          });
-          break;
-        case CompareOp::kLe:
-          ForLanes(sel, n, [&](size_t l) {
-            on[l] = an[l] | bn[l];
-            ov[l] = (ra.Get(l) <= rb.Get(l));
-          });
-          break;
-        case CompareOp::kGt:
-          ForLanes(sel, n, [&](size_t l) {
-            on[l] = an[l] | bn[l];
-            ov[l] = (ra.Get(l) > rb.Get(l));
-          });
-          break;
-        case CompareOp::kGe:
-          ForLanes(sel, n, [&](size_t l) {
-            on[l] = an[l] | bn[l];
-            ov[l] = (ra.Get(l) >= rb.Get(l));
-          });
-          break;
+        const std::string* as = a->str.data();
+        const std::string* bs = b->str.data();
+        compare([as](size_t l) -> const std::string& { return as[l]; },
+                [bs](size_t l) -> const std::string& { return bs[l]; });
+      } else if (a->kind == TypeKind::kInteger &&
+                 b->kind == TypeKind::kInteger) {
+        // Exact, as Value::Compare compares two INTEGERs.
+        const int64_t* ai = a->i64.data();
+        const int64_t* bi = b->i64.data();
+        compare([ai](size_t l) { return ai[l]; },
+                [bi](size_t l) { return bi[l]; });
+      } else {
+        const NumReader ra(*a), rb(*b);
+        compare([&ra](size_t l) { return ra.Get(l); },
+                [&rb](size_t l) { return rb.Get(l); });
       }
       return &e.out;
     }
@@ -973,8 +938,8 @@ void UpdateAgg(const AggSpec& s, AggAcc& acc, const ColumnVector* c,
           }
         }
       } else {
-        // INTEGER / BOOLEAN payloads compare through double, exactly
-        // like Value::Compare.
+        // INTEGER / BOOLEAN payloads compare as int64, like
+        // Value::Compare (booleans are 0/1 lanes).
         const int64_t* cv = c->i64.data();
         for (size_t j = 0; j < n; ++j) {
           const size_t l = sel ? sel[j] : j;
@@ -983,10 +948,8 @@ void UpdateAgg(const AggSpec& s, AggAcc& acc, const ColumnVector* c,
           if (!acc.seen[g]) {
             acc.i64[g] = cv[l];
             acc.seen[g] = 1;
-          } else {
-            const double cand = static_cast<double>(cv[l]);
-            const double best = static_cast<double>(acc.i64[g]);
-            if (is_max ? cand > best : cand < best) acc.i64[g] = cv[l];
+          } else if (is_max ? cv[l] > acc.i64[g] : cv[l] < acc.i64[g]) {
+            acc.i64[g] = cv[l];
           }
         }
       }
@@ -1056,10 +1019,9 @@ Status MergeAgg(const AggSpec& s, AggAcc& dst, size_t dg, const AggAcc& src,
         if (is_max ? dst.str[dg] < src.str[sg] : src.str[sg] < dst.str[dg]) {
           dst.str[dg] = src.str[sg];
         }
-      } else {
-        const double cand = static_cast<double>(src.i64[sg]);
-        const double best = static_cast<double>(dst.i64[dg]);
-        if (is_max ? cand > best : cand < best) dst.i64[dg] = src.i64[sg];
+      } else if (is_max ? src.i64[sg] > dst.i64[dg]
+                        : src.i64[sg] < dst.i64[dg]) {
+        dst.i64[dg] = src.i64[sg];
       }
       break;
     }
@@ -1398,8 +1360,8 @@ class VectorizedPipeline {
   size_t ScanBatchRows(const Table::SegmentPin& pin, size_t begin,
                        size_t count) const;
   /// Appends rows [begin, begin + count) of `pin`'s scanned columns to
-  /// ctx.batch: a range copy of each pool-batch column whose lane type
-  /// is the source lane's, lane by lane otherwise.
+  /// ctx.batch: a range copy of each segment column whose lane type is
+  /// the source lane's, lane by lane otherwise.
   void ScanIntoBatch(WorkerCtx& ctx, const Table::SegmentPin& pin,
                      size_t begin, size_t count) const;
   /// One worker's share of the chain. Returns the source's own errors
@@ -1707,15 +1669,11 @@ void VectorizedPipeline::ProcessCharged(WorkerCtx& ctx, size_t bytes,
 size_t VectorizedPipeline::ScanBatchRows(const Table::SegmentPin& pin,
                                          size_t begin, size_t count) const {
   if (!budgeted_) return count;
-  // LaneBytes equals Value::ByteSize, so both forms close batches at
-  // the same rows.
-  const RowSet* rows = pin.resident_rows();
-  const ColumnBatch* batch = pin.batch();
+  const ColumnBatch& batch = pin.batch();
   size_t bytes = 0;
   for (size_t n = 0; n < count; ++n) {
     for (size_t col : scan_->scan_columns) {
-      bytes += rows != nullptr ? (*rows)[begin + n][col].ByteSize()
-                               : batch->columns[col].LaneBytes(begin + n);
+      bytes += batch.columns[col].LaneBytes(begin + n);
     }
     if (bytes >= batch_cap_) return n + 1;
   }
@@ -1728,12 +1686,7 @@ void VectorizedPipeline::ScanIntoBatch(WorkerCtx& ctx,
   const size_t end = begin + count;
   for (size_t c = 0; c < source_lanes_.size(); ++c) {
     ColumnVector& col = ctx.batch.columns[c];
-    const size_t from = scan_->scan_columns[c];
-    if (const RowSet* rows = pin.resident_rows()) {
-      for (size_t r = begin; r < end; ++r) col.AppendValue((*rows)[r][from]);
-      continue;
-    }
-    const ColumnVector& src = pin.batch()->columns[from];
+    const ColumnVector& src = pin.batch().columns[scan_->scan_columns[c]];
     if (src.values == col.values && (src.values || src.kind == col.kind)) {
       col.AppendRange(src, begin, count);
     } else {

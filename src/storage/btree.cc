@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 
 namespace radb::storage {
 
@@ -172,6 +173,119 @@ void BTreeIndex::Range(const int64_t* lo, const int64_t* hi,
   }
 }
 
+/// Packs entries that arrive in strictly increasing (key, seq) order
+/// into the tree bottom-up. The n entries are spread evenly over the
+/// fewest leaves of at most kFanout - 1 entries, chained left to right;
+/// each level above spreads its children the same way over the fewest
+/// nodes of at most kFanout children, until one node is left: the
+/// root. Separator i of a node is the first entry of its child i + 1,
+/// the invariant Insert keeps, so later inserts split these nodes as
+/// they split their own.
+class BTreeIndex::Packer {
+ public:
+  Packer(BTreeIndex* tree, size_t n)
+      : tree_(tree), n_(n), leaves_((n + kFanout - 2) / (kFanout - 1)) {}
+
+  void Add(const Entry& e) {
+    if (level_.empty() || level_.back()->count == LeafSize()) {
+      auto leaf = std::make_unique<Node>();
+      if (!level_.empty()) level_.back()->next = leaf.get();
+      firsts_.push_back(e);
+      level_.push_back(std::move(leaf));
+    }
+    Node& leaf = *level_.back();
+    leaf.entries[leaf.count++] = e;
+  }
+
+  void Finish(uint64_t next_seq) {
+    size_t nodes = level_.size();
+    while (level_.size() > 1) {
+      const size_t m = level_.size();
+      const size_t groups = (m + kFanout - 1) / kFanout;
+      std::vector<std::unique_ptr<Node>> up;
+      std::vector<Entry> up_firsts;
+      size_t c = 0;
+      for (size_t g = 0; g < groups; ++g) {
+        auto node = std::make_unique<Node>();
+        node->leaf = false;
+        const size_t take = m / groups + (g < m % groups ? 1 : 0);
+        up_firsts.push_back(firsts_[c]);
+        for (size_t j = 0; j < take; ++j, ++c) {
+          if (j > 0) node->entries[j - 1] = firsts_[c];
+          node->children[j] = std::move(level_[c]);
+        }
+        node->count = take - 1;
+        up.push_back(std::move(node));
+      }
+      nodes += up.size();
+      level_ = std::move(up);
+      firsts_ = std::move(up_firsts);
+    }
+    if (!level_.empty()) {
+      tree_->root_ = std::move(level_[0]);
+      tree_->node_count_ = nodes;
+    }
+    tree_->size_ = n_;
+    tree_->next_seq_ = next_seq;
+  }
+
+ private:
+  /// Entries of the leaf being filled: the first n % leaves leaves
+  /// take one more than the rest.
+  size_t LeafSize() const {
+    const size_t i = level_.size() - 1;
+    return n_ / leaves_ + (i < n_ % leaves_ ? 1 : 0);
+  }
+
+  BTreeIndex* tree_;
+  size_t n_;
+  size_t leaves_;
+  std::vector<std::unique_ptr<Node>> level_;  // the level being built
+  std::vector<Entry> firsts_;  // the first entry under each node of it
+};
+
+std::unique_ptr<BTreeIndex> BTreeIndex::Build(
+    size_t key_len, std::vector<std::vector<Entry>> runs, uint64_t next_seq) {
+  auto tree = std::make_unique<BTreeIndex>(key_len);
+  const BTreeIndex& t = *tree;
+  const auto less = [&t](const Entry& a, const Entry& b) {
+    return t.Compare(a, b) < 0;
+  };
+  // A min-heap of the runs' cursors, on their next entries, merges the
+  // runs in (key, seq) order; equal keys keep seq order, so duplicates
+  // stay in insertion order.
+  struct Cursor {
+    const Entry* next;
+    const Entry* end;
+  };
+  const auto later = [&t](const Cursor& a, const Cursor& b) {
+    return t.Compare(*a.next, *b.next) > 0;
+  };
+  size_t n = 0;
+  std::vector<Cursor> heap;
+  for (std::vector<Entry>& run : runs) {
+    if (!std::is_sorted(run.begin(), run.end(), less)) {
+      std::sort(run.begin(), run.end(), less);
+    }
+    n += run.size();
+    if (!run.empty()) heap.push_back({run.data(), run.data() + run.size()});
+  }
+  std::make_heap(heap.begin(), heap.end(), later);
+  Packer packer(tree.get(), n);
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), later);
+    Cursor& c = heap.back();
+    packer.Add(*c.next);
+    if (++c.next == c.end) {
+      heap.pop_back();
+    } else {
+      std::push_heap(heap.begin(), heap.end(), later);
+    }
+  }
+  packer.Finish(next_seq);
+  return tree;
+}
+
 namespace {
 
 void PutU64(std::string* s, uint64_t v) {
@@ -221,29 +335,49 @@ Result<std::unique_ptr<BTreeIndex>> BTreeIndex::Deserialize(
       key_len > kMaxKeyColumns) {
     return Status::InvalidArgument("corrupt index image (header)");
   }
+  const size_t entry_bytes = (key_len + 3) * sizeof(uint64_t);
+  const size_t body = bytes.size() - off;
+  if (body % entry_bytes != 0) {
+    return Status::InvalidArgument("corrupt index image (truncated entry)");
+  }
+  if (body / entry_bytes != count) {
+    return Status::InvalidArgument(
+        "corrupt index image (" + std::to_string(body / entry_bytes) +
+        " entries for a header count of " + std::to_string(count) + ")");
+  }
   auto tree = std::make_unique<BTreeIndex>(key_len);
-  // Entries arrive in sorted order; inserting in order keeps the
-  // build O(n log n) with purely rightmost splits. next_seq is
-  // restored afterwards so future inserts keep strictly larger
-  // tiebreakers than every serialized entry.
+  // The image is the leaf chain in (key, seq) order, so it packs
+  // straight into leaves; the checks keep a corrupt image from building
+  // a tree whose separators and ranges assume an order it lacks.
+  Packer packer(tree.get(), count);
+  Entry prev{};
   for (uint64_t i = 0; i < count; ++i) {
-    int64_t key[kMaxKeyColumns] = {0, 0};
-    uint64_t seq = 0, part = 0, ord = 0;
+    Entry e;
+    e.key.fill(0);
+    uint64_t part = 0;
     for (uint64_t k = 0; k < key_len; ++k) {
       uint64_t raw = 0;
-      if (!GetU64(bytes, &off, &raw)) {
-        return Status::InvalidArgument("corrupt index image (key)");
-      }
-      key[k] = static_cast<int64_t>(raw);
+      GetU64(bytes, &off, &raw);
+      e.key[k] = static_cast<int64_t>(raw);
     }
-    if (!GetU64(bytes, &off, &seq) || !GetU64(bytes, &off, &part) ||
-        !GetU64(bytes, &off, &ord)) {
-      return Status::InvalidArgument("corrupt index image (entry)");
+    GetU64(bytes, &off, &e.seq);
+    GetU64(bytes, &off, &part);
+    GetU64(bytes, &off, &e.rid.ordinal);
+    e.rid.partition = static_cast<uint32_t>(part);
+    if (e.seq >= next_seq) {
+      return Status::InvalidArgument(
+          "corrupt index image (entry " + std::to_string(i) + " has seq " +
+          std::to_string(e.seq) + ", next_seq is " + std::to_string(next_seq) +
+          ")");
     }
-    tree->next_seq_ = seq;  // Insert assigns next_seq_++ == seq
-    tree->Insert(key, Rid{static_cast<uint32_t>(part), ord});
+    if (i > 0 && tree->Compare(prev, e) >= 0) {
+      return Status::InvalidArgument("corrupt index image (entry " +
+                                     std::to_string(i) + " out of order)");
+    }
+    packer.Add(e);
+    prev = e;
   }
-  tree->next_seq_ = next_seq;
+  packer.Finish(next_seq);
   return tree;
 }
 

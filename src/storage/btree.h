@@ -30,11 +30,14 @@ struct Rid {
 /// tiebreaker, so equal-key matches replay in insertion order — the
 /// same order a full scan would surface them within a partition walk.
 ///
-/// The tree is the runtime structure; its checkpoint image is the
-/// ordered leaf sequence (Serialize), reloaded with a bottom-up bulk
-/// build (Deserialize). There is no Delete: this engine has no SQL
-/// DELETE, DROP TABLE drops whole indexes, and repartitioning
-/// rebuilds them.
+/// A tree over stored rows is built bottom-up (Build): the entries are
+/// sorted once and packed into full leaves, chained left to right, and
+/// then into internal levels. Its checkpoint image is the ordered leaf
+/// sequence (Serialize), which Deserialize feeds to the same packing
+/// after checking its order. Insert adds the rows that arrive after a
+/// build, root to leaf. There is no Delete: this engine has no SQL
+/// DELETE, DROP TABLE drops whole indexes, and repartitioning rebuilds
+/// them.
 ///
 /// Concurrency: reads are lock-free against other reads; mutation
 /// happens only under the service's exclusive catalog latch, matching
@@ -43,6 +46,14 @@ class BTreeIndex {
  public:
   static constexpr size_t kMaxKeyColumns = 2;
   static constexpr size_t kFanout = 64;
+
+  /// One index entry: the key (columns past key_len are 0), its
+  /// insertion-sequence tiebreaker, and the row it addresses.
+  struct Entry {
+    std::array<int64_t, kMaxKeyColumns> key;
+    uint64_t seq;
+    Rid rid;
+  };
 
   explicit BTreeIndex(size_t key_len);
   ~BTreeIndex();
@@ -60,6 +71,16 @@ class BTreeIndex {
   /// insertion-sequence tiebreaker.
   void Insert(const int64_t* key, Rid rid);
 
+  /// Builds a tree bottom-up over `runs`. Each run lists its entries in
+  /// increasing seq order; seqs are unique across runs and below
+  /// `next_seq`, the tiebreaker the next Insert assigns. A run whose
+  /// keys are out of order is sorted; runs already in key order (a
+  /// table loaded in key order) are not. The runs are then merged in
+  /// (key, seq) order straight into full leaves.
+  static std::unique_ptr<BTreeIndex> Build(size_t key_len,
+                                           std::vector<std::vector<Entry>> runs,
+                                           uint64_t next_seq);
+
   /// Appends every rid whose key lies in [lo, hi] (inclusive, both
   /// full key_len arrays; use INT64_MIN/MAX to leave an end open) in
   /// (key, insertion-seq) order.
@@ -71,20 +92,19 @@ class BTreeIndex {
     Range(key, key, out);
   }
 
-  /// Checkpoint image: key_len, entry count, then the ordered
-  /// (key, seq, rid) tuples from the leaf chain.
+  /// Checkpoint image: key_len, entry count and next_seq, then the
+  /// ordered (key, seq, rid) tuples from the leaf chain.
   std::string Serialize() const;
-  /// Bulk-loads a tree from a Serialize image (bottom-up build).
+  /// Builds a tree bottom-up from a Serialize image. A header the
+  /// entries do not fill exactly, entries that are not strictly
+  /// increasing in (key, seq), or a seq at or above the header's
+  /// next_seq is InvalidArgument.
   static Result<std::unique_ptr<BTreeIndex>> Deserialize(
       const std::string& bytes);
 
  private:
-  struct Entry {
-    std::array<int64_t, kMaxKeyColumns> key;
-    uint64_t seq;
-    Rid rid;
-  };
   struct Node;
+  class Packer;
 
   int Compare(const Entry& a, const Entry& b) const;
   /// Splits `node` (which just overflowed) and returns the new right

@@ -21,8 +21,9 @@ namespace radb::storage {
 /// layer that admits tables larger than RAM.
 ///
 /// Granularity is one sealed segment (a bounded run of rows serialized
-/// as a single pager record), cached as the ColumnBatch decoded from
-/// that record and shared between the cache and every pin currently
+/// as a single pager record), cached as its ColumnBatch — handed over
+/// by the checkpoint that wrote the record, or decoded from it on a
+/// miss — and shared between the cache and every pin currently
 /// holding it: a scan pins the segment it is walking,
 /// everything else is evictable. Entries are always CLEAN — only data
 /// already durable in a page file is ever cached here — so eviction is

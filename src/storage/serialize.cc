@@ -81,6 +81,20 @@ class StringWriter {
   std::string& out_;
 };
 
+/// Writes into a buffer already sized for everything written.
+class RawWriter {
+ public:
+  explicit RawWriter(char* p) : p_(p) {}
+  void Put(char c) { *p_++ = c; }
+  void Write(const void* p, size_t n) {
+    if (n > 0) std::memcpy(p_, p, n);
+    p_ += n;
+  }
+
+ private:
+  char* p_;
+};
+
 /// A fixed-width integer or double, little-endian as in memory.
 template <class T, class Out>
 void PutFixed(Out& out, T v) {
@@ -92,6 +106,28 @@ void PutString(Out& out, const std::string& s) {
   out.Write(s.data(), s.size());
 }
 
+// The scalar kinds' tag and payload, shared by Values and typed lanes.
+template <class Out>
+void PutBool(Out& out, bool b) {
+  out.Put(static_cast<char>(Tag::kBool));
+  out.Put(b ? 1 : 0);
+}
+template <class Out>
+void PutInt(Out& out, int64_t v) {
+  out.Put(static_cast<char>(Tag::kInt));
+  PutFixed<int64_t>(out, v);
+}
+template <class Out>
+void PutDouble(Out& out, double v) {
+  out.Put(static_cast<char>(Tag::kDouble));
+  PutFixed<double>(out, v);
+}
+template <class Out>
+void PutStringValue(Out& out, const std::string& s) {
+  out.Put(static_cast<char>(Tag::kString));
+  PutString(out, s);
+}
+
 template <class Out>
 void PutValue(Out& out, const Value& v) {
   switch (v.kind()) {
@@ -99,20 +135,16 @@ void PutValue(Out& out, const Value& v) {
       out.Put(static_cast<char>(Tag::kNull));
       return;
     case TypeKind::kBoolean:
-      out.Put(static_cast<char>(Tag::kBool));
-      out.Put(v.bool_value() ? 1 : 0);
+      PutBool(out, v.bool_value());
       return;
     case TypeKind::kInteger:
-      out.Put(static_cast<char>(Tag::kInt));
-      PutFixed<int64_t>(out, v.int_value());
+      PutInt(out, v.int_value());
       return;
     case TypeKind::kDouble:
-      out.Put(static_cast<char>(Tag::kDouble));
-      PutFixed<double>(out, v.double_value());
+      PutDouble(out, v.double_value());
       return;
     case TypeKind::kString:
-      out.Put(static_cast<char>(Tag::kString));
-      PutString(out, v.string_value());
+      PutStringValue(out, v.string_value());
       return;
     case TypeKind::kLabeledScalar:
       out.Put(static_cast<char>(Tag::kLabeled));
@@ -156,6 +188,36 @@ template <class Out>
 void PutRow(Out& out, const Row& row) {
   PutFixed<uint64_t>(out, row.size());
   for (const Value& v : row) PutValue(out, v);
+}
+
+/// Lane `r` of a segment column, as PutValue writes the Value it holds.
+template <class Out>
+void PutLane(Out& out, const ColumnVector& col, size_t r) {
+  if (col.values) {
+    PutValue(out, col.val[r]);
+    return;
+  }
+  if (col.null[r] != 0) {
+    out.Put(static_cast<char>(Tag::kNull));
+    return;
+  }
+  switch (col.kind) {
+    case TypeKind::kBoolean:
+      PutBool(out, col.i64[r] != 0);
+      return;
+    case TypeKind::kInteger:
+      PutInt(out, col.i64[r]);
+      return;
+    case TypeKind::kDouble:
+      PutDouble(out, col.f64[r]);
+      return;
+    case TypeKind::kString:
+      PutStringValue(out, col.str[r]);
+      return;
+    default:
+      out.Put(static_cast<char>(Tag::kNull));  // a NULL-typed lane
+      return;
+  }
 }
 
 template <class T, class In>
@@ -371,11 +433,38 @@ Result<Row> GetRow(In& in) {
   return row;
 }
 
-/// DecodeValue sink that stores each cell in lane `row` of one segment
-/// column, pre-sized to the segment's rows (see DecodeSegment).
+/// Adds `n` lanes to a segment column, as DecodeValue's LaneSink
+/// expects them: non-NULL with a zero payload on a typed lane (a NULL
+/// cell sets its byte), NULL on a Value lane.
+void AddLanes(ColumnVector* col, size_t n) {
+  if (col->values) {
+    col->val.resize(col->val.size() + n);
+    return;
+  }
+  const size_t size = col->null.size() + n;
+  col->null.resize(size);
+  switch (col->kind) {
+    case TypeKind::kBoolean:
+    case TypeKind::kInteger:
+      col->i64.resize(size);
+      break;
+    case TypeKind::kDouble:
+      col->f64.resize(size);
+      break;
+    case TypeKind::kString:
+      col->str.resize(size);
+      break;
+    default:
+      break;
+  }
+}
+
+/// Stores cells in lane `row` of one segment column (see AddLanes)
+/// under the segment lane rule (see ResetSegment): DecodeValue's sink
+/// for segment records, and the writer of a table's open tail.
 class LaneSink {
  public:
-  LaneSink(ColumnVector* col, size_t rows) : col_(col), rows_(rows) {}
+  explicit LaneSink(ColumnVector* col) : col_(col) {}
   void set_row(size_t row) { row_ = row; }
 
   void Null() {
@@ -412,8 +501,8 @@ class LaneSink {
   void Other(Value v) {
     if (!col_->values) {
       // The column's first cell of another kind: it becomes a Value
-      // lane, keeping the lanes decoded so far.
-      std::vector<Value> vals(rows_);
+      // lane, keeping the cells stored so far.
+      std::vector<Value> vals(col_->size());
       for (size_t i = 0; i < row_; ++i) vals[i] = col_->GetValue(i);
       col_->ResetValues(0);
       col_->val = std::move(vals);
@@ -421,11 +510,28 @@ class LaneSink {
     col_->val[row_] = std::move(v);
   }
 
+  /// One Value, by its runtime kind.
+  void Set(const Value& v) {
+    switch (v.kind()) {
+      case TypeKind::kNull:
+        return Null();
+      case TypeKind::kBoolean:
+        return Bool(v.bool_value());
+      case TypeKind::kInteger:
+        return Int(v.int_value());
+      case TypeKind::kDouble:
+        return Double(v.double_value());
+      case TypeKind::kString:
+        return String(v.string_value());
+      default:
+        return Other(v);
+    }
+  }
+
  private:
   bool Typed(TypeKind k) const { return !col_->values && col_->kind == k; }
 
   ColumnVector* col_;
-  size_t rows_;
   size_t row_ = 0;
 };
 
@@ -513,14 +619,55 @@ Result<Row> ReadRowBinary(std::istream& is) {
 }
 Result<Row> ReadRowBinary(ByteReader& in) { return GetRow(in); }
 
-std::string EncodeSegment(const RowSet& rows) {
-  size_t bytes = sizeof(uint64_t);
-  for (const Row& row : rows) bytes += sizeof(uint64_t) + RowByteSize(row);
-  std::string record;
-  record.reserve(bytes);
-  StringWriter out(record);
-  PutFixed<uint64_t>(out, rows.size());
-  for (const Row& row : rows) PutRow(out, row);
+void ResetSegment(const Schema& schema, size_t capacity, ColumnBatch* batch) {
+  batch->num_rows = 0;
+  batch->columns.resize(schema.size());
+  for (size_t c = 0; c < schema.size(); ++c) {
+    ColumnVector& col = batch->columns[c];
+    const TypeKind k = schema.at(c).type.kind();
+    if (k != TypeKind::kBoolean && k != TypeKind::kInteger &&
+        k != TypeKind::kDouble && k != TypeKind::kString) {
+      col.ResetValues(0);
+      col.val.reserve(capacity);
+      continue;
+    }
+    col.Reset(k, 0);
+    col.null.reserve(capacity);
+    if (k == TypeKind::kDouble) {
+      col.f64.reserve(capacity);
+    } else if (k == TypeKind::kString) {
+      col.str.reserve(capacity);
+    } else {
+      col.i64.reserve(capacity);
+    }
+  }
+}
+
+void AppendSegmentRow(const Row& row, ColumnBatch* batch) {
+  for (size_t c = 0; c < batch->columns.size(); ++c) {
+    LaneSink lane(&batch->columns[c]);
+    AddLanes(&batch->columns[c], 1);
+    lane.set_row(batch->num_rows);
+    lane.Set(row[c]);
+  }
+  ++batch->num_rows;
+}
+
+std::string EncodeSegment(const ColumnBatch& segment) {
+  const size_t n = segment.num_rows;
+  size_t bytes = sizeof(uint64_t) * (1 + n);
+  for (const ColumnVector& col : segment.columns) {
+    for (size_t r = 0; r < n; ++r) bytes += col.LaneBytes(r);
+  }
+  // LaneBytes is the bytes PutLane writes, so the record is sized once.
+  std::string record(bytes, '\0');
+  RawWriter out(record.data());
+  PutFixed<uint64_t>(out, n);
+  const uint64_t width = segment.columns.size();
+  for (size_t r = 0; r < n; ++r) {
+    PutFixed<uint64_t>(out, width);
+    for (const ColumnVector& col : segment.columns) PutLane(out, col, r);
+  }
   return record;
 }
 
@@ -541,20 +688,12 @@ Result<std::shared_ptr<const ColumnBatch>> DecodeSegment(
         std::to_string(record.size()) + " bytes)");
   }
   auto batch = std::make_shared<ColumnBatch>();
-  batch->num_rows = n;
-  batch->columns.resize(width);
+  ResetSegment(schema, n, batch.get());
   std::vector<LaneSink> sinks;
   sinks.reserve(width);
-  for (size_t c = 0; c < width; ++c) {
-    ColumnVector& col = batch->columns[c];
-    const TypeKind k = schema.at(c).type.kind();
-    if (k == TypeKind::kBoolean || k == TypeKind::kInteger ||
-        k == TypeKind::kDouble || k == TypeKind::kString) {
-      col.Reset(k, n);
-    } else {
-      col.ResetValues(n);
-    }
-    sinks.emplace_back(&col, n);
+  for (ColumnVector& col : batch->columns) {
+    AddLanes(&col, n);
+    sinks.emplace_back(&col);
   }
   for (size_t r = 0; r < n; ++r) {
     uint64_t arity = 0;
@@ -579,6 +718,7 @@ Result<std::shared_ptr<const ColumnBatch>> DecodeSegment(
         "corrupt segment (" + std::to_string(in.remaining()) +
         " bytes left after its " + std::to_string(n) + " rows)");
   }
+  batch->num_rows = n;
   return std::shared_ptr<const ColumnBatch>(std::move(batch));
 }
 

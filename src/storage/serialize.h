@@ -23,16 +23,20 @@ class ByteReader {
       : ByteReader(bytes.data(), bytes.size()) {}
 
   size_t remaining() const { return static_cast<size_t>(end_ - p_); }
+  // Read and Get are forced inline: the segment decoder reads every
+  // cell through them, and as calls they halve its speed.
   /// Copies the next `n` bytes into `dst`; false (nothing consumed) when
   /// fewer remain.
-  bool Read(void* dst, size_t n) {
+  [[gnu::always_inline]] bool Read(void* dst, size_t n) {
     if (n > remaining()) return false;
     std::memcpy(dst, p_, n);
     p_ += n;
     return true;
   }
   /// Next byte, or -1 at the end.
-  int Get() { return p_ == end_ ? -1 : static_cast<uint8_t>(*p_++); }
+  [[gnu::always_inline]] int Get() {
+    return p_ == end_ ? -1 : static_cast<uint8_t>(*p_++);
+  }
   /// Whether `n` more bytes remain: lets a decoder refuse a corrupt
   /// length before it allocates for it.
   bool Has(size_t n) const { return n <= remaining(); }
@@ -85,19 +89,32 @@ void AppendRowBinary(std::string& out, const Row& row);
 Result<Row> ReadRowBinary(std::istream& is);
 Result<Row> ReadRowBinary(ByteReader& in);
 
-/// Table segment record: a u64 row count, then each row in the row
-/// codec. The record of `rows` is 8 + 8 per row + their values' bytes.
-std::string EncodeSegment(const RowSet& rows);
+/// A table segment in memory is a ColumnBatch with one column per
+/// schema column, filled under one lane rule: a column whose declared
+/// kind is BOOLEAN, INTEGER, DOUBLE or STRING is a typed lane while
+/// every non-NULL cell has that kind; at its first cell of another
+/// kind (an INTEGER stored in a DOUBLE column, say) the whole column
+/// becomes a Value lane, so every value keeps its runtime kind and
+/// bits. Other columns are Value lanes. A table's open tail fills its
+/// segment row by row (AppendSegmentRow) and DecodeSegment fills one
+/// from a record, both by this rule, so a segment has the same lanes
+/// whether it was inserted or read back.
+///
+/// Makes `batch` an empty segment of a table with `schema`, with room
+/// for `capacity` rows.
+void ResetSegment(const Schema& schema, size_t capacity, ColumnBatch* batch);
+/// Appends `row`, one value per schema column, to a segment.
+void AppendSegmentRow(const Row& row, ColumnBatch* batch);
 
-/// Decodes a segment record of a table with `schema` into one column
-/// per schema column, in a single pass over the bytes. A column whose
-/// declared kind is BOOLEAN, INTEGER, DOUBLE or STRING becomes a typed
-/// lane while every non-NULL cell has that kind; at its first cell of
-/// another kind (an INTEGER stored in a DOUBLE column, say) the whole
-/// column becomes a Value lane, so every value keeps its runtime kind
-/// and bits. Other columns are Value lanes. A row count the record
-/// cannot hold, a row whose arity is not the schema's width, a corrupt
-/// value, or bytes left over after the last row are InvalidArgument.
+/// Table segment record: a u64 row count, then each row in the row
+/// codec, written from the segment's lanes. The record of a segment is
+/// 8 + 8 per row + its lanes' bytes (ColumnVector::LaneBytes).
+std::string EncodeSegment(const ColumnBatch& segment);
+
+/// Decodes a segment record of a table with `schema` into a segment,
+/// in a single pass over the bytes. A row count the record cannot
+/// hold, a row whose arity is not the schema's width, a corrupt value,
+/// or bytes left over after the last row are InvalidArgument.
 Result<std::shared_ptr<const ColumnBatch>> DecodeSegment(
     std::string_view record, const Schema& schema);
 

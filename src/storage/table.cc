@@ -17,11 +17,13 @@ Table::Table(std::string name, Schema schema, size_t num_partitions)
       name_(std::move(name)),
       schema_(std::move(schema)),
       parts_(num_partitions == 0 ? 1 : num_partitions),
-      kind_pure_(schema_.size(), 1) {}
+      kind_pure_(schema_.size(), 1) {
+  for (PartitionData& p : parts_) ResetSegment(schema_, 0, &p.tail);
+}
 
 size_t Table::num_rows() const {
   size_t n = 0;
-  for (const PartitionData& p : parts_) n += p.tail_base + p.tail.size();
+  for (const PartitionData& p : parts_) n += p.tail_base + p.tail.num_rows;
   return n;
 }
 
@@ -58,15 +60,21 @@ Status Table::ValidateRow(const Row& row) const {
   return Status::OK();
 }
 
+Status Table::ValidateRows(const std::vector<Row>& rows) const {
+  for (const Row& row : rows) RADB_RETURN_NOT_OK(ValidateRow(row));
+  return Status::OK();
+}
+
 void Table::SealTail(size_t partition) {
   PartitionData& p = parts_[partition];
-  if (p.tail.empty()) return;
+  if (p.tail.num_rows == 0) return;
   Segment s;
-  s.num_rows = p.tail.size();
+  s.num_rows = p.tail.num_rows;
   s.payload_bytes = p.tail_bytes;
   s.ordinal_base = p.tail_base;
-  s.resident = std::make_shared<const RowSet>(std::move(p.tail));
-  p.tail = RowSet();
+  s.resident = std::make_shared<const ColumnBatch>(std::move(p.tail));
+  // The next segment likely holds about as many rows.
+  ResetSegment(schema_, s.num_rows, &p.tail);
   p.tail_base += s.num_rows;
   p.tail_bytes = 0;
   if (pool_ != nullptr && file_ != nullptr) {
@@ -77,77 +85,105 @@ void Table::SealTail(size_t partition) {
   p.sealed.push_back(std::move(s));
 }
 
-void Table::MaybeSealTail(size_t partition) {
-  if (parts_[partition].tail_bytes >= segment_bytes_) SealTail(partition);
-}
-
-void Table::PlaceRow(Row row, size_t partition) {
+void Table::PlaceRow(const Row& row, size_t partition) {
   PartitionData& p = parts_[partition];
   p.tail_bytes += RowByteSize(row);
-  p.tail.push_back(std::move(row));
-  MaybeSealTail(partition);
+  AppendSegmentRow(row, &p.tail);
+  if (p.tail_bytes >= segment_bytes_) SealTail(partition);
 }
 
-template <class CellFn>
-Status Table::InsertIntoIndex(IndexDef& idx, const CellFn& cell,
-                              storage::Rid rid) {
-  if (idx.degraded) return Status::OK();
-  int64_t key[storage::BTreeIndex::kMaxKeyColumns] = {0, 0};
-  for (size_t i = 0; i < idx.columns.size(); ++i) {
-    const Value v = cell(idx.columns[i]);
-    // NULL keys are absent from the tree: every predicate the
-    // optimizer turns into an index probe is false on NULL.
-    if (v.is_null()) return Status::OK();
-    if (v.kind() != TypeKind::kInteger) {
-      // A non-integer runtime value slipped into an indexed column
-      // (numeric interchange allows it): the tree can no longer
-      // answer range predicates faithfully, so retire it from
-      // planning while the table itself stays correct.
-      idx.degraded = true;
-      idx.dirty = true;
-      return Status::OK();
-    }
-    key[i] = v.int_value();
+namespace {
+
+/// What one key cell does to an index entry.
+enum class KeyCell { kKey, kNull, kDegrades };
+
+/// Reads key cell `v` into `*key`. NULL keys are absent from the tree:
+/// every predicate the optimizer turns into an index probe is false on
+/// NULL. A non-integer runtime value (numeric interchange allows one
+/// into an INTEGER column) means the tree can no longer answer range
+/// predicates faithfully, so it retires the index from planning while
+/// the table itself stays correct.
+KeyCell ReadKey(const Value& v, int64_t* key) {
+  if (v.is_null()) return KeyCell::kNull;
+  if (v.kind() != TypeKind::kInteger) return KeyCell::kDegrades;
+  *key = v.int_value();
+  return KeyCell::kKey;
+}
+
+/// Key cell `r` of a segment column: a typed INTEGER lane read in
+/// place, any other lane through its Value.
+KeyCell ReadKey(const ColumnVector& col, size_t r, int64_t* key) {
+  if (col.values || col.kind != TypeKind::kInteger) {
+    return ReadKey(col.GetValue(r), key);
   }
-  idx.tree->Insert(key, rid);
-  idx.dirty = true;
-  return Status::OK();
+  if (col.null[r] != 0) return KeyCell::kNull;
+  *key = col.i64[r];
+  return KeyCell::kKey;
 }
 
-Status Table::IndexRow(const Row& row, storage::Rid rid) {
-  const auto cell = [&row](size_t c) -> const Value& { return row[c]; };
+}  // namespace
+
+void Table::IndexRow(const Row& row, storage::Rid rid) {
   for (auto& idx : indexes_) {
-    RADB_RETURN_NOT_OK(InsertIntoIndex(*idx, cell, rid));
+    if (idx->degraded) continue;
+    int64_t key[storage::BTreeIndex::kMaxKeyColumns] = {0, 0};
+    KeyCell cell = KeyCell::kKey;
+    for (size_t i = 0; i < idx->columns.size() && cell == KeyCell::kKey; ++i) {
+      cell = ReadKey(row[idx->columns[i]], &key[i]);
+    }
+    if (cell == KeyCell::kNull) continue;
+    idx->dirty = true;
+    if (cell == KeyCell::kDegrades) {
+      idx->degraded = true;
+      continue;
+    }
+    idx->tree->Insert(key, rid);
   }
-  return Status::OK();
 }
 
-Status Table::IndexStoredRows(IndexDef* target) {
-  // Walks segments in rid order.
+Status Table::BuildIndex(IndexDef& idx) {
+  using Entry = storage::BTreeIndex::Entry;
+  const size_t key_len = idx.columns.size();
+  idx.dirty = true;
+  // One run per partition, in rid order. Seqs count the keyed rows in
+  // that order (partitions in turn, NULL keys skipped), as inserting
+  // them one by one would number them.
+  std::vector<std::vector<Entry>> runs(parts_.size());
+  uint64_t seq = 0;
   for (size_t p = 0; p < parts_.size(); ++p) {
+    std::vector<Entry>& run = runs[p];
+    run.reserve(parts_[p].tail_base + parts_[p].tail.num_rows);
     const size_t nsegs = NumSegments(p);
     for (size_t s = 0; s < nsegs; ++s) {
       RADB_ASSIGN_OR_RETURN(SegmentPin pin, PinSegment(p, s));
-      for (size_t r = 0; r < pin.num_rows(); ++r) {
-        const auto cell = [&pin, r](size_t c) { return pin.Cell(r, c); };
-        storage::Rid rid;
-        rid.partition = static_cast<uint32_t>(p);
-        rid.ordinal = pin.ordinal_base() + r;
-        if (target != nullptr) {
-          RADB_RETURN_NOT_OK(InsertIntoIndex(*target, cell, rid));
-          continue;
+      const ColumnBatch& batch = pin.batch();
+      for (size_t r = 0; r < batch.num_rows; ++r) {
+        Entry e;
+        e.key.fill(0);
+        KeyCell cell = KeyCell::kKey;
+        for (size_t k = 0; k < key_len && cell == KeyCell::kKey; ++k) {
+          cell = ReadKey(batch.columns[idx.columns[k]], r, &e.key[k]);
         }
-        for (auto& idx : indexes_) {
-          RADB_RETURN_NOT_OK(InsertIntoIndex(*idx, cell, rid));
+        if (cell == KeyCell::kNull) continue;
+        if (cell == KeyCell::kDegrades) {
+          // The planner never probes a degraded index, so it keeps no
+          // entries.
+          idx.degraded = true;
+          idx.tree = std::make_unique<storage::BTreeIndex>(key_len);
+          return Status::OK();
         }
+        e.seq = seq++;
+        e.rid.partition = static_cast<uint32_t>(p);
+        e.rid.ordinal = pin.ordinal_base() + r;
+        run.push_back(e);
       }
     }
   }
+  idx.tree = storage::BTreeIndex::Build(key_len, std::move(runs), seq);
   return Status::OK();
 }
 
-Status Table::Insert(Row row) {
-  RADB_RETURN_NOT_OK(ValidateRow(row));
+void Table::Append(const Row& row) {
   for (size_t i = 0; i < row.size(); ++i) {
     if (kind_pure_[i] != 0 && !row[i].is_null() &&
         row[i].kind() != schema_.at(i).type.kind()) {
@@ -157,23 +193,31 @@ Status Table::Insert(Row row) {
   const size_t p = next_rr_ % parts_.size();
   storage::Rid rid;
   rid.partition = static_cast<uint32_t>(p);
-  rid.ordinal = parts_[p].tail_base + parts_[p].tail.size();
-  RADB_RETURN_NOT_OK(IndexRow(row, rid));
-  PlaceRow(std::move(row), p);
+  rid.ordinal = parts_[p].tail_base + parts_[p].tail.num_rows;
+  IndexRow(row, rid);
+  PlaceRow(row, p);
   ++next_rr_;
+}
+
+Status Table::Insert(Row row) {
+  RADB_RETURN_NOT_OK(ValidateRow(row));
+  Append(row);
   BumpVersion();
   return Status::OK();
 }
 
 Status Table::InsertAll(std::vector<Row> rows) {
-  const size_t n = rows.size();
-  for (Row& r : rows) {
-    RADB_RETURN_NOT_OK(Insert(std::move(r)));
-  }
-  if (obs::MetricsRegistry* reg = obs::GlobalMetrics()) {
-    reg->Add("storage.rows_inserted", n);
-  }
+  RADB_RETURN_NOT_OK(ValidateRows(rows));
+  InsertValidated(std::move(rows));
   return Status::OK();
+}
+
+void Table::InsertValidated(std::vector<Row> rows) {
+  for (const Row& row : rows) Append(row);
+  if (!rows.empty()) BumpVersion();
+  if (obs::MetricsRegistry* reg = obs::GlobalMetrics()) {
+    reg->Add("storage.rows_inserted", rows.size());
+  }
 }
 
 Status Table::RepartitionByHash(size_t column) {
@@ -194,10 +238,8 @@ Status Table::RepartitionByHash(size_t column) {
   }
   const size_t n_parts = parts_.size();
   parts_.assign(n_parts, PartitionData());
-  for (Row& r : all) {
-    const size_t h = r[column].Hash();
-    PlaceRow(std::move(r), h % n_parts);
-  }
+  for (PartitionData& p : parts_) ResetSegment(schema_, 0, &p.tail);
+  for (const Row& r : all) PlaceRow(r, r[column].Hash() % n_parts);
   partitioning_.kind = Partitioning::Kind::kHash;
   partitioning_.hash_column = column;
   RADB_RETURN_NOT_OK(RebuildIndexes());
@@ -210,7 +252,7 @@ Status Table::RepartitionByHash(size_t column) {
 
 size_t Table::NumSegments(size_t partition) const {
   const PartitionData& p = parts_[partition];
-  return p.sealed.size() + (p.tail.empty() ? 0 : 1);
+  return p.sealed.size() + (p.tail.num_rows == 0 ? 0 : 1);
 }
 
 Result<Table::SegmentPin> Table::PinSegment(size_t partition,
@@ -222,7 +264,7 @@ Result<Table::SegmentPin> Table::PinSegment(size_t partition,
     pin.base_ = s.ordinal_base;
     if (s.resident != nullptr) {
       pin.owned_ = s.resident;
-      pin.rows_ = pin.owned_.get();
+      pin.batch_ = pin.owned_.get();
       return pin;
     }
     if (pool_ == nullptr || file_ == nullptr) {
@@ -248,8 +290,8 @@ Result<Table::SegmentPin> Table::PinSegment(size_t partition,
     pin.batch_ = &pin.pool_pin_.batch();
     return pin;
   }
-  if (segment == p.sealed.size() && !p.tail.empty()) {
-    pin.rows_ = &p.tail;
+  if (segment == p.sealed.size() && p.tail.num_rows > 0) {
+    pin.batch_ = &p.tail;
     pin.base_ = p.tail_base;
     return pin;
   }
@@ -264,7 +306,7 @@ Result<Table::RowLocation> Table::LocateRow(uint32_t partition,
   const PartitionData& p = parts_[partition];
   RowLocation loc;
   if (ordinal >= p.tail_base) {
-    if (ordinal - p.tail_base >= p.tail.size()) {
+    if (ordinal - p.tail_base >= p.tail.num_rows) {
       return Status::Internal("rid ordinal out of range in " + name_);
     }
     loc.segment = static_cast<uint32_t>(p.sealed.size());
@@ -291,11 +333,10 @@ Result<Table::RowLocation> Table::LocateRow(uint32_t partition,
 }
 
 Row Table::SegmentPin::RowAt(size_t row) const {
-  if (rows_ != nullptr) return (*rows_)[row];
   Row out;
   out.reserve(batch_->columns.size());
-  for (size_t c = 0; c < batch_->columns.size(); ++c) {
-    out.push_back(Cell(row, c));
+  for (const ColumnVector& col : batch_->columns) {
+    out.push_back(col.GetValue(row));
   }
   return out;
 }
@@ -354,8 +395,7 @@ Status Table::CreateIndex(const std::string& name,
   auto idx = std::make_unique<IndexDef>();
   idx->name = name;
   idx->columns = columns;
-  idx->tree = std::make_unique<storage::BTreeIndex>(columns.size());
-  RADB_RETURN_NOT_OK(IndexStoredRows(idx.get()));
+  RADB_RETURN_NOT_OK(BuildIndex(*idx));
   indexes_.push_back(std::move(idx));
   BumpVersion();
   return Status::OK();
@@ -383,16 +423,14 @@ IndexDef* Table::FindIndex(const std::string& name) {
 
 Status Table::RebuildIndexes() {
   for (auto& idx : indexes_) {
-    idx->tree = std::make_unique<storage::BTreeIndex>(idx->columns.size());
     idx->degraded = false;
-    idx->dirty = true;
     if (idx->on_disk) {
       dead_records_.push_back(idx->record);
       idx->on_disk = false;
     }
+    RADB_RETURN_NOT_OK(BuildIndex(*idx));
   }
-  if (indexes_.empty()) return Status::OK();
-  return IndexStoredRows(nullptr);
+  return Status::OK();
 }
 
 // -- Persistence -----------------------------------------------------
@@ -436,19 +474,23 @@ Result<std::vector<Table::PartitionManifest>> Table::CheckpointSegments() {
         RADB_ASSIGN_OR_RETURN(s.record, file_->AppendRecord(bytes));
         s.on_disk = true;
         if (pool_ != nullptr) {
-          // The rows stop being dirty weight and become a clean,
-          // evictable cache entry, primed with the batch decoded from
-          // the bytes just written (exactly what a later miss loads)
-          // so the working set stays warm across a checkpoint.
+          // The batch stops being dirty weight and becomes a clean,
+          // evictable cache entry, charged at its record's size as a
+          // later miss would load it, so the working set stays warm
+          // across a checkpoint.
           pool_->Discharge(s.payload_bytes);
           storage::BufferPool::Key key;
           key.table = id_;
           key.partition = static_cast<uint32_t>(p);
           key.segment = static_cast<uint32_t>(si);
+          storage::BufferPool::LoadedSegment loaded;
+          loaded.batch = std::move(s.resident);
+          loaded.charge = bytes.size();
           auto primed = pool_->GetOrLoad(
-              key, [this, &bytes] { return LoadSegment(bytes); });
+              key, [&loaded]() -> Result<storage::BufferPool::LoadedSegment> {
+                return std::move(loaded);
+              });
           if (!primed.ok()) return primed.status();
-          s.resident.reset();
         }
       }
       SegmentManifest sm;
@@ -493,7 +535,7 @@ Status Table::RestorePartition(size_t partition,
     return Status::Internal("restore partition out of range in " + name_);
   }
   PartitionData& p = parts_[partition];
-  if (!p.sealed.empty() || !p.tail.empty()) {
+  if (!p.sealed.empty() || p.tail.num_rows > 0) {
     return Status::Internal("restore into non-empty partition of " + name_);
   }
   uint64_t base = 0;

@@ -43,9 +43,10 @@ struct Partitioning {
 /// flips when a non-NULL, non-INTEGER value lands in an indexed
 /// column: the tree can no longer answer range predicates faithfully,
 /// so the optimizer stops using it (the table stays fully correct —
-/// scans never depended on it). NULLs are simply absent from the
-/// tree, which is safe because every predicate the optimizer rewrites
-/// into an index probe is false on NULL.
+/// scans never depended on it), and a build leaves its tree empty.
+/// NULLs are simply absent from the tree, which is safe because every
+/// predicate the optimizer rewrites into an index probe is false on
+/// NULL.
 struct IndexDef {
   std::string name;
   std::vector<size_t> columns;
@@ -70,13 +71,20 @@ struct IndexDef {
 /// entries stay valid across seals and checkpoints; only
 /// RepartitionByHash reassigns them, and that rebuilds every index.
 ///
+/// Every segment is a ColumnBatch from the insert on: the open tail
+/// appends each row into its lanes (the segment lane rule of
+/// AppendSegmentRow: typed while a column is kind-pure in the segment,
+/// a Value lane from its first cell of another kind), and sealing
+/// moves that batch into the segment list.
+///
 /// Residency: an in-memory table keeps every segment resident. A table
-/// attached to a persistent store (AttachStore) serves checkpointed
-/// segments through the BufferPool — PinSegment faults them in from
-/// the table's page file on demand — so the table can be far larger
-/// than RAM. Readers hold SegmentPins for exactly the segment they are
-/// walking. Mutation and reads are separated by the service's catalog
-/// latch, as before.
+/// attached to a persistent store (AttachStore) keeps a sealed segment
+/// resident until a checkpoint writes it, then hands its batch to the
+/// BufferPool, which serves it from then on — PinSegment faults it back
+/// in from the table's page file after an eviction — so the table can
+/// be far larger than RAM. Readers hold SegmentPins for exactly the
+/// segment they are walking. Mutation and reads are separated by the
+/// service's catalog latch, as before.
 class Table {
  public:
   static constexpr size_t kDefaultSegmentBytes = 64 * 1024;
@@ -108,8 +116,14 @@ class Table {
   /// Appends a row, validating arity and (known) types/dims against
   /// the schema; placed round-robin.
   Status Insert(Row row);
-  /// Bulk append with round-robin placement.
+  /// Bulk append with round-robin placement. Every row is validated
+  /// before any is placed, so a failing call inserts nothing.
   Status InsertAll(std::vector<Row> rows);
+  /// InsertAll's validation alone, for a caller that logs the rows
+  /// between validating and placing them: the first row's refusal.
+  Status ValidateRows(const std::vector<Row>& rows) const;
+  /// InsertAll without its validation, for rows ValidateRows passed.
+  void InsertValidated(std::vector<Row> rows);
 
   /// Re-shards all rows by hash of `column`; updates partitioning
   /// metadata and rebuilds every index (ordinals change). Used by
@@ -118,41 +132,31 @@ class Table {
 
   // -- Segment access ------------------------------------------------
 
-  /// A pinned, immutable view of one segment, valid until destroyed.
-  /// A resident segment (in-memory table, open tail, sealed segment not
-  /// yet checkpointed) is its RowSet; a checkpointed segment of a
-  /// persistent table is the ColumnBatch the buffer pool decoded from
-  /// its record, held by a pool pin. Row consumers read either through
-  /// Cell/RowAt; the batch scan copies a pool batch's lanes directly.
+  /// A pinned, immutable view of one segment's batch, valid until
+  /// destroyed: a sealed resident segment's (shared with the segment),
+  /// a checkpointed segment's (held by a buffer-pool pin), or the open
+  /// tail itself. Row consumers read it through Cell/RowAt; the batch
+  /// scan copies its lanes directly.
   class SegmentPin {
    public:
     SegmentPin() = default;
-    size_t num_rows() const {
-      return rows_ != nullptr ? rows_->size() : batch_->num_rows;
-    }
-    /// Cell (row, column) of the segment, whichever form it has.
+    size_t num_rows() const { return batch_->num_rows; }
+    /// Cell (row, column) of the segment.
     Value Cell(size_t row, size_t column) const {
-      return rows_ != nullptr ? (*rows_)[row][column]
-                              : batch_->columns[column].GetValue(row);
+      return batch_->columns[column].GetValue(row);
     }
     /// A copy of one whole row.
     Row RowAt(size_t row) const;
-    /// The resident rows, or null for a pool batch.
-    const RowSet* resident_rows() const { return rows_; }
-    /// The pool batch, or null for resident rows.
-    const ColumnBatch* batch() const { return batch_; }
+    const ColumnBatch& batch() const { return *batch_; }
     /// Ordinal of the segment's first row within its partition.
     uint64_t ordinal_base() const { return base_; }
-    explicit operator bool() const {
-      return rows_ != nullptr || batch_ != nullptr;
-    }
+    explicit operator bool() const { return batch_ != nullptr; }
 
    private:
     friend class Table;
-    const RowSet* rows_ = nullptr;
     const ColumnBatch* batch_ = nullptr;
     uint64_t base_ = 0;
-    std::shared_ptr<const RowSet> owned_;
+    std::shared_ptr<const ColumnBatch> owned_;
     storage::BufferPool::Pin pool_pin_;
   };
 
@@ -231,8 +235,9 @@ class Table {
   /// Seals open tails, writes every not-yet-persisted segment and
   /// every dirty index image into the table's page file, frees
   /// records replaced since the last checkpoint, and returns the
-  /// manifest describing the persisted state. Freshly written
-  /// segments are primed into the buffer pool (evictable).
+  /// manifest describing the persisted state. Each freshly written
+  /// segment's batch, encoded from its lanes, is handed to the buffer
+  /// pool as a clean (evictable) entry: nothing is decoded.
   Result<std::vector<PartitionManifest>> CheckpointSegments();
   Result<std::vector<IndexManifest>> CheckpointIndexes();
 
@@ -254,12 +259,12 @@ class Table {
   void set_partitioning(const Partitioning& p) { partitioning_ = p; }
 
  private:
-  /// One sealed, immutable run of rows. `resident` holds the rows
+  /// One sealed, immutable run of rows. `resident` holds its batch
   /// while the segment has not been checkpointed (or the table is
   /// in-memory); checkpointed segments drop `resident` and are served
   /// through the buffer pool keyed (table id, partition, index).
   struct Segment {
-    std::shared_ptr<const RowSet> resident;
+    std::shared_ptr<const ColumnBatch> resident;
     storage::RecordId record;
     bool on_disk = false;
     uint64_t num_rows = 0;
@@ -268,22 +273,21 @@ class Table {
   };
   struct PartitionData {
     std::vector<Segment> sealed;
-    RowSet tail;
+    ColumnBatch tail;  // a segment batch (AppendSegmentRow)
     uint64_t tail_base = 0;   // ordinal of the first tail row
     size_t tail_bytes = 0;    // approx payload bytes in the tail
   };
 
   Status ValidateRow(const Row& row) const;
   void BumpVersion() { version_.fetch_add(1, std::memory_order_acq_rel); }
-  void PlaceRow(Row row, size_t partition);
+  /// Places a validated row round-robin: kind flags, indexes, tail.
+  void Append(const Row& row);
+  void PlaceRow(const Row& row, size_t partition);
   void SealTail(size_t partition);
-  void MaybeSealTail(size_t partition);
-  Status IndexRow(const Row& row, storage::Rid rid);
-  /// Adds `rid` to `idx` under the key `cell(column)` reads.
-  template <class CellFn>
-  Status InsertIntoIndex(IndexDef& idx, const CellFn& cell, storage::Rid rid);
-  /// Adds every stored row to `target`, or to every index when null.
-  Status IndexStoredRows(IndexDef* target);
+  /// Adds `rid` to every index under the row's key.
+  void IndexRow(const Row& row, storage::Rid rid);
+  /// Rebuilds `idx` bottom-up from the stored rows' key lanes.
+  Status BuildIndex(IndexDef& idx);
   Status RebuildIndexes();
   /// A buffer-pool entry for segment record `record`: its decoded
   /// batch, charged at the record's size.

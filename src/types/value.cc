@@ -158,8 +158,13 @@ bool Value::Equals(const Value& other) const {
 }
 
 Result<int> Value::Compare(const Value& other) const {
-  // Numeric kinds compare through double; strings lexicographically.
+  // Two INTEGERs compare exactly, as a B+ tree compares its keys; other
+  // numeric kinds compare through double; strings lexicographically.
   const TypeKind a = kind(), b = other.kind();
+  if (a == TypeKind::kInteger && b == TypeKind::kInteger) {
+    const int64_t x = int_value(), y = other.int_value();
+    return x < y ? -1 : (x > y ? 1 : 0);
+  }
   const bool a_num = (a == TypeKind::kInteger || a == TypeKind::kDouble ||
                       a == TypeKind::kBoolean || a == TypeKind::kLabeledScalar);
   const bool b_num = (b == TypeKind::kInteger || b == TypeKind::kDouble ||

@@ -301,7 +301,9 @@ Result<Value> EvalCompare(CompareOp op, const Value& lhs, const Value& rhs) {
     // Deep equality works for every kind, including LA values.
     const TypeKind lk = lhs.kind(), rk = rhs.kind();
     bool eq;
-    if (IsScalarNumeric(lk) && IsScalarNumeric(rk)) {
+    if (lk == TypeKind::kInteger && rk == TypeKind::kInteger) {
+      eq = lhs.int_value() == rhs.int_value();  // exact, as Value::Compare
+    } else if (IsScalarNumeric(lk) && IsScalarNumeric(rk)) {
       RADB_ASSIGN_OR_RETURN(double a, lhs.AsDouble());
       RADB_ASSIGN_OR_RETURN(double b, rhs.AsDouble());
       eq = (a == b);

@@ -13,6 +13,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -26,6 +27,7 @@
 #include <gtest/gtest.h>
 
 #include "api/database.h"
+#include "common/rng.h"
 #include "storage/btree.h"
 #include "storage/buffer_pool.h"
 #include "storage/pager.h"
@@ -228,6 +230,252 @@ TEST(BTreeIndexTest, CompositeKeysAndSerializeRoundTrip) {
   (*restored)->Range(lo, hi, &out2);
   ASSERT_EQ(out2.size(), out.size());
   for (size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], out2[i]);
+}
+
+// ---- B+ tree bulk build ----------------------------------------------
+
+enum class KeyOrder { kSorted, kReverse, kShuffled, kAllEqual };
+
+using Key = std::array<int64_t, BTreeIndex::kMaxKeyColumns>;
+
+/// `n` keys of `key_len` columns in `order`, negative ones included; a
+/// 2-column key splits one integer into (quotient, remainder), which
+/// keeps its order.
+std::vector<Key> MakeKeys(KeyOrder order, size_t n, size_t key_len,
+                          Rng& rng) {
+  std::vector<int64_t> base(n);
+  for (size_t i = 0; i < n; ++i) {
+    base[i] = static_cast<int64_t>(i) - static_cast<int64_t>(n / 2);
+  }
+  switch (order) {
+    case KeyOrder::kSorted:
+      break;
+    case KeyOrder::kReverse:
+      std::reverse(base.begin(), base.end());
+      break;
+    case KeyOrder::kShuffled:
+      for (size_t i = n; i > 1; --i) {
+        std::swap(base[i - 1], base[rng.NextBelow(i)]);
+      }
+      break;
+    case KeyOrder::kAllEqual:
+      std::fill(base.begin(), base.end(), 5);
+      break;
+  }
+  std::vector<Key> keys(n);
+  for (size_t i = 0; i < n; ++i) {
+    keys[i] = key_len == 1 ? Key{base[i], 0} : Key{base[i] / 37, base[i] % 37};
+  }
+  return keys;
+}
+
+Rid RidOf(size_t i) {
+  return Rid{static_cast<uint32_t>(i % 3), static_cast<uint64_t>(i)};
+}
+
+/// The reference tree: `keys` inserted one by one, key i -> RidOf(i).
+std::unique_ptr<BTreeIndex> InsertOneByOne(size_t key_len,
+                                           const std::vector<Key>& keys) {
+  auto tree = std::make_unique<BTreeIndex>(key_len);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    tree->Insert(keys[i].data(), RidOf(i));
+  }
+  return tree;
+}
+
+/// The same entries bulk-built from three runs (i % 3), each in seq
+/// order, as a table's partitions hand them over.
+std::unique_ptr<BTreeIndex> BuildInRuns(size_t key_len,
+                                        const std::vector<Key>& keys) {
+  std::vector<std::vector<BTreeIndex::Entry>> runs(3);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    runs[i % 3].push_back(BTreeIndex::Entry{keys[i], i, RidOf(i)});
+  }
+  return BTreeIndex::Build(key_len, std::move(runs), keys.size());
+}
+
+std::vector<Rid> RangeOf(const BTreeIndex& tree, const Key& lo,
+                         const Key& hi) {
+  std::vector<Rid> out;
+  tree.Range(lo.data(), hi.data(), &out);
+  return out;
+}
+
+/// `got` answers random, point and open-ended ranges as `want` does.
+void ExpectSameRanges(const BTreeIndex& want, const BTreeIndex& got,
+                      int64_t span, Rng& rng) {
+  const auto pick = [&] {
+    return static_cast<int64_t>(rng.NextBelow(2 * span + 5)) - span - 2;
+  };
+  const Key min{INT64_MIN, INT64_MIN}, max{INT64_MAX, INT64_MAX};
+  ASSERT_EQ(RangeOf(got, min, max), RangeOf(want, min, max));
+  for (int i = 0; i < 12; ++i) {
+    Key lo{pick(), pick() % 40}, hi{pick(), pick() % 40};
+    if (hi < lo) std::swap(lo, hi);
+    ASSERT_EQ(RangeOf(got, lo, hi), RangeOf(want, lo, hi));
+    ASSERT_EQ(RangeOf(got, lo, lo), RangeOf(want, lo, lo));
+    ASSERT_EQ(RangeOf(got, lo, max), RangeOf(want, lo, max));
+    ASSERT_EQ(RangeOf(got, min, hi), RangeOf(want, min, hi));
+    // The first column pinned, the second open: a tile-row slice.
+    const Key row_lo{lo[0], INT64_MIN}, row_hi{lo[0], INT64_MAX};
+    ASSERT_EQ(RangeOf(got, row_lo, row_hi), RangeOf(want, row_lo, row_hi));
+  }
+}
+
+TEST(BTreeBulkBuildTest, MatchesInsertingOneByOne) {
+  Rng rng(23);
+  for (KeyOrder order : {KeyOrder::kSorted, KeyOrder::kReverse,
+                         KeyOrder::kShuffled, KeyOrder::kAllEqual}) {
+    for (size_t key_len : {1, 2}) {
+      for (size_t n : {0, 1, 63, 64, 65, 4033, 100000}) {
+        SCOPED_TRACE("order " + std::to_string(static_cast<int>(order)) +
+                     " key_len " + std::to_string(key_len) + " n " +
+                     std::to_string(n));
+        const std::vector<Key> keys = MakeKeys(order, n, key_len, rng);
+        const auto want = InsertOneByOne(key_len, keys);
+        const auto bulk = BuildInRuns(key_len, keys);
+        auto restored = BTreeIndex::Deserialize(want->Serialize());
+        ASSERT_TRUE(restored.ok()) << restored.status();
+        EXPECT_EQ(bulk->size(), n);
+        ASSERT_EQ(bulk->Serialize(), want->Serialize());
+        ASSERT_EQ((*restored)->Serialize(), want->Serialize());
+        // Full leaves take fewer nodes than split-as-you-go ones.
+        EXPECT_LE(bulk->byte_size(), want->byte_size());
+        const int64_t span = static_cast<int64_t>(n / 2) + 1;
+        ExpectSameRanges(*want, *bulk, span, rng);
+        ExpectSameRanges(*want, **restored, span, rng);
+        // Rows that arrive after the build go in one by one.
+        for (size_t j = 0; j < 300; ++j) {
+          const int64_t k0 =
+              static_cast<int64_t>(rng.NextBelow(2 * span + 1)) - span;
+          const Key k{k0, key_len == 1
+                              ? 0
+                              : static_cast<int64_t>(rng.NextBelow(37))};
+          const Rid rid = RidOf(n + j);
+          want->Insert(k.data(), rid);
+          bulk->Insert(k.data(), rid);
+          (*restored)->Insert(k.data(), rid);
+        }
+        ASSERT_EQ(bulk->Serialize(), want->Serialize());
+        ASSERT_EQ((*restored)->Serialize(), want->Serialize());
+        ExpectSameRanges(*want, *bulk, span, rng);
+      }
+    }
+  }
+}
+
+TEST(BTreeBulkBuildTest, DeserializeRefusesABadImage) {
+  BTreeIndex tree(2);
+  for (int64_t i = 0; i < 5; ++i) {
+    const int64_t key[2] = {i / 2, i % 2};
+    tree.Insert(key, Rid{0, static_cast<uint64_t>(i)});
+  }
+  const std::string image = tree.Serialize();
+  ASSERT_TRUE(BTreeIndex::Deserialize(image).ok());
+  constexpr size_t kHeader = 24;  // key_len, count, next_seq
+  constexpr size_t kEntry = 40;   // two key columns, seq, partition, ordinal
+  ASSERT_EQ(image.size(), kHeader + 5 * kEntry);
+  const auto expect_invalid = [](const std::string& bytes,
+                                 const std::string& what) {
+    auto tree = BTreeIndex::Deserialize(bytes);
+    ASSERT_FALSE(tree.ok()) << what;
+    EXPECT_EQ(tree.status().code(), StatusCode::kInvalidArgument) << what;
+  };
+  const auto with_u64 = [&image](size_t off, uint64_t v) {
+    std::string bytes = image;
+    std::memcpy(bytes.data() + off, &v, sizeof(v));
+    return bytes;
+  };
+  for (size_t cut = 0; cut < image.size(); ++cut) {
+    expect_invalid(image.substr(0, cut), "cut at " + std::to_string(cut));
+  }
+  std::string swapped = image;
+  std::swap_ranges(swapped.begin() + kHeader + kEntry,
+                   swapped.begin() + kHeader + 2 * kEntry,
+                   swapped.begin() + kHeader + 2 * kEntry);
+  expect_invalid(swapped, "entries 1 and 2 swapped");
+  std::string duplicate = image;
+  duplicate.replace(kHeader + 2 * kEntry, kEntry,
+                    image.substr(kHeader + kEntry, kEntry));
+  expect_invalid(duplicate, "entry 1 twice");
+  expect_invalid(with_u64(8, 4), "count below the entries");
+  expect_invalid(with_u64(8, 6), "count above the entries");
+  expect_invalid(image + image.substr(kHeader + 4 * kEntry, kEntry),
+                 "an entry past the count");
+  expect_invalid(with_u64(16, 4), "seq 4 at next_seq");
+  expect_invalid(with_u64(16, 0), "every seq at or above next_seq");
+  // The entry bytes stay as they were: only the header changed.
+  EXPECT_TRUE(BTreeIndex::Deserialize(with_u64(16, 9)).ok());
+}
+
+TEST(BTreeBulkBuildTest, TableBuildNumbersKeyedRowsInWalkOrder) {
+  const Schema schema({Column{"", "a", DataType::Integer()},
+                       Column{"", "b", DataType::Integer()},
+                       Column{"", "v", DataType::Double()}});
+  Table t("t", schema, 4);
+  auto row_of = [](int64_t i) {
+    return Row{i % 17 == 0 ? Value::Null() : Value::Int((i * 7919) % 1000),
+               i % 23 == 0 ? Value::Null() : Value::Int(i % 13),
+               Value::Double(0.5 * static_cast<double>(i))};
+  };
+  // Several sealed segments per partition plus an open tail.
+  for (int64_t i = 0; i < 40000; ++i) ASSERT_TRUE(t.Insert(row_of(i)).ok());
+  ASSERT_TRUE(t.CreateIndex("ab", {0, 1}).ok());
+  ASSERT_GT(t.NumSegments(0), 2u);
+
+  // Inserting the rows one by one in rid order, NULL keys skipped
+  // without a seq, numbers them as the bulk build does.
+  BTreeIndex want(2);
+  std::vector<uint64_t> rows_in(t.num_partitions());
+  for (size_t p = 0; p < t.num_partitions(); ++p) {
+    auto rows = t.GatherPartition(p);
+    ASSERT_TRUE(rows.ok()) << rows.status();
+    rows_in[p] = rows->size();
+    for (size_t r = 0; r < rows->size(); ++r) {
+      const Row& row = (*rows)[r];
+      if (row[0].is_null() || row[1].is_null()) continue;
+      const int64_t key[2] = {row[0].int_value(), row[1].int_value()};
+      want.Insert(key, Rid{static_cast<uint32_t>(p), r});
+    }
+  }
+  const IndexDef& idx = *t.indexes()[0];
+  EXPECT_FALSE(idx.degraded);
+  EXPECT_EQ(idx.tree->Serialize(), want.Serialize());
+
+  // Rows inserted after the build extend both alike.
+  for (int64_t i = 40000; i < 40300; ++i) {
+    const size_t p = t.next_rr() % t.num_partitions();
+    const Row row = row_of(i);
+    ASSERT_TRUE(t.Insert(row).ok());
+    if (!row[0].is_null() && !row[1].is_null()) {
+      const int64_t key[2] = {row[0].int_value(), row[1].int_value()};
+      want.Insert(key, Rid{static_cast<uint32_t>(p), rows_in[p]});
+    }
+    ++rows_in[p];
+  }
+  EXPECT_EQ(idx.tree->Serialize(), want.Serialize());
+}
+
+TEST(BTreeBulkBuildTest, ANonIntegerKeyDegradesTheIndex) {
+  const Schema schema({Column{"", "a", DataType::Integer()}});
+  // Numeric interchange admits an integral DOUBLE into an INTEGER column.
+  Table built("built", schema, 2);
+  for (const Value& v : {Value::Int(1), Value::Double(2.0), Value::Int(3)}) {
+    ASSERT_TRUE(built.Insert(Row{v}).ok());
+  }
+  ASSERT_TRUE(built.CreateIndex("a", {0}).ok());
+  EXPECT_TRUE(built.indexes()[0]->degraded);
+  EXPECT_EQ(built.indexes()[0]->tree->size(), 0u);
+  // A repartition rebuilds it, still degraded.
+  ASSERT_TRUE(built.RepartitionByHash(0).ok());
+  EXPECT_TRUE(built.indexes()[0]->degraded);
+
+  Table grown("grown", schema, 2);
+  ASSERT_TRUE(grown.CreateIndex("a", {0}).ok());
+  ASSERT_TRUE(grown.Insert(Row{Value::Int(1)}).ok());
+  EXPECT_FALSE(grown.indexes()[0]->degraded);
+  ASSERT_TRUE(grown.Insert(Row{Value::Double(2.0)}).ok());
+  EXPECT_TRUE(grown.indexes()[0]->degraded);
 }
 
 // ---- Buffer pool ---------------------------------------------------
@@ -1072,6 +1320,105 @@ TEST(CrashRecoveryTest, TornWalTailIsIgnored) {
   for (size_t i = 0; i < values.size(); ++i) {
     EXPECT_EQ(values[i], static_cast<int64_t>(i));
   }
+}
+
+// ---- Batch segments ---------------------------------------------------
+
+TEST(BatchSegmentTest, AKindImpureTailScansFetchesAndPersistsItsRows) {
+  TempDir dir;
+  Database::Config config = SmallConfig();
+  config.storage.segment_bytes = 512;  // several sealed segments each
+  // A DOUBLE column whose cells turn INTEGER mid-segment (numeric
+  // interchange): the segment's lane becomes a Value lane, and every
+  // read keeps each cell's kind.
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 300; ++i) {
+    rows.push_back({Value::Int(i), i % 7 == 3 ? Value::Int(i)
+                                              : Value::Double(0.5 * i)});
+  }
+  const auto expect_rows = [&rows](Database& db, const std::string& when) {
+    SCOPED_TRACE(when);
+    ExpectSameRows(Rows(db, "SELECT k, d FROM t ORDER BY k"), rows);
+    const std::string probe = "SELECT d FROM t WHERE k = 94";
+    auto plan = db.Explain(probe);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    EXPECT_NE(plan->find("t_k"), std::string::npos) << *plan;
+    const RowSet hit = Rows(db, probe);
+    ASSERT_EQ(hit.size(), 1u);
+    EXPECT_EQ(hit[0][0].kind(), TypeKind::kInteger);
+    EXPECT_EQ(hit[0][0].int_value(), 94);
+  };
+  {
+    auto db = Database::Open(dir.path(), config);
+    ASSERT_TRUE(db.ok()) << db.status();
+    ASSERT_TRUE(Exec(**db, "CREATE TABLE t (k INTEGER, d DOUBLE)").ok());
+    ASSERT_TRUE(Exec(**db, "CREATE INDEX t_k ON t (k)").ok());
+    ASSERT_TRUE((*db)->BulkInsert("t", {rows.begin(), rows.begin() + 150})
+                    .ok());
+    ASSERT_TRUE((*db)->BulkInsert("t", {rows.begin() + 150, rows.end()})
+                    .ok());
+    expect_rows(**db, "resident segments and tails");
+    ASSERT_TRUE((*db)->Checkpoint().ok());
+    expect_rows(**db, "after a checkpoint");
+    ASSERT_TRUE((*db)->RepartitionTable("t", "k").ok());
+    expect_rows(**db, "after a repartition");
+    ASSERT_TRUE((*db)->Close().ok());
+  }
+  auto db = Database::Open(dir.path(), config);
+  ASSERT_TRUE(db.ok()) << db.status();
+  expect_rows(**db, "after a reopen");
+}
+
+// ---- Refused inserts ------------------------------------------------
+
+/// Copies the data directory `from` to `to` as it stands, as a crash
+/// would leave it (the lock file aside).
+void CopyDataDir(const std::string& from, const std::string& to) {
+  std::error_code ec;
+  fs::create_directory(to, ec);
+  for (const auto& entry : fs::directory_iterator(from)) {
+    if (!entry.is_regular_file()) continue;
+    if (entry.path().filename() == "radb.lock") continue;
+    fs::copy_file(entry.path(), to + "/" + entry.path().filename().string(),
+                  fs::copy_options::overwrite_existing, ec);
+    ASSERT_FALSE(ec) << ec.message();
+  }
+}
+
+int64_t CountRows(Database& db) {
+  const RowSet rows = Rows(db, "SELECT COUNT(*) FROM t");
+  return rows.size() == 1 ? rows[0][0].int_value() : -1;
+}
+
+TEST(InsertAtomicityTest, ARefusedInsertPlacesAndLogsNothing) {
+  TempDir dir;
+  TempDir copy;
+  {
+    auto db = Database::Open(dir.path(), SmallConfig());
+    ASSERT_TRUE(db.ok()) << db.status();
+    ASSERT_TRUE(Exec(**db, "CREATE TABLE t (a INTEGER, b INTEGER)").ok());
+    ASSERT_TRUE(Exec(**db, "INSERT INTO t VALUES (1, 2)").ok());
+    // The second row is refused, so the first is not inserted either.
+    auto refused = Exec(**db, "INSERT INTO t VALUES (3, 4), ('x', 5)");
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.status().code(), StatusCode::kTypeError);
+    EXPECT_EQ(CountRows(**db), 1);
+    const Status bulk = (*db)->BulkInsert(
+        "t", {Row{Value::Int(5), Value::Int(6)}, Row{Value::Int(7)}});
+    EXPECT_FALSE(bulk.ok());
+    EXPECT_EQ(CountRows(**db), 1);
+    // A crash now: the WAL holds the committed statements only.
+    CopyDataDir(dir.path(), copy.path());
+    ASSERT_TRUE((*db)->Close().ok());
+  }
+  auto db = Database::Open(copy.path(), SmallConfig());
+  ASSERT_TRUE(db.ok()) << db.status();
+  const RowSet rows = Rows(**db, "SELECT a, b FROM t");
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0][0].int_value(), 1);
+  EXPECT_EQ(rows[0][1].int_value(), 2);
+  ASSERT_TRUE(Exec(**db, "INSERT INTO t VALUES (3, 4)").ok());
+  EXPECT_EQ(CountRows(**db), 2);
 }
 
 }  // namespace

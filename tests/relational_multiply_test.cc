@@ -829,6 +829,58 @@ TEST(RelationalMultiplyVectorTest, EveryMaskOperatorAndEveryKeyPlacement) {
   }
 }
 
+TEST(RelationalMultiplyVectorTest, MaskKeysAbove2To53CompareExactly) {
+  // Through double, 2^53 + 1 would equal 2^53: the mask must compare
+  // the keys exactly, as the join's predicate does.
+  const int64_t big = int64_t{1} << 53;
+  VecTwins t;
+  const std::vector<VecRow> rows = {{I(big), I(0), Vec({1, 2})},
+                                    {I(big + 1), I(1), Vec({3, -1})},
+                                    {I(big + 2), I(2), Vec({0.5, 4})}};
+  t.LoadVec("p", 2, rows);
+  t.LoadVec("q", 2, rows);
+  for (const char* op : {"<>", "<", "<=", ">", ">="}) {
+    ExpectPath(t,
+               std::string("SELECT a.id, SUM(inner_product(a.v, b.v)) FROM p "
+                           "AS a, q AS b WHERE a.id ") +
+                   op + " b.id GROUP BY a.id",
+               "RelationalMultiply(kernel)");
+  }
+  // Each id pairs with both others.
+  auto rs = Exec(t.on,
+                 "SELECT a.id, SUM(inner_product(a.v, b.v)) FROM p AS a, q "
+                 "AS b WHERE a.id <> b.id GROUP BY a.id");
+  ASSERT_TRUE(rs.ok()) << rs.status();
+  for (const Row& row : Sorted(rs->rows)) {
+    const int64_t id = row[0].int_value();
+    double want = 0;
+    for (const VecRow& b : rows) {
+      if (b.id.int_value() == id) continue;
+      const la::Vector& x = rows[id - big].v.vector();
+      const la::Vector& y = b.v.vector();
+      want += x[0] * y[0] + x[1] * y[1];
+    }
+    EXPECT_EQ(row[1].double_value(), want) << id;
+  }
+
+  // The tuple coding's mask on its groups.
+  Twins tuple;
+  std::vector<Triple> triples;
+  for (int64_t k = 0; k < 3; ++k) {
+    for (int64_t i = 0; i < 3; ++i) {
+      triples.push_back({I(k), I(big + i), D(0.25 * double(k + 2 * i))});
+    }
+  }
+  tuple.Load("x", triples);
+  const std::string sql =
+      "SELECT x1.i, x2.i, SUM(x1.v * x2.v) FROM x AS x1, x AS x2 WHERE "
+      "x1.k = x2.k AND x1.i <> x2.i GROUP BY x1.i, x2.i";
+  ExpectPath(tuple, sql, "RelationalMultiply(kernel)");
+  auto groups = Exec(tuple.on, sql);
+  ASSERT_TRUE(groups.ok()) << groups.status();
+  EXPECT_EQ(groups->num_rows(), 6u);
+}
+
 TEST(RelationalMultiplyVectorTest, AViewReadTwiceIsSpooledOnce) {
   VecTwins t;
   t.LoadVec("p", 4, RandomVecRows(13, 20, 4, false));

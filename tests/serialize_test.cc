@@ -176,6 +176,28 @@ std::string StreamSegment(const RowSet& rows) {
   return os.str();
 }
 
+/// The record of `rows` as a table's open tail builds it: each row
+/// appended to a segment batch whose columns are declared with the
+/// kind of their first non-NULL cell, then encoded from the lanes.
+std::string EncodeSegment(const RowSet& rows) {
+  Schema schema;
+  const size_t width = rows.empty() ? 0 : rows[0].size();
+  for (size_t c = 0; c < width; ++c) {
+    DataType type;
+    for (const Row& row : rows) {
+      if (!row[c].is_null()) {
+        type = DataType(row[c].kind());
+        break;
+      }
+    }
+    schema.Add(Column{"", "c" + std::to_string(c), type});
+  }
+  ColumnBatch batch;
+  ResetSegment(schema, 0, &batch);
+  for (const Row& row : rows) AppendSegmentRow(row, &batch);
+  return radb::EncodeSegment(batch);
+}
+
 double DoubleFromBits(uint64_t bits) {
   double d;
   std::memcpy(&d, &bits, sizeof(d));
@@ -380,6 +402,78 @@ TEST(SegmentCodecTest, CorruptRecordsReturnAStatus) {
   // The same record decodes under no other width.
   const Schema narrow({Column{"", "b", DataType::Boolean()}});
   EXPECT_FALSE(DecodeSegment(record, narrow).ok());
+}
+
+/// A segment of `schema` holding `rows`, appended one by one.
+ColumnBatch SegmentOf(const Schema& schema, const RowSet& rows) {
+  ColumnBatch batch;
+  ResetSegment(schema, 0, &batch);
+  for (const Row& row : rows) AppendSegmentRow(row, &batch);
+  return batch;
+}
+
+/// The row codec's record of `rows`: a u64 count, then each row.
+std::string RowCodecSegment(const RowSet& rows) {
+  std::string out;
+  AppendU64(out, rows.size());
+  for (const Row& row : rows) AppendRowBinary(out, row);
+  return out;
+}
+
+TEST(SegmentBatchTest, EncodesEveryKindLikeTheRowCodec) {
+  const Schema schema = EveryKindSchema();
+  const RowSet rows = EveryKindRows();
+  const ColumnBatch batch = SegmentOf(schema, rows);
+  ASSERT_EQ(batch.num_rows, rows.size());
+  // The tail's lanes are the decoder's: typed for the scalar kinds,
+  // Value lanes for the rest.
+  auto decoded = DecodeSegment(RowCodecSegment(rows), schema);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  for (size_t c = 0; c < schema.size(); ++c) {
+    EXPECT_EQ(batch.columns[c].values, (*decoded)->columns[c].values)
+        << "col " << c;
+    EXPECT_EQ(batch.columns[c].values, c >= 4) << "col " << c;
+    EXPECT_EQ(batch.columns[c].kind, (*decoded)->columns[c].kind)
+        << "col " << c;
+  }
+  EXPECT_EQ(EncodeSegment(batch), RowCodecSegment(rows));
+  // A lone cell of each kind, NULL included, encodes the same way.
+  for (const Row& row : rows) {
+    EXPECT_EQ(EncodeSegment(SegmentOf(schema, {row})),
+              RowCodecSegment({row}));
+  }
+  EXPECT_EQ(EncodeSegment(SegmentOf(schema, {})), RowCodecSegment({}));
+}
+
+TEST(SegmentBatchTest, KindImpureCellTurnsTheTailColumnIntoAValueLane) {
+  const Schema schema({Column{"", "d", DataType::Double()},
+                       Column{"", "i", DataType::Integer()}});
+  const double nan = DoubleFromBits(0x7ff4000000000123ull);
+  const RowSet rows = {
+      {Value::Double(-0.0), Value::Int(std::numeric_limits<int64_t>::min())},
+      {Value::Double(nan), Value::Null()},
+      {Value::Int(7), Value::Int(std::numeric_limits<int64_t>::max())},
+      {Value::Double(std::numeric_limits<double>::infinity()),
+       Value::Double(2.0)},
+      {Value::Null(), Value::Int(3)},
+  };
+  ColumnBatch batch;
+  ResetSegment(schema, 0, &batch);
+  for (size_t r = 0; r < rows.size(); ++r) {
+    AppendSegmentRow(rows[r], &batch);
+    // Typed until the row that brings another kind, a Value lane after.
+    EXPECT_EQ(batch.columns[0].values, r >= 2) << "row " << r;
+    EXPECT_EQ(batch.columns[1].values, r >= 3) << "row " << r;
+  }
+  for (size_t r = 0; r < rows.size(); ++r) {
+    for (size_t c = 0; c < schema.size(); ++c) {
+      EXPECT_EQ(StreamBytes(batch.columns[c].GetValue(r)),
+                StreamBytes(rows[r][c]))
+          << "row " << r << " col " << c;
+    }
+  }
+  EXPECT_EQ(EncodeSegment(batch), RowCodecSegment(rows));
+  ExpectDecodesLikeTheStream(EncodeSegment(batch), schema);
 }
 
 TEST(CsvTest, RoundTripAllKinds) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "api/database.h"
 
 #include "test_util.h"
@@ -20,6 +23,59 @@ class SqlBasicTest : public ::testing::Test {
   }
   Database db_;
 };
+
+// Two INTEGERs compare exactly, above 2^53 too, as the B+ tree compares
+// its keys: an index never changes an answer.
+TEST(IntegerCompareTest, KeysAbove2To53CompareExactly) {
+  Database db;
+  // 2^53 + 1 comes first: a compare through double ties it with 2^53
+  // and keeps whichever it saw first.
+  ASSERT_TRUE(
+      Exec(db, "CREATE TABLE big (k INTEGER, tc INTEGER, g INTEGER)").ok());
+  ASSERT_TRUE(Exec(db, "INSERT INTO big VALUES (9007199254740993, 2, 0), "
+                       "(9007199254740992, 1, 0)")
+                  .ok());
+  const std::string count =
+      "SELECT COUNT(*) FROM big WHERE k = 9007199254740993";
+  auto rs = Exec(db, count);
+  ASSERT_TRUE(rs.ok()) << rs.status();
+  EXPECT_EQ(rs->at(0, 0).int_value(), 1);
+  ASSERT_TRUE(Exec(db, "CREATE INDEX big_k ON big (k)").ok());
+  auto plan = db.Explain(count);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  EXPECT_NE(plan->find("big_k"), std::string::npos) << *plan;
+  rs = Exec(db, count);
+  ASSERT_TRUE(rs.ok()) << rs.status();
+  EXPECT_EQ(rs->at(0, 0).int_value(), 1);
+
+  rs = Exec(db, "SELECT a.k = b.k, a.k > b.k, a.k <> b.k FROM big AS a, "
+                "big AS b WHERE a.tc = 2 AND b.tc = 1");
+  ASSERT_TRUE(rs.ok()) << rs.status();
+  ASSERT_EQ(rs->num_rows(), 1u);
+  EXPECT_FALSE(rs->at(0, 0).bool_value());
+  EXPECT_TRUE(rs->at(0, 1).bool_value());
+  EXPECT_TRUE(rs->at(0, 2).bool_value());
+
+  const int64_t lo = int64_t{1} << 53;
+  for (const char* sql : {"SELECT MIN(k), MAX(k) FROM big",
+                          "SELECT MIN(k), MAX(k) FROM big GROUP BY g"}) {
+    rs = Exec(db, sql);
+    ASSERT_TRUE(rs.ok()) << rs.status();
+    ASSERT_EQ(rs->num_rows(), 1u) << sql;
+    EXPECT_EQ(rs->at(0, 0).int_value(), lo) << sql;
+    EXPECT_EQ(rs->at(0, 1).int_value(), lo + 1) << sql;
+  }
+  rs = Exec(db, "SELECT tc FROM big ORDER BY k");
+  ASSERT_TRUE(rs.ok()) << rs.status();
+  ASSERT_EQ(rs->num_rows(), 2u);
+  EXPECT_EQ(rs->at(0, 0).int_value(), 1);
+  EXPECT_EQ(rs->at(1, 0).int_value(), 2);
+  rs = Exec(db, "SELECT tc FROM big ORDER BY k DESC");
+  ASSERT_TRUE(rs.ok()) << rs.status();
+  ASSERT_EQ(rs->num_rows(), 2u);
+  EXPECT_EQ(rs->at(0, 0).int_value(), 2);
+  EXPECT_EQ(rs->at(1, 0).int_value(), 1);
+}
 
 TEST_F(SqlBasicTest, SelectStar) {
   auto rs = Exec(db_, "SELECT * FROM t");
