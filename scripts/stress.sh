@@ -25,7 +25,7 @@ cmake --build "$BUILD_DIR" -j "$JOBS" \
   --target common_test service_test cancel_test systab_test vectorized_test \
   cache_test persist_test storage_test serialize_test sparse_test \
   spool_test la_test tiled_test \
-  kernel_test sql_la_test sql_agg_test spill_exec_test \
+  kernel_test sql_la_test sql_agg_test exec_test spill_exec_test \
   relational_multiply_test ablation_concurrency ablation_cache \
   ablation_storage ablation_sparse fuzz_queries
 
@@ -47,7 +47,7 @@ export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:die_after_fork=0}"
 (cd "$BUILD_DIR" && ctest -L obs --output-on-failure)
 
 # Budget suites: spill, Grace join and aggregation admission, and the
-# SQL-LA / tiled / aggregation suites rerun under a
+# SQL-LA / aggregation / executor / batch-engine suites rerun under a
 # 16 MB budget — spill buffers and the shared tracker are touched from
 # every worker thread (same label scripts/fuzz.sh runs under ASan).
 (cd "$BUILD_DIR" && ctest -L memory_budget --output-on-failure)

@@ -371,10 +371,13 @@ Status Database::Close() {
 }
 
 Status Database::LogMutation(
-    const std::function<Status(storage::TableStore&)>& log) {
-  if (store_ == nullptr) return Status::OK();
-  RADB_RETURN_NOT_OK(log(*store_));
-  return store_->MaybeAutoCheckpoint();
+    const std::function<Status(storage::TableStore&)>& log,
+    const std::function<Status()>& apply) {
+  if (store_ != nullptr) RADB_RETURN_NOT_OK(log(*store_));
+  if (apply) RADB_RETURN_NOT_OK(apply());
+  // Only now may the record trigger a checkpoint: the snapshot must
+  // hold the change before the WAL that carried it rotates away.
+  return store_ != nullptr ? store_->MaybeAutoCheckpoint() : Status::OK();
 }
 
 Result<std::shared_ptr<Table>> Database::CreateTable(const std::string& table,
@@ -400,17 +403,13 @@ Status Database::BulkInsert(const std::string& table, std::vector<Row> rows) {
   // replay would fail on.
   RADB_RETURN_NOT_OK(t->ValidateRows(rows));
   RADB_RETURN_NOT_OK(LogMutation(
-      [&](storage::TableStore& s) { return s.LogInsert(t->name(), rows); }));
-  t->InsertValidated(std::move(rows));
+      [&](storage::TableStore& s) { return s.LogInsert(t->name(), rows); },
+      [&] {
+        t->InsertValidated(std::move(rows));
+        return Status::OK();
+      }));
   catalog_.BumpDataVersion();
   return Status::OK();
-}
-
-obs::ObsContext Database::QueryObs(const QueryOptions& options) {
-  obs::ObsContext obs = obs_context();
-  if (!options.trace) obs.tracer = nullptr;
-  if (!options.collect_metrics) obs.metrics = nullptr;
-  return obs;
 }
 
 size_t Database::QueryBudget(const QueryOptions& options) const {
@@ -485,7 +484,7 @@ Result<ResultSet> Database::RunSelect(const parser::SelectStmt& stmt,
                                       QueryStats* stats,
                                       obs::QueryRecord* record,
                                       const std::string* cache_key) {
-  const obs::ObsContext obs = QueryObs(options);
+  const obs::ObsContext obs = obs_context();
   // Result cache: replay a materialized result while every source
   // table (and the schema) is unchanged. Served only when this call's
   // budget is unlimited or at least the filling run's peak, so a
@@ -537,7 +536,7 @@ Result<Dist> Database::ExecutePlan(const LogicalOp& plan,
                                    QueryStats* stats, obs::QueryRecord* record,
                                    QueryMetrics* qm,
                                    NodeMetricIds* node_metrics) {
-  const obs::ObsContext obs = QueryObs(options);
+  const obs::ObsContext obs = obs_context();
   // Per-query memory governance: a fresh root tracker per statement,
   // so a ResourceExhausted query releases everything it charged and
   // the next query starts from a clean slate. Budget 0 = unlimited
@@ -615,7 +614,7 @@ Result<ResultSet> Database::RunExecutePrepared(const parser::Statement& stmt,
                                                const QueryOptions& options,
                                                QueryStats* stats,
                                                obs::QueryRecord* record) {
-  const obs::ObsContext obs = QueryObs(options);
+  const obs::ObsContext obs = obs_context();
   const std::string name = ToLower(stmt.relation_name);
   std::shared_ptr<PreparedStatement> prep;
   {
@@ -728,7 +727,7 @@ std::optional<ScriptResult> Database::ExecuteCachedOnly(
   if (!script.statements.empty()) {
     script.statements.front().wall_seconds = serve_micros * 1e-6;
   }
-  if (metrics_registry_ != nullptr && options.collect_metrics) {
+  if (metrics_registry_ != nullptr) {
     metrics_registry_->Add("cache.result_hits",
                            static_cast<int64_t>(hits.size()));
   }
@@ -833,10 +832,10 @@ Result<ScriptResult> Database::ExecuteScript(const std::string& sql,
                                              const QueryOptions& options,
                                              obs::QueryRecord* record) {
   const QueryOptions& opts = options;
-  if (tracer_ != nullptr && opts.trace) {
+  if (tracer_ != nullptr) {
     tracer_->Clear();  // trace covers the last call
   }
-  const obs::ObsContext obs = QueryObs(opts);
+  const obs::ObsContext obs = obs_context();
   obs::ScopedSpan query_span(obs.tracer, "query", "pipeline");
   query_span.AddArg("sql", sql);
   std::vector<parser::Statement> stmts;
@@ -915,19 +914,21 @@ Result<ScriptResult> Database::ExecuteScript(const std::string& sql,
                                                    std::move(schema)));
         if (store_ != nullptr) {
           RADB_RETURN_NOT_OK(store_->AttachNewTable(t));
-          // Two WAL records: create, then the SELECT's materialized
-          // output. A crash between them recovers an empty table —
-          // the same prefix-of-records guarantee every multi-
-          // statement script gets.
-          RADB_RETURN_NOT_OK(t->ValidateRows(rs.rows));
-          RADB_RETURN_NOT_OK(LogMutation([&](storage::TableStore& s) {
-            RADB_RETURN_NOT_OK(s.LogCreateTable(t->name(), t->schema()));
-            return s.LogInsert(t->name(), rs.rows);
-          }));
-          t->InsertValidated(std::move(rs.rows));
-        } else {
-          RADB_RETURN_NOT_OK(t->InsertAll(std::move(rs.rows)));
         }
+        // Two WAL records: create, then the SELECT's materialized
+        // output. A crash between them recovers an empty table — the
+        // same prefix-of-records guarantee every multi-statement
+        // script gets.
+        RADB_RETURN_NOT_OK(t->ValidateRows(rs.rows));
+        RADB_RETURN_NOT_OK(LogMutation(
+            [&](storage::TableStore& s) {
+              RADB_RETURN_NOT_OK(s.LogCreateTable(t->name(), t->schema()));
+              return s.LogInsert(t->name(), rs.rows);
+            },
+            [&] {
+              t->InsertValidated(std::move(rs.rows));
+              return Status::OK();
+            }));
         break;
       }
       case parser::Statement::Kind::kCreateView: {
@@ -977,10 +978,14 @@ Result<ScriptResult> Database::ExecuteScript(const std::string& sql,
         // statement, while the rows are still materialized), then
         // apply in memory: a refused row inserts and logs nothing.
         RADB_RETURN_NOT_OK(t->ValidateRows(rows));
-        RADB_RETURN_NOT_OK(LogMutation([&](storage::TableStore& s) {
-          return s.LogInsert(t->name(), rows);
-        }));
-        t->InsertValidated(std::move(rows));
+        RADB_RETURN_NOT_OK(LogMutation(
+            [&](storage::TableStore& s) {
+              return s.LogInsert(t->name(), rows);
+            },
+            [&] {
+              t->InsertValidated(std::move(rows));
+              return Status::OK();
+            }));
         // Retire cached plans (their cardinality estimates are stale);
         // result entries invalidate via the table's own version.
         catalog_.BumpDataVersion();
@@ -992,11 +997,13 @@ Result<ScriptResult> Database::ExecuteScript(const std::string& sql,
           // WAL before unlink: a crash in between replays the drop
           // and detaches then; the reverse order would delete a page
           // file the snapshot still references.
-          RADB_RETURN_NOT_OK(LogMutation([&](storage::TableStore& s) {
-            return s.LogDropTable(ToLower(stmt.relation_name));
-          }));
-          RADB_RETURN_NOT_OK(
-              store_->DetachTable(ToLower(stmt.relation_name)));
+          RADB_RETURN_NOT_OK(LogMutation(
+              [&](storage::TableStore& s) {
+                return s.LogDropTable(ToLower(stmt.relation_name));
+              },
+              [&] {
+                return store_->DetachTable(ToLower(stmt.relation_name));
+              }));
         }
         break;
       case parser::Statement::Kind::kDropView:
@@ -1138,7 +1145,7 @@ Result<ResultSet> Database::ExplainAnalyzeSelect(
   bool plan_hit = false;
   RADB_ASSIGN_OR_RETURN(
       std::shared_ptr<const CachedPlan> entry,
-      PlanCached(stmt, cache_key, QueryObs(options), record, &plan_hit));
+      PlanCached(stmt, cache_key, obs_context(), record, &plan_hit));
   const LogicalOp& plan = *entry->plan;
 
   // Snapshot the sparse-dispatch counters so the footer can report
@@ -1208,10 +1215,9 @@ Status Database::RepartitionTable(const std::string& table,
   }
   RADB_ASSIGN_OR_RETURN(std::shared_ptr<Table> t, catalog_.GetTable(table));
   RADB_ASSIGN_OR_RETURN(size_t idx, t->schema().Resolve("", column));
-  RADB_RETURN_NOT_OK(LogMutation([&](storage::TableStore& s) {
-    return s.LogRepartition(t->name(), idx);
-  }));
-  RADB_RETURN_NOT_OK(t->RepartitionByHash(idx));
+  RADB_RETURN_NOT_OK(LogMutation(
+      [&](storage::TableStore& s) { return s.LogRepartition(t->name(), idx); },
+      [&] { return t->RepartitionByHash(idx); }));
   catalog_.BumpDataVersion();
   return Status::OK();
 }
@@ -1236,10 +1242,14 @@ Status Database::LoadTable(const std::string& table,
   }
   RADB_ASSIGN_OR_RETURN(RowSet rows, loaded->Gather());
   RADB_RETURN_NOT_OK(created->ValidateRows(rows));
-  RADB_RETURN_NOT_OK(LogMutation([&](storage::TableStore& s) {
-    return s.LogInsert(created->name(), rows);
-  }));
-  created->InsertValidated(std::move(rows));
+  RADB_RETURN_NOT_OK(LogMutation(
+      [&](storage::TableStore& s) {
+        return s.LogInsert(created->name(), rows);
+      },
+      [&] {
+        created->InsertValidated(std::move(rows));
+        return Status::OK();
+      }));
   catalog_.BumpDataVersion();
   return Status::OK();
 }

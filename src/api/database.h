@@ -78,12 +78,6 @@ struct QueryOptions {
   /// instead of the database's pool. 0 = use the database pool.
   /// Results are identical at every setting.
   size_t num_threads_override = 0;
-  /// When false, this call does not report to the metrics registry
-  /// (per-statement QueryStats are still collected — they are free).
-  bool collect_metrics = true;
-  /// When false, this call records no trace spans even when tracing
-  /// is configured on.
-  bool trace = true;
   /// Wall-clock deadline for the whole call, in milliseconds from the
   /// moment Execute starts (0 = none). The clock covers queue wait
   /// when the call goes through a service::Session. On expiry the
@@ -94,7 +88,7 @@ struct QueryOptions {
   /// and LA kernels poll it; Cancel() from any thread aborts the call
   /// with Cancelled. Execute creates one internally when deadline_ms
   /// is set without a token.
-  std::shared_ptr<CancellationToken> cancellation;
+  std::shared_ptr<CancellationToken> cancellation{};
   /// Query id used for spill-file attribution and thread-pool task
   /// tagging. 0 = the Database assigns a fresh id per call.
   uint64_t query_id = 0;
@@ -535,18 +529,20 @@ class Database {
   /// crosses Config::telemetry.slow_query_micros, emits one structured
   /// slow-query-log line.
   void RecordQueryTelemetry(obs::QueryRecord record);
-  /// The ObsContext for one call, with QueryOptions toggles applied.
-  obs::ObsContext QueryObs(const QueryOptions& options);
   /// The call's memory budget: QueryOptions over Config (0 = none).
   size_t QueryBudget(const QueryOptions& options) const;
   /// Rewrites trace/metrics files if Config::obs names paths.
   Status WriteObsFiles() const;
 
-  /// WAL-logs a committed mutating statement and runs the automatic
-  /// checkpoint check. No-op for an in-memory database; a logging
-  /// failure fails the statement (the in-memory effect stands, but
-  /// durability could not be guaranteed).
-  Status LogMutation(const std::function<Status(storage::TableStore&)>& log);
+  /// The one path of every mutating statement: WAL-logs it (`log`;
+  /// skipped for an in-memory database), applies it in memory (`apply`,
+  /// when the caller has not already), then runs the automatic
+  /// checkpoint check, so a checkpoint the record triggers holds the
+  /// change. A logging failure fails the statement before it is
+  /// applied; a caller that applied first keeps its in-memory effect,
+  /// but durability could not be guaranteed.
+  Status LogMutation(const std::function<Status(storage::TableStore&)>& log,
+                     const std::function<Status()>& apply = {});
 
   Config config_;
   Cluster cluster_;

@@ -367,7 +367,6 @@ Result<ExecResult> Executor::RunOp(const LogicalOp& op) {
   if (op.multiply.has_value()) return ExecuteMultiply(op);
   switch (op.kind) {
     case LogicalOp::Kind::kScan:
-      return ExecuteScan(op);
     case LogicalOp::Kind::kFilter:
     case LogicalOp::Kind::kProject:
     case LogicalOp::Kind::kAggregate:
@@ -382,138 +381,6 @@ Result<ExecResult> Executor::RunOp(const LogicalOp& op) {
       return ExecuteLimit(op);
   }
   return Status::Internal("unknown logical operator");
-}
-
-std::optional<size_t> Executor::ScanHashedSlot(const LogicalOp& op,
-                                               size_t workers) {
-  const Partitioning& part = op.table->partitioning();
-  if (part.kind == Partitioning::Kind::kHash &&
-      op.table->num_partitions() == workers) {
-    for (size_t i = 0; i < op.scan_columns.size(); ++i) {
-      if (op.scan_columns[i] == part.hash_column) return op.output[i].slot;
-    }
-  }
-  return std::nullopt;
-}
-
-Result<ExecResult> Executor::ExecuteScan(const LogicalOp& op) {
-  if (!op.index_name.empty() && !op.index_lo.empty()) {
-    // Stale annotations (index dropped or degraded after planning)
-    // fall through to the full scan, which is always correct.
-    const IndexDef* idx = op.table->FindIndex(op.index_name);
-    if (idx != nullptr && idx->usable()) {
-      return ExecuteIndexScan(op, *idx->tree);
-    }
-  }
-  OperatorMetrics* m = NewOp("Scan(" + op.table->name() + ")", op);
-  m->rows_in = op.table->num_rows();
-  const size_t w = cluster_.num_workers();
-  SpillableDist out = NewDist(w);
-  // Table partitions map onto workers round-robin when the counts
-  // differ; each worker walks its own partitions segment by segment,
-  // pinning one at a time (checkpointed segments fault in through the
-  // buffer pool, so the working set stays bounded even for tables far
-  // larger than RAM). The pinned base segments are not charged against
-  // the query budget — only the scanned-out copies are, and they spill
-  // under pressure.
-  RADB_RETURN_NOT_OK(ForEachWorker(w, [&](size_t target) -> Status {
-    const auto t0 = Clock::now();
-    SpillableRowBuffer& dst = out[target];
-    size_t since_check = 0;
-    for (size_t p = target; p < op.table->num_partitions(); p += w) {
-      const size_t nsegs = op.table->NumSegments(p);
-      for (size_t seg = 0; seg < nsegs; ++seg) {
-        RADB_ASSIGN_OR_RETURN(Table::SegmentPin pin,
-                              op.table->PinSegment(p, seg));
-        for (size_t r = 0; r < pin.num_rows(); ++r) {
-          if (mem_.cancel != nullptr && ++since_check >= kCancelCheckRows) {
-            since_check = 0;
-            RADB_RETURN_NOT_OK(mem_.cancel->Check());
-          }
-          Row projected;
-          projected.reserve(op.scan_columns.size());
-          for (size_t col : op.scan_columns) {
-            projected.push_back(pin.Cell(r, col));
-          }
-          RADB_RETURN_NOT_OK(dst.Append(std::move(projected)));
-        }
-      }
-    }
-    m->worker_seconds[target] += SecondsSince(t0);
-    return Status::OK();
-  }));
-  m->rows_out = SpillDistRowCount(out);
-  m->bytes_out = SpillDistByteSize(out);
-  CollectSpill(m, out);
-  return ExecResult{std::move(out), ScanHashedSlot(op, w)};
-}
-
-Result<ExecResult> Executor::ExecuteIndexScan(const LogicalOp& op,
-                                              const storage::BTreeIndex& tree) {
-  OperatorMetrics* m =
-      NewOp("IndexScan(" + op.table->name() + "." + op.index_name + ")", op);
-  const size_t w = cluster_.num_workers();
-
-  std::array<int64_t, storage::BTreeIndex::kMaxKeyColumns> lo, hi;
-  lo.fill(INT64_MIN);
-  hi.fill(INT64_MAX);
-  for (size_t k = 0; k < tree.key_len() && k < op.index_lo.size(); ++k) {
-    lo[k] = op.index_lo[k];
-    hi[k] = op.index_hi[k];
-  }
-  std::vector<storage::Rid> rids;
-  tree.Range(lo.data(), hi.data(), &rids);
-  m->rows_in = rids.size();
-
-  // Rows stay on the worker owning their partition (same round-robin
-  // map as the full scan); each worker emits in (partition, ordinal)
-  // order, i.e. the relative order the full scan would use.
-  std::vector<std::vector<storage::Rid>> per_worker(w);
-  for (const storage::Rid& rid : rids) {
-    per_worker[rid.partition % w].push_back(rid);
-  }
-  SpillableDist out = NewDist(w);
-  RADB_RETURN_NOT_OK(ForEachWorker(w, [&](size_t target) -> Status {
-    const auto t0 = Clock::now();
-    std::vector<storage::Rid>& mine = per_worker[target];
-    std::sort(mine.begin(), mine.end(),
-              [](const storage::Rid& a, const storage::Rid& b) {
-                return a.partition != b.partition
-                           ? a.partition < b.partition
-                           : a.ordinal < b.ordinal;
-              });
-    SpillableRowBuffer& dst = out[target];
-    size_t since_check = 0;
-    // Sorted rids visit each segment once; keep the current one pinned.
-    Table::SegmentPin pin;
-    uint32_t pin_part = 0, pin_seg = 0;
-    for (const storage::Rid& rid : mine) {
-      if (mem_.cancel != nullptr && ++since_check >= kCancelCheckRows) {
-        since_check = 0;
-        RADB_RETURN_NOT_OK(mem_.cancel->Check());
-      }
-      RADB_ASSIGN_OR_RETURN(Table::RowLocation loc,
-                            op.table->LocateRow(rid.partition, rid.ordinal));
-      if (!pin || pin_part != rid.partition || pin_seg != loc.segment) {
-        RADB_ASSIGN_OR_RETURN(pin,
-                              op.table->PinSegment(rid.partition, loc.segment));
-        pin_part = rid.partition;
-        pin_seg = loc.segment;
-      }
-      Row projected;
-      projected.reserve(op.scan_columns.size());
-      for (size_t col : op.scan_columns) {
-        projected.push_back(pin.Cell(loc.offset, col));
-      }
-      RADB_RETURN_NOT_OK(dst.Append(std::move(projected)));
-    }
-    m->worker_seconds[target] += SecondsSince(t0);
-    return Status::OK();
-  }));
-  m->rows_out = SpillDistRowCount(out);
-  m->bytes_out = SpillDistByteSize(out);
-  CollectSpill(m, out);
-  return ExecResult{std::move(out), ScanHashedSlot(op, w)};
 }
 
 Result<std::optional<ExecResult>> Executor::TryIndexJoin(const LogicalOp& op) {

@@ -75,10 +75,11 @@ struct ExecOptions {};
 /// growth) reserves hard and fails the query with ResourceExhausted,
 /// leaving the Database healthy.
 ///
-/// Filter, Project and Aggregate run on the batch engine
-/// (vectorized.cc): every chain of them executes as one pipeline over
-/// column batches. Scans, joins, DISTINCT, ORDER BY and LIMIT run
-/// operator at a time over rows.
+/// Scans, index scans, Filter, Project and Aggregate run on the batch
+/// engine (vectorized.cc): every chain of them executes as one pipeline
+/// over column batches, and it is the only code that reads table
+/// segments. Joins, DISTINCT, ORDER BY and LIMIT run operator at a
+/// time over rows.
 class Executor {
  public:
   /// `obs` carries the (optional) tracer and metrics registry; the
@@ -155,7 +156,8 @@ class Executor {
   /// it and, for a spool with later uses, holds the result.
   Result<ExecResult> DispatchOp(const LogicalOp& op);
   /// Runs `op` by its kind: a marked relational multiply goes to
-  /// ExecuteMultiply, a Filter/Project/Aggregate to ExecutePipeline.
+  /// ExecuteMultiply, a Scan/Filter/Project/Aggregate to
+  /// ExecutePipeline.
   Result<ExecResult> RunOp(const LogicalOp& op);
   struct HeldSpool;
   /// Keeps a spool producer's result for its later uses and returns a
@@ -169,16 +171,11 @@ class Executor {
   Result<SpillableDist> CopyDist(SpillableDist& src, OperatorMetrics* m);
   /// The batch engine (vectorized.cc): executes the chain `op` heads —
   /// Filter/Project nodes down to a scan or another operator, with an
-  /// optional Aggregate on top — batch at a time.
+  /// optional Aggregate on top — batch at a time. A bare Scan is a
+  /// chain of its own; a scan annotated with index bounds reads only
+  /// the rows its B+ tree returns, in the order a full scan would emit
+  /// them.
   Result<ExecResult> ExecutePipeline(const LogicalOp& op);
-  Result<ExecResult> ExecuteScan(const LogicalOp& op);
-  /// B+ tree range scan for a kScan annotated with index bounds by the
-  /// optimizer: probes the tree once, then materializes the matching
-  /// rows per worker in (partition, ordinal) order — the same relative
-  /// order a full scan would emit them, so downstream results are
-  /// bit-identical to the unindexed plan.
-  Result<ExecResult> ExecuteIndexScan(const LogicalOp& op,
-                                      const storage::BTreeIndex& tree);
   /// Index-nested-loop join for a kJoin annotated `index_nl`: probes
   /// the inner scan's B+ tree with each outer row's key instead of
   /// building a hash table. nullopt when the annotation is stale (index
@@ -208,13 +205,6 @@ class Executor {
 
   /// slot -> position map for an operator's output.
   static std::map<size_t, size_t> LayoutOf(const LogicalOp& op);
-
-  /// The placement of a base-table scan's output: the slot of the
-  /// table's hash column when the table is hash-partitioned with one
-  /// partition per worker, i.e. placed the way a join shuffle would
-  /// place it.
-  static std::optional<size_t> ScanHashedSlot(const LogicalOp& op,
-                                              size_t workers);
 
   /// `n` empty spillable buffers wired to this query's MemoryContext.
   SpillableDist NewDist(size_t n) const;

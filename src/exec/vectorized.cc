@@ -1,12 +1,21 @@
-// Filter, Project and Aggregate execution: the batch engine.
+// Scan, Filter, Project and Aggregate execution: the batch engine.
 //
-// Executor::ExecutePipeline stitches the chain a Filter, Project or
-// Aggregate node heads — Filter/Project middles down to a source (an
+// Executor::ExecutePipeline stitches the chain a Scan, Filter, Project
+// or Aggregate node heads — Filter/Project middles down to a source (an
 // in-chain Scan, or any other operator executed first as the chain's
 // boundary) and an optional Aggregate on top — and executes the whole
 // chain over ColumnBatches of kBatchRows lanes: a selection vector
 // instead of row copies for filters, and late materialization (rows
-// are rebuilt only at the sink or for emitted groups).
+// are rebuilt only at the sink or for emitted groups). A bare Scan is
+// a chain with no middles, so this is the only code that reads table
+// segments.
+//
+// Scans. A scan source copies runs of consecutive rows of one segment
+// into the batch by range. A full scan reads each segment as one run
+// and never lets a batch span two segments. An index range scan reads
+// only the rows its B+ tree returns, in (partition, ordinal) order —
+// the order a full scan would emit them — and packs its runs into a
+// batch until it fills.
 //
 // Lanes. A chain column gets a typed lane (contiguous primitive
 // payloads) when its static kind is a scalar and its source is
@@ -52,6 +61,7 @@
 // then the lowest worker, then the first row.
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -553,6 +563,21 @@ Result<const ColumnVector*> EvalV(VExpr& e,
       break;  // never batch-capable
   }
   return Status::Internal("expression is not vectorizable");
+}
+
+/// The placement of a base-table scan's output: the slot of the
+/// table's hash column when the table is hash-partitioned with one
+/// partition per worker, i.e. placed the way a join shuffle would
+/// place it.
+std::optional<size_t> ScanHashedSlot(const LogicalOp& op, size_t workers) {
+  const Partitioning& part = op.table->partitioning();
+  if (part.kind == Partitioning::Kind::kHash &&
+      op.table->num_partitions() == workers) {
+    for (size_t i = 0; i < op.scan_columns.size(); ++i) {
+      if (op.scan_columns[i] == part.hash_column) return op.output[i].slot;
+    }
+  }
+  return std::nullopt;
 }
 
 /// Sum of serialized lane bytes over the live lanes (matches
@@ -1333,7 +1358,8 @@ class VectorizedPipeline {
   /// positions, aggregate specs.
   Status PreparePlan();
   /// Metrics entries for the chain (the boundary subtree's were
-  /// already created by its own execution).
+  /// already created by its own execution), and an index scan's one
+  /// probe, whose rid count is its entry's rows_in.
   void PrepareMetrics();
   /// Compiles one worker's expression trees (scratches must not be
   /// shared across threads) and opens its first aggregation pass.
@@ -1351,19 +1377,34 @@ class VectorizedPipeline {
                     double* seconds, const std::function<Status()>& flush);
   /// Runs ctx.batch through the chain (through the aggregate stage
   /// alone when !run_stages) — cancel poll and transient memory
-  /// charge per batch — then resets it for the next fill.
-  Status FlushIngest(WorkerCtx& ctx, bool run_stages = true);
+  /// charge per batch — then resets it for the next fill. A scan's
+  /// batch is also counted as the source's output in `source`.
+  Status FlushIngest(WorkerCtx& ctx, bool run_stages = true,
+                     StageTally* source = nullptr);
   /// ProcessBatch with ctx.batch's `bytes` charged for its duration.
   void ProcessCharged(WorkerCtx& ctx, size_t bytes, bool run_stages);
-  /// Rows of a scan batch starting at `begin`: at most `count`, and
-  /// under a budget no more than fit batch_cap_ (at least one).
-  size_t ScanBatchRows(const Table::SegmentPin& pin, size_t begin,
-                       size_t count) const;
+  /// Whether ctx.batch is full: kBatchRows rows, or under a budget
+  /// batch_cap_ bytes.
+  bool BatchFull(const WorkerCtx& ctx) const;
+  /// Rows of `pin` from `begin` that the current batch takes: at most
+  /// `count`, and under a budget no more than bring ctx.batch_bytes to
+  /// batch_cap_ (at least one). Adds their bytes to ctx.batch_bytes.
+  size_t ScanBatchRows(WorkerCtx& ctx, const Table::SegmentPin& pin,
+                       size_t begin, size_t count) const;
   /// Appends rows [begin, begin + count) of `pin`'s scanned columns to
   /// ctx.batch: a range copy of each segment column whose lane type is
   /// the source lane's, lane by lane otherwise.
   void ScanIntoBatch(WorkerCtx& ctx, const Table::SegmentPin& pin,
                      size_t begin, size_t count) const;
+  /// Appends the run of rows [begin, begin + count) of `pin` to the
+  /// scan's batches, running each batch through the chain as it fills.
+  /// Once a chain stage has failed the run is skipped.
+  Status ScanRun(WorkerCtx& ctx, const Table::SegmentPin& pin, size_t begin,
+                 size_t count);
+  /// The index range scan's share of one worker: its `rids` sorted by
+  /// (partition, ordinal), consecutive ordinals of one segment read as
+  /// one run.
+  Status ScanIndexRows(WorkerCtx& ctx, std::vector<storage::Rid>& rids);
   /// One worker's share of the chain. Returns the source's own errors
   /// (scan, cancellation); a failing chain stage is recorded in `ctx`.
   Status RunWorker(size_t wkr, WorkerCtx& ctx);
@@ -1402,6 +1443,10 @@ class VectorizedPipeline {
   const LogicalOp* scan_ = nullptr;      // in-chain source, or
   const LogicalOp* boundary_ = nullptr;  // operator-executed child
   ExecResult boundary_res_;
+  /// An index range scan's tree (null for a full scan), and per worker
+  /// the rids of the rows it returned.
+  const storage::BTreeIndex* index_ = nullptr;
+  std::vector<std::vector<storage::Rid>> rids_;
 
   /// Under a memory budget: groups are admitted one at a time, a
   /// boundary join materializes, and batches close at batch_cap_.
@@ -1439,6 +1484,15 @@ Status VectorizedPipeline::PreparePlan() {
     // Half the budget, split across the workers' in-flight batches.
     batch_cap_ =
         std::max<size_t>(1, x_.mem_.tracker->budget() / (2 * workers_));
+  }
+
+  if (scan_ != nullptr && !scan_->index_lo.empty()) {
+    // Only a scan with bounds reads its index (an index-nested-loop
+    // annotation alone does not), and only while the index is usable:
+    // a stale annotation (index dropped or degraded after planning)
+    // runs the full scan, which is always correct.
+    const IndexDef* idx = scan_->table->FindIndex(scan_->index_name);
+    if (idx != nullptr && idx->usable()) index_ = idx->tree.get();
   }
 
   const LogicalOp* source = scan_ != nullptr ? scan_ : boundary_;
@@ -1533,11 +1587,34 @@ void VectorizedPipeline::PrepareMetrics() {
   // reallocate the vector), so indexes are stable.
   auto& ops = x_.metrics_->operators;
   if (scan_ != nullptr) {
-    OperatorMetrics* m = x_.NewOp("Scan(" + scan_->table->name() + ")",
-                                  *scan_);
-    m->rows_in = scan_->table->num_rows();
+    const Table& table = *scan_->table;
+    OperatorMetrics* m = x_.NewOp(
+        index_ == nullptr
+            ? "Scan(" + table.name() + ")"
+            : "IndexScan(" + table.name() + "." + scan_->index_name + ")",
+        *scan_);
+    m->rows_in = table.num_rows();
     m->vectorized = true;
     scan_metric_ = ops.size() - 1;
+    if (index_ != nullptr) {
+      // One probe; each row stays on the worker owning its partition
+      // (the full scan's round-robin map).
+      std::array<int64_t, storage::BTreeIndex::kMaxKeyColumns> lo, hi;
+      lo.fill(INT64_MIN);
+      hi.fill(INT64_MAX);
+      for (size_t k = 0; k < index_->key_len() && k < scan_->index_lo.size();
+           ++k) {
+        lo[k] = scan_->index_lo[k];
+        hi[k] = scan_->index_hi[k];
+      }
+      std::vector<storage::Rid> rids;
+      index_->Range(lo.data(), hi.data(), &rids);
+      m->rows_in = rids.size();
+      rids_.resize(workers_);
+      for (const storage::Rid& rid : rids) {
+        rids_[rid.partition % workers_].push_back(rid);
+      }
+    }
   }
   for (StagePlan& stage : stages_) {
     OperatorMetrics* m = x_.NewOp(
@@ -1617,10 +1694,7 @@ Status VectorizedPipeline::IngestRows(WorkerCtx& ctx, SpillableRowBuffer& buf,
     ++ctx.batch.num_rows;
     if (budgeted_) ctx.batch_bytes += RowByteSize(row);
     *seconds += SecondsSince(t0);
-    if (ctx.batch.num_rows >= kBatchRows || ctx.batch_bytes >= batch_cap_) {
-      return flush();
-    }
-    return Status::OK();
+    return BatchFull(ctx) ? flush() : Status::OK();
   };
   if (!buf.has_spilled_rows()) {
     for (const Row& row : buf.resident_rows()) {
@@ -1640,14 +1714,22 @@ Status VectorizedPipeline::IngestRows(WorkerCtx& ctx, SpillableRowBuffer& buf,
   return Status::OK();
 }
 
-Status VectorizedPipeline::FlushIngest(WorkerCtx& ctx, bool run_stages) {
+Status VectorizedPipeline::FlushIngest(WorkerCtx& ctx, bool run_stages,
+                                       StageTally* source) {
   if (ctx.batch.num_rows == 0) return Status::OK();
   // Cooperative cancellation once per batch (the batch analogue of the
   // row loops' kCancelCheckRows polling).
   if (x_.mem_.cancel != nullptr) RADB_RETURN_NOT_OK(x_.mem_.cancel->Check());
+  const auto t0 = Clock::now();
   size_t batch_bytes = 0;
   for (const ColumnVector& c : ctx.batch.columns) {
     batch_bytes += ColBytes(c, nullptr, ctx.batch.num_rows);
+  }
+  if (source != nullptr) {
+    ++source->batches;
+    source->rows_out += ctx.batch.num_rows;
+    source->bytes_out += batch_bytes;
+    source->seconds += SecondsSince(t0);
   }
   ProcessCharged(ctx, batch_bytes, run_stages);
   ResetIngestBatch(ctx, *ctx.batch_lanes);
@@ -1666,16 +1748,20 @@ void VectorizedPipeline::ProcessCharged(WorkerCtx& ctx, size_t bytes,
   if (tracker != nullptr) tracker->Release(bytes);
 }
 
-size_t VectorizedPipeline::ScanBatchRows(const Table::SegmentPin& pin,
+bool VectorizedPipeline::BatchFull(const WorkerCtx& ctx) const {
+  return ctx.batch.num_rows >= kBatchRows || ctx.batch_bytes >= batch_cap_;
+}
+
+size_t VectorizedPipeline::ScanBatchRows(WorkerCtx& ctx,
+                                         const Table::SegmentPin& pin,
                                          size_t begin, size_t count) const {
   if (!budgeted_) return count;
   const ColumnBatch& batch = pin.batch();
-  size_t bytes = 0;
   for (size_t n = 0; n < count; ++n) {
     for (size_t col : scan_->scan_columns) {
-      bytes += batch.columns[col].LaneBytes(begin + n);
+      ctx.batch_bytes += batch.columns[col].LaneBytes(begin + n);
     }
-    if (bytes >= batch_cap_) return n + 1;
+    if (ctx.batch_bytes >= batch_cap_) return n + 1;
   }
   return count;
 }
@@ -1693,7 +1779,60 @@ void VectorizedPipeline::ScanIntoBatch(WorkerCtx& ctx,
       for (size_t r = begin; r < end; ++r) col.AppendValue(src.GetValue(r));
     }
   }
-  ctx.batch.num_rows = count;
+  ctx.batch.num_rows += count;
+}
+
+Status VectorizedPipeline::ScanRun(WorkerCtx& ctx,
+                                   const Table::SegmentPin& pin, size_t begin,
+                                   size_t count) {
+  StageTally& st = ctx.tally[0];
+  for (const size_t end = begin + count; begin < end && ctx.limit > 1;) {
+    const auto t0 = Clock::now();
+    const size_t n = ScanBatchRows(
+        ctx, pin, begin, std::min(kBatchRows - ctx.batch.num_rows, end - begin));
+    ScanIntoBatch(ctx, pin, begin, n);
+    begin += n;
+    st.seconds += SecondsSince(t0);
+    if (BatchFull(ctx)) RADB_RETURN_NOT_OK(FlushIngest(ctx, true, &st));
+  }
+  return Status::OK();
+}
+
+Status VectorizedPipeline::ScanIndexRows(WorkerCtx& ctx,
+                                         std::vector<storage::Rid>& rids) {
+  const Table& table = *scan_->table;
+  StageTally& st = ctx.tally[0];
+  auto t0 = Clock::now();
+  std::sort(rids.begin(), rids.end(),
+            [](const storage::Rid& a, const storage::Rid& b) {
+              return a.partition != b.partition ? a.partition < b.partition
+                                                : a.ordinal < b.ordinal;
+            });
+  // Sorted rids visit each segment once; keep the current one pinned.
+  Table::SegmentPin pin;
+  uint32_t pin_part = 0, pin_seg = 0;
+  for (size_t i = 0; i < rids.size();) {
+    const storage::Rid& rid = rids[i];
+    RADB_ASSIGN_OR_RETURN(Table::RowLocation loc,
+                          table.LocateRow(rid.partition, rid.ordinal));
+    if (!pin || pin_part != rid.partition || pin_seg != loc.segment) {
+      RADB_ASSIGN_OR_RETURN(pin, table.PinSegment(rid.partition, loc.segment));
+      pin_part = rid.partition;
+      pin_seg = loc.segment;
+    }
+    size_t n = 1;
+    while (i + n < rids.size() && rids[i + n].partition == rid.partition &&
+           rids[i + n].ordinal == rid.ordinal + n &&
+           loc.offset + n < pin.num_rows()) {
+      ++n;
+    }
+    st.seconds += SecondsSince(t0);
+    RADB_RETURN_NOT_OK(ScanRun(ctx, pin, loc.offset, n));
+    t0 = Clock::now();
+    i += n;
+  }
+  st.seconds += SecondsSince(t0);
+  return Status::OK();
 }
 
 void VectorizedPipeline::FillScratch(WorkerCtx& ctx,
@@ -1952,40 +2091,29 @@ Status VectorizedPipeline::PerLaneAggregate(WorkerCtx& ctx,
 }
 
 Status VectorizedPipeline::RunWorker(size_t wkr, WorkerCtx& ctx) {
-  const CancellationToken* cancel = x_.mem_.cancel;
   if (scan_ != nullptr) {
-    const Table& table = *scan_->table;
-    StageTally& st = ctx.tally[0];
-    for (size_t p = wkr; p < table.num_partitions(); p += workers_) {
-      const size_t nsegs = table.NumSegments(p);
-      for (size_t seg = 0; seg < nsegs; ++seg) {
-        // A buffer-pool miss reads and decodes the segment here, so the
-        // pin is the scan's time too.
-        const auto pinned = Clock::now();
-        RADB_ASSIGN_OR_RETURN(Table::SegmentPin pin, table.PinSegment(p, seg));
-        st.seconds += SecondsSince(pinned);
-        const size_t nrows = pin.num_rows();
-        // Once a chain stage has failed the scan only finishes its
-        // input, as it would before its consumer ran.
-        for (size_t begin = 0; begin < nrows && ctx.limit > 1;) {
-          // Cooperative cancellation once per batch (the batch
-          // analogue of the row loops' kCancelCheckRows polling).
-          if (cancel != nullptr) RADB_RETURN_NOT_OK(cancel->Check());
-          const auto t0 = Clock::now();
-          const size_t count =
-              ScanBatchRows(pin, begin, std::min(kBatchRows, nrows - begin));
-          ResetIngestBatch(ctx, source_lanes_);
-          ScanIntoBatch(ctx, pin, begin, count);
-          begin += count;
-          ++st.batches;
-          st.rows_out += count;
-          size_t batch_bytes = 0;
-          for (const ColumnVector& c : ctx.batch.columns) {
-            batch_bytes += ColBytes(c, nullptr, count);
-          }
-          st.bytes_out += batch_bytes;
-          st.seconds += SecondsSince(t0);
-          ProcessCharged(ctx, batch_bytes, /*run_stages=*/true);
+    // Once a chain stage has failed the scan only finishes its input
+    // (ScanRun copies nothing more), as it would before its consumer
+    // ran, so the scan's own errors still come first.
+    ResetIngestBatch(ctx, source_lanes_);
+    if (index_ != nullptr) {
+      // Runs pack into batches across segments and partitions.
+      RADB_RETURN_NOT_OK(ScanIndexRows(ctx, rids_[wkr]));
+      RADB_RETURN_NOT_OK(FlushIngest(ctx, true, &ctx.tally[0]));
+    } else {
+      const Table& table = *scan_->table;
+      for (size_t p = wkr; p < table.num_partitions(); p += workers_) {
+        const size_t nsegs = table.NumSegments(p);
+        for (size_t seg = 0; seg < nsegs; ++seg) {
+          // A buffer-pool miss reads and decodes the segment here, so
+          // the pin is the scan's time too.
+          const auto pinned = Clock::now();
+          RADB_ASSIGN_OR_RETURN(Table::SegmentPin pin,
+                                table.PinSegment(p, seg));
+          ctx.tally[0].seconds += SecondsSince(pinned);
+          RADB_RETURN_NOT_OK(ScanRun(ctx, pin, 0, pin.num_rows()));
+          // A batch never spans two segments.
+          RADB_RETURN_NOT_OK(FlushIngest(ctx, true, &ctx.tally[0]));
         }
       }
     }
@@ -2170,7 +2298,7 @@ class VectorizedPipeline::JoinIngest : public Executor::JoinBatchSink {
 
 std::optional<size_t> VectorizedPipeline::PropagateHashedSlot() const {
   std::optional<size_t> hashed =
-      scan_ != nullptr ? Executor::ScanHashedSlot(*scan_, workers_)
+      scan_ != nullptr ? ScanHashedSlot(*scan_, workers_)
                        : boundary_res_.hashed_slot;
   for (const LogicalOp* node : nodes_) {
     if (node->kind == LogicalOp::Kind::kAggregate) return std::nullopt;
@@ -2308,8 +2436,9 @@ Result<ExecResult> VectorizedPipeline::Run() {
   }
   if (agg_op_ == nullptr) {
     // The sink (late materialization) rides on the chain head's
-    // metrics entry — the root is always a Filter/Project here.
-    OperatorMetrics& mhead = ops[stages_.back().metric];
+    // metrics entry: the last Filter/Project, or a bare scan's own.
+    OperatorMetrics& mhead =
+        ops[stages_.empty() ? scan_metric_ : stages_.back().metric];
     for (size_t wkr = 0; wkr < w; ++wkr) {
       mhead.worker_seconds[wkr] += ctxs[wkr].tally[HeadStage()].seconds;
     }
@@ -2469,37 +2598,22 @@ Result<ExecResult> VectorizedPipeline::Run() {
 
 Result<ExecResult> Executor::ExecutePipeline(const LogicalOp& op) {
   std::vector<const LogicalOp*> nodes;  // collected top-down
-  nodes.push_back(&op);
-  const LogicalOp* scan = nullptr;
   const LogicalOp* boundary = nullptr;
   const LogicalOp* cur = &op;
-  while (true) {
+  while (cur->kind != LogicalOp::Kind::kScan) {
+    nodes.push_back(cur);
     const LogicalOp* child = cur->children[0].get();
-    if (child->kind == LogicalOp::Kind::kScan) {
-      // A usable index scan bounds the chain: its B+ tree probe reads
-      // a tiny fraction of the table, which beats a full columnar scan
-      // whenever the optimizer chose it.
-      const IndexDef* idx = child->index_name.empty() || child->index_lo.empty()
-                                ? nullptr
-                                : child->table->FindIndex(child->index_name);
-      if (idx != nullptr && idx->usable()) {
-        boundary = child;
-      } else {
-        scan = child;
-      }
-      break;
-    }
     // A spooled node bounds the chain: it must pass through ExecuteOp,
     // which holds or serves its result.
-    if (child->spool_id == 0 && (child->kind == LogicalOp::Kind::kFilter ||
-                                 child->kind == LogicalOp::Kind::kProject)) {
-      nodes.push_back(child);
-      cur = child;
-      continue;
+    if (child->kind != LogicalOp::Kind::kScan &&
+        (child->spool_id != 0 || (child->kind != LogicalOp::Kind::kFilter &&
+                                  child->kind != LogicalOp::Kind::kProject))) {
+      boundary = child;  // executed as an operator of its own
+      break;
     }
-    boundary = child;  // executed as an operator of its own
-    break;
+    cur = child;
   }
+  const LogicalOp* scan = boundary == nullptr ? cur : nullptr;
   std::reverse(nodes.begin(), nodes.end());  // bottom-up
   return VectorizedPipeline(*this, std::move(nodes), scan, boundary).Run();
 }

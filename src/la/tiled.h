@@ -2,13 +2,10 @@
 #define RADB_LA_TILED_H_
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
-#include "common/cancellation.h"
 #include "common/result.h"
 #include "la/matrix.h"
-#include "mem/memory_tracker.h"
 
 namespace radb::la {
 
@@ -28,34 +25,6 @@ std::vector<Tile> SplitIntoTiles(const Matrix& m, size_t tile_rows,
 /// Reassembles tiles into a dense matrix. Tiles must form a complete,
 /// non-overlapping grid; InvalidArgument otherwise.
 Result<Matrix> AssembleTiles(const std::vector<Tile>& tiles);
-
-/// Memory-governance knobs for TiledMultiply. With a budgeted tracker
-/// the kernel streams tile products one at a time and keeps the
-/// per-group accumulator tiles under the budget by evicting the
-/// least-recently-updated ones to a spill file (raw doubles, so a
-/// reloaded accumulator is bit-identical to one that never left
-/// memory). Accumulation order stays match order in every case, so
-/// budgeted and unbudgeted results are bit-identical.
-struct TiledOptions {
-  mem::MemoryTracker* tracker = nullptr;
-  std::string spill_dir;  // "" = system temp dir
-  /// Owning query's id; embedded in accumulator spill-file names.
-  uint64_t query_id = 0;
-  /// Checked once per tile-product match (tile granularity); a fired
-  /// token aborts the multiply with Cancelled/DeadlineExceeded.
-  const CancellationToken* cancel = nullptr;
-};
-
-/// Reference tiled multiply: joins tiles on lhs.tile_col ==
-/// rhs.tile_row, multiplies, and sums per (tile_row, tile_col) group —
-/// exactly the relational plan of the SQL in paper §3.4. Exposed for
-/// testing the SQL path against a standalone implementation.
-Result<std::vector<Tile>> TiledMultiply(const std::vector<Tile>& lhs,
-                                        const std::vector<Tile>& rhs);
-/// Same, under a memory budget (see TiledOptions).
-Result<std::vector<Tile>> TiledMultiply(const std::vector<Tile>& lhs,
-                                        const std::vector<Tile>& rhs,
-                                        const TiledOptions& options);
 
 }  // namespace radb::la
 

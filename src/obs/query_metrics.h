@@ -27,10 +27,10 @@ struct OperatorMetrics {
   /// operator executed (0 when unknown) — EXPLAIN ANALYZE's
   /// estimate-vs-actual column.
   double estimated_rows = 0.0;
-  /// True when the batch engine executed this operator (every Filter,
-  /// Project and Aggregate, and a scan feeding them; other operators
-  /// run over rows); `batches` counts the column batches it processed
-  /// across all workers (0 for row operators).
+  /// True when the batch engine executed this operator (every Scan,
+  /// index scan, Filter, Project and Aggregate; joins, DISTINCT, ORDER
+  /// BY and LIMIT run over rows); `batches` counts the column batches
+  /// it processed across all workers (0 for row operators).
   bool vectorized = false;
   size_t batches = 0;
   /// Wall-clock seconds spent per worker partition; the simulated

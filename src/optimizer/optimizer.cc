@@ -18,6 +18,9 @@ namespace {
 /// real slot id — 0 is a real slot, so SIZE_MAX is used.
 constexpr size_t kHypotheticalSlot = SIZE_MAX;
 
+/// Per-row CPU charge of the cost model, in byte-equivalents.
+constexpr double kPerRowCpuCost = 64.0;
+
 /// Selectivity guesses for non-join predicates, in the tradition of
 /// System R's magic numbers.
 double PredicateSelectivity(const BoundExpr& e) {
@@ -635,7 +638,7 @@ class Optimizer::PlanBuilder {
 
   double TypeWidth(const DataType& t) const {
     if (!options_.la_aware_costing && t.is_la()) return 16.0;
-    return t.EstimatedByteSize(options_.default_dim);
+    return t.EstimatedByteSize();
   }
 
   double RowWidth(const LogicalOp& op) const {
@@ -650,7 +653,7 @@ class Optimizer::PlanBuilder {
   }
 
   double NodeCost(const LogicalOp& op) const {
-    return op.est_rows * (op.est_row_bytes + options_.per_row_cpu_cost);
+    return op.est_rows * (op.est_row_bytes + kPerRowCpuCost);
   }
 
   uint64_t MaskOfSlots(const std::set<size_t>& slots) const {
@@ -1205,14 +1208,12 @@ Result<LogicalOpPtr> Optimizer::Plan(std::unique_ptr<BoundQuery> query,
                                      obs::ObsContext obs) {
   PlanBuilder builder(options_, query->next_slot, obs);
   RADB_ASSIGN_OR_RETURN(LogicalOpPtr plan, builder.Build(*query));
-  if (options_.enable_index_selection) {
-    IndexSelectionStats stats;
-    SelectIndexes(*plan, &stats);
-    if (obs.metrics != nullptr &&
-        (stats.index_scans > 0 || stats.index_nl_joins > 0)) {
-      obs.metrics->Add("optimizer.index_scans", stats.index_scans);
-      obs.metrics->Add("optimizer.index_nl_joins", stats.index_nl_joins);
-    }
+  IndexSelectionStats stats;
+  SelectIndexes(*plan, &stats);
+  if (obs.metrics != nullptr &&
+      (stats.index_scans > 0 || stats.index_nl_joins > 0)) {
+    obs.metrics->Add("optimizer.index_scans", stats.index_scans);
+    obs.metrics->Add("optimizer.index_nl_joins", stats.index_nl_joins);
   }
   // Like early projection, the rewrite uses what the optimizer knows
   // about LA (§4); the rule-based strawman keeps the tuple plan.

@@ -35,18 +35,9 @@ class Optimizer {
     /// attribute (fixed small width) — the "optimizer without access
     /// to good size information" of §4.1.
     bool la_aware_costing = true;
-    /// Width assumed for LA objects with unknown dims (and for all LA
-    /// objects when la_aware_costing is off).
-    double default_dim = 100.0;
-    /// Per-row CPU charge, expressed in byte-equivalents.
-    double per_row_cpu_cost = 64.0;
     /// Subset-DP join search is used up to this many relations;
     /// beyond it a greedy heuristic takes over.
     size_t dp_relation_limit = 10;
-    /// Post-pass that turns Filter-over-Scan integer comparisons into
-    /// B+ tree index range scans and eligible hash joins into
-    /// index-nested-loop joins (off = always full scans).
-    bool enable_index_selection = true;
   };
 
   Optimizer() : options_(Options{}) {}

@@ -4,6 +4,8 @@
 #include <cstring>
 #include <string>
 
+#include "storage/serialize.h"
+
 namespace radb::storage {
 
 /// One node: a leaf holds entries [0, count) and a next-leaf link; an
@@ -286,27 +288,17 @@ std::unique_ptr<BTreeIndex> BTreeIndex::Build(
   return tree;
 }
 
-namespace {
-
-void PutU64(std::string* s, uint64_t v) {
-  s->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-bool GetU64(const std::string& s, size_t* off, uint64_t* v) {
-  if (*off + sizeof(*v) > s.size()) return false;
-  std::memcpy(v, s.data() + *off, sizeof(*v));
-  *off += sizeof(*v);
-  return true;
-}
-
-}  // namespace
-
 std::string BTreeIndex::Serialize() const {
-  std::string out;
-  out.reserve(32 + size_ * (key_len_ + 3) * sizeof(uint64_t));
-  PutU64(&out, key_len_);
-  PutU64(&out, size_);
-  PutU64(&out, next_seq_);
+  // The image's size is known up front, so it is written in one pass.
+  std::string out((3 + size_ * (key_len_ + 3)) * sizeof(uint64_t), '\0');
+  char* p = out.data();
+  const auto put = [&p](uint64_t v) {
+    std::memcpy(p, &v, sizeof(v));
+    p += sizeof(v);
+  };
+  put(key_len_);
+  put(size_);
+  put(next_seq_);
   // Walk the leaf chain from the global minimum.
   Entry lo;
   lo.key.fill(INT64_MIN);
@@ -316,11 +308,11 @@ std::string BTreeIndex::Serialize() const {
     for (size_t i = 0; i < leaf->count; ++i) {
       const Entry& e = leaf->entries[i];
       for (size_t k = 0; k < key_len_; ++k) {
-        PutU64(&out, static_cast<uint64_t>(e.key[k]));
+        put(static_cast<uint64_t>(e.key[k]));
       }
-      PutU64(&out, e.seq);
-      PutU64(&out, e.rid.partition);
-      PutU64(&out, e.rid.ordinal);
+      put(e.seq);
+      put(e.rid.partition);
+      put(e.rid.ordinal);
     }
   }
   return out;
@@ -328,15 +320,15 @@ std::string BTreeIndex::Serialize() const {
 
 Result<std::unique_ptr<BTreeIndex>> BTreeIndex::Deserialize(
     const std::string& bytes) {
-  size_t off = 0;
+  ByteReader in(bytes);
   uint64_t key_len = 0, count = 0, next_seq = 0;
-  if (!GetU64(bytes, &off, &key_len) || !GetU64(bytes, &off, &count) ||
-      !GetU64(bytes, &off, &next_seq) || key_len == 0 ||
+  if (!in.Read(&key_len, sizeof(key_len)) || !in.Read(&count, sizeof(count)) ||
+      !in.Read(&next_seq, sizeof(next_seq)) || key_len == 0 ||
       key_len > kMaxKeyColumns) {
     return Status::InvalidArgument("corrupt index image (header)");
   }
   const size_t entry_bytes = (key_len + 3) * sizeof(uint64_t);
-  const size_t body = bytes.size() - off;
+  const size_t body = in.remaining();
   if (body % entry_bytes != 0) {
     return Status::InvalidArgument("corrupt index image (truncated entry)");
   }
@@ -351,19 +343,21 @@ Result<std::unique_ptr<BTreeIndex>> BTreeIndex::Deserialize(
   // a tree whose separators and ranges assume an order it lacks.
   Packer packer(tree.get(), count);
   Entry prev{};
+  // The size checks above guarantee every entry's bytes are there.
+  const auto next = [&in] {
+    uint64_t v = 0;
+    in.Read(&v, sizeof(v));
+    return v;
+  };
   for (uint64_t i = 0; i < count; ++i) {
     Entry e;
     e.key.fill(0);
-    uint64_t part = 0;
     for (uint64_t k = 0; k < key_len; ++k) {
-      uint64_t raw = 0;
-      GetU64(bytes, &off, &raw);
-      e.key[k] = static_cast<int64_t>(raw);
+      e.key[k] = static_cast<int64_t>(next());
     }
-    GetU64(bytes, &off, &e.seq);
-    GetU64(bytes, &off, &part);
-    GetU64(bytes, &off, &e.rid.ordinal);
-    e.rid.partition = static_cast<uint32_t>(part);
+    e.seq = next();
+    e.rid.partition = static_cast<uint32_t>(next());
+    e.rid.ordinal = next();
     if (e.seq >= next_seq) {
       return Status::InvalidArgument(
           "corrupt index image (entry " + std::to_string(i) + " has seq " +

@@ -135,16 +135,12 @@ class Table {
   /// A pinned, immutable view of one segment's batch, valid until
   /// destroyed: a sealed resident segment's (shared with the segment),
   /// a checkpointed segment's (held by a buffer-pool pin), or the open
-  /// tail itself. Row consumers read it through Cell/RowAt; the batch
-  /// scan copies its lanes directly.
+  /// tail itself. The batch scan copies its lanes; whole-row readers
+  /// (FetchRow, GatherPartition) copy rows out through RowAt.
   class SegmentPin {
    public:
     SegmentPin() = default;
     size_t num_rows() const { return batch_->num_rows; }
-    /// Cell (row, column) of the segment.
-    Value Cell(size_t row, size_t column) const {
-      return batch_->columns[column].GetValue(row);
-    }
     /// A copy of one whole row.
     Row RowAt(size_t row) const;
     const ColumnBatch& batch() const { return *batch_; }

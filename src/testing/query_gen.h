@@ -19,7 +19,7 @@ struct QuerySpec {
     std::string alias;  // r0..r4, single digit, so "rK." searches are exact
     /// Non-empty for a derived table: the subquery rendered as
     /// "(derived) AS alias" in place of the table name.
-    std::string derived;
+    std::string derived{};
   };
   struct SelectItem {
     std::string text;

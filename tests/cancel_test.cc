@@ -12,9 +12,6 @@
 #include "api/database.h"
 
 #include "test_util.h"
-#include "common/rng.h"
-#include "la/random.h"
-#include "la/tiled.h"
 #include "service/session.h"
 
 namespace radb {
@@ -182,57 +179,6 @@ TEST_F(VectorizedCancelTest, CancelMidVectorizedAggregateAbortsPromptly) {
   auto again = Exec(*db_, "SELECT COUNT(*) FROM pts");
   ASSERT_TRUE(again.ok()) << again.status();
   EXPECT_EQ(again->at(0, 0).int_value(), kRows);
-}
-
-// ----------------------------------------------------------------------
-// LA kernel cancellation (TiledMultiply checks per tile match).
-// ----------------------------------------------------------------------
-
-TEST(TiledCancelTest, PreCancelledTokenStopsTiledMultiply) {
-  Rng rng(11);
-  const auto ta = la::SplitIntoTiles(la::RandomMatrix(rng, 64, 64), 16, 16);
-  const auto tb = la::SplitIntoTiles(la::RandomMatrix(rng, 64, 64), 16, 16);
-  CancellationToken token;
-  token.Cancel();
-  la::TiledOptions options;
-  options.cancel = &token;
-  auto got = la::TiledMultiply(ta, tb, options);
-  ASSERT_FALSE(got.ok());
-  EXPECT_EQ(got.status().code(), StatusCode::kCancelled) << got.status();
-}
-
-TEST(TiledCancelTest, DeadlineExpiresMidTiledMultiply) {
-  Rng rng(12);
-  // 8x8 grid of 64x64 tiles: 512 tile products — far more work than
-  // a 1 ms deadline allows, so the per-tile check fires mid-kernel.
-  const auto ta = la::SplitIntoTiles(la::RandomMatrix(rng, 512, 512), 64, 64);
-  const auto tb = la::SplitIntoTiles(la::RandomMatrix(rng, 512, 512), 64, 64);
-  CancellationToken token;
-  token.ArmDeadlineMs(1);
-  la::TiledOptions options;
-  options.cancel = &token;
-  auto got = la::TiledMultiply(ta, tb, options);
-  ASSERT_FALSE(got.ok());
-  EXPECT_EQ(got.status().code(), StatusCode::kDeadlineExceeded)
-      << got.status();
-}
-
-TEST(TiledCancelTest, BudgetedTiledMultiplyReleasesTrackerOnCancel) {
-  Rng rng(13);
-  const auto ta = la::SplitIntoTiles(la::RandomMatrix(rng, 64, 64), 16, 16);
-  const auto tb = la::SplitIntoTiles(la::RandomMatrix(rng, 64, 64), 16, 16);
-  mem::MemoryTracker tracker("query", 8u << 10);
-  CancellationToken token;
-  token.ArmDeadlineMs(1);
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  la::TiledOptions options;
-  options.tracker = &tracker;
-  options.cancel = &token;
-  options.query_id = 42;
-  auto got = la::TiledMultiply(ta, tb, options);
-  ASSERT_FALSE(got.ok());
-  // Everything the kernel reserved before the abort was handed back.
-  EXPECT_EQ(tracker.bytes_in_use(), 0u);
 }
 
 // ----------------------------------------------------------------------

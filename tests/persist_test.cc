@@ -1421,5 +1421,121 @@ TEST(InsertAtomicityTest, ARefusedInsertPlacesAndLogsNothing) {
   EXPECT_EQ(CountRows(**db), 2);
 }
 
+// ---- Automatic checkpoints -----------------------------------------
+//
+// A statement whose WAL record carries the log past
+// storage.wal_auto_checkpoint_bytes checkpoints only after it is
+// applied, so the snapshot holds the change before the WAL that
+// carried it rotates away. Each test copies the data directory as a
+// crash right after the statement would leave it.
+
+/// `n` rows (i, 2i) as one INSERT statement into t.
+std::string InsertRowsSql(int64_t n) {
+  std::string sql = "INSERT INTO t VALUES ";
+  for (int64_t i = 0; i < n; ++i) {
+    sql += (i == 0 ? "(" : ", (") + std::to_string(i) + ", " +
+           std::to_string(2 * i) + ")";
+  }
+  return sql;
+}
+
+Database::Config AutoCheckpointConfig(size_t wal_bytes) {
+  Database::Config config = SmallConfig();
+  config.storage.wal_auto_checkpoint_bytes = wal_bytes;
+  return config;
+}
+
+uint64_t Checkpoints(Database& db) {
+  return db.table_store()->GetStats().checkpoints;
+}
+
+TEST(AutoCheckpointTest, AnInsertThatCheckpointsKeepsItsRowsAcrossACrash) {
+  TempDir dir;
+  TempDir copy;
+  {
+    auto db = Database::Open(dir.path(), AutoCheckpointConfig(4096));
+    ASSERT_TRUE(db.ok()) << db.status();
+    ASSERT_TRUE(Exec(**db, "CREATE TABLE t (a INTEGER, b INTEGER)").ok());
+    const uint64_t before = Checkpoints(**db);
+    ASSERT_TRUE(Exec(**db, InsertRowsSql(400)).ok());
+    EXPECT_EQ(Checkpoints(**db), before + 1);
+    EXPECT_EQ(CountRows(**db), 400);
+    CopyDataDir(dir.path(), copy.path());
+    ASSERT_TRUE((*db)->Close().ok());
+  }
+  auto db = Database::Open(copy.path(), SmallConfig());
+  ASSERT_TRUE(db.ok()) << db.status();
+  EXPECT_EQ(CountRows(**db), 400);
+}
+
+TEST(AutoCheckpointTest, ABulkInsertThatCheckpointsKeepsItsRowsAcrossACrash) {
+  TempDir dir;
+  TempDir copy;
+  {
+    auto db = Database::Open(dir.path(), AutoCheckpointConfig(4096));
+    ASSERT_TRUE(db.ok()) << db.status();
+    ASSERT_TRUE(Exec(**db, "CREATE TABLE t (a INTEGER, b INTEGER)").ok());
+    std::vector<Row> rows;
+    for (int64_t i = 0; i < 400; ++i) {
+      rows.push_back({Value::Int(i), Value::Int(2 * i)});
+    }
+    const uint64_t before = Checkpoints(**db);
+    ASSERT_TRUE((*db)->BulkInsert("t", std::move(rows)).ok());
+    EXPECT_EQ(Checkpoints(**db), before + 1);
+    CopyDataDir(dir.path(), copy.path());
+    ASSERT_TRUE((*db)->Close().ok());
+  }
+  auto db = Database::Open(copy.path(), SmallConfig());
+  ASSERT_TRUE(db.ok()) << db.status();
+  EXPECT_EQ(CountRows(**db), 400);
+}
+
+TEST(AutoCheckpointTest, ARepartitionThatCheckpointsKeepsItsPlacementAcrossACrash) {
+  const auto load = [](Database& db) {
+    ASSERT_TRUE(Exec(db, "CREATE TABLE t (a INTEGER, b INTEGER)").ok());
+    ASSERT_TRUE(Exec(db, InsertRowsSql(100)).ok());
+  };
+  // The WAL size once the repartition is logged: with the threshold
+  // there, only the repartition's own record crosses it.
+  uint64_t crossing = 0;
+  {
+    TempDir probe;
+    auto db = Database::Open(probe.path(), SmallConfig());
+    ASSERT_TRUE(db.ok()) << db.status();
+    load(**db);
+    const uint64_t loaded = (*db)->table_store()->GetStats().wal_bytes;
+    ASSERT_TRUE((*db)->RepartitionTable("t", "b").ok());
+    crossing = (*db)->table_store()->GetStats().wal_bytes;
+    ASSERT_GT(crossing, loaded);
+    ASSERT_TRUE((*db)->Close().ok());
+  }
+  TempDir dir;
+  TempDir copy;
+  {
+    auto db = Database::Open(dir.path(), AutoCheckpointConfig(crossing));
+    ASSERT_TRUE(db.ok()) << db.status();
+    load(**db);
+    const uint64_t before = Checkpoints(**db);
+    ASSERT_TRUE((*db)->RepartitionTable("t", "b").ok());
+    EXPECT_EQ(Checkpoints(**db), before + 1);
+    CopyDataDir(dir.path(), copy.path());
+    ASSERT_TRUE((*db)->Close().ok());
+  }
+  auto db = Database::Open(copy.path(), SmallConfig());
+  ASSERT_TRUE(db.ok()) << db.status();
+  auto t = (*db)->catalog().GetTable("t");
+  ASSERT_TRUE(t.ok()) << t.status();
+  EXPECT_TRUE((*t)->partitioning().IsHashOn(1));
+  EXPECT_EQ(CountRows(**db), 100);
+  // Every row sits in the partition its hash names.
+  for (size_t p = 0; p < (*t)->num_partitions(); ++p) {
+    auto rows = (*t)->GatherPartition(p);
+    ASSERT_TRUE(rows.ok()) << rows.status();
+    for (const Row& row : *rows) {
+      EXPECT_EQ(row[1].Hash() % (*t)->num_partitions(), p);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace radb

@@ -40,32 +40,5 @@ TEST(TiledTest, AssembleRejectsInconsistentSizes) {
   EXPECT_FALSE(AssembleTiles(tiles).ok());
 }
 
-class TiledMultiplyTest
-    : public ::testing::TestWithParam<std::tuple<int, int, int, int>> {};
-
-TEST_P(TiledMultiplyTest, MatchesDense) {
-  const auto [m, k, n, tile] = GetParam();
-  Rng rng(17 + m + k + n + tile);
-  Matrix a = RandomMatrix(rng, m, k);
-  Matrix b = RandomMatrix(rng, k, n);
-  auto dense = Multiply(a, b);
-  ASSERT_TRUE(dense.ok());
-  auto prod_tiles = TiledMultiply(SplitIntoTiles(a, tile, tile),
-                                  SplitIntoTiles(b, tile, tile));
-  ASSERT_TRUE(prod_tiles.ok());
-  auto assembled = AssembleTiles(*prod_tiles);
-  ASSERT_TRUE(assembled.ok());
-  EXPECT_LT(assembled->MaxAbsDiff(*dense), 1e-9);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, TiledMultiplyTest,
-    ::testing::Values(std::make_tuple(4, 4, 4, 2),
-                      std::make_tuple(10, 8, 6, 3),
-                      std::make_tuple(7, 7, 7, 7),
-                      std::make_tuple(9, 5, 11, 4),
-                      std::make_tuple(16, 16, 16, 5),
-                      std::make_tuple(1, 12, 1, 5)));
-
 }  // namespace
 }  // namespace radb::la

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "api/database.h"
+#include "exec/executor.h"
 
 #include "test_util.h"
 #include "common/rng.h"
@@ -44,15 +45,21 @@ Loader Script(const std::string& setup) {
   return [setup](Database& db) { ASSERT_TRUE(Exec(db, setup).ok()) << setup; };
 }
 
-/// Rows in a canonical, bit-exact form: each row serialized (FP bit
-/// patterns, NaN payloads and the sign of zero included), then sorted.
-std::vector<std::string> Bits(const RowSet& rows) {
+/// Each row serialized bit-exactly (FP bit patterns, NaN payloads and
+/// the sign of zero included), in arrival order.
+std::vector<std::string> OrderedBits(const RowSet& rows) {
   std::vector<std::string> out;
   for (const Row& row : rows) {
     std::ostringstream os(std::ios::binary);
     WriteRowBinary(os, row);
     out.push_back(os.str());
   }
+  return out;
+}
+
+/// Rows in a canonical, bit-exact form: OrderedBits, sorted.
+std::vector<std::string> Bits(const RowSet& rows) {
+  std::vector<std::string> out = OrderedBits(rows);
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -838,6 +845,237 @@ TEST(VectorizedBudgetTest, LaAggregateAdmitsSpillsOrFailsAsBefore) {
             "ResourceExhausted: Aggregate state needs 512.00 B of "
             "unspillable memory but only 150.00 B of the 8.00 KiB query "
             "budget remains; raise QueryOptions::memory_budget_bytes");
+}
+
+// ---------------------------------------------------------------------------
+// Scans: every base-table read, full or through a B+ tree index, is a
+// batch pipeline — a bare scan is a chain with no middle stages.
+// ---------------------------------------------------------------------------
+
+/// Whether the last statement ran `want` Scan(...)/IndexScan(...)
+/// entries, each in batch mode with at least one batch.
+::testing::AssertionResult ScansRunBatch(const Database& db, size_t want) {
+  size_t scans = 0;
+  for (const OperatorMetrics& op : db.last_metrics().operators) {
+    if (op.name.rfind("Scan(", 0) != 0 && op.name.rfind("IndexScan(", 0) != 0) {
+      continue;
+    }
+    ++scans;
+    if (!op.vectorized || op.batches == 0) {
+      return ::testing::AssertionFailure()
+             << op.name << " ran exec=" << op.ExecMode()
+             << " batches=" << op.batches << "\n"
+             << db.last_metrics().ToString();
+    }
+  }
+  if (scans != want) {
+    return ::testing::AssertionFailure()
+           << scans << " scans, expected " << want << "\n"
+           << db.last_metrics().ToString();
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Whether the last statement ran an operator named `name`.
+bool Ran(const Database& db, const std::string& name) {
+  for (const OperatorMetrics& op : db.last_metrics().operators) {
+    if (op.name == name) return true;
+  }
+  return false;
+}
+
+TEST(VectorizedScanTest, EveryScanAndIndexScanRunsBatch) {
+  Database db(EngineConfig(4));
+  ASSERT_TRUE(Exec(db,
+                   "CREATE TABLE l (k INTEGER, i INTEGER, v DOUBLE);"
+                   "CREATE TABLE r (k INTEGER, i INTEGER, v DOUBLE);"
+                   "CREATE TABLE p (id INTEGER, v VECTOR[3])")
+                  .ok());
+  std::vector<Row> lrows, rrows, prows;
+  for (int64_t k = 0; k < 12; ++k) {
+    for (int64_t i = 0; i < 5; ++i) {
+      lrows.push_back({Value::Int(k), Value::Int(i), Value::Double(0.25 * (k + i))});
+      rrows.push_back({Value::Int(k), Value::Int(i), Value::Double(0.5 * (k - i))});
+    }
+  }
+  for (int64_t id = 0; id < 10; ++id) {
+    const double x = static_cast<double>(id);
+    prows.push_back({Value::Int(id), Value::FromVector(la::Vector(
+                                         std::vector<double>{x, 1.0, -x}))});
+  }
+  ASSERT_TRUE(db.BulkInsert("l", lrows).ok());
+  ASSERT_TRUE(db.BulkInsert("r", rrows).ok());
+  ASSERT_TRUE(db.BulkInsert("p", prows).ok());
+
+  // Bare scans under a hash join.
+  auto rs = Exec(db, "SELECT l.i, r.v FROM l, r WHERE l.k = r.k AND l.i = r.i");
+  ASSERT_TRUE(rs.ok()) << rs.status();
+  EXPECT_EQ(rs->num_rows(), 60u);
+  EXPECT_TRUE(ScansRunBatch(db, 2));
+
+  // Under the relational multiply, tuple coding.
+  rs = Exec(db,
+            "SELECT a.i, b.i, SUM(a.v * b.v) FROM l AS a, r AS b "
+            "WHERE a.k = b.k GROUP BY a.i, b.i");
+  ASSERT_TRUE(rs.ok()) << rs.status();
+  EXPECT_TRUE(Ran(db, "RelationalMultiply(kernel)"))
+      << db.last_metrics().ToString();
+  EXPECT_TRUE(ScansRunBatch(db, 2));
+
+  // Under the relational multiply, vector coding.
+  rs = Exec(db,
+            "SELECT a.id, MIN(inner_product(b.v, a.v)) FROM p AS a, p AS b "
+            "WHERE a.id <> b.id GROUP BY a.id");
+  ASSERT_TRUE(rs.ok()) << rs.status();
+  EXPECT_TRUE(Ran(db, "RelationalMultiply(kernel)"))
+      << db.last_metrics().ToString();
+  EXPECT_TRUE(ScansRunBatch(db, 2));
+
+  // Index probes: a bare range, and a point probe under Filter/Project.
+  ASSERT_TRUE(Exec(db, "CREATE INDEX l_k ON l (k)").ok());
+  rs = Exec(db, "SELECT k, i, v FROM l WHERE k >= 3 AND k < 6");
+  ASSERT_TRUE(rs.ok()) << rs.status();
+  EXPECT_EQ(rs->num_rows(), 15u);
+  EXPECT_TRUE(Ran(db, "IndexScan(l.l_k)")) << db.last_metrics().ToString();
+  EXPECT_TRUE(ScansRunBatch(db, 1));
+  rs = Exec(db, "SELECT v FROM l WHERE k = 4 AND i = 2");
+  ASSERT_TRUE(rs.ok()) << rs.status();
+  ASSERT_EQ(rs->num_rows(), 1u);
+  EXPECT_EQ(rs->at(0, 0).double_value(), 1.5);
+  EXPECT_TRUE(Ran(db, "IndexScan(l.l_k)")) << db.last_metrics().ToString();
+  EXPECT_TRUE(ScansRunBatch(db, 1));
+}
+
+/// `many`: 12 partitions over 8 workers, two segments each, every key
+/// on 30 scattered rows. `hashed`: the same rows hash-partitioned on
+/// k. Both indexed on k. `small`: one row per key below 20.
+void LoadIndexedTables(Database& db) {
+  Schema schema;
+  schema.Add(Column{"", "k", DataType::Integer()});
+  schema.Add(Column{"", "j", DataType::Integer()});
+  schema.Add(Column{"", "v", DataType::Double()});
+  schema.Add(Column{"", "s", DataType::String()});
+  ASSERT_TRUE(db.catalog().CreateTable("many", schema, 12).ok());
+  ASSERT_TRUE(
+      Exec(db, "CREATE TABLE hashed (k INTEGER, j INTEGER, v DOUBLE, s STRING)")
+          .ok());
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 12000; ++i) {
+    rows.push_back({Value::Int(i * 7 % 400), Value::Int(i % 13),
+                    Value::Double(0.25 * (i % 50)),
+                    Value::String(std::string(80, 'a' + i % 26))});
+  }
+  ASSERT_TRUE(db.BulkInsert("many", rows).ok());
+  ASSERT_TRUE(db.BulkInsert("hashed", rows).ok());
+  ASSERT_TRUE(db.RepartitionTable("hashed", "k").ok());
+  ASSERT_TRUE(Exec(db, "CREATE INDEX many_k ON many (k);"
+                       "CREATE INDEX hashed_k ON hashed (k);"
+                       "CREATE TABLE small (k INTEGER, w DOUBLE)")
+                  .ok());
+  std::vector<Row> small;
+  for (int64_t k = 0; k < 20; ++k) {
+    small.push_back({Value::Int(k), Value::Double(0.5 * k)});
+  }
+  ASSERT_TRUE(db.BulkInsert("small", small).ok());
+}
+
+TEST(VectorizedScanTest, IndexScansMatchReferenceAndFullScanOrder) {
+  const std::vector<std::string> queries = {
+      "SELECT k, j, v, s FROM many WHERE k >= 100 AND k < 130",
+      "SELECT j, COUNT(*), SUM(v) FROM many WHERE k = 42 GROUP BY j",
+      "SELECT k, v FROM hashed WHERE k <= 20",
+      "SELECT k, SUM(v), MAX(s) FROM hashed WHERE k >= 5 AND k <= 9 "
+      "GROUP BY k",
+      "SELECT a.j, b.w FROM many AS a, small AS b WHERE a.k = b.k AND a.k < 3",
+  };
+  for (const size_t threads : {size_t{1}, size_t{8}}) {
+    Database db(EngineConfig(threads));
+    LoadIndexedTables(db);
+    std::vector<std::vector<std::string>> indexed;
+    for (const std::string& sql : queries) {
+      SCOPED_TRACE(sql + " at " + std::to_string(threads) + " threads");
+      const Result<ResultSet> want =
+          testing::ReferenceExecute(sql, db.catalog());
+      ASSERT_TRUE(want.ok()) << want.status();
+      const Result<ResultSet> got = Exec(db, sql);
+      ASSERT_TRUE(got.ok()) << got.status();
+      EXPECT_TRUE(Ran(db, "IndexScan(many.many_k)") ||
+                  Ran(db, "IndexScan(hashed.hashed_k)"))
+          << db.last_metrics().ToString();
+      EXPECT_FALSE(Bits(got->rows).empty());
+      EXPECT_EQ(Bits(want->rows), Bits(got->rows));
+      indexed.push_back(OrderedBits(got->rows));
+    }
+    // Without the indexes every query runs its full scans, and returns
+    // the same rows in the same order.
+    ASSERT_TRUE(Exec(db, "DROP INDEX many_k; DROP INDEX hashed_k").ok());
+    for (size_t q = 0; q < queries.size(); ++q) {
+      SCOPED_TRACE(queries[q] + " at " + std::to_string(threads) + " threads");
+      const Result<ResultSet> full = Exec(db, queries[q]);
+      ASSERT_TRUE(full.ok()) << full.status();
+      EXPECT_EQ(OrderedBits(full->rows), indexed[q]);
+    }
+  }
+}
+
+TEST(VectorizedScanTest, StaleIndexAnnotationRunsTheFullScan) {
+  // A plan annotated with an index scan, executed directly (as a caller
+  // holding a plan across statements does) after its index was dropped
+  // and after it degraded, reads the full table instead.
+  Database db(EngineConfig(1));
+  ASSERT_TRUE(Exec(db, "CREATE TABLE t (k INTEGER, v DOUBLE)").ok());
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 200; ++i) {
+    rows.push_back({Value::Int(i % 40), Value::Double(0.5 * i)});
+  }
+  ASSERT_TRUE(db.BulkInsert("t", rows).ok());
+  ASSERT_TRUE(Exec(db, "CREATE INDEX t_k ON t (k)").ok());
+  const std::string sql = "SELECT k, v FROM t WHERE k >= 10 AND k < 14";
+
+  // Runs `plan` through an Executor; its rows in worker order.
+  const auto run = [&db](const LogicalOp& plan, QueryMetrics* metrics) {
+    Executor executor(db.cluster(), metrics, obs::ObsContext{}, db.pool());
+    Result<Dist> dist = executor.Execute(plan);
+    EXPECT_TRUE(dist.ok()) << dist.status();
+    RowSet out;
+    if (!dist.ok()) return out;
+    for (RowSet& part : *dist) {
+      for (Row& row : part) out.push_back(std::move(row));
+    }
+    return out;
+  };
+  const auto scan_names = [](const QueryMetrics& m) {
+    std::string names;
+    for (const OperatorMetrics& op : m.operators) {
+      if (op.name.find("Scan(") != std::string::npos) names += op.name + " ";
+    }
+    return names;
+  };
+
+  Result<LogicalOpPtr> plan = db.PlanQuery(sql);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  QueryMetrics fresh;
+  const RowSet indexed = run(**plan, &fresh);
+  EXPECT_EQ(indexed.size(), 20u);
+  EXPECT_EQ(scan_names(fresh), "IndexScan(t.t_k) ");
+
+  ASSERT_TRUE(Exec(db, "DROP INDEX t_k").ok());
+  QueryMetrics dropped;
+  EXPECT_EQ(OrderedBits(run(**plan, &dropped)), OrderedBits(indexed));
+  EXPECT_EQ(scan_names(dropped), "Scan(t) ");
+
+  ASSERT_TRUE(Exec(db, "CREATE INDEX t_k ON t (k)").ok());
+  plan = db.PlanQuery(sql);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  // An integral DOUBLE in the INTEGER key column degrades the index.
+  ASSERT_TRUE(db.BulkInsert("t", {Row{Value::Double(12.0), Value::Double(-1.0)}})
+                  .ok());
+  const Result<ResultSet> want = Exec(db, sql);
+  ASSERT_TRUE(want.ok()) << want.status();
+  ASSERT_EQ(want->num_rows(), 21u);
+  QueryMetrics degraded;
+  EXPECT_EQ(OrderedBits(run(**plan, &degraded)), OrderedBits(want->rows));
+  EXPECT_EQ(scan_names(degraded), "Scan(t) ");
 }
 
 }  // namespace
