@@ -44,6 +44,12 @@ cmake --build "$BUILD_DIR" -j "$JOBS" \
   --target sql_la_test sql_agg_test exec_test vectorized_test spill_exec_test
 (cd "$BUILD_DIR" && ctest -L memory_budget --output-on-failure)
 
+# Join pass: the executor suites (label `join`) — every join strategy,
+# Grace, the index-nested-loop join and the pipeline's streaming sink,
+# unbudgeted — under ASan+UBSan (scripts/stress.sh runs the same label
+# under TSan). exec_test is built above.
+(cd "$BUILD_DIR" && ctest -L join --output-on-failure)
+
 # Concurrency pass: the thread pool units, the service/cancellation
 # suites and the multi-session bench smoke under ASan+UBSan
 # (scripts/stress.sh runs the same label under TSan).

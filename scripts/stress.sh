@@ -52,6 +52,12 @@ export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:die_after_fork=0}"
 # every worker thread (same label scripts/fuzz.sh runs under ASan).
 (cd "$BUILD_DIR" && ctest -L memory_budget --output-on-failure)
 
+# Join suite: every join strategy's probe loop runs one pool task per
+# worker over a shared broadcast build or its own hash build, streaming
+# into the pipeline's per-worker sink (same label scripts/fuzz.sh runs
+# under ASan).
+(cd "$BUILD_DIR" && ctest -L join --output-on-failure)
+
 # Batch engine suite: every pipeline fans partitions out over the
 # worker pool and merges per-worker aggregate states, so the
 # bit-identity battery doubles as a race detector for typed and Value

@@ -37,17 +37,6 @@ Result<KeyRow> EvalKey(const std::vector<BoundExprPtr>& key_exprs,
   return KeyRow::Of(std::move(values));
 }
 
-/// The slot a single equi-key expression reads, when the expression is
-/// a bare column reference (a precondition for shuffle elision).
-std::optional<size_t> SingleColumnKeySlot(
-    const std::vector<std::pair<BoundExprPtr, BoundExprPtr>>& keys,
-    bool left_side) {
-  if (keys.size() != 1) return std::nullopt;
-  const BoundExpr& e = left_side ? *keys[0].first : *keys[0].second;
-  if (e.kind != BoundExpr::Kind::kColumnRef) return std::nullopt;
-  return e.slot;
-}
-
 /// Approximate bookkeeping overhead of one hash-table entry (node,
 /// bucket slot, key copy headers) charged on top of the row payload.
 constexpr size_t kHashEntryOverhead = 64;
@@ -68,31 +57,39 @@ size_t GracePartition(size_t hash) {
 /// that the atomic load vanishes against per-row evaluation cost.
 constexpr size_t kCancelCheckRows = 256;
 
+/// Polls a query's cancellation token (null: never cancelled) on every
+/// kCancelCheckRows-th tick.
+class CancelPoll {
+ public:
+  explicit CancelPoll(const CancellationToken* cancel) : cancel_(cancel) {}
+  Status Tick() {
+    if (cancel_ == nullptr || ++ticks_ < kCancelCheckRows) {
+      return Status::OK();
+    }
+    ticks_ = 0;
+    return cancel_->Check();
+  }
+
+ private:
+  const CancellationToken* cancel_;
+  size_t ticks_ = 0;
+};
+
 /// Streams every row out of `buf` (exact append order) into `fn`,
 /// then clears the buffer. Rows that never spilled are moved out of
 /// the resident tail — the no-budget fast path has no serialization
-/// or copy cost. Polls the query's cancellation token (carried by the
-/// buffer's MemoryContext) every kCancelCheckRows rows.
+/// or copy cost. Ticks `poll` once per row.
 template <typename Fn>
-Status ConsumeRows(SpillableRowBuffer& buf, Fn&& fn) {
-  const CancellationToken* cancel = buf.context().cancel;
-  size_t since_check = 0;
-  const auto maybe_check = [&]() -> Status {
-    if (cancel != nullptr && ++since_check >= kCancelCheckRows) {
-      since_check = 0;
-      return cancel->Check();
-    }
-    return Status::OK();
-  };
+Status ConsumeRows(SpillableRowBuffer& buf, CancelPoll& poll, Fn&& fn) {
   if (!buf.has_spilled_rows()) {
     for (Row& row : buf.resident_rows()) {
-      RADB_RETURN_NOT_OK(maybe_check());
+      RADB_RETURN_NOT_OK(poll.Tick());
       RADB_RETURN_NOT_OK(fn(std::move(row)));
     }
   } else {
     SpillableRowBuffer::Reader reader(&buf);
     while (true) {
-      RADB_RETURN_NOT_OK(maybe_check());
+      RADB_RETURN_NOT_OK(poll.Tick());
       RADB_ASSIGN_OR_RETURN(std::optional<Row> row, reader.Next());
       if (!row.has_value()) break;
       RADB_RETURN_NOT_OK(fn(std::move(*row)));
@@ -102,6 +99,264 @@ Status ConsumeRows(SpillableRowBuffer& buf, Fn&& fn) {
   return Status::OK();
 }
 
+/// ConsumeRows polling the token of the buffer's query.
+template <typename Fn>
+Status ConsumeRows(SpillableRowBuffer& buf, Fn&& fn) {
+  CancelPoll poll(buf.context().cancel);
+  return ConsumeRows(buf, poll, std::forward<Fn>(fn));
+}
+
+/// Buffers a join reads in order: a worker's runs, runs[src][wkr] for
+/// each source, or every worker's buffer of one distribution.
+using BufferList = std::vector<SpillableRowBuffer*>;
+
+BufferList WorkerRuns(std::vector<SpillableDist>& runs, size_t wkr) {
+  BufferList out;
+  for (SpillableDist& per_src : runs) out.push_back(&per_src[wkr]);
+  return out;
+}
+
+/// Where a worker's joined rows go: the pipeline's sink when given, else
+/// `buf`. Under Grace (`tagged`) probe rows lead with their arrival
+/// sequence number, and so does each joined row they make.
+struct JoinOut {
+  Executor::JoinBatchSink* sink;
+  size_t wkr;
+  SpillableRowBuffer* buf;
+  bool tagged = false;
+};
+
+/// A join's expressions over its inputs' row positions, and the one
+/// joined-row path every strategy hands its matched pairs to.
+struct JoinedRows {
+  std::vector<BoundExprPtr> left_keys, right_keys;  // per side
+  /// Equi pairs the lookup does not match on (an index join's unprobed
+  /// pairs); a pair whose keys differ or hold a NULL is dropped.
+  std::vector<size_t> recheck;
+  /// Over the joined row (left columns, then right): the residual
+  /// predicates and the fused projection (early projection, §4.1).
+  std::vector<BoundExprPtr> residual, fused;
+
+  /// Joins (l, r). With nothing to recheck, filter or project, a sink
+  /// takes the two sides as they are. Otherwise: recheck, build the
+  /// row, filter, project, then append it to the sink or the buffer.
+  Status Emit(const Row& l, const Row& r, const JoinOut& to,
+              const Value* tag) const {
+    if (to.sink != nullptr && recheck.empty() && residual.empty() &&
+        fused.empty()) {
+      return to.sink->AppendPair(to.wkr, l, r);
+    }
+    for (size_t e : recheck) {
+      RADB_ASSIGN_OR_RETURN(Value lv, EvalExpr(*left_keys[e], l));
+      RADB_ASSIGN_OR_RETURN(Value rv, EvalExpr(*right_keys[e], r));
+      if (lv.is_null() || rv.is_null() || !lv.Equals(rv)) return Status::OK();
+    }
+    Row joined;
+    joined.reserve(l.size() + r.size());
+    joined.insert(joined.end(), l.begin(), l.end());
+    joined.insert(joined.end(), r.begin(), r.end());
+    for (const auto& p : residual) {
+      RADB_ASSIGN_OR_RETURN(Value v, EvalExpr(*p, joined));
+      if (v.is_null() || !v.bool_value()) return Status::OK();
+    }
+    if (!fused.empty()) {
+      Row projected;
+      projected.reserve(fused.size());
+      for (const auto& e : fused) {
+        RADB_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, joined));
+        projected.push_back(std::move(v));
+      }
+      joined = std::move(projected);
+    }
+    if (tag != nullptr) joined.insert(joined.begin(), *tag);
+    return to.sink != nullptr ? to.sink->AppendRow(to.wkr, std::move(joined))
+                              : to.buf->Append(std::move(joined));
+  }
+};
+
+/// A join's build side and its lookup — the broadcast build, each
+/// worker's in-memory build and each Grace sub-build. Rows are kept in
+/// arrival order. With equi keys a row whose key has a NULL is dropped
+/// (it matches nothing), and the rest are indexed by KeyRow in a
+/// std::unordered_multimap filled in arrival order: the order
+/// equal_range returns a key's rows in follows from that order alone,
+/// so equal builds probe alike at any thread count. Without keys (a
+/// cross join's broadcast side) every row matches, in arrival order.
+class HashBuild {
+ public:
+  HashBuild(const std::vector<BoundExprPtr>& build_keys,
+            const std::vector<BoundExprPtr>& probe_keys)
+      : build_keys_(build_keys), probe_keys_(probe_keys) {}
+
+  /// Takes every row of `bufs`, in order, and indexes them.
+  Status Build(const BufferList& bufs) {
+    size_t n = 0;
+    for (const SpillableRowBuffer* buf : bufs) n += buf->num_rows();
+    rows_.reserve(n);
+    for (SpillableRowBuffer* buf : bufs) {
+      RADB_RETURN_NOT_OK(ConsumeRows(*buf, [&](Row row) -> Status {
+        KeyRow key;
+        if (!build_keys_.empty()) {
+          RADB_ASSIGN_OR_RETURN(key, EvalKey(build_keys_, row));
+          if (KeyHasNull(key)) return Status::OK();
+        }
+        rows_.emplace_back(std::move(key), std::move(row));
+        return Status::OK();
+      }));
+    }
+    if (build_keys_.empty()) return Status::OK();
+    table_.reserve(rows_.size());
+    for (auto& [key, row] : rows_) table_.emplace(std::move(key), &row);
+    return Status::OK();
+  }
+
+  /// Calls fn(build row) for each row matching `probe`, in lookup order.
+  template <typename Fn>
+  Status ForEachMatch(const Row& probe, Fn&& fn) const {
+    if (probe_keys_.empty()) {
+      for (const auto& entry : rows_) RADB_RETURN_NOT_OK(fn(entry.second));
+      return Status::OK();
+    }
+    RADB_ASSIGN_OR_RETURN(KeyRow key, EvalKey(probe_keys_, probe));
+    if (KeyHasNull(key)) return Status::OK();
+    auto [begin, end] = table_.equal_range(key);
+    for (auto it = begin; it != end; ++it) {
+      RADB_RETURN_NOT_OK(fn(*it->second));
+    }
+    return Status::OK();
+  }
+
+ private:
+  const std::vector<BoundExprPtr>& build_keys_;
+  const std::vector<BoundExprPtr>& probe_keys_;
+  std::vector<std::pair<KeyRow, Row>> rows_;
+  std::unordered_multimap<KeyRow, const Row*, KeyRowHash> table_;
+};
+
+/// The index-nested-loop join's lookup: the inner scan's B+ tree,
+/// probed with an outer row's values for the longest prefix of index
+/// columns the equi pairs reach, then each match's scanned columns
+/// fetched.
+struct IndexLookup {
+  const LogicalOp* scan;
+  const storage::BTreeIndex* tree;
+  const std::vector<BoundExprPtr>* outer_keys;
+  std::vector<int> probe_for_key;  // the equi pair each position probes
+
+  /// Calls fn(inner row) for each indexed row matching `outer` on the
+  /// probed columns, in the tree's order.
+  template <typename Fn>
+  Status ForEachMatch(const Row& outer, Fn&& fn) const {
+    std::array<int64_t, storage::BTreeIndex::kMaxKeyColumns> lo, hi;
+    lo.fill(INT64_MIN);
+    hi.fill(INT64_MAX);
+    for (size_t k = 0; k < probe_for_key.size(); ++k) {
+      RADB_ASSIGN_OR_RETURN(Value v,
+                            EvalExpr(*(*outer_keys)[probe_for_key[k]], outer));
+      // A NULL or non-INTEGER probe value can never equal the indexed
+      // column's INTEGER values (Value equality is strict about kinds,
+      // matching the hash join), so the row joins nothing.
+      if (v.kind() != TypeKind::kInteger) return Status::OK();
+      lo[k] = hi[k] = v.int_value();
+    }
+    std::vector<storage::Rid> rids;
+    tree->Range(lo.data(), hi.data(), &rids);
+    for (const storage::Rid& rid : rids) {
+      RADB_ASSIGN_OR_RETURN(Row full, scan->table->FetchRow(rid));
+      Row inner;
+      inner.reserve(scan->scan_columns.size());
+      for (size_t col : scan->scan_columns) {
+        inner.push_back(std::move(full[col]));
+      }
+      RADB_RETURN_NOT_OK(fn(inner));
+    }
+    return Status::OK();
+  }
+};
+
+/// The lookup of a join annotated `index_nl`, with `joined`'s unprobed
+/// equi pairs set to recheck. nullopt when the annotation is stale
+/// (index dropped or degraded since planning) or no equi pair reaches
+/// the index's first column.
+std::optional<IndexLookup> IndexLookupFor(const LogicalOp& join,
+                                          JoinedRows* joined) {
+  const LogicalOp& inner = *join.children[1];
+  if (inner.kind != LogicalOp::Kind::kScan || inner.index_name.empty()) {
+    return std::nullopt;
+  }
+  const IndexDef* idx = inner.table->FindIndex(inner.index_name);
+  if (idx == nullptr || !idx->usable()) return std::nullopt;
+  // Equi pair (l, r) probes key position k when r is a bare column
+  // reference to the scan column idx->columns[k].
+  std::vector<int> probe_for_key(idx->tree->key_len(), -1);
+  for (size_t e = 0; e < join.equi_keys.size(); ++e) {
+    const BoundExpr& r = *join.equi_keys[e].second;
+    if (r.kind != BoundExpr::Kind::kColumnRef) continue;
+    for (size_t i = 0; i < inner.output.size(); ++i) {
+      if (inner.output[i].slot != r.slot) continue;
+      for (size_t k = 0; k < probe_for_key.size(); ++k) {
+        if (idx->columns[k] == inner.scan_columns[i] && probe_for_key[k] < 0) {
+          probe_for_key[k] = static_cast<int>(e);
+        }
+      }
+      break;
+    }
+  }
+  // The composite prefix must start with a probed column, and an
+  // unprobed position makes every later one unusable.
+  const auto end = std::find(probe_for_key.begin(), probe_for_key.end(), -1);
+  if (end == probe_for_key.begin()) return std::nullopt;
+  probe_for_key.erase(end, probe_for_key.end());
+  for (size_t e = 0; e < join.equi_keys.size(); ++e) {
+    if (std::count(probe_for_key.begin(), probe_for_key.end(), e) == 0) {
+      joined->recheck.push_back(e);
+    }
+  }
+  return IndexLookup{&inner, idx->tree.get(), &joined->left_keys,
+                     std::move(probe_for_key)};
+}
+
+/// The probe loop of every join strategy, on one worker: reads `bufs`
+/// in order and hands each match `lookup` finds for a row, in lookup
+/// order, to the joined-row path, with the probe row on its own side of
+/// the join. `poll` ticks once per row read and once per pair.
+template <typename Lookup>
+Status ProbeRows(const BufferList& bufs, const Lookup& lookup,
+                 bool probe_left, const JoinedRows& joined, const JoinOut& to,
+                 CancelPoll& poll) {
+  for (SpillableRowBuffer* buf : bufs) {
+    RADB_RETURN_NOT_OK(ConsumeRows(*buf, poll, [&](Row row) -> Status {
+      Value seq;
+      if (to.tagged) {
+        seq = std::move(row[0]);
+        row.erase(row.begin());
+      }
+      const Value* tag = to.tagged ? &seq : nullptr;
+      return lookup.ForEachMatch(row, [&](const Row& match) -> Status {
+        RADB_RETURN_NOT_OK(poll.Tick());
+        return probe_left ? joined.Emit(row, match, to, tag)
+                          : joined.Emit(match, row, to, tag);
+      });
+    }));
+  }
+  return Status::OK();
+}
+
+/// The operator name of a join placed by `place`.
+std::string JoinName(bool cross, const JoinPlacement& place) {
+  using Kind = JoinPlacement::Kind;
+  if (place.kind != Kind::kShuffle) {
+    return std::string(cross ? "CrossJoin" : "HashJoin") +
+           (place.kind == Kind::kBroadcastRight ? "(bcast right)"
+                                                : "(bcast left)");
+  }
+  if (place.left_stays && place.right_stays) return "HashJoin(co-located)";
+  if (place.left_stays || place.right_stays) {
+    return "HashJoin(shuffle one side)";
+  }
+  return "HashJoin(shuffle)";
+}
+
 }  // namespace
 
 void Executor::CollectSpill(OperatorMetrics* m, const SpillableDist& d) {
@@ -109,20 +364,6 @@ void Executor::CollectSpill(OperatorMetrics* m, const SpillableDist& d) {
     m->bytes_spilled += b.spill_bytes();
     m->spill_runs += b.spill_runs();
   }
-}
-
-size_t DistByteSize(const Dist& d) {
-  size_t s = 0;
-  for (const RowSet& p : d) {
-    for (const Row& r : p) s += RowByteSize(r);
-  }
-  return s;
-}
-
-size_t DistRowCount(const Dist& d) {
-  size_t s = 0;
-  for (const RowSet& p : d) s += p.size();
-  return s;
 }
 
 size_t SpillDistByteSize(const SpillableDist& d) {
@@ -246,7 +487,8 @@ Result<Dist> Executor::Execute(const LogicalOp& op) {
   return dist;
 }
 
-Result<ExecResult> Executor::ExecuteOp(const LogicalOp& op) {
+Result<ExecResult> Executor::ExecuteOp(const LogicalOp& op,
+                                       JoinBatchSink* sink) {
   // An input a falling-back relational multiply already ran.
   if (auto held = held_inputs_.find(&op); held != held_inputs_.end()) {
     ExecResult result = std::move(held->second);
@@ -257,13 +499,13 @@ Result<ExecResult> Executor::ExecuteOp(const LogicalOp& op) {
   // before the next operator starts; row loops inside operators poll
   // at kCancelCheckRows granularity via ConsumeRows.
   if (mem_.cancel != nullptr) RADB_RETURN_NOT_OK(mem_.cancel->Check());
-  if (obs_.tracer == nullptr) return DispatchOp(op);
+  if (obs_.tracer == nullptr) return DispatchOp(op, sink);
 
   // One span per plan node; children nest naturally because they
   // execute inside this call. The physical name ("HashJoin(bcast
   // right)") is known only after dispatch, so it is patched in then.
   obs::ScopedSpan span(obs_.tracer, KindName(op.kind), "exec");
-  RADB_ASSIGN_OR_RETURN(ExecResult result, DispatchOp(op));
+  RADB_ASSIGN_OR_RETURN(ExecResult result, DispatchOp(op, sink));
   if (const std::vector<size_t>* ids = MetricsForNode(&op)) {
     const OperatorMetrics& last = metrics_->operators[ids->back()];
     span.SetName(last.name);
@@ -293,11 +535,12 @@ Result<ExecResult> Executor::ExecuteOp(const LogicalOp& op) {
   return result;
 }
 
-Result<ExecResult> Executor::DispatchOp(const LogicalOp& op) {
-  if (op.spool_id == 0) return RunOp(op);
+Result<ExecResult> Executor::DispatchOp(const LogicalOp& op,
+                                        JoinBatchSink* sink) {
+  if (op.spool_id == 0) return RunOp(op, sink);
   auto held = spools_.find(op.spool_id);
   if (held != spools_.end()) return ServeSpool(op, held->second);
-  RADB_ASSIGN_OR_RETURN(ExecResult result, RunOp(op));
+  RADB_ASSIGN_OR_RETURN(ExecResult result, RunOp(op, nullptr));
   return HoldSpool(op, std::move(result));
 }
 
@@ -363,7 +606,7 @@ Result<ExecResult> Executor::ServeSpool(const LogicalOp& op,
   return out;
 }
 
-Result<ExecResult> Executor::RunOp(const LogicalOp& op) {
+Result<ExecResult> Executor::RunOp(const LogicalOp& op, JoinBatchSink* sink) {
   if (op.multiply.has_value()) return ExecuteMultiply(op);
   switch (op.kind) {
     case LogicalOp::Kind::kScan:
@@ -372,7 +615,7 @@ Result<ExecResult> Executor::RunOp(const LogicalOp& op) {
     case LogicalOp::Kind::kAggregate:
       return ExecutePipeline(op);
     case LogicalOp::Kind::kJoin:
-      return ExecuteJoin(op);
+      return ExecuteJoin(op, sink);
     case LogicalOp::Kind::kDistinct:
       return ExecuteDistinct(op);
     case LogicalOp::Kind::kSort:
@@ -383,627 +626,291 @@ Result<ExecResult> Executor::RunOp(const LogicalOp& op) {
   return Status::Internal("unknown logical operator");
 }
 
-Result<std::optional<ExecResult>> Executor::TryIndexJoin(const LogicalOp& op) {
-  const LogicalOp& inner = *op.children[1];
-  if (inner.kind != LogicalOp::Kind::kScan || inner.index_name.empty()) {
-    return std::optional<ExecResult>();
-  }
-  const IndexDef* idx = inner.table->FindIndex(inner.index_name);
-  if (idx == nullptr || !idx->usable()) return std::optional<ExecResult>();
-  const storage::BTreeIndex& tree = *idx->tree;
-
-  // Map index key positions to the outer-side expressions probing
-  // them: equi pair (l, r) probes key position k when r is a bare
-  // column reference to the scan column idx->columns[k]. Pairs that
-  // probe nothing are re-checked per candidate row below.
-  std::vector<int> probe_for_key(tree.key_len(), -1);
-  for (size_t e = 0; e < op.equi_keys.size(); ++e) {
-    const BoundExpr& r = *op.equi_keys[e].second;
-    if (r.kind != BoundExpr::Kind::kColumnRef) continue;
-    size_t col = 0;
-    bool found = false;
-    for (size_t i = 0; i < inner.output.size(); ++i) {
-      if (inner.output[i].slot == r.slot) {
-        col = inner.scan_columns[i];
-        found = true;
-        break;
-      }
-    }
-    if (!found) continue;
-    for (size_t k = 0; k < tree.key_len(); ++k) {
-      if (idx->columns[k] == col && probe_for_key[k] < 0) {
-        probe_for_key[k] = static_cast<int>(e);
-      }
-    }
-  }
-  // The composite prefix must start with a probed column, and an
-  // unprobed position makes every later one unusable.
-  if (probe_for_key[0] < 0) return std::optional<ExecResult>();
-  size_t probed_len = 0;
-  while (probed_len < probe_for_key.size() && probe_for_key[probed_len] >= 0) {
-    ++probed_len;
-  }
-
-  RADB_ASSIGN_OR_RETURN(ExecResult outer_in, ExecuteOp(*op.children[0]));
-  SpillableDist& outer = outer_in.dist;
+JoinPlacement Executor::PlaceJoin(
+    const LogicalOp& join, const SpillableDist& left,
+    const SpillableDist& right, std::optional<size_t> left_hashed,
+    std::optional<size_t> right_hashed) const {
+  const size_t left_bytes = SpillDistByteSize(left);
+  const size_t right_bytes = SpillDistByteSize(right);
   const size_t w = cluster_.num_workers();
-  const auto outer_layout = LayoutOf(*op.children[0]);
-
-  OperatorMetrics* m = NewOp(
-      "IndexJoin(" + inner.table->name() + "." + inner.index_name + ")", op);
-  m->rows_in = SpillDistRowCount(outer);
-
-  // Combined layout (outer columns then inner) for residual predicates
-  // and a fused projection, exactly as in the hash join.
-  std::map<size_t, size_t> combined;
-  for (size_t i = 0; i < op.children[0]->output.size(); ++i) {
-    combined[op.children[0]->output[i].slot] = i;
+  // Broadcast when replicating the smaller side everywhere moves fewer
+  // bytes than re-hashing both; a cross join has no key to hash by.
+  if (join.equi_keys.empty() ||
+      std::min(left_bytes, right_bytes) * (w > 0 ? w - 1 : 0) <
+          left_bytes + right_bytes) {
+    return {right_bytes <= left_bytes ? JoinPlacement::Kind::kBroadcastRight
+                                      : JoinPlacement::Kind::kBroadcastLeft};
   }
-  const size_t outer_arity = op.children[0]->output.size();
-  for (size_t i = 0; i < inner.output.size(); ++i) {
-    combined[inner.output[i].slot] = outer_arity + i;
-  }
-  std::vector<BoundExprPtr> residual;
-  for (const auto& p : op.residual) {
-    RADB_ASSIGN_OR_RETURN(BoundExprPtr r, RewriteToPositions(*p, combined));
-    residual.push_back(std::move(r));
-  }
-  std::vector<BoundExprPtr> fused;
-  for (const auto& e : op.exprs) {
-    RADB_ASSIGN_OR_RETURN(BoundExprPtr r, RewriteToPositions(*e, combined));
-    fused.push_back(std::move(r));
-  }
-  // Outer key expressions, rewritten to outer row positions. Unprobed
-  // equi pairs are verified against the fetched inner row: its key
-  // expression reads the concatenated row like a residual.
-  std::vector<BoundExprPtr> outer_keys;
-  for (const auto& [l, r] : op.equi_keys) {
-    RADB_ASSIGN_OR_RETURN(BoundExprPtr lk,
-                          RewriteToPositions(*l, outer_layout));
-    outer_keys.push_back(std::move(lk));
-  }
-  std::vector<BoundExprPtr> inner_keys;
-  for (const auto& [l, r] : op.equi_keys) {
-    RADB_ASSIGN_OR_RETURN(BoundExprPtr rk, RewriteToPositions(*r, combined));
-    inner_keys.push_back(std::move(rk));
-  }
-  std::vector<size_t> recheck;
-  for (size_t e = 0; e < op.equi_keys.size(); ++e) {
-    bool probed = false;
-    for (size_t k = 0; k < probed_len; ++k) {
-      if (probe_for_key[k] == static_cast<int>(e)) probed = true;
-    }
-    if (!probed) recheck.push_back(e);
-  }
-
-  SpillableDist out = NewDist(w);
-  JoinBatchSink* sink = (join_sink_op_ == &op) ? join_sink_ : nullptr;
-
-  RADB_RETURN_NOT_OK(ForEachWorker(w, [&](size_t wkr) -> Status {
-    const auto t0 = Clock::now();
-    size_t since_check = 0;
-    std::array<int64_t, storage::BTreeIndex::kMaxKeyColumns> lo, hi;
-    std::vector<storage::Rid> rids;
-    RADB_RETURN_NOT_OK(ConsumeRows(outer[wkr], [&](Row o) -> Status {
-      lo.fill(INT64_MIN);
-      hi.fill(INT64_MAX);
-      for (size_t k = 0; k < probed_len; ++k) {
-        RADB_ASSIGN_OR_RETURN(
-            Value v, EvalExpr(*outer_keys[probe_for_key[k]], o));
-        // A NULL or non-INTEGER probe value can never equal the
-        // indexed column's INTEGER values (Value equality is strict
-        // about kinds, matching the hash join), so the row joins
-        // nothing.
-        if (v.kind() != TypeKind::kInteger) return Status::OK();
-        lo[k] = v.int_value();
-        hi[k] = v.int_value();
-      }
-      rids.clear();
-      tree.Range(lo.data(), hi.data(), &rids);
-      for (const storage::Rid& rid : rids) {
-        if (mem_.cancel != nullptr && ++since_check >= kCancelCheckRows) {
-          since_check = 0;
-          RADB_RETURN_NOT_OK(mem_.cancel->Check());
-        }
-        RADB_ASSIGN_OR_RETURN(Row full, inner.table->FetchRow(rid));
-        Row joined;
-        joined.reserve(outer_arity + inner.scan_columns.size());
-        for (const Value& v : o) joined.push_back(v);
-        for (size_t col : inner.scan_columns) {
-          joined.push_back(std::move(full[col]));
-        }
-        bool keep = true;
-        for (size_t e : recheck) {
-          RADB_ASSIGN_OR_RETURN(Value lv, EvalExpr(*outer_keys[e], o));
-          RADB_ASSIGN_OR_RETURN(Value rv, EvalExpr(*inner_keys[e], joined));
-          if (lv.is_null() || rv.is_null() || !lv.Equals(rv)) {
-            keep = false;
-            break;
-          }
-        }
-        if (!keep) continue;
-        for (const auto& p : residual) {
-          RADB_ASSIGN_OR_RETURN(Value v, EvalExpr(*p, joined));
-          if (v.is_null() || !v.bool_value()) {
-            keep = false;
-            break;
-          }
-        }
-        if (!keep) continue;
-        if (!fused.empty()) {
-          Row projected;
-          projected.reserve(fused.size());
-          for (const auto& e : fused) {
-            RADB_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, joined));
-            projected.push_back(std::move(v));
-          }
-          joined = std::move(projected);
-        }
-        RADB_RETURN_NOT_OK(sink != nullptr
-                               ? sink->AppendRow(wkr, std::move(joined))
-                               : out[wkr].Append(std::move(joined)));
-      }
-      return Status::OK();
-    }));
-    m->worker_seconds[wkr] += SecondsSince(t0);
-    return Status::OK();
-  }));
-  m->rows_out = SpillDistRowCount(out);
-  m->bytes_out = SpillDistByteSize(out);
-  CollectSpill(m, out);
-  return std::optional<ExecResult>(
-      ExecResult{std::move(out), std::nullopt});
+  // A side already hash-placed on its (single, bare-column) join key
+  // needs no movement — the §2.1 decision of which side to shuffle,
+  // made with exact physical knowledge.
+  const auto stays = [&](bool left_side, std::optional<size_t> hashed) {
+    if (join.equi_keys.size() != 1 || !hashed.has_value()) return false;
+    const BoundExpr& key =
+        left_side ? *join.equi_keys[0].first : *join.equi_keys[0].second;
+    return key.kind == BoundExpr::Kind::kColumnRef && key.slot == *hashed;
+  };
+  return {JoinPlacement::Kind::kShuffle, stays(true, left_hashed),
+          stays(false, right_hashed)};
 }
 
-Result<ExecResult> Executor::ExecuteJoin(const LogicalOp& op) {
-  if (op.index_nl) {
-    RADB_ASSIGN_OR_RETURN(std::optional<ExecResult> inl, TryIndexJoin(op));
-    if (inl.has_value()) return std::move(*inl);
+Result<std::vector<SpillableDist>> Executor::Route(
+    SpillableDist& side, OperatorMetrics* m,
+    const std::function<Result<size_t>(size_t src, const Row& row)>& dest) {
+  // Sources split their rows in parallel with disjoint writes; reading
+  // runs[*][dst] in source order gives the same order at any thread count.
+  std::vector<SpillableDist> runs(side.size());
+  for (SpillableDist& per_src : runs) per_src = NewDist(cluster_.num_workers());
+  std::vector<size_t> moved_bytes(side.size(), 0), moved_rows(side.size(), 0);
+  RADB_RETURN_NOT_OK(ForEachWorker(side.size(), [&](size_t src) -> Status {
+    const auto t0 = Clock::now();
+    RADB_RETURN_NOT_OK(ConsumeRows(side[src], [&](Row row) -> Status {
+      RADB_ASSIGN_OR_RETURN(const size_t dst, dest(src, row));
+      if (dst == kDropRow) return Status::OK();
+      if (dst != src) {
+        moved_bytes[src] += RowByteSize(row);
+        ++moved_rows[src];
+      }
+      return runs[src][dst].Append(std::move(row));
+    }));
+    m->worker_seconds[src] += SecondsSince(t0);
+    return Status::OK();
+  }));
+  for (size_t src = 0; src < side.size(); ++src) {
+    m->bytes_shuffled += moved_bytes[src];
+    m->rows_shuffled += moved_rows[src];
   }
-  RADB_ASSIGN_OR_RETURN(ExecResult left_in, ExecuteOp(*op.children[0]));
-  RADB_ASSIGN_OR_RETURN(ExecResult right_in, ExecuteOp(*op.children[1]));
+  return runs;
+}
+
+Result<ExecResult> Executor::ExecuteJoin(const LogicalOp& op,
+                                         JoinBatchSink* sink) {
+  const LogicalOp& lhs = *op.children[0];
+  const LogicalOp& rhs = *op.children[1];
+  const std::map<size_t, size_t> left_layout = LayoutOf(lhs);
+  const std::map<size_t, size_t> right_layout = LayoutOf(rhs);
+  std::map<size_t, size_t> combined = left_layout;
+  for (const auto& [slot, i] : right_layout) {
+    combined[slot] = lhs.output.size() + i;
+  }
+  JoinedRows joined;
+  const auto bind = [](const BoundExpr& e,
+                       const std::map<size_t, size_t>& layout,
+                       std::vector<BoundExprPtr>* out) -> Status {
+    RADB_ASSIGN_OR_RETURN(BoundExprPtr r, RewriteToPositions(e, layout));
+    out->push_back(std::move(r));
+    return Status::OK();
+  };
+  for (const auto& [l, r] : op.equi_keys) {
+    RADB_RETURN_NOT_OK(bind(*l, left_layout, &joined.left_keys));
+    RADB_RETURN_NOT_OK(bind(*r, right_layout, &joined.right_keys));
+  }
+  for (const auto& p : op.residual) {
+    RADB_RETURN_NOT_OK(bind(*p, combined, &joined.residual));
+  }
+  for (const auto& e : op.exprs) {
+    RADB_RETURN_NOT_OK(bind(*e, combined, &joined.fused));
+  }
+
+  // An index-nested-loop join leaves its outer input where it is and
+  // probes the inner table's B+ tree instead of running the inner
+  // input; a stale annotation runs the hash join.
+  const std::optional<IndexLookup> index =
+      op.index_nl ? IndexLookupFor(op, &joined) : std::nullopt;
+  RADB_ASSIGN_OR_RETURN(ExecResult left_in, ExecuteOp(lhs));
+  ExecResult right_in;
+  if (!index.has_value()) {
+    RADB_ASSIGN_OR_RETURN(right_in, ExecuteOp(rhs));
+  }
   SpillableDist& left = left_in.dist;
   SpillableDist& right = right_in.dist;
   const size_t w = cluster_.num_workers();
-  const auto left_layout = LayoutOf(*op.children[0]);
-  const auto right_layout = LayoutOf(*op.children[1]);
-
-  // Combined layout for residual predicates: left columns then right.
-  std::map<size_t, size_t> combined;
-  for (size_t i = 0; i < op.children[0]->output.size(); ++i) {
-    combined[op.children[0]->output[i].slot] = i;
-  }
-  const size_t left_arity = op.children[0]->output.size();
-  for (size_t i = 0; i < op.children[1]->output.size(); ++i) {
-    combined[op.children[1]->output[i].slot] = left_arity + i;
-  }
-  std::vector<BoundExprPtr> residual;
-  for (const auto& p : op.residual) {
-    RADB_ASSIGN_OR_RETURN(BoundExprPtr r, RewriteToPositions(*p, combined));
-    residual.push_back(std::move(r));
-  }
-  // A projection fused into the join (placed there by the optimizer's
-  // early-projection rule, §4.1) is evaluated per joined row, so the
-  // wide concatenated row is never materialized.
-  std::vector<BoundExprPtr> fused;
-  for (const auto& e : op.exprs) {
-    RADB_ASSIGN_OR_RETURN(BoundExprPtr r, RewriteToPositions(*e, combined));
-    fused.push_back(std::move(r));
-  }
-
-  const bool is_cross = op.equi_keys.empty();
-  const size_t left_bytes = SpillDistByteSize(left);
-  const size_t right_bytes = SpillDistByteSize(right);
+  const bool cross = op.equi_keys.empty();
   const size_t rows_in = SpillDistRowCount(left) + SpillDistRowCount(right);
 
-  std::vector<BoundExprPtr> left_keys, right_keys;
-  for (const auto& [l, r] : op.equi_keys) {
-    RADB_ASSIGN_OR_RETURN(BoundExprPtr lk,
-                          RewriteToPositions(*l, left_layout));
-    RADB_ASSIGN_OR_RETURN(BoundExprPtr rk,
-                          RewriteToPositions(*r, right_layout));
-    left_keys.push_back(std::move(lk));
-    right_keys.push_back(std::move(rk));
-  }
-
+  // Placement. Each worker then probes its runs probe[src][wkr] in
+  // source order: the outer input in place, the side a broadcast does
+  // not replicate, or the left side re-hashed by key against `build`,
+  // the right side re-hashed the same way.
   OperatorMetrics* m = nullptr;
-  SpillableDist out = NewDist(w);
-  // When a batch pipeline owns this join as its boundary, joined
-  // rows stream into its column batches instead of `out` (which then
-  // stays empty; the pipeline patches rows_out/bytes_out). The guard
-  // is the exact node pointer, so joins nested deeper in this subtree
-  // still materialize normally.
-  JoinBatchSink* sink = (join_sink_op_ == &op) ? join_sink_ : nullptr;
-
-  // Joins a left/right row pair: applies residual predicates and the
-  // fused projection; nullopt when a residual rejects the pair.
-  auto make_joined = [&](const Row& l,
-                         const Row& r) -> Result<std::optional<Row>> {
-    Row joined;
-    joined.reserve(l.size() + r.size());
-    for (const Value& v : l) joined.push_back(v);
-    for (const Value& v : r) joined.push_back(v);
-    for (const auto& p : residual) {
-      RADB_ASSIGN_OR_RETURN(Value v, EvalExpr(*p, joined));
-      if (v.is_null() || !v.bool_value()) return std::optional<Row>();
-    }
-    if (!fused.empty()) {
-      Row projected;
-      projected.reserve(fused.size());
-      for (const auto& e : fused) {
-        RADB_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, joined));
-        projected.push_back(std::move(v));
-      }
-      return std::optional<Row>(std::move(projected));
-    }
-    return std::optional<Row>(std::move(joined));
-  };
-  auto emit = [&](size_t wkr, const Row& l, const Row& r) -> Status {
-    if (sink != nullptr && residual.empty() && fused.empty()) {
-      // Fast path: hand the sink the two sides as-is — the
-      // concatenated Row is never built.
-      return sink->AppendPair(wkr, l, r);
-    }
-    RADB_ASSIGN_OR_RETURN(std::optional<Row> j, make_joined(l, r));
-    if (!j.has_value()) return Status::OK();
-    if (sink != nullptr) return sink->AppendRow(wkr, std::move(*j));
-    return out[wkr].Append(std::move(*j));
-  };
-
-  if (is_cross) {
-    // Broadcast the smaller side; each worker crosses its local
-    // partition of the bigger side with the full smaller side. The
-    // broadcast copy cannot spill (every probe row scans all of it),
-    // so it reserves hard.
-    const bool broadcast_right = right_bytes <= left_bytes;
-    m = NewOp(broadcast_right ? "CrossJoin(bcast right)"
-                              : "CrossJoin(bcast left)",
+  std::vector<SpillableDist> probe, build;
+  bool probe_left = true;
+  std::optional<HashBuild> bcast;
+  std::optional<mem::MemoryTracker> bcast_charge;
+  if (index.has_value()) {
+    m = NewOp("IndexJoin(" + rhs.table->name() + "." + rhs.index_name + ")",
               op);
-    m->rows_in = rows_in;
-    SpillableDist& small_side = broadcast_right ? right : left;
-    const size_t small_bytes = broadcast_right ? right_bytes : left_bytes;
-    std::optional<mem::MemoryTracker> bt;
-    if (mem_.tracker != nullptr) {
-      RADB_RETURN_NOT_OK(MakeHeadroom(mem_, small_bytes, {&left, &right}));
-      bt.emplace("CrossJoin broadcast side", mem_.tracker);
-      RADB_RETURN_NOT_OK(bt->Reserve(small_bytes));
-    }
-    RowSet small;
-    small.reserve(SpillDistRowCount(small_side));
-    for (SpillableRowBuffer& buf : small_side) {
-      RADB_RETURN_NOT_OK(ConsumeRows(buf, [&](Row row) -> Status {
-        small.push_back(std::move(row));
-        return Status::OK();
-      }));
-    }
-    m->bytes_shuffled += small_bytes * (w - 1);
-    m->rows_shuffled += small.size() * (w - 1);
-    SpillableDist& big = broadcast_right ? left : right;
-    // Each worker crosses its own big-side partition with the shared
-    // (read-only) broadcast copy.
-    RADB_RETURN_NOT_OK(ForEachWorker(w, [&](size_t wkr) -> Status {
-      const auto t0 = Clock::now();
-      // Cross joins poll the token per produced pair, not per probe
-      // row — one probe row fans out into |small| pairs, which would
-      // stretch the row-granular poll interval by that factor.
-      size_t since_check = 0;
-      RADB_RETURN_NOT_OK(ConsumeRows(big[wkr], [&](Row b) -> Status {
-        for (const Row& s : small) {
-          if (mem_.cancel != nullptr && ++since_check >= kCancelCheckRows) {
-            since_check = 0;
-            RADB_RETURN_NOT_OK(mem_.cancel->Check());
-          }
-          RADB_RETURN_NOT_OK(broadcast_right ? emit(wkr, b, s)
-                                             : emit(wkr, s, b));
-        }
-        return Status::OK();
-      }));
-      m->worker_seconds[wkr] += SecondsSince(t0);
-      return Status::OK();
-    }));
+    probe.push_back(std::move(left));
   } else {
-    // Broadcast-vs-shuffle decision, the classical optimizer rule: if
-    // replicating the small side everywhere moves fewer bytes than
-    // re-hashing both sides, broadcast. (The decision depends only on
-    // input sizes, never on the memory budget, so plans — and
-    // therefore output orders — are identical with and without one.)
-    const size_t shuffle_cost = left_bytes + right_bytes;
-    const size_t bcast_small =
-        std::min(left_bytes, right_bytes) * (w > 0 ? (w - 1) : 0);
-    const bool broadcast = bcast_small < shuffle_cost;
-    if (broadcast) {
-      const bool broadcast_right = right_bytes <= left_bytes;
-      m = NewOp(broadcast_right ? "HashJoin(bcast right)"
-                                : "HashJoin(bcast left)",
-                op);
-      m->rows_in = rows_in;
-      // The replicated hash table is unspillable: a Grace fallback
-      // would have to re-shuffle both sides, changing the physical
-      // plan (and output order) under budget. Reserve hard instead.
-      SpillableDist& small_side = broadcast_right ? right : left;
-      const size_t small_bytes = broadcast_right ? right_bytes : left_bytes;
-      const size_t small_rows = SpillDistRowCount(small_side);
-      std::optional<mem::MemoryTracker> bt;
-      if (mem_.tracker != nullptr) {
-        RADB_RETURN_NOT_OK(MakeHeadroom(
-            mem_, small_bytes + small_rows * kHashEntryOverhead,
-            {&left, &right}));
-        bt.emplace("HashJoin broadcast build side", mem_.tracker);
-        RADB_RETURN_NOT_OK(
-            bt->Reserve(small_bytes + small_rows * kHashEntryOverhead));
-      }
-      RowSet small;
-      small.reserve(small_rows);
-      for (SpillableRowBuffer& buf : small_side) {
-        RADB_RETURN_NOT_OK(ConsumeRows(buf, [&](Row row) -> Status {
-          small.push_back(std::move(row));
-          return Status::OK();
-        }));
-      }
-      const auto& small_keys = broadcast_right ? right_keys : left_keys;
-      std::unordered_multimap<KeyRow, const Row*, KeyRowHash> table;
-      for (const Row& r : small) {
-        RADB_ASSIGN_OR_RETURN(KeyRow key, EvalKey(small_keys, r));
-        if (KeyHasNull(key)) continue;
-        table.emplace(std::move(key), &r);
-      }
-      m->bytes_shuffled += small_bytes * (w - 1);
-      SpillableDist& big = broadcast_right ? left : right;
-      const auto& big_keys = broadcast_right ? left_keys : right_keys;
-      // The replicated hash table was built sequentially above (so its
-      // bucket chains — and therefore match order — are independent of
-      // the thread count); probing reads it concurrently.
-      RADB_RETURN_NOT_OK(ForEachWorker(w, [&](size_t wkr) -> Status {
-        const auto t0 = Clock::now();
-        RADB_RETURN_NOT_OK(ConsumeRows(big[wkr], [&](Row b) -> Status {
-          RADB_ASSIGN_OR_RETURN(KeyRow key, EvalKey(big_keys, b));
-          if (KeyHasNull(key)) return Status::OK();
-          auto [begin, end] = table.equal_range(key);
-          for (auto it = begin; it != end; ++it) {
-            RADB_RETURN_NOT_OK(broadcast_right ? emit(wkr, b, *it->second)
-                                               : emit(wkr, *it->second, b));
-          }
-          return Status::OK();
-        }));
-        m->worker_seconds[wkr] += SecondsSince(t0);
-        return Status::OK();
-      }));
+    const JoinPlacement place = PlaceJoin(op, left, right, left_in.hashed_slot,
+                                          right_in.hashed_slot);
+    m = NewOp(JoinName(cross, place), op);
+    if (place.kind == JoinPlacement::Kind::kShuffle) {
+      // NULL keys never match (inner join), so routing drops them.
+      const auto by_key = [this](const std::vector<BoundExprPtr>& keys,
+                                 bool stays) {
+        return [this, &keys, stays](size_t src,
+                                    const Row& row) -> Result<size_t> {
+          RADB_ASSIGN_OR_RETURN(KeyRow key, EvalKey(keys, row));
+          if (KeyHasNull(key)) return kDropRow;
+          return stays ? src : cluster_.WorkerForHash(key.hash);
+        };
+      };
+      RADB_ASSIGN_OR_RETURN(
+          probe, Route(left, m, by_key(joined.left_keys, place.left_stays)));
+      RADB_ASSIGN_OR_RETURN(
+          build, Route(right, m, by_key(joined.right_keys, place.right_stays)));
     } else {
-      // A side already hash-placed on its (single, bare-column) join
-      // key needs no movement — the §2.1 decision of which side to
-      // shuffle, made here with exact physical knowledge.
-      const std::optional<size_t> lkey_slot =
-          SingleColumnKeySlot(op.equi_keys, /*left_side=*/true);
-      const std::optional<size_t> rkey_slot =
-          SingleColumnKeySlot(op.equi_keys, /*left_side=*/false);
-      const bool left_prehashed = lkey_slot && left_in.hashed_slot &&
-                                  *lkey_slot == *left_in.hashed_slot;
-      const bool right_prehashed = rkey_slot && right_in.hashed_slot &&
-                                   *rkey_slot == *right_in.hashed_slot;
-      m = NewOp(left_prehashed && right_prehashed
-                    ? "HashJoin(co-located)"
-                    : (left_prehashed || right_prehashed
-                           ? "HashJoin(shuffle one side)"
-                           : "HashJoin(shuffle)"),
-                op);
-      m->rows_in = rows_in;
-      // Re-partition by join key hash into spillable per-(src,dst)
-      // runs; `prehashed` sides stay put and are charged nothing.
-      // Each destination later consumes its runs in source order —
-      // the same bucket order the old sequential loop produced, so
-      // join output is independent of thread count.
-      auto route = [&](SpillableDist& side,
-                       const std::vector<BoundExprPtr>& keys,
-                       bool prehashed) -> Result<std::vector<SpillableDist>> {
-        std::vector<SpillableDist> runs;
-        runs.reserve(side.size());
-        for (size_t s = 0; s < side.size(); ++s) runs.push_back(NewDist(w));
-        std::vector<size_t> local_bytes(side.size(), 0);
-        std::vector<size_t> local_rows(side.size(), 0);
-        RADB_RETURN_NOT_OK(
-            ForEachWorker(side.size(), [&](size_t src) -> Status {
-              const auto t0 = Clock::now();
-              RADB_RETURN_NOT_OK(ConsumeRows(
-                  side[src], [&](Row row) -> Status {
-                    RADB_ASSIGN_OR_RETURN(KeyRow key, EvalKey(keys, row));
-                    if (KeyHasNull(key)) {
-                      return Status::OK();  // inner join: NULL never matches
-                    }
-                    const size_t dst =
-                        prehashed ? src : cluster_.WorkerForHash(key.hash);
-                    if (dst != src) {
-                      local_bytes[src] += RowByteSize(row);
-                      ++local_rows[src];
-                    }
-                    return runs[src][dst].Append(std::move(row));
-                  }));
-              m->worker_seconds[src] += SecondsSince(t0);
-              return Status::OK();
-            }));
-        for (size_t src = 0; src < side.size(); ++src) {
-          m->bytes_shuffled += local_bytes[src];
-          m->rows_shuffled += local_rows[src];
-        }
-        return runs;
-      };
-      RADB_ASSIGN_OR_RETURN(auto left_runs,
-                            route(left, left_keys, left_prehashed));
-      RADB_ASSIGN_OR_RETURN(auto right_runs,
-                            route(right, right_keys, right_prehashed));
-
-      // Grace-hash fallback for one worker: both sides are split into
-      // sub-partitions by a secondary hash. All rows with one key land
-      // in one sub-partition with their relative order intact, so each
-      // sub-build's equal_range chains equal the monolithic table's.
-      // Probe rows carry their arrival sequence; merging sub-partition
-      // outputs by that sequence restores the exact probe-major output
-      // order — budgeted results stay bit-identical.
-      auto grace = [&](size_t wkr, mem::MemoryTracker& wt, size_t* spill_b,
-                       size_t* spill_r) -> Status {
-        SpillableDist bparts = NewDist(kGraceFanout);
-        SpillableDist pparts = NewDist(kGraceFanout);
-        SpillableDist pout = NewDist(kGraceFanout);
-        for (size_t src = 0; src < right_runs.size(); ++src) {
-          RADB_RETURN_NOT_OK(
-              ConsumeRows(right_runs[src][wkr], [&](Row row) -> Status {
-                RADB_ASSIGN_OR_RETURN(KeyRow key, EvalKey(right_keys, row));
-                return bparts[GracePartition(key.hash)].Append(std::move(row));
-              }));
-        }
-        int64_t seq = 0;
-        for (size_t src = 0; src < left_runs.size(); ++src) {
-          RADB_RETURN_NOT_OK(
-              ConsumeRows(left_runs[src][wkr], [&](Row row) -> Status {
-                RADB_ASSIGN_OR_RETURN(KeyRow key, EvalKey(left_keys, row));
-                Row tagged;
-                tagged.reserve(row.size() + 1);
-                tagged.push_back(Value::Int(seq++));
-                for (Value& v : row) tagged.push_back(std::move(v));
-                return pparts[GracePartition(key.hash)].Append(
-                    std::move(tagged));
-              }));
-        }
-        for (size_t p = 0; p < kGraceFanout; ++p) {
-          const size_t part_rows = bparts[p].num_rows();
-          const size_t charge =
-              bparts[p].byte_size() + part_rows * kHashEntryOverhead;
-          // A sub-build that still misses the budget fails the query:
-          // one level of partitioning is the depth this engine goes.
-          RADB_RETURN_NOT_OK(wt.Reserve(charge));
-          std::vector<std::pair<KeyRow, Row>> build;
-          build.reserve(part_rows);
-          RADB_RETURN_NOT_OK(ConsumeRows(bparts[p], [&](Row row) -> Status {
-            RADB_ASSIGN_OR_RETURN(KeyRow key, EvalKey(right_keys, row));
-            build.emplace_back(std::move(key), std::move(row));
-            return Status::OK();
-          }));
-          std::unordered_multimap<KeyRow, const Row*, KeyRowHash> table;
-          table.reserve(build.size());
-          for (auto& [key, row] : build) table.emplace(key, &row);
-          RADB_RETURN_NOT_OK(
-              ConsumeRows(pparts[p], [&](Row tagged) -> Status {
-                const Value seq_v = tagged[0];
-                Row probe(std::make_move_iterator(tagged.begin() + 1),
-                          std::make_move_iterator(tagged.end()));
-                RADB_ASSIGN_OR_RETURN(KeyRow key, EvalKey(left_keys, probe));
-                auto [begin, end] = table.equal_range(key);
-                for (auto it = begin; it != end; ++it) {
-                  RADB_ASSIGN_OR_RETURN(std::optional<Row> j,
-                                        make_joined(probe, *it->second));
-                  if (!j.has_value()) continue;
-                  Row tagged_out;
-                  tagged_out.reserve(j->size() + 1);
-                  tagged_out.push_back(seq_v);
-                  for (Value& v : *j) tagged_out.push_back(std::move(v));
-                  RADB_RETURN_NOT_OK(pout[p].Append(std::move(tagged_out)));
-                }
-                return Status::OK();
-              }));
-          build.clear();
-          table.clear();
-          wt.Release(charge);
-        }
-        // Merge sub-partition outputs back into probe-arrival order.
-        // Each pout[p] is already ascending in seq, and all matches of
-        // one probe row live in one partition, so a min-seq merge
-        // reproduces the monolithic probe loop's output exactly.
-        {
-          std::vector<std::unique_ptr<SpillableRowBuffer::Reader>> readers;
-          std::vector<std::optional<Row>> heads(kGraceFanout);
-          for (size_t p = 0; p < kGraceFanout; ++p) {
-            readers.push_back(
-                std::make_unique<SpillableRowBuffer::Reader>(&pout[p]));
-            RADB_ASSIGN_OR_RETURN(heads[p], readers[p]->Next());
-          }
-          while (true) {
-            int best = -1;
-            for (size_t p = 0; p < kGraceFanout; ++p) {
-              if (!heads[p].has_value()) continue;
-              if (best < 0 || (*heads[p])[0].int_value() <
-                                  (*heads[best])[0].int_value()) {
-                best = static_cast<int>(p);
-              }
-            }
-            if (best < 0) break;
-            Row& t = *heads[best];
-            Row row(std::make_move_iterator(t.begin() + 1),
-                    std::make_move_iterator(t.end()));
-            // Grace runs only under a budget, where no batch sink streams.
-            RADB_RETURN_NOT_OK(out[wkr].Append(std::move(row)));
-            RADB_ASSIGN_OR_RETURN(heads[best], readers[best]->Next());
-          }
-        }
-        for (const SpillableDist* d : {&bparts, &pparts, &pout}) {
-          for (const SpillableRowBuffer& b : *d) {
-            *spill_b += b.spill_bytes();
-            *spill_r += b.spill_runs();
-          }
-        }
-        return Status::OK();
-      };
-
-      std::vector<size_t> grace_spill_b(w, 0), grace_spill_r(w, 0);
-      RADB_RETURN_NOT_OK(ForEachWorker(w, [&](size_t wkr) -> Status {
-        const auto t0 = Clock::now();
-        size_t build_bytes = 0, build_rows = 0;
-        for (size_t src = 0; src < right_runs.size(); ++src) {
-          build_bytes += right_runs[src][wkr].byte_size();
-          build_rows += right_runs[src][wkr].num_rows();
-        }
-        bool classic = true;
-        std::optional<mem::MemoryTracker> wt;
-        if (mem_.tracker != nullptr) {
-          wt.emplace("HashJoin build (worker " + std::to_string(wkr) + ")",
-                     mem_.tracker);
-          classic =
-              wt->TryReserve(build_bytes + build_rows * kHashEntryOverhead);
-        }
-        if (classic) {
-          // In-memory path: materialize the build side in source
-          // order, probe in source order — the seed implementation's
-          // exact behavior. The worker tracker releases the build
-          // charge when it goes out of scope.
-          std::vector<std::pair<KeyRow, Row>> build;
-          build.reserve(build_rows);
-          for (size_t src = 0; src < right_runs.size(); ++src) {
-            RADB_RETURN_NOT_OK(
-                ConsumeRows(right_runs[src][wkr], [&](Row row) -> Status {
-                  RADB_ASSIGN_OR_RETURN(KeyRow key, EvalKey(right_keys, row));
-                  build.emplace_back(std::move(key), std::move(row));
-                  return Status::OK();
-                }));
-          }
-          std::unordered_multimap<KeyRow, const Row*, KeyRowHash> table;
-          table.reserve(build.size());
-          for (auto& [key, row] : build) table.emplace(key, &row);
-          for (size_t src = 0; src < left_runs.size(); ++src) {
-            RADB_RETURN_NOT_OK(
-                ConsumeRows(left_runs[src][wkr], [&](Row row) -> Status {
-                  RADB_ASSIGN_OR_RETURN(KeyRow key, EvalKey(left_keys, row));
-                  auto [begin, end] = table.equal_range(key);
-                  for (auto it = begin; it != end; ++it) {
-                    RADB_RETURN_NOT_OK(emit(wkr, row, *it->second));
-                  }
-                  return Status::OK();
-                }));
-          }
-        } else {
-          RADB_RETURN_NOT_OK(
-              grace(wkr, *wt, &grace_spill_b[wkr], &grace_spill_r[wkr]));
-        }
-        m->worker_seconds[wkr] += SecondsSince(t0);
-        return Status::OK();
-      }));
-      for (size_t wkr = 0; wkr < w; ++wkr) {
-        m->bytes_spilled += grace_spill_b[wkr];
-        m->spill_runs += grace_spill_r[wkr];
+      // The broadcast side is built once and read by every worker. It
+      // cannot spill (every probe row reads all of it), and a Grace
+      // fallback would re-shuffle both sides, changing the plan and the
+      // output order under a budget; so it reserves hard.
+      probe_left = place.kind == JoinPlacement::Kind::kBroadcastRight;
+      SpillableDist& small = probe_left ? right : left;
+      const size_t small_bytes = SpillDistByteSize(small);
+      const size_t small_rows = SpillDistRowCount(small);
+      const size_t charge =
+          small_bytes + (cross ? 0 : small_rows * kHashEntryOverhead);
+      if (mem_.tracker != nullptr) {
+        RADB_RETURN_NOT_OK(MakeHeadroom(mem_, charge, {&left, &right}));
+        bcast_charge.emplace(cross ? "CrossJoin broadcast side"
+                                   : "HashJoin broadcast build side",
+                             mem_.tracker);
+        RADB_RETURN_NOT_OK(bcast_charge->Reserve(charge));
       }
-      for (const auto& runs : {std::cref(left_runs), std::cref(right_runs)}) {
-        for (const SpillableDist& per_src : runs.get()) {
-          CollectSpill(m, per_src);
-        }
-      }
+      bcast.emplace(probe_left ? joined.right_keys : joined.left_keys,
+                    probe_left ? joined.left_keys : joined.right_keys);
+      BufferList all;
+      for (SpillableRowBuffer& buf : small) all.push_back(&buf);
+      RADB_RETURN_NOT_OK(bcast->Build(all));
+      m->bytes_shuffled += small_bytes * (w - 1);
+      m->rows_shuffled += small_rows * (w - 1);
+      probe.push_back(std::move(probe_left ? left : right));
     }
+  }
+  m->rows_in = rows_in;
+
+  SpillableDist out = NewDist(w);
+  // Grace-hash fallback for one worker whose build misses the budget:
+  // both sides are split into sub-partitions by a secondary hash. All
+  // rows with one key land in one sub-partition with their relative
+  // order intact, so each sub-build's equal_range chains equal the
+  // whole build's. Probe rows carry their arrival sequence; merging the
+  // sub-partitions' outputs by it restores the probe-major output
+  // order — budgeted results stay bit-identical.
+  std::vector<OperatorMetrics> grace_spill(w);  // per worker, merged below
+  const auto grace = [&](size_t wkr, mem::MemoryTracker& wt,
+                         CancelPoll& poll) -> Status {
+    SpillableDist bparts = NewDist(kGraceFanout);
+    SpillableDist pparts = NewDist(kGraceFanout);
+    SpillableDist pout = NewDist(kGraceFanout);
+    int64_t seq = 0;
+    const auto split = [&](std::vector<SpillableDist>& runs,
+                           const std::vector<BoundExprPtr>& keys,
+                           SpillableDist& parts, bool tag) -> Status {
+      for (SpillableRowBuffer* buf : WorkerRuns(runs, wkr)) {
+        RADB_RETURN_NOT_OK(ConsumeRows(*buf, [&](Row row) -> Status {
+          RADB_ASSIGN_OR_RETURN(KeyRow key, EvalKey(keys, row));
+          if (tag) row.insert(row.begin(), Value::Int(seq++));
+          return parts[GracePartition(key.hash)].Append(std::move(row));
+        }));
+      }
+      return Status::OK();
+    };
+    RADB_RETURN_NOT_OK(split(build, joined.right_keys, bparts, false));
+    RADB_RETURN_NOT_OK(split(probe, joined.left_keys, pparts, true));
+    for (size_t p = 0; p < kGraceFanout; ++p) {
+      const size_t charge =
+          bparts[p].byte_size() + bparts[p].num_rows() * kHashEntryOverhead;
+      // A sub-build that still misses the budget fails the query: one
+      // level of partitioning is the depth this engine goes.
+      RADB_RETURN_NOT_OK(wt.Reserve(charge));
+      HashBuild sub(joined.right_keys, joined.left_keys);
+      RADB_RETURN_NOT_OK(sub.Build({&bparts[p]}));
+      const JoinOut tagged{nullptr, wkr, &pout[p], /*tagged=*/true};
+      RADB_RETURN_NOT_OK(ProbeRows({&pparts[p]}, sub, /*probe_left=*/true,
+                                   joined, tagged, poll));
+      wt.Release(charge);
+    }
+    // Merge sub-partition outputs back into probe-arrival order. Each
+    // pout[p] is already ascending in seq, and all matches of one probe
+    // row live in one partition, so a min-seq merge reproduces the
+    // whole build's probe loop exactly. Grace runs only under a budget,
+    // where no pipeline sink streams.
+    std::vector<std::unique_ptr<SpillableRowBuffer::Reader>> readers;
+    std::vector<std::optional<Row>> heads(kGraceFanout);
+    for (size_t p = 0; p < kGraceFanout; ++p) {
+      readers.push_back(std::make_unique<SpillableRowBuffer::Reader>(&pout[p]));
+      RADB_ASSIGN_OR_RETURN(heads[p], readers[p]->Next());
+    }
+    while (true) {
+      int best = -1;
+      for (size_t p = 0; p < kGraceFanout; ++p) {
+        if (heads[p].has_value() &&
+            (best < 0 ||
+             (*heads[p])[0].int_value() < (*heads[best])[0].int_value())) {
+          best = static_cast<int>(p);
+        }
+      }
+      if (best < 0) break;
+      Row& t = *heads[best];
+      Row row(std::make_move_iterator(t.begin() + 1),
+              std::make_move_iterator(t.end()));
+      RADB_RETURN_NOT_OK(out[wkr].Append(std::move(row)));
+      RADB_ASSIGN_OR_RETURN(heads[best], readers[best]->Next());
+    }
+    for (const SpillableDist* d : {&bparts, &pparts, &pout}) {
+      CollectSpill(&grace_spill[wkr], *d);
+    }
+    return Status::OK();
+  };
+
+  // Lookup and probe, per worker.
+  RADB_RETURN_NOT_OK(ForEachWorker(w, [&](size_t wkr) -> Status {
+    const auto t0 = Clock::now();
+    CancelPoll poll(mem_.cancel);
+    const BufferList probe_bufs = WorkerRuns(probe, wkr);
+    const JoinOut to{sink, wkr, &out[wkr]};
+    const auto run = [&]() -> Status {
+      if (index.has_value()) {
+        return ProbeRows(probe_bufs, *index, true, joined, to, poll);
+      }
+      if (bcast.has_value()) {
+        return ProbeRows(probe_bufs, *bcast, probe_left, joined, to, poll);
+      }
+      // A shuffled join's one in-memory-or-Grace decision: the worker
+      // builds its right runs in memory when the budget admits the whole
+      // build (its tracker releases the charge on scope exit), else it
+      // runs Grace.
+      const BufferList build_bufs = WorkerRuns(build, wkr);
+      size_t bytes = 0, rows = 0;
+      for (const SpillableRowBuffer* b : build_bufs) {
+        bytes += b->byte_size();
+        rows += b->num_rows();
+      }
+      std::optional<mem::MemoryTracker> wt;
+      if (mem_.tracker != nullptr) {
+        wt.emplace("HashJoin build (worker " + std::to_string(wkr) + ")",
+                   mem_.tracker);
+        if (!wt->TryReserve(bytes + rows * kHashEntryOverhead)) {
+          return grace(wkr, *wt, poll);
+        }
+      }
+      HashBuild table(joined.right_keys, joined.left_keys);
+      RADB_RETURN_NOT_OK(table.Build(build_bufs));
+      return ProbeRows(probe_bufs, table, true, joined, to, poll);
+    };
+    RADB_RETURN_NOT_OK(run());
+    m->worker_seconds[wkr] += SecondsSince(t0);
+    return Status::OK();
+  }));
+  if (!build.empty()) {  // a shuffle: its routed runs and Grace's parts
+    for (const OperatorMetrics& g : grace_spill) {
+      m->bytes_spilled += g.bytes_spilled;
+      m->spill_runs += g.spill_runs;
+    }
+    for (const SpillableDist& per_src : probe) CollectSpill(m, per_src);
+    for (const SpillableDist& per_src : build) CollectSpill(m, per_src);
   }
   m->rows_out = SpillDistRowCount(out);
   m->bytes_out = SpillDistByteSize(out);
@@ -1017,36 +924,16 @@ Result<ExecResult> Executor::ExecuteDistinct(const LogicalOp& op) {
   OperatorMetrics* m = NewOp("Distinct", op);
   m->rows_in = SpillDistRowCount(in);
   const size_t w = cluster_.num_workers();
-  // Shuffle by whole-row hash, then dedupe locally. Two phases so
-  // both sides parallelize with disjoint writes: every source worker
-  // splits its rows into per-destination runs, then every destination
-  // dedupes its runs in source order — the same insertion order as a
-  // sequential src-major sweep, so the surviving (first) duplicate
-  // and the set's iteration order match at any thread count. The
-  // shuffle runs are spillable; the dedupe set is not (it IS the
-  // output), so it reserves hard.
-  std::vector<SpillableDist> runs;
-  runs.reserve(in.size());
-  for (size_t src = 0; src < in.size(); ++src) runs.push_back(NewDist(w));
-  std::vector<size_t> local_bytes(in.size(), 0);
-  std::vector<size_t> local_rows(in.size(), 0);
-  RADB_RETURN_NOT_OK(ForEachWorker(in.size(), [&](size_t src) -> Status {
-    const auto t0 = Clock::now();
-    RADB_RETURN_NOT_OK(ConsumeRows(in[src], [&](Row row) -> Status {
-      const size_t dst = cluster_.WorkerForHash(HashRow(row));
-      if (dst != src) {
-        local_bytes[src] += RowByteSize(row);
-        ++local_rows[src];
-      }
-      return runs[src][dst].Append(std::move(row));
-    }));
-    m->worker_seconds[src] += SecondsSince(t0);
-    return Status::OK();
-  }));
-  for (size_t src = 0; src < in.size(); ++src) {
-    m->bytes_shuffled += local_bytes[src];
-    m->rows_shuffled += local_rows[src];
-  }
+  // Shuffle by whole-row hash, then every destination dedupes its runs
+  // in source order, so the surviving (first) duplicate and the set's
+  // iteration order match at any thread count. The shuffle runs are
+  // spillable; the dedupe set is not (it IS the output), so it
+  // reserves hard.
+  RADB_ASSIGN_OR_RETURN(
+      std::vector<SpillableDist> runs,
+      Route(in, m, [&](size_t, const Row& row) -> Result<size_t> {
+        return cluster_.WorkerForHash(HashRow(row));
+      }));
   // The dedup sets are unspillable and charge 2× each distinct row
   // (key copy + stored row); free that much budget up front by
   // pushing the routed runs to disk if needed.

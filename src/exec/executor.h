@@ -34,16 +34,23 @@ struct ExecResult {
   std::optional<size_t> hashed_slot;
 };
 
+/// How a row join places its inputs before the probe (paper §2.1): one
+/// side broadcast to every worker, or both re-hashed by key.
+struct JoinPlacement {
+  enum class Kind { kBroadcastLeft, kBroadcastRight, kShuffle };
+  Kind kind = Kind::kShuffle;
+  /// kShuffle: a side already hash-placed on its single bare-column key
+  /// stays where it is.
+  bool left_stays = false;
+  bool right_stays = false;
+};
+
 /// Plan node -> indexes into QueryMetrics::operators of the operators
 /// that executed it (an Aggregate yields two: partial and final).
 using NodeMetricIds = std::map<const LogicalOp*, std::vector<size_t>>;
 
-/// Total payload bytes across all partitions.
-size_t DistByteSize(const Dist& d);
-/// Total row count across all partitions.
-size_t DistRowCount(const Dist& d);
-/// The same totals for the spillable form (O(workers), from the
-/// buffers' running counters).
+/// Total payload bytes and rows across all partitions (O(workers),
+/// from the buffers' running counters).
 size_t SpillDistByteSize(const SpillableDist& d);
 size_t SpillDistRowCount(const SpillableDist& d);
 
@@ -97,17 +104,19 @@ class Executor {
 
   Result<Dist> Execute(const LogicalOp& op);
 
-  /// Per-worker columnar consumer a pipeline installs on its boundary
-  /// join (vectorized.cc) when the query has no memory budget:
-  /// ExecuteJoin streams joined pairs straight into the pipeline's
-  /// column batches instead of materializing every joined Row into its
-  /// output distribution — the dominant cost of high-fanout joins like
-  /// the paper's tuple-coded Gram self-join.
+  /// Per-worker columnar consumer a pipeline (vectorized.cc) hands its
+  /// boundary join when the query has no memory budget: ExecuteJoin
+  /// streams joined pairs straight into the pipeline's column batches
+  /// instead of materializing every joined Row into its output
+  /// distribution — the dominant cost of high-fanout joins like the
+  /// paper's tuple-coded Gram self-join. The sink is an argument of
+  /// that one join's call (ExecuteOp → DispatchOp → RunOp →
+  /// ExecuteJoin), so a join nested deeper gets none.
   /// AppendPair carries the unconcatenated sides (left columns then
   /// right columns); AppendRow carries a materialized row where the
-  /// join had to build one anyway (residual predicates, fused
-  /// projection). Calls for worker w arrive on w's thread and touch
-  /// only worker-w state.
+  /// join had to build one anyway (rechecked equi pairs, residual
+  /// predicates, fused projection). Calls for worker w arrive on w's
+  /// thread and touch only worker-w state.
   class JoinBatchSink {
    public:
     virtual ~JoinBatchSink() = default;
@@ -151,14 +160,17 @@ class Executor {
     return it == node_metrics_.end() ? nullptr : &it->second;
   }
 
-  Result<ExecResult> ExecuteOp(const LogicalOp& op);
+  /// Runs `op`; `sink` is for a join a pipeline consumes.
+  Result<ExecResult> ExecuteOp(const LogicalOp& op,
+                               JoinBatchSink* sink = nullptr);
   /// Serves `op` from its spool when a copy already ran; otherwise runs
-  /// it and, for a spool with later uses, holds the result.
-  Result<ExecResult> DispatchOp(const LogicalOp& op);
+  /// it and, for a spool with later uses, holds the result (a spooled
+  /// join materializes, so it gets no sink).
+  Result<ExecResult> DispatchOp(const LogicalOp& op, JoinBatchSink* sink);
   /// Runs `op` by its kind: a marked relational multiply goes to
   /// ExecuteMultiply, a Scan/Filter/Project/Aggregate to
   /// ExecutePipeline.
-  Result<ExecResult> RunOp(const LogicalOp& op);
+  Result<ExecResult> RunOp(const LogicalOp& op, JoinBatchSink* sink);
   struct HeldSpool;
   /// Keeps a spool producer's result for its later uses and returns a
   /// copy for the producer's own consumer.
@@ -176,13 +188,28 @@ class Executor {
   /// the rows its B+ tree returns, in the order a full scan would emit
   /// them.
   Result<ExecResult> ExecutePipeline(const LogicalOp& op);
-  /// Index-nested-loop join for a kJoin annotated `index_nl`: probes
-  /// the inner scan's B+ tree with each outer row's key instead of
-  /// building a hash table. nullopt when the annotation is stale (index
-  /// dropped or degraded since planning) — the caller falls back to the
-  /// hash path.
-  Result<std::optional<ExecResult>> TryIndexJoin(const LogicalOp& op);
-  Result<ExecResult> ExecuteJoin(const LogicalOp& op);
+  /// The one placement rule. A cross join broadcasts the smaller side
+  /// by bytes; an equi-join broadcasts it when min(left, right) ×
+  /// (workers − 1) < left + right, else shuffles. It reads byte totals,
+  /// never the budget, so output orders do not depend on one.
+  /// MultiplyOnVectors folds in the pair order it sets (DESIGN.md §19).
+  JoinPlacement PlaceJoin(const LogicalOp& join, const SpillableDist& left,
+                          const SpillableDist& right,
+                          std::optional<size_t> left_hashed = std::nullopt,
+                          std::optional<size_t> right_hashed = std::nullopt)
+      const;
+  /// A row join: the placement above, or for an `index_nl` join the
+  /// outer input left in place; then on each worker one lookup (every
+  /// broadcast row, a hash build, or the B+ tree) and one probe loop
+  /// handing each pair to one joined-row path, ending in `sink` if given.
+  Result<ExecResult> ExecuteJoin(const LogicalOp& op, JoinBatchSink* sink);
+  static constexpr size_t kDropRow = static_cast<size_t>(-1);
+  /// Routes each row of `side` to the worker `dest` names (kDropRow:
+  /// nowhere) into runs[src][dst], each in its source's order, tallying
+  /// the rows that change worker as `m`'s shuffle.
+  Result<std::vector<SpillableDist>> Route(
+      SpillableDist& side, OperatorMetrics* m,
+      const std::function<Result<size_t>(size_t src, const Row& row)>& dest);
   Result<ExecResult> ExecuteDistinct(const LogicalOp& op);
   Result<ExecResult> ExecuteSort(const LogicalOp& op);
   Result<ExecResult> ExecuteLimit(const LogicalOp& op);
@@ -230,12 +257,6 @@ class Executor {
   ThreadPool* pool_ = nullptr;
   MemoryContext mem_;
   NodeMetricIds node_metrics_;
-  /// Installed (and save/restored) by VectorizedPipeline around the
-  /// execution of a boundary join; `join_sink_op_` pins the sink to
-  /// that one join node so joins nested deeper in the subtree are
-  /// unaffected.
-  JoinBatchSink* join_sink_ = nullptr;
-  const LogicalOp* join_sink_op_ = nullptr;
 
   /// A spool producer's result, held for the spool's later uses. It
   /// lives in the Executor — one per execution — never on the plan,

@@ -643,11 +643,12 @@ Result<std::optional<SpillableDist>> Executor::MultiplyOnVectors(
     return std::optional<SpillableDist>(NewDist(w));
   }
 
-  // The cross join broadcasts the smaller side by bytes; each worker
+  // The join's placement rule picks the broadcast side; each worker
   // pairs each of its own rows of the other (probe) side with every
   // broadcast row, in order. The fold follows the same pairs.
   const auto t0 = Clock::now();
-  const bool probe_left = SpillDistByteSize(right) <= SpillDistByteSize(left);
+  const bool probe_left = PlaceJoin(join, left, right).kind ==
+                          JoinPlacement::Kind::kBroadcastRight;
   VectorSide& probe = sides[probe_left ? 0 : 1];
   VectorSide& bcast = sides[probe_left ? 1 : 0];
   for (VectorSide& v : sides) v.Dictionary();

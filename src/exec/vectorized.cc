@@ -2238,11 +2238,11 @@ Status VectorizedPipeline::Overflow(WorkerCtx& ctx, size_t lane) {
   return ctx.agg.overflow.Append(std::move(row));
 }
 
-/// The Executor::JoinBatchSink a pipeline installs when its boundary
-/// is a join and the query has no memory budget: joined pairs land
-/// directly in per-worker column lanes, and full batches run through
-/// the chain inside the join's worker loop — neither the joined Row nor
-/// the join's output distribution is ever materialized. Lane-append
+/// The Executor::JoinBatchSink a pipeline hands its boundary join when
+/// the query has no memory budget: joined pairs land directly in
+/// per-worker column lanes, and full batches run through the chain
+/// inside the join's worker loop — neither the joined Row nor the
+/// join's output distribution is ever materialized. Lane-append
 /// time stays attributed to the join (it replaces the row
 /// materialization the join no longer does); chain-processing seconds
 /// accumulate in the workers' tallies and Run() moves them off the
@@ -2319,8 +2319,8 @@ std::optional<size_t> VectorizedPipeline::PropagateHashedSlot() const {
 }
 
 Result<ExecResult> VectorizedPipeline::Run() {
-  // A boundary join is consumed in-line: the pipeline installs a
-  // JoinIngest sink so the join streams its pairs straight into column
+  // A boundary join is consumed in-line: the pipeline hands the join
+  // a JoinIngest sink so it streams its pairs straight into column
   // batches instead of materializing rows we would only re-read (the
   // dominant cost of high-fanout joins like the paper's tuple-coded
   // Gram self-join). Any other boundary executes first, exactly as it
@@ -2357,16 +2357,7 @@ Result<ExecResult> VectorizedPipeline::Run() {
   if (join_inline) {
     for (WorkerCtx& ctx : ctxs) ResetIngestBatch(ctx, source_lanes_);
     JoinIngest ingest(*this, ctxs);
-    // Save/restore: a pipeline nested deeper in the join's subtree
-    // may install its own sink for its own boundary join.
-    Executor::JoinBatchSink* prev_sink = x_.join_sink_;
-    const LogicalOp* prev_op = x_.join_sink_op_;
-    x_.join_sink_ = &ingest;
-    x_.join_sink_op_ = boundary_;
-    Result<ExecResult> joined = x_.ExecuteOp(*boundary_);
-    x_.join_sink_ = prev_sink;
-    x_.join_sink_op_ = prev_op;
-    RADB_ASSIGN_OR_RETURN(boundary_res_, std::move(joined));
+    RADB_ASSIGN_OR_RETURN(boundary_res_, x_.ExecuteOp(*boundary_, &ingest));
     // Chain-processing seconds recorded inside the join's timed
     // worker loops belong to the pipeline's stages, not the join;
     // move them off its metric (lane appends stay — they replace the

@@ -35,6 +35,19 @@ const char* KindName(LogicalOp::Kind k) {
   return "?";
 }
 
+namespace {
+
+/// "expr AS name, ..." for a node's projection expressions.
+std::string ProjectionList(const LogicalOp& op) {
+  std::vector<std::string> parts;
+  for (size_t i = 0; i < op.exprs.size(); ++i) {
+    parts.push_back(op.exprs[i]->ToString() + " AS " + op.output[i].name);
+  }
+  return Join(parts, ", ");
+}
+
+}  // namespace
+
 std::string LogicalOp::NodeLabel() const {
   std::ostringstream os;
   os << KindName(kind);
@@ -81,16 +94,13 @@ std::string LogicalOp::NodeLabel() const {
       for (const auto& p : residual) parts.push_back(p->ToString());
       os << (equi_keys.empty() ? " (cross)" : "") << (index_nl ? " (indexed)" : "")
          << (parts.empty() ? "" : " [" + Join(parts, " AND ") + "]");
+      // A fused projection (the early-projection rule) runs per pair.
+      if (!exprs.empty()) os << " project=[" << ProjectionList(*this) << "]";
       break;
     }
-    case Kind::kProject: {
-      std::vector<std::string> parts;
-      for (size_t i = 0; i < exprs.size(); ++i) {
-        parts.push_back(exprs[i]->ToString() + " AS " + output[i].name);
-      }
-      os << " [" << Join(parts, ", ") << "]";
+    case Kind::kProject:
+      os << " [" << ProjectionList(*this) << "]";
       break;
-    }
     case Kind::kAggregate: {
       std::vector<std::string> parts;
       for (const auto& g : group_exprs) parts.push_back(g->ToString());

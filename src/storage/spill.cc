@@ -1,30 +1,10 @@
 #include "storage/spill.h"
 
-#include <istream>
-#include <sstream>
-#include <streambuf>
 #include <utility>
 
 #include "storage/serialize.h"
 
 namespace radb {
-
-namespace {
-
-/// An istream buffer that owns the run bytes it exposes — lets the
-/// reader decode a spill run without a second copy.
-class RunStreamBuf : public std::streambuf {
- public:
-  explicit RunStreamBuf(std::string data) : data_(std::move(data)) {
-    char* p = data_.data();
-    setg(p, p, p + data_.size());
-  }
-
- private:
-  std::string data_;
-};
-
-}  // namespace
 
 SpillableRowBuffer::SpillableRowBuffer(SpillableRowBuffer&& other) noexcept
     : ctx_(std::move(other.ctx_)),
@@ -101,25 +81,22 @@ Status SpillableRowBuffer::FlushTail() {
     file_ = std::make_unique<mem::SpillFile>();
     RADB_RETURN_NOT_OK(file_->Create(ctx_.spill_dir, ctx_.spill_tag()));
   }
-  std::ostringstream os(std::ios::binary);
+  std::string run;
   size_t run_rows = 0;
   auto emit_run = [&]() -> Status {
-    const std::string run = os.str();
     RADB_RETURN_NOT_OK(file_->WriteRun(run.data(), run.size()).status());
     run_row_counts_.push_back(run_rows);
     spill_bytes_ += run.size();
     ++spill_run_count_;
     if (ctx_.tracker != nullptr) ctx_.tracker->RecordSpill(run.size(), 1);
-    os.str(std::string());
+    run.clear();
     run_rows = 0;
     return Status::OK();
   };
   for (const Row& row : tail_) {
-    WriteRowBinary(os, row);
+    AppendRowBinary(run, row);
     ++run_rows;
-    if (static_cast<size_t>(os.tellp()) >= kMaxSpillRunBytes) {
-      RADB_RETURN_NOT_OK(emit_run());
-    }
+    if (run.size() >= kMaxSpillRunBytes) RADB_RETURN_NOT_OK(emit_run());
   }
   if (run_rows > 0) RADB_RETURN_NOT_OK(emit_run());
   rows_spilled_ += tail_.size();
@@ -161,8 +138,8 @@ SpillableRowBuffer::Reader::Reader(SpillableRowBuffer* buf) : buf_(buf) {}
 SpillableRowBuffer::Reader::~Reader() { ReleaseRun(); }
 
 void SpillableRowBuffer::Reader::ReleaseRun() {
-  run_is_.reset();
-  run_buf_.reset();
+  run_data_ = std::string();
+  run_ = ByteReader(run_data_);
 }
 
 Status SpillableRowBuffer::Reader::LoadRun(size_t index) {
@@ -174,8 +151,8 @@ Status SpillableRowBuffer::Reader::LoadRun(size_t index) {
   // budget that spilling freed (deadlocking operators that spilled
   // their input to make room for unspillable state).
   run_rows_left_ = buf_->run_row_counts_[index];
-  run_buf_ = std::make_unique<RunStreamBuf>(std::move(data));
-  run_is_ = std::make_unique<std::istream>(run_buf_.get());
+  run_data_ = std::move(data);
+  run_ = ByteReader(run_data_);
   return Status::OK();
 }
 
@@ -186,7 +163,7 @@ Result<std::optional<Row>> SpillableRowBuffer::Reader::Next() {
     ++run_index_;
   }
   if (run_rows_left_ > 0) {
-    RADB_ASSIGN_OR_RETURN(Row row, ReadRowBinary(*run_is_));
+    RADB_ASSIGN_OR_RETURN(Row row, ReadRowBinary(run_));
     if (--run_rows_left_ == 0) ReleaseRun();
     return std::optional<Row>(std::move(row));
   }

@@ -2,7 +2,6 @@
 #define RADB_STORAGE_SPILL_H_
 
 #include <cstddef>
-#include <iosfwd>
 #include <memory>
 #include <optional>
 #include <string>
@@ -12,6 +11,7 @@
 #include "common/result.h"
 #include "mem/memory_tracker.h"
 #include "mem/spill_file.h"
+#include "storage/serialize.h"
 #include "types/value.h"
 
 namespace radb {
@@ -114,8 +114,8 @@ class SpillableRowBuffer {
 
     SpillableRowBuffer* buf_;
     size_t run_index_ = 0;      // next spill run to load
-    std::unique_ptr<std::streambuf> run_buf_;  // current run's bytes
-    std::unique_ptr<std::istream> run_is_;
+    std::string run_data_;      // current run's bytes
+    ByteReader run_{run_data_};  // cursor into run_data_
     size_t run_rows_left_ = 0;  // rows remaining in current run
     size_t tail_index_ = 0;     // cursor into in-memory tail
   };

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -14,6 +16,8 @@
 #include "la/matrix.h"
 #include "la/vector.h"
 #include "obs/query_metrics.h"
+#include "storage/serialize.h"
+#include "testing/reference_eval.h"
 #include "workloads/computations.h"
 #include "workloads/datagen.h"
 
@@ -50,7 +54,10 @@ TEST_F(ExecTest, BroadcastJoinChosenForTinySide) {
   EXPECT_EQ(rs->at(0, 0).AsInt().value(), 40);
   bool saw_broadcast = false;
   for (const auto& op : db_->last_metrics().operators) {
-    if (op.name.find("bcast") != std::string::npos) saw_broadcast = true;
+    if (op.name.find("bcast") == std::string::npos) continue;
+    saw_broadcast = true;
+    // Both tiny rows go to each of the other three workers.
+    EXPECT_EQ(op.rows_shuffled, 2u * 3u) << op.name;
   }
   EXPECT_TRUE(saw_broadcast);
 }
@@ -329,6 +336,254 @@ TEST(QueryMetricsTest, AggregationAcrossOperators) {
   EXPECT_DOUBLE_EQ(q.SecondsForOperatorsContaining("Join"), 4.0);
   EXPECT_DOUBLE_EQ(q.SecondsForOperatorsContaining("Aggregate"), 4.0);
   EXPECT_NE(q.ToString().find("HashJoin"), std::string::npos);
+}
+
+// --- join strategies -------------------------------------------------
+//
+// Every row join runs one placement rule, one lookup per worker and one
+// probe loop; these cases pin each strategy's rows and row order.
+
+/// Each row serialized bit-exactly (FP bit patterns and the sign of
+/// zero included), in arrival order.
+std::vector<std::string> OrderedBits(const RowSet& rows) {
+  std::vector<std::string> out;
+  for (const Row& row : rows) {
+    std::string bytes;
+    AppendRowBinary(bytes, row);
+    out.push_back(std::move(bytes));
+  }
+  return out;
+}
+
+std::vector<std::string> SortedBits(const RowSet& rows) {
+  std::vector<std::string> out = OrderedBits(rows);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+using Loader = std::function<void(Database&)>;
+
+/// The join tables, with random (not grid) doubles: `big` (2,000 rows
+/// over 100 keys) and `tiny` (5 rows) for the broadcasts, `l` and `r`
+/// (600 rows each over 300 keys) for the shuffles. `place` hash-places
+/// the named tables on k.
+Loader JoinTables(std::vector<std::string> place = {}) {
+  return [place](Database& db) {
+    ASSERT_TRUE(Exec(db, "CREATE TABLE big (k INTEGER, v DOUBLE); "
+                         "CREATE TABLE tiny (k INTEGER, w DOUBLE); "
+                         "CREATE TABLE l (k INTEGER, p DOUBLE); "
+                         "CREATE TABLE r (k INTEGER, q DOUBLE)")
+                    .ok());
+    Rng rng(17);
+    std::vector<Row> big, tiny, l, r;
+    for (int i = 0; i < 2000; ++i) {
+      big.push_back({Value::Int(i % 100), Value::Double(rng.Uniform(-1, 1))});
+    }
+    for (int i = 0; i < 5; ++i) {
+      tiny.push_back({Value::Int(i * 7), Value::Double(rng.Uniform(-1, 1))});
+    }
+    for (int i = 0; i < 600; ++i) {
+      l.push_back({Value::Int(rng.NextBelow(300)),
+                   Value::Double(rng.Uniform(-1, 1))});
+      r.push_back({Value::Int(rng.NextBelow(300)),
+                   Value::Double(rng.Uniform(-1, 1))});
+    }
+    ASSERT_TRUE(db.BulkInsert("big", std::move(big)).ok());
+    ASSERT_TRUE(db.BulkInsert("tiny", std::move(tiny)).ok());
+    ASSERT_TRUE(db.BulkInsert("l", std::move(l)).ok());
+    ASSERT_TRUE(db.BulkInsert("r", std::move(r)).ok());
+    for (const std::string& t : place) {
+      ASSERT_TRUE(db.RepartitionTable(t, "k").ok());
+    }
+  };
+}
+
+/// `probe` (40 rows) and `build` (400 rows, indexed on k alone) joined
+/// on two column pairs, so the index probes k and the join rechecks j.
+/// The join also carries a residual predicate and, fused by the
+/// optimizer, the projection of the inner product.
+Loader IndexTables() {
+  return [](Database& db) {
+    ASSERT_TRUE(Exec(db, "CREATE TABLE probe (k INTEGER, j INTEGER, "
+                         "w DOUBLE, pv VECTOR[16]); "
+                         "CREATE TABLE build (k INTEGER, j INTEGER, "
+                         "v DOUBLE, bv VECTOR[16])")
+                    .ok());
+    Rng rng(23);
+    const auto vec = [&] {
+      la::Vector x(16);
+      for (size_t c = 0; c < 16; ++c) x[c] = rng.Uniform(-1, 1);
+      return Value::FromVector(std::move(x));
+    };
+    for (const auto& [table, n] :
+         {std::pair<std::string, int>{"probe", 40}, {"build", 400}}) {
+      std::vector<Row> rows;
+      for (int i = 0; i < n; ++i) {
+        rows.push_back({Value::Int(rng.NextBelow(100)),
+                        Value::Int(rng.NextBelow(3)),
+                        Value::Double(rng.Uniform(0, 1)), vec()});
+      }
+      ASSERT_TRUE(db.BulkInsert(table, std::move(rows)).ok());
+    }
+    ASSERT_TRUE(Exec(db, "CREATE INDEX bk ON build (k)").ok());
+  };
+}
+
+constexpr char kIndexJoin[] =
+    "SELECT probe.k, inner_product(probe.pv, build.bv) * probe.w "
+    "FROM probe, build "
+    "WHERE probe.k = build.k AND probe.j = build.j AND probe.w < build.v";
+constexpr char kIndexSum[] =
+    "SELECT SUM(inner_product(probe.pv, build.bv) * probe.w) "
+    "FROM probe, build "
+    "WHERE probe.k = build.k AND probe.j = build.j AND probe.w < build.v";
+
+Database::Config JoinConfig(size_t threads) {
+  Database::Config config;
+  config.num_workers = 4;
+  config.num_threads = threads;
+  config.cache.enable_result_cache = false;
+  return config;
+}
+
+/// The operator of the last statement named `name`, or null.
+const OperatorMetrics* FindOp(Database& db, const std::string& name) {
+  for (const OperatorMetrics& op : db.last_metrics().operators) {
+    if (op.name == name) return &op;
+  }
+  return nullptr;
+}
+
+/// `sql` runs as the join operator `op`; its rows equal the reference
+/// evaluator's as a multiset; its rows in order, and the result of
+/// `sum_sql` (an order-sensitive SUM over the same join), are the same
+/// bits at 1 and 8 threads.
+void ExpectJoinStrategy(const Loader& load, const std::string& sql,
+                        const std::string& sum_sql, const std::string& op) {
+  std::vector<std::string> rows_at_1, sum_at_1;
+  for (const size_t threads : {size_t{1}, size_t{8}}) {
+    SCOPED_TRACE(sql + " at " + std::to_string(threads) + " threads");
+    Database db(JoinConfig(threads));
+    load(db);
+    const Result<ResultSet> got = Exec(db, sql);
+    ASSERT_TRUE(got.ok()) << got.status();
+    EXPECT_NE(FindOp(db, op), nullptr) << db.last_metrics().ToString();
+    const Result<ResultSet> sum = Exec(db, sum_sql);
+    ASSERT_TRUE(sum.ok()) << sum.status();
+    EXPECT_NE(FindOp(db, op), nullptr) << db.last_metrics().ToString();
+    if (threads == 1) {
+      const Result<ResultSet> want =
+          testing::ReferenceExecute(sql, db.catalog());
+      ASSERT_TRUE(want.ok()) << want.status();
+      EXPECT_GT(got->num_rows(), 0u);
+      EXPECT_EQ(SortedBits(got->rows), SortedBits(want->rows));
+      rows_at_1 = OrderedBits(got->rows);
+      sum_at_1 = OrderedBits(sum->rows);
+      continue;
+    }
+    EXPECT_EQ(OrderedBits(got->rows), rows_at_1);
+    EXPECT_EQ(OrderedBits(sum->rows), sum_at_1);
+  }
+}
+
+TEST(JoinStrategyTest, CrossJoinBroadcastRight) {
+  ExpectJoinStrategy(
+      JoinTables(),
+      "SELECT big.k, big.v, tiny.w FROM big, tiny WHERE big.v < tiny.w",
+      "SELECT SUM(big.v * tiny.w) FROM big, tiny WHERE big.v < tiny.w",
+      "CrossJoin(bcast right)");
+}
+
+TEST(JoinStrategyTest, CrossJoinBroadcastLeft) {
+  ExpectJoinStrategy(JoinTables(), "SELECT tiny.k, big.v, tiny.w FROM tiny, big",
+                     "SELECT SUM(big.v * tiny.w) FROM tiny, big",
+                     "CrossJoin(bcast left)");
+}
+
+TEST(JoinStrategyTest, HashJoinBroadcastRight) {
+  ExpectJoinStrategy(
+      JoinTables(),
+      "SELECT big.k, big.v, tiny.w FROM big, tiny WHERE big.k = tiny.k",
+      "SELECT SUM(big.v * tiny.w) FROM big, tiny WHERE big.k = tiny.k",
+      "HashJoin(bcast right)");
+}
+
+TEST(JoinStrategyTest, HashJoinBroadcastLeft) {
+  ExpectJoinStrategy(
+      JoinTables(),
+      "SELECT big.k, big.v, tiny.w FROM tiny, big WHERE big.k = tiny.k",
+      "SELECT SUM(big.v * tiny.w) FROM tiny, big WHERE big.k = tiny.k",
+      "HashJoin(bcast left)");
+}
+
+TEST(JoinStrategyTest, HashJoinShuffle) {
+  ExpectJoinStrategy(JoinTables(),
+                     "SELECT l.k, l.p, r.q FROM l, r WHERE l.k = r.k",
+                     "SELECT SUM(l.p * r.q) FROM l, r WHERE l.k = r.k",
+                     "HashJoin(shuffle)");
+}
+
+TEST(JoinStrategyTest, HashJoinShuffleOneSide) {
+  ExpectJoinStrategy(JoinTables({"r"}),
+                     "SELECT l.k, l.p, r.q FROM l, r WHERE l.k = r.k",
+                     "SELECT SUM(l.p * r.q) FROM l, r WHERE l.k = r.k",
+                     "HashJoin(shuffle one side)");
+}
+
+TEST(JoinStrategyTest, HashJoinCoLocated) {
+  ExpectJoinStrategy(JoinTables({"l", "r"}),
+                     "SELECT l.k, l.p, r.q FROM l, r WHERE l.k = r.k",
+                     "SELECT SUM(l.p * r.q) FROM l, r WHERE l.k = r.k",
+                     "HashJoin(co-located)");
+}
+
+TEST(JoinStrategyTest, IndexJoin) {
+  ExpectJoinStrategy(IndexTables(), kIndexJoin, kIndexSum,
+                     "IndexJoin(build.bk)");
+}
+
+TEST(JoinStrategyTest, GraceFallbackKeepsRowsAndOrder) {
+  // One thread: the budget's in-memory-or-Grace decisions are then
+  // deterministic.
+  const std::string sql = "SELECT l.k, l.p, r.q FROM l, r WHERE l.k = r.k";
+  Database db(JoinConfig(1));
+  JoinTables()(db);
+  const Result<ResultSet> free = Exec(db, sql);
+  ASSERT_TRUE(free.ok()) << free.status();
+  QueryOptions tight;
+  tight.memory_budget_bytes = 16 << 10;
+  tight.num_threads_override = 1;
+  const Result<ResultSet> budgeted = Exec(db, sql, tight);
+  ASSERT_TRUE(budgeted.ok()) << budgeted.status();
+  const OperatorMetrics* join = FindOp(db, "HashJoin(shuffle)");
+  ASSERT_NE(join, nullptr) << db.last_metrics().ToString();
+  EXPECT_GT(join->bytes_spilled, 0u);
+  EXPECT_GT(free->num_rows(), 0u);
+  EXPECT_EQ(OrderedBits(budgeted->rows), OrderedBits(free->rows));
+}
+
+TEST(JoinStrategyTest, IndexJoinRechecksFiltersAndProjects) {
+  Database db(JoinConfig(1));
+  IndexTables()(db);
+  const Result<std::string> explain = db.Explain(kIndexJoin);
+  ASSERT_TRUE(explain.ok()) << explain.status();
+  const size_t at = explain->find("Join (indexed)");
+  ASSERT_NE(at, std::string::npos) << *explain;
+  const std::string line = explain->substr(at, explain->find('\n', at) - at);
+  EXPECT_NE(line.find("(probe.w < build.v)"), std::string::npos) << line;
+  EXPECT_NE(line.find("project=["), std::string::npos) << line;
+  EXPECT_NE(line.find("(inner_product(probe.pv, build.bv) * probe.w) AS"),
+            std::string::npos)
+      << line;
+  const Result<ResultSet> indexed = Exec(db, kIndexJoin);
+  ASSERT_TRUE(indexed.ok()) << indexed.status();
+  ASSERT_NE(FindOp(db, "IndexJoin(build.bk)"), nullptr);
+  ASSERT_TRUE(Exec(db, "DROP INDEX bk").ok());
+  const Result<ResultSet> hashed = Exec(db, kIndexJoin);
+  ASSERT_TRUE(hashed.ok()) << hashed.status();
+  EXPECT_EQ(FindOp(db, "IndexJoin(build.bk)"), nullptr);
+  EXPECT_GT(indexed->num_rows(), 0u);
+  EXPECT_EQ(SortedBits(indexed->rows), SortedBits(hashed->rows));
 }
 
 // --- thread-count determinism ----------------------------------------

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -16,6 +17,7 @@
 #include "common/string_util.h"
 #include "mem/spill_file.h"
 #include "la/matrix.h"
+#include "la/sparse/sparse.h"
 #include "la/vector.h"
 #include "mem/memory_tracker.h"
 #include "storage/serialize.h"
@@ -297,6 +299,60 @@ TEST(SpillableRowBufferTest, SpillToDiskFreesTheBudget) {
   for (int64_t i = 0; i < 50; ++i) {
     EXPECT_EQ((*rows)[i][0].int_value(), i);
   }
+}
+
+TEST(SpillableRowBufferTest, OneFlushSplitsIntoCappedRunsBitForBit) {
+  // Over 3 MiB of every value kind flushed at once: the flush splits
+  // into runs at the 1 MiB cap, and the runs replay every bit (signed
+  // zeros and NaN payloads included). The runs hold exactly the rows'
+  // codec bytes: each row's RowByteSize plus its 8-byte arity.
+  la::Matrix holes(12, 12, 0.0);
+  for (size_t i = 0; i < 12; ++i) holes.At(i, (5 * i) % 12) = 0.25 * i - 1.0;
+  const Value sparse =
+      Value::FromSparseMatrix(la::sparse::CsrMatrix::FromDense(holes));
+  std::vector<Row> rows;
+  size_t bytes = 0;
+  for (int64_t i = 0; i < 700; ++i) {
+    la::Vector v(200);
+    for (size_t c = 0; c < 200; ++c) v[c] = 0.001 * double(i * 200 + c);
+    la::Matrix m(20, 20, -0.5 * double(i));
+    Row row = {Value::Int(i),
+               Value::Double(0.0),
+               Value::Double(-0.0),
+               Value::Double(std::bit_cast<double>(0x7ff8000000000001ULL + i)),
+               Value::Null(),
+               Value::Bool(i % 2 == 0),
+               Value::String("row-" + std::to_string(i)),
+               Value::Labeled(1.5, i),
+               Value::FromVector(std::move(v), i),
+               Value::FromMatrix(std::move(m)),
+               sparse};
+    bytes += RowByteSize(row);
+    rows.push_back(std::move(row));
+  }
+  ASSERT_GT(bytes, 3u << 20);
+  mem::MemoryTracker tracker("query", 64u << 20);
+  SpillableRowBuffer buf(MemoryContext{&tracker, ""});
+  for (const Row& row : rows) ASSERT_TRUE(buf.Append(row).ok());
+  ASSERT_FALSE(buf.has_spilled_rows());
+  ASSERT_TRUE(buf.SpillToDisk().ok());
+  EXPECT_GE(buf.spill_runs(), 3u);
+  EXPECT_EQ(buf.spill_bytes(), bytes + 8 * rows.size());
+  const auto bits = [](const Row& row) {
+    std::string out;
+    AppendRowBinary(out, row);
+    return out;
+  };
+  SpillableRowBuffer::Reader reader(&buf);
+  for (const Row& want : rows) {
+    auto got = reader.Next();
+    ASSERT_TRUE(got.ok()) << got.status();
+    ASSERT_TRUE(got->has_value());
+    ASSERT_EQ(bits(**got), bits(want));
+  }
+  auto end = reader.Next();
+  ASSERT_TRUE(end.ok());
+  EXPECT_FALSE(end->has_value());
 }
 
 TEST(SpillFileTest, NameEmbedsTagAndOwnerPid) {

@@ -204,6 +204,29 @@ TEST(OptimizerTest, ExplainRendersCosts) {
   EXPECT_NE(explain->find("estimated cost"), std::string::npos);
 }
 
+TEST(OptimizerTest, ExplainShowsAProjectionFusedIntoAJoin) {
+  // The early-projection rule fuses the select expression into the
+  // 1-row cross join (the inputs' wide columns drop out): the join's
+  // line must show what it computes per pair.
+  Database db;
+  ASSERT_TRUE(
+      Exec(db, "CREATE TABLE g (gm MATRIX[20][20]); CREATE TABLE c (cv VECTOR[20])")
+          .ok());
+  la::Matrix gm(20, 20, 0.0);
+  for (size_t i = 0; i < 20; ++i) gm.At(i, i) = 2.0;
+  ASSERT_TRUE(db.BulkInsert("g", {{Value::FromMatrix(std::move(gm))}}).ok());
+  ASSERT_TRUE(db.BulkInsert("c", {{Value::FromVector(la::Vector(20))}}).ok());
+  auto explain = db.Explain(
+      "SELECT matrix_vector_multiply(matrix_inverse(g.gm), c.cv) FROM g, c");
+  ASSERT_TRUE(explain.ok()) << explain.status();
+  const size_t at = explain->find("Join (cross)");
+  ASSERT_NE(at, std::string::npos) << *explain;
+  const std::string line = explain->substr(at, explain->find('\n', at) - at);
+  EXPECT_NE(line.find("matrix_vector_multiply(matrix_inverse(g.gm), c.cv)"),
+            std::string::npos)
+      << *explain;
+}
+
 TEST(OptimizerTest, JoinOrderAvoidsLargeIntermediates) {
   // Three-way chain join where the middle table is large: the best
   // plan joins the small tables into the big one rather than starting
