@@ -36,12 +36,14 @@ cmake --build "$BUILD_DIR" -j "$JOBS" --target la_test tiled_test kernel_test
 (cd "$BUILD_DIR" && ctest -L kernels --output-on-failure)
 
 # Tight-budget pass: rerun the SQL-LA / aggregation / executor /
-# batch-engine suites with a 16 MB per-query memory budget, plus the
-# spill and admission suites (ctest label memory_budget), so the spill
-# paths face the same assertions as the unbudgeted runs — under the
-# sanitizers (scripts/stress.sh runs the same label under TSan).
+# batch-engine / relational multiply / spool suites with a 16 MB
+# per-query memory budget, plus the spill and admission suites (ctest
+# label memory_budget), so the spill paths face the same assertions as
+# the unbudgeted runs — under the sanitizers (scripts/stress.sh runs the
+# same label under TSan).
 cmake --build "$BUILD_DIR" -j "$JOBS" \
-  --target sql_la_test sql_agg_test exec_test vectorized_test spill_exec_test
+  --target sql_la_test sql_agg_test exec_test vectorized_test spill_exec_test \
+  relational_multiply_test spool_test
 (cd "$BUILD_DIR" && ctest -L memory_budget --output-on-failure)
 
 # Join pass: the executor suites (label `join`) — every join strategy,

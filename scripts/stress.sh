@@ -47,8 +47,8 @@ export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:die_after_fork=0}"
 (cd "$BUILD_DIR" && ctest -L obs --output-on-failure)
 
 # Budget suites: spill, Grace join and aggregation admission, and the
-# SQL-LA / aggregation / executor / batch-engine suites rerun under a
-# 16 MB budget — spill buffers and the shared tracker are touched from
+# SQL-LA / aggregation / executor / batch-engine / relational multiply
+# / spool suites rerun under a 16 MB budget — spill buffers and the shared tracker are touched from
 # every worker thread (same label scripts/fuzz.sh runs under ASan).
 (cd "$BUILD_DIR" && ctest -L memory_budget --output-on-failure)
 

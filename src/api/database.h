@@ -84,10 +84,11 @@ struct QueryOptions {
   /// statement fails with DeadlineExceeded; already-completed
   /// statements of the script are discarded with it.
   uint64_t deadline_ms = 0;
-  /// Cooperative cancellation handle. When set, executor row loops
-  /// and LA kernels poll it; Cancel() from any thread aborts the call
-  /// with Cancelled. Execute creates one internally when deadline_ms
-  /// is set without a token.
+  /// Cooperative cancellation handle. When set, the executor checks it
+  /// at each operator's start, each pipeline batch and every 256 rows,
+  /// cells, pairs or groups of its loops (LA kernels do not); Cancel()
+  /// from any thread aborts the call with Cancelled. Execute creates
+  /// one internally when deadline_ms is set without a token.
   std::shared_ptr<CancellationToken> cancellation{};
   /// Query id used for spill-file attribution and thread-pool task
   /// tagging. 0 = the Database assigns a fresh id per call.

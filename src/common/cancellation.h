@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 
@@ -11,11 +12,12 @@
 namespace radb {
 
 /// Cooperative cancellation handle shared between a query's submitter
-/// and its execution pipeline. The executor and the LA kernels poll
-/// `Check()` at row-batch / tile granularity; callers flip the flag
-/// from any thread via `Cancel()` or arm a wall-clock deadline before
-/// the query starts. Header-only so exec/, la/, and mem/ can use it
-/// without a new library dependency.
+/// and its execution pipeline. Every executor loop over rows, cells,
+/// pairs or groups ticks a CancelPoll (below); beyond those, only each
+/// operator's start and each pipeline batch call `Check()`. Callers
+/// flip the flag from any thread via `Cancel()` or arm a wall-clock
+/// deadline before the query starts. Header-only so any library can
+/// use it without a new dependency.
 ///
 /// Thread-safety: all members are safe to call concurrently. The
 /// token is usually held by std::shared_ptr because the submitting
@@ -84,6 +86,29 @@ class CancellationToken {
 };
 
 using CancellationTokenPtr = std::shared_ptr<CancellationToken>;
+
+/// Ticks between polls: a cancel lands within microseconds, and the
+/// atomic load vanishes against per-row work.
+constexpr size_t kCancelCheckRows = 256;
+
+/// Checks a token (null: never cancelled) every kCancelCheckRows-th
+/// tick. One per thread.
+class CancelPoll {
+ public:
+  explicit CancelPoll(const CancellationToken* cancel) : cancel_(cancel) {}
+
+  Status Tick() {
+    if (cancel_ == nullptr || ++ticks_ < kCancelCheckRows) {
+      return Status::OK();
+    }
+    ticks_ = 0;
+    return cancel_->Check();
+  }
+
+ private:
+  const CancellationToken* cancel_;
+  size_t ticks_ = 0;
+};
 
 }  // namespace radb
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <cstdint>
 #include <iterator>
 #include <memory>
@@ -16,12 +15,6 @@
 namespace radb {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double SecondsSince(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
 
 // KeyRow / KeyRowHash / HashRow / KeyHasNull live in exec/row_key.h,
 // shared with the differential reference evaluator.
@@ -50,60 +43,6 @@ constexpr size_t kGraceFanout = 16;
 /// bits select the partition.
 size_t GracePartition(size_t hash) {
   return (hash * 0x9e3779b97f4a7c15ULL) >> 60;  // top 4 bits: 0..15
-}
-
-/// Rows between cooperative cancellation checks in streaming loops.
-/// Small enough that a cancel lands within microseconds, large enough
-/// that the atomic load vanishes against per-row evaluation cost.
-constexpr size_t kCancelCheckRows = 256;
-
-/// Polls a query's cancellation token (null: never cancelled) on every
-/// kCancelCheckRows-th tick.
-class CancelPoll {
- public:
-  explicit CancelPoll(const CancellationToken* cancel) : cancel_(cancel) {}
-  Status Tick() {
-    if (cancel_ == nullptr || ++ticks_ < kCancelCheckRows) {
-      return Status::OK();
-    }
-    ticks_ = 0;
-    return cancel_->Check();
-  }
-
- private:
-  const CancellationToken* cancel_;
-  size_t ticks_ = 0;
-};
-
-/// Streams every row out of `buf` (exact append order) into `fn`,
-/// then clears the buffer. Rows that never spilled are moved out of
-/// the resident tail — the no-budget fast path has no serialization
-/// or copy cost. Ticks `poll` once per row.
-template <typename Fn>
-Status ConsumeRows(SpillableRowBuffer& buf, CancelPoll& poll, Fn&& fn) {
-  if (!buf.has_spilled_rows()) {
-    for (Row& row : buf.resident_rows()) {
-      RADB_RETURN_NOT_OK(poll.Tick());
-      RADB_RETURN_NOT_OK(fn(std::move(row)));
-    }
-  } else {
-    SpillableRowBuffer::Reader reader(&buf);
-    while (true) {
-      RADB_RETURN_NOT_OK(poll.Tick());
-      RADB_ASSIGN_OR_RETURN(std::optional<Row> row, reader.Next());
-      if (!row.has_value()) break;
-      RADB_RETURN_NOT_OK(fn(std::move(*row)));
-    }
-  }
-  buf.Clear();
-  return Status::OK();
-}
-
-/// ConsumeRows polling the token of the buffer's query.
-template <typename Fn>
-Status ConsumeRows(SpillableRowBuffer& buf, Fn&& fn) {
-  CancelPoll poll(buf.context().cancel);
-  return ConsumeRows(buf, poll, std::forward<Fn>(fn));
 }
 
 /// Buffers a join reads in order: a worker's runs, runs[src][wkr] for
@@ -194,7 +133,7 @@ class HashBuild {
     for (const SpillableRowBuffer* buf : bufs) n += buf->num_rows();
     rows_.reserve(n);
     for (SpillableRowBuffer* buf : bufs) {
-      RADB_RETURN_NOT_OK(ConsumeRows(*buf, [&](Row row) -> Status {
+      RADB_RETURN_NOT_OK(buf->ConsumeRows(nullptr, [&](Row row) -> Status {
         KeyRow key;
         if (!build_keys_.empty()) {
           RADB_ASSIGN_OR_RETURN(key, EvalKey(build_keys_, row));
@@ -325,7 +264,7 @@ Status ProbeRows(const BufferList& bufs, const Lookup& lookup,
                  bool probe_left, const JoinedRows& joined, const JoinOut& to,
                  CancelPoll& poll) {
   for (SpillableRowBuffer* buf : bufs) {
-    RADB_RETURN_NOT_OK(ConsumeRows(*buf, poll, [&](Row row) -> Status {
+    RADB_RETURN_NOT_OK(buf->ConsumeRows(&poll, [&](Row row) -> Status {
       Value seq;
       if (to.tagged) {
         seq = std::move(row[0]);
@@ -496,8 +435,8 @@ Result<ExecResult> Executor::ExecuteOp(const LogicalOp& op,
     return result;
   }
   // Operator-granular cancellation: a fired token stops the plan
-  // before the next operator starts; row loops inside operators poll
-  // at kCancelCheckRows granularity via ConsumeRows.
+  // before the next operator starts. Loops inside operators tick a
+  // CancelPoll (common/cancellation.h).
   if (mem_.cancel != nullptr) RADB_RETURN_NOT_OK(mem_.cancel->Check());
   if (obs_.tracer == nullptr) return DispatchOp(op, sink);
 
@@ -549,12 +488,8 @@ Result<SpillableDist> Executor::CopyDist(SpillableDist& src,
   SpillableDist out = NewDist(src.size());
   RADB_RETURN_NOT_OK(ForEachWorker(src.size(), [&](size_t wkr) -> Status {
     const auto t0 = Clock::now();
-    SpillableRowBuffer::Reader reader(&src[wkr]);
-    while (true) {
-      RADB_ASSIGN_OR_RETURN(std::optional<Row> row, reader.Next());
-      if (!row.has_value()) break;
-      RADB_RETURN_NOT_OK(out[wkr].Append(std::move(*row)));
-    }
+    RADB_RETURN_NOT_OK(src[wkr].ForEachRow(
+        nullptr, [&](const Row& row) { return out[wkr].Append(row); }));
     if (m != nullptr) m->worker_seconds[wkr] += SecondsSince(t0);
     return Status::OK();
   }));
@@ -664,7 +599,7 @@ Result<std::vector<SpillableDist>> Executor::Route(
   std::vector<size_t> moved_bytes(side.size(), 0), moved_rows(side.size(), 0);
   RADB_RETURN_NOT_OK(ForEachWorker(side.size(), [&](size_t src) -> Status {
     const auto t0 = Clock::now();
-    RADB_RETURN_NOT_OK(ConsumeRows(side[src], [&](Row row) -> Status {
+    RADB_RETURN_NOT_OK(side[src].ConsumeRows(nullptr, [&](Row row) -> Status {
       RADB_ASSIGN_OR_RETURN(const size_t dst, dest(src, row));
       if (dst == kDropRow) return Status::OK();
       if (dst != src) {
@@ -809,7 +744,7 @@ Result<ExecResult> Executor::ExecuteJoin(const LogicalOp& op,
                            const std::vector<BoundExprPtr>& keys,
                            SpillableDist& parts, bool tag) -> Status {
       for (SpillableRowBuffer* buf : WorkerRuns(runs, wkr)) {
-        RADB_RETURN_NOT_OK(ConsumeRows(*buf, [&](Row row) -> Status {
+        RADB_RETURN_NOT_OK(buf->ConsumeRows(&poll, [&](Row row) -> Status {
           RADB_ASSIGN_OR_RETURN(KeyRow key, EvalKey(keys, row));
           if (tag) row.insert(row.begin(), Value::Int(seq++));
           return parts[GracePartition(key.hash)].Append(std::move(row));
@@ -844,6 +779,7 @@ Result<ExecResult> Executor::ExecuteJoin(const LogicalOp& op,
       RADB_ASSIGN_OR_RETURN(heads[p], readers[p]->Next());
     }
     while (true) {
+      RADB_RETURN_NOT_OK(poll.Tick());
       int best = -1;
       for (size_t p = 0; p < kGraceFanout; ++p) {
         if (heads[p].has_value() &&
@@ -955,9 +891,10 @@ Result<ExecResult> Executor::ExecuteDistinct(const LogicalOp& op) {
                  mem_.tracker);
     }
     std::unordered_map<KeyRow, Row, KeyRowHash> set;
+    CancelPoll poll(mem_.cancel);
     for (size_t src = 0; src < runs.size(); ++src) {
       RADB_RETURN_NOT_OK(
-          ConsumeRows(runs[src][dst], [&](Row row) -> Status {
+          runs[src][dst].ConsumeRows(&poll, [&](Row row) -> Status {
             const size_t rb = RowByteSize(row);
             KeyRow key{row, HashRow(row)};
             const auto [it, inserted] =
@@ -1005,8 +942,9 @@ Result<ExecResult> Executor::ExecuteSort(const LogicalOp& op) {
   }
   RowSet all;
   all.reserve(SpillDistRowCount(in));
+  CancelPoll poll(mem_.cancel);
   for (size_t src = 0; src < in.size(); ++src) {
-    RADB_RETURN_NOT_OK(ConsumeRows(in[src], [&](Row row) -> Status {
+    RADB_RETURN_NOT_OK(in[src].ConsumeRows(&poll, [&](Row row) -> Status {
       if (src != 0) {
         m->bytes_shuffled += RowByteSize(row);
         ++m->rows_shuffled;
@@ -1061,18 +999,17 @@ Result<ExecResult> Executor::ExecuteLimit(const LogicalOp& op) {
   SpillableDist out = NewDist(cluster_.num_workers());
   const size_t limit = static_cast<size_t>(std::max<int64_t>(0, op.limit));
   size_t taken = 0;
+  CancelPoll poll(mem_.cancel);
   for (size_t src = 0; src < in.size() && taken < limit; ++src) {
-    SpillableRowBuffer::Reader reader(&in[src]);
-    while (taken < limit) {
-      RADB_ASSIGN_OR_RETURN(std::optional<Row> row, reader.Next());
-      if (!row.has_value()) break;
-      if (src != 0) {
-        m->bytes_shuffled += RowByteSize(*row);
-        ++m->rows_shuffled;
-      }
-      RADB_RETURN_NOT_OK(out[0].Append(std::move(*row)));
-      ++taken;
-    }
+    RADB_RETURN_NOT_OK(
+        in[src].ForEachRow(&poll, [&](const Row& row) -> Result<bool> {
+          if (src != 0) {
+            m->bytes_shuffled += RowByteSize(row);
+            ++m->rows_shuffled;
+          }
+          RADB_RETURN_NOT_OK(out[0].Append(row));
+          return ++taken < limit;
+        }));
   }
   for (SpillableRowBuffer& buf : in) buf.Clear();
   m->rows_out = SpillDistRowCount(out);

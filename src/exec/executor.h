@@ -1,6 +1,7 @@
 #ifndef RADB_EXEC_EXECUTOR_H_
 #define RADB_EXEC_EXECUTOR_H_
 
+#include <chrono>
 #include <functional>
 #include <map>
 #include <optional>
@@ -132,6 +133,11 @@ class Executor {
  private:
   friend class VectorizedPipeline;
 
+  using Clock = std::chrono::steady_clock;
+  static double SecondsSince(Clock::time_point t0) {
+    return std::chrono::duration<double>(Clock::now() - t0).count();
+  }
+
   /// The budget charge for admitting one aggregation group, or one
   /// DISTINCT entry, whose key serializes to `key_bytes`: the key held
   /// twice (map key and group state) plus the entry's bookkeeping.
@@ -219,6 +225,8 @@ class Executor {
   /// admit it, the inputs are held for the Join (see held_inputs_) and
   /// the Aggregate runs as if unmarked, so no input runs twice.
   Result<ExecResult> ExecuteMultiply(const LogicalOp& op);
+  /// The skeleton both kernel paths run on (multiply.cc).
+  class MultiplyRun;
   /// The kernel paths of ExecuteMultiply, for the tuple coding (dense
   /// tiles) and the vector coding (stacked vectors): nullopt with
   /// `*reason` set when the inputs do not admit it. They read the

@@ -13,15 +13,16 @@
 //     matrix, computes every pair's inner product with la::Multiply and
 //     folds the values into groups in the order the join and aggregate
 //     would have.
+// Both run on one skeleton, MultiplyRun, and keep only their math.
 // Residual conjuncts comparing an INTEGER column of each side are
 // applied as a mask. la::Multiply rounds identically at any thread
 // count. When the inputs do not admit the kernel, they go to the Join
 // and the Aggregate runs as if unmarked.
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <iterator>
 #include <memory>
 #include <optional>
@@ -37,19 +38,13 @@ namespace radb {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double SecondsSince(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
+/// A kernel path's answer: the product's rows, or nullopt to fall back.
+using Product = std::optional<SpillableDist>;
 
 /// Fewest filled cells a tile may have, as a share of its size. A
 /// sparser tile would mostly multiply zeros, while the join touches
 /// only the pairs that exist.
 constexpr double kMinTileFill = 0.5;
-
-/// Rows between cancellation polls, as in the row operators.
-constexpr size_t kCancelCheckRows = 256;
 
 /// One input row on its way into a tile. After the key dictionary is
 /// built, `key` holds the key's position in it (-1: the key is not on
@@ -64,85 +59,82 @@ struct Cell {
 /// entries (its key twice, its index once).
 constexpr size_t kStagedBytesPerRow = sizeof(Cell) + 3 * sizeof(int64_t);
 
-/// Where one side's join key, value and group index sit in its rows.
-struct SideColumns {
-  size_t key = 0;
+/// Where one input's columns of the product sit in its rows.
+struct InputColumns {
+  size_t key = 0;  // the join key (tuple coding)
   size_t value = 0;
-  std::optional<size_t> index;
+  std::optional<size_t> index;  // the group key
+  std::vector<size_t> mask;  // one per mask term
 };
 
-/// Calls fn(row) for each row of `buf` in append order and leaves the
-/// buffer as it was.
-template <typename Fn>
-Status VisitRows(SpillableRowBuffer& buf, Fn&& fn) {
-  if (!buf.has_spilled_rows()) {
-    for (const Row& row : buf.resident_rows()) RADB_RETURN_NOT_OK(fn(row));
-    return Status::OK();
-  }
-  SpillableRowBuffer::Reader reader(&buf);
-  while (true) {
-    RADB_ASSIGN_OR_RETURN(std::optional<Row> row, reader.Next());
-    if (!row.has_value()) return Status::OK();
-    RADB_RETURN_NOT_OK(fn(*row));
-  }
+/// Reads the INTEGER key `k` into `*out`. Returns `if_null` for a NULL,
+/// "non-INTEGER key" for another kind, else null.
+const char* ReadKey(const Value& k, const char* if_null, int64_t* out) {
+  if (k.is_null()) return if_null;
+  if (k.kind() != TypeKind::kInteger) return "non-INTEGER key";
+  *out = k.int_value();
+  return nullptr;
 }
 
 /// Reads `row` into `*cell`. Returns why the row cannot enter a tile,
 /// or null when it can; `*joins` is false for a NULL join key, which
 /// never joins, so the row is skipped.
-const char* ReadCell(const Row& row, const SideColumns& c, Cell* cell,
+const char* ReadCell(const Row& row, const InputColumns& c, Cell* cell,
                      bool* joins) {
-  const Value& key = row[c.key];
-  *joins = !key.is_null();
+  *joins = !row[c.key].is_null();
   if (!*joins) return nullptr;
-  if (key.kind() != TypeKind::kInteger) return "non-INTEGER key";
+  if (const char* why = ReadKey(row[c.key], nullptr, &cell->key)) return why;
   const Value& v = row[c.value];
   if (v.is_null()) return "NULL value";
   if (v.kind() != TypeKind::kDouble) return "non-DOUBLE value";
   if (!std::isfinite(v.double_value())) return "non-finite value";
-  cell->key = key.int_value();
   cell->value = v.double_value();
   cell->index = 0;
-  if (c.index) {
-    const Value& i = row[*c.index];
-    if (i.is_null()) return "NULL group key";
-    if (i.kind() != TypeKind::kInteger) return "non-INTEGER key";
-    cell->index = i.int_value();
-  }
-  return nullptr;
+  if (!c.index) return nullptr;
+  return ReadKey(row[*c.index], "NULL group key", &cell->index);
 }
 
+/// A sorted dictionary: the distinct values of `v` in order, each
+/// standing for its position (Find).
 template <typename T>
-void SortUnique(std::vector<T>* v) {
-  std::sort(v->begin(), v->end());
-  v->erase(std::unique(v->begin(), v->end()), v->end());
+std::vector<T> Dictionary(std::vector<T> v) {
+  std::sort(v.begin(), v.end());
+  v.erase(std::unique(v.begin(), v.end()), v.end());
+  return v;
 }
 
-/// Position of `x` in the sorted `dict`, or -1.
+/// Position of `x` in the dictionary `dict`, or -1.
 int64_t Find(const std::vector<int64_t>& dict, int64_t x) {
   const auto it = std::lower_bound(dict.begin(), dict.end(), x);
   return it != dict.end() && *it == x ? it - dict.begin() : -1;
+}
+
+/// Replaces each of `keys` by its position in their dictionary, which
+/// it returns.
+std::vector<int64_t> Encode(std::vector<int64_t>* keys) {
+  std::vector<int64_t> dict = Dictionary(*keys);
+  for (int64_t& k : *keys) k = Find(dict, k);
+  return dict;
 }
 
 /// One side's cells in worker order, as the tile fill reads them.
 using SideCells = std::vector<std::vector<Cell>>;
 
 /// Replaces each cell's key by its position in `keys` and returns the
-/// sorted distinct indexes of the cells that join, with their count in
-/// `*joined`.
+/// dictionary of the indexes of the cells that join, with their count
+/// in `*joined`.
 std::vector<int64_t> IndexDictionary(SideCells& side,
                                      const std::vector<int64_t>& keys,
                                      size_t* joined) {
-  std::vector<int64_t> dict;
+  std::vector<int64_t> indexes;
   for (std::vector<Cell>& part : side) {
     for (Cell& c : part) {
       c.key = Find(keys, c.key);
-      if (c.key >= 0) dict.push_back(c.index);
+      if (c.key >= 0) indexes.push_back(c.index);
     }
   }
-  *joined = dict.size();
-  SortUnique(&dict);
-  return dict;
+  *joined = indexes.size();
+  return Dictionary(std::move(indexes));
 }
 
 /// Whether `a op b` holds for two INTEGER keys. They compare exactly,
@@ -208,37 +200,33 @@ constexpr size_t kNoLength = SIZE_MAX;
 /// per worker its vectors packed row after row, and per row (numbered
 /// in worker order) its group key and mask keys.
 struct VectorSide {
-  size_t value = 0;  // column positions in the input rows
-  std::optional<size_t> index;
-  std::vector<size_t> mask;  // one column per mask term
+  const InputColumns* cols = nullptr;
   std::vector<size_t> begin;  // each worker's first row, then the total
   std::vector<std::vector<double>> packed;  // per worker
   std::vector<size_t> length;  // per worker: vector length, or kNoLength
-  std::vector<int64_t> keys;  // per row: group key
+  /// Per row: its group key (0 without one), after Encode its position
+  /// in `dict`.
+  std::vector<int64_t> group;
+  std::vector<int64_t> dict;  // the group keys
   std::vector<int64_t> mask_keys;  // per row: one per term
-  std::vector<int64_t> dict;  // sorted distinct group keys
-  std::vector<size_t> group;  // per row: its key's position in `dict`
 
   size_t rows() const { return begin.back(); }
 
   /// Reads row `r`, the next row of worker `wkr`. Returns why it cannot
   /// enter the kernel, or null.
   const char* Read(const Row& row, size_t wkr, size_t r) {
-    const Value& v = row[value];
+    const Value& v = row[cols->value];
     if (v.is_null()) return "NULL vector";
     if (v.kind() != TypeKind::kVector) return "non-VECTOR value";
-    const auto key = [&](size_t col, int64_t* out) -> const char* {
-      const Value& k = row[col];
-      if (k.is_null()) return "NULL key";
-      if (k.kind() != TypeKind::kInteger) return "non-INTEGER key";
-      *out = k.int_value();
-      return nullptr;
-    };
-    if (index) {
-      if (const char* why = key(*index, &keys[r])) return why;
+    if (cols->index) {
+      if (const char* why = ReadKey(row[*cols->index], "NULL key", &group[r])) {
+        return why;
+      }
     }
-    for (size_t t = 0; t < mask.size(); ++t) {
-      if (const char* why = key(mask[t], &mask_keys[r * mask.size() + t])) {
+    const size_t terms = cols->mask.size();
+    for (size_t t = 0; t < terms; ++t) {
+      if (const char* why = ReadKey(row[cols->mask[t]], "NULL key",
+                                    &mask_keys[r * terms + t])) {
         return why;
       }
     }
@@ -262,21 +250,6 @@ struct VectorSide {
       std::copy(from, from + (hi - lo) * d, out + (lo - r0) * d);
     }
   }
-
-  /// Builds `dict` and `group` from the keys (one group without a key).
-  void Dictionary() {
-    if (!index) {
-      dict = {0};
-      group.assign(rows(), 0);
-      return;
-    }
-    dict = keys;
-    SortUnique(&dict);
-    group.resize(rows());
-    for (size_t r = 0; r < rows(); ++r) {
-      group[r] = static_cast<size_t>(Find(dict, keys[r]));
-    }
-  }
 };
 
 /// One worker's partial aggregate of a vector-coded product: the group
@@ -298,6 +271,137 @@ struct Partial {
 
 }  // namespace
 
+/// One kernel attempt of either coding: the columns it reads, the
+/// scoped tracker of its unspillable state (released on every way out,
+/// cancellation included), one read of both inputs, one emitter and a
+/// cancellation poll per worker. Work on the calling thread is charged
+/// to worker 0's seconds and polls worker 0's poll.
+class Executor::MultiplyRun {
+ public:
+  MultiplyRun(Executor& x, const LogicalOp& op, const char* tracker_name,
+              SpillableDist& left, SpillableDist& right, OperatorMetrics* m,
+              std::string* reason)
+      : x_(x),
+        w_(left.size()),
+        inputs_{&left, &right},
+        m_(m),
+        reason_(reason),
+        polls_(w_, CancelPoll(x.mem_.cancel)) {
+    const LogicalOp::MultiplyShape& s = *op.multiply;
+    for (int side = 0; side < 2; ++side) {
+      const auto layout = LayoutOf(*op.children[0]->children[side]);
+      const bool l = side == 0;
+      InputColumns& c = cols[side];
+      if (s.coding == LogicalOp::MultiplyShape::Coding::kTuple) {
+        c.key = layout.at(l ? s.left_key : s.right_key);
+      }
+      c.value = layout.at(l ? s.left_value : s.right_value);
+      if (const auto& index = l ? s.left_index : s.right_index) {
+        c.index = layout.at(*index);
+      }
+      for (const MaskTerm& t : s.mask) {
+        c.mask.push_back(layout.at(l ? t.left : t.right));
+      }
+    }
+    if (x.mem_.tracker != nullptr) {
+      tracker_.emplace(tracker_name, x.mem_.tracker);
+    }
+    m->rows_in = SpillDistRowCount(left) + SpillDistRowCount(right);
+  }
+
+  InputColumns cols[2];
+
+  size_t workers() const { return w_; }
+  CancelPoll& poll(size_t wkr) { return polls_[wkr]; }
+
+  /// Gives the kernel up for `why`: the inputs go to the join.
+  Product Refuse(std::string why) {
+    *reason_ = std::move(why);
+    return Product();
+  }
+
+  /// Reserves `bytes` of unspillable `what`; false, with the reason
+  /// set, when the budget refuses.
+  bool Admit(size_t bytes, const char* what) {
+    if (!tracker_.has_value() || tracker_->TryReserve(bytes)) return true;
+    *reason_ = "memory budget refused " + FormatBytes(double(bytes)) +
+               " of " + what;
+    return false;
+  }
+
+  /// Every worker reads its partition of both inputs in place, left
+  /// then right, calling read(side, wkr, i, row) on its i-th row of a
+  /// side until that returns a refusal. Then `settle` may refuse the
+  /// inputs as a whole. Returns the lowest (side, worker)'s refusal,
+  /// else settle's, else null, and then the rows read on workers other
+  /// than 0 count as gathered to worker 0.
+  template <typename ReadRow>
+  Result<const char*> Read(const ReadRow& read,
+                           const std::function<const char*()>& settle = {}) {
+    std::vector<const char*> refusals(2 * w_, nullptr);
+    RADB_RETURN_NOT_OK(x_.ForEachWorker(w_, [&](size_t wkr) -> Status {
+      const auto t0 = Clock::now();
+      for (int side = 0; side < 2; ++side) {
+        const char*& refusal = refusals[side * w_ + wkr];
+        size_t i = 0;
+        RADB_RETURN_NOT_OK((*inputs_[side])[wkr].ForEachRow(
+            &polls_[wkr], [&](const Row& row) -> Result<bool> {
+              refusal = read(side, wkr, i++, row);
+              return refusal == nullptr;
+            }));
+      }
+      m_->worker_seconds[wkr] += SecondsSince(t0);
+      return Status::OK();
+    }));
+    for (const char* refusal : refusals) {
+      if (refusal != nullptr) return refusal;
+    }
+    if (const char* why = settle ? settle() : nullptr) return why;
+    for (const SpillableDist* in : inputs_) Tally(*in);
+    return static_cast<const char*>(nullptr);
+  }
+
+  /// Each worker emits an equal slice of the positions [0, n) in order:
+  /// row_at(q) builds position q's row, or nullopt for none. Rows on
+  /// workers other than 0 count as scattered.
+  template <typename RowAt>
+  Result<SpillableDist> Emit(size_t n, const RowAt& row_at) {
+    SpillableDist out = x_.NewDist(w_);
+    RADB_RETURN_NOT_OK(x_.ForEachWorker(w_, [&](size_t wkr) -> Status {
+      const auto t0 = Clock::now();
+      for (size_t q = n * wkr / w_; q < n * (wkr + 1) / w_; ++q) {
+        RADB_RETURN_NOT_OK(polls_[wkr].Tick());
+        RADB_ASSIGN_OR_RETURN(std::optional<Row> row, row_at(q));
+        if (row) RADB_RETURN_NOT_OK(out[wkr].Append(std::move(*row)));
+      }
+      m_->worker_seconds[wkr] += SecondsSince(t0);
+      return Status::OK();
+    }));
+    Tally(out);
+    m_->rows_out = SpillDistRowCount(out);
+    m_->bytes_out = SpillDistByteSize(out);
+    CollectSpill(m_, out);
+    return out;
+  }
+
+ private:
+  /// Counts the rows of `d` on workers other than 0 as shuffled.
+  void Tally(const SpillableDist& d) {
+    for (size_t wkr = 1; wkr < w_; ++wkr) {
+      m_->rows_shuffled += d[wkr].num_rows();
+      m_->bytes_shuffled += d[wkr].byte_size();
+    }
+  }
+
+  Executor& x_;
+  const size_t w_;
+  SpillableDist* inputs_[2];
+  OperatorMetrics* m_;
+  std::string* reason_;
+  std::vector<CancelPoll> polls_;  // per worker
+  std::optional<mem::MemoryTracker> tracker_;
+};
+
 Result<ExecResult> Executor::ExecuteMultiply(const LogicalOp& op) {
   const LogicalOp& join = *op.children[0];
   const LogicalOp* inputs[] = {join.children[0].get(), join.children[1].get()};
@@ -306,7 +410,7 @@ Result<ExecResult> Executor::ExecuteMultiply(const LogicalOp& op) {
   OperatorMetrics* m = NewOp("RelationalMultiply(kernel)", op);
   std::string reason;
   RADB_ASSIGN_OR_RETURN(
-      std::optional<SpillableDist> product,
+      Product product,
       op.multiply->coding == LogicalOp::MultiplyShape::Coding::kTuple
           ? MultiplyOnTiles(op, left.dist, right.dist, m, &reason)
           : MultiplyOnVectors(op, left.dist, right.dist, m, &reason));
@@ -330,82 +434,24 @@ Result<std::optional<SpillableDist>> Executor::MultiplyOnTiles(
     const LogicalOp& op, SpillableDist& left, SpillableDist& right,
     OperatorMetrics* m, std::string* reason) {
   const LogicalOp::MultiplyShape& s = *op.multiply;
-  const LogicalOp& join = *op.children[0];
-  const auto side_columns = [](const LogicalOp& input, size_t key,
-                               size_t value, std::optional<size_t> index) {
-    const std::map<size_t, size_t> layout = LayoutOf(input);
-    SideColumns c{layout.at(key), layout.at(value), std::nullopt};
-    if (index) c.index = layout.at(*index);
-    return c;
-  };
-  const SideColumns cols[2] = {
-      side_columns(*join.children[0], s.left_key, s.left_value, s.left_index),
-      side_columns(*join.children[1], s.right_key, s.right_value,
-                   s.right_index)};
-  SpillableDist* dists[2] = {&left, &right};
-  const size_t w = left.size();
-  const size_t rows_in = SpillDistRowCount(left) + SpillDistRowCount(right);
-  m->rows_in = rows_in;
-  const auto no_tiles = [&](std::string why) {
-    *reason = std::move(why);
-    return std::optional<SpillableDist>();
-  };
-  const auto check_cancel = [&]() -> Status {
-    return mem_.cancel != nullptr ? mem_.cancel->Check() : Status::OK();
-  };
-
-  // Cells and tiles are unspillable. The scoped tracker releases them
-  // on every way out, cancellation included.
-  std::optional<mem::MemoryTracker> tracker;
-  if (mem_.tracker != nullptr) {
-    tracker.emplace("RelationalMultiply tiles", mem_.tracker);
-  }
-  const auto admit = [&](size_t bytes) {
-    return !tracker.has_value() || tracker->TryReserve(bytes);
-  };
-  if (!admit(rows_in * kStagedBytesPerRow)) {
-    return no_tiles("memory budget refused " +
-                    FormatBytes(double(rows_in * kStagedBytesPerRow)) +
-                    " of cells");
-  }
-
-  // Every worker reads its partition of both sides; the calling thread
-  // gathers the cells, moving the rows of workers other than 0.
+  // Cells and tiles are unspillable.
+  MultiplyRun run(*this, op, "RelationalMultiply tiles", left, right, m,
+                  reason);
+  const size_t w = run.workers();
+  if (!run.Admit(m->rows_in * kStagedBytesPerRow, "cells")) return Product();
   SideCells cells[2] = {SideCells(w), SideCells(w)};
-  std::vector<const char*> refusals(2 * w, nullptr);
-  RADB_RETURN_NOT_OK(ForEachWorker(w, [&](size_t wkr) -> Status {
-    const auto t0 = Clock::now();
-    size_t since_check = 0;
-    for (int side = 0; side < 2; ++side) {
-      const char*& refusal = refusals[side * w + wkr];
-      std::vector<Cell>& out = cells[side][wkr];
-      out.reserve((*dists[side])[wkr].num_rows());
-      RADB_RETURN_NOT_OK(
-          VisitRows((*dists[side])[wkr], [&](const Row& row) -> Status {
-            if (++since_check >= kCancelCheckRows) {
-              since_check = 0;
-              RADB_RETURN_NOT_OK(check_cancel());
-            }
-            if (refusal != nullptr) return Status::OK();
-            Cell cell;
-            bool joins = false;
-            refusal = ReadCell(row, cols[side], &cell, &joins);
-            if (refusal == nullptr && joins) out.push_back(cell);
-            return Status::OK();
-          }));
-    }
-    m->worker_seconds[wkr] += SecondsSince(t0);
-    return Status::OK();
-  }));
-  for (const char* refusal : refusals) {
-    if (refusal != nullptr) return no_tiles(refusal);
-  }
-  for (const SpillableDist* d : dists) {
-    for (size_t wkr = 1; wkr < w; ++wkr) {
-      m->rows_shuffled += (*d)[wkr].num_rows();
-      m->bytes_shuffled += (*d)[wkr].byte_size();
-    }
-  }
+  RADB_ASSIGN_OR_RETURN(
+      const char* refusal,
+      run.Read([&](int side, size_t wkr, size_t i, const Row& row) {
+        std::vector<Cell>& out = cells[side][wkr];
+        if (i == 0) out.reserve((side == 0 ? left : right)[wkr].num_rows());
+        Cell cell;
+        bool joins = false;
+        const char* why = ReadCell(row, run.cols[side], &cell, &joins);
+        if (why == nullptr && joins) out.push_back(cell);
+        return why;
+      }));
+  if (refusal != nullptr) return run.Refuse(refusal);
 
   const auto t0 = Clock::now();
   // Keys on both sides; a key on one side only joins nothing.
@@ -414,7 +460,7 @@ Result<std::optional<SpillableDist>> Executor::MultiplyOnTiles(
     for (const std::vector<Cell>& part : cells[side]) {
       for (const Cell& c : part) side_keys[side].push_back(c.key);
     }
-    SortUnique(&side_keys[side]);
+    side_keys[side] = Dictionary(std::move(side_keys[side]));
   }
   std::vector<int64_t> keys;
   std::set_intersection(side_keys[0].begin(), side_keys[0].end(),
@@ -422,21 +468,21 @@ Result<std::optional<SpillableDist>> Executor::MultiplyOnTiles(
                         std::back_inserter(keys));
   if (keys.empty()) {  // nothing joins, so there are no groups
     m->worker_seconds[0] += SecondsSince(t0);
-    return std::optional<SpillableDist>(NewDist(w));
+    return Product(NewDist(w));
   }
   size_t joined[2] = {0, 0};
   const std::vector<int64_t> dicts[2] = {
       IndexDictionary(cells[0], keys, &joined[0]),
       IndexDictionary(cells[1], keys, &joined[1])};
-  // A side without a group key contributes one row (left) or one
-  // column (right) of the product.
-  const size_t ni = s.left_index ? dicts[0].size() : 1;
+  // A side without a group key has the one index 0, so it contributes
+  // one row (left) or one column (right) of the product.
+  const size_t ni = dicts[0].size();
   const size_t nk = keys.size();
-  const size_t nj = s.right_index ? dicts[1].size() : 1;
+  const size_t nj = dicts[1].size();
   const double sizes[2] = {double(ni) * double(nk), double(nk) * double(nj)};
   for (int side = 0; side < 2; ++side) {
     if (double(joined[side]) < kMinTileFill * sizes[side]) {
-      return no_tiles("tile under half full");
+      return run.Refuse("tile under half full");
     }
   }
   // The two tiles and the product; when both tiles may have holes, a
@@ -446,31 +492,20 @@ Result<std::optional<SpillableDist>> Executor::MultiplyOnTiles(
   const size_t tile_cells = ni * nk + nk * nj + ni * nj;
   const size_t tile_bytes = tile_cells * sizeof(double) * (presence ? 2 : 1) +
                             (ni * nk + nk * nj) / 8;
-  if (!admit(tile_bytes)) {
-    return no_tiles("memory budget refused " +
-                    FormatBytes(double(tile_bytes)) + " of tiles");
-  }
-  RADB_RETURN_NOT_OK(check_cancel());
+  if (!run.Admit(tile_bytes, "tiles")) return Product();
 
   la::Matrix tiles[2] = {la::Matrix(ni, nk), la::Matrix(nk, nj)};
   std::vector<bool> filled[2] = {std::vector<bool>(ni * nk),
                                  std::vector<bool>(nk * nj)};
-  size_t since_check = 0;
   for (int side = 0; side < 2; ++side) {
-    const bool indexed = side == 0 ? s.left_index.has_value()
-                                   : s.right_index.has_value();
     for (const std::vector<Cell>& part : cells[side]) {
       for (const Cell& c : part) {
-        if (++since_check >= kCancelCheckRows) {
-          since_check = 0;
-          RADB_RETURN_NOT_OK(check_cancel());
-        }
+        RADB_RETURN_NOT_OK(run.poll(0).Tick());
         if (c.key < 0) continue;
-        const size_t index =
-            indexed ? static_cast<size_t>(Find(dicts[side], c.index)) : 0;
+        const size_t index = static_cast<size_t>(Find(dicts[side], c.index));
         const size_t key = static_cast<size_t>(c.key);
         const size_t at = side == 0 ? index * nk + key : key * nj + index;
-        if (filled[side][at]) return no_tiles("repeated cell");
+        if (filled[side][at]) return run.Refuse("repeated cell");
         filled[side][at] = true;
         tiles[side].data()[at] = c.value;
       }
@@ -511,179 +546,111 @@ Result<std::optional<SpillableDist>> Executor::MultiplyOnTiles(
     }
     groups = std::move(kept);
   }
-  const size_t num_groups = listed ? groups.size() : ni * nj;
   m->worker_seconds[0] += SecondsSince(t0);
 
-  // Each worker emits an equal slice of the groups: the GROUP BY keys
-  // in their order, then the sum.
-  SpillableDist out = NewDist(w);
-  RADB_RETURN_NOT_OK(ForEachWorker(w, [&](size_t wkr) -> Status {
-    const auto t1 = Clock::now();
-    for (size_t q = num_groups * wkr / w; q < num_groups * (wkr + 1) / w;
-         ++q) {
-      const size_t g = listed ? groups[q] : q;
-      RADB_RETURN_NOT_OK(out[wkr].Append(GroupRow(
-          s, s.left_index ? dicts[0][g / nj] : 0,
-          s.right_index ? dicts[1][g % nj] : 0,
-          Value::Double(product.data()[g]))));
-    }
-    m->worker_seconds[wkr] += SecondsSince(t1);
-    return Status::OK();
-  }));
-  for (size_t wkr = 1; wkr < w; ++wkr) {
-    m->rows_shuffled += out[wkr].num_rows();
-    m->bytes_shuffled += out[wkr].byte_size();
-  }
-  m->rows_out = num_groups;
-  m->bytes_out = SpillDistByteSize(out);
-  CollectSpill(m, out);
-  return std::optional<SpillableDist>(std::move(out));
+  // The listed groups, or all of them, in equal slices.
+  RADB_ASSIGN_OR_RETURN(
+      SpillableDist out,
+      run.Emit(listed ? groups.size() : ni * nj,
+               [&](size_t q) -> Result<std::optional<Row>> {
+                 const size_t g = listed ? groups[q] : q;
+                 return std::make_optional(
+                     GroupRow(s, dicts[0][g / nj], dicts[1][g % nj],
+                              Value::Double(product.data()[g])));
+               }));
+  return Product(std::move(out));
 }
 
 Result<std::optional<SpillableDist>> Executor::MultiplyOnVectors(
     const LogicalOp& op, SpillableDist& left, SpillableDist& right,
     OperatorMetrics* m, std::string* reason) {
   const LogicalOp::MultiplyShape& s = *op.multiply;
-  const LogicalOp& join = *op.children[0];
   const AggCall& call = op.aggs[0];
-  const size_t w = left.size();
   const size_t terms = s.mask.size();
-  SpillableDist* dists[2] = {&left, &right};
+  // Packed vectors, the broadcast operand, the bands and the partial
+  // states are unspillable.
+  MultiplyRun run(*this, op, "RelationalMultiply vectors", left, right, m,
+                  reason);
+  const size_t w = run.workers();
+  // A row's vector packs into no more than its serialized bytes.
+  const size_t staged =
+      SpillDistByteSize(left) + SpillDistByteSize(right) +
+      m->rows_in * (2 * sizeof(int64_t) + terms * sizeof(double));
+  if (!run.Admit(staged, "packed vectors")) return Product();
   VectorSide sides[2];
   for (int side = 0; side < 2; ++side) {
-    const std::map<size_t, size_t> layout = LayoutOf(*join.children[side]);
     VectorSide& v = sides[side];
-    v.value = layout.at(side == 0 ? s.left_value : s.right_value);
-    const std::optional<size_t>& index =
-        side == 0 ? s.left_index : s.right_index;
-    if (index) v.index = layout.at(*index);
-    for (const MaskTerm& t : s.mask) {
-      v.mask.push_back(layout.at(side == 0 ? t.left : t.right));
-    }
+    v.cols = &run.cols[side];
     v.begin.assign(1, 0);
-    for (const SpillableRowBuffer& buf : *dists[side]) {
+    for (const SpillableRowBuffer& buf : side == 0 ? left : right) {
       v.begin.push_back(v.begin.back() + buf.num_rows());
     }
-  }
-  const size_t rows_in = sides[0].rows() + sides[1].rows();
-  m->rows_in = rows_in;
-  const auto no_kernel = [&](std::string why) {
-    *reason = std::move(why);
-    return std::optional<SpillableDist>();
-  };
-  const auto check_cancel = [&]() -> Status {
-    return mem_.cancel != nullptr ? mem_.cancel->Check() : Status::OK();
-  };
-
-  // Packed vectors, the broadcast operand, the bands and the partial
-  // states are unspillable. The scoped tracker releases them on every
-  // way out, cancellation included.
-  std::optional<mem::MemoryTracker> tracker;
-  if (mem_.tracker != nullptr) {
-    tracker.emplace("RelationalMultiply vectors", mem_.tracker);
-  }
-  const auto admit = [&](size_t bytes) {
-    return !tracker.has_value() || tracker->TryReserve(bytes);
-  };
-  // A row's vector packs into no more than its serialized bytes.
-  const size_t staged = SpillDistByteSize(left) + SpillDistByteSize(right) +
-                        rows_in * (2 * sizeof(int64_t) + terms * sizeof(double));
-  if (!admit(staged)) {
-    return no_kernel("memory budget refused " + FormatBytes(double(staged)) +
-                     " of packed vectors");
-  }
-  for (VectorSide& v : sides) {
     v.packed.resize(w);
     v.length.assign(w, kNoLength);
-    v.keys.resize(v.rows());
+    v.group.resize(v.rows());
     v.mask_keys.resize(v.rows() * terms);
   }
 
-  // Every worker packs its partition of both sides in place.
-  std::vector<const char*> refusals(2 * w, nullptr);
-  RADB_RETURN_NOT_OK(ForEachWorker(w, [&](size_t wkr) -> Status {
-    const auto t0 = Clock::now();
-    size_t since_check = 0;
-    for (int side = 0; side < 2; ++side) {
-      VectorSide& v = sides[side];
-      const char*& refusal = refusals[side * w + wkr];
-      size_t r = v.begin[wkr];
-      RADB_RETURN_NOT_OK(
-          VisitRows((*dists[side])[wkr], [&](const Row& row) -> Status {
-            if (++since_check >= kCancelCheckRows) {
-              since_check = 0;
-              RADB_RETURN_NOT_OK(check_cancel());
-            }
-            if (refusal == nullptr) refusal = v.Read(row, wkr, r++);
-            return Status::OK();
-          }));
-    }
-    m->worker_seconds[wkr] += SecondsSince(t0);
-    return Status::OK();
-  }));
-  for (const char* refusal : refusals) {
-    if (refusal != nullptr) return no_kernel(refusal);
-  }
-  // One vector length for every row: the join raises the mismatch.
+  // Every row must have one vector length: the join raises the
+  // mismatch.
   size_t d = kNoLength;
-  for (const VectorSide& v : sides) {
-    for (size_t len : v.length) {
-      if (len == kNoLength) continue;
-      if (d != kNoLength && len != d) return no_kernel("vector lengths differ");
-      d = len;
-    }
-  }
-  for (const SpillableDist* dist : dists) {
-    for (size_t wkr = 1; wkr < w; ++wkr) {
-      m->rows_shuffled += (*dist)[wkr].num_rows();
-      m->bytes_shuffled += (*dist)[wkr].byte_size();
-    }
-  }
+  RADB_ASSIGN_OR_RETURN(
+      const char* refusal,
+      run.Read(
+          [&](int side, size_t wkr, size_t i, const Row& row) {
+            VectorSide& v = sides[side];
+            return v.Read(row, wkr, v.begin[wkr] + i);
+          },
+          [&]() -> const char* {
+            for (const VectorSide& v : sides) {
+              for (size_t len : v.length) {
+                if (len == kNoLength) continue;
+                if (d != kNoLength && len != d) return "vector lengths differ";
+                d = len;
+              }
+            }
+            return nullptr;
+          }));
+  if (refusal != nullptr) return run.Refuse(refusal);
   if (sides[0].rows() == 0 || sides[1].rows() == 0) {  // no pairs
-    return std::optional<SpillableDist>(NewDist(w));
+    return Product(NewDist(w));
   }
 
   // The join's placement rule picks the broadcast side; each worker
   // pairs each of its own rows of the other (probe) side with every
   // broadcast row, in order. The fold follows the same pairs.
   const auto t0 = Clock::now();
-  const bool probe_left = PlaceJoin(join, left, right).kind ==
+  const bool probe_left = PlaceJoin(*op.children[0], left, right).kind ==
                           JoinPlacement::Kind::kBroadcastRight;
   VectorSide& probe = sides[probe_left ? 0 : 1];
   VectorSide& bcast = sides[probe_left ? 1 : 0];
-  for (VectorSide& v : sides) v.Dictionary();
+  for (VectorSide& v : sides) v.dict = Encode(&v.group);
   const size_t nb = bcast.rows();
   const size_t width = bcast.dict.size();  // states per probe group
   std::vector<Partial> partials(w);
   size_t slots = 0;
   for (size_t wkr = 0; wkr < w; ++wkr) {
     Partial& p = partials[wkr];
-    p.probe_groups.assign(probe.group.begin() + probe.begin[wkr],
-                          probe.group.begin() + probe.begin[wkr + 1]);
-    SortUnique(&p.probe_groups);
+    p.probe_groups = Dictionary(
+        std::vector<size_t>(probe.group.begin() + probe.begin[wkr],
+                            probe.group.begin() + probe.begin[wkr + 1]));
     slots += p.probe_groups.size() * width;
   }
   const size_t num_groups = sides[0].dict.size() * sides[1].dict.size();
   const size_t state_bytes =
       slots * kStateBytes + num_groups * sizeof(std::unique_ptr<Aggregator>);
-  if (!admit(state_bytes)) {
-    return no_kernel("memory budget refused " +
-                     FormatBytes(double(state_bytes)) + " of group states");
-  }
+  if (!run.Admit(state_bytes, "group states")) return Product();
   const size_t band_rows =
       std::min(probe.rows(), std::max<size_t>(1, kBandBytes / (nb * 8)));
   const size_t band_bytes = (nb * d + band_rows * (d + nb)) * sizeof(double);
-  if (!admit(band_bytes)) {
-    return no_kernel("memory budget refused " +
-                     FormatBytes(double(band_bytes)) + " of product bands");
-  }
-  RADB_RETURN_NOT_OK(check_cancel());
+  if (!run.Admit(band_bytes, "product bands")) return Product();
   for (Partial& p : partials) p.states.resize(p.probe_groups.size() * width);
   // The broadcast side's vectors as the columns of a d x nb operand.
   la::Matrix bcast_t(d, nb);
   for (size_t wkr = 0; wkr < w; ++wkr) {
     const std::vector<double>& packed = bcast.packed[wkr];
     for (size_t c = bcast.begin[wkr]; c < bcast.begin[wkr + 1]; ++c) {
+      RADB_RETURN_NOT_OK(run.poll(0).Tick());
       const double* x = packed.data() + (c - bcast.begin[wkr]) * d;
       for (size_t k = 0; k < d; ++k) bcast_t.data()[k * nb + c] = x[k];
     }
@@ -709,12 +676,12 @@ Result<std::optional<SpillableDist>> Executor::MultiplyOnVectors(
       const size_t lo = std::max(r0, probe.begin[wkr]);
       const size_t hi = std::min(r1, probe.begin[wkr + 1]);
       for (size_t r = lo; r < hi; ++r) {
-        RADB_RETURN_NOT_OK(check_cancel());
         std::unique_ptr<Aggregator>* states =
             p.StatesOf(probe.group[r], width);
         const double* row_values = values.data() + (r - r0) * nb;
         const int64_t* pm = probe.mask_keys.data() + r * terms;
         for (size_t c = 0; c < nb; ++c) {
+          RADB_RETURN_NOT_OK(run.poll(wkr).Tick());
           const int64_t* bm = bcast.mask_keys.data() + c * terms;
           if (terms > 0 && !(probe_left ? MaskPasses(s.mask, pm, bm)
                                         : MaskPasses(s.mask, bm, pm))) {
@@ -730,46 +697,33 @@ Result<std::optional<SpillableDist>> Executor::MultiplyOnVectors(
     }));
   }
 
-  // Each worker emits an equal slice of the groups in row-major (i, j)
-  // order, merging each group's partial states in worker order, as the
-  // aggregate merges them. A group no pair passed the mask for has no
-  // state and no row.
+  // Every (i, j) position in equal slices, merging each group's partial
+  // states in worker order, as the aggregate merges them. A group no
+  // pair passed the mask for has no state and no row.
   const size_t nj = sides[1].dict.size();
-  SpillableDist out = NewDist(w);
-  RADB_RETURN_NOT_OK(ForEachWorker(w, [&](size_t wkr) -> Status {
-    const auto t1 = Clock::now();
-    for (size_t g = num_groups * wkr / w; g < num_groups * (wkr + 1) / w;
-         ++g) {
-      const size_t i = g / nj, j = g % nj;
-      std::unique_ptr<Aggregator> merged;
-      for (Partial& p : partials) {
-        std::unique_ptr<Aggregator>* states =
-            p.StatesOf(probe_left ? i : j, width);
-        if (states == nullptr) continue;
-        std::unique_ptr<Aggregator>& state = states[probe_left ? j : i];
-        if (state == nullptr) continue;
-        if (merged == nullptr) {
-          merged = std::move(state);
-        } else {
-          RADB_RETURN_NOT_OK(merged->Merge(*state));
+  RADB_ASSIGN_OR_RETURN(
+      SpillableDist out,
+      run.Emit(num_groups, [&](size_t g) -> Result<std::optional<Row>> {
+        const size_t i = g / nj, j = g % nj;
+        std::unique_ptr<Aggregator> merged;
+        for (Partial& p : partials) {
+          std::unique_ptr<Aggregator>* states =
+              p.StatesOf(probe_left ? i : j, width);
+          if (states == nullptr) continue;
+          std::unique_ptr<Aggregator>& state = states[probe_left ? j : i];
+          if (state == nullptr) continue;
+          if (merged == nullptr) {
+            merged = std::move(state);
+          } else {
+            RADB_RETURN_NOT_OK(merged->Merge(*state));
+          }
         }
-      }
-      if (merged == nullptr) continue;
-      RADB_ASSIGN_OR_RETURN(Value value, merged->Finalize());
-      RADB_RETURN_NOT_OK(out[wkr].Append(GroupRow(
-          s, sides[0].dict[i], sides[1].dict[j], std::move(value))));
-    }
-    m->worker_seconds[wkr] += SecondsSince(t1);
-    return Status::OK();
-  }));
-  for (size_t wkr = 1; wkr < w; ++wkr) {
-    m->rows_shuffled += out[wkr].num_rows();
-    m->bytes_shuffled += out[wkr].byte_size();
-  }
-  m->rows_out = SpillDistRowCount(out);
-  m->bytes_out = SpillDistByteSize(out);
-  CollectSpill(m, out);
-  return std::optional<SpillableDist>(std::move(out));
+        if (merged == nullptr) return std::optional<Row>();
+        RADB_ASSIGN_OR_RETURN(Value value, merged->Finalize());
+        return std::make_optional(GroupRow(s, sides[0].dict[i],
+                                           sides[1].dict[j], std::move(value)));
+      }));
+  return Product(std::move(out));
 }
 
 }  // namespace radb

@@ -62,7 +62,6 @@
 
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -85,13 +84,6 @@ namespace {
 
 /// Lanes per ColumnBatch.
 constexpr size_t kBatchRows = 1024;
-
-
-using Clock = std::chrono::steady_clock;
-
-double SecondsSince(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
 
 // Hash constants mirroring Value::Hash / HashRow (exec/row_key.h):
 // group placement (hash % workers) must agree with KeyRow's so shuffle
@@ -1311,6 +1303,8 @@ class VectorizedPipeline {
   Result<ExecResult> Run();
 
  private:
+  using Clock = Executor::Clock;
+
   struct StagePlan {
     const LogicalOp* op = nullptr;
     std::vector<BoundExprPtr> exprs;  // predicates / projections
@@ -1370,7 +1364,7 @@ class VectorizedPipeline {
   void ResetIngestBatch(WorkerCtx& ctx, const std::vector<LaneType>& lanes);
   /// Packs `buf`'s rows (exact append order) into batches of `lanes`,
   /// calling `flush` whenever one closes and once for the remainder,
-  /// then clears `buf`. Stops early once stage `first` has failed.
+  /// then clears `buf`. Stops reading once stage `first` has failed.
   /// Append time accrues to `*seconds`.
   Status IngestRows(WorkerCtx& ctx, SpillableRowBuffer& buf,
                     const std::vector<LaneType>& lanes, size_t first,
@@ -1686,29 +1680,20 @@ Status VectorizedPipeline::IngestRows(WorkerCtx& ctx, SpillableRowBuffer& buf,
                                       size_t first, double* seconds,
                                       const std::function<Status()>& flush) {
   ResetIngestBatch(ctx, lanes);
-  auto ingest = [&](const Row& row) -> Status {
-    const auto t0 = Clock::now();
-    for (size_t c = 0; c < lanes.size(); ++c) {
-      ctx.batch.columns[c].AppendValue(row[c]);
-    }
-    ++ctx.batch.num_rows;
-    if (budgeted_) ctx.batch_bytes += RowByteSize(row);
-    *seconds += SecondsSince(t0);
-    return BatchFull(ctx) ? flush() : Status::OK();
-  };
-  if (!buf.has_spilled_rows()) {
-    for (const Row& row : buf.resident_rows()) {
-      if (ctx.limit <= first) break;
-      RADB_RETURN_NOT_OK(ingest(row));
-    }
-  } else {
-    SpillableRowBuffer::Reader reader(&buf);
-    while (ctx.limit > first) {
-      RADB_ASSIGN_OR_RETURN(std::optional<Row> row, reader.Next());
-      if (!row.has_value()) break;
-      RADB_RETURN_NOT_OK(ingest(*row));
-    }
-  }
+  RADB_RETURN_NOT_OK(
+      buf.ForEachRow(nullptr, [&](const Row& row) -> Result<bool> {
+        if (ctx.limit <= first) return false;
+        const auto t0 = Clock::now();
+        for (size_t c = 0; c < lanes.size(); ++c) {
+          ctx.batch.columns[c].AppendValue(row[c]);
+        }
+        ++ctx.batch.num_rows;
+        if (budgeted_) ctx.batch_bytes += RowByteSize(row);
+        *seconds += Executor::SecondsSince(t0);
+        if (BatchFull(ctx)) RADB_RETURN_NOT_OK(flush());
+        return true;
+      }));
+  // The input stays charged until the last batch has run.
   RADB_RETURN_NOT_OK(flush());
   buf.Clear();
   return Status::OK();
@@ -1717,8 +1702,8 @@ Status VectorizedPipeline::IngestRows(WorkerCtx& ctx, SpillableRowBuffer& buf,
 Status VectorizedPipeline::FlushIngest(WorkerCtx& ctx, bool run_stages,
                                        StageTally* source) {
   if (ctx.batch.num_rows == 0) return Status::OK();
-  // Cooperative cancellation once per batch (the batch analogue of the
-  // row loops' kCancelCheckRows polling).
+  // Cooperative cancellation once per batch: a scan's rows reach the
+  // chain through no other poll.
   if (x_.mem_.cancel != nullptr) RADB_RETURN_NOT_OK(x_.mem_.cancel->Check());
   const auto t0 = Clock::now();
   size_t batch_bytes = 0;
@@ -1729,7 +1714,7 @@ Status VectorizedPipeline::FlushIngest(WorkerCtx& ctx, bool run_stages,
     ++source->batches;
     source->rows_out += ctx.batch.num_rows;
     source->bytes_out += batch_bytes;
-    source->seconds += SecondsSince(t0);
+    source->seconds += Executor::SecondsSince(t0);
   }
   ProcessCharged(ctx, batch_bytes, run_stages);
   ResetIngestBatch(ctx, *ctx.batch_lanes);
@@ -1792,7 +1777,7 @@ Status VectorizedPipeline::ScanRun(WorkerCtx& ctx,
         ctx, pin, begin, std::min(kBatchRows - ctx.batch.num_rows, end - begin));
     ScanIntoBatch(ctx, pin, begin, n);
     begin += n;
-    st.seconds += SecondsSince(t0);
+    st.seconds += Executor::SecondsSince(t0);
     if (BatchFull(ctx)) RADB_RETURN_NOT_OK(FlushIngest(ctx, true, &st));
   }
   return Status::OK();
@@ -1826,12 +1811,12 @@ Status VectorizedPipeline::ScanIndexRows(WorkerCtx& ctx,
            loc.offset + n < pin.num_rows()) {
       ++n;
     }
-    st.seconds += SecondsSince(t0);
+    st.seconds += Executor::SecondsSince(t0);
     RADB_RETURN_NOT_OK(ScanRun(ctx, pin, loc.offset, n));
     t0 = Clock::now();
     i += n;
   }
-  st.seconds += SecondsSince(t0);
+  st.seconds += Executor::SecondsSince(t0);
   return Status::OK();
 }
 
@@ -1937,7 +1922,7 @@ void VectorizedPipeline::ProcessBatch(WorkerCtx& ctx, bool run_stages) {
     StageTally& t = ctx.tally[si + 1];
     const auto t0 = Clock::now();
     Status s = RunStage(si, ctx, &sel, &live, nrows, t);
-    t.seconds += SecondsSince(t0);
+    t.seconds += Executor::SecondsSince(t0);
     if (!s.ok()) {
       ctx.limit = si + 1;
       ctx.failure = std::move(s);
@@ -1965,7 +1950,7 @@ void VectorizedPipeline::ProcessBatch(WorkerCtx& ctx, bool run_stages) {
       s = ctx.out->Append(std::move(row));
     }
   }
-  t.seconds += SecondsSince(t0);
+  t.seconds += Executor::SecondsSince(t0);
   if (!s.ok()) {
     ctx.limit = HeadStage();
     ctx.failure = std::move(s);
@@ -2110,7 +2095,7 @@ Status VectorizedPipeline::RunWorker(size_t wkr, WorkerCtx& ctx) {
           const auto pinned = Clock::now();
           RADB_ASSIGN_OR_RETURN(Table::SegmentPin pin,
                                 table.PinSegment(p, seg));
-          ctx.tally[0].seconds += SecondsSince(pinned);
+          ctx.tally[0].seconds += Executor::SecondsSince(pinned);
           RADB_RETURN_NOT_OK(ScanRun(ctx, pin, 0, pin.num_rows()));
           // A batch never spans two segments.
           RADB_RETURN_NOT_OK(FlushIngest(ctx, true, &ctx.tally[0]));
@@ -2531,7 +2516,7 @@ Result<ExecResult> VectorizedPipeline::Run() {
         }));
       }
     }
-    merge_secs[dst] += SecondsSince(t0);
+    merge_secs[dst] += Executor::SecondsSince(t0);
     return Status::OK();
   }));
   ctxs.clear();
@@ -2554,7 +2539,7 @@ Result<ExecResult> VectorizedPipeline::Run() {
       if (group_charges_) agg_mem_->Release(fin.group_charged[g]);
       return Status::OK();
     }));
-    emit_secs[wkr] += SecondsSince(t0);
+    emit_secs[wkr] += Executor::SecondsSince(t0);
     return Status::OK();
   }));
 

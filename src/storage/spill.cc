@@ -123,13 +123,11 @@ void SpillableRowBuffer::Clear() {
 Result<std::vector<Row>> SpillableRowBuffer::Drain() {
   std::vector<Row> out;
   out.reserve(num_rows());
-  Reader reader(this);
-  while (true) {
-    RADB_ASSIGN_OR_RETURN(std::optional<Row> row, reader.Next());
-    if (!row.has_value()) break;
-    out.push_back(std::move(*row));
-  }
-  Clear();
+  CancelPoll never(nullptr);
+  RADB_RETURN_NOT_OK(ConsumeRows(&never, [&](Row row) {
+    out.push_back(std::move(row));
+    return Status::OK();
+  }));
   return out;
 }
 

@@ -5,6 +5,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/cancellation.h"
@@ -26,8 +27,8 @@ struct MemoryContext {
   /// so concurrent queries sharing one spill_dir stay distinguishable,
   /// and used as the thread-pool task tag for fair scheduling.
   uint64_t query_id = 0;
-  /// Cooperative cancellation handle, polled by operator row loops at
-  /// row-batch granularity (null = never cancelled). Not owned; the
+  /// Cooperative cancellation handle, polled by the executor's loops
+  /// through CancelPoll (null = never cancelled). Not owned; the
   /// submitter keeps it alive for the query's duration.
   const CancellationToken* cancel = nullptr;
 
@@ -80,14 +81,22 @@ class SpillableRowBuffer {
   size_t spill_bytes() const { return spill_bytes_; }
   size_t spill_runs() const { return spill_run_count_; }
 
-  /// This buffer's memory context (for the cancellation token and
-  /// query id shared by every buffer of one query).
-  const MemoryContext& context() const { return ctx_; }
-
-  /// The resident rows, exposed for move-consumption on the fast path
-  /// (nothing spilled): callers may move individual rows out and must
-  /// Clear() afterwards. Invalid to use when has_spilled_rows().
-  std::vector<Row>& resident_rows() { return tail_; }
+  /// The one in-order read of the rows, in two forms: fn(row) for
+  /// every row in exact append order (spilled runs replayed through a
+  /// Reader, then the resident tail), with one tick of `poll` (null:
+  /// a poll on the buffer's own token) before each. fn returns Status,
+  /// or Result<bool> whose false stops the read after that row.
+  /// ForEachRow hands fn `const Row&` and leaves the buffer as it was;
+  /// ConsumeRows hands it `Row&&`, moved out of the tail when nothing
+  /// spilled, and clears the buffer once the read ends or stops.
+  template <typename Fn>
+  Status ForEachRow(CancelPoll* poll, Fn&& fn) {
+    return Visit</*kConsume=*/false>(poll, fn);
+  }
+  template <typename Fn>
+  Status ConsumeRows(CancelPoll* poll, Fn&& fn) {
+    return Visit</*kConsume=*/true>(poll, fn);
+  }
 
   /// Streaming reader replaying rows in exact append order: all
   /// spilled runs first (they were appended first), then the
@@ -131,7 +140,7 @@ class SpillableRowBuffer {
   /// Drains the buffer into a plain vector in exact append order,
   /// releasing all charges. The buffer is empty afterwards. Use only
   /// where the consumer genuinely needs the whole set in memory
-  /// (ResultSet gather); budgeted operators should stream via Reader.
+  /// (ResultSet gather); operators stream through ConsumeRows.
   Result<std::vector<Row>> Drain();
 
   /// Releases all tracked memory and drops rows (early error paths).
@@ -140,6 +149,9 @@ class SpillableRowBuffer {
   ~SpillableRowBuffer() { Clear(); }
 
  private:
+  template <bool kConsume, typename Fn>
+  Status Visit(CancelPoll* poll, Fn& fn);
+
   /// Serializes the in-memory tail into one spill run; releases the
   /// tail's charge and records the spill with the tracker.
   Status FlushTail();
@@ -154,6 +166,34 @@ class SpillableRowBuffer {
   size_t spill_bytes_ = 0;      // cumulative; not reset by Clear
   size_t spill_run_count_ = 0;  // cumulative; not reset by Clear
 };
+
+template <bool kConsume, typename Fn>
+Status SpillableRowBuffer::Visit(CancelPoll* poll, Fn& fn) {
+  using Out = std::conditional_t<kConsume, Row&&, const Row&>;
+  CancelPoll own(ctx_.cancel);
+  if (poll == nullptr) poll = &own;
+  // Rows that never spilled are read in place; the rest are replayed.
+  std::optional<Reader> reader;
+  if (has_spilled_rows()) reader.emplace(this);
+  std::optional<Row> replayed;
+  bool more = true;
+  for (size_t i = 0; more; ++i) {
+    RADB_RETURN_NOT_OK(poll->Tick());
+    if (reader.has_value()) {
+      RADB_ASSIGN_OR_RETURN(replayed, reader->Next());
+    }
+    Row* row = reader ? (replayed ? &*replayed : nullptr)
+                      : (i < tail_.size() ? &tail_[i] : nullptr);
+    if (row == nullptr) break;
+    if constexpr (std::is_same_v<std::invoke_result_t<Fn&, Out>, Status>) {
+      RADB_RETURN_NOT_OK(fn(static_cast<Out>(*row)));
+    } else {
+      RADB_ASSIGN_OR_RETURN(more, fn(static_cast<Out>(*row)));
+    }
+  }
+  if constexpr (kConsume) Clear();
+  return Status::OK();
+}
 
 /// One SpillableRowBuffer per simulated worker — the spill-aware
 /// analogue of the executor's Dist.

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -306,6 +307,187 @@ TEST(CancelCleanupTest, CancelledBudgetedBatchAggregateLeavesNoFilesOrCharges) {
   }
   std::error_code ec;
   fs::remove_all(spill_dir, ec);
+}
+
+// ----------------------------------------------------------------------
+// Every reader polls: a trap (test_util.h) fires the token on the last
+// row of one plan node's input, so the node's own reader is the first
+// to poll it. The plan runs on an Executor without a pool, so the rows
+// reach the trap in worker order.
+// ----------------------------------------------------------------------
+
+using Pick = std::function<bool(const LogicalOp&)>;
+
+Pick KindIs(LogicalOp::Kind kind) {
+  return [kind](const LogicalOp& op) { return op.kind == kind; };
+}
+
+class CancelEachReaderTest : public ::testing::Test {
+ protected:
+  static constexpr int64_t kT = 20000;  // rows of t
+  static constexpr int64_t kU = 2000;   // rows of u
+  static constexpr int64_t kS = 600;    // rows of s
+  static constexpr int64_t kG = 800;    // rows of gl and of gr
+
+  void SetUp() override {
+    Database::Config cfg;
+    cfg.num_workers = 4;
+    cfg.num_threads = 1;
+    cfg.cache.enable_result_cache = false;
+    db_ = std::make_unique<Database>(cfg);
+    const auto load = [&](const std::string& ddl, const std::string& table,
+                          int64_t n, const std::function<Row(int64_t)>& row) {
+      ASSERT_TRUE(Exec(*db_, ddl).ok());
+      std::vector<Row> rows;
+      for (int64_t i = 0; i < n; ++i) rows.push_back(row(i));
+      ASSERT_TRUE(db_->BulkInsert(table, std::move(rows)).ok());
+    };
+    load("CREATE TABLE t (k INTEGER, x DOUBLE)", "t", kT, [](int64_t i) {
+      return Row{Value::Int(i % 50), Value::Double(0.5 * double(i % 31))};
+    });
+    load("CREATE TABLE u (k INTEGER, x DOUBLE)", "u", kU, [](int64_t i) {
+      return Row{Value::Int(i), Value::Double(0.25 * double(i % 7))};
+    });
+    load("CREATE TABLE s (k INTEGER, y DOUBLE)", "s", kS, [](int64_t i) {
+      return Row{Value::Int(i % 50), Value::Double(double(i))};
+    });
+    for (const char* g : {"gl", "gr"}) {
+      load(std::string("CREATE TABLE ") + g + " (k INTEGER, pad VARCHAR)", g,
+           kG, [](int64_t i) {
+             return Row{Value::Int(i), Value::String(std::string(100, 'p'))};
+           });
+    }
+    // A 400 x 8 matrix as (row, col, value) cells, and two sets of
+    // 1000 8-element vectors.
+    load("CREATE TABLE xm (k INTEGER, i INTEGER, v DOUBLE)", "xm", 400 * 8,
+         [](int64_t c) {
+           return Row{Value::Int(c / 8), Value::Int(c % 8),
+                      Value::Double(0.25 * double(c % 13))};
+         });
+    for (const char* v : {"p", "q"}) {
+      load(std::string("CREATE TABLE ") + v + " (id INTEGER, v VECTOR[8])", v,
+           1000, [](int64_t i) {
+             std::vector<double> x(8);
+             for (size_t e = 0; e < x.size(); ++e) x[e] = double((i + e) % 5);
+             return Row{Value::Int(i), Value::FromVector(la::Vector(x))};
+           });
+    }
+    ASSERT_TRUE(Exec(*db_,
+                     "CREATE VIEW w AS SELECT k, SUM(x) AS sx FROM u GROUP BY k")
+                    .ok());
+  }
+
+  /// Traps input `input` of the first node `pick` accepts on its last
+  /// (`rows`-th) row and runs the plan: unbudgeted, or under `budget`
+  /// bytes spilling to a private directory. It must end Cancelled with
+  /// the trap having seen exactly `rows` rows, no tracker charge left
+  /// and the spill directory empty. `stops_in`, when given, starts the
+  /// name of the last operator the plan entered.
+  void ExpectCancelled(const std::string& sql, const Pick& pick, size_t input,
+                       size_t rows, size_t budget = 0,
+                       const std::string& stops_in = "") {
+    namespace fs = std::filesystem;
+    std::string dir =
+        (fs::temp_directory_path() / "radb-cancel-XXXXXX").string();
+    ASSERT_NE(mkdtemp(dir.data()), nullptr);
+    {
+      auto trap = TrapCancel(*db_, sql, pick, input, rows);
+      ASSERT_TRUE(trap.ok()) << trap.status();
+      mem::MemoryTracker tracker("query", budget);
+      const Status status = (*trap)->Run(*db_, &tracker, dir);
+      EXPECT_EQ(status.code(), StatusCode::kCancelled) << status;
+      EXPECT_EQ((*trap)->calls, rows);
+      EXPECT_EQ(tracker.bytes_in_use(), 0u);
+      EXPECT_EQ(tracker.unspillable_bytes(), 0u);
+      EXPECT_TRUE(fs::is_empty(dir));
+      const std::vector<OperatorMetrics>& ops = (*trap)->metrics.operators;
+      if (!stops_in.empty()) {
+        ASSERT_FALSE(ops.empty());
+        EXPECT_EQ(ops.back().name.rfind(stops_in, 0), 0u) << ops.back().name;
+      }
+    }
+    std::error_code ec;
+    fs::remove_all(dir, ec);
+  }
+
+  std::unique_ptr<Database> db_;
+};
+
+TEST_F(CancelEachReaderTest, CrossJoin) {
+  // s is the smaller side, so it is broadcast; the probe polls.
+  ExpectCancelled("SELECT a.k, b.y FROM u a, s b WHERE a.k < b.k",
+                  KindIs(LogicalOp::Kind::kJoin), 1, kS, 0, "CrossJoin");
+}
+
+TEST_F(CancelEachReaderTest, BroadcastHashJoin) {
+  // u's rows carry two columns to s's one, so s is broadcast.
+  ExpectCancelled("SELECT a.k, a.x, b.y FROM u a, s b WHERE a.k = b.k",
+                  KindIs(LogicalOp::Kind::kJoin), 1, kS, 0,
+                  "HashJoin(bcast right)");
+}
+
+TEST_F(CancelEachReaderTest, ShuffledHashJoin) {
+  ExpectCancelled("SELECT a.k, b.x FROM u a, u b WHERE a.k = b.k",
+                  KindIs(LogicalOp::Kind::kJoin), 1, kU, 0,
+                  "HashJoin(shuffle)");
+}
+
+TEST_F(CancelEachReaderTest, GraceHashJoin) {
+  // 16 KiB admits no worker's build of about 200 padded rows, so each
+  // worker runs Grace. Routing reads fewer than kCancelCheckRows rows
+  // per buffer, so Grace's split is the first to poll.
+  ExpectCancelled("SELECT a.k, b.k FROM gl a, gr b WHERE a.k = b.k",
+                  KindIs(LogicalOp::Kind::kJoin), 1, kG, 16u << 10,
+                  "HashJoin(shuffle)");
+}
+
+TEST_F(CancelEachReaderTest, Distinct) {
+  ExpectCancelled("SELECT DISTINCT k FROM t",
+                  KindIs(LogicalOp::Kind::kDistinct), 0, kT, 0, "Distinct");
+}
+
+TEST_F(CancelEachReaderTest, OrderBy) {
+  ExpectCancelled("SELECT k, x FROM t ORDER BY x",
+                  KindIs(LogicalOp::Kind::kSort), 0, kT, 0, "Sort");
+}
+
+TEST_F(CancelEachReaderTest, RootLimit) {
+  ExpectCancelled("SELECT k, x FROM t LIMIT 15000",
+                  KindIs(LogicalOp::Kind::kLimit), 0, kT, 0, "Limit");
+}
+
+TEST_F(CancelEachReaderTest, SpoolCopy) {
+  // The view is read twice, so its first use holds its rows (one group
+  // per row of u) and copies them for the join; under a budget the
+  // held rows spill at once and the copy replays them from disk.
+  for (size_t budget : {size_t{0}, size_t{1} << 20}) {
+    SCOPED_TRACE(budget);
+    ExpectCancelled(
+        "SELECT a.k, b.sx FROM w AS a, w AS b WHERE a.k = b.k",
+        [](const LogicalOp& op) { return op.spool_id != 0; }, 0, kU, budget);
+  }
+}
+
+TEST_F(CancelEachReaderTest, PipelineOverABoundary) {
+  // The LIMIT reads fewer than kCancelCheckRows rows, so the aggregate's
+  // pipeline, ingesting them, is the first to poll.
+  ExpectCancelled(
+      "SELECT k, COUNT(*) FROM (SELECT k FROM t LIMIT 200) AS l GROUP BY k",
+      KindIs(LogicalOp::Kind::kLimit), 0, kT);
+}
+
+TEST_F(CancelEachReaderTest, TupleMultiply) {
+  ExpectCancelled(
+      "SELECT x1.i, x2.i, SUM(x1.v * x2.v) FROM xm AS x1, xm AS x2 "
+      "WHERE x1.k = x2.k GROUP BY x1.i, x2.i",
+      KindIs(LogicalOp::Kind::kJoin), 1, 400 * 8, 0, "RelationalMultiply");
+}
+
+TEST_F(CancelEachReaderTest, VectorMultiply) {
+  ExpectCancelled(
+      "SELECT a.id, MIN(inner_product(b.v, a.v)) FROM p AS a, q AS b "
+      "WHERE a.id <> b.id GROUP BY a.id",
+      KindIs(LogicalOp::Kind::kJoin), 1, 1000, 0, "RelationalMultiply");
 }
 
 }  // namespace

@@ -916,10 +916,12 @@ TEST(BufferPoolIntegrationTest, LargerThanPoolWorkloadIsBitIdentical) {
 
 TEST(BufferPoolIntegrationTest, ColdScanChargesSegmentReadsToTheScan) {
   // The pool holds one segment, so every segment of this COUNT(*)
-  // misses it and is read and decoded while the scan pins it. That is
-  // the scan's work: most of the statement's execute time must show up
-  // on the Scan operator (one thread, so worker seconds add up to wall
-  // time).
+  // misses it, in every run, and is read and decoded while the scan
+  // pins it. That is the scan's work: most of the statement's execute
+  // time must show up on the Scan operator (one thread, so worker
+  // seconds add up to wall time). A run of about 5 ms is a share of
+  // wall time that another process can stall, so the best of five runs
+  // must show it.
   TempDir dir;
   Database::Config config = SmallConfig();
   config.storage.segment_bytes = 4u << 10;
@@ -934,17 +936,30 @@ TEST(BufferPoolIntegrationTest, ColdScanChargesSegmentReadsToTheScan) {
   }
   ASSERT_TRUE((*db)->BulkInsert("t", std::move(rows)).ok());
   ASSERT_TRUE((*db)->Checkpoint().ok());
-
-  const RowSet n = Rows(**db, "SELECT COUNT(*) FROM t");
-  ASSERT_EQ(n.size(), 1u);
-  EXPECT_EQ(n[0][0].int_value(), 40000);
-  const QueryMetrics qm = (*db)->last_metrics();
-  double scan = 0.0;
-  for (const OperatorMetrics& op : qm.operators) {
-    if (op.name.rfind("Scan", 0) == 0) scan += op.TotalSeconds();
+  auto table = (*db)->catalog().GetTable("t");
+  ASSERT_TRUE(table.ok()) << table.status();
+  size_t segments = 0;
+  for (size_t p = 0; p < (*table)->num_partitions(); ++p) {
+    segments += (*table)->NumSegments(p);
   }
-  EXPECT_GT(scan, 0.5 * qm.wall_seconds)
-      << "scan " << scan << " s of " << qm.wall_seconds << " s";
+  ASSERT_GT(segments, 1u);
+
+  BufferPool* pool = (*db)->table_store()->pool();
+  double best = 0.0;
+  for (int run = 0; run < 5; ++run) {
+    const uint64_t misses = pool->GetStats().misses;
+    const RowSet n = Rows(**db, "SELECT COUNT(*) FROM t");
+    ASSERT_EQ(n.size(), 1u);
+    EXPECT_EQ(n[0][0].int_value(), 40000);
+    EXPECT_EQ(pool->GetStats().misses - misses, segments) << "run " << run;
+    const QueryMetrics qm = (*db)->last_metrics();
+    double scan = 0.0;
+    for (const OperatorMetrics& op : qm.operators) {
+      if (op.name.rfind("Scan", 0) == 0) scan += op.TotalSeconds();
+    }
+    best = std::max(best, scan / qm.wall_seconds);
+  }
+  EXPECT_GT(best, 0.5) << "largest Scan share of wall time in five runs";
 }
 
 TEST(BufferPoolIntegrationTest, PoolBatchesScanLikeResidentRows) {

@@ -7,10 +7,10 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/database.h"
-#include "catalog/function_registry.h"
 #include "common/rng.h"
 #include "exec/executor.h"
 #include "test_util.h"
@@ -500,51 +500,24 @@ TEST(RelationalMultiplyTest, CountersCountKernelsAndFallbacks) {
 // Cancellation.
 // ---------------------------------------------------------------------
 
-/// Plans `sql` on `db` and puts a filter below the marked multiply's
-/// right input whose predicate fires a cancellation token on the
-/// input's last (`rows`-th) row: both inputs finish, and the token is
-/// first polled inside the multiply. The cancelled execution must leave
-/// no tracker charges.
+/// Traps the marked multiply's right input (test_util.h) on its last
+/// (`rows`-th) row: both inputs finish, and the token is first polled
+/// inside the multiply. The cancelled execution must leave no tracker
+/// charges.
 void ExpectACancelInsideTheMultiplyLeavesNoCharges(Database& db,
                                                    const std::string& sql,
                                                    size_t rows) {
-  auto planned = db.PlanQuery(sql);
-  ASSERT_TRUE(planned.ok()) << planned.status();
-  LogicalOpPtr plan = std::move(*planned);
-  const LogicalOp* agg = plan.get();
-  while (!agg->multiply.has_value()) agg = agg->children[0].get();
-  LogicalOpPtr& right = agg->children[0]->children[1];
-  auto token = std::make_shared<CancellationToken>();
-  size_t calls = 0;
-  BuiltinFunction cancel_fn;
-  cancel_fn.eval = [&](const std::vector<Value>&) -> Result<Value> {
-    if (++calls == rows) token->Cancel();
-    return Value::Bool(true);
-  };
-  auto filter = std::make_unique<LogicalOp>();
-  filter->kind = LogicalOp::Kind::kFilter;
-  filter->output = right->output;
-  auto pred = std::make_unique<BoundExpr>();
-  pred->kind = BoundExpr::Kind::kCall;
-  pred->type = DataType::Boolean();
-  pred->fn = &cancel_fn;
-  filter->predicates.push_back(std::move(pred));
-  filter->children.push_back(std::move(right));
-  right = std::move(filter);
-
+  auto trap = TrapCancel(
+      db, sql,
+      [](const LogicalOp& op) { return op.kind == LogicalOp::Kind::kJoin; },
+      1, rows);
+  ASSERT_TRUE(trap.ok()) << trap.status();
   mem::MemoryTracker tracker("query", 64u << 20);
-  MemoryContext mem{&tracker, "", 1, token.get()};
-  QueryMetrics qm;
-  {
-    Executor executor(db.cluster(), &qm, {}, nullptr, mem);
-    auto result = executor.Execute(*plan);
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), StatusCode::kCancelled)
-        << result.status();
-  }
-  EXPECT_EQ(calls, rows);
+  const Status status = (*trap)->Run(db, &tracker);
+  EXPECT_EQ(status.code(), StatusCode::kCancelled) << status;
+  EXPECT_EQ((*trap)->calls, rows);
   bool entered = false;
-  for (const OperatorMetrics& op : qm.operators) {
+  for (const OperatorMetrics& op : (*trap)->metrics.operators) {
     entered = entered || op.name.rfind("RelationalMultiply", 0) == 0;
   }
   EXPECT_TRUE(entered);
@@ -1065,6 +1038,109 @@ TEST(RelationalMultiplyVectorTest, DistanceVectorAgreesWithTheReference) {
     obs::MetricsRegistry* reg = sql.db().metrics_registry();
     ASSERT_NE(reg, nullptr);
     EXPECT_EQ(reg->counter("exec.relational_multiplies")->value(), 1u);
+  }
+}
+
+// ---------------------------------------------------------------------
+// Placement: which worker emits which group.
+// ---------------------------------------------------------------------
+
+/// Plans `sql` on `db`, runs it on an Executor over `db`'s cluster and
+/// returns each worker's rows, in order. The product must run on the
+/// kernel.
+Dist RunPlaced(Database& db, const std::string& sql) {
+  auto plan = db.PlanQuery(sql);
+  EXPECT_TRUE(plan.ok()) << plan.status();
+  if (!plan.ok()) return {};
+  QueryMetrics qm;
+  Executor executor(db.cluster(), &qm);
+  auto out = executor.Execute(**plan);
+  EXPECT_TRUE(out.ok()) << out.status();
+  if (!out.ok()) return {};
+  bool kernel = false;
+  for (const OperatorMetrics& op : qm.operators) {
+    kernel = kernel || op.name == "RelationalMultiply(kernel)";
+  }
+  EXPECT_TRUE(kernel);
+  return std::move(*out);
+}
+
+using KeyPair = std::pair<int64_t, int64_t>;
+
+/// Each worker's (first, second) column pairs.
+std::vector<std::vector<KeyPair>> PairsPerWorker(const Dist& dist) {
+  std::vector<std::vector<KeyPair>> out(dist.size());
+  for (size_t wkr = 0; wkr < dist.size(); ++wkr) {
+    for (const Row& row : dist[wkr]) {
+      out[wkr].emplace_back(row[0].int_value(), row[1].int_value());
+    }
+  }
+  return out;
+}
+
+TEST(RelationalMultiplyPlacementTest, TupleCodingSlicesItsListedGroups) {
+  // Index i sits on keys {0, 1} when even and {2, 3} when odd: both
+  // tiles are half full, and a group of an even and an odd index has
+  // no pair, so the presence product lists the groups; the mask then
+  // drops those with i >= j.
+  std::vector<Triple> cells;
+  for (int64_t i = 0; i < 7; ++i) {
+    for (int64_t k = 2 * (i % 2); k < 2 * (i % 2) + 2; ++k) {
+      cells.push_back({I(k), I(i), D(double(i + 2 * k))});
+    }
+  }
+  std::vector<KeyPair> listed;  // row-major
+  for (int64_t i = 0; i < 7; ++i) {
+    for (int64_t j = 0; j < 7; ++j) {
+      if (i % 2 == j % 2 && i < j) listed.emplace_back(i, j);
+    }
+  }
+  for (size_t w : {4, 8}) {
+    SCOPED_TRACE(w);
+    Database::Config config = MakeConfig(true);
+    config.num_workers = w;
+    Database db(config);
+    ASSERT_TRUE(LoadTriples(db, "x", cells).ok());
+    const auto got = PairsPerWorker(RunPlaced(
+        db,
+        "SELECT x1.i, x2.i, SUM(x1.v * x2.v) FROM x AS x1, x AS x2 "
+        "WHERE x1.k = x2.k AND x1.i < x2.i GROUP BY x1.i, x2.i"));
+    ASSERT_EQ(got.size(), w);
+    const size_t n = listed.size();
+    for (size_t wkr = 0; wkr < w; ++wkr) {
+      const std::vector<KeyPair> slice(listed.begin() + n * wkr / w,
+                                       listed.begin() + n * (wkr + 1) / w);
+      EXPECT_EQ(got[wkr], slice) << "worker " << wkr;
+    }
+  }
+}
+
+TEST(RelationalMultiplyPlacementTest, VectorCodingSlicesEveryPosition) {
+  // 6 x 7 positions; the mask leaves a group only where a.id < b.id,
+  // and a slice skips the positions that have no group.
+  const int64_t ni = 6, nj = 7;
+  for (size_t w : {4, 8}) {
+    SCOPED_TRACE(w);
+    Database::Config config = MakeConfig(true);
+    config.num_workers = w;
+    Database db(config);
+    ASSERT_TRUE(LoadVecRows(db, "p", 3, RandomVecRows(5, ni, 3, true)).ok());
+    ASSERT_TRUE(LoadVecRows(db, "q", 3, RandomVecRows(6, nj, 3, true)).ok());
+    const auto got = PairsPerWorker(RunPlaced(
+        db,
+        "SELECT a.id, b.id, SUM(inner_product(a.v, b.v)) FROM p AS a, q AS "
+        "b WHERE a.id < b.id GROUP BY a.id, b.id"));
+    ASSERT_EQ(got.size(), w);
+    const size_t n = static_cast<size_t>(ni * nj);
+    for (size_t wkr = 0; wkr < w; ++wkr) {
+      std::vector<KeyPair> slice;
+      for (size_t g = n * wkr / w; g < n * (wkr + 1) / w; ++g) {
+        const int64_t i = static_cast<int64_t>(g) / nj;
+        const int64_t j = static_cast<int64_t>(g) % nj;
+        if (i < j) slice.emplace_back(i, j);
+      }
+      EXPECT_EQ(got[wkr], slice) << "worker " << wkr;
+    }
   }
 }
 
