@@ -21,9 +21,12 @@
 // The sweep also reports how many generated queries got a spool (a
 // repeated subtree computed once; see GenerateQuery), and how many ran
 // the relational multiply kernel or fell back to the join (about one
-// query in four adds a GenerateMultiplyQuery tuple product, and about
-// one in four a vector-coded or masked tuple product), with kernel and
-// fallback counts per coding for the generated products.
+// query in four adds a GenerateMultiplyQuery tuple product, about one
+// in four a vector-coded or masked tuple product, and about one in four
+// a product of one relation with itself — a self product, the same
+// relation in crossed roles, or a block-coded Gram product), with
+// kernel and fallback counts per coding for the generated products and
+// for the self products.
 // With --reopen R > 0, a fifth phase runs R persistence rounds: a
 // generated catalog is loaded into a Database::Open store, a query
 // batch is executed, the database is closed and reopened from disk,
@@ -116,6 +119,7 @@ int main(int argc, char** argv) {
   // fallbacks.
   uint64_t coding_kernel[2] = {0, 0};
   uint64_t coding_fallback[2] = {0, 0};
+  uint64_t self_kernel = 0, self_fallback = 0;  // generated self products
 
   auto note_plans = [&](const Differ& differ) {
     const std::vector<FuzzConfig> configs = StandardConfigs();
@@ -182,6 +186,8 @@ int main(int argc, char** argv) {
     Rng multiply_rng(catalog_seed ^ 0x5851f42d4c957f2dULL);
     // Vector-coded and masked tuple products, likewise.
     Rng shape_rng(catalog_seed ^ 0x2545f4914f6cdd1dULL);
+    // Products of one relation with itself, likewise.
+    Rng self_rng(catalog_seed ^ 0x9fb21c651e98df25ULL);
     auto run = [&](const QuerySpec& query, bool system, bool product) {
       const uint64_t reuses_before = differ.SpoolReuses();
       const uint64_t kernels_before = differ.RelationalMultiplies();
@@ -189,6 +195,7 @@ int main(int argc, char** argv) {
       const std::string sql = query.ToSql();
       const DiffOutcome outcome = differ.RunOne(sql);
       const size_t coding = sql.find("inner_product(") != std::string::npos;
+      const bool self = product && differ.PlansSelfProduct(sql);
       ++queries_run;
       ++generated;
       metrics.counter("fuzz.queries_run")->Add(1);
@@ -200,11 +207,13 @@ int main(int argc, char** argv) {
       if (differ.RelationalMultiplies() > kernels_before) {
         ++multiply_kernel;
         if (product) ++coding_kernel[coding];
+        if (self) ++self_kernel;
         metrics.counter("fuzz.relational_multiply_queries")->Add(1);
       }
       if (differ.RelationalMultiplyFallbacks() > fallbacks_before) {
         ++multiply_fallback;
         if (product) ++coding_fallback[coding];
+        if (self) ++self_fallback;
         metrics.counter("fuzz.relational_multiply_fallback_queries")->Add(1);
       }
       if (outcome.diverged) diverge(outcome, catalog, query);
@@ -225,6 +234,12 @@ int main(int argc, char** argv) {
                                        ? ProductShape::kVector
                                        : ProductShape::kMaskedTuple;
         run(GenerateMultiplyQuery(catalog, &shape_rng, shape), false, true);
+      }
+      if (self_rng.NextBelow(4) == 0) {
+        static constexpr ProductShape kOneRelation[] = {
+            ProductShape::kSelf, ProductShape::kCrossed, ProductShape::kGram};
+        const ProductShape shape = kOneRelation[self_rng.NextBelow(3)];
+        run(GenerateMultiplyQuery(catalog, &self_rng, shape), false, true);
       }
     }
     note_plans(differ);
@@ -416,6 +431,10 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(coding_fallback[0]),
         static_cast<unsigned long long>(coding_kernel[1]),
         static_cast<unsigned long long>(coding_fallback[1]));
+    std::printf(
+        "fuzz: generated self products, kernel / fallback: %llu / %llu\n",
+        static_cast<unsigned long long>(self_kernel),
+        static_cast<unsigned long long>(self_fallback));
   }
   return divergences == 0 ? 0 : 1;
 }

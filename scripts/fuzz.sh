@@ -1,13 +1,13 @@
 #!/usr/bin/env sh
 # Differential fuzz campaign under AddressSanitizer + UBSan:
-# configures a dedicated build tree with -DRADB_SANITIZE=address,undefined,
-# builds the fuzz_queries driver, replays the pinned regression seeds,
-# then runs a seeded random sweep (>= 500 queries, each executed under
-# all six configurations — {DP, greedy, no-early-projection} x {1t, 8t}
-# — and compared cell-exactly against the brute-force reference
-# evaluator). Exits non-zero on any divergence
-# or sanitizer report; divergences are shrunk to a minimal repro to
-# paste into src/testing/regression_seeds.h.
+# configures a dedicated build tree with -DRADB_SANITIZE=address,undefined
+# and -Werror, builds the fuzz_queries driver, replays the pinned
+# regression seeds, then runs a seeded random sweep (>= 500 queries,
+# each executed under all six configurations — {DP, greedy,
+# no-early-projection} x {1t, 8t} — and compared cell-exactly against
+# the brute-force reference evaluator). Exits non-zero on any
+# divergence or sanitizer report; divergences are shrunk to a minimal
+# repro to paste into src/testing/regression_seeds.h.
 #
 # Usage: scripts/fuzz.sh [build-dir] [queries] [seed]
 #   defaults: build-fuzz 600 1
@@ -18,9 +18,12 @@ QUERIES="${2:-600}"
 SEED="${3:-1}"
 JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 2)"
 
+# -Werror: a warning that only the sanitizer build raises (GCC's
+# -Wmaybe-uninitialized sees more under ASan+UBSan) fails the campaign.
 cmake -S "$(dirname "$0")/.." -B "$BUILD_DIR" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-  -DRADB_SANITIZE=address,undefined
+  -DRADB_SANITIZE=address,undefined \
+  -DCMAKE_CXX_FLAGS=-Werror
 cmake --build "$BUILD_DIR" -j "$JOBS" --target fuzz_queries
 # halt_on_error so a UBSan report fails the run instead of scrolling by.
 ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1}" \

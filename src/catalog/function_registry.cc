@@ -1,5 +1,6 @@
 #include "catalog/function_registry.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/string_util.h"
@@ -116,6 +117,24 @@ Result<Value> VecMatDispatch(const std::vector<Value>& args) {
 }
 
 }  // namespace
+
+Result<Value> GramProduct(const Value& x) {
+  if (!x.is_sparse_matrix()) {
+    const la::Matrix& m = x.matrix();
+    if (std::all_of(m.data(), m.data() + m.rows() * m.cols(),
+                    [](double e) { return std::isfinite(e); })) {
+      SparseMetric("la.sparse.dispatch_dense");  // as MultiplyDispatch
+      return Value::FromMatrix(la::TransposeSelfMultiply(m));
+    }
+  }
+  const FunctionRegistry& fns = FunctionRegistry::Global();
+  RADB_ASSIGN_OR_RETURN(const BuiltinFunction* transpose,
+                        fns.Lookup("trans_matrix"));
+  RADB_ASSIGN_OR_RETURN(const BuiltinFunction* multiply,
+                        fns.Lookup("matrix_multiply"));
+  RADB_ASSIGN_OR_RETURN(Value t, transpose->eval({x}));
+  return multiply->eval({std::move(t), x});
+}
 
 const FunctionRegistry& FunctionRegistry::Global() {
   static const FunctionRegistry* kRegistry = new FunctionRegistry();

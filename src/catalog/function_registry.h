@@ -60,6 +60,13 @@ class FunctionRegistry {
   std::map<std::string, BuiltinFunction> fns_;
 };
 
+/// The value of matrix_multiply(trans_matrix(x), x), given x once (the
+/// fused Gram call, DESIGN.md §18). A dense MATRIX whose elements are
+/// all finite takes la::TransposeSelfMultiply, whose bits equal the
+/// transpose and GEMM's there; anything else (a sparse value, ±inf or
+/// NaN) runs the two registered calls, so it keeps their results.
+Result<Value> GramProduct(const Value& x);
+
 }  // namespace radb
 
 #endif  // RADB_CATALOG_FUNCTION_REGISTRY_H_

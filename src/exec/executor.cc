@@ -496,6 +496,16 @@ Result<SpillableDist> Executor::CopyDist(SpillableDist& src,
   return out;
 }
 
+std::optional<size_t> Executor::SlotAtSamePosition(
+    const LogicalOp& from, const LogicalOp& to, std::optional<size_t> slot) {
+  if (slot) {
+    for (size_t i = 0; i < from.output.size(); ++i) {
+      if (from.output[i].slot == *slot) return to.output[i].slot;
+    }
+  }
+  return std::nullopt;
+}
+
 Result<ExecResult> Executor::HoldSpool(const LogicalOp& op,
                                        ExecResult result) {
   // Under a budget the held rows go to disk at once, so they never pin
@@ -514,17 +524,9 @@ Result<ExecResult> Executor::HoldSpool(const LogicalOp& op,
 Result<ExecResult> Executor::ServeSpool(const LogicalOp& op,
                                         HeldSpool& held) {
   OperatorMetrics* m = NewOp("SpoolReuse", op);
-  // Equal subtrees emit equal columns in equal positions, so the
-  // producer's placement carries over by output position.
-  std::optional<size_t> hashed;
-  if (held.result.hashed_slot) {
-    for (size_t i = 0; i < held.producer->output.size(); ++i) {
-      if (held.producer->output[i].slot == *held.result.hashed_slot) {
-        hashed = op.output[i].slot;
-      }
-    }
-  }
-  ExecResult out{SpillableDist{}, hashed};
+  ExecResult out{SpillableDist{},
+                 SlotAtSamePosition(*held.producer, op,
+                                    held.result.hashed_slot)};
   if (--held.uses_left == 0) {
     // The last use takes the held rows, and with them the record of
     // their spill at production.

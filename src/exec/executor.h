@@ -187,6 +187,13 @@ class Executor {
   /// Row-for-row copy of `src` into fresh buffers on the same workers;
   /// per-worker copy time goes to `m` when given.
   Result<SpillableDist> CopyDist(SpillableDist& src, OperatorMetrics* m);
+  /// The slot of `to`'s output at the position where `from`'s output
+  /// has `slot`: equal subtrees emit equal columns in equal positions,
+  /// so a copy of one's rows keeps its placement (`hashed_slot`) this
+  /// way. Nullopt when `slot` is.
+  static std::optional<size_t> SlotAtSamePosition(
+      const LogicalOp& from, const LogicalOp& to,
+      std::optional<size_t> slot);
   /// The batch engine (vectorized.cc): executes the chain `op` heads —
   /// Filter/Project nodes down to a scan or another operator, with an
   /// optional Aggregate on top — batch at a time. A bare Scan is a
@@ -220,10 +227,12 @@ class Executor {
   Result<ExecResult> ExecuteSort(const LogicalOp& op);
   Result<ExecResult> ExecuteLimit(const LogicalOp& op);
   /// Relational matrix multiply (multiply.cc, DESIGN.md §19) for an
-  /// Aggregate the optimizer marked: runs the Join's two inputs, then
-  /// computes the product on the dense kernel. When the data does not
-  /// admit it, the inputs are held for the Join (see held_inputs_) and
-  /// the Aggregate runs as if unmarked, so no input runs twice.
+  /// Aggregate the optimizer marked: runs the Join's two inputs (the
+  /// first only, for a self product), then computes the product on the
+  /// dense kernel. When the data does not admit it, the inputs are held
+  /// for the Join (see held_inputs_; a self product's second is a copy
+  /// of its first) and the Aggregate runs as if unmarked, so no input
+  /// runs twice.
   Result<ExecResult> ExecuteMultiply(const LogicalOp& op);
   /// The skeleton both kernel paths run on (multiply.cc).
   class MultiplyRun;

@@ -7,7 +7,9 @@
 //     and/or r.j, the coding of C = A·B with A[i][k] = l.v and
 //     B[k][j] = r.w. MultiplyOnTiles compacts keys and indexes into
 //     sorted dictionaries, scatters the values into a dense I×K and a
-//     dense K×J tile and calls la::Multiply.
+//     dense K×J tile and calls la::Multiply. A self product (both
+//     inputs one subtree with the same roles) reads its one input into
+//     one K×J tile T and calls la::TransposeSelfMultiply for TᵀT.
 //   - vector: SUM, MIN or MAX of inner_product(l.v, r.w) over a cross
 //     join. MultiplyOnVectors stacks each side's vectors into a dense
 //     matrix, computes every pair's inner product with la::Multiply and
@@ -55,8 +57,9 @@ struct Cell {
   double value = 0.0;
 };
 
-/// Staged bytes per input row: its Cell plus at most three dictionary
-/// entries (its key twice, its index once).
+/// Staged bytes per input row: its Cell plus three dictionary entries,
+/// more than the dictionaries (at most two entries per value each, see
+/// Dictionary) ever hold at once per input row.
 constexpr size_t kStagedBytesPerRow = sizeof(Cell) + 3 * sizeof(int64_t);
 
 /// Where one input's columns of the product sit in its rows.
@@ -94,47 +97,116 @@ const char* ReadCell(const Row& row, const InputColumns& c, Cell* cell,
   return ReadKey(row[*c.index], "NULL group key", &cell->index);
 }
 
-/// A sorted dictionary: the distinct values of `v` in order, each
-/// standing for its position (Find).
-template <typename T>
-std::vector<T> Dictionary(std::vector<T> v) {
-  std::sort(v.begin(), v.end());
-  v.erase(std::unique(v.begin(), v.end()), v.end());
-  return v;
-}
+/// A sorted dictionary of INTEGER values: their distinct values in
+/// ascending order, each standing for its position. When the values
+/// span at most twice as many integers as there are values, a presence
+/// table over the span yields the sorted values in one pass and then
+/// answers Find by offset; otherwise the values are sorted and Find
+/// searches them. Both give the same values and positions, and hold at
+/// most two 8-byte entries per value the dictionary is built from.
+class Dictionary {
+ public:
+  /// The dictionary of the values each(f) passes to f; `each` is called
+  /// twice and must pass the same values both times.
+  template <typename Each>
+  static Dictionary Of(const Each& each) {
+    Dictionary d;
+    size_t count = 0;
+    int64_t lo = INT64_MAX, hi = INT64_MIN;
+    each([&](int64_t x) {
+      ++count;
+      lo = std::min(lo, x);
+      hi = std::max(hi, x);
+    });
+    if (count == 0) return d;
+    const uint64_t span = uint64_t(hi) - uint64_t(lo);  // exact: hi - lo
+    if (span < 2 * uint64_t(count) && span < uint64_t(INT32_MAX)) {
+      // At most 2·count int32 offsets: one 8-byte entry per value.
+      d.lo_ = lo;
+      d.offset_.assign(span + 1, -1);
+      size_t distinct = 0;
+      each([&](int64_t x) {
+        int32_t& at = d.offset_[uint64_t(x) - uint64_t(lo)];
+        if (at < 0) ++distinct;
+        at = 0;
+      });
+      d.values_.reserve(distinct);
+      for (size_t o = 0; o < d.offset_.size(); ++o) {
+        if (d.offset_[o] < 0) continue;
+        d.offset_[o] = static_cast<int32_t>(d.values_.size());
+        d.values_.push_back(static_cast<int64_t>(uint64_t(lo) + o));
+      }
+      return d;
+    }
+    d.values_.reserve(count);
+    each([&](int64_t x) { d.values_.push_back(x); });
+    std::sort(d.values_.begin(), d.values_.end());
+    d.values_.erase(std::unique(d.values_.begin(), d.values_.end()),
+                    d.values_.end());
+    return d;
+  }
 
-/// Position of `x` in the dictionary `dict`, or -1.
-int64_t Find(const std::vector<int64_t>& dict, int64_t x) {
-  const auto it = std::lower_bound(dict.begin(), dict.end(), x);
-  return it != dict.end() && *it == x ? it - dict.begin() : -1;
+  size_t size() const { return values_.size(); }
+  int64_t operator[](size_t p) const { return values_[p]; }
+  const std::vector<int64_t>& values() const { return values_; }
+
+  /// Position of `x`, or -1.
+  int64_t Find(int64_t x) const {
+    if (!offset_.empty()) {
+      const uint64_t o = uint64_t(x) - uint64_t(lo_);
+      return o < offset_.size() ? offset_[o] : -1;
+    }
+    const auto it = std::lower_bound(values_.begin(), values_.end(), x);
+    return it != values_.end() && *it == x ? it - values_.begin() : -1;
+  }
+
+ private:
+  std::vector<int64_t> values_;
+  int64_t lo_ = 0;  // the value at offset 0
+  /// Per offset o: the position of lo_ + o, or -1. Empty: Find searches.
+  std::vector<int32_t> offset_;
+};
+
+/// Passes each of `v` to its callback, for Dictionary::Of.
+auto EachOf(const std::vector<int64_t>& v) {
+  return [&v](const auto& f) {
+    for (int64_t x : v) f(x);
+  };
 }
 
 /// Replaces each of `keys` by its position in their dictionary, which
 /// it returns.
-std::vector<int64_t> Encode(std::vector<int64_t>* keys) {
-  std::vector<int64_t> dict = Dictionary(*keys);
-  for (int64_t& k : *keys) k = Find(dict, k);
+Dictionary Encode(std::vector<int64_t>* keys) {
+  Dictionary dict = Dictionary::Of(EachOf(*keys));
+  for (int64_t& k : *keys) k = dict.Find(k);
   return dict;
 }
 
 /// One side's cells in worker order, as the tile fill reads them.
 using SideCells = std::vector<std::vector<Cell>>;
 
-/// Replaces each cell's key by its position in `keys` and returns the
-/// dictionary of the indexes of the cells that join, with their count
-/// in `*joined`.
-std::vector<int64_t> IndexDictionary(SideCells& side,
-                                     const std::vector<int64_t>& keys,
-                                     size_t* joined) {
-  std::vector<int64_t> indexes;
-  for (std::vector<Cell>& part : side) {
-    for (Cell& c : part) {
-      c.key = Find(keys, c.key);
-      if (c.key >= 0) indexes.push_back(c.index);
+/// Passes the key of each cell of `side`, for Dictionary::Of.
+auto KeysOf(const SideCells& side) {
+  return [&side](const auto& f) {
+    for (const std::vector<Cell>& part : side) {
+      for (const Cell& c : part) f(c.key);
     }
-  }
-  *joined = indexes.size();
-  return Dictionary(std::move(indexes));
+  };
+}
+
+/// The dictionary of the indexes of the cells of `side` that join (a
+/// key position other than -1), with their count in `*joined`.
+Dictionary IndexDictionary(const SideCells& side, size_t* joined) {
+  const auto each = [&side](const auto& f) {
+    for (const std::vector<Cell>& part : side) {
+      for (const Cell& c : part) {
+        if (c.key >= 0) f(c.index);
+      }
+    }
+  };
+  *joined = 0;
+  each([joined](int64_t) { ++*joined; });
+  return Dictionary::Of(each);
 }
 
 /// Whether `a op b` holds for two INTEGER keys. They compare exactly,
@@ -207,7 +279,7 @@ struct VectorSide {
   /// Per row: its group key (0 without one), after Encode its position
   /// in `dict`.
   std::vector<int64_t> group;
-  std::vector<int64_t> dict;  // the group keys
+  Dictionary dict;  // the group keys
   std::vector<int64_t> mask_keys;  // per row: one per term
 
   size_t rows() const { return begin.back(); }
@@ -253,19 +325,17 @@ struct VectorSide {
 };
 
 /// One worker's partial aggregate of a vector-coded product: the group
-/// positions of its probe rows, sorted, and a row of states per
-/// position, one state per broadcast-side group.
+/// positions of its probe rows, as a dictionary, and a row of states
+/// per dictionary position, one state per broadcast-side group.
 struct Partial {
-  std::vector<size_t> probe_groups;
+  Dictionary probe_groups;
   std::vector<std::unique_ptr<Aggregator>> states;
 
   /// Row of states for probe-side group `g`, or null when none of this
   /// worker's rows has it.
-  std::unique_ptr<Aggregator>* StatesOf(size_t g, size_t width) {
-    const auto it =
-        std::lower_bound(probe_groups.begin(), probe_groups.end(), g);
-    if (it == probe_groups.end() || *it != g) return nullptr;
-    return states.data() + (it - probe_groups.begin()) * width;
+  std::unique_ptr<Aggregator>* StatesOf(int64_t g, size_t width) {
+    const int64_t p = probe_groups.Find(g);
+    return p < 0 ? nullptr : states.data() + size_t(p) * width;
   }
 };
 
@@ -273,7 +343,8 @@ struct Partial {
 
 /// One kernel attempt of either coding: the columns it reads, the
 /// scoped tracker of its unspillable state (released on every way out,
-/// cancellation included), one read of both inputs, one emitter and a
+/// cancellation included), one read of both inputs (of the one input,
+/// for a self product, whose `right` is `left`), one emitter and a
 /// cancellation poll per worker. Work on the calling thread is charged
 /// to worker 0's seconds and polls worker 0's poll.
 class Executor::MultiplyRun {
@@ -283,6 +354,7 @@ class Executor::MultiplyRun {
               std::string* reason)
       : x_(x),
         w_(left.size()),
+        sides_(op.multiply->self ? 1 : 2),
         inputs_{&left, &right},
         m_(m),
         reason_(reason),
@@ -306,12 +378,15 @@ class Executor::MultiplyRun {
     if (x.mem_.tracker != nullptr) {
       tracker_.emplace(tracker_name, x.mem_.tracker);
     }
-    m->rows_in = SpillDistRowCount(left) + SpillDistRowCount(right);
+    m->rows_in = SpillDistRowCount(left);
+    if (sides_ == 2) m->rows_in += SpillDistRowCount(right);
   }
 
   InputColumns cols[2];
 
   size_t workers() const { return w_; }
+  /// The inputs read: 1 for a self product, else 2.
+  int sides() const { return sides_; }
   CancelPoll& poll(size_t wkr) { return polls_[wkr]; }
 
   /// Gives the kernel up for `why`: the inputs go to the join.
@@ -329,7 +404,7 @@ class Executor::MultiplyRun {
     return false;
   }
 
-  /// Every worker reads its partition of both inputs in place, left
+  /// Every worker reads its partition of each input in place, left
   /// then right, calling read(side, wkr, i, row) on its i-th row of a
   /// side until that returns a refusal. Then `settle` may refuse the
   /// inputs as a whole. Returns the lowest (side, worker)'s refusal,
@@ -341,7 +416,7 @@ class Executor::MultiplyRun {
     std::vector<const char*> refusals(2 * w_, nullptr);
     RADB_RETURN_NOT_OK(x_.ForEachWorker(w_, [&](size_t wkr) -> Status {
       const auto t0 = Clock::now();
-      for (int side = 0; side < 2; ++side) {
+      for (int side = 0; side < sides_; ++side) {
         const char*& refusal = refusals[side * w_ + wkr];
         size_t i = 0;
         RADB_RETURN_NOT_OK((*inputs_[side])[wkr].ForEachRow(
@@ -357,7 +432,7 @@ class Executor::MultiplyRun {
       if (refusal != nullptr) return refusal;
     }
     if (const char* why = settle ? settle() : nullptr) return why;
-    for (const SpillableDist* in : inputs_) Tally(*in);
+    for (int side = 0; side < sides_; ++side) Tally(*inputs_[side]);
     return static_cast<const char*>(nullptr);
   }
 
@@ -395,6 +470,7 @@ class Executor::MultiplyRun {
 
   Executor& x_;
   const size_t w_;
+  const int sides_;
   SpillableDist* inputs_[2];
   OperatorMetrics* m_;
   std::string* reason_;
@@ -405,22 +481,35 @@ class Executor::MultiplyRun {
 Result<ExecResult> Executor::ExecuteMultiply(const LogicalOp& op) {
   const LogicalOp& join = *op.children[0];
   const LogicalOp* inputs[] = {join.children[0].get(), join.children[1].get()};
+  // A self product runs its first input only and reads it as both.
+  const bool self = op.multiply->self;
   RADB_ASSIGN_OR_RETURN(ExecResult left, ExecuteOp(*inputs[0]));
-  RADB_ASSIGN_OR_RETURN(ExecResult right, ExecuteOp(*inputs[1]));
+  ExecResult right;
+  if (!self) {
+    RADB_ASSIGN_OR_RETURN(right, ExecuteOp(*inputs[1]));
+  }
+  SpillableDist& right_dist = self ? left.dist : right.dist;
   OperatorMetrics* m = NewOp("RelationalMultiply(kernel)", op);
   std::string reason;
   RADB_ASSIGN_OR_RETURN(
       Product product,
       op.multiply->coding == LogicalOp::MultiplyShape::Coding::kTuple
-          ? MultiplyOnTiles(op, left.dist, right.dist, m, &reason)
-          : MultiplyOnVectors(op, left.dist, right.dist, m, &reason));
+          ? MultiplyOnTiles(op, left.dist, right_dist, m, &reason)
+          : MultiplyOnVectors(op, left.dist, right_dist, m, &reason));
   if (product.has_value()) {
     ++relational_multiplies_;
     return ExecResult{std::move(*product), std::nullopt};
   }
-  // The unmarked Join and Aggregate, over the inputs already run.
+  // The unmarked Join and Aggregate, over the inputs already run. A
+  // self product's second input is a copy of its first: the rows, in
+  // each worker's order, that running the equal subtree again gives.
   m->name = "RelationalMultiply(fallback: " + reason + ")";
   ++relational_multiply_fallbacks_;
+  if (self) {
+    RADB_ASSIGN_OR_RETURN(right.dist, CopyDist(left.dist, m));
+    right.hashed_slot =
+        SlotAtSamePosition(*inputs[0], *inputs[1], left.hashed_slot);
+  }
   held_inputs_[inputs[0]] = std::move(left);
   held_inputs_[inputs[1]] = std::move(right);
   Result<ExecResult> out = ExecutePipeline(op);
@@ -439,7 +528,10 @@ Result<std::optional<SpillableDist>> Executor::MultiplyOnTiles(
                   reason);
   const size_t w = run.workers();
   if (!run.Admit(m->rows_in * kStagedBytesPerRow, "cells")) return Product();
-  SideCells cells[2] = {SideCells(w), SideCells(w)};
+  // A self product reads one side of cells; its right side is its left
+  // (DESIGN.md §19).
+  const int r = s.self ? 0 : 1;
+  SideCells cells[2] = {SideCells(w), SideCells(s.self ? 0 : w)};
   RADB_ASSIGN_OR_RETURN(
       const char* refusal,
       run.Read([&](int side, size_t wkr, size_t i, const Row& row) {
@@ -454,55 +546,76 @@ Result<std::optional<SpillableDist>> Executor::MultiplyOnTiles(
   if (refusal != nullptr) return run.Refuse(refusal);
 
   const auto t0 = Clock::now();
-  // Keys on both sides; a key on one side only joins nothing.
-  std::vector<int64_t> side_keys[2];
-  for (int side = 0; side < 2; ++side) {
-    for (const std::vector<Cell>& part : cells[side]) {
-      for (const Cell& c : part) side_keys[side].push_back(c.key);
+  // The keys on both sides (a key on one side only joins nothing; a
+  // self product's keys are all on both); each cell's key becomes its
+  // position among them.
+  size_t nk = 0;
+  {
+    Dictionary keys;
+    if (s.self) {
+      keys = Dictionary::Of(KeysOf(cells[0]));
+    } else {
+      std::vector<int64_t> both;
+      {
+        const Dictionary left_keys = Dictionary::Of(KeysOf(cells[0]));
+        const Dictionary right_keys = Dictionary::Of(KeysOf(cells[1]));
+        std::set_intersection(
+            left_keys.values().begin(), left_keys.values().end(),
+            right_keys.values().begin(), right_keys.values().end(),
+            std::back_inserter(both));
+      }
+      keys = Dictionary::Of(EachOf(both));
     }
-    side_keys[side] = Dictionary(std::move(side_keys[side]));
+    nk = keys.size();
+    for (int side = 0; side < run.sides(); ++side) {
+      for (std::vector<Cell>& part : cells[side]) {
+        for (Cell& c : part) c.key = keys.Find(c.key);
+      }
+    }
   }
-  std::vector<int64_t> keys;
-  std::set_intersection(side_keys[0].begin(), side_keys[0].end(),
-                        side_keys[1].begin(), side_keys[1].end(),
-                        std::back_inserter(keys));
-  if (keys.empty()) {  // nothing joins, so there are no groups
+  if (nk == 0) {  // nothing joins, so there are no groups
     m->worker_seconds[0] += SecondsSince(t0);
     return Product(NewDist(w));
   }
   size_t joined[2] = {0, 0};
-  const std::vector<int64_t> dicts[2] = {
-      IndexDictionary(cells[0], keys, &joined[0]),
-      IndexDictionary(cells[1], keys, &joined[1])};
+  Dictionary index_dicts[2];
+  for (int side = 0; side < run.sides(); ++side) {
+    index_dicts[side] = IndexDictionary(cells[side], &joined[side]);
+  }
+  joined[1] = joined[r];
+  const Dictionary* dicts[2] = {&index_dicts[0], &index_dicts[r]};
   // A side without a group key has the one index 0, so it contributes
   // one row (left) or one column (right) of the product.
-  const size_t ni = dicts[0].size();
-  const size_t nk = keys.size();
-  const size_t nj = dicts[1].size();
+  const size_t ni = dicts[0]->size();
+  const size_t nj = dicts[1]->size();
   const double sizes[2] = {double(ni) * double(nk), double(nk) * double(nj)};
   for (int side = 0; side < 2; ++side) {
     if (double(joined[side]) < kMinTileFill * sizes[side]) {
       return run.Refuse("tile under half full");
     }
   }
-  // The two tiles and the product; when both tiles may have holes, a
-  // presence twin of each decides which groups exist.
+  // The I×K and K×J tiles and the product; a self product's cells fill
+  // only the K×J tile T, whose transpose is the I×K tile. When both
+  // tiles may have holes, a presence twin of each decides which groups
+  // exist.
   const bool presence =
       double(joined[0]) < sizes[0] && double(joined[1]) < sizes[1];
-  const size_t tile_cells = ni * nk + nk * nj + ni * nj;
+  const size_t left_cells = s.self ? 0 : ni * nk;
+  const size_t tile_cells = left_cells + nk * nj + ni * nj;
   const size_t tile_bytes = tile_cells * sizeof(double) * (presence ? 2 : 1) +
-                            (ni * nk + nk * nj) / 8;
+                            (left_cells + nk * nj) / 8;
   if (!run.Admit(tile_bytes, "tiles")) return Product();
 
-  la::Matrix tiles[2] = {la::Matrix(ni, nk), la::Matrix(nk, nj)};
-  std::vector<bool> filled[2] = {std::vector<bool>(ni * nk),
+  la::Matrix tiles[2] = {la::Matrix(s.self ? 0 : ni, nk), la::Matrix(nk, nj)};
+  std::vector<bool> filled[2] = {std::vector<bool>(left_cells),
                                  std::vector<bool>(nk * nj)};
-  for (int side = 0; side < 2; ++side) {
-    for (const std::vector<Cell>& part : cells[side]) {
+  const int first_tile = s.self ? 1 : 0;
+  for (int side = first_tile; side < 2; ++side) {
+    for (const std::vector<Cell>& part : cells[side == 0 ? 0 : r]) {
       for (const Cell& c : part) {
         RADB_RETURN_NOT_OK(run.poll(0).Tick());
         if (c.key < 0) continue;
-        const size_t index = static_cast<size_t>(Find(dicts[side], c.index));
+        const size_t index = static_cast<size_t>(dicts[side]->Find(c.index));
         const size_t key = static_cast<size_t>(c.key);
         const size_t at = side == 0 ? index * nk + key : key * nj + index;
         if (filled[side][at]) return run.Refuse("repeated cell");
@@ -513,7 +626,13 @@ Result<std::optional<SpillableDist>> Executor::MultiplyOnTiles(
   }
   for (SideCells& side : cells) side.clear();
 
-  RADB_ASSIGN_OR_RETURN(la::Matrix product, la::Multiply(tiles[0], tiles[1]));
+  // TᵀT, whose bits equal Tᵀ·T's on finite values (DESIGN.md §19), or
+  // the product of the two tiles.
+  const auto multiply = [&]() -> Result<la::Matrix> {
+    if (s.self) return la::TransposeSelfMultiply(tiles[1]);
+    return la::Multiply(tiles[0], tiles[1]);
+  };
+  RADB_ASSIGN_OR_RETURN(la::Matrix product, multiply());
   // Groups in row-major (i, j) order: all of them unless both tiles
   // have holes, else those the 0/1 presence product counts a pair for;
   // of these, those the mask keeps. The mask reads only i and j, so it
@@ -521,13 +640,13 @@ Result<std::optional<SpillableDist>> Executor::MultiplyOnTiles(
   const bool listed = presence || !s.mask.empty();
   std::vector<size_t> groups;
   if (presence) {
-    for (int side = 0; side < 2; ++side) {
+    for (int side = first_tile; side < 2; ++side) {
       double* p = tiles[side].data();
       for (size_t at = 0; at < filled[side].size(); ++at) {
         p[at] = filled[side][at] ? 1.0 : 0.0;
       }
     }
-    RADB_ASSIGN_OR_RETURN(la::Matrix pairs, la::Multiply(tiles[0], tiles[1]));
+    RADB_ASSIGN_OR_RETURN(la::Matrix pairs, multiply());
     for (size_t g = 0; g < ni * nj; ++g) {
       if (pairs.data()[g] > 0.0) groups.push_back(g);
     }
@@ -538,8 +657,8 @@ Result<std::optional<SpillableDist>> Executor::MultiplyOnTiles(
   if (!s.mask.empty()) {
     std::vector<size_t> kept;
     for (size_t g : groups) {
-      const int64_t i = dicts[0][g / nj];
-      const int64_t j = dicts[1][g % nj];
+      const int64_t i = (*dicts[0])[g / nj];
+      const int64_t j = (*dicts[1])[g % nj];
       bool holds = true;
       for (const MaskTerm& t : s.mask) holds = holds && Holds(t.op, i, j);
       if (holds) kept.push_back(g);
@@ -555,7 +674,7 @@ Result<std::optional<SpillableDist>> Executor::MultiplyOnTiles(
                [&](size_t q) -> Result<std::optional<Row>> {
                  const size_t g = listed ? groups[q] : q;
                  return std::make_optional(
-                     GroupRow(s, dicts[0][g / nj], dicts[1][g % nj],
+                     GroupRow(s, (*dicts[0])[g / nj], (*dicts[1])[g % nj],
                               Value::Double(product.data()[g])));
                }));
   return Product(std::move(out));
@@ -631,9 +750,11 @@ Result<std::optional<SpillableDist>> Executor::MultiplyOnVectors(
   size_t slots = 0;
   for (size_t wkr = 0; wkr < w; ++wkr) {
     Partial& p = partials[wkr];
-    p.probe_groups = Dictionary(
-        std::vector<size_t>(probe.group.begin() + probe.begin[wkr],
-                            probe.group.begin() + probe.begin[wkr + 1]));
+    p.probe_groups = Dictionary::Of([&](const auto& f) {
+      for (size_t r = probe.begin[wkr]; r < probe.begin[wkr + 1]; ++r) {
+        f(probe.group[r]);
+      }
+    });
     slots += p.probe_groups.size() * width;
   }
   const size_t num_groups = sides[0].dict.size() * sides[1].dict.size();

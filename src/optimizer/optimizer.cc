@@ -364,11 +364,6 @@ std::optional<LogicalOp::MultiplyShape> MatchMultiply(const LogicalOp& agg) {
   return s;
 }
 
-void MarkRelationalMultiplies(LogicalOp& op) {
-  for (const LogicalOpPtr& c : op.children) MarkRelationalMultiplies(*c);
-  if (op.kind == LogicalOp::Kind::kAggregate) op.multiply = MatchMultiply(op);
-}
-
 // ---- Shared subtrees (post-pass) ------------------------------------
 //
 // The binder inlines a view (or repeats a derived table) at every
@@ -483,7 +478,7 @@ class SubtreeFingerprint {
         }
         // The shape itself follows from the subtree; the mark decides
         // how the executor runs it.
-        Num(op.multiply.has_value() ? 1 : 0);
+        Num(!op.multiply ? 0 : op.multiply->self ? 2 : 1);
         break;
       case LogicalOp::Kind::kSort:
         Num(op.sort_keys.size());
@@ -509,6 +504,39 @@ class SubtreeFingerprint {
   std::string out_;
 };
 
+/// Whether the tuple-coded product `s` over `join` is a self product:
+/// the two inputs are one subtree (equal fingerprints, so they compute
+/// the same rows on the same workers in the same order), the join key,
+/// the group key and the value sit at the same output position in
+/// both, and both group keys are present. Its operands are then one
+/// tile T and its transpose, and the product is TᵀT (DESIGN.md §19).
+bool IsSelfProduct(const LogicalOp& join, const LogicalOp::MultiplyShape& s) {
+  if (s.coding != LogicalOp::MultiplyShape::Coding::kTuple || !s.left_index ||
+      !s.right_index) {
+    return false;
+  }
+  const LogicalOp& l = *join.children[0];
+  const LogicalOp& r = *join.children[1];
+  const auto position = [](const LogicalOp& in, size_t slot) {
+    size_t i = 0;
+    while (i < in.output.size() && in.output[i].slot != slot) ++i;
+    return i;
+  };
+  return position(l, s.left_key) == position(r, s.right_key) &&
+         position(l, *s.left_index) == position(r, *s.right_index) &&
+         position(l, s.left_value) == position(r, s.right_value) &&
+         SubtreeFingerprint::Of(l) == SubtreeFingerprint::Of(r);
+}
+
+void MarkRelationalMultiplies(LogicalOp& op) {
+  for (const LogicalOpPtr& c : op.children) MarkRelationalMultiplies(*c);
+  if (op.kind != LogicalOp::Kind::kAggregate) return;
+  op.multiply = MatchMultiply(op);
+  if (op.multiply) {
+    op.multiply->self = IsSelfProduct(*op.children[0], *op.multiply);
+  }
+}
+
 bool IsJoinOrAggregate(const LogicalOp& op) {
   return op.kind == LogicalOp::Kind::kJoin ||
          op.kind == LogicalOp::Kind::kAggregate;
@@ -525,13 +553,19 @@ struct PlanNode {
   bool spoolable = true;
 };
 
+/// Collects `op`'s subtree, or only its first child's with `op` when
+/// `first_child_only`: the Join of a self product, whose second input
+/// never runs (the fallback copies the first), so it is no use of any
+/// spool.
 void CollectPreOrder(LogicalOp& op, std::vector<PlanNode>* out,
-                     bool spoolable = true) {
+                     bool spoolable = true, bool first_child_only = false) {
   const size_t self = out->size();
   out->push_back(PlanNode{&op, 1, IsJoinOrAggregate(op), spoolable});
-  for (const LogicalOpPtr& c : op.children) {
+  const size_t children = first_child_only ? 1 : op.children.size();
+  for (size_t i = 0; i < children; ++i) {
     const size_t child = out->size();
-    CollectPreOrder(*c, out, !op.multiply.has_value());
+    CollectPreOrder(*op.children[i], out, !op.multiply.has_value(),
+                    op.multiply.has_value() && op.multiply->self);
     (*out)[self].size += (*out)[child].size;
     (*out)[self].costly = (*out)[self].costly || (*out)[child].costly;
   }

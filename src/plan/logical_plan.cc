@@ -111,7 +111,10 @@ std::string LogicalOp::NodeLabel() const {
       }
       if (!parts.empty()) os << " group=[" << Join(parts, ", ") << "]";
       os << " aggs=[" << Join(agg_parts, ", ") << "]";
-      if (multiply) os << " (relational multiply)";
+      if (multiply) {
+        os << (multiply->self ? " (relational multiply, self)"
+                              : " (relational multiply)");
+      }
       break;
     }
     case Kind::kSort: {

@@ -128,11 +128,17 @@ struct LogicalOp {
       CompareOp op = CompareOp::kNe;
     };
     std::vector<MaskTerm> mask;
+    /// Tuple coding only: the Join's two inputs are one subtree with
+    /// the same column roles, grouped by both indexes, so the product
+    /// is a Gram product TᵀT of one tile. The executor runs the first
+    /// input only.
+    bool self = false;
   };
   /// Set on a matching Aggregate by the optimizer's post-pass (only
   /// with early projection on). The executor then runs the Join's two
-  /// inputs and computes the product on the dense kernel, or hands the
-  /// inputs to the Join and Aggregate when the data does not admit it.
+  /// inputs (one, for a self product) and computes the product on the
+  /// dense kernel, or hands the inputs to the Join and Aggregate when
+  /// the data does not admit it.
   std::optional<MultiplyShape> multiply;
 
   /// Bytes this operator is estimated to produce (rows * row bytes).

@@ -376,6 +376,19 @@ uint64_t Differ::RelationalMultiplyFallbacks() const {
   return BaselineCounter("exec.relational_multiply_fallbacks");
 }
 
+bool Differ::PlansSelfProduct(const std::string& sql) const {
+  Result<LogicalOpPtr> plan = dbs_[0]->PlanQuery(sql);
+  if (!plan.ok()) return false;
+  std::vector<const LogicalOp*> stack = {plan->get()};
+  while (!stack.empty()) {
+    const LogicalOp* op = stack.back();
+    stack.pop_back();
+    if (op->multiply && op->multiply->self) return true;
+    for (const LogicalOpPtr& c : op->children) stack.push_back(c.get());
+  }
+  return false;
+}
+
 namespace {
 
 /// A literal of `type` drawn from the same exact-in-double grids the

@@ -80,6 +80,9 @@ class Differ {
   /// kernel, or fell back to the join (DESIGN.md §19).
   uint64_t RelationalMultiplies() const;
   uint64_t RelationalMultiplyFallbacks() const;
+  /// Whether the baseline configuration plans `sql` with a self
+  /// product: a tuple-coded product of one input with itself.
+  bool PlansSelfProduct(const std::string& sql) const;
 
   size_t num_configs() const { return dbs_.size(); }
 

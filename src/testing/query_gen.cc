@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 #include <sstream>
+#include <utility>
 
 namespace radb::testing {
 
@@ -566,6 +567,38 @@ std::optional<QuerySpec> VectorProductQuery(const CatalogSpec& catalog,
   return q;
 }
 
+/// The block coding of a Gram product (GenerateMultiplyQuery's kGram);
+/// nullopt when the catalog has no MATRIX column.
+std::optional<QuerySpec> GramQuery(const CatalogSpec& catalog, Rng* rng) {
+  std::vector<std::pair<const TableSpec*, std::string>> columns;
+  for (const TableSpec& t : catalog.tables) {
+    for (const std::string& m : ColumnsOfKind(t, TypeKind::kMatrix)) {
+      columns.emplace_back(&t, m);
+    }
+  }
+  if (columns.empty()) return std::nullopt;
+  const auto& [table, name] = columns[rng->NextBelow(columns.size())];
+  std::string m = "r0." + name;
+  if (rng->NextBelow(4) == 0) m = "sparsify(" + m + ")";
+  const std::string gram =
+      "matrix_multiply(trans_matrix(" + m + "), " + m + ")";
+  QuerySpec q;
+  q.from = {{table->name, "r0", ""}};
+  switch (rng->NextBelow(3)) {
+    case 0:  // per row
+      q.select_items = {{"r0.k", true}, {gram, false}};
+      break;
+    case 1:  // summed over the table
+      q.select_items = {{"SUM(" + gram + ")", false}};
+      break;
+    default:  // summed per key
+      q.group_by = {"r0.k"};
+      q.select_items = {{"r0.k", true}, {"SUM(" + gram + ")", false}};
+      break;
+  }
+  return q;
+}
+
 }  // namespace
 
 std::string QuerySpec::ToSql() const {
@@ -718,17 +751,35 @@ QuerySpec GenerateMultiplyQuery(const CatalogSpec& catalog, Rng* rng,
     }
     shape = ProductShape::kMaskedTuple;
   }
-  const bool masked = shape == ProductShape::kMaskedTuple;
+  if (shape == ProductShape::kGram) {
+    if (std::optional<QuerySpec> q = GramQuery(catalog, rng)) return *q;
+    shape = ProductShape::kSelf;
+  }
+  // kSelf and kCrossed read one relation as both sides.
+  const bool one_input =
+      shape == ProductShape::kSelf || shape == ProductShape::kCrossed;
+  const bool masked = shape == ProductShape::kMaskedTuple ||
+                      (shape == ProductShape::kSelf && rng->NextBelow(3) == 0);
   auto table = [&]() -> const TableSpec& {
     return catalog.tables[rng->NextBelow(catalog.tables.size())];
   };
   ProductSide sides[2];
-  for (size_t i = 0; i < 2; ++i) {
+  for (size_t i = 0; i < (one_input ? 1 : 2); ++i) {
     const std::string alias = "r" + std::to_string(i);
     const TableSpec& t = table();
     std::optional<ProductSide> raw;
     if (rng->NextBelow(2) == 0) raw = RawSide(t, alias, rng);
+    // One relation's roles must differ to cross: a raw side indexed by
+    // its key is left for a derived table.
+    if (one_input && raw.has_value() && raw->index == raw->key) raw.reset();
     sides[i] = raw.has_value() ? *raw : DerivedSide(t, table(), alias, rng);
+  }
+  if (one_input) {
+    sides[1] = sides[0];
+    sides[1].from.alias = "r1";
+    if (shape == ProductShape::kCrossed) {
+      std::swap(sides[1].key, sides[1].index);
+    }
   }
   const auto col = [&](size_t side, const std::string& name) {
     return "r" + std::to_string(side) + "." + name;
@@ -738,15 +789,20 @@ QuerySpec GenerateMultiplyQuery(const CatalogSpec& catalog, Rng* rng,
   q.from = {sides[0].from, sides[1].from};
   q.where.push_back(col(0, sides[0].key) + " = " + col(1, sides[1].key));
   if (rng->NextBelow(4) == 0) {
-    // A one-side filter, pushed below the join.
+    // A filter pushed below the join: on one side, or on both alike
+    // when they read one relation, which keeps it one subtree.
     const size_t side = rng->NextBelow(2);
     const int64_t key = static_cast<int64_t>(rng->NextBelow(7)) - 3;
-    q.where.push_back("(" + col(side, sides[side].key) + " <> " +
-                      std::to_string(key) + ")");
+    for (size_t s = 0; s < 2; ++s) {
+      if (s != side && !one_input) continue;
+      q.where.push_back("(" + col(s, sides[s].key) + " <> " +
+                        std::to_string(key) + ")");
+    }
   }
   // Group keys: one index of each side in either order, or one side's;
-  // a masked product compares the two.
-  switch (masked ? 3 * rng->NextBelow(2) : rng->NextBelow(4)) {
+  // a masked product compares the two, and a product of one relation
+  // groups by both.
+  switch (masked || one_input ? 3 * rng->NextBelow(2) : rng->NextBelow(4)) {
     case 0:
       q.group_by = {col(1, sides[1].index), col(0, sides[0].index)};
       break;

@@ -66,6 +66,9 @@ enum class ProductShape {
   kTuple,        // SUM(r0.v * r1.v) over a join on the keys
   kMaskedTuple,  // the same, grouped by both indexes, masked on them
   kVector,       // SUM/MIN/MAX(inner_product(..)) over a cross join
+  kSelf,         // a tuple product of one relation with itself
+  kCrossed,      // the same relation in crossed roles
+  kGram,         // matrix_multiply(trans_matrix(m), m), the block coding
 };
 
 /// Generates a matrix product the optimizer rewrites (DESIGN.md §19).
@@ -86,6 +89,20 @@ enum class ProductShape {
 ///     by an INTEGER column of one side or of each. About one side in
 ///     six reads NULL vectors, which make the executor fall back. A
 ///     catalog without a VECTOR column gets a kMaskedTuple query.
+///   - kSelf: r0 and r1 are one raw or derived table in the same roles,
+///     grouped by both indexes (masked one time in three), with any
+///     filter on both sides alike: a self product, which reads its one
+///     input once (DESIGN.md §19). Raw tables repeat cells, so the
+///     fallback joins the input with a copy of itself. A raw side whose
+///     index is its key becomes a derived table, here and in kCrossed.
+///   - kCrossed: the same relation with r1's key and index swapped
+///     (r0.k = r1.i, grouped by r0.i and r1.k): a product of one
+///     relation that is not a self product.
+///   - kGram: matrix_multiply(trans_matrix(m), m) over a MATRIX column,
+///     or over sparsify(m) one time in four, per row or under SUM
+///     (grouped by the key or not): the block coding of XᵀX, which
+///     evaluates m once and may run as TSMM. A catalog without a
+///     MATRIX column gets a kSelf query.
 /// kTuple draws what it always drew, so a stream of kTuple queries is
 /// the same for a seed as before the other shapes existed.
 QuerySpec GenerateMultiplyQuery(const CatalogSpec& catalog, Rng* rng,

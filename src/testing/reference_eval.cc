@@ -30,7 +30,7 @@ Result<Value> EvalSlots(const BoundExpr& expr,
                         const Row& row) {
   RADB_ASSIGN_OR_RETURN(BoundExprPtr positional,
                         RewriteToPositions(expr, layout));
-  return EvalExpr(*positional, row);
+  return EvalExprAsWritten(*positional, row);
 }
 
 /// Evaluates a bound query tree to a flat row set shaped like
@@ -91,7 +91,7 @@ Result<RowSet> EvalBoundQuery(const BoundQuery& q) {
     std::function<Status(size_t)> recurse = [&](size_t depth) -> Status {
       if (depth == inputs.size()) {
         for (const BoundExprPtr& c : conjuncts) {
-          RADB_ASSIGN_OR_RETURN(Value v, EvalExpr(*c, current));
+          RADB_ASSIGN_OR_RETURN(Value v, EvalExprAsWritten(*c, current));
           if (v.is_null() || !v.bool_value()) return Status::OK();
         }
         joined.push_back(current);
@@ -137,7 +137,7 @@ Result<RowSet> EvalBoundQuery(const BoundQuery& q) {
     for (const Row& row : joined) {
       Row key_values;
       for (const BoundExprPtr& g : group_exprs) {
-        RADB_ASSIGN_OR_RETURN(Value v, EvalExpr(*g, row));
+        RADB_ASSIGN_OR_RETURN(Value v, EvalExprAsWritten(*g, row));
         key_values.push_back(std::move(v));
       }
       KeyRow key = KeyRow::Of(std::move(key_values));
@@ -150,7 +150,7 @@ Result<RowSet> EvalBoundQuery(const BoundQuery& q) {
         it = groups.emplace(std::move(key), std::move(state)).first;
       }
       for (size_t i = 0; i < agg_args.size(); ++i) {
-        RADB_ASSIGN_OR_RETURN(Value v, EvalExpr(*agg_args[i], row));
+        RADB_ASSIGN_OR_RETURN(Value v, EvalExprAsWritten(*agg_args[i], row));
         RADB_RETURN_NOT_OK(it->second->aggs[i]->Update(v));
       }
     }
@@ -207,7 +207,7 @@ Result<RowSet> EvalBoundQuery(const BoundQuery& q) {
   for (const Row& row : current_rows) {
     Row out;
     for (const BoundExprPtr& e : select_exprs) {
-      RADB_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, row));
+      RADB_ASSIGN_OR_RETURN(Value v, EvalExprAsWritten(*e, row));
       out.push_back(std::move(v));
     }
     projected.push_back(std::move(out));
@@ -240,8 +240,8 @@ Result<RowSet> EvalBoundQuery(const BoundQuery& q) {
                      [&](const Row& a, const Row& b) {
                        if (!sort_status.ok()) return false;
                        for (const auto& [e, desc] : keys) {
-                         auto va = EvalExpr(*e, a);
-                         auto vb = EvalExpr(*e, b);
+                         auto va = EvalExprAsWritten(*e, a);
+                         auto vb = EvalExprAsWritten(*e, b);
                          if (!va.ok() || !vb.ok()) {
                            sort_status =
                                va.ok() ? vb.status() : va.status();

@@ -15,8 +15,8 @@ namespace radb::testing {
 /// with every WHERE conjunct applied as a post-filter, single-phase
 /// hash aggregation, and no optimizer, no partitioning, no thread
 /// pool. Deliberately shares only the leaf components with the real
-/// engine (parser, binder, EvalExpr, the Aggregator registry, Value
-/// semantics) so that plan-level bugs — join ordering, early
+/// engine (parser, binder, EvalExprAsWritten, the Aggregator registry,
+/// Value semantics) so that plan-level bugs — join ordering, early
 /// projection, shuffle/merge logic, two-phase aggregation — cannot
 /// cancel out.
 ///

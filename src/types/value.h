@@ -5,6 +5,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <variant>
 
 #include "common/result.h"
@@ -66,34 +67,40 @@ class Value {
   Value() : v_(std::monostate{}) {}
 
   static Value Null() { return Value(); }
-  static Value Bool(bool b) { return Value(Repr(b)); }
-  static Value Int(int64_t i) { return Value(Repr(i)); }
-  static Value Double(double d) { return Value(Repr(d)); }
-  static Value String(std::string s) { return Value(Repr(std::move(s))); }
+  static Value Bool(bool b) { return Value(std::in_place_type<bool>, b); }
+  static Value Int(int64_t i) { return Value(std::in_place_type<int64_t>, i); }
+  static Value Double(double d) {
+    return Value(std::in_place_type<double>, d);
+  }
+  static Value String(std::string s) {
+    return Value(std::in_place_type<std::string>, std::move(s));
+  }
   static Value Labeled(double value, int64_t label) {
-    return Value(Repr(LabeledScalarValue{value, label}));
+    return Value(std::in_place_type<LabeledScalarValue>,
+                 LabeledScalarValue{value, label});
   }
   static Value FromVector(la::Vector v, int64_t label = kNoLabel) {
-    return Value(Repr(
-        VectorValue{std::make_shared<la::Vector>(std::move(v)), label}));
+    return FromSharedVector(std::make_shared<la::Vector>(std::move(v)), label);
   }
   static Value FromSharedVector(std::shared_ptr<const la::Vector> v,
                                 int64_t label = kNoLabel) {
-    return Value(Repr(VectorValue{std::move(v), label}));
+    return Value(std::in_place_type<VectorValue>,
+                 VectorValue{std::move(v), label});
   }
   static Value FromMatrix(la::Matrix m) {
-    return Value(Repr(MatrixValue{std::make_shared<la::Matrix>(std::move(m))}));
+    return FromSharedMatrix(std::make_shared<la::Matrix>(std::move(m)));
   }
   static Value FromSharedMatrix(std::shared_ptr<const la::Matrix> m) {
-    return Value(Repr(MatrixValue{std::move(m)}));
+    return Value(std::in_place_type<MatrixValue>, MatrixValue{std::move(m)});
   }
   static Value FromSparseMatrix(la::sparse::CsrMatrix m) {
-    return Value(Repr(SparseMatrixValue{
-        std::make_shared<la::sparse::CsrMatrix>(std::move(m))}));
+    return FromSharedSparseMatrix(
+        std::make_shared<la::sparse::CsrMatrix>(std::move(m)));
   }
   static Value FromSharedSparseMatrix(
       std::shared_ptr<const la::sparse::CsrMatrix> m) {
-    return Value(Repr(SparseMatrixValue{std::move(m)}));
+    return Value(std::in_place_type<SparseMatrixValue>,
+                 SparseMatrixValue{std::move(m)});
   }
 
   TypeKind kind() const;
@@ -167,7 +174,12 @@ class Value {
   using Repr = std::variant<std::monostate, bool, int64_t, double,
                             std::string, LabeledScalarValue, VectorValue,
                             MatrixValue, SparseMatrixValue>;
-  explicit Value(Repr v) : v_(std::move(v)) {}
+  /// Constructs alternative T of the variant in place: a temporary
+  /// Repr moved in draws GCC's -Wmaybe-uninitialized on its inactive
+  /// members under the sanitizers.
+  template <typename T, typename... Args>
+  explicit Value(std::in_place_type_t<T> t, Args&&... args)
+      : v_(t, std::forward<Args>(args)...) {}
   Repr v_;
 };
 

@@ -180,5 +180,41 @@ TEST(FuzzTest, FixedSeedProductsTakeAndLeaveTheKernelInBothCodings) {
   EXPECT_GT(fallback[1], 0u);
 }
 
+TEST(FuzzTest, FixedSeedSelfProductsTakeAndLeaveTheKernel) {
+  // Every kSelf draw plans a self product and no kCrossed draw does;
+  // self products both take the kernel and fall back (a raw table's
+  // repeated cells, a derived table's NULLs); block-coded Gram products
+  // match the reference, which runs the transpose and multiply.
+  const ProductShape shapes[] = {ProductShape::kSelf, ProductShape::kCrossed,
+                                 ProductShape::kGram};
+  size_t kernel = 0, fallback = 0;
+  for (uint64_t catalog_seed = 212; catalog_seed < 224; ++catalog_seed) {
+    const CatalogSpec catalog = GenerateCatalog(catalog_seed);
+    Differ differ(catalog);
+    ASSERT_TRUE(differ.init_status().ok()) << "catalog " << catalog_seed;
+    Rng rng(catalog_seed * 104723);
+    for (int i = 0; i < 12; ++i) {
+      const ProductShape shape = shapes[i % 3];
+      const std::string sql =
+          GenerateMultiplyQuery(catalog, &rng, shape).ToSql();
+      const uint64_t kernels = differ.RelationalMultiplies();
+      const uint64_t fallbacks = differ.RelationalMultiplyFallbacks();
+      const DiffOutcome outcome = differ.RunOne(sql);
+      ASSERT_FALSE(outcome.diverged)
+          << "catalog seed " << catalog_seed << ", query " << i << ":\n"
+          << outcome.report;
+      const bool self = differ.PlansSelfProduct(sql);
+      if (shape != ProductShape::kGram) {
+        EXPECT_EQ(self, shape == ProductShape::kSelf) << sql;
+      }
+      if (!self) continue;
+      kernel += differ.RelationalMultiplies() > kernels;
+      fallback += differ.RelationalMultiplyFallbacks() > fallbacks;
+    }
+  }
+  EXPECT_GT(kernel, 0u);
+  EXPECT_GT(fallback, 0u);
+}
+
 }  // namespace
 }  // namespace radb::testing

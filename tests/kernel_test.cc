@@ -12,17 +12,24 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "binder/bound_expr.h"
+#include "catalog/function_registry.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "exec/expr_eval.h"
 #include "la/kernel.h"
 #include "la/matrix.h"
 #include "la/sparse/sparse.h"
 #include "la/vector.h"
+#include "obs/metrics_registry.h"
 
 namespace radb::la {
 namespace {
@@ -335,6 +342,41 @@ TEST(KernelTest, TransposeSelfMultiplyMatchesReference) {
   }
 }
 
+TEST(KernelTest, TsmmEqualsTransposeAndMultiplyOnFiniteData) {
+  // On finite cells (±0 and subnormals included) TSMM gives the bits of
+  // the transpose copy and a GEMM: the upper triangle takes the same
+  // products in the same order, a·b == b·a exactly for the mirrored
+  // lower one, and the two skip zero factors differently only by ±0
+  // terms, which leave a sum that starts at +0.0 unchanged.
+  Rng rng(17);
+  for (bool pooled : {false, true}) {
+    ThreadPool pool(4);
+    if (pooled) InstallGlobalPool(&pool);
+    for (double density : kDensities) {
+      for (size_t rows : kShapes) {
+        for (size_t cols : kShapes) {
+          const Matrix a =
+              RandomMatrix(&rng, rows, cols, density, Mix::kFinite);
+          SCOPED_TRACE(Label("tsmm vs gemm", rows, cols, cols, density,
+                             Mix::kFinite) +
+                       (pooled ? " with a 4-thread pool" : " with no pool"));
+          for (Isa isa : SupportedIsas()) {
+            // EXPECT, not ASSERT: a return here would leave the pool
+            // installed after it is destroyed.
+            auto gemm = kernel::Multiply(isa, Transpose(a), a);
+            const Matrix tsmm = kernel::TransposeSelfMultiply(isa, a);
+            EXPECT_TRUE(gemm.ok() && gemm->rows() == cols &&
+                        tsmm.rows() == cols &&
+                        std::memcmp(tsmm.data(), gemm->data(),
+                                    cols * cols * sizeof(double)) == 0);
+          }
+        }
+      }
+    }
+    if (pooled) UninstallGlobalPool(&pool);
+  }
+}
+
 TEST(KernelTest, VectorMatrixMultiplyMatchesReference) {
   Rng rng(16);
   for (Mix mix : {Mix::kFinite, Mix::kSpecial}) {
@@ -571,6 +613,122 @@ TEST(KernelTest, DenseMatchesSparseTwins) {
       }
     }
   }
+}
+
+// ----------------------------------------------------------------------
+// The fused Gram call: matrix_multiply(trans_matrix(x), x) as evaluated
+// ----------------------------------------------------------------------
+
+/// matrix_multiply(trans_matrix(r[0]), r[1]), with a trailing semiring
+/// name when `semiring` is non-empty.
+BoundExprPtr GramCall(size_t right_column, const std::string& semiring = "") {
+  const auto call = [](const char* fn, std::vector<BoundExprPtr> args) {
+    auto e = std::make_unique<BoundExpr>();
+    e->kind = BoundExpr::Kind::kCall;
+    e->type = DataType::MakeMatrix();
+    e->fn = *FunctionRegistry::Global().Lookup(fn);
+    e->children = std::move(args);
+    return e;
+  };
+  const auto column = [](size_t at) {
+    return MakeBoundColumnRef(at, DataType::MakeMatrix(), "m");
+  };
+  std::vector<BoundExprPtr> transpose;
+  transpose.push_back(column(0));
+  std::vector<BoundExprPtr> args;
+  args.push_back(call("trans_matrix", std::move(transpose)));
+  args.push_back(column(right_column));
+  if (!semiring.empty()) {
+    args.push_back(MakeBoundLiteral(Value::String(semiring)));
+  }
+  return call("matrix_multiply", std::move(args));
+}
+
+/// Whether two MATRIX values have one representation and the same
+/// bits, NaNs included.
+::testing::AssertionResult SameValueBits(const Value& got, const Value& want) {
+  if (got.is_sparse_matrix() != want.is_sparse_matrix()) {
+    return ::testing::AssertionFailure() << "representations differ";
+  }
+  if (got.is_sparse_matrix()) {
+    const sparse::CsrMatrix& a = got.sparse_matrix();
+    const sparse::CsrMatrix& b = want.sparse_matrix();
+    if (a.rows() != b.rows() || a.cols() != b.cols() ||
+        a.row_ptr() != b.row_ptr() || a.col_idx() != b.col_idx() ||
+        a.values().size() != b.values().size() ||
+        std::memcmp(a.values().data(), b.values().data(),
+                    a.values().size() * sizeof(double)) != 0) {
+      return ::testing::AssertionFailure() << "sparse values differ";
+    }
+    return ::testing::AssertionSuccess();
+  }
+  const Matrix& a = got.matrix();
+  const Matrix& b = want.matrix();
+  if (a.rows() != b.rows() || a.cols() != b.cols() ||
+      std::memcmp(a.data(), b.data(), a.rows() * a.cols() * sizeof(double)) !=
+          0) {
+    return ::testing::AssertionFailure() << "dense values differ";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Evaluates `e` over `row` fused (EvalExpr) and as written, and checks
+/// the two results' bits; returns how many TSMM and GEMM calls the
+/// fused evaluation made.
+std::pair<uint64_t, uint64_t> ExpectFusedKeepsTheBits(const BoundExpr& e,
+                                                      const Row& row) {
+  obs::MetricsRegistry plain_reg, fused_reg;
+  InstallGlobalMetrics(&plain_reg);
+  auto want = EvalExprAsWritten(e, row);
+  UninstallGlobalMetrics(&plain_reg);
+  InstallGlobalMetrics(&fused_reg);
+  auto got = EvalExpr(e, row);
+  UninstallGlobalMetrics(&fused_reg);
+  EXPECT_TRUE(want.ok() && got.ok());
+  if (want.ok() && got.ok()) {
+    EXPECT_TRUE(SameValueBits(*got, *want));
+  }
+  return {fused_reg.counter("la.tsmm_calls")->value(),
+          fused_reg.counter("la.matmul_calls")->value()};
+}
+
+TEST(KernelTest, FusedGramKeepsTheTransposeAndMultiplyBits) {
+  Rng rng(18);
+  const std::pair<uint64_t, uint64_t> tsmm{1, 0}, gemm{0, 1}, neither{0, 0};
+  for (size_t rows : {size_t{1}, size_t{9}, size_t{65}}) {
+    for (size_t cols : {size_t{1}, size_t{8}, size_t{17}}) {
+      SCOPED_TRACE(std::to_string(rows) + "x" + std::to_string(cols));
+      const Matrix finite = RandomMatrix(&rng, rows, cols, 0.5, Mix::kFinite);
+      const Value x = Value::FromMatrix(finite);
+      // A dense, finite block is the one case that runs TSMM.
+      EXPECT_EQ(ExpectFusedKeepsTheBits(*GramCall(0), {x}), tsmm);
+      // ±inf and NaN keep the transpose and GEMM.
+      for (double special : {kInf, -kInf, kNaN}) {
+        Matrix m = finite;
+        m.At(rows / 2, cols - 1) = special;
+        EXPECT_EQ(
+            ExpectFusedKeepsTheBits(*GramCall(0), {Value::FromMatrix(m)}),
+            gemm);
+      }
+      // A sparse operand keeps the sparse kernels and a sparse result.
+      const Value sparse = Value::FromSparseMatrix(sparse::CsrMatrix::FromDense(
+          RandomMatrix(&rng, rows, cols, 0.1, Mix::kFinite)));
+      EXPECT_EQ(ExpectFusedKeepsTheBits(*GramCall(0), {sparse}), neither);
+      // A semiring argument, or a second operand that is another
+      // column, is not the fused shape.
+      EXPECT_EQ(ExpectFusedKeepsTheBits(*GramCall(0, "plus_times"), {x}),
+                gemm);
+      EXPECT_EQ(ExpectFusedKeepsTheBits(*GramCall(1), {x, x}), gemm);
+    }
+  }
+  // NULL in, NULL out, without a kernel call.
+  obs::MetricsRegistry reg;
+  InstallGlobalMetrics(&reg);
+  auto null = EvalExpr(*GramCall(0), {Value::Null()});
+  UninstallGlobalMetrics(&reg);
+  ASSERT_TRUE(null.ok());
+  EXPECT_TRUE(null->is_null());
+  EXPECT_EQ(reg.counter("la.tsmm_calls")->value(), 0u);
 }
 
 }  // namespace

@@ -61,12 +61,15 @@ Status LoadTriples(Database& db, const std::string& table,
 }
 
 /// A dense n x d matrix as (row, col, value) triples, values from
-/// `value(r, c)`.
+/// `value(r, c)`. Triples are built in place: moving a temporary one
+/// draws GCC 12's -Wmaybe-uninitialized under ASan+UBSan.
 template <typename F>
 std::vector<Triple> Dense(int64_t n, int64_t d, F value) {
   std::vector<Triple> out;
   for (int64_t r = 0; r < n; ++r) {
-    for (int64_t c = 0; c < d; ++c) out.push_back({I(r), I(c), D(value(r, c))});
+    for (int64_t c = 0; c < d; ++c) {
+      out.emplace_back(I(r), I(c), D(value(r, c)));
+    }
   }
   return out;
 }
@@ -180,7 +183,8 @@ TEST(RelationalMultiplyTest, ExplainNamesTheRewriteOnlyWithTheRuleOn) {
   Twins t;
   t.Load("x", GridMatrix(1, 6, 3));
   const std::string on = Explain(t.on, std::string("EXPLAIN ") + kGram);
-  EXPECT_NE(on.find("(relational multiply)"), std::string::npos) << on;
+  // The Gram product reads one table in both roles: a self product.
+  EXPECT_NE(on.find("(relational multiply, self)"), std::string::npos) << on;
   const std::string off = Explain(t.off, std::string("EXPLAIN ") + kGram);
   EXPECT_EQ(off.find("relational multiply"), std::string::npos) << off;
   EXPECT_NE(off.find("Aggregate"), std::string::npos) << off;
@@ -323,7 +327,8 @@ TEST(RelationalMultiplyTest, AViewReadTwiceIsSpooledOnce) {
       "SELECT a.i, a.j, a.s, b.s FROM g AS a, g AS b "
       "WHERE a.i = b.j AND a.j = b.i";
   const std::string plan = Explain(t.on, "EXPLAIN " + sql);
-  EXPECT_NE(plan.find("(relational multiply)"), std::string::npos) << plan;
+  EXPECT_NE(plan.find("(relational multiply, self)"), std::string::npos)
+      << plan;
   EXPECT_NE(plan.find("spool#1 (uses=2)"), std::string::npos) << plan;
   EXPECT_NE(plan.find("spool#1 reuse"), std::string::npos) << plan;
   ExpectPath(t, sql, "RelationalMultiply(kernel)");
@@ -447,24 +452,29 @@ TEST(RelationalMultiplyTest, EachFallbackReturnsTheRuleOffResult) {
 }
 
 TEST(RelationalMultiplyTest, ABudgetThatRefusesTheTilesFallsBack) {
-  // 2 x 1024 cells need 96 KiB of staging; the join and the aggregate
-  // fit in 64 KiB.
+  // X·Y with Y a copy of X: 2 x 1024 cells need 96 KiB of staging; the
+  // join and the aggregate fit in 64 KiB. (The self product XᵀX stages
+  // one input's 1024 cells, which the same budget admits.)
   const std::vector<Triple> x = GridMatrix(9, 128, 8);
   Twins t;
   t.Load("x", x);
+  t.Load("y", x);
+  const std::string sql =
+      "SELECT x1.i, x2.i, SUM(x1.v * x2.v) FROM x AS x1, y AS x2 "
+      "WHERE x1.k = x2.k GROUP BY x1.i, x2.i";
   QueryOptions tight;
   tight.memory_budget_bytes = 64u << 10;
-  auto on = Exec(t.on, kGram, tight);
+  auto on = Exec(t.on, sql, tight);
   ASSERT_TRUE(on.ok()) << on.status();
   EXPECT_EQ(PathOf(t.on).rfind("RelationalMultiply(fallback: memory budget "
                                "refused",
                                0),
             0u)
       << PathOf(t.on);
-  auto off = Exec(t.off, kGram, tight);
+  auto off = Exec(t.off, sql, tight);
   ASSERT_TRUE(off.ok()) << off.status();
   EXPECT_TRUE(SameRows(on->rows, off->rows));
-  auto analyzed = Exec(t.on, std::string("EXPLAIN ANALYZE ") + kGram, tight);
+  auto analyzed = Exec(t.on, "EXPLAIN ANALYZE " + sql, tight);
   ASSERT_TRUE(analyzed.ok()) << analyzed.status();
   std::string text;
   for (const Row& row : analyzed->rows) text += row[0].ToString() + "\n";
@@ -475,10 +485,14 @@ TEST(RelationalMultiplyTest, ABudgetThatRefusesTheTilesFallsBack) {
   // With room for the tiles, the same statement takes the kernel.
   QueryOptions roomy_budget;
   roomy_budget.memory_budget_bytes = 4u << 20;
-  auto roomy = Exec(t.on, kGram, roomy_budget);
+  auto roomy = Exec(t.on, sql, roomy_budget);
   ASSERT_TRUE(roomy.ok()) << roomy.status();
   EXPECT_EQ(PathOf(t.on), "RelationalMultiply(kernel)");
   EXPECT_TRUE(SameRows(roomy->rows, off->rows));
+  auto self = Exec(t.on, kGram, tight);
+  ASSERT_TRUE(self.ok()) << self.status();
+  EXPECT_EQ(PathOf(t.on), "RelationalMultiply(kernel)");
+  EXPECT_TRUE(SameRows(self->rows, off->rows));
 }
 
 TEST(RelationalMultiplyTest, CountersCountKernelsAndFallbacks) {
@@ -500,17 +514,18 @@ TEST(RelationalMultiplyTest, CountersCountKernelsAndFallbacks) {
 // Cancellation.
 // ---------------------------------------------------------------------
 
-/// Traps the marked multiply's right input (test_util.h) on its last
-/// (`rows`-th) row: both inputs finish, and the token is first polled
-/// inside the multiply. The cancelled execution must leave no tracker
-/// charges.
+/// Traps input `input` of the marked multiply (test_util.h) on its last
+/// (`rows`-th) row: the right input of a product of two inputs, the
+/// only input that runs of a self product. Every input finishes, and the
+/// token is first polled inside the multiply. The cancelled execution
+/// must leave no tracker charges.
 void ExpectACancelInsideTheMultiplyLeavesNoCharges(Database& db,
                                                    const std::string& sql,
-                                                   size_t rows) {
+                                                   size_t input, size_t rows) {
   auto trap = TrapCancel(
       db, sql,
       [](const LogicalOp& op) { return op.kind == LogicalOp::Kind::kJoin; },
-      1, rows);
+      input, rows);
   ASSERT_TRUE(trap.ok()) << trap.status();
   mem::MemoryTracker tracker("query", 64u << 20);
   const Status status = (*trap)->Run(db, &tracker);
@@ -529,7 +544,7 @@ void ExpectACancelInsideTheMultiplyLeavesNoCharges(Database& db,
 TEST(RelationalMultiplyTest, CancellingDuringTheTileFillLeavesNoCharges) {
   Database db(MakeConfig(true));
   ASSERT_TRUE(LoadTriples(db, "x", GridMatrix(12, 400, 8)).ok());
-  ExpectACancelInsideTheMultiplyLeavesNoCharges(db, kGram, 400 * 8);
+  ExpectACancelInsideTheMultiplyLeavesNoCharges(db, kGram, 0, 400 * 8);
 }
 
 // ---------------------------------------------------------------------
@@ -583,6 +598,299 @@ TEST(RelationalMultiplyTest, TupleDistanceTakesTheKernelForBothProducts) {
   const obs::Counter* fallbacks =
       reg->counter("exec.relational_multiply_fallbacks");
   EXPECT_TRUE(fallbacks == nullptr || fallbacks->value() == 0);
+}
+
+// ---------------------------------------------------------------------
+// Self products: a product of one input with itself, in the same roles,
+// reads the input once into one tile T and computes TᵀT (DESIGN.md §19).
+// ---------------------------------------------------------------------
+
+const char* kSelfLabel = "(relational multiply, self)";
+
+/// Whether EXPLAIN marks `sql` a self product on `db`.
+bool MarkedSelf(Database& db, const std::string& sql) {
+  return Explain(db, "EXPLAIN " + sql).find(kSelfLabel) != std::string::npos;
+}
+
+/// Clears every self mark under `op`: the plan then runs both inputs and
+/// multiplies two tiles, as a product of two different inputs does.
+void ClearSelf(LogicalOp& op) {
+  if (op.multiply) op.multiply->self = false;
+  for (const LogicalOpPtr& c : op.children) ClearSelf(*c);
+}
+
+/// One execution of `sql`'s plan (self marks cleared when `clear`) on an
+/// Executor over `db`'s cluster and pool: each worker's rows, in order,
+/// and the operators that ran.
+struct PlanRun {
+  Dist rows;
+  QueryMetrics metrics;
+
+  size_t Count(const std::string& name) const {
+    size_t n = 0;
+    for (const OperatorMetrics& op : metrics.operators) n += op.name == name;
+    return n;
+  }
+};
+
+PlanRun RunPlan(Database& db, const std::string& sql, bool clear) {
+  PlanRun run;
+  auto plan = db.PlanQuery(sql);
+  EXPECT_TRUE(plan.ok()) << plan.status();
+  if (!plan.ok()) return run;
+  if (clear) ClearSelf(**plan);
+  Executor executor(db.cluster(), &run.metrics, obs::ObsContext{}, db.pool());
+  auto out = executor.Execute(**plan);
+  EXPECT_TRUE(out.ok()) << out.status();
+  if (out.ok()) run.rows = std::move(*out);
+  return run;
+}
+
+/// Worker for worker, row for row, value for value, doubles bit for bit.
+::testing::AssertionResult SameDist(const Dist& got, const Dist& want) {
+  if (got.size() != want.size()) {
+    return ::testing::AssertionFailure() << got.size() << " workers";
+  }
+  for (size_t wkr = 0; wkr < got.size(); ++wkr) {
+    if (got[wkr].size() != want[wkr].size()) {
+      return ::testing::AssertionFailure()
+             << "worker " << wkr << ": " << got[wkr].size() << " rows, want "
+             << want[wkr].size();
+    }
+    for (size_t r = 0; r < got[wkr].size(); ++r) {
+      const Row& a = got[wkr][r];
+      const Row& b = want[wkr][r];
+      bool same = a.size() == b.size();
+      for (size_t c = 0; same && c < a.size(); ++c) {
+        if (a[c].kind() == TypeKind::kDouble &&
+            b[c].kind() == TypeKind::kDouble) {
+          const double x = a[c].double_value(), y = b[c].double_value();
+          same = std::memcmp(&x, &y, sizeof x) == 0;
+        } else {
+          same = a[c].Equals(b[c]);
+        }
+      }
+      if (!same) {
+        return ::testing::AssertionFailure()
+               << "worker " << wkr << " row " << r << " differs";
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// An n x d matrix of nonzero values on the 0.25 grid: every sum is
+/// exact, and no group's products are all -0.0, so the kernel and the
+/// join agree bit for bit.
+std::vector<Triple> NonzeroGrid(uint64_t seed, int64_t n, int64_t d) {
+  Rng rng(seed);
+  return Dense(n, d, [&](int64_t, int64_t) {
+    const double v = static_cast<double>(1 + rng.NextBelow(12)) * 0.25;
+    return rng.NextBelow(2) == 0 ? v : -v;
+  });
+}
+
+/// Drops the cells with (k + 2i) % 5 == 0: about a fifth, so the tile
+/// has holes (a presence product) and stays more than half full.
+std::vector<Triple> WithHoles(std::vector<Triple> cells) {
+  std::erase_if(cells, [](const Triple& t) {
+    return (t.k.int_value() + 2 * t.i.int_value()) % 5 == 0;
+  });
+  return cells;
+}
+
+TEST(RelationalMultiplySelfTest, BothOrientationsAreMarked) {
+  Twins t;
+  t.Load("x", GridMatrix(21, 12, 5));
+  const std::string kernel = "RelationalMultiply(kernel)";
+  // XᵀX: joined on the row key, grouped by the column index, in either
+  // operand and key order.
+  for (const char* sql :
+       {kGram,
+        "SELECT x2.i, x1.i, SUM(x2.v * x1.v) FROM x AS x1, x AS x2 "
+        "WHERE x2.k = x1.k GROUP BY x2.i, x1.i",
+        // XXᵀ: joined on the column index, grouped by the row key.
+        "SELECT x1.k, x2.k, SUM(x1.v * x2.v) FROM x AS x1, x AS x2 "
+        "WHERE x1.i = x2.i GROUP BY x1.k, x2.k",
+        // The same filter on both sides keeps one subtree.
+        "SELECT x1.i, x2.i, SUM(x1.v * x2.v) FROM x AS x1, x AS x2 "
+        "WHERE x1.k = x2.k AND x1.k < 9 AND x2.k < 9 GROUP BY x1.i, x2.i"}) {
+    SCOPED_TRACE(sql);
+    EXPECT_TRUE(MarkedSelf(t.on, sql));
+    ExpectPath(t, sql, kernel);
+    const std::string analyzed =
+        Explain(t.on, std::string("EXPLAIN ANALYZE ") + sql);
+    EXPECT_NE(analyzed.find(kSelfLabel), std::string::npos) << analyzed;
+    EXPECT_NE(analyzed.find("path=" + kernel), std::string::npos) << analyzed;
+  }
+}
+
+TEST(RelationalMultiplySelfTest, OtherProductsOfOneTableAreNotSelf) {
+  Twins t;
+  t.Load("x", GridMatrix(22, 8, 8));
+  struct Case {
+    const char* sql;
+    const char* path;
+  };
+  for (const Case& c : {
+           // A one-sided GROUP BY is Xᵀ times the row sums, not a Gram
+           // product; its right side, without a group key, repeats cells.
+           Case{"SELECT x1.i, SUM(x1.v * x2.v) FROM x AS x1, x AS x2 "
+                "WHERE x1.k = x2.k GROUP BY x1.i",
+                "RelationalMultiply(fallback: repeated cell)"},
+           // One table under two different filters.
+           Case{"SELECT x1.i, x2.i, SUM(x1.v * x2.v) FROM x AS x1, x AS x2 "
+                "WHERE x1.k = x2.k AND x1.i < 7 AND x2.i < 6 "
+                "GROUP BY x1.i, x2.i",
+                "RelationalMultiply(kernel)"},
+           // Crossed roles: X·X.
+           Case{"SELECT x1.k, x2.i, SUM(x1.v * x2.v) FROM x AS x1, x AS x2 "
+                "WHERE x1.i = x2.k GROUP BY x1.k, x2.i",
+                "RelationalMultiply(kernel)"},
+       }) {
+    SCOPED_TRACE(c.sql);
+    const std::string plan = Explain(t.on, std::string("EXPLAIN ") + c.sql);
+    EXPECT_NE(plan.find("(relational multiply)"), std::string::npos) << plan;
+    EXPECT_EQ(plan.find(kSelfLabel), std::string::npos) << plan;
+    ExpectPath(t, c.sql, c.path);
+  }
+}
+
+TEST(RelationalMultiplySelfTest, KernelKeepsTheBitsOfTheTwoTileProduct) {
+  // TSMM on one tile against la::Multiply on two (the same plan with its
+  // self mark cleared): the same rows on the same workers, bit for bit,
+  // on random doubles with presence holes and with a mask. On exact
+  // grid data both equal the rule-off plan.
+  Rng rng(24);
+  const std::vector<Triple> random = WithHoles(
+      Dense(30, 13, [&](int64_t, int64_t) { return rng.Uniform(-1.0, 1.0); }));
+  const std::vector<Triple> grid = WithHoles(NonzeroGrid(25, 30, 13));
+  for (size_t workers : {4, 8}) {
+    for (size_t threads : {1, 8}) {
+      SCOPED_TRACE(std::to_string(workers) + " workers, " +
+                   std::to_string(threads) + " threads");
+      Database::Config on = MakeConfig(true, threads);
+      Database::Config off = MakeConfig(false, threads);
+      on.num_workers = off.num_workers = workers;
+      Database db(on), rule_off(off);
+      ASSERT_TRUE(LoadTriples(db, "x", random).ok());
+      ASSERT_TRUE(LoadTriples(db, "g", grid).ok());
+      ASSERT_TRUE(LoadTriples(rule_off, "g", grid).ok());
+      for (const char* mask : {"", " AND x1.i <> x2.i", " AND x1.i < x2.i"}) {
+        SCOPED_TRACE(mask);
+        const std::string sql =
+            std::string("SELECT x1.i, x2.i, SUM(x1.v * x2.v) FROM x AS x1, "
+                        "x AS x2 WHERE x1.k = x2.k") +
+            mask + " GROUP BY x1.i, x2.i";
+        ASSERT_TRUE(MarkedSelf(db, sql));
+        const PlanRun self = RunPlan(db, sql, false);
+        const PlanRun two = RunPlan(db, sql, true);
+        EXPECT_EQ(self.Count("RelationalMultiply(kernel)"), 1u);
+        EXPECT_EQ(two.Count("RelationalMultiply(kernel)"), 1u);
+        EXPECT_EQ(self.Count("Scan(x)"), 1u);
+        EXPECT_EQ(two.Count("Scan(x)"), 2u);
+        EXPECT_TRUE(SameDist(self.rows, two.rows));
+
+        std::string on_grid = sql;
+        for (size_t at; (at = on_grid.find("x AS")) != std::string::npos;) {
+          on_grid.replace(at, 1, "g");
+        }
+        auto kernel = Exec(db, on_grid);
+        auto join = Exec(rule_off, on_grid);
+        ASSERT_TRUE(kernel.ok() && join.ok());
+        EXPECT_EQ(PathOf(db), "RelationalMultiply(kernel)");
+        const RowSet a = Sorted(kernel->rows), b = Sorted(join->rows);
+        ASSERT_EQ(a.size(), b.size());
+        for (size_t r = 0; r < a.size(); ++r) {
+          const double x = a[r][2].double_value(), y = b[r][2].double_value();
+          EXPECT_EQ(std::memcmp(&x, &y, sizeof x), 0) << "row " << r;
+        }
+      }
+    }
+  }
+}
+
+TEST(RelationalMultiplySelfTest, FallbacksJoinTheInputWithACopyOfIt) {
+  // The join reads the first input and a copy of it: the rows, in each
+  // worker's order, that running the second input gives, so the result
+  // equals the two-input fallback worker for worker. The table is
+  // scanned once. A table hash-placed on the join key keeps both sides
+  // in place: the copy keeps the placement.
+  std::vector<Triple> null_value = GridMatrix(26, 9, 4);
+  null_value.push_back({I(3), I(6), Value::Null()});
+  std::vector<Triple> repeated = GridMatrix(27, 9, 4);
+  repeated.push_back({I(5), I(2), D(0.75)});
+  const std::string derived =
+      "SELECT x1.i, x2.i, SUM(x1.v * x2.v) FROM (SELECT k, i, SUM(v + NULL) "
+      "AS v FROM x GROUP BY k, i) AS x1, (SELECT k, i, SUM(v + NULL) AS v "
+      "FROM x GROUP BY k, i) AS x2 WHERE x1.k = x2.k GROUP BY x1.i, x2.i";
+  struct Case {
+    const std::vector<Triple>* cells;
+    std::string sql;
+    const char* reason;
+    bool hashed;  // x hash-placed on k
+  };
+  for (const Case& c : {Case{&null_value, kGram, "NULL value", false},
+                        Case{&repeated, kGram, "repeated cell", false},
+                        Case{&repeated, kGram, "repeated cell", true},
+                        Case{&repeated, derived, "NULL value", false}}) {
+    SCOPED_TRACE(c.sql + ": " + c.reason + (c.hashed ? ", hashed" : ""));
+    for (size_t workers : {4, 8}) {
+      Database::Config config = MakeConfig(true, 8);
+      config.num_workers = workers;
+      Database db(config);
+      ASSERT_TRUE(LoadTriples(db, "x", *c.cells).ok());
+      if (c.hashed) {
+        ASSERT_TRUE(db.RepartitionTable("x", "k").ok());
+      }
+      ASSERT_TRUE(MarkedSelf(db, c.sql));
+      const PlanRun self = RunPlan(db, c.sql, false);
+      const PlanRun two = RunPlan(db, c.sql, true);
+      const std::string path =
+          std::string("RelationalMultiply(fallback: ") + c.reason + ")";
+      EXPECT_EQ(self.Count(path), 1u) << self.metrics.ToString();
+      EXPECT_EQ(two.Count(path), 1u);
+      EXPECT_EQ(self.Count("Scan(x)"), 1u);
+      EXPECT_EQ(two.Count("Scan(x)"), 2u);
+      if (c.hashed) {
+        EXPECT_EQ(self.Count("HashJoin(co-located)"), 1u)
+            << self.metrics.ToString();
+      }
+      EXPECT_TRUE(SameDist(self.rows, two.rows));
+    }
+    Twins t;
+    t.Load("x", *c.cells);
+    ExpectPath(t, c.sql, std::string("RelationalMultiply(fallback: ") +
+                             c.reason + ")");
+  }
+}
+
+TEST(RelationalMultiplySelfTest, TheSecondInputRunsNothingAndHoldsNoSpool) {
+  // A derived table read twice in the same roles: a spool before self
+  // products (two uses of one costly subtree), now one input that runs
+  // once, with no spool and no operator for the second copy.
+  Twins t;
+  t.Load("x", GridMatrix(28, 10, 6));
+  const std::string sql =
+      "SELECT x1.i, x2.i, SUM(x1.v * x2.v) FROM (SELECT k, i, SUM(v) AS v "
+      "FROM x GROUP BY k, i) AS x1, (SELECT k, i, SUM(v) AS v FROM x GROUP "
+      "BY k, i) AS x2 WHERE x1.k = x2.k GROUP BY x1.i, x2.i";
+  const std::string plan = Explain(t.on, "EXPLAIN " + sql);
+  EXPECT_NE(plan.find(kSelfLabel), std::string::npos) << plan;
+  EXPECT_EQ(plan.find("spool#"), std::string::npos) << plan;
+  ExpectPath(t, sql, "RelationalMultiply(kernel)");
+  size_t scans = 0, aggregates = 0, reuses = 0;
+  for (const OperatorMetrics& op : t.on.last_metrics().operators) {
+    scans += op.name == "Scan(x)";
+    aggregates += op.name == "Aggregate(final)";
+    reuses += op.name == "SpoolReuse";
+  }
+  EXPECT_EQ(scans, 1u);
+  EXPECT_EQ(aggregates, 1u);
+  EXPECT_EQ(reuses, 0u);
+  // EXPLAIN ANALYZE prints the second copy without actuals.
+  const std::string analyzed = Explain(t.on, "EXPLAIN ANALYZE " + sql);
+  EXPECT_NE(analyzed.find(kSelfLabel), std::string::npos) << analyzed;
 }
 
 // ---------------------------------------------------------------------
@@ -1016,7 +1324,7 @@ TEST(RelationalMultiplyVectorTest, CancellingWhilePackingLeavesNoCharges) {
   Database db(MakeConfig(true));
   ASSERT_TRUE(LoadVecRows(db, "p", 8, RandomVecRows(23, 2000, 8, false)).ok());
   ASSERT_TRUE(LoadVecRows(db, "q", 8, RandomVecRows(24, 2000, 8, false)).ok());
-  ExpectACancelInsideTheMultiplyLeavesNoCharges(db, kVecMin, 2000);
+  ExpectACancelInsideTheMultiplyLeavesNoCharges(db, kVecMin, 1, 2000);
 }
 
 TEST(RelationalMultiplyVectorTest, DistanceVectorAgreesWithTheReference) {
@@ -1086,7 +1394,7 @@ TEST(RelationalMultiplyPlacementTest, TupleCodingSlicesItsListedGroups) {
   std::vector<Triple> cells;
   for (int64_t i = 0; i < 7; ++i) {
     for (int64_t k = 2 * (i % 2); k < 2 * (i % 2) + 2; ++k) {
-      cells.push_back({I(k), I(i), D(double(i + 2 * k))});
+      cells.emplace_back(I(k), I(i), D(double(i + 2 * k)));  // see Dense
     }
   }
   std::vector<KeyPair> listed;  // row-major
